@@ -330,7 +330,7 @@ fn main() {
         all_ok &= gate(name, &r);
         println!(
             "  {name:>19}: p50={:>7} ns  p99={:>8} ns  p99.9={:>8} ns  completed={:>4}  \
-             drops={} crash={} rto={} suspected={} reroutes={} lost={} \
+             drops={} crash={} rto={} rnr_naks={} suspected={} reroutes={} lost={} \
              rejoins={} ttr_p50={} gray_demoted={} gray_reroutes={}",
             r.p50.as_nanos(),
             r.p99.as_nanos(),
@@ -339,6 +339,7 @@ fn main() {
             r.chaos.fault_drops,
             r.chaos.crash_drops,
             r.chaos.rto,
+            r.chaos.rnr_naks,
             r.chaos.suspected,
             r.chaos.reroutes,
             r.chaos.inflight_lost,
@@ -350,9 +351,9 @@ fn main() {
         rows.push(format!(
             "    {{\"scenario\": \"{name}\", \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
              \"completed\": {}, \"fault_drops\": {}, \"crash_drops\": {}, \"rto\": {}, \
-             \"suspected\": {}, \"recovered\": {}, \"inflight_lost\": {}, \"reroutes\": {}, \
-             \"rejoins\": {}, \"ttr_p50_ns\": {}, \"ttr_p99_ns\": {}, \"gray_demoted\": {}, \
-             \"gray_reroutes\": {}}}",
+             \"rnr_naks\": {}, \"suspected\": {}, \"recovered\": {}, \"inflight_lost\": {}, \
+             \"reroutes\": {}, \"rejoins\": {}, \"ttr_p50_ns\": {}, \"ttr_p99_ns\": {}, \
+             \"gray_demoted\": {}, \"gray_reroutes\": {}}}",
             r.p50.as_nanos(),
             r.p99.as_nanos(),
             r.p999.as_nanos(),
@@ -360,6 +361,7 @@ fn main() {
             r.chaos.fault_drops,
             r.chaos.crash_drops,
             r.chaos.rto,
+            r.chaos.rnr_naks,
             r.chaos.suspected,
             r.chaos.recovered,
             r.chaos.inflight_lost,
@@ -380,7 +382,7 @@ fn main() {
         println!(
             "  {name:>19}: p50={:>7} ns  p99={:>8} ns  p99.9={:>8} ns  offered={:>4}  \
              goodput={:>3} late={} recovery={} exhausted={} breaker_opens={} \
-             scale_ups={} lease_hits={} rejoin_bills={} ramp_p99={}",
+             scale_ups={} lease_hits={} rejoin_bills={} ramp_p99={} rnr_naks={}",
             r.p50.as_nanos(),
             r.p99.as_nanos(),
             r.p999.as_nanos(),
@@ -393,7 +395,8 @@ fn main() {
             o.scale_ups,
             o.lease_hits,
             o.rejoin_bills,
-            o.ramp_p99.as_nanos()
+            o.ramp_p99.as_nanos(),
+            r.chaos.rnr_naks
         );
         rows.push(format!(
             "    {{\"scenario\": \"{name}\", \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
@@ -401,7 +404,8 @@ fn main() {
              \"late\": {}, \"recovery_goodput\": {}, \"retries\": {}, \"retry_exhausted\": {}, \
              \"shed_admission\": {}, \"shed_deadline\": {}, \"shed_breaker\": {}, \
              \"breaker_opens\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \
-             \"rejoin_bills\": {}, \"lease_hits\": {}, \"ramp_p99_ns\": {}}}",
+             \"rejoin_bills\": {}, \"lease_hits\": {}, \"ramp_p99_ns\": {}, \
+             \"rnr_naks\": {}}}",
             r.p50.as_nanos(),
             r.p99.as_nanos(),
             r.p999.as_nanos(),
@@ -421,7 +425,8 @@ fn main() {
             o.scale_downs,
             o.rejoin_bills,
             o.lease_hits,
-            o.ramp_p99.as_nanos()
+            o.ramp_p99.as_nanos(),
+            r.chaos.rnr_naks
         ));
     }
 

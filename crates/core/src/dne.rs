@@ -331,7 +331,7 @@ impl Dne {
             self.worker_core.complete();
             self.engine_busy = true;
             let delay = done - now;
-            self.process_cqe(cqe, delay, out);
+            self.process_cqe(cqe, now, delay, out);
             out.push(Timed::new(delay, DneEffect::EngineSlot));
             return;
         }
@@ -383,7 +383,9 @@ impl Dne {
         WrId(self.tx_inflight.insert(Some(token)))
     }
 
-    fn process_cqe(&mut self, cqe: Cqe, delay: Nanos, out: &mut DneStep) {
+    /// `now` is the instant the engine started on this CQE and `delay` its
+    /// service time: every effect is relative to `now`.
+    fn process_cqe(&mut self, cqe: Cqe, now: Nanos, delay: Nanos, out: &mut DneStep) {
         match cqe.kind {
             CqeKind::Recv => {
                 let Some((tenant, token)) = self.rbr.consume(cqe.wr_id) else {
@@ -409,7 +411,11 @@ impl Dne {
                 ));
                 out.push(Timed::new(delay, DneEffect::DeliverToFn { dst, desc }));
                 // Core thread replenishment sweep (runs on the other core,
-                // asynchronously — charge it there).
+                // asynchronously — charge it there). The sweep starts when
+                // the worker finishes this CQE (`now + delay`) or when the
+                // core thread's own backlog clears, whichever is later, so
+                // a buffer re-enters the RQ one replenish service after its
+                // CQE plus whatever the core thread still owes.
                 let consumed = self.rbr.take_consumed(tenant);
                 if consumed > 0 {
                     let service = match self.loc {
@@ -422,10 +428,10 @@ impl Dne {
                             self.cost.engine_replenish.saturating_mul(consumed)
                         }
                     };
-                    let rdone = self.core_thread.submit(Nanos::ZERO.max(delay), service);
+                    let rdone = self.core_thread.submit(now + delay, service);
                     self.core_thread.complete();
                     out.push(Timed::new(
-                        rdone,
+                        rdone - now,
                         DneEffect::Replenish {
                             tenant,
                             n: consumed,
@@ -584,6 +590,41 @@ mod tests {
             |t| matches!(t.value, DneEffect::Replenish { tenant, n } if tenant == TenantId(1) && n == 1)
         ));
         assert_eq!(dne.rx_count, 1);
+    }
+
+    #[test]
+    fn replenish_delay_is_relative_to_now() {
+        // One Recv CQE every 10 µs — far apart next to the 250 ns × wimpy
+        // replenish service, so the core thread is idle at each one and
+        // the buffer must re-enter the RQ one service after the engine
+        // finishes the CQE, no matter how late in the run it arrives.
+        const N: u64 = 64;
+        let mut dne = engine(EngineLocation::Dpu);
+        let cost = CostModel::default();
+        let service = cost.soc.scale(cost.engine_replenish);
+        let mut pool = palladium_membuf::UnifiedPool::new(PoolId(0), TenantId(1), N as u32, 256);
+        for i in 0..N {
+            let now = Nanos::from_micros(10 * i);
+            let tok = pool.alloc(palladium_membuf::Owner::Rnic).unwrap();
+            let cqe = Cqe {
+                wr_id: dne.rbr.register(TenantId(1), tok),
+                kind: CqeKind::Recv,
+                status: CqeStatus::Success,
+                qpn: Qpn(1),
+                tenant: TenantId(1),
+                peer: NodeId(1),
+                data: Bytes::from_static(b"x"),
+                imm: pack_imm(FnId(1), FnId(2), TenantId(1)),
+            };
+            let fx = dne.submit_cqe(now, cqe);
+            let after = |want: fn(&DneEffect) -> bool| {
+                fx.iter().find(|t| want(&t.value)).expect("effect").after
+            };
+            let engine_delay = after(|e| matches!(e, DneEffect::EngineSlot));
+            let replenish = after(|e| matches!(e, DneEffect::Replenish { .. }));
+            assert_eq!(replenish, engine_delay + service, "CQE {i} at {now}");
+            assert!(dne.on_engine_slot(now + engine_delay).is_empty());
+        }
     }
 
     #[test]

@@ -688,6 +688,10 @@ pub struct ChaosReport {
     pub corrupt: u64,
     /// Retransmission-timeout firings across all QPs.
     pub rto: u64,
+    /// Receiver-not-ready NAKs: a send found the destination's shared RQ
+    /// empty and its QP sat out an `rnr_retry_delay`. RQ replenishment
+    /// keeps up with the engine, so this is zero on every fault-free run.
+    pub rnr_naks: u64,
     /// Workers the ingress suspected dead (missed-heartbeat transitions).
     pub suspected: u64,
     /// Suspected workers that later recovered (heartbeats resumed).
@@ -739,25 +743,35 @@ pub(crate) enum Ev {
     GwOut { req: u64, worker: usize },
     /// RDMA fabric sub-simulator event (this shard's instance).
     Rdma(RdmaEvent),
-    /// A Palladium engine core freed up on node `n`.
+    /// A Palladium engine core freed up on node `n` after an op that left
+    /// nothing to apply (a completion the engine no longer tracks). Every
+    /// other op's wake-up rides on its own completion event: `wake` below
+    /// means "the engine core frees up at this instant too — run its next
+    /// step once the effect is applied".
     EngineSlot { n: usize },
     /// Engine TX processing done: post the WR.
     PostSend {
         n: usize,
         dst: NodeId,
         tenant: TenantId,
+        wake: bool,
         wr: WorkRequest,
     },
     /// RNIC DMA application of received bytes.
     ApplyDma {
         n: usize,
+        wake: bool,
         token: BufToken,
         data: Bytes,
     },
     /// Descriptor delivery to a function (after channel transit).
     Deliver { n: usize, desc: BufDesc },
     /// A transmitted buffer completed.
-    ReleaseTx { n: usize, token: BufToken },
+    ReleaseTx {
+        n: usize,
+        wake: bool,
+        token: BufToken,
+    },
     /// Core-thread RQ replenishment.
     Replenish { n: usize, cnt: u64 },
     /// A function's hand-off reached the engine.
@@ -1610,10 +1624,19 @@ impl ClusterShard {
         }
     }
 
-    /// Schedule the effects of a Palladium engine step.
+    /// Schedule the effects of a Palladium engine step. An engine op is
+    /// one scheduled event: the engine pushes its wake-up
+    /// ([`DneEffect::EngineSlot`]) last, at the op's completion delay, and
+    /// the first effect landing at that same instant carries it (`wake`)
+    /// instead of a second event being queued behind it.
     fn apply_dne_step(&mut self, fx: &mut Effects<'_, Ev>, n: usize, step: &mut crate::dne::DneStep) {
         let (to_fn_transit, _) = self.fn_channel_costs();
+        let mut wake_at = match step.last() {
+            Some(t) if matches!(t.value, DneEffect::EngineSlot) => Some(t.after),
+            _ => None,
+        };
         for t in step.drain(..) {
+            let mut carry = || wake_at.take_if(|at| *at == t.after).is_some();
             match t.value {
                 DneEffect::PostSend { dst_node, tenant, wr } => {
                     fx.after(
@@ -1622,6 +1645,7 @@ impl ClusterShard {
                             n,
                             dst: dst_node,
                             tenant,
+                            wake: carry(),
                             wr,
                         },
                     );
@@ -1630,20 +1654,32 @@ impl ClusterShard {
                     fx.after(t.after + to_fn_transit, Ev::Deliver { n, desc });
                 }
                 DneEffect::ApplyDma { token, data, .. } => {
-                    fx.after(t.after, Ev::ApplyDma { n, token, data });
+                    fx.after(t.after, Ev::ApplyDma { n, wake: carry(), token, data });
                 }
                 DneEffect::ReleaseTxBuffer { token } => {
-                    fx.after(t.after, Ev::ReleaseTx { n, token });
+                    fx.after(t.after, Ev::ReleaseTx { n, wake: carry(), token });
                 }
                 DneEffect::Replenish { n: cnt, .. } => {
                     fx.after(t.after, Ev::Replenish { n, cnt });
                 }
                 DneEffect::EngineSlot => {
-                    fx.after(t.after, Ev::EngineSlot { n });
+                    // Nothing else landed at the wake-up instant.
+                    if wake_at.take().is_some() {
+                        fx.after(t.after, Ev::EngineSlot { n });
+                    }
                 }
                 DneEffect::RouteMiss { .. } => {}
             }
         }
+    }
+
+    /// Node `n`'s engine core freed up: start its next unit of work.
+    fn engine_slot(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, n: usize) {
+        let li = self.li(n);
+        let mut step = std::mem::take(&mut self.dne_fx);
+        self.dnes[li].as_mut().expect("worker dne").on_engine_slot_into(now, &mut step);
+        self.apply_dne_step(fx, n, &mut step);
+        self.dne_fx = step;
     }
 
     fn on_rdma_output(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, out: RdmaOutput) {
@@ -1914,42 +1950,38 @@ impl ShardEngine for ClusterShard {
                 }
                 self.rdma_step = step;
             }
-            Ev::EngineSlot { n } => {
-                let li = self.li(n);
-                let mut step = std::mem::take(&mut self.dne_fx);
-                self.dnes[li].as_mut().expect("worker dne").on_engine_slot_into(now, &mut step);
-                self.apply_dne_step(fx, n, &mut step);
-                self.dne_fx = step;
-            }
-            Ev::PostSend { n, dst, tenant, wr } => {
+            Ev::EngineSlot { n } => self.engine_slot(now, fx, n),
+            Ev::PostSend { n, dst, tenant, wake, wr } => {
                 let li = self.li(n);
                 self.meters[li].record(MoveKind::RnicDma, wr.payload.len() as u64);
-                let mut step = std::mem::take(&mut self.post_step);
-                step.clear();
-                let Some(qpn) = self.dnes[li]
+                let conn = self.dnes[li]
                     .as_mut()
                     .expect("worker dne")
-                    .select_conn(&self.net, dst, tenant)
-                else {
+                    .select_conn(&self.net, dst, tenant);
+                if let Some(qpn) = conn {
+                    let mut step = std::mem::take(&mut self.post_step);
+                    step.clear();
+                    if self
+                        .net
+                        .post_send_into(now, NodeId(n as u16), qpn, wr, &mut step)
+                        .is_err()
+                    {
+                        // Errored QP (transport retries exhausted): shed
+                        // the send — the ingress abandons and re-issues
+                        // (closed loop) or retries within budget
+                        // (overload) once the health plane reports the
+                        // loss.
+                        self.shed_qp += 1;
+                    }
+                    fx.extend_drain(&mut step.events, Ev::Rdma);
+                    self.route_egress(now, out, &mut step);
                     self.post_step = step;
-                    return;
-                };
-                if self
-                    .net
-                    .post_send_into(now, NodeId(n as u16), qpn, wr, &mut step)
-                    .is_err()
-                {
-                    // Errored QP (transport retries exhausted): shed the
-                    // send — the ingress abandons and re-issues (closed
-                    // loop) or retries within budget (overload) once the
-                    // health plane reports the loss.
-                    self.shed_qp += 1;
                 }
-                fx.extend_drain(&mut step.events, Ev::Rdma);
-                self.route_egress(now, out, &mut step);
-                self.post_step = step;
+                if wake {
+                    self.engine_slot(now, fx, n);
+                }
             }
-            Ev::ApplyDma { n, token, data } => {
+            Ev::ApplyDma { n, wake, token, data } => {
                 let li = self.li(n);
                 self.pools[li]
                     .dma_write_bytes(&token, data, MoveKind::RnicDma, &mut self.meters[li])
@@ -1958,6 +1990,9 @@ impl ShardEngine for ClusterShard {
                     .transfer(&token, Owner::Rnic, Owner::Engine)
                     .expect("rnic to engine");
                 self.inbound_tokens[li].insert(token.idx() as usize, token);
+                if wake {
+                    self.engine_slot(now, fx, n);
+                }
             }
             Ev::Deliver { n, desc } => {
                 let recv = self.fn_recv_cost();
@@ -1975,9 +2010,12 @@ impl ShardEngine for ClusterShard {
                 let done = self.on_fn_core(n, now, service);
                 fx.at(done, Ev::FnDone { n, desc });
             }
-            Ev::ReleaseTx { n, token } => {
+            Ev::ReleaseTx { n, wake, token } => {
                 let li = self.li(n);
                 let _ = self.pools[li].free(token);
+                if wake {
+                    self.engine_slot(now, fx, n);
+                }
             }
             Ev::Replenish { n, cnt } => {
                 self.replenish(n, cnt);
@@ -2643,6 +2681,7 @@ impl ClusterShardedSim {
             chaos_rep.crash_drops += e.net.counters.get("crash_drop");
             chaos_rep.corrupt += e.net.counters.get("corrupt");
             chaos_rep.rto += e.net.counters.get("rto");
+            chaos_rep.rnr_naks += e.net.counters.get("rnr_nak");
             chaos_rep.shed_qp += e.shed_qp;
             chaos_rep.shed_pool += e.shed_pool;
         }

@@ -111,12 +111,20 @@ pub struct PoolStats {
 /// A fixed-size pool of equal-size buffers. The reserved region's *size*
 /// models the up-front hugepage reservation (MR registration / MTT sizing
 /// read it); payload content rides per-buffer [`Bytes`] handles.
+///
+/// Slot bookkeeping is materialised on first touch: a run touches the RQ
+/// depth plus its in-flight buffers, a small fraction of the reservation,
+/// so construction is O(1) and `slots` only ever grows to the high-water
+/// mark of concurrently allocated buffers.
 pub struct UnifiedPool {
     id: PoolId,
     tenant: TenantId,
     buf_size: u32,
     n_bufs: u32,
+    /// Slots `0..slots.len()` have been handed out at least once; indices
+    /// `slots.len()..n_bufs` are untouched (free, generation 0).
     slots: Vec<Slot>,
+    /// Recycled indices, most-recently-freed on top.
     free: Vec<u32>,
     stats: PoolStats,
 }
@@ -132,17 +140,8 @@ impl UnifiedPool {
             tenant,
             buf_size,
             n_bufs,
-            slots: (0..n_bufs)
-                .map(|_| Slot {
-                    gen: 0,
-                    owner: Owner::Free,
-                    len: 0,
-                    content: Bytes::new(),
-                })
-                .collect(),
-            // LIFO free list: most-recently-freed first for cache warmth,
-            // like rte_mempool's per-core cache.
-            free: (0..n_bufs).rev().collect(),
+            slots: Vec::new(),
+            free: Vec::new(),
             stats: PoolStats::default(),
         }
     }
@@ -164,17 +163,17 @@ impl UnifiedPool {
 
     /// Total number of buffers.
     pub fn capacity(&self) -> u32 {
-        self.slots.len() as u32
+        self.n_bufs
     }
 
-    /// Buffers currently on the free list.
+    /// Buffers free to allocate: recycled plus never touched.
     pub fn available(&self) -> u32 {
-        self.free.len() as u32
+        self.n_bufs - self.in_use()
     }
 
     /// Buffers currently allocated (owned by someone or in transit).
     pub fn in_use(&self) -> u32 {
-        self.capacity() - self.available()
+        (self.slots.len() - self.free.len()) as u32
     }
 
     /// Pool statistics.
@@ -189,16 +188,27 @@ impl UnifiedPool {
 
     /// Allocate one buffer for `owner`. O(1): pops the free list — the
     /// paper's motivation for pool-based allocation over malloc (§3.4).
+    /// LIFO: the most-recently-freed buffer first for cache warmth, like
+    /// rte_mempool's per-core cache; untouched buffers follow in ascending
+    /// index order.
     pub fn alloc(&mut self, owner: Owner) -> Result<BufToken, PoolError> {
         debug_assert!(owner.can_access(), "cannot allocate for a passive owner");
-        let Some(idx) = self.free.pop() else {
+        let (idx, gen) = if let Some(idx) = self.free.pop() {
+            let slot = &mut self.slots[idx as usize];
+            slot.owner = owner;
+            (idx, slot.gen)
+        } else if self.slots.len() < self.n_bufs as usize {
+            self.slots.push(Slot {
+                gen: 0,
+                owner,
+                len: 0,
+                content: Bytes::new(),
+            });
+            (self.slots.len() as u32 - 1, 0)
+        } else {
             self.stats.alloc_failures += 1;
             return Err(PoolError::Exhausted);
         };
-        let slot = &mut self.slots[idx as usize];
-        slot.owner = owner;
-        slot.len = 0;
-        let gen = slot.gen;
         self.stats.allocs += 1;
         self.stats.max_in_use = self.stats.max_in_use.max(self.in_use());
         Ok(BufToken {
@@ -213,13 +223,25 @@ impl UnifiedPool {
             return Err(PoolError::WrongPool);
         }
         let idx = tok.idx as usize;
-        if idx >= self.slots.len() {
-            return Err(PoolError::BadIndex);
-        }
-        if self.slots[idx].gen != tok.gen {
+        let Some(slot) = self.slots.get(idx) else {
+            return Err(self.untouched(tok.idx, tok.gen));
+        };
+        if slot.gen != tok.gen {
             return Err(PoolError::StaleToken);
         }
         Ok(idx)
+    }
+
+    /// What naming a slot past `slots.len()` reports: an in-range index is
+    /// a free buffer at generation 0 that was never handed out.
+    fn untouched(&self, idx: u32, gen: u32) -> PoolError {
+        if idx >= self.n_bufs {
+            PoolError::BadIndex
+        } else if gen != 0 {
+            PoolError::StaleToken
+        } else {
+            PoolError::BadOwner { found: Owner::Free }
+        }
     }
 
     /// Return a buffer to the free list, consuming the token. The slot
@@ -424,11 +446,9 @@ impl UnifiedPool {
         if desc.pool != self.id {
             return Err(PoolError::WrongPool);
         }
-        let idx = desc.buf_idx as usize;
-        if idx >= self.slots.len() {
-            return Err(PoolError::BadIndex);
-        }
-        let slot = &mut self.slots[idx];
+        let Some(slot) = self.slots.get_mut(desc.buf_idx as usize) else {
+            return Err(self.untouched(desc.buf_idx, 0));
+        };
         if slot.owner != Owner::InTransit {
             return Err(PoolError::BadOwner { found: slot.owner });
         }
@@ -487,6 +507,7 @@ pub fn copy_across(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pool() -> UnifiedPool {
         UnifiedPool::new(PoolId(1), TenantId(1), 4, 1024)
@@ -654,5 +675,144 @@ mod tests {
         let tok2 = p.alloc(Owner::Engine).unwrap();
         assert_eq!(tok2.idx(), first_idx, "most recently freed is reused first");
         p.free(tok2).unwrap();
+    }
+
+    /// The eager pool this one replaced, reduced to its bookkeeping: every
+    /// slot built up front and a free list seeded `(0..n).rev()`.
+    struct Eager {
+        slots: Vec<(u32, Owner)>,
+        free: Vec<u32>,
+    }
+
+    impl Eager {
+        fn new(n: u32) -> Self {
+            Eager {
+                slots: vec![(0, Owner::Free); n as usize],
+                free: (0..n).rev().collect(),
+            }
+        }
+
+        fn alloc(&mut self, owner: Owner) -> Result<(u32, u32), PoolError> {
+            let idx = self.free.pop().ok_or(PoolError::Exhausted)?;
+            self.slots[idx as usize].1 = owner;
+            Ok((idx, self.slots[idx as usize].0))
+        }
+
+        fn free(&mut self, idx: u32, gen: u32) -> Result<(), PoolError> {
+            let slot = self.slots.get_mut(idx as usize).ok_or(PoolError::BadIndex)?;
+            if slot.0 != gen {
+                return Err(PoolError::StaleToken);
+            }
+            if !slot.1.can_access() {
+                return Err(PoolError::BadOwner { found: slot.1 });
+            }
+            *slot = (gen.wrapping_add(1), Owner::Free);
+            self.free.push(idx);
+            Ok(())
+        }
+
+        fn redeem(&mut self, idx: u32, to: Owner) -> Result<(u32, u32), PoolError> {
+            let slot = self.slots.get_mut(idx as usize).ok_or(PoolError::BadIndex)?;
+            if slot.1 != Owner::InTransit {
+                return Err(PoolError::BadOwner { found: slot.1 });
+            }
+            slot.1 = to;
+            Ok((idx, slot.0))
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Alloc,
+        /// Free the i-th live token.
+        Free(usize),
+        /// Put the i-th live token in transit, then redeem it.
+        Handoff(usize),
+        /// Redeem a descriptor naming any index, in range or not.
+        Redeem(u32),
+        /// Free through a forged `(idx, gen)` token.
+        Forged(u32, u32),
+    }
+
+    fn token_of(pair: (u32, u32)) -> BufToken {
+        BufToken {
+            pool: PoolId(1),
+            idx: pair.0,
+            gen: pair.1,
+        }
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => Just(Op::Alloc),
+            2 => (0usize..64).prop_map(Op::Free),
+            1 => (0usize..64).prop_map(Op::Handoff),
+            1 => (0u32..14).prop_map(Op::Redeem),
+            1 => ((0u32..14), (0u32..3)).prop_map(|(i, g)| Op::Forged(i, g)),
+        ]
+    }
+
+    // Materialising slots on first touch is invisible: the same
+    // `(idx, gen)` for every allocation, the same error for every misuse —
+    // including exhaustion at `n_bufs` and descriptors or tokens naming a
+    // buffer that was never handed out.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lazy_pool_matches_the_eager_model(
+            n_bufs in 1u32..12,
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+        ) {
+            let owner = Owner::Function(FnId(1));
+            let mut lazy = UnifiedPool::new(PoolId(1), TenantId(1), n_bufs, 64);
+            let mut eager = Eager::new(n_bufs);
+            let mut live: Vec<(u32, u32)> = Vec::new();
+            let pair = |t: BufToken| (t.idx, t.gen);
+            for op in ops {
+                match op {
+                    Op::Alloc => {
+                        let got = lazy.alloc(owner).map(pair);
+                        prop_assert_eq!(got, eager.alloc(owner));
+                        live.extend(got.ok());
+                    }
+                    Op::Free(i) if !live.is_empty() => {
+                        let t = live.swap_remove(i % live.len());
+                        prop_assert_eq!(lazy.free(token_of(t)), eager.free(t.0, t.1));
+                    }
+                    Op::Handoff(i) if !live.is_empty() => {
+                        let t = live[i % live.len()];
+                        let desc = lazy.into_transit(token_of(t), FnId(1), FnId(2)).unwrap();
+                        eager.slots[t.0 as usize].1 = Owner::InTransit;
+                        prop_assert_eq!(
+                            lazy.redeem(&desc, owner).map(pair),
+                            eager.redeem(t.0, owner)
+                        );
+                    }
+                    Op::Redeem(idx) => {
+                        let desc = BufDesc {
+                            tenant: TenantId(1),
+                            pool: PoolId(1),
+                            buf_idx: idx,
+                            len: 0,
+                            src_fn: FnId(1),
+                            dst_fn: FnId(2),
+                        };
+                        prop_assert_eq!(
+                            lazy.redeem(&desc, owner).map(pair),
+                            eager.redeem(idx, owner)
+                        );
+                    }
+                    Op::Forged(idx, gen) => {
+                        prop_assert_eq!(lazy.free(token_of((idx, gen))), eager.free(idx, gen));
+                        live.retain(|t| *t != (idx, gen));
+                    }
+                    Op::Free(_) | Op::Handoff(_) => {}
+                }
+                prop_assert_eq!(lazy.capacity(), n_bufs);
+                prop_assert_eq!(lazy.available() as usize, eager.free.len());
+                prop_assert_eq!(lazy.in_use() as usize, live.len());
+            }
+        }
     }
 }

@@ -648,19 +648,35 @@ struct ShardCtx<E: ShardEngine> {
     inbound: Vec<Envelope<E::Msg>>,
     events: u64,
     delivered: u64,
-    /// Per-window busy wall nanoseconds (merge + run phases; barrier
-    /// waits excluded) — the critical-path model's raw material.
-    busy: Vec<u64>,
     /// Merge-phase nanoseconds of the window in progress.
     merge_ns: u64,
+    /// Busy wall nanoseconds so far (merge + run phases; barrier waits
+    /// excluded).
+    busy_ns: u64,
+}
+
+/// Wall-clock phase timer for the busy accounting: consecutive phases
+/// share one clock read per boundary.
+struct Stopwatch(Instant);
+
+impl Stopwatch {
+    fn start() -> Self {
+        // simlint: allow(no-ambient-time) — real-time busy accounting for the critical-path model; measures host merge/run cost, never feeds virtual time
+        Stopwatch(Instant::now())
+    }
+
+    /// Nanoseconds since the previous boundary; this instant is the next.
+    fn lap(&mut self) -> u64 {
+        let last = self.0;
+        *self = Stopwatch::start();
+        self.0.duration_since(last).as_nanos() as u64
+    }
 }
 
 impl<E: ShardEngine> ShardCtx<E> {
     /// Window phase 1: drain + deterministically merge last window's
     /// cross-shard arrivals into the local queue.
     fn merge_inbound(&mut self) {
-        // simlint: allow(no-ambient-time) — real-time busy accounting for the critical-path model; measures host merge cost, never feeds virtual time
-        let t0 = Instant::now();
         for c in &mut self.inbox {
             c.drain_into(&mut self.inbound);
         }
@@ -672,16 +688,21 @@ impl<E: ShardEngine> ShardCtx<E> {
                 self.harness.schedule_at(env.at, ev);
             }
         }
-        self.merge_ns = t0.elapsed().as_nanos() as u64;
     }
 
     /// Window phase 2: run local events strictly before `end`.
     fn run_window(&mut self, end: Nanos) {
         self.runner.outbox.window_end = end;
-        // simlint: allow(no-ambient-time) — real-time busy accounting for the critical-path model; measures host run cost, never feeds virtual time
-        let t0 = Instant::now();
         self.events += self.harness.run_window(&mut self.runner, end);
-        self.busy.push(self.merge_ns + t0.elapsed().as_nanos() as u64);
+    }
+
+    /// The window's run phase took `run_ns`. Returns the window's busy
+    /// time (merge + run) — the critical-path model's raw material, folded
+    /// by the caller as each window completes.
+    fn close_window(&mut self, run_ns: u64) -> u64 {
+        let busy = self.merge_ns + run_ns;
+        self.busy_ns += busy;
+        busy
     }
 }
 
@@ -755,38 +776,65 @@ pub fn run_sharded<E: ShardEngine>(
             inbound: Vec::new(),
             events: 0,
             delivered: 0,
-            busy: Vec::with_capacity(n_windows as usize),
             merge_ns: 0,
+            busy_ns: 0,
         });
     }
 
+    // `Σ_k max_s busy[s][k]`, folded as each window completes.
+    let mut critical_path_ns = 0u64;
     match cfg.execution {
         Execution::Sequential => {
+            let mut clock = Stopwatch::start();
             for k in 0..n_windows {
                 let end = window_end(k, w, deadline);
                 for ctx in &mut ctxs {
                     ctx.merge_inbound();
+                    ctx.merge_ns = clock.lap();
                 }
+                let mut slowest = 0;
                 for ctx in &mut ctxs {
                     ctx.run_window(end);
+                    slowest = slowest.max(ctx.close_window(clock.lap()));
                 }
+                critical_path_ns += slowest;
             }
         }
         Execution::Threads => {
             let barrier = SpinBarrier::new(n);
+            // Each shard publishes its window's busy time here before the
+            // second barrier; shard 0 folds the maximum right after it.
+            // The next stores come after the next first barrier, which
+            // shard 0 only reaches once it has folded.
+            let window_ns: Vec<Pad<AtomicU64>> = (0..n).map(|_| Pad(AtomicU64::new(0))).collect();
             let run_shard = |ctx: &mut ShardCtx<E>| {
                 let _poison = PoisonOnUnwind(&barrier);
+                let mut critical = 0u64;
+                let mut clock = Stopwatch::start();
                 for k in 0..n_windows {
+                    clock.lap();
                     ctx.merge_inbound();
+                    ctx.merge_ns = clock.lap();
                     // All mailboxes quiesce before anyone refills them:
                     // a shard ahead in window k+1 must not race a shard
                     // still draining window k's batch.
                     barrier.wait();
+                    clock.lap();
                     ctx.run_window(window_end(k, w, deadline));
+                    let busy = ctx.close_window(clock.lap());
+                    window_ns[ctx.idx].0.store(busy, Ordering::Relaxed);
                     // All of window k's sends are mailboxed before any
                     // shard starts the next drain.
                     barrier.wait();
+                    if ctx.idx == 0 {
+                        critical += window_ns
+                            .iter()
+                            .map(|c| c.0.load(Ordering::Relaxed))
+                            .max()
+                            .unwrap_or(0);
+                    }
                 }
+                critical
             };
             let mut rest = ctxs.split_off(1);
             let first = &mut ctxs[0];
@@ -795,7 +843,7 @@ pub fn run_sharded<E: ShardEngine>(
                     .iter_mut()
                     .map(|ctx| s.spawn(|| run_shard(ctx)))
                     .collect();
-                run_shard(first);
+                critical_path_ns = run_shard(first);
                 for h in handles {
                     // simlint: allow(no-panic-hot-path) — re-raises a shard panic on the coordinating thread after the barrier poisoned; the run is already dead
                     h.join().expect("shard thread panicked");
@@ -824,9 +872,6 @@ pub fn run_sharded<E: ShardEngine>(
             })
         })
         .collect();
-    let critical_path_ns = (0..n_windows as usize)
-        .map(|k| ctxs.iter().map(|c| c.busy[k]).max().unwrap_or(0))
-        .sum();
     let mut run = ShardRun {
         engines: Vec::with_capacity(n),
         events: 0,
@@ -840,7 +885,7 @@ pub fn run_sharded<E: ShardEngine>(
     for ctx in ctxs {
         run.events += ctx.events;
         run.messages += ctx.delivered;
-        run.busy_ns.push(ctx.busy.iter().sum());
+        run.busy_ns.push(ctx.busy_ns);
         run.engines.push(ctx.runner.engine);
     }
     run
@@ -1042,6 +1087,46 @@ mod tests {
         );
         assert_eq!(logs(&wide), logs(&strided));
         assert_eq!(wide.windows, strided.windows);
+    }
+
+    #[test]
+    fn critical_path_is_the_streamed_sum_of_window_maxima() {
+        // The runner no longer keeps a per-window busy vector, so pin what
+        // `Σ_k max_s busy[s][k]` implies about the per-shard sums it does
+        // keep: with one shard the two are the same number, and with more
+        // the critical path lies between the busiest shard and all of them
+        // — in both execution modes, strided or not.
+        let window = Nanos(1_000);
+        for execution in [Execution::Sequential, Execution::Threads] {
+            for (n, stride) in [(1u32, 1), (3, 1), (3, 2), (4, 2)] {
+                let engines: Vec<Ring> = (0..n)
+                    .map(|node| Ring { node, n, window: Nanos(2_000), log: Vec::new() })
+                    .collect();
+                let cfg = ShardConfig::new(n as usize, window).execution(execution).stride(stride);
+                let run = run_sharded(
+                    &cfg,
+                    engines,
+                    |s, h| {
+                        if s == 0 {
+                            h.schedule_at(Nanos(0), Token(0));
+                        }
+                    },
+                    Nanos(100_000),
+                );
+                let what = format!("{n} shards, stride {stride}, {execution:?}");
+                assert_eq!(run.busy_ns.len(), n as usize, "{what}");
+                let (busiest, total) = (
+                    *run.busy_ns.iter().max().unwrap(),
+                    run.busy_ns.iter().sum::<u64>(),
+                );
+                assert!(busiest > 0, "{what}: busy time is measured");
+                assert!(
+                    (busiest..=total).contains(&run.critical_path_ns),
+                    "{what}: {busiest} <= {} <= {total}",
+                    run.critical_path_ns
+                );
+            }
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn trace(name: &str, r: &ClusterShardedReport) -> String {
     format!(
         "chaos/{name}: rps={:016x} mean={} p50={} p99={} p999={} completed={} \
          sw_bytes={} dma_bytes={} events={} messages={} \
-         fault_drops={} crash_drops={} corrupt={} rto={} suspected={} \
+         fault_drops={} crash_drops={} corrupt={} rto={} rnr_naks={} suspected={} \
          recovered={} inflight_lost={} reroutes={} shed_qp={} shed_pool={} \
          shed_admission={} shed_deadline={} shed_breaker={} \
          rejoins={} rejoins_aborted={} ttr_p50={} ttr_p99={} \
@@ -108,6 +108,7 @@ fn trace(name: &str, r: &ClusterShardedReport) -> String {
         c.crash_drops,
         c.corrupt,
         c.rto,
+        c.rnr_naks,
         c.suspected,
         c.recovered,
         c.inflight_lost,

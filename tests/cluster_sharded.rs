@@ -82,6 +82,27 @@ fn every_shard_count_reproduces_the_snapshot() {
 }
 
 #[test]
+fn fault_free_receive_queues_never_run_dry() {
+    // Long enough (200 ms) for replenishment that lags the engine to
+    // drain the 512-entry RQs: the core thread must keep them stocked, so
+    // no send ever meets an empty RQ and sits out the 100 µs RNR back-off
+    // — the tail stays on the median — and an engine op costs one event.
+    let cfg = golden_cfg().warmup_ms(20).duration_ms(200);
+    let r = ClusterShardedSim::new(cfg).run(1, Execution::Sequential);
+    let completed = r.chain.load.completed;
+    assert!(completed > 10_000, "closed loop saturates: {completed}");
+    assert_eq!(r.chaos.rnr_naks, 0, "a send found its receiver's RQ empty");
+    assert!(
+        r.p99.as_nanos() * 100 <= r.p50.as_nanos() * 105,
+        "p99 {} vs p50 {}: a tail this far off the median is a stall",
+        r.p99,
+        r.p50
+    );
+    let per_req = r.events as f64 / completed as f64;
+    assert!(per_req <= 165.0, "{per_req:.1} events per request");
+}
+
+#[test]
 fn striding_rides_the_same_grid() {
     // Batching k windows per barrier is exactly running one k·L-wide
     // window (the kernel's grid-equivalence contract), so a run on the

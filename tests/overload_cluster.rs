@@ -39,7 +39,7 @@ fn trace(name: &str, r: &ClusterShardedReport) -> String {
          shed_deadline={} shed_breaker={} breaker_opens={} breaker_closes={} \
          scale_ups={} scale_downs={} rejoin_bills={} lease_hits={} ramp_p99={} \
          p50={} p99={} p999={} completed={} events={} messages={} \
-         suspected={} reroutes={} rejoins={}\n",
+         suspected={} reroutes={} rejoins={} rnr_naks={}\n",
         o.offered,
         o.admitted,
         o.goodput,
@@ -68,6 +68,7 @@ fn trace(name: &str, r: &ClusterShardedReport) -> String {
         c.suspected,
         c.reroutes,
         c.rejoins,
+        c.rnr_naks,
     )
 }
 

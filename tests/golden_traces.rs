@@ -71,6 +71,7 @@ fn golden_trace() -> String {
         SystemKind::PalladiumCne,
         SystemKind::Spright,
         SystemKind::FuyaoF,
+        SystemKind::FuyaoK,
         SystemKind::NightCore,
     ] {
         let r = ChainSim::new(

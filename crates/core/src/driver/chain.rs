@@ -8,14 +8,14 @@
 //!
 //! This module owns the *what*: the application topology ([`AppSpec`],
 //! [`ChainSpec`]), the run configuration and the public report. The *how*
-//! — the cluster state machine with its pools, fabric, engines and event
-//! alphabet — lives in [`super::cluster`] and runs on the shared
-//! [`palladium_simnet::Harness`] trampoline.
+//! is the one cluster engine in [`super::cluster_sharded`]: [`ChainSim`] is
+//! that engine at one worker pair on one shard, with the fabric delivering
+//! its own frames so the run is a single serial event loop.
 
 use palladium_membuf::FnId;
-use palladium_simnet::{Harness, Nanos};
+use palladium_simnet::Nanos;
 
-use super::cluster::Cluster;
+use super::cluster_sharded::{ClusterShardedConfig, ClusterShardedSim};
 use super::LoadReport;
 
 /// The pseudo function id addressing the ingress gateway in routing tables.
@@ -175,14 +175,26 @@ impl ChainSim {
     /// processed (heap pops + inline-drained effects) — the denominator of
     /// the `simcore_throughput` events/sec benchmark.
     pub fn run_counted(self) -> (ChainReport, u64) {
-        let deadline = self.cfg.warmup + self.cfg.duration;
-        let mut cluster = Cluster::build(self.cfg);
-        let mut harness = Harness::new();
-        for ev in cluster.initial_events() {
-            harness.schedule_at(Nanos::ZERO, ev);
+        let ChainSimConfig { system, app, chain_idx, clients, duration, warmup, seed } = self.cfg;
+        let AppSpec { mut functions, mut chains } = app;
+        if system.spec().single_node {
+            for f in &mut functions {
+                f.node = 0;
+            }
         }
-        let events = harness.run(&mut cluster, deadline);
-        (cluster.report(deadline), events)
+        let app = AppSpec { functions, chains: vec![chains.swap_remove(chain_idx)] };
+        let mut cfg = ClusterShardedConfig::new(system, app, 1).clients(clients);
+        cfg.duration = duration;
+        cfg.warmup = warmup;
+        cfg.seed = seed;
+        let report = ClusterShardedSim::new(cfg).run_direct();
+        // A closed-loop client whose request vanished never re-issues.
+        debug_assert_eq!(
+            report.chaos.shed_pool + report.chaos.shed_qp,
+            0,
+            "a fault-free closed-loop run shed requests"
+        );
+        (report.chain, report.events)
     }
 }
 

@@ -1,14 +1,28 @@
-//! The sharded Fig 16 / Fig 14 cluster: the Palladium data plane
-//! replicated over `pairs` worker-node pairs plus one ingress node,
-//! running on the conservative sharded kernel ([`palladium_simnet::shard`])
-//! with one [`RdmaNet`] fabric instance **per shard**.
+//! The cluster engine behind Fig 16 / Table 2 / Fig 14: `pairs`
+//! worker-node pairs plus one ingress node running function chains on any
+//! of the six evaluated data planes, on the conservative sharded kernel
+//! ([`palladium_simnet::shard`]) with one [`RdmaNet`] fabric instance
+//! **per shard**.
 //!
-//! The serial [`super::cluster::Cluster`] models three nodes in exact
-//! detail on one core. This driver is the same machinery — pools, RC
-//! state machines, DNE scheduling, the ingress gateway — split along
-//! [`Partition`] node-block boundaries so the paper's headline workload
-//! (the boutique application, Fig 16, and the scaling sweep, Fig 14)
-//! parallelizes across cores:
+//! [`ClusterShard`] is the only cluster state machine in the workspace.
+//! Everything on the request path is the real machinery built here:
+//! requests allocate real buffers from per-node pools, payload bytes
+//! really carry the request id end-to-end, ownership really moves by
+//! token passing, inter-node hops run the full RC state machine in
+//! [`RdmaNet`], the DNE really schedules with DWRR and replenishes its
+//! RBR, and every software copy lands on a per-node [`CopyMeter`] — the
+//! zero-copy claims are asserted, not assumed. The declarative
+//! [`SystemSpec`] selects what differs between systems — the inter-node
+//! primitive, the ingress design, the engine location — and nothing else
+//! does: Palladium's two-sided-RDMA arms live in this file, the
+//! baselines' TCP / one-sided-write / host-engine arms in [`baselines`].
+//!
+//! Two ways in. [`super::chain::ChainSim`] (Fig 16, Table 2: one pair,
+//! any system) runs one shard with the fabric delivering its own frames
+//! — a plain serial event loop. [`ClusterShardedSim::run`] splits the
+//! cluster along [`Partition`] node-block boundaries so the paper's
+//! headline workload (the boutique application, Fig 16, and the scaling
+//! sweep, Fig 14) parallelizes across cores:
 //!
 //! * **Per-shard `RdmaNet` ownership.** Each shard owns the RNICs, CQs
 //!   and QP state of its contiguous node block
@@ -30,30 +44,30 @@
 //!   and reports fold in global node order. One shard therefore
 //!   reproduces the exact bytes of every sharded run
 //!   (`tests/cluster_sharded.rs` pins 1/2/4/8 shards × both execution
-//!   modes against a golden trace).
+//!   modes against a golden trace), and the serial event loop
+//!   reproduces them too (`tests/one_engine.rs`). Only two-sided RDMA
+//!   shards: the baselines' inter-node legs are local events, so they
+//!   run at one shard.
 //!
 //! # Topology and request-state distribution
 //!
-//! `pairs` replicas of the serial cluster's two worker nodes — pair `p`
-//! owns global nodes `2p` (hotspots) and `2p+1` (the rest) — plus one
-//! ingress node at global index `2·pairs`. Function ids are remapped
-//! per pair (`id + 16·p`), so routing tables stay a dense id → node
-//! lookup; request `r` runs pair `r % pairs`'s chain. Clients, the
+//! Pair `p` owns global nodes `2p` (hotspots) and `2p+1` (the rest);
+//! the ingress node sits at global index `2·pairs`. Function ids are
+//! remapped per pair (`id + 16·p`), so routing tables stay a dense id →
+//! node lookup; request `r` runs pair `r % pairs`'s chain. Clients, the
 //! gateway and the latency statistics live on the shard owning the
 //! ingress node.
 //!
-//! The serial cluster advances a request's hop counter in central
-//! `ReqState` — unavailable here, since consecutive hops of one request
-//! execute on different shards. Instead the hop index travels **in the
-//! payload**: the 8-byte little-endian prefix packs the request id in
-//! the low 40 bits, the next hop index in the next 8, and the worker
-//! pair running the request in the high 16
+//! Consecutive hops of one request execute on different shards, so no
+//! central table can hold its chain position. The hop index travels
+//! **in the payload** instead: the 8-byte little-endian prefix packs the
+//! request id in the low 40 bits, the next hop index in the next 8, and
+//! the worker pair running the request in the high 16
 //! ([`word_of`]/[`unword`]), so each node derives the chain position
-//! from the bytes it received — the same end-to-end-carried prefix the
-//! serial driver already reads the request id from. Carrying the pair
-//! in the word is what lets the ingress *re-route* a request to a
-//! surviving replica under chaos: the chosen pair travels with the
-//! bytes instead of being re-derived as `req % pairs` at every hop.
+//! from the bytes it received. Carrying the pair in the word is what
+//! lets the ingress *re-route* a request to a surviving replica under
+//! chaos: the chosen pair travels with the bytes instead of being
+//! re-derived as `req % pairs` at every hop.
 //!
 //! # Chaos scenarios, health detection and failover
 //!
@@ -127,13 +141,16 @@ use palladium_simnet::{
 
 use super::chain::{AppSpec, ChainReport, ChainSpec, INGRESS_FN};
 use super::LoadReport;
+use baselines::{Hop, HostEv, HostPlane};
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
 use crate::config::{CostModel, EngineLocation};
 use crate::connpool::{ConnPool, ConnPoolConfig, RejoinCosts};
 use crate::dne::{pack_imm, Dne, DneEffect};
 use crate::ingress::{IngressConfig, IngressGateway, Leg};
 use crate::routing::{Coordinator, DeployEvent};
-use crate::system::{IngressKind, InterNode, SystemKind};
+use crate::system::{IngressKind, InterNode, SystemKind, SystemSpec};
+
+mod baselines;
 
 const TENANT: TenantId = TenantId(1);
 const POOL_BUFS: u32 = 4096;
@@ -189,8 +206,8 @@ fn unword(data: &[u8]) -> (u64, usize, usize) {
 /// Configuration of one sharded cluster run.
 #[derive(Clone, Debug)]
 pub struct ClusterShardedConfig {
-    /// Data plane under test — must be a Palladium variant
-    /// (two-sided-RDMA inter-node path, early-conversion ingress).
+    /// Data plane under test. Only the Palladium variants (two-sided
+    /// RDMA) run at more than one shard.
     pub system: SystemKind,
     /// The application: `chains[p]` is worker pair `p`'s chain, function
     /// nodes are **global** node indices (see
@@ -600,8 +617,8 @@ impl ClusterShardedConfig {
     }
 }
 
-/// The report of one sharded cluster run: the serial cluster's
-/// [`ChainReport`] plus the sharding counters.
+/// The report of one cluster run: the Fig 16 [`ChainReport`] plus the
+/// sharding counters.
 #[derive(Clone, Debug)]
 pub struct ClusterShardedReport {
     /// The Fig 16 quantities (rps, latency, copies, utilization).
@@ -795,27 +812,42 @@ pub(crate) enum Ev {
     ScaleTick,
     /// A scale-out finished paying its bill: pair `pair` activates.
     ScaleOutDone { pair: usize },
+    /// A TCP / one-sided-write / host-engine leg of a baseline data plane
+    /// (see [`baselines`]).
+    Host(HostEv),
 }
 
+/// One record per request ever issued, so it stays small: a closed-loop
+/// run's memory is this table (the open-loop admission fields live in
+/// [`IngressOverload::admission`]).
 struct ReqState {
     client: usize,
     issued: Nanos,
-    done: bool,
+    /// Attempts started (1 on arrival; retries increment).
+    attempts: u32,
     /// Worker pair serving this request (usually `req % pairs`; a
-    /// surviving pair under failover).
-    pair: usize,
-    /// Overload-mode fields (all zero/false on closed-loop runs).
+    /// surviving pair under failover). 16 bits, like the payload word's
+    /// pair field.
+    pair: u16,
+    done: bool,
+    /// Currently admitted and unfinished (distinguishes in-plane requests
+    /// from queued/backing-off ones during suspicion sweeps).
+    inflight: bool,
+}
+
+// `reqs` grows by one record per request ever issued.
+const _: () = assert!(std::mem::size_of::<ReqState>() <= 32);
+
+/// A request's open-loop admission state, indexed by request id like
+/// [`IngressState::reqs`] (every overload-mode request is pushed to both
+/// by [`Ev::Arrive`]).
+struct Admission {
     /// Propagated end-to-end deadline.
     deadline: Nanos,
     /// When this request last entered the admission queue.
     queued_at: Nanos,
     /// When this request was last admitted to the data plane.
     admitted_at: Nanos,
-    /// Attempts started (1 on arrival; retries increment).
-    attempts: u32,
-    /// Currently admitted and unfinished (distinguishes in-plane requests
-    /// from queued/backing-off ones during suspicion sweeps).
-    inflight: bool,
     /// Routing hint from the function-population table (`fn_id % pairs`).
     hint: u16,
 }
@@ -856,6 +888,8 @@ struct IngressOverload {
     /// Function id → preferred-pair hint over the whole Zipf population
     /// (the PR 3 two-level page table, exercised per arrival).
     route: PageTable<u16>,
+    /// Per-request admission state (see [`Admission`]).
+    admission: Vec<Admission>,
     /// Bounded admission queue of request ids (FIFO).
     queue: VecDeque<u64>,
     /// Admitted-but-unfinished requests.
@@ -946,6 +980,7 @@ impl IngressOverload {
             gen,
             next,
             route,
+            admission: Vec::new(),
             queue: VecDeque::with_capacity(ov.queue_cap.min(4096)),
             inflight: 0,
             est,
@@ -1091,7 +1126,9 @@ pub(crate) struct ClusterShard {
     placement: IdTable<usize>,
     fn_exec: IdTable<Nanos>,
     cost: CostModel,
-    engine_loc: EngineLocation,
+    /// The data plane under test: which inter-node path, ingress design
+    /// and engine location every arm below follows.
+    spec: SystemSpec,
     comch: ChannelCosts,
     skmsg: SkMsgCosts,
 
@@ -1099,8 +1136,13 @@ pub(crate) struct ClusterShard {
     pools: Vec<UnifiedPool>,
     meters: Vec<CopyMeter>,
     fn_cores: Vec<Option<ServerBank>>,
+    /// Palladium engines: `Some` on worker nodes of a two-sided-RDMA
+    /// system, `None` otherwise (the baselines run [`HostPlane`]).
     dnes: Vec<Option<Dne>>,
     inbound_tokens: Vec<IdTable<BufToken>>,
+    /// The baselines' host engines, TCP cost tables and FUYAO pools —
+    /// present exactly when the system is not two-sided RDMA.
+    host: Option<HostPlane>,
 
     /// This shard's span of the fabric, in sharded-egress mode.
     net: RdmaNet,
@@ -1122,7 +1164,7 @@ pub(crate) struct ClusterShard {
     pool_bytes: u64,
     /// Requests/sends shed on post failure (errored QP), this shard.
     shed_qp: u64,
-    /// Requests shed on ingress pool exhaustion, this shard.
+    /// Requests shed on pool exhaustion (ingress or worker), this shard.
     shed_pool: u64,
     /// Scratch for the health sweep (newly suspected workers).
     health_scratch: Vec<Suspicion>,
@@ -1269,10 +1311,10 @@ impl ClusterShard {
     fn overload_choose(&mut self, now: Nanos, req: u64) -> Option<usize> {
         let probe_every = self.gray.probe_every;
         let ing = self.ingress.as_mut().expect("ingress shard");
-        let IngressState { health, chaosx, reroutes, overload, reqs, .. } = ing;
+        let IngressState { health, chaosx, reroutes, overload, .. } = ing;
         let ov = overload.as_mut().expect("overload mode");
         let active = ov.active_pairs.max(1);
-        let pref = reqs[req as usize].hint as usize % active;
+        let pref = ov.admission[req as usize].hint as usize % active;
         for off in 0..active {
             let p = (pref + off) % active;
             if let Some(h) = health.as_ref() {
@@ -1330,8 +1372,8 @@ impl ClusterShard {
         };
         let admit_now = {
             let ing = self.ingress.as_mut().expect("ingress shard");
-            let deadline = ing.reqs[req as usize].deadline;
             let ov = ing.overload.as_mut().expect("overload mode");
+            let deadline = ov.admission[req as usize].deadline;
             if ov.ov.shed_on_deadline {
                 // ETA = queue drain (Little's-law estimate against the
                 // in-flight window) + one service time.
@@ -1358,10 +1400,11 @@ impl ClusterShard {
         loop {
             let stale = {
                 let ing = self.ingress.as_mut().expect("ingress shard");
-                let IngressState { overload, reqs, .. } = ing;
-                let ov = overload.as_mut().expect("overload mode");
+                let ov = ing.overload.as_mut().expect("overload mode");
                 match ov.queue.front() {
-                    Some(&head) if now - reqs[head as usize].queued_at > ov.ov.queue_delay_max => {
+                    Some(&head)
+                        if now - ov.admission[head as usize].queued_at > ov.ov.queue_delay_max =>
+                    {
                         ov.queue.pop_front();
                         ov.shed_admission += 1;
                         Some(head)
@@ -1376,13 +1419,12 @@ impl ClusterShard {
         }
         let queued = {
             let ing = self.ingress.as_mut().expect("ingress shard");
-            let IngressState { overload, reqs, .. } = ing;
-            let ov = overload.as_mut().expect("overload mode");
+            let ov = ing.overload.as_mut().expect("overload mode");
             if ov.queue.len() >= ov.ov.queue_cap {
                 ov.shed_admission += 1;
                 false
             } else {
-                reqs[req as usize].queued_at = now;
+                ov.admission[req as usize].queued_at = now;
                 ov.queue.push_back(req);
                 true
             }
@@ -1406,10 +1448,10 @@ impl ClusterShard {
         if now >= ov.warmup {
             ov.admitted += 1;
         }
+        ov.admission[req as usize].admitted_at = now;
         let st = &mut ing.reqs[req as usize];
-        st.pair = pair;
+        st.pair = pair as u16;
         st.inflight = true;
-        st.admitted_at = now;
         let client = st.client;
         let arrive = now + client_wire;
         let (w, done) = ing.gw.submit(arrive, client, Leg::Inbound, req_bytes, resp_bytes);
@@ -1438,9 +1480,9 @@ impl ClusterShard {
             };
             let verdict = {
                 let ing = self.ingress.as_mut().expect("ingress shard");
-                let st = &ing.reqs[req as usize];
-                let (queued_at, deadline) = (st.queued_at, st.deadline);
                 let ov = ing.overload.as_mut().expect("overload mode");
+                let adm = &ov.admission[req as usize];
+                let (queued_at, deadline) = (adm.queued_at, adm.deadline);
                 if now - queued_at > ov.ov.queue_delay_max {
                     ov.shed_admission += 1;
                     Err(())
@@ -1506,7 +1548,7 @@ impl ClusterShard {
         );
         let wait = rng.jitter(backoff, rp.jitter_frac).max(Nanos(1));
         let at = now + wait;
-        if ov.ov.shed_on_deadline && at > st.deadline {
+        if ov.ov.shed_on_deadline && at > ov.admission[req as usize].deadline {
             // The next attempt cannot land inside the deadline: an honest
             // failure, not a zombie retry.
             st.done = true;
@@ -1535,7 +1577,7 @@ impl ClusterShard {
                 return;
             }
             st.inflight = false;
-            let pair = st.pair;
+            let pair = st.pair as usize;
             let ov = ing.overload.as_mut().unwrap();
             ov.inflight = ov.inflight.saturating_sub(1);
             ov.breaker_fail(now, pair);
@@ -1553,17 +1595,30 @@ impl ClusterShard {
         done
     }
 
-    /// Channel costs between functions and the engine (see
-    /// [`super::cluster`]).
+    /// Pass the buffer behind `token` from `from` to function `to` on the
+    /// same node (local index `li`) by token passing — no copy. Returns the
+    /// descriptor to deliver.
+    fn hand_to_fn(&mut self, li: usize, token: BufToken, from: FnId, to: FnId) -> BufDesc {
+        let desc = self.pools[li].into_transit(token, from, to).expect("owned");
+        let tok = self.pools[li]
+            .redeem(&desc, Owner::Function(to))
+            .expect("redeem for fn");
+        self.inbound_tokens[li].insert(desc.buf_idx as usize, tok);
+        desc
+    }
+
+    /// Channel costs between functions and the Palladium engine:
+    /// `(transit, host_send)` — Comch for the DNE, SK_MSG for the CNE.
     fn fn_channel_costs(&self) -> (Nanos, Nanos) {
-        match self.engine_loc {
+        match self.spec.engine_loc {
             EngineLocation::Dpu => (self.comch.transit, self.comch.host_send_cpu),
             EngineLocation::Cpu => (self.skmsg.transit, self.skmsg.send_cpu),
         }
     }
 
+    /// Host-side receive cost when the engine delivers to a function.
     fn fn_recv_cost(&self) -> Nanos {
-        match self.engine_loc {
+        match self.spec.engine_loc {
             EngineLocation::Dpu => self.comch.host_recv_cpu,
             EngineLocation::Cpu => self.skmsg.recv_cpu,
         }
@@ -1694,22 +1749,24 @@ impl ClusterShard {
                     for cqe in cqes.drain(..) {
                         self.on_ingress_cqe(now, fx, cqe);
                     }
-                } else {
+                } else if let Some(dne) = self.dnes[li].as_mut() {
                     let mut step = std::mem::take(&mut self.dne_fx);
-                    self.dnes[li]
-                        .as_mut()
-                        .expect("worker dne")
-                        .drain_cq_into(now, &mut cqes, &mut step);
+                    dne.drain_cq_into(now, &mut cqes, &mut step);
                     self.apply_dne_step(fx, n, &mut step);
                     self.dne_fx = step;
+                } else {
+                    self.on_host_cqes(n, &mut cqes);
                 }
                 self.cqe_scratch = cqes;
+            }
+            RdmaOutput::WriteDelivered { node, addr, data, imm, .. } => {
+                self.on_write_delivered(fx, node.raw() as usize, addr.buf_idx, imm, data);
             }
             RdmaOutput::RnrSeen { node, .. } => {
                 let n = node.raw() as usize;
                 if n == self.ingress_node {
                     self.replenish_ingress(32);
-                } else {
+                } else if self.spec.inter_node == InterNode::TwoSidedRdma {
                     self.replenish(n, 32);
                 }
             }
@@ -1809,14 +1866,11 @@ impl ClusterShard {
             // Local hop over SK_MSG: produce into a fresh buffer, pass the
             // descriptor — zero copies.
             let Ok(out) = self.pools[li].alloc(Owner::Function(f)) else {
+                self.shed_pool += 1;
                 return;
             };
             self.pools[li].produce_bytes(&out, data).expect("sized buffer");
-            let out_desc = self.pools[li].into_transit(out, f, to).expect("owned");
-            let tok2 = self.pools[li]
-                .redeem(&out_desc, Owner::Function(to))
-                .expect("redeem local");
-            self.inbound_tokens[li].insert(out_desc.buf_idx as usize, tok2);
+            let out_desc = self.hand_to_fn(li, out, f, to);
             let send_cpu = self.skmsg.send_cpu;
             let transit = self.skmsg.transit;
             let send_done = self.on_fn_core(n, now, send_cpu);
@@ -1824,8 +1878,14 @@ impl ClusterShard {
             return;
         }
 
-        // Remote hop (or response to the ingress) over two-sided RDMA.
+        // Remote hop (or response to the ingress): over two-sided RDMA
+        // through the node's DNE, or down the baseline's own path.
+        if self.spec.inter_node != InterNode::TwoSidedRdma {
+            let hop = Hop { from: f, to, word, bytes };
+            return self.remote_hop(now, fx, n, hop, data);
+        }
         let Ok(out) = self.pools[li].alloc(Owner::Function(f)) else {
+            self.shed_pool += 1;
             return;
         };
         self.pools[li].produce_bytes(&out, data).expect("sized buffer");
@@ -1850,14 +1910,10 @@ impl ShardEngine for ClusterShard {
                 ing.reqs.push(ReqState {
                     client,
                     issued: now,
-                    done: false,
-                    pair,
-                    deadline: Nanos::ZERO,
-                    queued_at: Nanos::ZERO,
-                    admitted_at: Nanos::ZERO,
                     attempts: 1,
+                    pair: pair as u16,
+                    done: false,
                     inflight: false,
-                    hint: 0,
                 });
                 let (req_bytes, resp_bytes) = {
                     let chain = self.chain(pair);
@@ -1871,12 +1927,16 @@ impl ShardEngine for ClusterShard {
             Ev::GwIn { req, worker } => {
                 let ing = self.ingress.as_mut().expect("ingress shard");
                 ing.gw.leg_done(worker);
-                let pair = ing.reqs[req as usize].pair;
+                let pair = ing.reqs[req as usize].pair as usize;
                 let (entry, bytes) = {
                     let chain = self.chain(pair);
                     (chain.entry, chain.req_bytes)
                 };
                 let entry_node = self.node_of(entry);
+                if self.spec.ingress != IngressKind::Palladium {
+                    let hop = Hop { from: INGRESS_FN, to: entry, word: word_of(req, 0, pair), bytes };
+                    return self.ingress_via_tcp(fx, entry_node, hop);
+                }
                 let li = self.li(self.ingress_node);
                 // Early conversion: payload into a registered buffer, over
                 // RDMA to the entry node's DNE. The word encodes hop 0.
@@ -2051,9 +2111,7 @@ impl ShardEngine for ClusterShard {
                 st.inflight = false;
                 let issued = st.issued;
                 let client = st.client;
-                let pair = st.pair;
-                let deadline = st.deadline;
-                let admitted_at = st.admitted_at;
+                let pair = st.pair as usize;
                 ing.stats.complete(finish, issued);
                 // Feed the pair's gray-failure score with the
                 // end-to-end latency this request observed.
@@ -2065,6 +2123,7 @@ impl ShardEngine for ClusterShard {
                     // service estimate, classify against the deadline —
                     // and never re-issue.
                     ov.inflight = ov.inflight.saturating_sub(1);
+                    let Admission { deadline, admitted_at, .. } = ov.admission[req as usize];
                     let sample = (finish - admitted_at).as_nanos() as f64;
                     ov.est += 0.125 * (sample - ov.est);
                     ov.breaker_ok(now, pair);
@@ -2146,7 +2205,7 @@ impl ShardEngine for ClusterShard {
                             // Only *admitted* requests ride the lost pair;
                             // queued and backing-off ones have no live
                             // attempt to abandon.
-                            if st.inflight && st.pair == pair {
+                            if st.inflight && st.pair as usize == pair {
                                 st.inflight = false;
                                 ing.inflight_lost += 1;
                                 if let Some(cx) = ing.chaosx.as_mut() {
@@ -2157,7 +2216,7 @@ impl ShardEngine for ClusterShard {
                                 ov.breaker_fail(now, pair);
                                 lost.push(req as u64);
                             }
-                        } else if !st.done && st.pair == pair {
+                        } else if !st.done && st.pair as usize == pair {
                             st.done = true;
                             ing.inflight_lost += 1;
                             let client = st.client;
@@ -2216,13 +2275,15 @@ impl ShardEngine for ClusterShard {
                     ing.reqs.push(ReqState {
                         client: a.fn_id as usize,
                         issued: now,
-                        done: false,
+                        attempts: 1,
                         pair: 0,
+                        done: false,
+                        inflight: false,
+                    });
+                    ov.admission.push(Admission {
                         deadline,
                         queued_at: Nanos::ZERO,
                         admitted_at: Nanos::ZERO,
-                        attempts: 1,
-                        inflight: false,
                         hint,
                     });
                     req
@@ -2295,6 +2356,7 @@ impl ShardEngine for ClusterShard {
                 // New capacity: refill the in-flight window immediately.
                 self.drain_queue(now, fx);
             }
+            Ev::Host(ev) => self.on_host_event(now, fx, ev),
         }
     }
 
@@ -2340,21 +2402,8 @@ pub struct ClusterShardedSim {
 }
 
 impl ClusterShardedSim {
-    /// Build a run. Panics unless `cfg.system` is a Palladium variant
-    /// (the sharded cluster models the paper's data plane only; the
-    /// baselines keep the serial three-node driver).
+    /// Build a run of any of the six data planes.
     pub fn new(cfg: ClusterShardedConfig) -> Self {
-        let spec = cfg.system.spec();
-        assert_eq!(
-            spec.inter_node,
-            InterNode::TwoSidedRdma,
-            "sharded cluster is Palladium-only (two-sided RDMA inter-node path)"
-        );
-        assert_eq!(
-            spec.ingress,
-            IngressKind::Palladium,
-            "sharded cluster is Palladium-only (early-conversion ingress)"
-        );
         assert!(cfg.clients >= 1, "need at least one client");
         let _ = cfg.window(); // validate window × stride ≤ frame lookahead
         ClusterShardedSim { cfg }
@@ -2367,14 +2416,35 @@ impl ClusterShardedSim {
 
     /// Run partitioned over `shards` shards in the given execution mode.
     /// Reports are bit-identical across shard counts and execution modes
-    /// (see the module docs; `tests/cluster_sharded.rs` pins it).
+    /// (see the module docs; `tests/cluster_sharded.rs` pins it). Only the
+    /// two-sided-RDMA systems shard: the baselines' TCP and one-sided-write
+    /// legs are node-to-node *local* events, so they require `shards == 1`.
     pub fn run(&self, shards: usize, execution: Execution) -> ClusterShardedReport {
+        self.run_on(shards, execution, false)
+    }
+
+    /// The [`super::chain::ChainSim`] run: one shard, the fabric delivering
+    /// frames itself instead of through the mailboxes, and therefore one
+    /// window spanning the whole horizon — the serial event loop, with no
+    /// per-window cost. Same bytes and event count as `run(1, _)`
+    /// (`tests/one_engine.rs`).
+    pub(crate) fn run_direct(&self) -> ClusterShardedReport {
+        self.run_on(1, Execution::Sequential, true)
+    }
+
+    fn run_on(&self, shards: usize, execution: Execution, direct: bool) -> ClusterShardedReport {
         let cfg = &self.cfg;
         let n_nodes = self.nodes();
         let ingress_node = 2 * cfg.pairs;
         assert!(shards >= 1 && shards <= n_nodes, "1..=nodes shards");
         let part = Partition::new(n_nodes, shards);
         let spec = cfg.system.spec();
+        let palladium = spec.inter_node == InterNode::TwoSidedRdma;
+        assert!(
+            palladium || shards == 1,
+            "{:?} does not shard: its inter-node legs are local events",
+            cfg.system
+        );
         let cost = CostModel::default();
         let mut rdma_cfg = RdmaConfig::default();
         let chaos = cfg.chaos.as_ref().map(|script| script.compile(n_nodes));
@@ -2396,15 +2466,15 @@ impl ClusterShardedSim {
             rdma_cfg.rnr_retry_limit = limit;
         }
 
-        // Per-shard fabric spans in sharded-egress mode. Every instance
-        // gets the *same* seed: fault RNG streams are derived per global
-        // node id inside the fabric ([`palladium_simnet::SimRng::stream`]),
-        // so verdict sequences — and therefore faulty runs — are
-        // identical at every shard count.
+        // Per-shard fabric spans, in sharded-egress mode unless the run is
+        // direct. Every instance gets the *same* seed: fault RNG streams
+        // are derived per global node id inside the fabric
+        // ([`palladium_simnet::SimRng::stream`]), so verdict sequences —
+        // and therefore faulty runs — are identical at every shard count.
         let mut nets: Vec<RdmaNet> = (0..shards)
             .map(|s| {
                 let mut net = RdmaNet::with_span(rdma_cfg, part.range(s), cfg.seed);
-                net.set_sharded_egress(true);
+                net.set_sharded_egress(!direct);
                 if let Some(ch) = &chaos {
                     // Full-fabric partition table on every instance (an
                     // arriving frame's source may live on any shard);
@@ -2438,13 +2508,9 @@ impl ClusterShardedSim {
             pools.push(pool);
         }
 
-        // Placement and routing over the remapped function ids.
-        let mut placement = IdTable::new();
-        let mut fn_exec = IdTable::new();
+        // Routing over the remapped function ids.
         let mut coord = Coordinator::new();
         for f in &cfg.app.functions {
-            placement.insert(f.id.raw() as usize, f.node);
-            fn_exec.insert(f.id.raw() as usize, f.exec);
             coord.apply(DeployEvent::Created {
                 f: f.id,
                 tenant: TENANT,
@@ -2457,9 +2523,15 @@ impl ClusterShardedSim {
             node: NodeId(ingress_node as u16),
         });
 
-        // DNEs per worker node, in global node order.
-        let mut dnes: Vec<Dne> = (0..2 * cfg.pairs)
-            .map(|n| {
+        // Palladium: a DNE per worker node, in global node order, and the
+        // ingress's early-conversion connections. The baselines run the
+        // host plane instead and terminate TCP at the gateway.
+        let cpp = ConnPoolConfig::default().conns_per_peer;
+        let mut dnes: Vec<Dne> = Vec::new();
+        let mut ingress_conns = ConnPool::new(NodeId(ingress_node as u16), ConnPoolConfig::default());
+        let mut host = None;
+        if palladium {
+            dnes.extend((0..2 * cfg.pairs).map(|n| {
                 let mut dne = Dne::new(
                     NodeId(n as u16),
                     spec.engine_loc,
@@ -2470,25 +2542,23 @@ impl ClusterShardedSim {
                 dne.routes = coord.tables_for(NodeId(n as u16));
                 dne.register_tenant(TENANT, 1);
                 dne
-            })
-            .collect();
-        let mut ingress_conns = ConnPool::new(NodeId(ingress_node as u16), ConnPoolConfig::default());
-
-        // Warm RC connections in one canonical global order (see
-        // `warm_conns` on QPN invariance): per pair worker↔worker and
-        // worker→ingress, then ingress→workers — the serial cluster's
-        // sequence generalized over pairs.
-        let cpp = ConnPoolConfig::default().conns_per_peer;
-        for p in 0..cfg.pairs {
-            let (w0, w1) = (2 * p, 2 * p + 1);
-            warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, w1, cpp);
-            warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, w0, cpp);
-            warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, ingress_node, cpp);
-            warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, ingress_node, cpp);
-        }
-        for p in 0..cfg.pairs {
-            warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p, cpp);
-            warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p + 1, cpp);
+            }));
+            // Warm RC connections in one canonical global order (see
+            // `warm_conns` on QPN invariance): per pair worker↔worker and
+            // worker→ingress, then ingress→workers.
+            for p in 0..cfg.pairs {
+                let (w0, w1) = (2 * p, 2 * p + 1);
+                warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, w1, cpp);
+                warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, w0, cpp);
+                warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, ingress_node, cpp);
+                warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, ingress_node, cpp);
+            }
+            for p in 0..cfg.pairs {
+                warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p, cpp);
+                warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p + 1, cpp);
+            }
+        } else {
+            host = Some(HostPlane::new(cfg, &mut nets[0]));
         }
 
         // Assemble the shard engines: distribute the per-node state along
@@ -2497,7 +2567,13 @@ impl ClusterShardedSim {
         let mut pool_it = pools.into_iter();
         let mut dne_it = dnes.into_iter();
         let mut ingress_state = Some(IngressState {
-            gw: IngressGateway::new(IngressConfig::new(spec.ingress).with_fixed_workers(8), cost),
+            gw: IngressGateway::new(
+                IngressConfig::new(spec.ingress).with_fixed_workers(match spec.ingress {
+                    IngressKind::KernelDeferred => 24,
+                    _ => 8,
+                }),
+                cost,
+            ),
             rbr: crate::rbr::RbrTable::new(),
             conns: ingress_conns,
             tx: Slab::new(),
@@ -2553,7 +2629,7 @@ impl ClusterShardedSim {
                     t
                 },
                 cost,
-                engine_loc: spec.engine_loc,
+                spec,
                 comch: ChannelCosts::for_kind(ChannelKind::ComchE),
                 skmsg: SkMsgCosts::default(),
                 pools: Vec::new(),
@@ -2561,6 +2637,7 @@ impl ClusterShardedSim {
                 fn_cores: Vec::new(),
                 dnes: Vec::new(),
                 inbound_tokens: Vec::new(),
+                host: host.take(),
                 net,
                 ingress: None,
                 chaos: chaos.clone(),
@@ -2589,24 +2666,31 @@ impl ClusterShardedSim {
                     shard.ingress = ingress_state.take();
                 } else {
                     shard.fn_cores.push(Some(ServerBank::new(&format!("w{n}-host"), 38)));
-                    shard.dnes.push(Some(dne_it.next().expect("dne per worker")));
+                    shard.dnes.push(dne_it.next());
                 }
             }
-            // Prime receive queues (node-local work, shard-count-invariant).
-            for n in range {
-                if n == ingress_node {
-                    shard.replenish_ingress(INITIAL_RQ);
-                } else {
-                    shard.replenish(n, INITIAL_RQ);
+            // Prime receive queues (node-local work, shard-count-invariant);
+            // only two-sided RDMA posts receives.
+            if palladium {
+                for n in range {
+                    if n == ingress_node {
+                        shard.replenish_ingress(INITIAL_RQ);
+                    } else {
+                        shard.replenish(n, INITIAL_RQ);
+                    }
                 }
             }
             engines.push(shard);
         }
 
-        let scfg = ShardConfig::new(shards, cfg.window())
-            .stride(cfg.stride)
-            .execution(execution);
         let deadline = cfg.warmup + cfg.duration;
+        let scfg = if direct {
+            // Nothing crosses a mailbox, so nothing bounds the window.
+            ShardConfig::new(1, deadline + Nanos(1))
+        } else {
+            ShardConfig::new(shards, cfg.window()).stride(cfg.stride)
+        }
+        .execution(execution);
         let clients = cfg.clients;
         let ingress_shard = part.shard_of(ingress_node);
         let chaos_on = chaos.is_some();
@@ -2661,7 +2745,9 @@ impl ClusterShardedSim {
             let e = &engines[part.shard_of(n)];
             let li = n - e.lo;
             worker_meter.merge(&e.meters[li]);
-            let dne = e.dnes[li].as_ref().expect("worker dne");
+            let Some(dne) = e.dnes[li].as_ref() else {
+                continue;
+            };
             if spec.engine_loc == EngineLocation::Dpu {
                 // Busy-polling DNE worker cores: 100% each (§4.3.1), plus
                 // the core thread's useful time.
@@ -2671,6 +2757,9 @@ impl ClusterShardedSim {
                 cpu_pct += 100.0 * dne.worker_core.utilization(horizon);
                 cpu_pct += 100.0 * dne.core_thread.utilization(horizon);
             }
+        }
+        if let Some(host) = &engines[0].host {
+            cpu_pct += host.cpu_pct(horizon, spec.receiver_polls);
         }
         // Fault/protocol counters fold in shard order; health/failover
         // counters live on the ingress. Both are deterministic per the

@@ -1,26 +1,28 @@
 //! Simulation drivers — the compositions that regenerate the paper's
 //! figures.
 //!
-//! Every driver is an [`palladium_simnet::Engine`] run by the shared
-//! [`palladium_simnet::Harness`] trampoline: the driver owns only its
-//! topology, workload and event alphabet; the clock, the batched event
-//! loop and the [`LoadReport`] bookkeeping live in `palladium-simnet`.
+//! Every driver is a state machine over its own event alphabet, run by
+//! the shared [`palladium_simnet::Harness`] trampoline (directly as an
+//! [`palladium_simnet::Engine`], or per shard as a
+//! [`palladium_simnet::ShardEngine`]): the driver owns only its topology
+//! and workload; the clock, the batched event loop and the [`LoadReport`]
+//! bookkeeping live in `palladium-simnet`.
 //!
 //! * [`channel`] — host↔DPU descriptor echo over Comch-E / Comch-P / TCP
 //!   (Fig 9).
 //! * [`ingress_sweep`] — external clients through one ingress design to an
 //!   echo function (Fig 13) and the autoscaling time series (Fig 14).
 //! * [`fairness`] — three tenants through one DNE, DWRR vs FCFS (Fig 15).
-//! * [`chain`] — the full multi-node serverless cluster running function
-//!   chains on any [`crate::system::SystemKind`] (Fig 16, Table 2); its
-//!   event-level machinery lives in [`cluster`].
+//! * [`cluster_sharded`] — the one cluster engine: pools, RC state
+//!   machines, DNEs or the baselines' host engines, the ingress gateway,
+//!   for any [`crate::system::SystemKind`], replicated over worker-node
+//!   pairs and partitioned across shards with one `RdmaNet` instance
+//!   each; reports are bit-identical at every shard count.
+//! * [`chain`] — the Fig 16 / Table 2 topology and report types, and
+//!   `ChainSim`: that engine at one pair on one shard.
 //! * [`multinode`] — the cluster traffic pattern scaled to N nodes on the
 //!   conservative sharded runner (`palladium_simnet::shard`): one
 //!   simulation kernel per core, deterministic cross-shard mailboxes.
-//! * [`cluster_sharded`] — the full Fig 16 data plane (pools, RC state
-//!   machines, DNEs, ingress gateway) replicated over worker-node pairs
-//!   and partitioned across shards with one `RdmaNet` instance each;
-//!   reports are bit-identical at every shard count.
 //!
 //! The cross-node echo driver for Figs 11–12 (on-path/off-path, RDMA
 //! primitive selection) lives in `palladium-baselines` next to the
@@ -28,7 +30,6 @@
 
 pub mod chain;
 pub mod channel;
-pub mod cluster;
 pub mod cluster_sharded;
 pub mod fairness;
 pub mod ingress_sweep;

@@ -133,7 +133,7 @@ fn cost_cast_honors_marker_and_ignores_widening() {
 fn cost_cast_is_scoped_to_the_funnel() {
     // Drivers full of id↔index casts are deliberately out of scope.
     let got = fire(
-        "crates/core/src/driver/cluster.rs",
+        "crates/core/src/driver/cluster_sharded.rs",
         include_str!("fixtures/cast_fire.rs"),
     );
     assert_eq!(got, vec![]);

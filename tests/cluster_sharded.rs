@@ -92,6 +92,8 @@ fn fault_free_receive_queues_never_run_dry() {
     let completed = r.chain.load.completed;
     assert!(completed > 10_000, "closed loop saturates: {completed}");
     assert_eq!(r.chaos.rnr_naks, 0, "a send found its receiver's RQ empty");
+    assert_eq!(r.chaos.shed_pool, 0, "a request was dropped on pool exhaustion");
+    assert_eq!(r.chaos.shed_qp, 0, "a request was dropped on an errored QP");
     assert!(
         r.p99.as_nanos() * 100 <= r.p50.as_nanos() * 105,
         "p99 {} vs p50 {}: a tail this far off the median is a stall",

@@ -11,15 +11,15 @@
 //! `GOLDEN_REGEN=1 cargo test -q --test golden_traces` and commit the
 //! updated snapshot together with the change that explains it.
 
-use palladium_core::driver::chain::{
-    AppSpec, ChainSim, ChainSimConfig, ChainSpec, FnSpec, HopSpec,
-};
+use palladium_core::driver::chain::{ChainSim, ChainSimConfig};
 use palladium_core::driver::fairness::{FairnessSim, FairnessSimConfig};
 use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium_core::dwrr::SchedPolicy;
 use palladium_core::system::{IngressKind, SystemKind};
-use palladium_membuf::FnId;
-use palladium_simnet::{LoadReport, Nanos};
+use palladium_simnet::LoadReport;
+
+mod common;
+use common::golden_app;
 
 /// Hex-exact rendering of an `f64` (no shortest-repr ambiguity).
 fn f(x: f64) -> String {
@@ -34,32 +34,6 @@ fn load_line(tag: &str, r: &LoadReport) -> String {
         r.p99_latency.as_nanos(),
         r.completed
     )
-}
-
-/// The same 4-function / 5-hop app the chain driver's unit tests use.
-fn golden_app() -> AppSpec {
-    let us = Nanos::from_micros;
-    AppSpec {
-        functions: vec![
-            FnSpec { id: FnId(1), name: "A", node: 0, exec: us(15) },
-            FnSpec { id: FnId(2), name: "B", node: 1, exec: us(10) },
-            FnSpec { id: FnId(3), name: "C", node: 1, exec: us(10) },
-            FnSpec { id: FnId(4), name: "D", node: 0, exec: us(12) },
-        ],
-        chains: vec![ChainSpec {
-            name: "golden-chain",
-            entry: FnId(1),
-            hops: vec![
-                HopSpec { from: FnId(1), to: FnId(2), bytes: 512 },
-                HopSpec { from: FnId(2), to: FnId(3), bytes: 1024 },
-                HopSpec { from: FnId(3), to: FnId(2), bytes: 256 },
-                HopSpec { from: FnId(2), to: FnId(4), bytes: 512 },
-                HopSpec { from: FnId(4), to: FnId(1), bytes: 256 },
-            ],
-            req_bytes: 256,
-            resp_bytes: 512,
-        }],
-    }
 }
 
 fn golden_trace() -> String {

@@ -39,15 +39,20 @@
 //! (`multinode_sharded` in the JSON): the 32-node chain driver on the
 //! conservative time-windowed parallel runner (`palladium_simnet::shard`)
 //! at 1 and 4 shards; `--shards-sweep` widens that to 1/2/4/8 and prints
-//! the table. Two numbers are recorded per shard count: the *measured*
-//! aggregate events/s with real threads on this machine, and the
-//! *critical-path model* — total events over `Σ_windows max_shard(busy)`
-//! from a sequential interleaved run, i.e. the events/s a machine with one
-//! core per shard and free barriers would reach. On multi-core machines
-//! the two converge; on core-starved CI runners the model is the
-//! scaling signal while the measured number tracks this machine. Every
-//! shard count is asserted to complete identical work (the determinism
-//! contract) before anything is recorded.
+//! the table. Three numbers are recorded per shard count: the *measured*
+//! aggregate events/s with real threads on this machine, the same run
+//! interleaved on one thread (`Execution::Sequential` — what the runner
+//! itself costs, with no scheduler in the picture), and the
+//! *critical-path model* — the sequential run's events over its wall time
+//! scaled by `critical_path_work ÷ Σ work`, i.e. the events/s a machine
+//! with one core per shard and free barriers would reach. The model's two
+//! integers are recorded next to it; they are the same on every machine.
+//! On multi-core machines measured and model converge; on core-starved CI
+//! runners the model is the scaling signal while the measured number
+//! tracks this machine. Every shard count is asserted to complete
+//! identical work, and every rep and both execution modes to report the
+//! same work model (the determinism contract), before anything is
+//! recorded.
 
 use std::time::Instant;
 
@@ -102,12 +107,26 @@ struct MnOut {
     events: u64,
     wall_s: f64,
     completed: u64,
-    /// Critical-path model: run-phase wall seconds on one core per shard
-    /// (exact under `Execution::Sequential`).
+    /// Critical-path model: the window loop's wall seconds scaled by
+    /// `critical_path_work ÷ Σ work`.
     crit_s: f64,
     /// Window barriers executed (striding batches several windows into
     /// one).
     windows: u64,
+    /// The model's deterministic half: per-shard work units and the work
+    /// on the critical path.
+    work: Vec<u64>,
+    critical_path_work: u64,
+}
+
+impl MnOut {
+    fn work_model(&self) -> (&[u64], u64) {
+        (&self.work, self.critical_path_work)
+    }
+
+    fn total_work(&self) -> u64 {
+        self.work.iter().sum()
+    }
 }
 
 /// The `multinode_sharded` bench workload: the 32-node scaled chain at
@@ -124,6 +143,8 @@ fn run_multinode(scale: f64, shards: usize, execution: Execution) -> MnOut {
         completed: r.load.completed,
         crit_s: r.critical_path_ns as f64 / 1e9,
         windows: r.windows,
+        work: r.work,
+        critical_path_work: r.critical_path_work,
     }
 }
 
@@ -146,80 +167,126 @@ fn run_cluster(cfg: &ClusterShardedConfig, shards: usize, execution: Execution) 
         completed: r.chain.load.completed,
         crit_s: r.critical_path_ns as f64 / 1e9,
         windows: r.windows,
+        work: r.work,
+        critical_path_work: r.critical_path_work,
     }
 }
 
-/// Keep the rep minimizing `key` — wall seconds for measured runs,
-/// critical-path seconds for model runs (selecting the model rep by wall
-/// time would keep a rep whose per-window maxima are noisier).
-fn best_of_mn<F: FnMut() -> MnOut>(reps: usize, mut f: F, key: fn(&MnOut) -> f64) -> MnOut {
-    let mut best: Option<MnOut> = None;
+/// Keep whichever of `best` and the new rep `r` has the smaller wall time,
+/// asserting that they report the same work model.
+fn keep_best(best: &mut Option<MnOut>, r: MnOut) {
+    if let Some(b) = best {
+        assert_eq!(r.work_model(), b.work_model(), "the work model must repeat exactly");
+    }
+    if best.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
+        *best = Some(r);
+    }
+}
+
+/// The fastest of `reps` runs of `f` (see [`keep_best`]).
+fn best_of_mn<F: FnMut() -> MnOut>(reps: usize, mut f: F) -> MnOut {
+    let mut best = None;
     for _ in 0..reps {
-        let r = f();
-        if best.as_ref().is_none_or(|b| key(&r) < key(b)) {
-            best = Some(r);
-        }
+        keep_best(&mut best, f());
     }
     best.expect("at least one rep")
 }
 
-/// Measure the sharded workload at each of `counts` shards, asserting the
-/// determinism contract (identical events/completions everywhere), and
-/// return `(shards, measured, model)` triples.
-fn multinode_points(scale: f64, reps: usize, counts: &[usize]) -> Vec<(usize, MnOut, MnOut)> {
-    let mut points = Vec::new();
-    for &shards in counts {
-        let measured =
-            best_of_mn(reps, || run_multinode(scale, shards, Execution::Threads), |m| m.wall_s);
-        // The sequential rerun yields the exact critical path (and is the
-        // cross-mode determinism check).
-        let model = best_of_mn(
-            reps.min(2),
-            || run_multinode(scale, shards, Execution::Sequential),
-            |m| m.crit_s,
+/// One shard count of a sweep: the threaded run and the sequential one.
+struct SweepPoint {
+    shards: usize,
+    threads: MnOut,
+    sequential: MnOut,
+}
+
+/// Measure a sharded workload at each of `counts` shards in both
+/// execution modes, asserting the determinism contract: identical events
+/// and completed requests across every shard count and both modes, and an
+/// identical work model across reps and modes.
+fn sweep_points(
+    reps: usize,
+    counts: &[usize],
+    run: impl Fn(usize, Execution) -> MnOut,
+) -> Vec<SweepPoint> {
+    // The sequential reps go round the shard counts: the development box
+    // drifts by tens of percent in phases of seconds, and a slow phase
+    // should land on every count rather than on one.
+    let mut sequential: Vec<Option<MnOut>> = counts.iter().map(|_| None).collect();
+    for _ in 0..reps {
+        for (best, &shards) in sequential.iter_mut().zip(counts) {
+            keep_best(best, run(shards, Execution::Sequential));
+        }
+    }
+    let mut points: Vec<SweepPoint> = Vec::new();
+    for (&shards, sequential) in counts.iter().zip(sequential) {
+        let sequential = sequential.expect("at least one rep");
+        let threads = best_of_mn(reps, || run(shards, Execution::Threads));
+        assert_eq!(threads.events, sequential.events, "threads vs sequential diverged");
+        assert_eq!(threads.completed, sequential.completed);
+        assert_eq!(
+            threads.work_model(),
+            sequential.work_model(),
+            "threads vs sequential disagree on the work model"
         );
-        assert_eq!(measured.events, model.events, "threads vs sequential diverged");
-        assert_eq!(measured.completed, model.completed);
-        if let Some((_, first, _)) = points.first() {
-            let first: &MnOut = first;
+        if let Some(first) = points.first() {
             assert_eq!(
-                first.events, measured.events,
+                first.threads.events, threads.events,
                 "shard counts must process identical event streams"
             );
-            assert_eq!(first.completed, measured.completed);
+            assert_eq!(first.threads.completed, threads.completed);
         }
-        points.push((shards, measured, model));
+        points.push(SweepPoint { shards, threads, sequential });
     }
     points
 }
 
-/// Measure the sharded cluster at each of `counts` shards, asserting the
-/// determinism contract — identical events *and* completed requests across
-/// every shard count and both execution modes.
-fn cluster_points(scale: f64, reps: usize, counts: &[usize]) -> Vec<(usize, MnOut, MnOut)> {
-    let cfg = cluster_cfg(scale);
-    let mut points = Vec::new();
-    for &shards in counts {
-        let measured =
-            best_of_mn(reps, || run_cluster(&cfg, shards, Execution::Threads), |m| m.wall_s);
-        let model = best_of_mn(
-            reps.min(2),
-            || run_cluster(&cfg, shards, Execution::Sequential),
-            |m| m.crit_s,
+fn eps_mn(m: &MnOut) -> f64 {
+    m.events as f64 / m.wall_s
+}
+
+fn ceps_mn(m: &MnOut) -> f64 {
+    m.events as f64 / m.crit_s
+}
+
+/// The `shards_sweep` rows of a sharded driver's JSON record.
+fn sweep_json(points: &[SweepPoint]) -> String {
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"shards\": {}, \"measured_events_per_sec\": {:.0}, \
+                 \"sequential_events_per_sec\": {:.0}, \"sequential_wall_s\": {:.3}, \
+                 \"critical_path_events_per_sec\": {:.0}, \
+                 \"work\": {}, \"critical_path_work\": {}}}",
+                p.shards,
+                eps_mn(&p.threads),
+                eps_mn(&p.sequential),
+                p.sequential.wall_s,
+                ceps_mn(&p.sequential),
+                p.sequential.total_work(),
+                p.sequential.critical_path_work,
+            )
+        })
+        .collect();
+    rows.join(", ")
+}
+
+fn print_sweep(title: &str, points: &[SweepPoint]) {
+    println!("{title}");
+    for p in points {
+        println!(
+            "  shards {}: threads {:>12.0} events/s ({:.3}s wall) | sequential {:>12.0} events/s \
+             ({:.3}s wall) | critical-path model {:>12.0} events/s (work {} / {})",
+            p.shards,
+            eps_mn(&p.threads),
+            p.threads.wall_s,
+            eps_mn(&p.sequential),
+            p.sequential.wall_s,
+            ceps_mn(&p.sequential),
+            p.sequential.total_work(),
+            p.sequential.critical_path_work,
         );
-        assert_eq!(measured.events, model.events, "threads vs sequential diverged");
-        assert_eq!(measured.completed, model.completed);
-        if let Some((_, first, _)) = points.first() {
-            let first: &MnOut = first;
-            assert_eq!(
-                first.events, measured.events,
-                "shard counts must process identical event streams"
-            );
-            assert_eq!(first.completed, measured.completed);
-        }
-        points.push((shards, measured, model));
     }
-    points
 }
 
 fn run_chain(scale: f64) -> RunOut {
@@ -474,26 +541,21 @@ fn main() {
     let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let counts: &[usize] = if shards_sweep { &[1, 2, 4, 8] } else { &[1, 4] };
     let mn_reps = if quick { 1 } else { 3 };
-    let points = multinode_points(scale, mn_reps, counts);
-    let eps_mn = |m: &MnOut| m.events as f64 / m.wall_s;
-    let ceps_mn = |m: &MnOut| m.events as f64 / m.crit_s;
+    let points = sweep_points(mn_reps, counts, |sh, ex| run_multinode(scale, sh, ex));
     if shards_sweep {
-        println!("shards sweep (multinode 32-node chain, best of {mn_reps}, {threads_available} hw threads):");
-        for (sh, meas, model) in &points {
-            println!(
-                "  shards {sh}: measured {:>12.0} events/s ({:.3}s wall) | critical-path model {:>12.0} events/s",
-                eps_mn(meas), meas.wall_s, ceps_mn(model),
-            );
-        }
+        print_sweep(
+            &format!("shards sweep (multinode 32-node chain, best of {mn_reps}, {threads_available} hw threads):"),
+            &points,
+        );
     }
-    let serial = &points[0].1;
+    let serial = &points[0].threads;
     let (after_shards, after, after_model) = {
-        let p = points.iter().find(|(sh, ..)| *sh == 4).unwrap_or(points.last().expect("nonempty"));
-        (p.0, &p.1, &p.2)
+        let p = points.iter().find(|p| p.shards == 4).unwrap_or(points.last().expect("nonempty"));
+        (p.shards, &p.threads, &p.sequential)
     };
-    let serial_model = &points[0].2;
+    let serial_model = &points[0].sequential;
     let mn_quick_ref = (!quick).then(|| {
-        let r = best_of_mn(2, || run_multinode(0.25, after_shards, Execution::Threads), |m| m.wall_s);
+        let r = best_of_mn(2, || run_multinode(0.25, after_shards, Execution::Threads));
         r.events as f64 / r.wall_s
     });
     let mut mn_json = format!(
@@ -516,32 +578,23 @@ fn main() {
         ceps_mn(serial_model), ceps_mn(after_model),
         ceps_mn(after_model) / ceps_mn(serial_model),
     ));
-    let sweep_rows: Vec<String> = points
-        .iter()
-        .map(|(sh, meas, model)| {
-            format!(
-                "{{\"shards\": {sh}, \"measured_events_per_sec\": {:.0}, \"critical_path_events_per_sec\": {:.0}}}",
-                eps_mn(meas), ceps_mn(model),
-            )
-        })
-        .collect();
-    mn_json.push_str(&sweep_rows.join(", "));
+    mn_json.push_str(&sweep_json(&points));
     mn_json.push_str("]}");
 
     // The sharded cluster record: the full Fig 16 data plane on the same
     // runner, plus the window-striding demonstration (barriers per
     // simulated second at fixed width, stride 1 vs 2).
-    let cs_points = cluster_points(scale, mn_reps, counts);
-    let cs_serial = &cs_points[0].1;
-    let cs_serial_model = &cs_points[0].2;
+    let base = cluster_cfg(scale);
+    let cs_points = sweep_points(mn_reps, counts, |sh, ex| run_cluster(&base, sh, ex));
+    let cs_serial = &cs_points[0].threads;
+    let cs_serial_model = &cs_points[0].sequential;
     let (cs_after_shards, cs_after, cs_after_model) = {
         let p = cs_points
             .iter()
-            .find(|(sh, ..)| *sh == 4)
+            .find(|p| p.shards == 4)
             .unwrap_or(cs_points.last().expect("nonempty"));
-        (p.0, &p.1, &p.2)
+        (p.shards, &p.threads, &p.sequential)
     };
-    let base = cluster_cfg(scale);
     let sim_ms = (base.warmup + base.duration).as_nanos() as f64 / 1e6;
     let narrow_w = base.window().as_nanos() / 2;
     let narrow = run_cluster(&base.clone().window_ns(narrow_w), 4, Execution::Sequential);
@@ -570,11 +623,7 @@ fn main() {
     // smoke job diffs a same-shape workload.
     let cs_quick_ref = (!quick).then(|| {
         let qcfg = cluster_cfg(0.25);
-        let r = best_of_mn(
-            2,
-            || run_cluster(&qcfg, cs_after_shards, Execution::Threads),
-            |m| m.wall_s,
-        );
+        let r = best_of_mn(2, || run_cluster(&qcfg, cs_after_shards, Execution::Threads));
         r.events as f64 / r.wall_s
     });
     if let Some(q) = cs_quick_ref {
@@ -602,25 +651,13 @@ fn main() {
         barriers_per_ms(&strided),
         narrow.windows as f64 / strided.windows as f64,
     ));
-    let cs_rows: Vec<String> = cs_points
-        .iter()
-        .map(|(sh, meas, model)| {
-            format!(
-                "{{\"shards\": {sh}, \"measured_events_per_sec\": {:.0}, \"critical_path_events_per_sec\": {:.0}}}",
-                eps_mn(meas), ceps_mn(model),
-            )
-        })
-        .collect();
-    cs_json.push_str(&cs_rows.join(", "));
+    cs_json.push_str(&sweep_json(&cs_points));
     cs_json.push_str("]}");
     if shards_sweep {
-        println!("shards sweep (cluster_sharded, boutique HomeQuery x4 pairs, best of {mn_reps}):");
-        for (sh, meas, model) in &cs_points {
-            println!(
-                "  shards {sh}: measured {:>12.0} events/s ({:.3}s wall) | critical-path model {:>12.0} events/s",
-                eps_mn(meas), meas.wall_s, ceps_mn(model),
-            );
-        }
+        print_sweep(
+            &format!("shards sweep (cluster_sharded, boutique HomeQuery x4 pairs, best of {mn_reps}):"),
+            &cs_points,
+        );
     }
 
     let mut json = String::from(

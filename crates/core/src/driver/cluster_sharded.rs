@@ -632,10 +632,18 @@ pub struct ClusterShardedReport {
     /// Window barriers executed (with striding, one barrier covers
     /// `stride` windows).
     pub windows: u64,
-    /// Per-shard run-phase wall nanoseconds.
+    /// Per-shard work units (events processed + frames merged);
+    /// deterministic. See `palladium_simnet::shard` on the critical-path
+    /// model.
+    pub work: Vec<u64>,
+    /// `Σ_k max_s work[s][k]`: the work on the critical path with one
+    /// core per shard. `Σ work ÷ critical_path_work` is the modeled
+    /// parallel speed-up, a pair of integers equal on every machine.
+    pub critical_path_work: u64,
+    /// Each shard's share, by work, of the run's host wall nanoseconds.
     pub busy_ns: Vec<u64>,
-    /// `Σ_k max_s busy[s][k]` — modeled wall time with one core per
-    /// shard; exact under [`Execution::Sequential`].
+    /// The critical path's share, by work, of the run's host wall
+    /// nanoseconds.
     pub critical_path_ns: u64,
     /// Per-channel mailbox statistics (spills, high-water marks,
     /// auto-sized capacities).
@@ -2834,6 +2842,8 @@ impl ClusterShardedSim {
             messages: run.messages,
             spilled: run.spilled,
             windows: run.windows,
+            work: run.work,
+            critical_path_work: run.critical_path_work,
             busy_ns: run.busy_ns,
             critical_path_ns: run.critical_path_ns,
             channels: run.channels,

@@ -168,10 +168,18 @@ pub struct MultiNodeReport {
     pub spilled: u64,
     /// Window barriers executed.
     pub windows: u64,
-    /// Per-shard run-phase wall nanoseconds.
+    /// Per-shard work units (events processed + messages merged);
+    /// deterministic. See `palladium_simnet::shard` on the critical-path
+    /// model.
+    pub work: Vec<u64>,
+    /// `Σ_k max_s work[s][k]`: the work on the critical path with one
+    /// core per shard. `Σ work ÷ critical_path_work` is the modeled
+    /// parallel speed-up, a pair of integers equal on every machine.
+    pub critical_path_work: u64,
+    /// Each shard's share, by work, of the run's host wall nanoseconds.
     pub busy_ns: Vec<u64>,
-    /// Modeled run-phase wall nanoseconds on one core per shard
-    /// (`Σ_k max_s busy`); exact under [`Execution::Sequential`].
+    /// The critical path's share, by work, of the run's host wall
+    /// nanoseconds.
     pub critical_path_ns: u64,
 }
 
@@ -387,6 +395,8 @@ impl MultiNodeSim {
             messages: run.messages,
             spilled: run.spilled,
             windows: run.windows,
+            work: run.work,
+            critical_path_work: run.critical_path_work,
             busy_ns: run.busy_ns,
             critical_path_ns: run.critical_path_ns,
         }

@@ -55,10 +55,10 @@ pub enum Rule {
     UnorderedIteration,
     /// `Instant::now`/`SystemTime` banned outside `crates/bench`: virtual
     /// time comes from the event queue, and an ambient clock read anywhere
-    /// in the simulation makes results machine-dependent. The two
-    /// annotated busy-accounting sites in `shard.rs` (real-time barrier
-    /// overhead measurement, never fed back into virtual time) are the
-    /// only exemptions.
+    /// in the simulation makes results machine-dependent. The one
+    /// annotated site in `shard.rs` (a run's host wall time, reported next
+    /// to the results and never fed back into virtual time) is the only
+    /// exemption.
     AmbientTime,
     /// `thread_rng`/`rand::random`/`RandomState` banned everywhere: all
     /// randomness flows through seeded `SimRng::stream` draws so fault

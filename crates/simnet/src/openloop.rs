@@ -164,11 +164,22 @@ impl ZipfSampler {
     /// Build the cumulative table for `n` ranks with exponent `s`
     /// (`s = 0` is uniform; the serverless literature uses `s ≈ 1`).
     pub fn new(n: u64, s: f64) -> Self {
+        if s == 1.0 {
+            // `pow(x, 1.0)` is exactly `x`: the canonical skew gets the
+            // same table, bit for bit, without a libm call per rank.
+            Self::from_weights(n, |rank| 1.0 / rank)
+        } else {
+            Self::from_weights(n, |rank| 1.0 / rank.powf(s))
+        }
+    }
+
+    /// The normalised cumulative table of `weight(1.0) ..= weight(n)`.
+    fn from_weights(n: u64, weight: impl Fn(f64) -> f64) -> Self {
         assert!(n > 0, "zipf population must be non-empty");
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0f64;
         for r in 1..=n {
-            acc += 1.0 / (r as f64).powf(s);
+            acc += weight(r as f64);
             cdf.push(acc);
         }
         let total = acc;
@@ -370,6 +381,15 @@ mod tests {
         // Inverse CDF hits the extremes.
         assert_eq!(z.sample(0.0), 0);
         assert_eq!(z.sample(0.999_999_999), z.len() - 1);
+    }
+
+    #[test]
+    fn unit_skew_shortcut_builds_the_same_table() {
+        // `new(_, 1.0)` divides instead of calling `powf`; the benchmark's
+        // 10k-function population must not move by a bit.
+        let general = ZipfSampler::from_weights(10_000, |rank| 1.0 / rank.powf(1.0));
+        let bits = |z: &ZipfSampler| z.cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ZipfSampler::new(10_000, 1.0)), bits(&general));
     }
 
     #[test]

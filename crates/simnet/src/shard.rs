@@ -28,8 +28,8 @@
 //!
 //! # Determinism
 //!
-//! Cross-shard messages travel through fixed-capacity SPSC mailboxes (one
-//! ring per shard pair). At each barrier the destination shard drains its
+//! Cross-shard messages travel through SPSC mailboxes (one ring per pair
+//! of distinct shards). At each barrier the destination shard drains its
 //! inbound rings and merges the batch in **`(time, src, seq)` order**
 //! before scheduling, where `src` is a caller-chosen source key and `seq`
 //! is the per-channel send counter. Transport order — which thread pushed
@@ -61,15 +61,22 @@
 //!
 //! # Mailbox auto-sizing
 //!
-//! Mailboxes start at [`ShardConfig::mailbox_capacity`] and grow: when a
-//! window bursts past the ring into the (counted, mutex-guarded) overflow
-//! vector, the consumer — during the quiesced drain phase, when the ring
-//! is empty and no producer can race — swaps in a ring sized to twice
-//! that window's delivery high-water mark. Steady state therefore never
-//! touches the overflow mutex: only the first window of a new burst
-//! regime spills, and per-channel spill counts plus window high-water
-//! marks are reported in [`ShardRun::channels`] so the policy is
-//! observable.
+//! Mailboxes start small ([`ShardConfig::mailbox_capacity`], 64 envelopes
+//! by default — a window of the Fig 16 cluster delivers fewer than ten)
+//! and grow: when a window bursts past the ring into the (counted,
+//! mutex-guarded) overflow vector, the consumer — during the quiesced
+//! drain phase, when the ring is empty and no producer can race — swaps in
+//! a ring sized to twice that window's delivery high-water mark. Steady
+//! state therefore never touches the overflow mutex: only the first window
+//! of a new burst regime spills, and per-channel spill counts plus window
+//! high-water marks are reported in [`ShardRun::channels`] so the policy
+//! is observable.
+//!
+//! A shard's sends to **itself** never cross a thread, so they skip the
+//! ring: [`Outbox::send`] pushes them onto a shard-local vector that the
+//! next barrier's merge appends to the batch before the `(time, src, seq)`
+//! sort — same sequence counter, same merge, same report row in
+//! [`ShardRun::channels`] (a vector grows in place, so it never spills).
 //!
 //! # Execution modes
 //!
@@ -77,9 +84,30 @@
 //! [`SpinBarrier`] waits per window (mailboxes quiesce between the drain
 //! and run phases). [`Execution::Sequential`] interleaves the shards on
 //! the calling thread — same windows, same merges, same results — which
-//! both serves as the reference in the determinism tests and yields exact
-//! per-window busy times for the critical-path speedup model reported by
-//! `simcore_throughput --shards-sweep`.
+//! serves as the reference in the determinism tests.
+//!
+//! # The critical-path model
+//!
+//! How well would this run scale on a machine with one core per shard?
+//! The runner answers in **work units**, not host nanoseconds: in every
+//! window each shard counts the events it processed plus the messages it
+//! merged, and [`ShardRun::critical_path_work`] is `Σ_k max_s work[s][k]`
+//! — the work on the critical path when windows run in lock-step. Against
+//! the total `Σ_s work[s]` that is a pair of integers, identical across
+//! execution modes, repetitions and machines
+//! (`Σ work ÷ critical_path_work` is the modeled parallel speed-up), so
+//! tests pin it with `assert_eq!`. The model counts work, not the cost of
+//! the barrier or of an empty window: a window in which no shard does
+//! anything adds nothing to either side. Timing the phases of each window
+//! with the host clock is not an alternative: a window of the Fig 16
+//! cluster holds one or two events, about as long as the clock read that
+//! would time it, so the instrument costs a fifth of a 4-shard run and
+//! mostly measures itself.
+//!
+//! Host time is read twice per run ([`ShardRun::wall_ns`]) and apportioned
+//! by work share into [`ShardRun::busy_ns`] and
+//! [`ShardRun::critical_path_ns`]. Under [`Execution::Threads`] the same
+//! formula is applied to the parallel wall.
 //!
 //! [`Sim`]: crate::sim::Sim
 //! [`palladium_core`'s multi-node driver]: self
@@ -447,11 +475,16 @@ impl Partition {
 // Engine-facing API
 
 /// The source shard's handle for emitting cross-shard messages. One
-/// producer per destination shard (self-sends included — routing
-/// *everything* inter-node through the outbox is what makes reports
-/// independent of the shard count; see the module docs).
+/// destination per shard, self-sends included — routing *everything*
+/// inter-node through the outbox is what makes reports independent of the
+/// shard count; see the module docs.
 pub struct Outbox<M> {
-    to: Vec<Producer<M>>,
+    /// One producer per destination shard; `None` marks the shard's own
+    /// slot, whose sends go to `local`.
+    to: Vec<Option<Producer<M>>>,
+    /// Sends to the shard's own nodes, waiting for the next barrier's
+    /// merge. Keeps its capacity across windows.
+    local: Vec<Envelope<M>>,
     seq: Vec<u64>,
     /// Start of the next window: every send must arrive at or after it
     /// (the lookahead contract).
@@ -474,7 +507,11 @@ impl<M> Outbox<M> {
         );
         let seq = self.seq[dst_shard];
         self.seq[dst_shard] = seq + 1;
-        self.to[dst_shard].push(Envelope { at, src, seq, msg });
+        let env = Envelope { at, src, seq, msg };
+        match &mut self.to[dst_shard] {
+            Some(ring) => ring.push(env),
+            None => self.local.push(env),
+        }
         self.sent += 1;
     }
 
@@ -538,7 +575,7 @@ pub struct ShardConfig {
     pub stride: u64,
     /// Initial SPSC ring capacity per shard pair; a burst past it spills
     /// to the (counted) overflow vector and grows the ring (see the
-    /// module docs on auto-sizing).
+    /// module docs on auto-sizing). Default 64.
     pub mailbox_capacity: usize,
     /// Execution mode.
     pub execution: Execution,
@@ -553,7 +590,7 @@ impl ShardConfig {
             shards,
             window,
             stride: 1,
-            mailbox_capacity: 4096,
+            mailbox_capacity: 64,
             execution: Execution::Threads,
         }
     }
@@ -585,17 +622,18 @@ pub struct ChannelStats {
     /// Destination shard of this channel.
     pub dst_shard: usize,
     /// Envelopes that overflowed the ring into the spill vector (over the
-    /// whole run; steady state after auto-sizing adds zero).
+    /// whole run; steady state after auto-sizing adds zero, and a shard's
+    /// channel to itself never spills).
     pub spilled: u64,
     /// Largest single-window delivery (ring + overflow).
     pub high_water: u64,
-    /// Final ring capacity after auto-sizing.
+    /// Final capacity after auto-sizing: of the ring, or of the local
+    /// vector on a shard's channel to itself.
     pub capacity: usize,
 }
 
 /// The outcome of a sharded run: the engines (for report merging) plus
-/// aggregate counters and the wall-clock material for the critical-path
-/// model.
+/// aggregate counters and the critical-path model (see the module docs).
 pub struct ShardRun<E> {
     /// The shard engines, in shard order.
     pub engines: Vec<E>,
@@ -611,13 +649,27 @@ pub struct ShardRun<E> {
     /// Window barriers executed (with striding, one barrier covers
     /// `stride` lookahead windows — this counts barriers).
     pub windows: u64,
-    /// Per-shard busy wall time, nanoseconds (merge + run phases; barrier
-    /// waits excluded).
+    /// Per-shard work: events processed plus messages merged, so
+    /// `Σ work == events + messages`. Deterministic — equal across
+    /// execution modes, repetitions and machines.
+    pub work: Vec<u64>,
+    /// `Σ_k max_s work[s][k]` — the work on the critical path of a machine
+    /// with one core per shard and free barriers. With one shard it equals
+    /// `Σ work`. Deterministic like [`ShardRun::work`].
+    pub critical_path_work: u64,
+    /// Host nanoseconds the window loop took, set-up and the final fold
+    /// excluded: the run's only two clock reads.
+    pub wall_ns: u64,
+    /// Each shard's share of `wall_ns` by work,
+    /// `wall_ns × work[s] / Σ work` — a model, not a measurement: the
+    /// windows and barriers themselves are spread over the shards in
+    /// proportion to their work. Under [`Execution::Threads`] the wall is
+    /// the parallel one and the formula is the same.
     pub busy_ns: Vec<u64>,
-    /// `Σ_k max_s busy[s][k]` — the busy wall time of a machine with one
-    /// core per shard and free barriers. Exact in
-    /// [`Execution::Sequential`] mode; inflated by preemption noise under
-    /// [`Execution::Threads`].
+    /// `wall_ns × critical_path_work / Σ work` — the critical path's share
+    /// of the host time. Like `busy_ns` it is rounded up, so
+    /// `max busy_ns ≤ critical_path_ns ≤ Σ busy_ns` holds exactly, with
+    /// equality throughout at one shard.
     pub critical_path_ns: u64,
 }
 
@@ -643,34 +695,17 @@ struct ShardCtx<E: ShardEngine> {
     idx: usize,
     harness: Harness<E::Ev>,
     runner: Runner<E>,
-    inbox: Vec<Consumer<E::Msg>>,
+    /// One consumer per source shard; `None` marks the shard's own slot,
+    /// fed by the outbox's local vector.
+    inbox: Vec<Option<Consumer<E::Msg>>>,
     /// Reused merge buffer.
     inbound: Vec<Envelope<E::Msg>>,
     events: u64,
     delivered: u64,
-    /// Merge-phase nanoseconds of the window in progress.
-    merge_ns: u64,
-    /// Busy wall nanoseconds so far (merge + run phases; barrier waits
-    /// excluded).
-    busy_ns: u64,
-}
-
-/// Wall-clock phase timer for the busy accounting: consecutive phases
-/// share one clock read per boundary.
-struct Stopwatch(Instant);
-
-impl Stopwatch {
-    fn start() -> Self {
-        // simlint: allow(no-ambient-time) — real-time busy accounting for the critical-path model; measures host merge/run cost, never feeds virtual time
-        Stopwatch(Instant::now())
-    }
-
-    /// Nanoseconds since the previous boundary; this instant is the next.
-    fn lap(&mut self) -> u64 {
-        let last = self.0;
-        *self = Stopwatch::start();
-        self.0.duration_since(last).as_nanos() as u64
-    }
+    /// Messages merged at the start of the window in progress.
+    merged: u64,
+    /// Largest single-window delivery from the shard to itself.
+    local_high_water: u64,
 }
 
 impl<E: ShardEngine> ShardCtx<E> {
@@ -678,31 +713,40 @@ impl<E: ShardEngine> ShardCtx<E> {
     /// cross-shard arrivals into the local queue.
     fn merge_inbound(&mut self) {
         for c in &mut self.inbox {
-            c.drain_into(&mut self.inbound);
-        }
-        if !self.inbound.is_empty() {
-            self.inbound.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-            self.delivered += self.inbound.len() as u64;
-            for env in self.inbound.drain(..) {
-                let ev = self.runner.engine.lift(env.at, env.src, env.msg);
-                self.harness.schedule_at(env.at, ev);
+            match c {
+                Some(ring) => ring.drain_into(&mut self.inbound),
+                // The shard's own sends join the batch where their ring
+                // would have drained.
+                None => {
+                    let local = &mut self.runner.outbox.local;
+                    self.local_high_water = self.local_high_water.max(local.len() as u64);
+                    self.inbound.append(local);
+                }
             }
         }
+        self.merged = self.inbound.len() as u64;
+        if self.merged == 0 {
+            return;
+        }
+        if self.merged > 1 {
+            self.inbound.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
+        }
+        self.delivered += self.merged;
+        for env in self.inbound.drain(..) {
+            let ev = self.runner.engine.lift(env.at, env.src, env.msg);
+            self.harness.schedule_at(env.at, ev);
+        }
     }
 
-    /// Window phase 2: run local events strictly before `end`.
-    fn run_window(&mut self, end: Nanos) {
+    /// Window phase 2: run local events strictly before `end`. Returns the
+    /// window's work (messages merged + events processed) — the
+    /// critical-path model's raw material, folded by the caller as each
+    /// window completes.
+    fn run_window(&mut self, end: Nanos) -> u64 {
         self.runner.outbox.window_end = end;
-        self.events += self.harness.run_window(&mut self.runner, end);
-    }
-
-    /// The window's run phase took `run_ns`. Returns the window's busy
-    /// time (merge + run) — the critical-path model's raw material, folded
-    /// by the caller as each window completes.
-    fn close_window(&mut self, run_ns: u64) -> u64 {
-        let busy = self.merge_ns + run_ns;
-        self.busy_ns += busy;
-        busy
+        let fired = self.harness.run_window(&mut self.runner, end);
+        self.events += fired;
+        self.merged + fired
     }
 }
 
@@ -743,11 +787,12 @@ pub fn run_sharded<E: ShardEngine>(
     let n_windows = deadline.as_nanos() / w + 1;
 
     // Mailboxes: producers[src][dst] / consumers filed per destination.
-    let mut producers: Vec<Vec<Producer<E::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut consumers: Vec<Vec<Consumer<E::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-    for producers_of_src in producers.iter_mut() {
-        for consumers_of_dst in consumers.iter_mut() {
-            let (p, c) = Channel::pair(cfg.mailbox_capacity);
+    // A shard's channel to itself is the outbox's local vector, not a ring.
+    let mut producers: Vec<Vec<Option<Producer<E::Msg>>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut consumers: Vec<Vec<Option<Consumer<E::Msg>>>> = (0..n).map(|_| Vec::new()).collect();
+    for (src, producers_of_src) in producers.iter_mut().enumerate() {
+        for (dst, consumers_of_dst) in consumers.iter_mut().enumerate() {
+            let (p, c) = (src != dst).then(|| Channel::pair(cfg.mailbox_capacity)).unzip();
             producers_of_src.push(p);
             consumers_of_dst.push(c);
         }
@@ -767,6 +812,7 @@ pub fn run_sharded<E: ShardEngine>(
                 engine,
                 outbox: Outbox {
                     to: std::mem::take(&mut producers[idx]),
+                    local: Vec::with_capacity(cfg.mailbox_capacity),
                     seq: vec![0; n],
                     window_end: Nanos::ZERO,
                     sent: 0,
@@ -776,58 +822,53 @@ pub fn run_sharded<E: ShardEngine>(
             inbound: Vec::new(),
             events: 0,
             delivered: 0,
-            merge_ns: 0,
-            busy_ns: 0,
+            merged: 0,
+            local_high_water: 0,
         });
     }
 
-    // `Σ_k max_s busy[s][k]`, folded as each window completes.
-    let mut critical_path_ns = 0u64;
+    // `Σ_k max_s work[s][k]`, folded as each window completes.
+    let mut critical_path_work = 0u64;
+    // simlint: allow(no-ambient-time) — the run's host wall time, read here and once after the last window; apportioned by work share in the report, never feeds virtual time
+    let started = Instant::now();
     match cfg.execution {
         Execution::Sequential => {
-            let mut clock = Stopwatch::start();
             for k in 0..n_windows {
                 let end = window_end(k, w, deadline);
                 for ctx in &mut ctxs {
                     ctx.merge_inbound();
-                    ctx.merge_ns = clock.lap();
                 }
-                let mut slowest = 0;
+                let mut heaviest = 0;
                 for ctx in &mut ctxs {
-                    ctx.run_window(end);
-                    slowest = slowest.max(ctx.close_window(clock.lap()));
+                    heaviest = heaviest.max(ctx.run_window(end));
                 }
-                critical_path_ns += slowest;
+                critical_path_work += heaviest;
             }
         }
         Execution::Threads => {
             let barrier = SpinBarrier::new(n);
-            // Each shard publishes its window's busy time here before the
+            // Each shard publishes its window's work here before the
             // second barrier; shard 0 folds the maximum right after it.
             // The next stores come after the next first barrier, which
             // shard 0 only reaches once it has folded.
-            let window_ns: Vec<Pad<AtomicU64>> = (0..n).map(|_| Pad(AtomicU64::new(0))).collect();
+            let window_work: Vec<Pad<AtomicU64>> =
+                (0..n).map(|_| Pad(AtomicU64::new(0))).collect();
             let run_shard = |ctx: &mut ShardCtx<E>| {
                 let _poison = PoisonOnUnwind(&barrier);
                 let mut critical = 0u64;
-                let mut clock = Stopwatch::start();
                 for k in 0..n_windows {
-                    clock.lap();
                     ctx.merge_inbound();
-                    ctx.merge_ns = clock.lap();
                     // All mailboxes quiesce before anyone refills them:
                     // a shard ahead in window k+1 must not race a shard
                     // still draining window k's batch.
                     barrier.wait();
-                    clock.lap();
-                    ctx.run_window(window_end(k, w, deadline));
-                    let busy = ctx.close_window(clock.lap());
-                    window_ns[ctx.idx].0.store(busy, Ordering::Relaxed);
+                    let work = ctx.run_window(window_end(k, w, deadline));
+                    window_work[ctx.idx].0.store(work, Ordering::Relaxed);
                     // All of window k's sends are mailboxed before any
                     // shard starts the next drain.
                     barrier.wait();
                     if ctx.idx == 0 {
-                        critical += window_ns
+                        critical += window_work
                             .iter()
                             .map(|c| c.0.load(Ordering::Relaxed))
                             .max()
@@ -843,7 +884,7 @@ pub fn run_sharded<E: ShardEngine>(
                     .iter_mut()
                     .map(|ctx| s.spawn(|| run_shard(ctx)))
                     .collect();
-                critical_path_ns = run_shard(first);
+                critical_path_work = run_shard(first);
                 for h in handles {
                     // simlint: allow(no-panic-hot-path) — re-raises a shard panic on the coordinating thread after the barrier poisoned; the run is already dead
                     h.join().expect("shard thread panicked");
@@ -852,40 +893,46 @@ pub fn run_sharded<E: ShardEngine>(
             ctxs.append(&mut rest);
         }
     }
+    let wall_ns = started.elapsed().as_nanos() as u64;
 
     // Fold the run: shard order is construction order in both modes.
     debug_assert!(ctxs.windows(2).all(|p| p[0].idx < p[1].idx));
-    let spilled = ctxs
-        .iter()
-        .flat_map(|c| c.inbox.iter())
-        .map(Consumer::spilled)
-        .sum();
-    let channels = ctxs
+    let channels: Vec<ChannelStats> = ctxs
         .iter()
         .flat_map(|c| {
-            c.inbox.iter().enumerate().map(|(src, consumer)| ChannelStats {
-                src_shard: src,
-                dst_shard: c.idx,
-                spilled: consumer.spilled(),
-                high_water: consumer.high_water,
-                capacity: consumer.capacity(),
+            c.inbox.iter().enumerate().map(|(src, consumer)| {
+                let (spilled, high_water, capacity) = match consumer {
+                    Some(ring) => (ring.spilled(), ring.high_water, ring.capacity()),
+                    None => (0, c.local_high_water, c.runner.outbox.local.capacity()),
+                };
+                ChannelStats { src_shard: src, dst_shard: c.idx, spilled, high_water, capacity }
             })
         })
         .collect();
+    let work: Vec<u64> = ctxs.iter().map(|c| c.events + c.delivered).collect();
+    let total_work: u64 = work.iter().sum();
+    // A share of the wall by work, rounded up: ceilings keep
+    // `max busy ≤ critical ≤ Σ busy` exact through the integer division.
+    let share = |units: u64| match total_work {
+        0 => 0,
+        total => (u128::from(wall_ns) * u128::from(units)).div_ceil(u128::from(total)) as u64,
+    };
     let mut run = ShardRun {
         engines: Vec::with_capacity(n),
         events: 0,
         messages: 0,
-        spilled,
+        spilled: channels.iter().map(|c| c.spilled).sum(),
         channels,
         windows: n_windows,
-        busy_ns: Vec::with_capacity(n),
-        critical_path_ns,
+        busy_ns: work.iter().map(|&units| share(units)).collect(),
+        critical_path_ns: share(critical_path_work),
+        work,
+        critical_path_work,
+        wall_ns,
     };
     for ctx in ctxs {
         run.events += ctx.events;
         run.messages += ctx.delivered;
-        run.busy_ns.push(ctx.busy_ns);
         run.engines.push(ctx.runner.engine);
     }
     run
@@ -1091,11 +1138,12 @@ mod tests {
 
     #[test]
     fn critical_path_is_the_streamed_sum_of_window_maxima() {
-        // The runner no longer keeps a per-window busy vector, so pin what
-        // `Σ_k max_s busy[s][k]` implies about the per-shard sums it does
+        // The runner keeps no per-window vector, so pin what
+        // `Σ_k max_s work[s][k]` implies about the per-shard sums it does
         // keep: with one shard the two are the same number, and with more
         // the critical path lies between the busiest shard and all of them
-        // — in both execution modes, strided or not.
+        // — in both execution modes, strided or not, in work units and in
+        // the host nanoseconds apportioned from them.
         let window = Nanos(1_000);
         for execution in [Execution::Sequential, Execution::Threads] {
             for (n, stride) in [(1u32, 1), (3, 1), (3, 2), (4, 2)] {
@@ -1125,36 +1173,129 @@ mod tests {
                     "{what}: {busiest} <= {} <= {total}",
                     run.critical_path_ns
                 );
+                assert!(total >= run.wall_ns, "{what}: the shares cover the wall");
+                if n == 1 {
+                    assert_eq!(run.critical_path_ns, total, "{what}");
+                }
+                // The token relay keeps one shard busy per window, so its
+                // critical path is all of its work: 41 events, 40 merges.
+                assert_eq!(run.work.iter().sum::<u64>(), run.events + run.messages, "{what}");
+                assert_eq!((run.events, run.messages), (41, 40), "{what}");
+                assert_eq!(run.critical_path_work, 81, "{what}");
             }
         }
     }
 
     #[test]
     fn per_channel_stats_attribute_traffic() {
-        // The 3-shard ring forwards node s → s+1 only: every (s, s+1)
-        // channel sees traffic, every other channel stays silent.
+        // The n-shard ring forwards node s → s+1 only: every (s, s+1)
+        // channel sees traffic, every other channel stays silent. At one
+        // shard that is the shard's channel to itself.
         let window = Nanos(1_000);
-        let engines: Vec<Ring> =
-            (0..3).map(|node| Ring { node, n: 3, window, log: Vec::new() }).collect();
-        let run = run_sharded(
-            &ShardConfig::new(3, window).execution(Execution::Sequential),
-            engines,
-            |s, h| {
-                if s == 0 {
-                    h.schedule_at(Nanos(0), Token(0));
+        for execution in [Execution::Sequential, Execution::Threads] {
+            for n in [1u32, 3] {
+                let engines: Vec<Ring> =
+                    (0..n).map(|node| Ring { node, n, window, log: Vec::new() }).collect();
+                let run = run_sharded(
+                    &ShardConfig::new(n as usize, window).execution(execution),
+                    engines,
+                    |s, h| {
+                        if s == 0 {
+                            h.schedule_at(Nanos(0), Token(0));
+                        }
+                    },
+                    Nanos(60_000),
+                );
+                assert_eq!(run.channels.len(), (n * n) as usize, "one stats row per shard pair");
+                for st in &run.channels {
+                    let active = st.dst_shard == (st.src_shard + 1) % n as usize;
+                    assert_eq!(st.high_water > 0, active, "{st:?}");
+                    assert_eq!(st.spilled, 0, "{st:?}");
+                    assert!(st.capacity >= 64);
                 }
-            },
-            Nanos(60_000),
-        );
-        assert_eq!(run.channels.len(), 9, "one stats row per shard pair");
-        for st in &run.channels {
-            let active = st.dst_shard == (st.src_shard + 1) % 3;
-            assert_eq!(st.high_water > 0, active, "{st:?}");
-            assert_eq!(st.spilled, 0, "{st:?}");
-            assert!(st.capacity >= 4096);
+                let delivered: u64 = run.channels.iter().map(|c| c.high_water).sum();
+                assert!(delivered > 0);
+            }
         }
-        let delivered: u64 = run.channels.iter().map(|c| c.high_water).sum();
-        assert!(delivered > 0);
+    }
+
+    #[test]
+    fn a_burst_past_the_small_default_spills_once_and_loses_nothing() {
+        /// Shard 0 fires the same 1 000-message burst at shard 1 in two
+        /// separate windows, with arrival instants and source keys
+        /// shuffled against the send order.
+        struct Burst {
+            window: Nanos,
+            log: Vec<(u64, u32, u64)>,
+        }
+        const BURST: u64 = 1_000;
+        fn key(i: u64, base: Nanos) -> (Nanos, u32) {
+            (base + Nanos(i * 7_919 % 13), (i % 3) as u32)
+        }
+        impl ShardEngine for Burst {
+            type Ev = Option<(u32, u64)>;
+            type Msg = u64;
+            fn on_event(
+                &mut self,
+                now: Nanos,
+                ev: Option<(u32, u64)>,
+                _fx: &mut Effects<'_, Self::Ev>,
+                out: &mut Outbox<u64>,
+            ) {
+                match ev {
+                    None => {
+                        for i in 0..BURST {
+                            let (at, src) = key(i, now + self.window);
+                            out.send(1, at, src, i);
+                        }
+                    }
+                    Some((src, i)) => self.log.push((now.0, src, i)),
+                }
+            }
+            fn lift(&mut self, _at: Nanos, src: u32, msg: u64) -> Self::Ev {
+                Some((src, msg))
+            }
+        }
+        let window = Nanos(1_000);
+        let bursts = [Nanos(0), Nanos(5_000)];
+        let mut want: Vec<(u64, u32, u64)> = Vec::new();
+        for fired in bursts {
+            let mut burst: Vec<_> = (0..BURST)
+                .map(|i| {
+                    let (at, src) = key(i, fired + window);
+                    (at.0, src, i)
+                })
+                .collect();
+            // Per-channel `seq` rises with `i`, so this is the merge order.
+            burst.sort_unstable();
+            want.extend(burst);
+        }
+        for execution in [Execution::Sequential, Execution::Threads] {
+            let engines = (0..2).map(|_| Burst { window, log: Vec::new() }).collect();
+            let cfg = ShardConfig::new(2, window).execution(execution);
+            assert_eq!(cfg.mailbox_capacity, 64);
+            let run = run_sharded(
+                &cfg,
+                engines,
+                |s, h| {
+                    if s == 0 {
+                        for at in bursts {
+                            h.schedule_at(at, None);
+                        }
+                    }
+                },
+                Nanos(10_000),
+            );
+            assert_eq!(run.messages, 2 * BURST, "{execution:?}: nothing lost");
+            assert_eq!(run.engines[1].log, want, "{execution:?}: (at, src, seq) order");
+            let st = run.channels.iter().find(|c| (c.src_shard, c.dst_shard) == (0, 1)).unwrap();
+            // The first burst fills the 64-slot ring and spills the rest;
+            // the ring regrown to twice the delivery holds the second.
+            assert_eq!(st.spilled, BURST - 64, "{execution:?}: only the first burst spills");
+            assert_eq!(st.high_water, BURST, "{execution:?}");
+            assert_eq!(st.capacity, 2_048, "{execution:?}");
+            assert_eq!(run.spilled, st.spilled, "{execution:?}: no other channel spilled");
+        }
     }
 
     #[test]
@@ -1224,6 +1365,11 @@ mod tests {
             vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
             "same-instant merge must order by (src, seq)"
         );
+        // Window 0: both sources fire side by side (work 1 each, one on the
+        // critical path). Window 1: the sink merges six messages and fires
+        // six events.
+        assert_eq!(run.work, [1, 1, 12]);
+        assert_eq!(run.critical_path_work, 13);
     }
 
     #[test]

@@ -170,10 +170,15 @@ impl<M> Sim<M> {
                 _ => break,
             }
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        self.park_at(deadline);
         processed
+    }
+
+    /// Move the clock forward to `deadline` (never backwards). For a
+    /// driver loop that has just found nothing pending at or before
+    /// `deadline`; pending events are not examined.
+    pub(crate) fn park_at(&mut self, deadline: Nanos) {
+        self.now = self.now.max(deadline);
     }
 
     /// Number of pending events.

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use palladium_simnet::{
     run_sharded, Arrival, ArrivalProcess, Effects, Execution, Nanos, OpenLoop, OpenLoopConfig,
-    Outbox, Partition, ShardConfig, ShardEngine,
+    Outbox, Partition, ShardConfig, ShardEngine, ShardRun,
 };
 
 const NODES: usize = 8;
@@ -272,6 +272,19 @@ fn run_cluster_storm(
     window: Nanos,
     stride: u64,
 ) -> Vec<Vec<(u64, u8, u64)>> {
+    let run = cluster_storm(seed, tokens, shards, execution, window, stride);
+    run.engines.into_iter().flat_map(|e| e.logs).collect()
+}
+
+/// The cluster storm's whole [`ShardRun`], counters included.
+fn cluster_storm(
+    seed: u64,
+    tokens: u8,
+    shards: usize,
+    execution: Execution,
+    window: Nanos,
+    stride: u64,
+) -> ShardRun<ClusterStorm> {
     let part = Partition::new(NODES, shards);
     let engines: Vec<ClusterStorm> = (0..shards)
         .map(|s| ClusterStorm {
@@ -286,7 +299,7 @@ fn run_cluster_storm(
         })
         .collect();
     let cfg = ShardConfig::new(shards, window).stride(stride).execution(execution);
-    let run = run_sharded(
+    run_sharded(
         &cfg,
         engines,
         |s, h| {
@@ -304,8 +317,7 @@ fn run_cluster_storm(
             }
         },
         Nanos(200_000),
-    );
-    run.engines.into_iter().flat_map(|e| e.logs).collect()
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -489,6 +501,41 @@ proptest! {
         let strided =
             run_cluster_storm(seed, tokens, 4, Execution::Threads, Nanos(LOOKAHEAD.0 / 2), 2);
         prop_assert_eq!(&strided, &reference, "stride 2 × half width diverged");
+    }
+
+    // The critical-path model counts work (events processed + messages
+    // merged), not host time, so it is part of the determinism contract:
+    // per-shard work and its critical path are equal across execution
+    // modes, across repetitions and across strides at equal effective
+    // width; total work is the run's events + messages at every shard
+    // count, and one shard is its own critical path.
+    #[test]
+    fn work_accounting_is_deterministic(
+        seed in any::<u64>(),
+        tokens in 1u8..16,
+    ) {
+        let model = |r: &ShardRun<ClusterStorm>| (r.work.clone(), r.critical_path_work);
+        let serial = cluster_storm(seed, tokens, 1, Execution::Sequential, LOOKAHEAD, 1);
+        let total = serial.events + serial.messages;
+        prop_assert_eq!(model(&serial), (vec![total], total));
+        for shards in [2usize, 4, 8] {
+            let reference = cluster_storm(seed, tokens, shards, Execution::Sequential, LOOKAHEAD, 1);
+            let (work, critical) = model(&reference);
+            prop_assert_eq!(work.len(), shards);
+            prop_assert_eq!(work.iter().sum::<u64>(), total, "{} shards", shards);
+            prop_assert_eq!(reference.events + reference.messages, total);
+            let busiest = *work.iter().max().unwrap();
+            prop_assert!((busiest..=total).contains(&critical), "{} shards", shards);
+            let half = Nanos(LOOKAHEAD.0 / 2);
+            for (what, again) in [
+                ("rep", cluster_storm(seed, tokens, shards, Execution::Sequential, LOOKAHEAD, 1)),
+                ("threads", cluster_storm(seed, tokens, shards, Execution::Threads, LOOKAHEAD, 1)),
+                ("stride 2", cluster_storm(seed, tokens, shards, Execution::Sequential, half, 2)),
+                ("stride 2, threads", cluster_storm(seed, tokens, shards, Execution::Threads, half, 2)),
+            ] {
+                prop_assert_eq!(model(&again), model(&reference), "{} shards, {}", shards, what);
+            }
+        }
     }
 
     // Open-loop arrivals through the kernel: a real generator (random

@@ -13,7 +13,9 @@
 //!
 //! To regenerate after an *intentional* change:
 //! `GOLDEN_REGEN=1 cargo test -q --test cluster_sharded` and commit the
-//! updated snapshot together with the change that explains it.
+//! updated snapshot together with the change that explains it. The
+//! runner's critical-path model (`WORK_MODEL` below) is pinned in the same
+//! test; a change that moves `events` or `messages` moves it too.
 
 use palladium_core::driver::cluster_sharded::{ClusterShardedReport, ClusterShardedSim};
 use palladium_core::system::SystemKind;
@@ -47,6 +49,16 @@ fn trace(r: &ClusterShardedReport) -> String {
     )
 }
 
+/// The shard runner's critical-path model of the golden configuration, in
+/// its own work units (events processed + frames merged): `Σ work` is the
+/// snapshot's `events + messages` at every shard count, and `WORK_MODEL`
+/// holds `(shards, critical_path_work)`. Integers that depend on neither
+/// the machine nor the execution mode, so the parallel scaling the model
+/// predicts — `Σ work ÷ critical_path_work`, 1.00× / 1.50× / 2.11× /
+/// 2.77× — is gated by equality.
+const TOTAL_WORK: u64 = 52_498 + 8_718;
+const WORK_MODEL: [(usize, u64); 4] = [(1, 61_216), (2, 40_877), (4, 29_051), (8, 22_114)];
+
 #[test]
 fn every_shard_count_reproduces_the_snapshot() {
     let sim = ClusterShardedSim::new(golden_cfg());
@@ -70,12 +82,18 @@ fn every_shard_count_reproduces_the_snapshot() {
         assert_eq!(serial, want, "--shards 1 diverged from the golden snapshot");
     }
 
-    for shards in [2usize, 4, 8] {
+    for (shards, critical_path_work) in WORK_MODEL {
         for execution in [Execution::Sequential, Execution::Threads] {
-            let got = trace(&sim.run(shards, execution));
+            let r = sim.run(shards, execution);
             assert_eq!(
-                got, serial,
+                trace(&r),
+                serial,
                 "{shards} shards / {execution:?} diverged from the serial bytes"
+            );
+            assert_eq!(
+                (r.work.iter().sum::<u64>(), r.critical_path_work),
+                (TOTAL_WORK, critical_path_work),
+                "{shards} shards / {execution:?}: the work model moved"
             );
         }
     }

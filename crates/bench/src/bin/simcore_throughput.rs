@@ -4,36 +4,16 @@
 //! the simulation), this harness measures the simulator itself: wall-clock
 //! events per second while running the two heaviest drivers — the Fig 16
 //! boutique chain cluster and the Fig 13 ingress sweep — on fixed,
-//! deterministic workloads (same seed ⇒ same event count, verified at run
-//! time across backends). It writes `BENCH_simcore.json`, the workspace's
-//! recorded kernel-performance trajectory.
+//! deterministic workloads (same seed ⇒ same event count). It writes
+//! `BENCH_simcore.json`, the committed reference the CI smoke job diffs
+//! its own run against (git keeps the history).
 //!
-//! Three reference points are recorded per driver:
+//! Usage: `simcore_throughput [--quick] [--shards-sweep] [--out PATH]`
 //!
-//! * **`heap_queue`** — the same binary rerun with the legacy
-//!   `(BinaryHeap, tombstone set)` event queue (`QueueKind::BinaryHeap`),
-//!   isolating the timer-wheel swap on the same machine in the same
-//!   process (note both backends now order POD arena entries, so this
-//!   gap narrowed sharply with the arena swap);
-//! * **`before`** — the PR 3 commit ("Batch the completion pipeline…",
-//!   recorded constants below): the baseline the current PR's
-//!   arena-allocated event payloads are judged against;
-//! * **`seed`** — the pre-flattening seed commit, keeping the full
-//!   trajectory visible.
-//!
-//! Usage: `simcore_throughput [--quick] [--wheel-sweep] [--threshold-sweep]
-//! [--shards-sweep] [--out PATH]`
-//!
-//! `--quick` shrinks the workloads for CI smoke runs (no seed/PR 2
-//! comparison; numbers are machine-relative). `--wheel-sweep` additionally
-//! measures the chain workload on the two timer-wheel geometries
-//! (`TimerWheel` = the default 6 bits × 5 levels vs `TimerWheelWide` =
-//! 8 × 4) and prints the comparison — the ROADMAP wheel-tuning record.
-//! `--threshold-sweep` measures both drivers across a range of
-//! heap→wheel migration thresholds for the adaptive queue — the ROADMAP
-//! `ADAPTIVE_THRESHOLD` calibration record (re-run after entry-layout
-//! changes: the threshold trades the heap's cache residency against the
-//! wheel's O(1) operations, and both moved with the arena swap).
+//! `--quick` shrinks the workloads for CI smoke runs (numbers are
+//! machine-relative). Full runs also record a `quick_reference` per
+//! driver — the same quick-scale workload on the recording machine — so
+//! CI compares like with like.
 //!
 //! Every run additionally records the **sharded multi-node** workload
 //! (`multinode_sharded` in the JSON): the 32-node chain driver on the
@@ -61,40 +41,8 @@ use palladium_core::driver::cluster_sharded::{ClusterShardedConfig, ClusterShard
 use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeSim};
 use palladium_core::system::{IngressKind, SystemKind};
-use palladium_simnet::{
-    set_adaptive_threshold, set_queue_kind, Execution, Nanos, QueueKind, ADAPTIVE_THRESHOLD,
-};
+use palladium_simnet::{Execution, Nanos};
 use palladium_workloads::boutique::{self, ChainKind};
-
-/// Seed-commit wall seconds for the exact full-size workloads below
-/// (best of 3), measured with this harness on the development machine on
-/// 2026-07-29 at the pre-flattening commit ("Bootstrap the Cargo
-/// workspace..."). Only meaningful at scale 1.0; `--quick` runs skip the
-/// baseline comparisons.
-const SEED_CHAIN_WALL_S: f64 = 0.821;
-const SEED_INGRESS_WALL_S: f64 = 0.137;
-/// Events the *seed* kernel processed for the same workloads (it scheduled
-/// more: e.g. one stale RTO-check timer per transmission, since removed
-/// without any observable effect — the golden-trace suite pins the
-/// reports). Seed events/sec uses the seed's own counts.
-const SEED_CHAIN_EVENTS: u64 = 2_017_098;
-const SEED_INGRESS_EVENTS: u64 = 1_559_476;
-
-/// PR 3 ("Batch the completion pipeline…") `after` numbers from the
-/// committed `BENCH_simcore.json`, same harness/machine/workloads,
-/// 2026-07-29 — the `before` this PR's arena-allocated event payloads are
-/// measured against. Events/sec is recorded directly (not rederived from
-/// the 3-decimal wall-clock) so the baseline reproduces the committed
-/// artifact exactly.
-const PR3_CHAIN_WALL_S: f64 = 0.378;
-const PR3_INGRESS_WALL_S: f64 = 0.084;
-const PR3_CHAIN_EVENTS: u64 = 1_894_694;
-const PR3_INGRESS_EVENTS: u64 = 1_559_476;
-const PR3_CHAIN_EPS: f64 = 5_009_030.0;
-const PR3_INGRESS_EPS: f64 = 18_560_604.0;
-/// Seed events/sec as recorded (seed event counts differ; see above).
-const SEED_CHAIN_EPS: f64 = 2_456_879.0;
-const SEED_INGRESS_EPS: f64 = 11_383_036.0;
 
 struct RunOut {
     events: u64,
@@ -327,118 +275,43 @@ fn best_of<F: FnMut() -> RunOut>(reps: usize, mut f: F) -> RunOut {
     best.expect("at least one rep")
 }
 
-/// A named recorded baseline.
-struct Baseline {
-    tag: &'static str,
-    wall_s: f64,
-    events: u64,
-    /// Events/sec as originally recorded (the wall-clock field is rounded
-    /// to 3 decimals, so rederiving would drift the committed artifact).
-    events_per_sec: f64,
-    source: &'static str,
+fn eps(r: &RunOut) -> f64 {
+    r.events as f64 / r.wall_s
+}
+
+/// The `quick_reference` field of a JSON row: events/s of a `--quick`-scale
+/// run on this machine, recorded on full runs only, so CI can diff its own
+/// quick run like-for-like.
+fn quick_reference_json(events_per_sec: Option<f64>) -> String {
+    events_per_sec
+        .map(|q| format!("\"quick_reference\": {{\"events_per_sec\": {q:.0}}}, "))
+        .unwrap_or_default()
 }
 
 struct DriverRecord {
     name: &'static str,
-    wheel: RunOut,
-    heap: RunOut,
-    /// `(before, seed)` baselines; absent on `--quick` runs.
-    baselines: Vec<Baseline>,
-    /// Events/s of a `--quick`-scale run on this machine (recorded on
-    /// full runs so CI can diff its own quick run like-for-like).
+    run: RunOut,
     quick_reference: Option<f64>,
 }
 
 impl DriverRecord {
     fn json(&self) -> String {
-        let eps = |r: &RunOut| r.events as f64 / r.wall_s;
-        let after = eps(&self.wheel);
-        let heap = eps(&self.heap);
-        let mut base_fields = String::new();
-        if let Some(q) = self.quick_reference {
-            base_fields.push_str(&format!("\"quick_reference\": {{\"events_per_sec\": {q:.0}}}, "));
-        }
-        for b in &self.baselines {
-            let base = b.events_per_sec;
-            base_fields.push_str(&format!(
-                "\"{tag}\": {{\"events_per_sec\": {base:.0}, \"events\": {events}, \
-                 \"wall_s\": {wall:.3}, \"source\": \"{source}\"}}, \
-                 \"speedup_vs_{tag}\": {:.2}, \"wall_speedup_vs_{tag}\": {:.2}, ",
-                after / base,
-                b.wall_s / self.wheel.wall_s,
-                tag = b.tag,
-                events = b.events,
-                wall = b.wall_s,
-                source = b.source,
-            ));
-        }
         format!(
-            "    {{\"driver\": \"{}\", \"events\": {}, \"completed\": {}, \
-             {base_fields}\"heap_queue\": {{\"events_per_sec\": {heap:.0}, \"wall_s\": {:.3}}}, \
-             \"after\": {{\"events_per_sec\": {after:.0}, \"wall_s\": {:.3}}}, \
-             \"speedup_vs_heap_queue\": {:.2}}}",
+            "    {{\"driver\": \"{}\", \"events\": {}, \"completed\": {}, {}\
+             \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}}}",
             self.name,
-            self.wheel.events,
-            self.wheel.completed,
-            self.heap.wall_s,
-            self.wheel.wall_s,
-            after / heap,
+            self.run.events,
+            self.run.completed,
+            quick_reference_json(self.quick_reference),
+            eps(&self.run),
+            self.run.wall_s,
         )
     }
-}
-
-/// The ROADMAP `ADAPTIVE_THRESHOLD` calibration record: both drivers
-/// across a range of heap→wheel migration thresholds (0 = always-wheel,
-/// `usize::MAX` = never-migrate ≈ pure heap).
-fn threshold_sweep(scale: f64, reps: usize) {
-    println!("adaptive-threshold sweep (best of {reps}, default = {ADAPTIVE_THRESHOLD}):");
-    for (name, run) in [
-        ("chain", run_chain as fn(f64) -> RunOut),
-        ("ingress_sweep", run_ingress),
-    ] {
-        println!("  {name}:");
-        for threshold in [0usize, 64, 128, 256, 512, 1024, 4096, usize::MAX] {
-            set_adaptive_threshold(threshold);
-            set_queue_kind(QueueKind::Adaptive);
-            let r = best_of(reps, || run(scale));
-            let eps = r.events as f64 / r.wall_s;
-            let label = if threshold == usize::MAX {
-                "never (heap)".to_string()
-            } else {
-                threshold.to_string()
-            };
-            println!("    threshold {label:>12}: {eps:>12.0} events/s ({:.3}s)", r.wall_s);
-        }
-        set_adaptive_threshold(ADAPTIVE_THRESHOLD);
-    }
-}
-
-/// The ROADMAP wheel-tuning record: chain workload on both geometries.
-fn wheel_sweep(scale: f64, reps: usize) {
-    println!("wheel geometry sweep (chain workload, best of {reps}):");
-    let mut results = Vec::new();
-    for (label, kind) in [
-        ("6 bits x 5 levels (default)", QueueKind::TimerWheel),
-        ("8 bits x 4 levels (wide)", QueueKind::TimerWheelWide),
-    ] {
-        set_queue_kind(kind);
-        let r = best_of(reps, || run_chain(scale));
-        let eps = r.events as f64 / r.wall_s;
-        println!(
-            "  {label:>28}: {} events in {:.3}s = {eps:.0} events/s",
-            r.events, r.wall_s
-        );
-        results.push((label, eps));
-    }
-    set_queue_kind(QueueKind::Adaptive);
-    println!("  6/5 vs 8/4: {:.3}x", results[0].1 / results[1].1);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let sweep = args.iter().any(|a| a == "--wheel-sweep");
-    let th_sweep = args.iter().any(|a| a == "--threshold-sweep");
     let shards_sweep = args.iter().any(|a| a == "--shards-sweep");
     let out_path = args
         .iter()
@@ -448,90 +321,19 @@ fn main() {
         .unwrap_or_else(|| "BENCH_simcore.json".to_string());
     let (scale, reps) = if quick { (0.25, 1) } else { (1.0, 5) };
 
-    if th_sweep {
-        threshold_sweep(scale, reps);
-    }
-
-    if sweep {
-        wheel_sweep(scale, reps);
-        for (label, kind) in [
-            ("ingress adaptive", QueueKind::Adaptive),
-            ("ingress wheel 6/5", QueueKind::TimerWheel),
-            ("ingress wheel 8/4", QueueKind::TimerWheelWide),
-            ("ingress std heap", QueueKind::BinaryHeap),
-        ] {
-            set_queue_kind(kind);
-            let r = best_of(reps, || run_ingress(scale));
-            println!("  {label}: {:.0} events/s", r.events as f64 / r.wall_s);
-        }
-        set_queue_kind(QueueKind::Adaptive);
-    }
-
     let mut records = Vec::new();
-    for (name, run, baselines) in [
-        (
-            "chain",
-            run_chain as fn(f64) -> RunOut,
-            vec![
-                Baseline {
-                    tag: "before",
-                    wall_s: PR3_CHAIN_WALL_S,
-                    events: PR3_CHAIN_EVENTS,
-                    events_per_sec: PR3_CHAIN_EPS,
-                    source: "PR 3 (batched completion pipeline), same harness/machine, 2026-07-29",
-                },
-                Baseline {
-                    tag: "seed",
-                    wall_s: SEED_CHAIN_WALL_S,
-                    events: SEED_CHAIN_EVENTS,
-                    events_per_sec: SEED_CHAIN_EPS,
-                    source: "seed commit, same harness/machine, 2026-07-29",
-                },
-            ],
-        ),
-        (
-            "ingress_sweep",
-            run_ingress,
-            vec![
-                Baseline {
-                    tag: "before",
-                    wall_s: PR3_INGRESS_WALL_S,
-                    events: PR3_INGRESS_EVENTS,
-                    events_per_sec: PR3_INGRESS_EPS,
-                    source: "PR 3 (batched completion pipeline), same harness/machine, 2026-07-29",
-                },
-                Baseline {
-                    tag: "seed",
-                    wall_s: SEED_INGRESS_WALL_S,
-                    events: SEED_INGRESS_EVENTS,
-                    events_per_sec: SEED_INGRESS_EPS,
-                    source: "seed commit, same harness/machine, 2026-07-29",
-                },
-            ],
-        ),
+    for (name, run) in [
+        ("chain", run_chain as fn(f64) -> RunOut),
+        ("ingress_sweep", run_ingress),
     ] {
-        set_queue_kind(QueueKind::Adaptive);
-        let wheel = best_of(reps, || run(scale));
-        set_queue_kind(QueueKind::BinaryHeap);
-        let heap = best_of(reps, || run(scale));
-        set_queue_kind(QueueKind::Adaptive);
-        assert_eq!(
-            wheel.events, heap.events,
-            "{name}: backends must process identical event streams"
-        );
-        assert_eq!(wheel.completed, heap.completed);
+        let full = best_of(reps, || run(scale));
         // Full runs also record a quick-scale reference point so the CI
         // smoke job can diff its own --quick run against the same-shape
         // workload instead of the full-scale numbers.
-        let quick_reference = (!quick).then(|| {
-            let r = best_of(2, || run(0.25));
-            r.events as f64 / r.wall_s
-        });
+        let quick_reference = (!quick).then(|| eps(&best_of(2, || run(0.25))));
         records.push(DriverRecord {
             name,
-            wheel,
-            heap,
-            baselines: if quick { Vec::new() } else { baselines },
+            run: full,
             quick_reference,
         });
     }
@@ -563,18 +365,14 @@ fn main() {
          \"threads_available\": {threads_available}, \"nodes\": 32, ",
         serial.events, serial.completed,
     );
-    if let Some(q) = mn_quick_ref {
-        mn_json.push_str(&format!("\"quick_reference\": {{\"events_per_sec\": {q:.0}}}, "));
-    }
+    mn_json.push_str(&quick_reference_json(mn_quick_ref));
     mn_json.push_str(&format!(
         "\"serial\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}, \
          \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}, \"shards\": {after_shards}}}, \
-         \"speedup_vs_serial\": {:.2}, \
          \"critical_path_model\": {{\"serial_events_per_sec\": {:.0}, \"shards{after_shards}_events_per_sec\": {:.0}, \"speedup\": {:.2}}}, \
          \"shards_sweep\": [",
         eps_mn(serial), serial.wall_s,
         eps_mn(after), after.wall_s,
-        eps_mn(after) / eps_mn(serial),
         ceps_mn(serial_model), ceps_mn(after_model),
         ceps_mn(after_model) / ceps_mn(serial_model),
     ));
@@ -626,13 +424,10 @@ fn main() {
         let r = best_of_mn(2, || run_cluster(&qcfg, cs_after_shards, Execution::Threads));
         r.events as f64 / r.wall_s
     });
-    if let Some(q) = cs_quick_ref {
-        cs_json.push_str(&format!("\"quick_reference\": {{\"events_per_sec\": {q:.0}}}, "));
-    }
+    cs_json.push_str(&quick_reference_json(cs_quick_ref));
     cs_json.push_str(&format!(
         "\"serial\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}, \
          \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}, \"shards\": {cs_after_shards}}}, \
-         \"speedup_vs_serial\": {:.2}, \
          \"critical_path_model\": {{\"serial_events_per_sec\": {:.0}, \"shards{cs_after_shards}_events_per_sec\": {:.0}, \"speedup\": {:.2}}}, \
          \"striding\": {{\"window_ns\": {narrow_w}, \"stride1_barriers\": {}, \"stride2_barriers\": {}, \
          \"stride1_barriers_per_sim_ms\": {:.0}, \"stride2_barriers_per_sim_ms\": {:.0}, \"barrier_reduction\": {:.2}}}, \
@@ -641,7 +436,6 @@ fn main() {
         cs_serial.wall_s,
         eps_mn(cs_after),
         cs_after.wall_s,
-        eps_mn(cs_after) / eps_mn(cs_serial),
         ceps_mn(cs_serial_model),
         ceps_mn(cs_after_model),
         ceps_mn(cs_after_model) / ceps_mn(cs_serial_model),
@@ -697,14 +491,12 @@ fn main() {
         narrow.windows as f64 / strided.windows as f64,
     );
     for r in &records {
-        let eps = r.wheel.events as f64 / r.wheel.wall_s;
         println!(
-            "{:>14}: {} events in {:.3}s = {:.0} events/s ({:.2}x vs heap queue)",
+            "{:>14}: {} events in {:.3}s = {:.0} events/s",
             r.name,
-            r.wheel.events,
-            r.wheel.wall_s,
-            eps,
-            eps / (r.heap.events as f64 / r.heap.wall_s),
+            r.run.events,
+            r.run.wall_s,
+            eps(&r.run),
         );
     }
     println!("wrote {out_path}");

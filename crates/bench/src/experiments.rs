@@ -2,7 +2,7 @@
 //!
 //! Each function runs one paper artefact and returns printable rows; the
 //! binaries add the table headers. `Scale` shrinks virtual durations so
-//! tests and criterion benches can run the identical code quickly.
+//! tests can run the identical code quickly.
 
 use palladium_baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::chain::{ChainReport, ChainSim};
@@ -22,8 +22,6 @@ pub struct Scale(pub f64);
 impl Scale {
     /// Full harness runs.
     pub const FULL: Scale = Scale(1.0);
-    /// Quick runs for tests/criterion.
-    pub const QUICK: Scale = Scale(0.25);
 
     fn ms(&self, base: u64) -> Nanos {
         Nanos::from_nanos((base as f64 * self.0 * 1e6).max(1e6) as u64)

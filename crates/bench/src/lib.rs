@@ -2,8 +2,8 @@
 //!
 //! Each `fig*`/`table*` binary reruns one experiment of the paper's §4 and
 //! prints the same rows/series the paper plots. The shared logic lives in
-//! [`experiments`] so the binaries, the `all_experiments` runner, the
-//! criterion benches and the integration tests all execute the same code.
+//! [`experiments`] so the binaries, the `all_experiments` runner and the
+//! integration tests all execute the same code.
 //!
 //! Absolute numbers come from the calibrated simulation (DESIGN.md §6);
 //! EXPERIMENTS.md records paper-versus-measured per artefact. The *shapes*

@@ -73,10 +73,12 @@ pub enum Rule {
     /// Every `unsafe` block, impl, or fn carries a `// SAFETY:` comment on
     /// the same line or in the contiguous comment block directly above.
     SafetyComment,
-    /// `.unwrap()`/`.expect()` banned in the kernel steady-state modules
-    /// (`queue.rs`, `arena.rs`, `shard.rs`): a panic mid-window poisons
-    /// the shard barrier and kills the run. Invariant-backed expects must
-    /// say *why* the invariant holds.
+    /// `.unwrap()`/`.expect()` and the panicking macros (`unreachable!`,
+    /// `panic!`, `todo!`, `unimplemented!`) banned in the kernel
+    /// steady-state modules (`queue.rs`, `arena.rs`, `shard.rs`): a panic
+    /// mid-window poisons the shard barrier and kills the run.
+    /// Invariant-backed expects must say *why* the invariant holds.
+    /// (`assert!` is not matched: config validation is its own item.)
     PanicHotPath,
 }
 
@@ -177,6 +179,24 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/simnet/src/arena.rs",
     "crates/simnet/src/shard.rs",
 ];
+
+/// What `no-panic-hot-path` matches, and how it reports each.
+const PANIC_TOKENS: &[(&str, &str)] = &[
+    (".unwrap(", ".unwrap()"),
+    (".expect(", ".expect()"),
+    ("unreachable!(", "unreachable!"),
+    ("panic!(", "panic!"),
+    ("todo!(", "todo!"),
+    ("unimplemented!(", "unimplemented!"),
+];
+
+/// The first panicking token on this line, as reported.
+fn panic_token(code: &str) -> Option<&'static str> {
+    PANIC_TOKENS
+        .iter()
+        .find(|(pattern, _)| code.contains(pattern))
+        .map(|&(_, label)| label)
+}
 
 /// The only tree allowed to read host clocks: wall-clock measurement is
 /// the bench crate's whole job.
@@ -589,7 +609,7 @@ fn line_fires(rule: Rule, code: &str) -> bool {
         }
         Rule::CostCast => has_banned_cast(code),
         Rule::SafetyComment => is_unsafe_site(code),
-        Rule::PanicHotPath => code.contains(".unwrap(") || code.contains(".expect("),
+        Rule::PanicHotPath => panic_token(code).is_some(),
     }
 }
 
@@ -731,13 +751,7 @@ fn firing_token_msg(rule: Rule, code: &str) -> String {
         }
         Rule::CostCast => "bare `as` cast to a 64-bit/narrowing integer",
         Rule::SafetyComment => "`unsafe` without a SAFETY: comment",
-        Rule::PanicHotPath => {
-            if code.contains(".unwrap(") {
-                ".unwrap()"
-            } else {
-                ".expect()"
-            }
-        }
+        Rule::PanicHotPath => panic_token(code).unwrap_or("panic"),
     };
     format!("`{token}`")
 }

@@ -176,7 +176,11 @@ fn panic_hot_path_fires_in_kernel_modules() {
     );
     assert_eq!(
         got,
-        vec![("no-panic-hot-path", 3), ("no-panic-hot-path", 7)]
+        vec![
+            ("no-panic-hot-path", 3),
+            ("no-panic-hot-path", 7),
+            ("no-panic-hot-path", 13)
+        ]
     );
 }
 

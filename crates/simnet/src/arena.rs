@@ -1,16 +1,15 @@
 //! A per-`Sim` slab arena for event payloads.
 //!
 //! Every event flowing through the DES kernel used to travel *inside* its
-//! queue entry: the wheel/heap sifted `(key, M)` pairs, so the payload
-//! bytes moved on every sift and every cascade, and large payloads (RDMA
-//! frames, work requests) had to be boxed — one recycled heap allocation
-//! per frame — to keep entries small. The arena inverts that layout:
+//! queue entry: the heap sifted `(key, M)` pairs, so the payload bytes
+//! moved on every sift, and large payloads (RDMA frames, work requests)
+//! had to be boxed — one recycled heap allocation per frame — to keep
+//! entries small. The arena inverts that layout:
 //!
 //! * payloads live in a stable slab owned by the queue ([`Arena<T>`]);
 //! * queue entries are POD `(u128 key, ArenaSlot)` pairs — 8 bytes of
-//!   handle instead of the payload — so backend sifts, cascades and
-//!   same-instant sorts move constant-size entries no matter how large
-//!   the driver's event enum grows;
+//!   handle instead of the payload — so heap sifts move constant-size
+//!   entries no matter how large the driver's event enum grows;
 //! * popping *moves* the payload out of its slot and returns the slot to
 //!   an internal LIFO free list, so steady-state scheduling performs zero
 //!   heap allocation (the slab grows to the high-water mark of pending

@@ -44,10 +44,7 @@ pub use chaos::{
 pub use fault::{FaultPlan, FaultTimeline, Verdict};
 pub use harness::{Effects, Engine, Harness, LoadReport, RunStats};
 pub use openloop::{tenant_stream, Arrival, ArrivalProcess, OpenLoop, OpenLoopConfig, ZipfSampler};
-pub use queue::{
-    adaptive_threshold, queue_kind, set_adaptive_threshold, set_queue_kind, EventId, EventQueue,
-    QueueKind, ADAPTIVE_THRESHOLD,
-};
+pub use queue::{EventId, EventQueue};
 pub use shard::{
     run_sharded, ChannelStats, Envelope, Execution, Outbox, Partition, ShardConfig, ShardEngine,
     ShardRun,

@@ -9,137 +9,55 @@
 //!
 //! Message payloads do **not** travel inside queue entries. Every
 //! scheduled `M` lives in a per-queue slab arena ([`crate::arena::Arena`])
-//! and the backends order POD `(u128 key, ArenaSlot)` pairs — so heap
-//! sifts, wheel cascades and same-instant sorts move 32-byte entries no
-//! matter how large the driver's event enum is, and popping *moves* the
-//! payload out of its generation-checked slot (the slot returns to the
-//! arena's free list: zero steady-state heap traffic). This is what lets
-//! drivers carry full RDMA frames and work requests in their event enums
-//! without boxing them.
+//! and the heap orders POD `(u128 key, ArenaSlot)` pairs — so sifts move
+//! 32-byte entries no matter how large the driver's event enum is, and
+//! popping *moves* the payload out of its generation-checked slot (the
+//! slot returns to the arena's free list: zero steady-state heap
+//! traffic). This is what lets drivers carry full RDMA frames and work
+//! requests in their event enums without boxing them.
 //!
-//! # Backends
+//! # One backend: a binary heap
 //!
-//! The workhorse backend is a **hierarchical timer wheel**, generic over
-//! its geometry (`BITS` = log2 slots per level, `LEVELS` wheels) with
-//! nanosecond granularity at level 0, occupancy bitmaps and per-slot
-//! minima for O(1) next-event scans, and an overflow binary heap for
-//! events beyond the wheel horizon (`2^(BITS·LEVELS)` ns ahead of the
-//! cursor). Scheduling is O(1); emitting the next same-instant batch
-//! costs one cached scan plus at most `LEVELS` redistributions per event
-//! over its lifetime — independent of the number of pending events, where
-//! the seed's `BinaryHeap` paid an O(log n) sift with full-entry moves on
-//! every operation.
+//! The queue is `std::collections::BinaryHeap` over those entries and
+//! nothing else. A hierarchical timer wheel (with an adaptive heap→wheel
+//! migration) shipped until PR 19 and was removed on measurement:
 //!
-//! The wheel is generic over its geometry so alternatives stay one type
-//! parameter away. The ROADMAP BITS/LEVELS sweep compared the shipping
-//! [`WHEEL_BITS`]`=6`/[`WHEEL_LEVELS`]`=5` geometry (64-slot levels,
-//! ≈1.07 s horizon) against 8 bits × 4 levels (256-slot levels, ≈4.3 s
-//! horizon): the 6/5 geometry measured ~3.5 % faster on the chain
-//! workload (256-slot levels push the per-level working set past L1 and
-//! the fewer-redistributions advantage never materializes at these
-//! horizons; numbers in ROADMAP.md), so it stays the default. The 8/4
-//! geometry remains reachable as [`QueueKind::TimerWheelWide`] so the
-//! sweep is reproducible on any machine.
+//! * max pending events over a 10 s run of the five `BENCHMARK.json`
+//!   workloads: 111 / 54 per shard / 119 / 188 / 256; Fig 9/13/15 ≤ 144,
+//!   Fig 16 ≤ 291, Fig 14 (the largest of any binary) 770;
+//! * hold model, ns/op heap vs wheel: 29/48 at 32 pending, 43/66 at 256,
+//!   54/65 at 1 024, 62/57 at 4 096, 78/63 at 16 384 — crossover ≈ 4 k;
+//! * wall seconds heap vs wheel: `multinode32` 2.00/2.56, Fig 14 7.49/9.34.
 //!
-//! The default [`QueueKind::Adaptive`] starts on the seed's binary heap —
-//! which stays cache-resident and unbeatable for small simulations — and
-//! migrates to the wheel when the pending population crosses the adaptive
-//! threshold ([`ADAPTIVE_THRESHOLD`] unless overridden via
-//! [`set_adaptive_threshold`], the `--threshold-sweep` hook). The heap
-//! implementation is also kept as [`QueueKind::BinaryHeap`]: the property
-//! tests dequeue the backends in lockstep to prove the wheels preserve
-//! the ordering contract, and the `simcore_throughput` bench runs the
-//! drivers on both to measure the swap. [`set_queue_kind`] selects the
-//! backend for queues subsequently constructed on the current thread.
+//! A second backend needs a benchmark workload holding ≥ 4 k events
+//! (ROADMAP.md has the full record and the re-entry rule).
 //!
-//! Every backend implements the same contract:
+//! The contract:
 //! * strict `(time, seq)` pop order, same-instant FIFO;
-//! * cancellation by [`EventId`], lazily discarded (the discarded entry's
-//!   arena slot is freed at discard time, so cancelled payloads cannot
-//!   leak);
+//! * cancellation by [`EventId`] frees the payload at once; the heap entry
+//!   stays behind as a tombstone and is skipped when it reaches the front.
+//!   An id whose event already fired or was already cancelled is stale —
+//!   its generation check misses — so cancelling it does nothing;
 //! * scheduling never targets the past — the [`Sim`] driver clamps to
-//!   "now" at its layer. The wheel additionally clamps to its cursor
-//!   (including during adaptive migration); the heap backend preserves
-//!   submitted times verbatim, as the seed did.
+//!   "now" at its layer; the queue stores submitted times verbatim.
 //!
 //! [`Sim`]: crate::sim::Sim
 
-use std::cell::Cell;
 use std::cmp::Ordering;
-// simlint: allow(no-unordered-iteration) — cancelled-id set below is membership-only; never iterated
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::arena::{Arena, ArenaSlot};
 use crate::time::Nanos;
 
-/// Identifier of a scheduled event, used to cancel timers.
+/// Identifier of a scheduled event, used to cancel timers: the event's
+/// generation-checked payload slot.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
-
-/// Which event-queue implementation to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueKind {
-    /// Start on the binary heap and migrate to the timer wheel once the
-    /// pending population crosses the adaptive threshold (default;
-    /// [`ADAPTIVE_THRESHOLD`] unless overridden per thread). A
-    /// cache-resident heap wins below a few hundred pending events; the
-    /// wheel's O(1) operations win beyond, where heap sifts deepen and
-    /// spill the cache. Migration is one-way (a simulation that grew once
-    /// is expected to grow again) and observationally invisible.
-    Adaptive,
-    /// The hierarchical timer wheel, unconditionally, in the default
-    /// [`WHEEL_BITS`]/[`WHEEL_LEVELS`] geometry.
-    TimerWheel,
-    /// The timer wheel in the alternative 8-bit/4-level geometry
-    /// (256-slot levels, ≈4.3 s horizon) — kept reachable so the
-    /// geometry sweep in ROADMAP.md stays reproducible on any machine.
-    TimerWheelWide,
-    /// The seed's binary heap — kept as the reference for property tests
-    /// and before/after benchmarking.
-    BinaryHeap,
-}
-
-/// Default pending-event population at which an [`QueueKind::Adaptive`]
-/// queue migrates from the heap to the timer wheel. Re-measured after the
-/// arena-entry layout change via `simcore_throughput --threshold-sweep`
-/// (numbers in ROADMAP.md); override per thread with
-/// [`set_adaptive_threshold`].
-pub const ADAPTIVE_THRESHOLD: usize = 256;
-
-thread_local! {
-    static QUEUE_KIND: Cell<QueueKind> = const { Cell::new(QueueKind::Adaptive) };
-    static ADAPTIVE_THRESHOLD_TL: Cell<usize> = const { Cell::new(ADAPTIVE_THRESHOLD) };
-}
-
-/// Select the backend used by [`EventQueue::new`] on this thread. Both
-/// backends are observationally identical; this is a benchmarking/testing
-/// hook, not a tuning knob.
-pub fn set_queue_kind(kind: QueueKind) {
-    QUEUE_KIND.with(|k| k.set(kind));
-}
-
-/// The backend currently selected on this thread.
-pub fn queue_kind() -> QueueKind {
-    QUEUE_KIND.with(|k| k.get())
-}
-
-/// Override the adaptive heap→wheel migration threshold for queues
-/// subsequently constructed on this thread (the `--threshold-sweep`
-/// benchmarking hook; observationally invisible like the backend choice).
-pub fn set_adaptive_threshold(threshold: usize) {
-    ADAPTIVE_THRESHOLD_TL.with(|t| t.set(threshold));
-}
-
-/// The adaptive threshold currently selected on this thread.
-pub fn adaptive_threshold() -> usize {
-    ADAPTIVE_THRESHOLD_TL.with(|t| t.get())
-}
+pub struct EventId(ArenaSlot);
 
 /// A queue entry: the full `(time << 64) | seq` ordering key (one
-/// branchless wide compare per sift — pops on the heap-resident drivers
-/// are the hottest comparisons in the workspace) plus the arena slot
-/// holding the payload. POD and `Copy`: backends move entries freely
-/// without touching payload bytes.
+/// branchless wide compare per sift — pops are the hottest comparisons in
+/// the workspace) plus the arena slot holding the payload. POD and
+/// `Copy`: the heap moves entries freely without touching payload bytes.
 #[derive(Clone, Copy)]
 struct Entry {
     key: u128,
@@ -158,16 +76,6 @@ impl Entry {
     #[inline]
     fn at(&self) -> Nanos {
         Nanos((self.key >> 64) as u64)
-    }
-
-    #[inline]
-    fn seq(&self) -> u64 {
-        self.key as u64
-    }
-
-    #[inline]
-    fn set_at(&mut self, at: Nanos) {
-        self.key = ((at.0 as u128) << 64) | (self.key as u64 as u128);
     }
 }
 
@@ -192,445 +100,16 @@ impl Ord for Entry {
     }
 }
 
-/// Default wheel geometry: log2 of the slot count per level. 64-slot
-/// levels won the BITS/LEVELS sweep on the chain workload (see
-/// ROADMAP.md): the per-level slot array stays L1-resident, which beats
-/// the wider geometry's fewer-redistributions advantage.
-pub const WHEEL_BITS: u32 = 6;
-/// Default wheel levels; level `k` has slot granularity `2^(BITS·k)` ns,
-/// so the default horizon is `2^(6·5)` ns ≈ 1.07 s ahead of the cursor.
-/// Events beyond it go to the overflow heap.
-pub const WHEEL_LEVELS: usize = 5;
-/// The alternative wide geometry (256-slot levels, ≈4.3 s horizon),
-/// reachable via [`QueueKind::TimerWheelWide`].
-pub const WIDE_BITS: u32 = 8;
-/// Levels of the wide geometry.
-pub const WIDE_LEVELS: usize = 4;
-
-struct Slot {
-    entries: Vec<Entry>,
-    /// Least entry key among `entries`; only meaningful when non-empty.
-    /// Maintained on insert, reset when the slot drains — this is what
-    /// makes a non-mutating peek O(levels) instead of a scan over
-    /// (possibly thousands of) parked timers.
-    min: u128,
-}
-
-impl Slot {
-    fn push(&mut self, e: Entry) {
-        if self.entries.is_empty() || e.key < self.min {
-            self.min = e.key;
-        }
-        self.entries.push(e);
-    }
-
-    fn recompute_min(&mut self) {
-        self.min = self.entries.iter().map(|e| e.key).min().unwrap_or(0);
-    }
-}
-
-/// Occupancy bitmap words per level: sized for the largest supported
-/// geometry (`BITS ≤ 8` ⇒ ≤ 256 slots ⇒ 4 words); narrower geometries use
-/// a prefix and loop bounds stay a compile-time constant per geometry.
-const OCC_WORDS: usize = 4;
-
-struct Level {
-    /// Bit `s & 63` of word `s >> 6` set ⇔ `slots[s]` non-empty.
-    occupied: [u64; OCC_WORDS],
-    slots: Box<[Slot]>,
-}
-
-impl Level {
-    fn new(slots: usize) -> Self {
-        Level {
-            occupied: [0; OCC_WORDS],
-            slots: (0..slots)
-                .map(|_| Slot {
-                    entries: Vec::new(),
-                    min: 0,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Cached result of the earliest-instant scan: the instant, the least
-/// sequence number at it, the levels whose earliest slot contains it
-/// (bitmask + slot index per level) and whether the overflow heap shares
-/// it. Kept up to date incrementally across pushes (a push later than the
-/// cached instant cannot change the next batch), so steady-state operation
-/// performs one full scan per emitted batch rather than one per peek/pop.
-#[derive(Clone, Copy)]
-struct Scan<const LEVELS: usize> {
-    tmin: u64,
-    best_seq: u64,
-    mask: u8,
-    slots: [u8; LEVELS],
-    heap: bool,
-}
-
-/// The hierarchical timer wheel, generic over its geometry: `BITS` = log2
-/// slots per level (≤ 8), `LEVELS` wheels (≤ 8). Entries are POD handles;
-/// the payloads stay in the owning [`EventQueue`]'s arena, so the wheel
-/// monomorphizes once per geometry rather than once per driver event type.
-///
-/// Invariants:
-/// * `base` ≤ the time of every stored event (the cursor; advances only
-///   to the time of the earliest pending event);
-/// * an event at level `k` agrees with `base` on all bits above
-///   `BITS·(k+1)` (enforced by XOR placement), so per level the occupied
-///   slots are never circularly behind the cursor and a slot never mixes
-///   windows;
-/// * `current` holds the same-instant batch being drained, sorted by
-///   sequence number descending (pop takes from the back).
-struct Wheel<const BITS: u32, const LEVELS: usize> {
-    levels: Vec<Level>,
-    overflow: BinaryHeap<Entry>,
-    base: u64,
-    current: Vec<Entry>,
-    /// Cascade scratch, reused so steady-state popping does not allocate.
-    scratch: Vec<Entry>,
-    scan: Option<Scan<LEVELS>>,
-    len: usize,
-}
-
-impl<const BITS: u32, const LEVELS: usize> Wheel<BITS, LEVELS> {
-    /// Slots per level.
-    const SLOTS: usize = 1 << BITS;
-    /// Occupancy-bitmap words actually in use for this geometry.
-    const WORDS: usize = Self::SLOTS.div_ceil(64);
-
-    fn new() -> Self {
-        // `Scan.slots` is `[u8; LEVELS]` and `Scan.mask` one bit per level.
-        const { assert!(BITS <= 8 && LEVELS <= 8 && LEVELS >= 1) };
-        Wheel {
-            levels: (0..LEVELS).map(|_| Level::new(Self::SLOTS)).collect(),
-            overflow: BinaryHeap::new(),
-            base: 0,
-            current: Vec::new(),
-            scratch: Vec::new(),
-            scan: None,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn occ_set(occ: &mut [u64; OCC_WORDS], slot: usize) {
-        occ[slot >> 6] |= 1 << (slot & 63);
-    }
-
-    #[inline]
-    fn occ_clear(occ: &mut [u64; OCC_WORDS], slot: usize) {
-        occ[slot >> 6] &= !(1 << (slot & 63));
-    }
-
-    /// First occupied slot at index ≥ `pos`, or `None`. The XOR-placement
-    /// invariant keeps every occupied slot at or after the cursor's
-    /// position within its level window, so no circular wrap is needed.
-    #[inline]
-    fn occ_first_from(occ: &[u64; OCC_WORDS], pos: usize) -> Option<usize> {
-        let mut w = pos >> 6;
-        let mut word = occ[w] & (!0u64 << (pos & 63));
-        loop {
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= Self::WORDS {
-                return None;
-            }
-            word = occ[w];
-        }
-    }
-
-    fn push(&mut self, at: Nanos, seq: u64, slot: ArenaSlot) {
-        // The Sim layer already clamps past scheduling to "now"; the wheel
-        // cannot represent times behind its cursor, so enforce the clamp.
-        let at = Nanos(at.0.max(self.base));
-        self.len += 1;
-        let loc = self.place(Entry::new(at, seq, slot));
-        // Keep the earliest-instant cache valid: only a push at or before
-        // the cached instant can matter for the next batch. (A same-level
-        // push at the cached instant always lands in — or before — that
-        // level's cached slot: later slots of a level cover strictly later
-        // times.)
-        if let Some(c) = &mut self.scan {
-            let t = at.0;
-            if t < c.tmin {
-                *c = Scan {
-                    tmin: t,
-                    best_seq: seq,
-                    mask: 0,
-                    slots: c.slots,
-                    heap: loc.is_none(),
-                };
-                if let Some((level, slot)) = loc {
-                    c.mask = 1 << level;
-                    c.slots[level] = slot as u8;
-                }
-            } else if t == c.tmin {
-                c.best_seq = c.best_seq.min(seq);
-                match loc {
-                    Some((level, slot)) => {
-                        c.mask |= 1 << level;
-                        c.slots[level] = slot as u8;
-                    }
-                    None => c.heap = true,
-                }
-            }
-        }
-    }
-
-    /// File an entry into the wheel level/slot (or overflow heap) given the
-    /// current cursor; returns the `(level, slot)` it landed in (`None` for
-    /// the overflow heap). Used by both fresh pushes and redistribution.
-    fn place(&mut self, e: Entry) -> Option<(usize, usize)> {
-        let t = e.at().0;
-        debug_assert!(t >= self.base, "wheel entry behind cursor");
-        let x = t ^ self.base;
-        let level = if x < Self::SLOTS as u64 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / BITS) as usize
-        };
-        if level >= LEVELS {
-            self.overflow.push(e);
-            return None;
-        }
-        let slot = ((t >> (BITS * level as u32)) & (Self::SLOTS as u64 - 1)) as usize;
-        let lvl = &mut self.levels[level];
-        lvl.slots[slot].push(e);
-        Self::occ_set(&mut lvl.occupied, slot);
-        Some((level, slot))
-    }
-
-    /// Earliest occupied slot of `level` at or after the cursor, with its
-    /// start time clamped to the cursor. Slot starts lower-bound the times
-    /// of the events inside, exactly for level 0.
-    fn next_slot(&self, level: usize) -> Option<(usize, u64)> {
-        let lvl = &self.levels[level];
-        let shift = BITS * level as u32;
-        let pos = ((self.base >> shift) & (Self::SLOTS as u64 - 1)) as usize;
-        let slot = Self::occ_first_from(&lvl.occupied, pos)?;
-        let window_mask = !((1u64 << (shift + BITS)) - 1);
-        let slot_start = (self.base & window_mask) | ((slot as u64) << shift);
-        Some((slot, slot_start.max(self.base)))
-    }
-
-    /// Compute (or reuse) the earliest-instant scan. `None` when empty.
-    fn ensure_scan(&mut self) -> Option<Scan<LEVELS>> {
-        if let Some(c) = self.scan {
-            return Some(c);
-        }
-        let mut c = Scan {
-            tmin: u64::MAX,
-            best_seq: u64::MAX,
-            mask: 0,
-            slots: [0; LEVELS],
-            heap: false,
-        };
-        for level in 0..LEVELS {
-            if let Some((slot, _)) = self.next_slot(level) {
-                let min = self.levels[level].slots[slot].min;
-                let (t, seq) = ((min >> 64) as u64, min as u64);
-                if t < c.tmin {
-                    c.tmin = t;
-                    c.best_seq = seq;
-                    c.mask = 1 << level;
-                } else if t == c.tmin {
-                    c.best_seq = c.best_seq.min(seq);
-                    c.mask |= 1 << level;
-                }
-                c.slots[level] = slot as u8;
-            }
-        }
-        if let Some(e) = self.overflow.peek() {
-            if e.at().0 < c.tmin {
-                c.tmin = e.at().0;
-                c.best_seq = e.seq();
-                c.mask = 0;
-                c.heap = true;
-            } else if e.at().0 == c.tmin {
-                c.best_seq = c.best_seq.min(e.seq());
-                c.heap = true;
-            }
-        }
-        if c.mask == 0 && !c.heap {
-            return None;
-        }
-        self.scan = Some(c);
-        Some(c)
-    }
-
-    /// Move the earliest same-instant batch into `current`. Returns
-    /// `false` when the wheel and heap are empty.
-    ///
-    /// This jumps the cursor directly to the earliest instant `tmin` in
-    /// one pass instead of cascading level by level. That is sound
-    /// because the XOR placement implies: if the earliest entry sits at
-    /// level `k`, every level below `k` is empty (an entry at a lower
-    /// level agrees with the cursor on the bit where the minimum first
-    /// differs, which would make it smaller than the minimum). So
-    /// advancing `base` to `tmin` and redistributing only the levels whose
-    /// earliest slot contains `tmin` preserves every invariant, and each
-    /// redistributed entry lands at a strictly lower level (same slot ⇒
-    /// shared high bits ⇒ smaller XOR), bounding total redistribution work
-    /// at `LEVELS` placements per event over its lifetime.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.current.is_empty());
-        let Some(c) = self.ensure_scan() else {
-            return false;
-        };
-        self.scan = None;
-        let tmin = c.tmin;
-        self.base = tmin;
-        // Fast path: the instant lives in a single level-0 slot (no heap
-        // ties). Level-0 slots hold exactly one instant, so the whole
-        // batch transfers by one O(1) vector swap.
-        if c.mask == 1 && !c.heap {
-            let slot = c.slots[0] as usize;
-            std::mem::swap(&mut self.current, &mut self.levels[0].slots[slot].entries);
-            Self::occ_clear(&mut self.levels[0].occupied, slot);
-            if self.current.len() > 1 {
-                self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
-            }
-            return true;
-        }
-        // Drain every level holding the instant: entries at `tmin` become
-        // the batch, later entries re-file under the advanced cursor.
-        for level in 0..LEVELS {
-            if c.mask & (1 << level) == 0 {
-                continue;
-            }
-            let slot = c.slots[level] as usize;
-            let mut batch = std::mem::take(&mut self.scratch);
-            std::mem::swap(&mut batch, &mut self.levels[level].slots[slot].entries);
-            Self::occ_clear(&mut self.levels[level].occupied, slot);
-            for e in batch.drain(..) {
-                if e.at().0 == tmin {
-                    self.current.push(e);
-                } else {
-                    self.place(e);
-                }
-            }
-            self.scratch = batch;
-        }
-        // Overflow entries can share the instant (filed under an older
-        // cursor); merge them.
-        if c.heap {
-            while self.overflow.peek().is_some_and(|e| e.at().0 == tmin) {
-                // simlint: allow(no-panic-hot-path) — pop follows a successful peek on the same heap with no intervening mutation
-                self.current.push(self.overflow.pop().expect("peeked"));
-            }
-        }
-        // Same-instant FIFO: redistribution can interleave sequence
-        // numbers, so restore seq order (descending; pops take the back).
-        if self.current.len() > 1 {
-            self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
-        }
-        true
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        if self.current.is_empty() && !self.refill() {
-            return None;
-        }
-        self.len -= 1;
-        self.current.pop()
-    }
-
-    /// `(time, seq)` of the earliest entry, *without* mutating the wheel.
-    ///
-    /// The cursor may only advance when an event is actually removed (the
-    /// `Sim` layer guarantees nothing schedules before the last *popped*
-    /// time, not the last peeked one), so peeking scans instead of
-    /// cascading: per level, the earliest occupied slot's time range
-    /// precedes every other slot of that level, so the global minimum is
-    /// the least entry across those candidate slots, `current`, and the
-    /// overflow root.
-    fn peek(&mut self) -> Option<(Nanos, u64)> {
-        if let Some(e) = self.current.last() {
-            return Some((e.at(), e.seq()));
-        }
-        self.ensure_scan().map(|c| (Nanos(c.tmin), c.best_seq))
-    }
-
-    /// Remove the entry [`Wheel::peek`] would return, without advancing
-    /// the cursor, returning its arena slot so the owner can free the
-    /// payload. Used to lazily discard cancelled events during peeks —
-    /// the cursor must stay at the last popped time so later schedules
-    /// before the cancelled instant remain representable.
-    fn remove_earliest(&mut self) -> Option<ArenaSlot> {
-        let (at, seq) = self.peek()?;
-        self.scan = None;
-        self.len -= 1;
-        if self.current.last().is_some_and(|e| e.seq() == seq) {
-            return self.current.pop().map(|e| e.slot);
-        }
-        if self.overflow.peek().is_some_and(|e| e.seq() == seq) {
-            return self.overflow.pop().map(|e| e.slot);
-        }
-        for level in 0..LEVELS {
-            let Some((slot, _)) = self.next_slot(level) else {
-                continue;
-            };
-            let s = &mut self.levels[level].slots[slot];
-            let key = ((at.0 as u128) << 64) | seq as u128;
-            if let Some(i) = s.entries.iter().position(|e| e.key == key) {
-                let removed = s.entries.remove(i);
-                if s.entries.is_empty() {
-                    Self::occ_clear(&mut self.levels[level].occupied, slot);
-                } else {
-                    s.recompute_min();
-                }
-                return Some(removed.slot);
-            }
-        }
-        unreachable!("peeked entry not found in any store");
-    }
-}
-
-enum Backend {
-    Wheel(Wheel<WHEEL_BITS, WHEEL_LEVELS>),
-    WideWheel(Wheel<WIDE_BITS, WIDE_LEVELS>),
-    Heap(BinaryHeap<Entry>),
-}
-
-/// Dispatch a backend operation over both wheel geometries (the `$w` body
-/// monomorphizes per concrete wheel type) with a separate heap arm.
-macro_rules! by_backend {
-    ($backend:expr, $w:ident => $wheel:expr, $h:ident => $heap:expr) => {
-        match $backend {
-            Backend::Wheel($w) => $wheel,
-            Backend::WideWheel($w) => $wheel,
-            Backend::Heap($h) => $heap,
-        }
-    };
-}
-
 /// A time-ordered queue of events carrying messages of type `M`.
 ///
-/// Payloads are arena-resident (see the module docs): the backends order
-/// POD entries and every pop moves the message out of its slot.
+/// Payloads are arena-resident (see the module docs): the heap orders POD
+/// entries and every pop moves the message out of its slot.
 pub struct EventQueue<M> {
-    backend: Backend,
-    /// The payload slab. Invariant: live arena payloads == backend
-    /// entries (cancelled-but-not-yet-discarded entries still own their
-    /// payload until the lazy discard frees it).
+    heap: BinaryHeap<Entry>,
+    /// The payload slab. Invariant: a heap entry whose slot still redeems
+    /// is a pending event; one whose slot misses was cancelled.
     arena: Arena<M>,
-    // simlint: allow(no-unordered-iteration) — insert/contains/remove only (lazy cancel); never iterated
-    cancelled: HashSet<u64>,
     next_seq: u64,
-    /// Adaptive mode: still on the heap, watching for the migration
-    /// threshold.
-    adaptive: bool,
-    /// The migration threshold captured at construction (see
-    /// [`set_adaptive_threshold`]).
-    threshold: usize,
-    /// Time of the last popped event — the only lower bound the `Sim`
-    /// contract gives for future schedules, and therefore the wheel cursor
-    /// a migration must start from.
-    last_popped: u64,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -640,181 +119,67 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    /// An empty queue on the thread's selected backend (see
-    /// [`set_queue_kind`]; adaptive unless overridden).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_kind(queue_kind())
-    }
-
-    /// An empty queue on an explicit backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::TimerWheel => Backend::Wheel(Wheel::new()),
-            QueueKind::TimerWheelWide => Backend::WideWheel(Wheel::new()),
-            QueueKind::BinaryHeap | QueueKind::Adaptive => Backend::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             arena: Arena::new(),
-            // simlint: allow(no-unordered-iteration) — construction of the membership-only set above
-            cancelled: HashSet::new(),
             next_seq: 0,
-            adaptive: kind == QueueKind::Adaptive,
-            threshold: adaptive_threshold(),
-            last_popped: 0,
-        }
-    }
-
-    /// Adaptive migration: move every pending entry from the heap into a
-    /// wheel whose cursor is the last popped time. Entries are POD handles
-    /// (payloads stay put in the arena) and insertion order into slots is
-    /// irrelevant (emission sorts each same-instant batch), so the heap is
-    /// drained unordered.
-    fn migrate_to_wheel(&mut self) {
-        let Backend::Heap(heap) = std::mem::replace(&mut self.backend, Backend::Wheel(Wheel::new()))
-        else {
-            unreachable!("migration starts from the heap");
-        };
-        let Backend::Wheel(w) = &mut self.backend else {
-            unreachable!("just installed");
-        };
-        w.base = self.last_popped;
-        for mut e in heap.into_vec() {
-            // The heap backend (like the seed) stores past-scheduled times
-            // verbatim; the wheel cannot represent times behind its
-            // cursor, so clamp here exactly as `Wheel::push` would.
-            e.set_at(Nanos(e.at().0.max(w.base)));
-            w.len += 1;
-            w.place(e);
         }
     }
 
     /// Schedule `msg` to fire at absolute time `at`. Returns an id that can
     /// later be passed to [`EventQueue::cancel`]. The payload goes into
-    /// the arena; only its POD handle enters the backend.
+    /// the arena; only its POD handle enters the heap.
     pub fn schedule_at(&mut self, at: Nanos, msg: M) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.arena.insert(msg);
-        by_backend!(&mut self.backend,
-            w => w.push(at, seq, slot),
-            h => {
-                h.push(Entry::new(at, seq, slot));
-                if self.adaptive && h.len() > self.threshold {
-                    self.migrate_to_wheel();
-                }
-            }
-        );
-        EventId(seq)
+        self.heap.push(Entry::new(at, seq, slot));
+        EventId(slot)
     }
 
-    /// Cancel a previously scheduled event. Cancelling an event that already
-    /// fired (or was already cancelled) is a harmless no-op.
+    /// Cancel a previously scheduled event, dropping its payload now.
+    /// Cancelling an event that already fired (or was already cancelled)
+    /// is a no-op: the stale id misses the arena's generation check.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
-    }
-
-    /// Take the payload out of a popped entry's slot. Every backend entry
-    /// owns exactly one live arena slot, so this cannot miss.
-    #[inline]
-    fn redeem(&mut self, e: Entry) -> (Nanos, u64, M) {
-        self.last_popped = e.at().0;
-        let msg = self
-            .arena
-            .take(e.slot)
-            // simlint: allow(no-panic-hot-path) — schedule moved the payload into this slot and only redeem/discard free it, exactly once (prop_arena pins the invariant)
-            .expect("queue entry owns a live arena slot");
-        (e.at(), e.seq(), msg)
-    }
-
-    /// Discard the payload of a lazily-removed cancelled entry so it
-    /// cannot leak in the arena.
-    #[inline]
-    fn discard(&mut self, slot: Option<ArenaSlot>) {
-        if let Some(slot) = slot {
-            self.arena
-                .take(slot)
-                // simlint: allow(no-panic-hot-path) — a cancelled entry keeps slot ownership until this single lazy discard (prop_arena pins the invariant)
-                .expect("cancelled entry owns a live arena slot");
-        }
-    }
-
-    fn pop_any(&mut self) -> Option<(Nanos, u64, M)> {
-        let e = by_backend!(&mut self.backend, w => w.pop(), h => h.pop())?;
-        Some(self.redeem(e))
+        self.arena.take(id.0);
     }
 
     /// Remove and return the earliest pending event only if it fires at or
-    /// before `deadline`; later events stay queued. One backend dispatch
-    /// for the peek-compare-pop sequence the driver loop otherwise spells
-    /// out as `peek_time()` + `pop()` — which is two dispatches per event
-    /// on the hottest loop in the workspace.
+    /// before `deadline`; later events stay queued. One call for the
+    /// peek-compare-pop sequence on the hottest loop in the workspace.
     ///
     /// # Boundary contract
     ///
-    /// The deadline is **inclusive** on every backend: an event scheduled
-    /// exactly at `deadline` is popped, one at `deadline + 1` is not.
-    /// The sharded runner's window barriers depend on this being exact —
-    /// a window covering `[start, end)` drains via
-    /// `pop_until(end - 1)`, and an off-by-one here would fire an event
-    /// before the cross-shard arrivals that must precede it. Pinned by
-    /// the `pop_until_boundary_is_exact_on_every_backend` property test
-    /// across all backends (`tests/prop_queue.rs`).
+    /// The deadline is **inclusive**: an event scheduled exactly at
+    /// `deadline` is popped, one at `deadline + 1` is not. The sharded
+    /// runner's window barriers depend on this being exact — a window
+    /// covering `[start, end)` drains via `pop_until(end - 1)`, and an
+    /// off-by-one here would fire an event before the cross-shard
+    /// arrivals that must precede it. Pinned by the
+    /// `pop_until_boundary_is_exact` property test
+    /// (`tests/prop_queue.rs`).
     pub fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, M)> {
-        if self.cancelled.is_empty() {
-            let e = by_backend!(&mut self.backend,
-                w => {
-                    if w.peek()?.0 > deadline {
-                        return None;
-                    }
-                    w.pop()
-                },
-                h => {
-                    if h.peek()?.at() > deadline {
-                        return None;
-                    }
-                    h.pop()
-                }
-            )?;
-            let (at, _, msg) = self.redeem(e);
-            return Some((at, msg));
+        loop {
+            if self.heap.peek()?.at() > deadline {
+                return None;
+            }
+            let e = self.heap.pop()?;
+            if let Some(msg) = self.arena.take(e.slot) {
+                return Some((e.at(), msg));
+            }
         }
-        // Cancellations pending: take the slow path, which discards them
-        // lazily without advancing the wheel cursor.
-        if self.peek_time()? > deadline {
-            return None;
-        }
-        self.pop()
     }
 
     /// Remove and return the earliest pending event, skipping cancelled
     /// entries. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(Nanos, M)> {
-        // Fast path: no outstanding cancellations (the common case).
-        if self.cancelled.is_empty() {
-            return self.pop_any().map(|(at, _, msg)| (at, msg));
-        }
-        // Cancelled entries must be discarded *without* advancing the
-        // wheel cursor: a skipped timer fires no event, so the driver's
-        // clock does not move and later schedules may still target times
-        // before the cancelled instant.
         loop {
-            let (_, seq) = by_backend!(&mut self.backend,
-                w => w.peek()?,
-                h => h.peek().map(|e| (e.at(), e.seq()))?
-            );
-            if self.cancelled.remove(&seq) {
-                let slot = by_backend!(&mut self.backend,
-                    w => w.remove_earliest(),
-                    h => h.pop().map(|e| e.slot)
-                );
-                self.discard(slot);
-                continue;
+            let e = self.heap.pop()?;
+            if let Some(msg) = self.arena.take(e.slot) {
+                return Some((e.at(), msg));
             }
-            // simlint: allow(no-panic-hot-path) — peek above returned an entry and nothing was removed since; pop_any must yield it
-            let (at, popped, msg) = self.pop_any().expect("peeked entry present");
-            debug_assert_eq!(popped, seq, "pop must return the peeked head");
-            return Some((at, msg));
         }
     }
 
@@ -822,37 +187,27 @@ impl<M> EventQueue<M> {
     /// it. Cancelled entries encountered at the front are discarded.
     pub fn peek_time(&mut self) -> Option<Nanos> {
         loop {
-            let (at, seq) = by_backend!(&mut self.backend,
-                w => w.peek()?,
-                h => h.peek().map(|e| (e.at(), e.seq()))?
-            );
-            if self.cancelled.contains(&seq) {
-                let slot = by_backend!(&mut self.backend,
-                    w => w.remove_earliest(),
-                    h => h.pop().map(|e| e.slot)
-                );
-                self.discard(slot);
-                self.cancelled.remove(&seq);
-                continue;
+            let e = self.heap.peek()?;
+            if self.arena.get(e.slot).is_some() {
+                return Some(e.at());
             }
-            return Some(at);
+            self.heap.pop();
         }
     }
 
-    /// Number of pending entries (including not-yet-skipped cancelled ones).
+    /// Number of heap entries (including not-yet-skipped cancelled ones).
     pub fn len(&self) -> usize {
-        by_backend!(&self.backend, w => w.len, h => h.len())
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == self.cancelled.len()
+        self.arena.is_empty()
     }
 
-    /// Payloads resident in the arena. Always equals [`EventQueue::len`]
-    /// — every pending entry (cancelled-but-undiscarded ones included)
-    /// owns exactly one live slot. Exposed so the property tests can
-    /// assert the no-leak/no-double-free invariant from outside.
+    /// Payloads resident in the arena: exactly the pending, non-cancelled
+    /// events. Exposed so the property tests can assert the
+    /// no-leak/no-double-free invariant from outside.
     pub fn arena_live(&self) -> usize {
         self.arena.len()
     }
@@ -862,220 +217,119 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
-    /// Run a test closure against every backend.
-    fn each_kind(f: impl Fn(QueueKind)) {
-        f(QueueKind::Adaptive);
-        f(QueueKind::TimerWheel);
-        f(QueueKind::TimerWheelWide);
-        f(QueueKind::BinaryHeap);
-    }
-
     #[test]
     fn pops_in_time_order() {
-        each_kind(|k| {
-            let mut q = EventQueue::with_kind(k);
-            q.schedule_at(Nanos(30), "c");
-            q.schedule_at(Nanos(10), "a");
-            q.schedule_at(Nanos(20), "b");
-            assert_eq!(q.pop(), Some((Nanos(10), "a")));
-            assert_eq!(q.pop(), Some((Nanos(20), "b")));
-            assert_eq!(q.pop(), Some((Nanos(30), "c")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        q.schedule_at(Nanos(30), "c");
+        q.schedule_at(Nanos(10), "a");
+        q.schedule_at(Nanos(20), "b");
+        assert_eq!(q.pop(), Some((Nanos(10), "a")));
+        assert_eq!(q.pop(), Some((Nanos(20), "b")));
+        assert_eq!(q.pop(), Some((Nanos(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_schedule_order() {
-        each_kind(|k| {
-            let mut q = EventQueue::with_kind(k);
-            q.schedule_at(Nanos(5), 1);
-            q.schedule_at(Nanos(5), 2);
-            q.schedule_at(Nanos(5), 3);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 3);
-        });
+        let mut q = EventQueue::new();
+        q.schedule_at(Nanos(5), 1);
+        q.schedule_at(Nanos(5), 2);
+        q.schedule_at(Nanos(5), 3);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 3);
     }
 
     #[test]
     fn cancel_removes_event() {
-        each_kind(|k| {
-            let mut q = EventQueue::with_kind(k);
-            let a = q.schedule_at(Nanos(1), "a");
-            q.schedule_at(Nanos(2), "b");
-            q.cancel(a);
-            assert_eq!(q.pop(), Some((Nanos(2), "b")));
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.arena_live(), 0, "cancelled payload must not leak");
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(Nanos(1), "a");
+        q.schedule_at(Nanos(2), "b");
+        q.cancel(a);
+        assert_eq!(q.arena_live(), 1, "cancel frees the payload at once");
+        assert_eq!(q.pop(), Some((Nanos(2), "b")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.arena_live(), 0);
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        each_kind(|k| {
-            let mut q = EventQueue::with_kind(k);
-            let a = q.schedule_at(Nanos(1), "a");
-            assert_eq!(q.pop(), Some((Nanos(1), "a")));
-            q.cancel(a); // already fired; must not corrupt anything
-            q.schedule_at(Nanos(2), "b");
-            assert_eq!(q.pop(), Some((Nanos(2), "b")));
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(Nanos(1), "a");
+        assert_eq!(q.pop(), Some((Nanos(1), "a")));
+        q.cancel(a); // already fired: must leave no trace
+        q.schedule_at(Nanos(2), "b");
+        assert!(!q.is_empty());
+        assert_eq!((q.len(), q.arena_live()), (1, 1));
+        // "b" recycled a's slot; the stale id must not reach it.
+        q.cancel(a);
+        assert_eq!(q.pop(), Some((Nanos(2), "b")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn double_cancel_frees_exactly_one_payload() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(Nanos(1), "a");
+        q.schedule_at(Nanos(2), "b");
+        q.cancel(a);
+        q.cancel(a);
+        assert_eq!(q.arena_live(), 1);
+        // A new event takes the freed slot; cancelling `a` a third time
+        // must not free it.
+        q.schedule_at(Nanos(3), "c");
+        q.cancel(a);
+        assert_eq!(q.arena_live(), 2);
+        assert_eq!(q.pop(), Some((Nanos(2), "b")));
+        assert_eq!(q.pop(), Some((Nanos(3), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn peek_time_skips_cancelled() {
-        each_kind(|k| {
-            let mut q = EventQueue::with_kind(k);
-            let a = q.schedule_at(Nanos(1), "a");
-            q.schedule_at(Nanos(7), "b");
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(Nanos(7)));
-            assert_eq!(q.arena_live(), 1, "discard frees the cancelled slot");
-            assert_eq!(q.pop(), Some((Nanos(7), "b")));
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(Nanos(1), "a");
+        q.schedule_at(Nanos(7), "b");
+        q.cancel(a);
+        assert_eq!(q.len(), 2, "the tombstone stays until it reaches the front");
+        assert_eq!(q.peek_time(), Some(Nanos(7)));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((Nanos(7), "b")));
+    }
+
+    #[test]
+    fn pop_until_skips_cancelled_and_respects_the_deadline() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(Nanos(1), "a");
+        q.schedule_at(Nanos(7), "b");
+        q.cancel(a);
+        assert_eq!(q.pop_until(Nanos(6)), None);
+        assert_eq!(q.pop_until(Nanos(7)), Some((Nanos(7), "b")));
+        assert_eq!(q.pop_until(Nanos(u64::MAX)), None);
     }
 
     #[test]
     fn is_empty_accounts_for_cancelled() {
-        each_kind(|k| {
-            let mut q: EventQueue<u8> = EventQueue::with_kind(k);
-            assert!(q.is_empty());
-            let a = q.schedule_at(Nanos(1), 0);
-            assert!(!q.is_empty());
-            q.cancel(a);
-            assert!(q.is_empty());
-        });
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(q.is_empty());
+        let a = q.schedule_at(Nanos(1), 0);
+        assert!(!q.is_empty());
+        q.cancel(a);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn arena_tracks_pending_population() {
-        each_kind(|k| {
-            let mut q = EventQueue::with_kind(k);
-            for i in 0..100u64 {
-                q.schedule_at(Nanos(i * 3), i);
-            }
-            assert_eq!(q.arena_live(), q.len());
-            for _ in 0..60 {
-                q.pop();
-            }
-            assert_eq!(q.arena_live(), q.len());
-            while q.pop().is_some() {}
-            assert_eq!(q.arena_live(), 0);
-        });
-    }
-
-    #[test]
-    fn far_future_events_overflow_and_return() {
-        // Beyond both wheel horizons (2^30 ns default, 2^32 ns wide):
-        // exercised via the overflow heap, including same-instant ties
-        // straddling both stores.
-        for kind in [QueueKind::TimerWheel, QueueKind::TimerWheelWide] {
-            let mut q = EventQueue::with_kind(kind);
-            let far = Nanos(6_000_000_000); // 6 s
-            q.schedule_at(far, "far1");
-            q.schedule_at(Nanos(50), "near");
-            q.schedule_at(far, "far2");
-            assert_eq!(q.pop(), Some((Nanos(50), "near")));
-            assert_eq!(q.pop(), Some((far, "far1")));
-            assert_eq!(q.pop(), Some((far, "far2")));
-            assert_eq!(q.pop(), None);
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule_at(Nanos(i * 3), i);
         }
-    }
-
-    #[test]
-    fn cascades_preserve_same_instant_fifo() {
-        // Schedule an instant far enough out to sit in a high level, pop
-        // up to it, and add same-instant events from a nearer cursor: the
-        // cascade must not reorder them against the late-scheduled ones.
-        let mut q = EventQueue::with_kind(QueueKind::TimerWheel);
-        let t = Nanos(70_000);
-        q.schedule_at(t, 1); // lands in level 2
-        q.schedule_at(Nanos(60_000), 0);
-        assert_eq!(q.pop(), Some((Nanos(60_000), 0)));
-        q.schedule_at(t, 2); // cursor at 60_000: lands in a lower level
-        q.schedule_at(t, 3);
-        assert_eq!(q.pop(), Some((t, 1)));
-        assert_eq!(q.pop(), Some((t, 2)));
-        assert_eq!(q.pop(), Some((t, 3)));
-    }
-
-    #[test]
-    fn interleaved_schedule_pop_matches_heap() {
-        // A dense deterministic workload driven through both backends.
-        let run = |kind: QueueKind| {
-            let mut q = EventQueue::with_kind(kind);
-            let mut order = Vec::new();
-            let mut now = 0u64;
-            for i in 0..2_000u64 {
-                // Pseudo-random but fixed delays spanning all levels.
-                let d = (i * 2_654_435_761) % 1_000_003;
-                q.schedule_at(Nanos(now + d), i as u32);
-                if i % 3 == 0 {
-                    if let Some((t, v)) = q.pop() {
-                        now = t.0;
-                        order.push((t, v));
-                    }
-                }
-            }
-            while let Some((t, v)) = q.pop() {
-                order.push((t, v));
-            }
-            order
-        };
-        assert_eq!(run(QueueKind::TimerWheel), run(QueueKind::BinaryHeap));
-        assert_eq!(run(QueueKind::TimerWheelWide), run(QueueKind::BinaryHeap));
-    }
-
-    #[test]
-    fn thread_kind_override_applies_to_new() {
-        set_queue_kind(QueueKind::TimerWheel);
-        let q: EventQueue<u8> = EventQueue::new();
-        assert!(matches!(q.backend, Backend::Wheel(_)));
-        set_queue_kind(QueueKind::Adaptive);
-        let q: EventQueue<u8> = EventQueue::new();
-        assert!(matches!(q.backend, Backend::Heap(_)) && q.adaptive);
-    }
-
-    #[test]
-    fn thread_threshold_override_applies_to_new() {
-        set_adaptive_threshold(4);
-        let mut q: EventQueue<u8> = EventQueue::new();
-        for i in 0..6 {
-            q.schedule_at(Nanos(i), i as u8);
+        assert_eq!(q.arena_live(), q.len());
+        for _ in 0..60 {
+            q.pop();
         }
-        assert!(
-            matches!(q.backend, Backend::Wheel(_)),
-            "threshold 4 must migrate at 5 pending"
-        );
-        set_adaptive_threshold(ADAPTIVE_THRESHOLD);
-        let mut q: EventQueue<u8> = EventQueue::new();
-        for i in 0..6 {
-            q.schedule_at(Nanos(i), i as u8);
-        }
-        assert!(matches!(q.backend, Backend::Heap(_)), "default restored");
-    }
-
-    #[test]
-    fn adaptive_migrates_past_threshold_and_stays_ordered() {
-        let mut q = EventQueue::with_kind(QueueKind::Adaptive);
-        // Advance the cursor a bit first so migration must anchor the
-        // wheel at the last popped time, not zero.
-        q.schedule_at(Nanos(100), u32::MAX);
-        assert_eq!(q.pop(), Some((Nanos(100), u32::MAX)));
-        let n = (ADAPTIVE_THRESHOLD + 64) as u64;
-        for i in 0..n {
-            // Deterministic scatter incl. past-horizon times.
-            let t = 100 + (i * 2_654_435_761) % (1 << 31);
-            q.schedule_at(Nanos(t), i as u32);
-        }
-        assert!(matches!(q.backend, Backend::Wheel(_)), "must have migrated");
-        let mut last = (Nanos(0), 0u64);
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last.0);
-            last = (t, 0);
-            popped += 1;
-        }
-        assert_eq!(popped, n);
+        assert_eq!(q.arena_live(), q.len());
+        while q.pop().is_some() {}
+        assert_eq!(q.arena_live(), 0);
     }
 }

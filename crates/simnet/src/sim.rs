@@ -48,7 +48,7 @@ impl<T> Timed<T> {
 ///
 /// Pending payloads are arena-resident: [`Sim::schedule`] moves `msg` into
 /// a generation-checked slot of the queue's per-`Sim` slab arena and the
-/// backends order POD handles; [`Sim::next`] moves the payload back out
+/// heap orders POD handles; [`Sim::next`] moves the payload back out
 /// (the slot returns to the free list). Drivers can therefore carry large
 /// event variants — full RDMA frames, work requests — without boxing
 /// them: steady-state scheduling performs zero heap allocation however

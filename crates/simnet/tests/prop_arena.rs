@@ -1,21 +1,23 @@
-//! Property-based soundness of the event-payload arena under the queue.
+//! Property-based soundness of the event queue and its payload arena.
 //!
-//! The arena swap moved every scheduled payload out of the queue entries
-//! and into generation-checked slots; the hazards it must be immune to
-//! are *leaks* (a payload whose entry was popped or cancel-discarded but
-//! whose slot never returned to the free list), *double frees* (two
-//! entries redeeming one slot) and *stale-generation access* (a recycled
-//! slot aliasing a new payload). This test drives every queue backend
-//! through random schedule/cancel/pop interleavings in lockstep with a
-//! boxed reference queue — a deliberately naive `Vec<(key, Box<payload>)>`
-//! with the same `(time, seq)` contract, the layout the kernel had before
-//! the arena — and asserts:
+//! Every scheduled payload lives in a generation-checked arena slot, not
+//! in its queue entry; the hazards the queue must be immune to are
+//! *leaks* (a payload whose entry was popped or cancelled but whose slot
+//! never returned to the free list), *double frees* (two entries, or an
+//! entry and a stale `EventId`, redeeming one slot) and
+//! *stale-generation access* (a recycled slot aliasing a new payload).
+//! This test drives the queue through random schedule/cancel/pop
+//! interleavings — near, far and multi-second delays, same-instant bursts
+//! — in lockstep with a boxed reference queue: a deliberately naive
+//! `Vec<(key, Box<payload>)>` with the same `(time, seq)` contract, the
+//! layout the kernel had before the arena. It asserts:
 //!
 //! * the dequeued `(time, payload)` streams are identical (a stale or
 //!   double-freed slot would surface as a wrong/missing payload);
-//! * after **every** operation, live arena payloads == pending entries
-//!   (`EventQueue::arena_live`), so nothing leaks and nothing double
-//!   frees even transiently — including through lazy cancel discards;
+//! * after **every** operation, live arena payloads
+//!   (`EventQueue::arena_live`) == the reference's pending, non-cancelled
+//!   entries, so nothing leaks and nothing double frees even transiently
+//!   — including cancels of fired, pending and already-cancelled ids;
 //! * a drained queue holds zero live payloads.
 //!
 //! The raw `Arena` API is exercised directly as well, against a model of
@@ -25,16 +27,14 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use palladium_simnet::{Arena, ArenaSlot, EventQueue, Nanos, QueueKind};
+use palladium_simnet::{Arena, ArenaSlot, EventQueue, Nanos};
 
 /// One step of the randomized queue workload; delays are relative to the
 /// last popped time, mirroring how `Sim` drives the queue.
 #[derive(Clone, Debug)]
 enum Op {
     /// Schedule at `now + delay` (0 creates same-instant bursts).
-    Schedule(u32),
-    /// Schedule beyond the default wheel horizon (overflow heap).
-    Overflow(u32),
+    Schedule(u64),
     /// Schedule a same-instant burst of `n` events at one future time.
     Burst(u8, u16),
     /// Cancel the i-th issued id (modulo issued count) — may target
@@ -42,23 +42,24 @@ enum Op {
     Cancel(usize),
     /// Pop one event.
     Pop,
-    /// Compare `peek_time` (exercises lazy discard of cancelled heads,
-    /// which must free the discarded payload's slot).
+    /// Compare `peek_time` (exercises the discard of cancelled heads).
     Peek,
 }
 
+/// Delays past this (≈ 1.07 s) keep multi-second horizons in the mix.
+const FAR: u64 = 1 << 30;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u32..20_000_000).prop_map(Op::Schedule),
-        1 => (0u32..10_000).prop_map(Op::Overflow),
+        4 => (0u64..5_000).prop_map(Op::Schedule),
+        2 => (0u64..20_000_000).prop_map(Op::Schedule),
+        1 => (FAR..FAR + 10_000).prop_map(Op::Schedule),
         1 => ((1u8..8), (0u16..2_000)).prop_map(|(n, d)| Op::Burst(n, d)),
         3 => (0usize..256).prop_map(Op::Cancel),
         5 => Just(Op::Pop),
         2 => Just(Op::Peek),
     ]
 }
-
-const HORIZON: u64 = 1 << 30;
 
 /// The boxed reference path: the pre-arena layout (payload owned by its
 /// entry, here behind a `Box` like the seed's recycled frame boxes), with
@@ -84,6 +85,14 @@ impl BoxedRef {
         self.next_seq += 1;
         self.pending.push((((at.0 as u128) << 64) | seq as u128, Box::new(v)));
         seq
+    }
+
+    /// Pending entries not cancelled.
+    fn live(&self) -> usize {
+        self.pending
+            .iter()
+            .filter(|(key, _)| !self.cancelled.contains(&(*key as u64)))
+            .count()
     }
 
     fn min_idx(&self) -> Option<usize> {
@@ -126,14 +135,7 @@ proptest! {
     fn arena_queue_matches_boxed_reference_without_leaks(
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
-        let kinds = [
-            QueueKind::Adaptive,
-            QueueKind::TimerWheel,
-            QueueKind::TimerWheelWide,
-            QueueKind::BinaryHeap,
-        ];
-        let mut queues: Vec<EventQueue<u64>> =
-            kinds.iter().map(|&k| EventQueue::with_kind(k)).collect();
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut reference = BoxedRef::new();
         let mut ids = Vec::new();
         let mut now = 0u64;
@@ -142,81 +144,54 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Schedule(d) => {
-                    let at = Nanos(now + d as u64);
-                    ids.push((
-                        queues.iter_mut().map(|q| q.schedule_at(at, payload)).collect::<Vec<_>>(),
-                        reference.schedule_at(at, payload),
-                    ));
-                    payload += 1;
-                }
-                Op::Overflow(extra) => {
-                    let at = Nanos(now + HORIZON + extra as u64);
-                    ids.push((
-                        queues.iter_mut().map(|q| q.schedule_at(at, payload)).collect::<Vec<_>>(),
-                        reference.schedule_at(at, payload),
-                    ));
+                    let at = Nanos(now + d);
+                    ids.push((q.schedule_at(at, payload), reference.schedule_at(at, payload)));
                     payload += 1;
                 }
                 Op::Burst(n, d) => {
                     for _ in 0..n {
                         let at = Nanos(now + d as u64);
-                        ids.push((
-                            queues.iter_mut().map(|q| q.schedule_at(at, payload)).collect::<Vec<_>>(),
-                            reference.schedule_at(at, payload),
-                        ));
+                        ids.push((q.schedule_at(at, payload), reference.schedule_at(at, payload)));
                         payload += 1;
                     }
                 }
                 Op::Cancel(i) => {
                     if !ids.is_empty() {
-                        let (qids, rid) = &ids[i % ids.len()];
-                        for (q, &id) in queues.iter_mut().zip(qids.iter()) {
-                            q.cancel(id);
-                        }
-                        reference.cancelled.insert(*rid);
+                        let (qid, rid) = ids[i % ids.len()];
+                        q.cancel(qid);
+                        reference.cancelled.insert(rid);
                     }
                 }
                 Op::Pop => {
                     let r = reference.pop();
-                    for (q, &kind) in queues.iter_mut().zip(kinds.iter()) {
-                        let got = q.pop();
-                        prop_assert_eq!(&got, &r, "pop diverged on {:?}", kind);
-                    }
+                    prop_assert_eq!(q.pop(), r, "pop diverged");
                     if let Some((t, _)) = r {
                         now = t.0;
                     }
                 }
                 Op::Peek => {
-                    let r = reference.peek_time();
-                    for (q, &kind) in queues.iter_mut().zip(kinds.iter()) {
-                        prop_assert_eq!(q.peek_time(), r, "peek diverged on {:?}", kind);
-                    }
+                    prop_assert_eq!(q.peek_time(), reference.peek_time(), "peek diverged");
                 }
             }
             // The no-leak/no-double-free invariant, after *every* op:
-            // exactly one live arena payload per pending entry. A leak
-            // drifts arena_live above len; a double free drifts it below
-            // (or panics the redeem expect inside the queue).
-            for (q, &kind) in queues.iter().zip(kinds.iter()) {
-                prop_assert_eq!(q.arena_live(), q.len(), "arena drift on {:?}", kind);
-            }
+            // exactly one live arena payload per pending, non-cancelled
+            // entry of the reference. A leak drifts arena_live above it; a
+            // double free (or a stale id reaching a recycled slot) below.
+            let live = reference.live();
+            prop_assert_eq!(q.arena_live(), live, "arena drift");
+            prop_assert_eq!(q.is_empty(), live == 0);
         }
 
-        // Drain to the end: streams stay identical and the arenas empty
+        // Drain to the end: streams stay identical and the arena empties
         // out completely — no payload survives its entry.
         loop {
             let r = reference.pop();
-            for (q, &kind) in queues.iter_mut().zip(kinds.iter()) {
-                let got = q.pop();
-                prop_assert_eq!(&got, &r, "drain diverged on {:?}", kind);
-            }
+            prop_assert_eq!(q.pop(), r, "drain diverged");
             if r.is_none() {
                 break;
             }
         }
-        for (q, &kind) in queues.iter().zip(kinds.iter()) {
-            prop_assert_eq!(q.arena_live(), 0, "leak after drain on {:?}", kind);
-        }
+        prop_assert_eq!(q.arena_live(), 0, "leak after drain");
     }
 
     #[test]

@@ -1,227 +1,65 @@
-//! Property-based equivalence test between the timer-wheel event queue
-//! (plus the adaptive heap→wheel hybrid) and the reference binary heap.
+//! Property test of the event queue's `pop_until` boundary.
 //!
-//! The determinism of every simulation in the workspace rests on the event
-//! queue's ordering contract — strict `(time, seq)` order, same-instant
-//! FIFO, cancellation by id. The timer wheel reimplements that contract
-//! with very different machinery (per-level slots, cascades, an overflow
-//! heap), so this test drives both backends through random
-//! schedule/cancel/pop interleavings — including same-instant bursts and
-//! far-future events that exercise the overflow path — and asserts the
-//! dequeued `(time, payload)` streams are identical.
+//! The ordering contract itself — strict `(time, seq)` order, same-instant
+//! FIFO, cancellation by id — is pinned against an independent reference
+//! in `prop_arena.rs`; this file pins the one thing the sharded runner
+//! adds on top: that a window deadline cuts the stream at exactly the
+//! right event.
 
 use proptest::prelude::*;
 
-use palladium_simnet::{EventQueue, Nanos, QueueKind};
-
-/// One step of a randomized queue workload. Delays are relative to the
-/// time of the last popped event, mirroring how `Sim` drives the queue
-/// (nothing schedules into the past).
-#[derive(Clone, Debug)]
-enum Op {
-    /// Schedule at `now + delay` for a near-future delay (wheel levels
-    /// 0–2; delay 0 creates same-instant bursts at the cursor).
-    Near(u32),
-    /// Schedule at `now + delay` for a mid/far delay spanning the upper
-    /// wheel levels.
-    Far(u32),
-    /// Schedule beyond the wheel horizon (overflow heap), `extra` past it.
-    Overflow(u32),
-    /// Schedule a same-instant burst of `n` events at one future time.
-    Burst(u8, u16),
-    /// Cancel the i-th issued id (modulo issued count) — may target fired,
-    /// pending, or already-cancelled events.
-    Cancel(usize),
-    /// Pop one event.
-    Pop,
-    /// Compare `peek_time` across backends (also exercises lazy discard of
-    /// cancelled heads).
-    Peek,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u32..5_000).prop_map(Op::Near),
-        2 => (0u32..20_000_000).prop_map(Op::Far),
-        1 => (0u32..10_000).prop_map(Op::Overflow),
-        1 => ((1u8..8), (0u16..2_000)).prop_map(|(n, d)| Op::Burst(n, d)),
-        2 => (0usize..256).prop_map(Op::Cancel),
-        4 => Just(Op::Pop),
-        2 => Just(Op::Peek),
-    ]
-}
-
-/// The default wheel horizon in nanoseconds (2^30 for the 6/5 geometry;
-/// the wide 8/4 geometry reaches 2^32 — `Op::Overflow` therefore
-/// exercises the overflow heap on the default wheel and the top levels of
-/// the wide one, both interesting).
-const HORIZON: u64 = 1 << 30;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn wheel_and_heap_dequeue_identically(
-        ops in proptest::collection::vec(op_strategy(), 1..400),
-    ) {
-        let mut wheel: EventQueue<u64> = EventQueue::with_kind(QueueKind::TimerWheel);
-        let mut wide: EventQueue<u64> = EventQueue::with_kind(QueueKind::TimerWheelWide);
-        let mut adapt: EventQueue<u64> = EventQueue::with_kind(QueueKind::Adaptive);
-        let mut heap: EventQueue<u64> = EventQueue::with_kind(QueueKind::BinaryHeap);
-        let mut ids = Vec::new();
-        let mut now = 0u64;
-        let mut payload = 0u64;
-
-        let schedule = |wheel: &mut EventQueue<u64>,
-                        wide: &mut EventQueue<u64>,
-                        adapt: &mut EventQueue<u64>,
-                        heap: &mut EventQueue<u64>,
-                        ids: &mut Vec<_>,
-                        payload: &mut u64,
-                        at: Nanos| {
-            let a = wheel.schedule_at(at, *payload);
-            let n = wide.schedule_at(at, *payload);
-            let c = adapt.schedule_at(at, *payload);
-            let b = heap.schedule_at(at, *payload);
-            *payload += 1;
-            ids.push((a, n, c, b));
-        };
-
-        for op in ops {
-            match op {
-                Op::Near(d) | Op::Far(d) => {
-                    schedule(&mut wheel, &mut wide, &mut adapt, &mut heap, &mut ids,
-                             &mut payload, Nanos(now + d as u64));
-                }
-                Op::Overflow(extra) => {
-                    schedule(&mut wheel, &mut wide, &mut adapt, &mut heap, &mut ids,
-                             &mut payload, Nanos(now + HORIZON + extra as u64));
-                }
-                Op::Burst(n, d) => {
-                    for _ in 0..n {
-                        schedule(&mut wheel, &mut wide, &mut adapt, &mut heap, &mut ids,
-                                 &mut payload, Nanos(now + d as u64));
-                    }
-                }
-                Op::Cancel(i) => {
-                    if !ids.is_empty() {
-                        let (a, n, c, b) = ids[i % ids.len()];
-                        wheel.cancel(a);
-                        wide.cancel(n);
-                        adapt.cancel(c);
-                        heap.cancel(b);
-                    }
-                }
-                Op::Pop => {
-                    let w = wheel.pop();
-                    let n = wide.pop();
-                    let c = adapt.pop();
-                    let h = heap.pop();
-                    prop_assert_eq!(&w, &h, "pop diverged");
-                    prop_assert_eq!(&n, &h, "wide-wheel pop diverged");
-                    prop_assert_eq!(&c, &h, "adaptive pop diverged");
-                    if let Some((t, _)) = w {
-                        now = t.0;
-                    }
-                }
-                Op::Peek => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged");
-                    prop_assert_eq!(wide.peek_time(), heap.peek_time(), "wide-wheel peek diverged");
-                    prop_assert_eq!(adapt.peek_time(), heap.peek_time(), "adaptive peek diverged");
-                }
-            }
-        }
-
-        // Drain both to the end: the full remaining (time, payload)
-        // sequence must match, and both must report empty.
-        loop {
-            let w = wheel.pop();
-            let n = wide.pop();
-            let c = adapt.pop();
-            let h = heap.pop();
-            prop_assert_eq!(&w, &h, "drain diverged");
-            prop_assert_eq!(&n, &h, "wide-wheel drain diverged");
-            prop_assert_eq!(&c, &h, "adaptive drain diverged");
-            if w.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(wheel.pop(), None);
-        prop_assert_eq!(wide.pop(), None);
-        prop_assert_eq!(adapt.pop(), None);
-        prop_assert_eq!(heap.pop(), None);
-    }
-}
+use palladium_simnet::{EventQueue, Nanos};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // Pins the `pop_until` boundary contract the sharded runner's window
     // barriers depend on (see the method docs): the deadline is
-    // **inclusive** on every backend — `pop_until(t_min - 1)` returns
-    // nothing and moves nothing, `pop_until(t_min)` returns exactly the
-    // earliest event — and draining through a ladder of window deadlines
-    // yields the same stream as an unbounded drain.
+    // **inclusive** — `pop_until(t_min - 1)` returns nothing and moves
+    // nothing, `pop_until(t_min)` returns exactly the earliest event — and
+    // draining through a ladder of window deadlines yields the same stream
+    // as sorting by `(time, schedule order)`.
     #[test]
-    fn pop_until_boundary_is_exact_on_every_backend(
-        times in proptest::collection::vec(0u64..(HORIZON * 2), 1..120),
+    fn pop_until_boundary_is_exact(
+        times in proptest::collection::vec(0u64..(2 << 30), 1..120),
         window in 1u64..100_000,
     ) {
-        for kind in [
-            QueueKind::TimerWheel,
-            QueueKind::TimerWheelWide,
-            QueueKind::Adaptive,
-            QueueKind::BinaryHeap,
-        ] {
-            let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule_at(Nanos(t), i as u64);
-            }
-            let t_min = *times.iter().min().expect("non-empty");
-
-            // Exclusive side: one short of the earliest event pops nothing
-            // (and leaves the queue intact).
-            if t_min > 0 {
-                prop_assert_eq!(q.pop_until(Nanos(t_min - 1)), None, "{:?}", kind);
-                prop_assert_eq!(q.len(), times.len(), "{:?} must not consume", kind);
-            }
-            // Inclusive side: the exact boundary pops the earliest event.
-            let popped = q.pop_until(Nanos(t_min));
-            prop_assert!(popped.is_some(), "{:?} inclusive boundary", kind);
-            let (at, _) = popped.expect("checked");
-            prop_assert_eq!(at, Nanos(t_min), "{:?}", kind);
-
-            // Window ladder: draining through successive `pop_until(end-1)`
-            // windows (the sharded runner's exact call pattern) must equal
-            // the reference unbounded drain, with every event inside its
-            // window.
-            let mut reference: EventQueue<u64> = EventQueue::with_kind(kind);
-            for (i, &t) in times.iter().enumerate() {
-                reference.schedule_at(Nanos(t), i as u64);
-            }
-            let mut expect = Vec::new();
-            while let Some(e) = reference.pop() {
-                expect.push(e);
-            }
-            let mut got = vec![(at, popped.expect("checked").1)];
-            let mut k = 0u64;
-            loop {
-                let end = (k + 1) * window;
-                while let Some(e) = q.pop_until(Nanos(end - 1)) {
-                    prop_assert!(e.0 .0 >= k * window && e.0 .0 < end, "{:?} window", kind);
-                    got.push(e);
-                }
-                // Jump straight to the window holding the next pending
-                // event — iterating empty windows one by one is O(t_max /
-                // window), unbounded when `window` shrinks toward 1.
-                match q.peek_time() {
-                    None => break,
-                    Some(t) => k = (t.0 / window).max(k + 1),
-                }
-            }
-            // The boundary probe consumed one event out of order relative
-            // to nothing — it was the global minimum — so streams match.
-            prop_assert_eq!(&got, &expect, "{:?} windowed drain diverged", kind);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule_at(Nanos(t), i as u64);
         }
+        let mut expect: Vec<(Nanos, u64)> =
+            times.iter().enumerate().map(|(i, &t)| (Nanos(t), i as u64)).collect();
+        expect.sort();
+        let t_min = expect[0].0;
+
+        // Exclusive side: one short of the earliest event pops nothing
+        // (and leaves the queue intact).
+        if t_min.0 > 0 {
+            prop_assert_eq!(q.pop_until(Nanos(t_min.0 - 1)), None);
+            prop_assert_eq!(q.len(), times.len(), "must not consume");
+        }
+        // Inclusive side: the exact boundary pops the earliest event.
+        let mut got = vec![q.pop_until(t_min).expect("inclusive boundary")];
+
+        // Window ladder: draining through successive `pop_until(end-1)`
+        // windows (the sharded runner's exact call pattern) must yield the
+        // sorted stream, with every event inside its window.
+        let mut k = 0u64;
+        loop {
+            let end = (k + 1) * window;
+            while let Some(e) = q.pop_until(Nanos(end - 1)) {
+                prop_assert!(e.0 .0 >= k * window && e.0 .0 < end, "window");
+                got.push(e);
+            }
+            // Jump straight to the window holding the next pending
+            // event — iterating empty windows one by one is O(t_max /
+            // window), unbounded when `window` shrinks toward 1.
+            match q.peek_time() {
+                None => break,
+                Some(t) => k = (t.0 / window).max(k + 1),
+            }
+        }
+        prop_assert_eq!(&got, &expect, "windowed drain diverged");
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! Every driver runs with a fixed seed and its report is compared
 //! byte-for-byte against the checked-in snapshot in
-//! `tests/golden/simcore_golden.txt`, captured *before* the timer-wheel /
-//! dense-table kernel swap. Any change to event ordering, RNG consumption
-//! or table iteration anywhere in the stack shows up here as a diff — the
-//! kernel optimizations are provably behavior-preserving.
+//! `tests/golden/simcore_golden.txt`. Any change to event ordering, RNG
+//! consumption or table iteration anywhere in the stack shows up here as a
+//! diff — which is how kernel changes are shown to preserve behaviour.
 //!
 //! To regenerate after an *intentional* simulation change:
 //! `GOLDEN_REGEN=1 cargo test -q --test golden_traces` and commit the
@@ -111,21 +110,4 @@ fn reports_match_checked_in_snapshot() {
         got, want,
         "simulation output diverged from the golden snapshot"
     );
-}
-
-#[test]
-fn heap_backend_reproduces_the_same_snapshot() {
-    // The legacy binary-heap queue must produce the *same* bytes as the
-    // timer wheel: the backend is an optimization, never a semantics
-    // change. (The kind override is thread-local, so this does not affect
-    // concurrently running tests.)
-    palladium_simnet::set_queue_kind(palladium_simnet::QueueKind::BinaryHeap);
-    let got = golden_trace();
-    palladium_simnet::set_queue_kind(palladium_simnet::QueueKind::TimerWheel);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/simcore_golden.txt");
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        return; // snapshot written by the wheel-backend test
-    }
-    let want = std::fs::read_to_string(path).expect("golden snapshot present");
-    assert_eq!(got, want, "heap backend diverged from the golden snapshot");
 }

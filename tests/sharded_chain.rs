@@ -64,16 +64,3 @@ fn every_shard_count_reproduces_the_snapshot() {
         }
     }
 }
-
-#[test]
-fn heap_backend_reproduces_the_same_sharded_bytes() {
-    // Like the serial golden suite: the queue backend is an optimization,
-    // never a semantics change — also under the sharded runner, which
-    // constructs every shard's queue from the caller thread's selection.
-    let sim = MultiNodeSim::new(golden_cfg());
-    palladium_simnet::set_queue_kind(palladium_simnet::QueueKind::BinaryHeap);
-    let heap = trace(&sim.run(2, Execution::Sequential));
-    palladium_simnet::set_queue_kind(palladium_simnet::QueueKind::Adaptive);
-    let adaptive = trace(&sim.run(2, Execution::Sequential));
-    assert_eq!(heap, adaptive, "backends diverged under sharding");
-}

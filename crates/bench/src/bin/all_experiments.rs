@@ -1,5 +1,5 @@
-//! Run every figure and table harness back to back (the EXPERIMENTS.md
-//! regeneration entry point).
+//! Run every figure and table harness back to back (README §“Regenerating
+//! the paper's figures”).
 use palladium_bench::*;
 use palladium_core::dwrr::SchedPolicy;
 use palladium_core::system::IngressKind;

@@ -108,9 +108,8 @@ fn run_chain(duration_ms: u64) -> (u64, u64) {
     (events, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
-/// Run the sharded Fig 16 cluster (2 worker pairs over 2 shards, striding
-/// enabled so the batched-barrier path is covered) for `duration_ms`,
-/// returning `(events, allocations)`. The sharded runner's window loop —
+/// Run the sharded Fig 16 cluster (2 worker pairs over 2 shards) for
+/// `duration_ms`, returning `(events, allocations)`. The sharded runner's window loop —
 /// mailbox drain, merge sort, window execution — must be as allocation-free
 /// in steady state as the serial harness; ring auto-sizing and arena growth
 /// are warmup phenomena shared by both runs, so they cancel in the
@@ -119,8 +118,7 @@ fn run_cluster_sharded(duration_ms: u64) -> (u64, u64) {
     let cfg = boutique::sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, 2)
         .clients(32)
         .warmup_ms(10)
-        .duration_ms(duration_ms)
-        .stride(2);
+        .duration_ms(duration_ms);
     let before = ALLOCS.load(Ordering::Relaxed);
     let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
     (report.events, ALLOCS.load(Ordering::Relaxed) - before)
@@ -143,7 +141,6 @@ fn run_cluster_chaos(duration_ms: u64) -> (u64, u64) {
         .clients(32)
         .warmup_ms(10)
         .duration_ms(duration_ms)
-        .stride(2)
         .chaos(script);
     let before = ALLOCS.load(Ordering::Relaxed);
     let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
@@ -173,7 +170,6 @@ fn run_cluster_rejoin(duration_ms: u64) -> (u64, u64) {
         .clients(32)
         .warmup_ms(10)
         .duration_ms(duration_ms)
-        .stride(2)
         .chaos(script);
     let before = ALLOCS.load(Ordering::Relaxed);
     let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
@@ -194,7 +190,6 @@ fn run_cluster_overload(duration_ms: u64) -> (u64, u64) {
     let cfg = boutique::sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, 2)
         .warmup_ms(10)
         .duration_ms(duration_ms)
-        .stride(2)
         .overload(OverloadConfig::new(traffic, Nanos::from_millis(2)));
     let before = ALLOCS.load(Ordering::Relaxed);
     let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
@@ -267,7 +262,7 @@ fn main() {
     let chain_ok = gate("chain driver, Fig 16 HomeQuery, 40 clients", run_chain, 120, 360);
     let echo_ok = gate("echo driver, Fig 12 two-sided 1KB, 16 connections", run_echo, 60, 180);
     let sharded_ok = gate(
-        "sharded cluster, Fig 16 HomeQuery ×2 pairs, 2 shards, stride 2",
+        "sharded cluster, Fig 16 HomeQuery ×2 pairs, 2 shards",
         run_cluster_sharded,
         40,
         120,

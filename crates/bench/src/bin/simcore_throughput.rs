@@ -58,9 +58,6 @@ struct MnOut {
     /// Critical-path model: the window loop's wall seconds scaled by
     /// `critical_path_work ÷ Σ work`.
     crit_s: f64,
-    /// Window barriers executed (striding batches several windows into
-    /// one).
-    windows: u64,
     /// The model's deterministic half: per-shard work units and the work
     /// on the critical path.
     work: Vec<u64>,
@@ -90,7 +87,6 @@ fn run_multinode(scale: f64, shards: usize, execution: Execution) -> MnOut {
         wall_s: start.elapsed().as_secs_f64(),
         completed: r.load.completed,
         crit_s: r.critical_path_ns as f64 / 1e9,
-        windows: r.windows,
         work: r.work,
         critical_path_work: r.critical_path_work,
     }
@@ -114,7 +110,6 @@ fn run_cluster(cfg: &ClusterShardedConfig, shards: usize, execution: Execution) 
         wall_s: start.elapsed().as_secs_f64(),
         completed: r.chain.load.completed,
         crit_s: r.critical_path_ns as f64 / 1e9,
-        windows: r.windows,
         work: r.work,
         critical_path_work: r.critical_path_work,
     }
@@ -380,8 +375,7 @@ fn main() {
     mn_json.push_str("]}");
 
     // The sharded cluster record: the full Fig 16 data plane on the same
-    // runner, plus the window-striding demonstration (barriers per
-    // simulated second at fixed width, stride 1 vs 2).
+    // runner.
     let base = cluster_cfg(scale);
     let cs_points = sweep_points(mn_reps, counts, |sh, ex| run_cluster(&base, sh, ex));
     let cs_serial = &cs_points[0].threads;
@@ -393,23 +387,6 @@ fn main() {
             .unwrap_or(cs_points.last().expect("nonempty"));
         (p.shards, &p.threads, &p.sequential)
     };
-    let sim_ms = (base.warmup + base.duration).as_nanos() as f64 / 1e6;
-    let narrow_w = base.window().as_nanos() / 2;
-    let narrow = run_cluster(&base.clone().window_ns(narrow_w), 4, Execution::Sequential);
-    let strided =
-        run_cluster(&base.clone().window_ns(narrow_w).stride(2), 4, Execution::Sequential);
-    assert_eq!(
-        narrow.completed, cs_serial.completed,
-        "striding grids must complete identical request streams"
-    );
-    assert_eq!(strided.completed, cs_serial.completed);
-    assert!(
-        strided.windows * 3 < narrow.windows * 2,
-        "stride 2 must reduce barriers ({} vs {})",
-        strided.windows,
-        narrow.windows
-    );
-    let barriers_per_ms = |m: &MnOut| m.windows as f64 / sim_ms;
     let mut cs_json = format!(
         "    {{\"driver\": \"cluster_sharded\", \"events\": {}, \"completed\": {}, \
          \"threads_available\": {threads_available}, \"nodes\": {}, \"pairs\": 4, ",
@@ -429,8 +406,6 @@ fn main() {
         "\"serial\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}, \
          \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}, \"shards\": {cs_after_shards}}}, \
          \"critical_path_model\": {{\"serial_events_per_sec\": {:.0}, \"shards{cs_after_shards}_events_per_sec\": {:.0}, \"speedup\": {:.2}}}, \
-         \"striding\": {{\"window_ns\": {narrow_w}, \"stride1_barriers\": {}, \"stride2_barriers\": {}, \
-         \"stride1_barriers_per_sim_ms\": {:.0}, \"stride2_barriers_per_sim_ms\": {:.0}, \"barrier_reduction\": {:.2}}}, \
          \"shards_sweep\": [",
         eps_mn(cs_serial),
         cs_serial.wall_s,
@@ -439,11 +414,6 @@ fn main() {
         ceps_mn(cs_serial_model),
         ceps_mn(cs_after_model),
         ceps_mn(cs_after_model) / ceps_mn(cs_serial_model),
-        narrow.windows,
-        strided.windows,
-        barriers_per_ms(&narrow),
-        barriers_per_ms(&strided),
-        narrow.windows as f64 / strided.windows as f64,
     ));
     cs_json.push_str(&sweep_json(&cs_points));
     cs_json.push_str("]}");
@@ -477,8 +447,7 @@ fn main() {
     );
     println!(
         "cluster_sharded: {} events, {} completed; serial {:.0} events/s, {cs_after_shards} shards \
-         measured {:.0} ({:.2}x), critical-path model {:.0} ({:.2}x); \
-         striding at {narrow_w} ns: {} -> {} barriers ({:.2}x fewer)",
+         measured {:.0} ({:.2}x), critical-path model {:.0} ({:.2}x)",
         cs_serial.events,
         cs_serial.completed,
         eps_mn(cs_serial),
@@ -486,9 +455,6 @@ fn main() {
         eps_mn(cs_after) / eps_mn(cs_serial),
         ceps_mn(cs_after_model),
         ceps_mn(cs_after_model) / ceps_mn(cs_serial_model),
-        narrow.windows,
-        strided.windows,
-        narrow.windows as f64 / strided.windows as f64,
     );
     for r in &records {
         println!(

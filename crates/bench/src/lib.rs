@@ -5,10 +5,11 @@
 //! [`experiments`] so the binaries, the `all_experiments` runner and the
 //! integration tests all execute the same code.
 //!
-//! Absolute numbers come from the calibrated simulation (DESIGN.md §6);
-//! EXPERIMENTS.md records paper-versus-measured per artefact. The *shapes*
-//! — who wins, by what factor, where the crossovers sit — are asserted by
-//! the test suite.
+//! Absolute numbers come from the calibrated simulation (the constants in
+//! `RdmaConfig`, `CostModel` and the substrates' cost tables); nothing yet
+//! records paper-versus-measured per artefact (ROADMAP item 2). The
+//! *shapes* — who wins, by what factor, where the crossovers sit — are
+//! asserted by the test suite.
 
 pub mod experiments;
 

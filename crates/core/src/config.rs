@@ -1,6 +1,6 @@
 //! The cluster-wide cost model: every remaining service-time constant the
 //! drivers charge, in one place, each row traceable to a paper statement
-//! (DESIGN.md §6).
+//! (the field docs cite the section).
 //!
 //! Substrate-specific constants live with their substrates
 //! (`palladium_rdma::RdmaConfig`, `palladium_ipc::costs`,

@@ -234,7 +234,7 @@ impl ClusterShard {
             InterNode::OneSidedRecvCopy => {
                 // Local buffer holds the payload until the write completes.
                 let Ok(out) = self.pools[n].alloc(Owner::Engine) else {
-                    self.shed_pool += 1;
+                    self.counts.shed_pool += 1;
                     return;
                 };
                 self.pools[n]
@@ -258,7 +258,7 @@ impl ClusterShard {
                 self.meters[n].record(MoveKind::RnicDma, data.len() as u64);
                 let wr = WorkRequest::write(wr_id, data, remote, pack_imm(f, to, TENANT));
                 let Some(qpn) = src.conns.select(&self.net, NodeId(dst_node as u16), TENANT) else {
-                    self.shed_qp += 1;
+                    self.counts.shed_qp += 1;
                     return;
                 };
                 let mut step = std::mem::take(&mut self.post_step);
@@ -290,7 +290,7 @@ impl ClusterShard {
                 let done = self.on_engine(n, now, dispatch);
                 fx.at(done, Ev::Host(HostEv::EngineRelease { n }));
                 let Ok(out) = self.pools[n].alloc(Owner::Engine) else {
-                    self.shed_pool += 1;
+                    self.counts.shed_pool += 1;
                     return;
                 };
                 self.pools[n]
@@ -314,7 +314,7 @@ impl ClusterShard {
         data: Bytes,
     ) {
         let Ok(token) = self.pools[n].alloc(Owner::Engine) else {
-            self.shed_pool += 1;
+            self.counts.shed_pool += 1;
             return;
         };
         self.pools[n]
@@ -352,16 +352,8 @@ impl ClusterShard {
             HostEv::RespTcpTx { req } => {
                 // Response reached the ingress over TCP: outbound leg.
                 let ing = self.ingress.as_mut().expect("ingress shard");
-                let st = &ing.reqs[req as usize];
-                let chain = &self.chains[st.pair as usize];
-                let (w, done) = ing.gw.submit(
-                    now + TcpCosts::INTER_NODE_WIRE,
-                    st.client,
-                    Leg::Outbound,
-                    chain.req_bytes as u64,
-                    chain.resp_bytes as u64,
-                );
-                fx.at(done, Ev::GwOut { req, worker: w });
+                let pair = ing.reqs[req as usize].pair as usize;
+                ing.submit(now + TcpCosts::INTER_NODE_WIRE, fx, req, pair, Leg::Outbound);
             }
             HostEv::EngineRelease { n } => self.engine_done(n),
         }

@@ -1,0 +1,233 @@
+//! What a cluster run reports. The two accounting structs double as the
+//! run's live counters: the ingress state and every shard hold one and
+//! count straight into its public fields, and the fold at the end of the
+//! run sums them ([`ChaosReport::absorb`]) — a counter is declared once,
+//! here.
+
+use palladium_simnet::{ChannelStats, Nanos};
+
+use crate::driver::chain::ChainReport;
+
+/// The report of one cluster run: the Fig 16 [`ChainReport`] plus the
+/// sharding counters.
+#[derive(Clone, Debug)]
+pub struct ClusterShardedReport {
+    /// The Fig 16 quantities (rps, latency, copies, utilization).
+    pub chain: ChainReport,
+    /// Simulation events processed across all shards.
+    pub events: u64,
+    /// Inter-node frames delivered through the mailboxes.
+    pub messages: u64,
+    /// Mailbox ring overflows (spills, not drops).
+    pub spilled: u64,
+    /// Window barriers executed.
+    pub windows: u64,
+    /// Per-shard work units (events processed + frames merged);
+    /// deterministic. See `palladium_simnet::shard` on the critical-path
+    /// model.
+    pub work: Vec<u64>,
+    /// `Σ_k max_s work[s][k]`: the work on the critical path with one
+    /// core per shard. `Σ work ÷ critical_path_work` is the modeled
+    /// parallel speed-up, a pair of integers equal on every machine.
+    pub critical_path_work: u64,
+    /// Each shard's share, by work, of the run's host wall nanoseconds.
+    pub busy_ns: Vec<u64>,
+    /// The critical path's share, by work, of the run's host wall
+    /// nanoseconds.
+    pub critical_path_ns: u64,
+    /// Per-channel mailbox statistics (spills, high-water marks,
+    /// auto-sized capacities).
+    pub channels: Vec<ChannelStats>,
+    /// Median end-to-end latency from the streaming histogram.
+    pub p50: Nanos,
+    /// 99th-percentile latency (within the histogram's 3.125% bound).
+    pub p99: Nanos,
+    /// 99.9th-percentile latency.
+    pub p999: Nanos,
+    /// Chaos accounting — all-zero on fault-free runs.
+    pub chaos: ChaosReport,
+    /// Overload accounting — all-zero on closed-loop runs.
+    pub overload: OverloadReport,
+}
+
+/// Open-loop overload accounting for one run. Goodput is the honest
+/// metric: completions within their propagated deadline. Folded entirely
+/// from ingress-ordered state — byte-identical at every shard count.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct OverloadReport {
+    /// Arrivals generated inside the measurement window.
+    pub offered: u64,
+    /// Requests admitted to the data plane inside the window.
+    pub admitted: u64,
+    /// Completions within their deadline (the goodput numerator).
+    pub goodput: u64,
+    /// Completions past their deadline — served, but worthless.
+    pub late: u64,
+    /// Within-deadline completions finishing in the last quarter of the
+    /// window — distinguishes a system that *recovered* from one whose
+    /// backlog outlived the run (the metastable signature).
+    pub recovery_goodput: u64,
+    /// Retry attempts scheduled by the backoff machinery.
+    pub retries: u64,
+    /// Requests that exhausted their retry budget (or whose deadline
+    /// passed before the next attempt) — honest client-visible failures.
+    pub retry_exhausted: u64,
+    /// Circuit-breaker open (and re-arm) transitions.
+    pub breaker_opens: u64,
+    /// Circuit-breaker half-open probes that closed the breaker.
+    pub breaker_closes: u64,
+    /// Autoscaler pair activations that completed (after paying).
+    pub scale_ups: u64,
+    /// Autoscaler pair deactivations.
+    pub scale_downs: u64,
+    /// Activations that paid the full rejoin bill.
+    pub rejoin_bills: u64,
+    /// Activations that claimed a pre-leased warm worker at a fraction of
+    /// the bill.
+    pub lease_hits: u64,
+    /// p99 end-to-end latency of completions inside the surge window (the
+    /// flash-crowd ramp), `ZERO` when no surge window applies.
+    pub ramp_p99: Nanos,
+}
+
+/// Declare a report struct whose every field sums: the struct as written,
+/// plus `absorb`, which adds another holder's counts into it.
+macro_rules! summed_report {
+    ($(#[$meta:meta])* pub struct $name:ident { $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)* }) => {
+        $(#[$meta])*
+        pub struct $name { $($(#[$fmeta])* pub $field: $ty,)* }
+
+        impl $name {
+            /// Add every count of `other` into `self`.
+            pub(super) fn absorb(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+summed_report! {
+    /// Fault, detection and failover accounting for one run. Folded
+    /// deterministically (net counters in shard order, health counters from
+    /// the ingress), so these are byte-identical at every shard count too.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ChaosReport {
+        /// Frames dropped by stochastic fault plans.
+        pub fault_drops: u64,
+        /// Frames dropped by crash/partition windows (deterministic).
+        pub crash_drops: u64,
+        /// Frames corrupted in flight (later dropped by the integrity check).
+        pub corrupt: u64,
+        /// Retransmission-timeout firings across all QPs.
+        pub rto: u64,
+        /// Receiver-not-ready NAKs: a send found the destination's shared RQ
+        /// empty and its QP sat out an `rnr_retry_delay`. RQ replenishment
+        /// keeps up with the engine, so this is zero on every fault-free run.
+        pub rnr_naks: u64,
+        /// Workers the ingress suspected dead (missed-heartbeat transitions).
+        pub suspected: u64,
+        /// Suspected workers that later recovered (heartbeats resumed).
+        pub recovered: u64,
+        /// In-flight requests abandoned when their pair was suspected.
+        pub inflight_lost: u64,
+        /// Requests issued to a non-preferred pair because the preferred one
+        /// was believed dead.
+        pub reroutes: u64,
+        /// Requests/sends shed because a post failed (errored QP) — zero
+        /// unless a QP exhausts its transport retry budget.
+        pub shed_qp: u64,
+        /// Requests shed because the ingress buffer pool was exhausted (every
+        /// drop path is attributed — this one used to vanish silently).
+        pub shed_pool: u64,
+        /// Requests shed by admission control: queue full, or queued past the
+        /// oldest-first queue-delay threshold.
+        pub shed_admission: u64,
+        /// Requests shed because their propagated deadline could not be met
+        /// under the current backlog estimate.
+        pub shed_deadline: u64,
+        /// Requests shed at the source by an open per-pair circuit breaker.
+        pub shed_breaker: u64,
+        /// Recovered workers that completed the costed rejoin and re-entered
+        /// the routing set.
+        pub rejoins: u64,
+        /// Rejoins voided because the worker went silent again mid-rejoin.
+        pub rejoins_aborted: u64,
+        /// Median time-to-recovery: suspicion → paid re-admission.
+        pub ttr_p50: Nanos,
+        /// 99th-percentile time-to-recovery.
+        pub ttr_p99: Nanos,
+        /// Pairs demoted to probation by the differential EWMA detector.
+        pub gray_demoted: u64,
+        /// Probationary pairs restored once their EWMA recovered.
+        pub gray_restored: u64,
+        /// Requests deflected away from a probationary (but heartbeat-alive)
+        /// preferred pair.
+        pub gray_reroutes: u64,
+    }
+}
+
+/// Why a request was turned away — one [`ChaosReport`] `shed_*` counter each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum ShedCause {
+    /// Admission queue full, or queued past the queue-delay threshold.
+    Admission,
+    /// The propagated deadline cannot be met under the backlog estimate.
+    Deadline,
+    /// Every active pair is dead, deflecting or behind an open breaker.
+    Breaker,
+    /// A buffer pool was exhausted.
+    Pool,
+    /// A post failed on an errored QP.
+    Qp,
+}
+
+impl ChaosReport {
+    /// Count one request shed for `cause`.
+    pub(super) fn shed(&mut self, cause: ShedCause) {
+        *match cause {
+            ShedCause::Admission => &mut self.shed_admission,
+            ShedCause::Deadline => &mut self.shed_deadline,
+            ShedCause::Breaker => &mut self.shed_breaker,
+            ShedCause::Pool => &mut self.shed_pool,
+            ShedCause::Qp => &mut self.shed_qp,
+        } += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_shed_cause_has_its_own_counter() {
+        let mut r = ChaosReport::default();
+        use ShedCause::*;
+        for cause in [Admission, Deadline, Deadline, Breaker, Breaker, Breaker, Pool, Qp, Qp] {
+            r.shed(cause);
+        }
+        let got = (r.shed_admission, r.shed_deadline, r.shed_breaker, r.shed_pool, r.shed_qp);
+        assert_eq!(got, (1, 2, 3, 1, 2));
+    }
+
+    #[test]
+    fn absorb_sums_every_field() {
+        let shard = ChaosReport { shed_qp: 2, shed_pool: 1, rto: 4, ..Default::default() };
+        let mut total = ChaosReport {
+            shed_qp: 1,
+            reroutes: 7,
+            ttr_p99: Nanos(9),
+            ..Default::default()
+        };
+        total.absorb(&shard);
+        total.absorb(&shard);
+        let want = ChaosReport {
+            shed_qp: 5,
+            shed_pool: 2,
+            rto: 8,
+            reroutes: 7,
+            ttr_p99: Nanos(9),
+            ..Default::default()
+        };
+        assert_eq!(total, want);
+    }
+}

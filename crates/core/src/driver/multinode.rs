@@ -67,13 +67,6 @@ pub struct MultiNodeConfig {
     pub warmup: Nanos,
     /// Per-node RNG streams derive from this.
     pub seed: u64,
-    /// Lookahead windows batched per barrier. Sound whenever
-    /// `window_stride × rdma.lookahead() ≤ rdma.one_way(payload)` — every
-    /// hop of this workload travels a full one-way fabric delay, so wider
-    /// effective windows still cannot observe a same-window send
-    /// (validated at build). Grid-equivalent to stride 1 modulo the
-    /// frames-in-flight tail count; barriers drop by the stride factor.
-    pub window_stride: u64,
     /// Fabric cost model: hop latency is `rdma.one_way(payload)` and the
     /// barrier window is `rdma.lookahead()`.
     pub rdma: RdmaConfig,
@@ -95,7 +88,6 @@ impl MultiNodeConfig {
             duration: Nanos::from_millis(60),
             warmup: Nanos::from_millis(10),
             seed: 77,
-            window_stride: 1,
             rdma: RdmaConfig::default(),
         }
     }
@@ -118,14 +110,6 @@ impl MultiNodeConfig {
         self
     }
 
-    /// Batch `n` lookahead windows per barrier (see
-    /// [`MultiNodeConfig::window_stride`]; distinct from the node-index
-    /// hop [`MultiNodeConfig::stride`]).
-    pub fn window_stride(mut self, n: u64) -> Self {
-        self.window_stride = n;
-        self
-    }
-
     /// The conservative window width a sharded run of this workload uses.
     pub fn lookahead(&self) -> Nanos {
         self.rdma.lookahead()
@@ -134,16 +118,6 @@ impl MultiNodeConfig {
     fn validate(&self) {
         assert!(self.nodes >= 2, "need at least two nodes");
         assert!(self.hops >= 1, "need at least one hop");
-        assert!(self.window_stride >= 1, "need at least one window per barrier");
-        assert!(
-            self.lookahead().as_nanos() * self.window_stride
-                <= self.rdma.one_way(self.payload as u64).as_nanos(),
-            "window_stride {} × lookahead {} exceeds the {} B hop delay {}",
-            self.window_stride,
-            self.lookahead(),
-            self.payload,
-            self.rdma.one_way(self.payload as u64)
-        );
         for leg in 1..=self.hops {
             assert!(
                 !(leg * self.stride).is_multiple_of(self.nodes),
@@ -356,9 +330,7 @@ impl MultiNodeSim {
             })
             .collect();
 
-        let scfg = ShardConfig::new(shards, cfg.lookahead())
-            .stride(cfg.window_stride)
-            .execution(execution);
+        let scfg = ShardConfig::new(shards, cfg.lookahead()).execution(execution);
         let deadline = cfg.warmup + cfg.duration;
         let clients = cfg.clients_per_node;
         let run = run_sharded(
@@ -468,41 +440,5 @@ mod tests {
         let mut cfg = small();
         cfg.stride = 6;
         let _ = MultiNodeSim::new(cfg);
-    }
-
-    #[test]
-    fn window_striding_halves_barriers_without_changing_results() {
-        // At 8 KB payloads one hop costs ≈2× the lookahead, so batching
-        // two windows per barrier is sound — and must reproduce the same
-        // physics with about half the barriers. (The raw mailbox frame
-        // count is grid-tail-dependent and excluded; see `window_stride`.)
-        let mut cfg = small();
-        cfg.payload = 8192;
-        let results = |r: &MultiNodeReport| {
-            format!(
-                "rps={:016x} mean={} p99={} completed={} events={}",
-                r.load.rps.to_bits(),
-                r.load.mean_latency.as_nanos(),
-                r.load.p99_latency.as_nanos(),
-                r.load.completed,
-                r.events
-            )
-        };
-        let plain = MultiNodeSim::new(cfg.clone()).run(3, Execution::Sequential);
-        let strided = MultiNodeSim::new(cfg.window_stride(2)).run(3, Execution::Sequential);
-        assert_eq!(results(&strided), results(&plain), "striding changed results");
-        assert!(
-            strided.windows <= plain.windows / 2 + 1,
-            "stride 2 must halve the barrier count ({} vs {})",
-            strided.windows,
-            plain.windows
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the")]
-    fn oversized_window_stride_is_rejected() {
-        // 1 KB hops (≈3.8 µs) cannot cover three 3.1 µs windows.
-        let _ = MultiNodeSim::new(small().window_stride(3));
     }
 }

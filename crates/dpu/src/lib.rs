@@ -1,6 +1,7 @@
 //! # palladium-dpu — the DPU SoC substrate
 //!
-//! The Bluefield-2 stand-in (hardware-gate substitution, DESIGN.md §1):
+//! The Bluefield-2 stand-in (hardware this reproduction cannot assume —
+//! see the README's introduction):
 //!
 //! * [`soc`] — the wimpy ARM processing complex: 8 × A72 @ 2.0 GHz against
 //!   3.7 GHz host cores, a ≈2.2× service-time multiplier for protocol work.

@@ -1,8 +1,9 @@
 //! Timing and protocol configuration for the simulated RDMA substrate.
 //!
-//! Every constant is calibrated against a number the paper reports (see
-//! DESIGN.md §6). Changing these shifts absolute results but not the
-//! *shapes* the reproduction asserts (who wins, by what factor).
+//! Every constant is calibrated against a number the paper reports (named,
+//! with its section, in the field's docs). Changing these shifts absolute
+//! results but not the *shapes* the reproduction asserts (who wins, by what
+//! factor).
 
 use palladium_simnet::{ByteCost, Nanos};
 

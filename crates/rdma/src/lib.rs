@@ -1,8 +1,8 @@
 //! # palladium-rdma — the simulated RDMA substrate
 //!
 //! A from-scratch, protocol-faithful stand-in for the ConnectX-6 RNIC +
-//! 200 Gbps fabric the Palladium paper evaluates on (the hardware gate this
-//! reproduction substitutes per DESIGN.md §1):
+//! 200 Gbps fabric the Palladium paper evaluates on (hardware this
+//! reproduction cannot assume — see the README's introduction):
 //!
 //! * [`verbs`] — the IB-verbs vocabulary: QPs, work requests, completions.
 //! * [`qp`] — the Reliable Connected state machine: PSNs, cumulative ACKs,
@@ -14,7 +14,7 @@
 //! * [`net`] — [`net::RdmaNet`], the sub-simulator drivers embed; see its
 //!   module docs for the event-trampoline pattern.
 //! * [`config`] — every timing constant, calibrated against numbers the
-//!   paper itself reports (DESIGN.md §6).
+//!   paper itself reports (each field's docs name the paper section).
 //!
 //! What the substitution preserves: the *protocol-level* properties
 //! Palladium's design arguments rest on — two-sided SENDs consume

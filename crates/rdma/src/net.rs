@@ -1194,7 +1194,8 @@ mod tests {
             }
         }
         let t = delivered_at.expect("message delivered");
-        // Calibration target: one-way 64 B ≈ 3.1-3.3 µs (DESIGN.md §6).
+        // Calibration target: one-way 64 B ≈ 3.1-3.3 µs, so that the echo
+        // RTT lands near the paper's 8.4 µs (`config::tests`).
         assert!(
             t >= Nanos::from_nanos(2_900) && t <= Nanos::from_nanos(3_600),
             "one-way latency {t}"

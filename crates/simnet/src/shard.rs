@@ -42,31 +42,14 @@
 //! *count*: the same workload at 1, 2 and 4 shards produces byte-identical
 //! reports (`tests/prop_shard.rs` pins this).
 //!
-//! # Multi-window striding
-//!
-//! When the *typical* cross-shard delay exceeds the lookahead `L` (e.g.
-//! a full RDMA hop is ~3.5 µs against a 3.1 µs lookahead), many barriers
-//! deliver nothing: the barrier frequency is set by the worst-case bound,
-//! not the common case. [`ShardConfig::stride`] batches `k` consecutive
-//! windows per barrier. Because nothing happens at an undrained window
-//! boundary — merges are the only barrier-side effect — running `k`
-//! windows back-to-back is *identical* to running one `k·L`-wide window,
-//! so the runner implements striding as an effective window width of
-//! `window × stride` and [`Outbox::send`] keeps asserting the contract
-//! against the widened window. Safety therefore requires
-//! `window × stride ≤` the true minimum cross-shard delay: the caller
-//! picks `window` = lookahead and `stride = ⌊min_delay / L⌋`. The payoff
-//! is directly visible as a smaller [`ShardRun::windows`] (barriers per
-//! simulated second).
-//!
 //! # Mailbox auto-sizing
 //!
-//! Mailboxes start small ([`ShardConfig::mailbox_capacity`], 64 envelopes
-//! by default — a window of the Fig 16 cluster delivers fewer than ten)
-//! and grow: when a window bursts past the ring into the (counted,
-//! mutex-guarded) overflow vector, the consumer — during the quiesced
-//! drain phase, when the ring is empty and no producer can race — swaps in
-//! a ring sized to twice that window's delivery high-water mark. Steady
+//! Mailboxes start small (`MAILBOX_CAPACITY`, 64 envelopes — a window of
+//! the Fig 16 cluster delivers fewer than ten) and grow: when a window
+//! bursts past the ring into the (counted, mutex-guarded) overflow vector,
+//! the consumer — during the quiesced drain phase, when the ring is empty
+//! and no producer can race — swaps in a ring sized to twice that
+//! window's delivery high-water mark. Steady
 //! state therefore never touches the overflow mutex: only the first window
 //! of a new burst regime spills, and per-channel spill counts plus window
 //! high-water marks are reported in [`ShardRun::channels`] so the policy
@@ -556,10 +539,15 @@ pub enum Execution {
     /// production mode: wall-clock scales with cores.
     Threads,
     /// All shards interleaved on the calling thread — identical results
-    /// (the determinism tests pin this), exact per-window busy times for
-    /// the critical-path model, no thread spawn.
+    /// and an identical work model (the determinism tests pin both), no
+    /// thread spawn.
     Sequential,
 }
+
+/// Initial SPSC ring capacity per shard pair; a burst past it spills to the
+/// (counted) overflow vector and grows the ring (see the module docs on
+/// auto-sizing).
+const MAILBOX_CAPACITY: usize = 64;
 
 /// Configuration of one sharded run.
 #[derive(Clone, Copy, Debug)]
@@ -568,15 +556,6 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Window width — at most the workload's cross-shard lookahead.
     pub window: Nanos,
-    /// Windows batched per barrier (see the module docs on striding).
-    /// The effective barrier spacing is `window × stride`, which must
-    /// still bound the minimum cross-shard delay from below; `Outbox`
-    /// asserts the contract against the widened window. Default 1.
-    pub stride: u64,
-    /// Initial SPSC ring capacity per shard pair; a burst past it spills
-    /// to the (counted) overflow vector and grows the ring (see the
-    /// module docs on auto-sizing). Default 64.
-    pub mailbox_capacity: usize,
     /// Execution mode.
     pub execution: Execution,
 }
@@ -589,8 +568,6 @@ impl ShardConfig {
         ShardConfig {
             shards,
             window,
-            stride: 1,
-            mailbox_capacity: 64,
             execution: Execution::Threads,
         }
     }
@@ -598,16 +575,6 @@ impl ShardConfig {
     /// Select the execution mode.
     pub fn execution(mut self, execution: Execution) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Batch `stride` windows per barrier. Sound only while
-    /// `window × stride` still lower-bounds every cross-shard delay —
-    /// the caller owns that proof; the per-send debug assertion enforces
-    /// it at run time.
-    pub fn stride(mut self, stride: u64) -> Self {
-        assert!(stride >= 1, "stride must be at least one window");
-        self.stride = stride;
         self
     }
 }
@@ -646,8 +613,7 @@ pub struct ShardRun<E> {
     /// Per-channel mailbox statistics (spills, window high-water marks,
     /// final auto-sized capacities), in `(dst shard, src shard)` order.
     pub channels: Vec<ChannelStats>,
-    /// Window barriers executed (with striding, one barrier covers
-    /// `stride` lookahead windows — this counts barriers).
+    /// Window barriers executed.
     pub windows: u64,
     /// Per-shard work: events processed plus messages merged, so
     /// `Σ work == events + messages`. Deterministic — equal across
@@ -773,17 +739,8 @@ pub fn run_sharded<E: ShardEngine>(
 ) -> ShardRun<E> {
     assert_eq!(engines.len(), cfg.shards, "one engine per shard");
     assert!(!cfg.window.is_zero(), "lookahead window must be positive");
-    assert!(cfg.stride >= 1, "stride must be at least one window");
     let n = cfg.shards;
-    // Striding = a wider effective window: nothing but the drain happens
-    // at a barrier, so batching `stride` windows per barrier is exactly
-    // running `window × stride`-wide windows (see the module docs).
-    let w = cfg
-        .window
-        .as_nanos()
-        .checked_mul(cfg.stride)
-        // simlint: allow(no-panic-hot-path) — run setup, not steady state: a misconfigured stride must fail loudly before any window runs
-        .expect("window × stride overflows");
+    let w = cfg.window.as_nanos();
     let n_windows = deadline.as_nanos() / w + 1;
 
     // Mailboxes: producers[src][dst] / consumers filed per destination.
@@ -792,15 +749,12 @@ pub fn run_sharded<E: ShardEngine>(
     let mut consumers: Vec<Vec<Option<Consumer<E::Msg>>>> = (0..n).map(|_| Vec::new()).collect();
     for (src, producers_of_src) in producers.iter_mut().enumerate() {
         for (dst, consumers_of_dst) in consumers.iter_mut().enumerate() {
-            let (p, c) = (src != dst).then(|| Channel::pair(cfg.mailbox_capacity)).unzip();
+            let (p, c) = (src != dst).then(|| Channel::pair(MAILBOX_CAPACITY)).unzip();
             producers_of_src.push(p);
             consumers_of_dst.push(c);
         }
     }
 
-    // Build every context on the caller thread: `Harness::new` reads the
-    // thread-local queue-kind/threshold selection, which must apply to all
-    // shards regardless of execution mode.
     let mut ctxs: Vec<ShardCtx<E>> = Vec::with_capacity(n);
     for (idx, engine) in engines.into_iter().enumerate() {
         let mut harness = Harness::new();
@@ -812,7 +766,7 @@ pub fn run_sharded<E: ShardEngine>(
                 engine,
                 outbox: Outbox {
                     to: std::mem::take(&mut producers[idx]),
-                    local: Vec::with_capacity(cfg.mailbox_capacity),
+                    local: Vec::with_capacity(MAILBOX_CAPACITY),
                     seq: vec![0; n],
                     window_end: Nanos::ZERO,
                     sent: 0,
@@ -1101,56 +1055,20 @@ mod tests {
     }
 
     #[test]
-    fn striding_halves_barriers_without_changing_results() {
-        // Forward delay 2 windows: both stride 1 and stride 2 honor the
-        // lookahead contract, and the results must be identical — a
-        // strided run IS a run at the effective window width.
-        let window = Nanos(1_000);
-        let delay = Nanos(2_000);
-        let engines = |n: u32| -> Vec<Ring> {
-            (0..n).map(|node| Ring { node, n, window: delay, log: Vec::new() }).collect()
-        };
-        let init = |s: usize, h: &mut Harness<Token>| {
-            if s == 0 {
-                h.schedule_at(Nanos(0), Token(0));
-            }
-        };
-        let deadline = Nanos(100_000);
-        let base = ShardConfig::new(3, window).execution(Execution::Sequential);
-        let plain = run_sharded(&base, engines(3), init, deadline);
-        let strided = run_sharded(&base.stride(2), engines(3), init, deadline);
-        let logs = |r: &ShardRun<Ring>| -> Vec<Vec<(u64, u64)>> {
-            r.engines.iter().map(|e| e.log.clone()).collect()
-        };
-        assert_eq!(logs(&plain), logs(&strided), "striding changed results");
-        assert_eq!(plain.windows, 101);
-        assert_eq!(strided.windows, 51, "stride 2 halves the barrier count");
-        // Identical to natively running at the doubled window width.
-        let wide = run_sharded(
-            &ShardConfig::new(3, Nanos(2_000)).execution(Execution::Sequential),
-            engines(3),
-            init,
-            deadline,
-        );
-        assert_eq!(logs(&wide), logs(&strided));
-        assert_eq!(wide.windows, strided.windows);
-    }
-
-    #[test]
     fn critical_path_is_the_streamed_sum_of_window_maxima() {
         // The runner keeps no per-window vector, so pin what
         // `Σ_k max_s work[s][k]` implies about the per-shard sums it does
         // keep: with one shard the two are the same number, and with more
         // the critical path lies between the busiest shard and all of them
-        // — in both execution modes, strided or not, in work units and in
-        // the host nanoseconds apportioned from them.
-        let window = Nanos(1_000);
+        // — in both execution modes, at half the 2 µs relay delay or all of
+        // it, in work units and in the host nanoseconds apportioned from
+        // them.
         for execution in [Execution::Sequential, Execution::Threads] {
-            for (n, stride) in [(1u32, 1), (3, 1), (3, 2), (4, 2)] {
+            for (n, window) in [(1u32, 1_000), (3, 1_000), (3, 2_000), (4, 2_000)] {
                 let engines: Vec<Ring> = (0..n)
                     .map(|node| Ring { node, n, window: Nanos(2_000), log: Vec::new() })
                     .collect();
-                let cfg = ShardConfig::new(n as usize, window).execution(execution).stride(stride);
+                let cfg = ShardConfig::new(n as usize, Nanos(window)).execution(execution);
                 let run = run_sharded(
                     &cfg,
                     engines,
@@ -1161,7 +1079,7 @@ mod tests {
                     },
                     Nanos(100_000),
                 );
-                let what = format!("{n} shards, stride {stride}, {execution:?}");
+                let what = format!("{n} shards, {window} ns windows, {execution:?}");
                 assert_eq!(run.busy_ns.len(), n as usize, "{what}");
                 let (busiest, total) = (
                     *run.busy_ns.iter().max().unwrap(),
@@ -1273,7 +1191,6 @@ mod tests {
         for execution in [Execution::Sequential, Execution::Threads] {
             let engines = (0..2).map(|_| Burst { window, log: Vec::new() }).collect();
             let cfg = ShardConfig::new(2, window).execution(execution);
-            assert_eq!(cfg.mailbox_capacity, 64);
             let run = run_sharded(
                 &cfg,
                 engines,

@@ -262,17 +262,14 @@ impl ShardEngine for ClusterStorm {
     }
 }
 
-/// Run the cluster storm on a `(window, stride)` grid and return the
-/// per-node logs in global node order.
+/// Run the cluster storm and return the per-node logs in global node order.
 fn run_cluster_storm(
     seed: u64,
     tokens: u8,
     shards: usize,
     execution: Execution,
-    window: Nanos,
-    stride: u64,
 ) -> Vec<Vec<(u64, u8, u64)>> {
-    let run = cluster_storm(seed, tokens, shards, execution, window, stride);
+    let run = cluster_storm(seed, tokens, shards, execution);
     run.engines.into_iter().flat_map(|e| e.logs).collect()
 }
 
@@ -282,8 +279,6 @@ fn cluster_storm(
     tokens: u8,
     shards: usize,
     execution: Execution,
-    window: Nanos,
-    stride: u64,
 ) -> ShardRun<ClusterStorm> {
     let part = Partition::new(NODES, shards);
     let engines: Vec<ClusterStorm> = (0..shards)
@@ -298,7 +293,7 @@ fn cluster_storm(
             logs: part.range(s).map(|_| Vec::new()).collect(),
         })
         .collect();
-    let cfg = ShardConfig::new(shards, window).stride(stride).execution(execution);
+    let cfg = ShardConfig::new(shards, LOOKAHEAD).execution(execution);
     run_sharded(
         &cfg,
         engines,
@@ -470,68 +465,55 @@ proptest! {
     }
 
     // The cluster-shaped storm (coalesced doorbells + engine drain) under
-    // every partitioning, both modes, AND the striding grids: batching
-    // windows per barrier and narrowing the window both leave the traces
-    // byte-identical.
+    // every partitioning and both modes. (A narrower window is a
+    // *different* grid: merges in the middle of the reference windows may
+    // re-order same-instant ties, which the kernel does not promise to
+    // preserve.)
     #[test]
     fn cluster_shaped_traces_are_identical_at_every_shard_count(
         seed in any::<u64>(),
         tokens in 1u8..16,
     ) {
-        let reference =
-            run_cluster_storm(seed, tokens, 1, Execution::Sequential, LOOKAHEAD, 1);
+        let reference = run_cluster_storm(seed, tokens, 1, Execution::Sequential);
         let total: usize = reference.iter().map(Vec::len).sum();
         prop_assert!(total > 0, "storm must produce events");
         for shards in [1usize, 2, 4, 8] {
             for execution in [Execution::Sequential, Execution::Threads] {
-                let got =
-                    run_cluster_storm(seed, tokens, shards, execution, LOOKAHEAD, 1);
+                let got = run_cluster_storm(seed, tokens, shards, execution);
                 prop_assert_eq!(
                     &got, &reference,
                     "{} shards / {:?} diverged", shards, execution
                 );
             }
         }
-        // Grid equivalence: batching two half-width windows per barrier is
-        // exactly one full-width window — merges land on the same
-        // boundaries, so the traces match the reference byte-for-byte.
-        // (Half-width at stride 1 is a *different* grid: merges in the
-        // middle of the reference windows may re-order same-instant ties,
-        // which the kernel does not promise to preserve.)
-        let strided =
-            run_cluster_storm(seed, tokens, 4, Execution::Threads, Nanos(LOOKAHEAD.0 / 2), 2);
-        prop_assert_eq!(&strided, &reference, "stride 2 × half width diverged");
     }
 
     // The critical-path model counts work (events processed + messages
     // merged), not host time, so it is part of the determinism contract:
     // per-shard work and its critical path are equal across execution
-    // modes, across repetitions and across strides at equal effective
-    // width; total work is the run's events + messages at every shard
-    // count, and one shard is its own critical path.
+    // modes and across repetitions; total work is the run's events +
+    // messages at every shard count, and one shard is its own critical
+    // path.
     #[test]
     fn work_accounting_is_deterministic(
         seed in any::<u64>(),
         tokens in 1u8..16,
     ) {
         let model = |r: &ShardRun<ClusterStorm>| (r.work.clone(), r.critical_path_work);
-        let serial = cluster_storm(seed, tokens, 1, Execution::Sequential, LOOKAHEAD, 1);
+        let serial = cluster_storm(seed, tokens, 1, Execution::Sequential);
         let total = serial.events + serial.messages;
         prop_assert_eq!(model(&serial), (vec![total], total));
         for shards in [2usize, 4, 8] {
-            let reference = cluster_storm(seed, tokens, shards, Execution::Sequential, LOOKAHEAD, 1);
+            let reference = cluster_storm(seed, tokens, shards, Execution::Sequential);
             let (work, critical) = model(&reference);
             prop_assert_eq!(work.len(), shards);
             prop_assert_eq!(work.iter().sum::<u64>(), total, "{} shards", shards);
             prop_assert_eq!(reference.events + reference.messages, total);
             let busiest = *work.iter().max().unwrap();
             prop_assert!((busiest..=total).contains(&critical), "{} shards", shards);
-            let half = Nanos(LOOKAHEAD.0 / 2);
             for (what, again) in [
-                ("rep", cluster_storm(seed, tokens, shards, Execution::Sequential, LOOKAHEAD, 1)),
-                ("threads", cluster_storm(seed, tokens, shards, Execution::Threads, LOOKAHEAD, 1)),
-                ("stride 2", cluster_storm(seed, tokens, shards, Execution::Sequential, half, 2)),
-                ("stride 2, threads", cluster_storm(seed, tokens, shards, Execution::Threads, half, 2)),
+                ("rep", cluster_storm(seed, tokens, shards, Execution::Sequential)),
+                ("threads", cluster_storm(seed, tokens, shards, Execution::Threads)),
             ] {
                 prop_assert_eq!(model(&again), model(&reference), "{} shards, {}", shards, what);
             }

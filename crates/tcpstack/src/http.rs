@@ -5,7 +5,7 @@
 //! stream, and re-serializes responses. The paper builds on NGINX for its
 //! "full-fledged HTTP processing"; the reproduction needs parsing fidelity
 //! rather than NGINX's module ecosystem, so it implements the codec from
-//! scratch (documented deviation, DESIGN.md §9).
+//! scratch.
 //!
 //! The parser is incremental: feed bytes, get back `Incomplete` until a full
 //! message is buffered — exactly how a busy-polling worker consumes a TCP

@@ -10,8 +10,8 @@
 //! (§4.3 "Real Workloads").
 //!
 //! The gRPC payload sizes are approximated from the public proto message
-//! shapes (documented substitution, DESIGN.md §9): catalog/product lists
-//! are KB-scale, currency/ad/cart lookups are hundreds of bytes.
+//! shapes: catalog/product lists are KB-scale, currency/ad/cart lookups
+//! are hundreds of bytes.
 
 use palladium_core::driver::chain::{AppSpec, ChainSimConfig, ChainSpec, FnSpec, HopSpec};
 use palladium_core::driver::cluster_sharded::ClusterShardedConfig;

@@ -2,7 +2,8 @@
 //!
 //! 1. **Transport**: run a raw RC queue pair over a lossy, corrupting
 //!    RDMA fabric and show that go-back-N still delivers every message
-//!    exactly once, in order (smoltcp-style fault injection, DESIGN.md §8).
+//!    exactly once, in order (smoltcp-style fault injection:
+//!    `palladium_simnet::fault`).
 //! 2. **Cluster**: script a chaos scenario — two flapping links plus a
 //!    straggling worker — against the full sharded Fig 16 cluster and
 //!    read the tail off the streaming latency histogram. Same run, any

@@ -48,8 +48,9 @@
 //! assert_eq!(report.software_copy_bytes, 0); // zero-copy data plane
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-versus-measured record of every figure and table.
+//! See `README.md` §“Workspace layout” for the system inventory and
+//! §“Regenerating the paper's figures” for the binary behind every figure
+//! and table.
 
 // The simulation's memory-safety story is that only the shard mailbox ring
 // (simnet) and the bench counting allocator contain `unsafe` at all; this

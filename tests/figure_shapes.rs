@@ -1,5 +1,5 @@
 //! The headline comparative claims of every figure, asserted end-to-end at
-//! reduced scale (EXPERIMENTS.md records the full-scale numbers).
+//! reduced scale (the `fig*`/`table*` binaries print the full-scale numbers).
 
 use palladium::baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::chain::ChainSim;

@@ -46,8 +46,16 @@ fn facade(system: SystemKind) -> (String, u64) {
 }
 
 fn sharded(system: SystemKind) -> ClusterShardedSim {
+    let mut app = golden_app();
+    if system.spec().single_node {
+        // NightCore serves the whole chain from one node; the facade places
+        // it so before it builds the same configuration.
+        for f in &mut app.functions {
+            f.node = 0;
+        }
+    }
     ClusterShardedSim::new(
-        ClusterShardedConfig::new(system, golden_app(), 1)
+        ClusterShardedConfig::new(system, app, 1)
             .clients(CLIENTS)
             .warmup_ms(WARMUP_MS)
             .duration_ms(DURATION_MS),
@@ -74,8 +82,12 @@ fn direct_and_mailbox_fabrics_agree_on_palladium() {
 
 #[test]
 fn a_baseline_runs_on_the_sharded_engine_at_one_shard() {
-    let r = sharded(SystemKind::Spright).run(1, Execution::Sequential);
-    assert_eq!((fields(&r.chain), r.events), facade(SystemKind::Spright));
+    let baselines =
+        [SystemKind::Spright, SystemKind::FuyaoF, SystemKind::FuyaoK, SystemKind::NightCore];
+    for system in baselines {
+        let r = sharded(system).run(1, Execution::Sequential);
+        assert_eq!((fields(&r.chain), r.events), facade(system), "{system:?}");
+    }
 }
 
 #[test]

@@ -1,469 +1,170 @@
-//! `simcore_throughput` — the DES-kernel events/sec benchmark.
+//! `simcore_throughput` — the shard runner's counted scaling model.
 //!
-//! Unlike the `fig*` binaries (which reproduce the paper's numbers inside
-//! the simulation), this harness measures the simulator itself: wall-clock
-//! events per second while running the two heaviest drivers — the Fig 16
-//! boutique chain cluster and the Fig 13 ingress sweep — on fixed,
-//! deterministic workloads (same seed ⇒ same event count). It writes
-//! `BENCH_simcore.json`, the committed reference the CI smoke job diffs
-//! its own run against (git keeps the history).
+//! Runs the two sharded drivers — the 32-node multi-node chain
+//! (`multinode_sharded`) and the full Fig 16 data plane over 4 worker pairs
+//! (`cluster_sharded`) — at 1/2/4/8 shards in both execution modes, once,
+//! at one scale. Every row is asserted equal between `Execution::Threads`
+//! and `Execution::Sequential`, and every shard count is asserted to
+//! complete identical work, before anything is written.
 //!
-//! Usage: `simcore_throughput [--quick] [--shards-sweep] [--out PATH]`
+//! `BENCH_simcore.json` receives only machine-independent integers (per
+//! driver: nodes, events, completed, messages; per shard count: windows,
+//! Σ `work`, `critical_path_work` — `Σ work ÷ critical_path_work` is the
+//! modeled parallel speed-up, see `palladium_simnet::shard`), so CI gates
+//! it with `cmp`. Host-time events/s of both modes go to stdout only; the
+//! committed host-time instrument is `benchmark/` (`BENCHMARK.json`).
 //!
-//! `--quick` shrinks the workloads for CI smoke runs (numbers are
-//! machine-relative). Full runs also record a `quick_reference` per
-//! driver — the same quick-scale workload on the recording machine — so
-//! CI compares like with like.
-//!
-//! Every run additionally records the **sharded multi-node** workload
-//! (`multinode_sharded` in the JSON): the 32-node chain driver on the
-//! conservative time-windowed parallel runner (`palladium_simnet::shard`)
-//! at 1 and 4 shards; `--shards-sweep` widens that to 1/2/4/8 and prints
-//! the table. Three numbers are recorded per shard count: the *measured*
-//! aggregate events/s with real threads on this machine, the same run
-//! interleaved on one thread (`Execution::Sequential` — what the runner
-//! itself costs, with no scheduler in the picture), and the
-//! *critical-path model* — the sequential run's events over its wall time
-//! scaled by `critical_path_work ÷ Σ work`, i.e. the events/s a machine
-//! with one core per shard and free barriers would reach. The model's two
-//! integers are recorded next to it; they are the same on every machine.
-//! On multi-core machines measured and model converge; on core-starved CI
-//! runners the model is the scaling signal while the measured number
-//! tracks this machine. Every shard count is asserted to complete
-//! identical work, and every rep and both execution modes to report the
-//! same work model (the determinism contract), before anything is
-//! recorded.
+//! Usage: `simcore_throughput [--out PATH]`
 
+use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use palladium_core::driver::chain::ChainSim;
-use palladium_core::driver::cluster_sharded::{ClusterShardedConfig, ClusterShardedSim};
-use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
+use palladium_core::driver::cluster_sharded::ClusterShardedSim;
 use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeSim};
-use palladium_core::system::{IngressKind, SystemKind};
-use palladium_simnet::{Execution, Nanos};
+use palladium_core::system::SystemKind;
+use palladium_simnet::Execution;
 use palladium_workloads::boutique::{self, ChainKind};
 
-struct RunOut {
-    events: u64,
-    wall_s: f64,
-    completed: u64,
-}
+const USAGE: &str = "usage: simcore_throughput [--out PATH]";
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// One sharded-runner measurement (multi-node or sharded cluster).
-struct MnOut {
+/// What one run counted: equal on every machine and in both execution modes.
+#[derive(Debug, PartialEq)]
+struct Counts {
     events: u64,
-    wall_s: f64,
     completed: u64,
-    /// Critical-path model: the window loop's wall seconds scaled by
-    /// `critical_path_work ÷ Σ work`.
-    crit_s: f64,
-    /// The model's deterministic half: per-shard work units and the work
-    /// on the critical path.
+    messages: u64,
+    windows: u64,
+    /// Per-shard work units (events fired + messages merged).
     work: Vec<u64>,
     critical_path_work: u64,
 }
 
-impl MnOut {
-    fn work_model(&self) -> (&[u64], u64) {
-        (&self.work, self.critical_path_work)
-    }
-
-    fn total_work(&self) -> u64 {
-        self.work.iter().sum()
+impl Counts {
+    /// What every shard count must agree on (`Σ work == events + messages`).
+    fn totals(&self) -> (u64, u64, u64, u64) {
+        (self.events, self.completed, self.messages, self.work.iter().sum())
     }
 }
 
-/// The `multinode_sharded` bench workload: the 32-node scaled chain at
-/// saturating closed-loop load (see `palladium_core::driver::multinode`).
-fn run_multinode(scale: f64, shards: usize, execution: Execution) -> MnOut {
-    let cfg = MultiNodeConfig::scaled(32)
-        .warmup_ms((8.0 * scale) as u64)
-        .duration_ms((40.0 * scale) as u64);
-    let start = std::time::Instant::now();
-    let r = MultiNodeSim::new(cfg).run(shards, execution);
-    MnOut {
-        events: r.events,
-        wall_s: start.elapsed().as_secs_f64(),
-        completed: r.load.completed,
-        crit_s: r.critical_path_ns as f64 / 1e9,
-        work: r.work,
-        critical_path_work: r.critical_path_work,
-    }
+/// Run `run` once, returning its counts and host events/s.
+fn timed(run: impl FnOnce() -> Counts) -> (Counts, f64) {
+    let start = Instant::now();
+    let counts = run();
+    let events_per_sec = counts.events as f64 / start.elapsed().as_secs_f64();
+    (counts, events_per_sec)
 }
 
-/// The `cluster_sharded` bench workload: the full Fig 16 data plane —
-/// boutique HomeQuery replicated over 4 worker pairs (9 nodes) — on the
-/// sharded runner (see `palladium_core::driver::cluster_sharded`).
-fn cluster_cfg(scale: f64) -> ClusterShardedConfig {
-    boutique::sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, 4)
-        .clients(32)
-        .warmup_ms((10.0 * scale) as u64)
-        .duration_ms((40.0 * scale) as u64)
-}
-
-fn run_cluster(cfg: &ClusterShardedConfig, shards: usize, execution: Execution) -> MnOut {
-    let start = std::time::Instant::now();
-    let r = ClusterShardedSim::new(cfg.clone()).run(shards, execution);
-    MnOut {
-        events: r.events,
-        wall_s: start.elapsed().as_secs_f64(),
-        completed: r.chain.load.completed,
-        crit_s: r.critical_path_ns as f64 / 1e9,
-        work: r.work,
-        critical_path_work: r.critical_path_work,
-    }
-}
-
-/// Keep whichever of `best` and the new rep `r` has the smaller wall time,
-/// asserting that they report the same work model.
-fn keep_best(best: &mut Option<MnOut>, r: MnOut) {
-    if let Some(b) = best {
-        assert_eq!(r.work_model(), b.work_model(), "the work model must repeat exactly");
-    }
-    if best.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
-        *best = Some(r);
-    }
-}
-
-/// The fastest of `reps` runs of `f` (see [`keep_best`]).
-fn best_of_mn<F: FnMut() -> MnOut>(reps: usize, mut f: F) -> MnOut {
-    let mut best = None;
-    for _ in 0..reps {
-        keep_best(&mut best, f());
-    }
-    best.expect("at least one rep")
-}
-
-/// One shard count of a sweep: the threaded run and the sequential one.
-struct SweepPoint {
-    shards: usize,
-    threads: MnOut,
-    sequential: MnOut,
-}
-
-/// Measure a sharded workload at each of `counts` shards in both
-/// execution modes, asserting the determinism contract: identical events
-/// and completed requests across every shard count and both modes, and an
-/// identical work model across reps and modes.
-fn sweep_points(
-    reps: usize,
-    counts: &[usize],
-    run: impl Fn(usize, Execution) -> MnOut,
-) -> Vec<SweepPoint> {
-    // The sequential reps go round the shard counts: the development box
-    // drifts by tens of percent in phases of seconds, and a slow phase
-    // should land on every count rather than on one.
-    let mut sequential: Vec<Option<MnOut>> = counts.iter().map(|_| None).collect();
-    for _ in 0..reps {
-        for (best, &shards) in sequential.iter_mut().zip(counts) {
-            keep_best(best, run(shards, Execution::Sequential));
-        }
-    }
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for (&shards, sequential) in counts.iter().zip(sequential) {
-        let sequential = sequential.expect("at least one rep");
-        let threads = best_of_mn(reps, || run(shards, Execution::Threads));
-        assert_eq!(threads.events, sequential.events, "threads vs sequential diverged");
-        assert_eq!(threads.completed, sequential.completed);
-        assert_eq!(
-            threads.work_model(),
-            sequential.work_model(),
-            "threads vs sequential disagree on the work model"
-        );
-        if let Some(first) = points.first() {
-            assert_eq!(
-                first.threads.events, threads.events,
-                "shard counts must process identical event streams"
-            );
-            assert_eq!(first.threads.completed, threads.completed);
-        }
-        points.push(SweepPoint { shards, threads, sequential });
-    }
-    points
-}
-
-fn eps_mn(m: &MnOut) -> f64 {
-    m.events as f64 / m.wall_s
-}
-
-fn ceps_mn(m: &MnOut) -> f64 {
-    m.events as f64 / m.crit_s
-}
-
-/// The `shards_sweep` rows of a sharded driver's JSON record.
-fn sweep_json(points: &[SweepPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"shards\": {}, \"measured_events_per_sec\": {:.0}, \
-                 \"sequential_events_per_sec\": {:.0}, \"sequential_wall_s\": {:.3}, \
-                 \"critical_path_events_per_sec\": {:.0}, \
-                 \"work\": {}, \"critical_path_work\": {}}}",
-                p.shards,
-                eps_mn(&p.threads),
-                eps_mn(&p.sequential),
-                p.sequential.wall_s,
-                ceps_mn(&p.sequential),
-                p.sequential.total_work(),
-                p.sequential.critical_path_work,
-            )
-        })
-        .collect();
-    rows.join(", ")
-}
-
-fn print_sweep(title: &str, points: &[SweepPoint]) {
-    println!("{title}");
-    for p in points {
+/// Sweep one driver over [`SHARD_COUNTS`] in both modes, assert the
+/// determinism contract, print the host-time columns and append the
+/// driver's JSON row to `json`.
+fn sweep(json: &mut String, driver: &str, nodes: usize, run: impl Fn(usize, Execution) -> Counts) {
+    println!("{driver} ({nodes} nodes):");
+    let mut rows = Vec::new();
+    for shards in SHARD_COUNTS {
+        let (sequential, seq_eps) = timed(|| run(shards, Execution::Sequential));
+        let (threads, thr_eps) = timed(|| run(shards, Execution::Threads));
+        assert_eq!(threads, sequential, "{driver}, {shards} shards: threads vs sequential diverged");
         println!(
-            "  shards {}: threads {:>12.0} events/s ({:.3}s wall) | sequential {:>12.0} events/s \
-             ({:.3}s wall) | critical-path model {:>12.0} events/s (work {} / {})",
-            p.shards,
-            eps_mn(&p.threads),
-            p.threads.wall_s,
-            eps_mn(&p.sequential),
-            p.sequential.wall_s,
-            ceps_mn(&p.sequential),
-            p.sequential.total_work(),
-            p.sequential.critical_path_work,
+            "  shards {shards}: threads {thr_eps:>12.0} events/s | sequential {seq_eps:>12.0} events/s \
+             | work {} / critical path {}",
+            sequential.totals().3,
+            sequential.critical_path_work,
         );
+        rows.push((shards, sequential));
     }
+    let first = &rows[0].1;
+    let (events, completed, messages, work) = first.totals();
+    assert_eq!(work, events + messages, "{driver}: Σ work is events fired + messages merged");
+    assert_eq!(first.critical_path_work, work, "{driver}: one shard is its own critical path");
+    write!(
+        json,
+        "    {{\"driver\": \"{driver}\", \"nodes\": {nodes}, \"events\": {events}, \
+         \"completed\": {completed}, \"messages\": {messages}, \"shards_sweep\": [",
+    )
+    .expect("write to String");
+    for (i, (shards, c)) in rows.iter().enumerate() {
+        assert_eq!(
+            c.totals(),
+            first.totals(),
+            "{driver}: {shards} shards must process the identical event stream"
+        );
+        let sep = if i == 0 { "" } else { "," };
+        write!(
+            json,
+            "{sep}\n      {{\"shards\": {shards}, \"windows\": {}, \"work\": {work}, \"critical_path_work\": {}}}",
+            c.windows, c.critical_path_work,
+        )
+        .expect("write to String");
+    }
+    json.push_str("\n    ]}");
 }
 
-fn run_chain(scale: f64) -> RunOut {
-    let cfg = boutique::config(SystemKind::PalladiumDne, ChainKind::HomeQuery)
-        .clients(40)
-        .warmup_ms((60.0 * scale) as u64)
-        .duration_ms((240.0 * scale) as u64);
-    let start = Instant::now();
-    let (r, events) = ChainSim::new(cfg).run_counted();
-    RunOut {
-        events,
-        wall_s: start.elapsed().as_secs_f64(),
-        completed: r.load.completed,
-    }
-}
-
-fn run_ingress(scale: f64) -> RunOut {
-    let mut cfg = IngressSimConfig::fig13(IngressKind::Palladium, 60);
-    cfg.duration = Nanos::from_millis((1600.0 * scale) as u64);
-    cfg.warmup = Nanos::from_millis((400.0 * scale) as u64);
-    let start = Instant::now();
-    let (r, events) = IngressSim::new(cfg).sweep_counted();
-    RunOut {
-        events,
-        wall_s: start.elapsed().as_secs_f64(),
-        completed: r.completed,
-    }
-}
-
-fn best_of<F: FnMut() -> RunOut>(reps: usize, mut f: F) -> RunOut {
-    let mut best: Option<RunOut> = None;
-    for _ in 0..reps {
-        let r = f();
-        if best.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
-            best = Some(r);
+fn main() -> ExitCode {
+    let mut out_path = "BENCH_simcore.json".to_string();
+    let mut args = std::env::args().skip(1);
+    let fail = |what: String| {
+        eprintln!("simcore_throughput: {what}\n{USAGE}");
+        ExitCode::FAILURE
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => match args.next() {
+                Some(path) => out_path = path,
+                None => return fail("`--out` needs a path".to_string()),
+            },
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            other => return fail(format!("unknown argument `{other}`")),
         }
     }
-    best.expect("at least one rep")
-}
 
-fn eps(r: &RunOut) -> f64 {
-    r.events as f64 / r.wall_s
-}
+    println!(
+        "host-time columns are this machine's ({} hw threads) and are not recorded",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    let mut json = String::from("{\n  \"bench\": \"simcore_throughput\",\n  \"drivers\": [\n");
 
-/// The `quick_reference` field of a JSON row: events/s of a `--quick`-scale
-/// run on this machine, recorded on full runs only, so CI can diff its own
-/// quick run like-for-like.
-fn quick_reference_json(events_per_sec: Option<f64>) -> String {
-    events_per_sec
-        .map(|q| format!("\"quick_reference\": {{\"events_per_sec\": {q:.0}}}, "))
-        .unwrap_or_default()
-}
-
-struct DriverRecord {
-    name: &'static str,
-    run: RunOut,
-    quick_reference: Option<f64>,
-}
-
-impl DriverRecord {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"driver\": \"{}\", \"events\": {}, \"completed\": {}, {}\
-             \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}}}",
-            self.name,
-            self.run.events,
-            self.run.completed,
-            quick_reference_json(self.quick_reference),
-            eps(&self.run),
-            self.run.wall_s,
-        )
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let shards_sweep = args.iter().any(|a| a == "--shards-sweep");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_simcore.json".to_string());
-    let (scale, reps) = if quick { (0.25, 1) } else { (1.0, 5) };
-
-    let mut records = Vec::new();
-    for (name, run) in [
-        ("chain", run_chain as fn(f64) -> RunOut),
-        ("ingress_sweep", run_ingress),
-    ] {
-        let full = best_of(reps, || run(scale));
-        // Full runs also record a quick-scale reference point so the CI
-        // smoke job can diff its own --quick run against the same-shape
-        // workload instead of the full-scale numbers.
-        let quick_reference = (!quick).then(|| eps(&best_of(2, || run(0.25))));
-        records.push(DriverRecord {
-            name,
-            run: full,
-            quick_reference,
-        });
-    }
-
-    // The sharded multi-node record: measured threads + critical-path
-    // model at 1/4 shards (1/2/4/8 under --shards-sweep).
-    let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let counts: &[usize] = if shards_sweep { &[1, 2, 4, 8] } else { &[1, 4] };
-    let mn_reps = if quick { 1 } else { 3 };
-    let points = sweep_points(mn_reps, counts, |sh, ex| run_multinode(scale, sh, ex));
-    if shards_sweep {
-        print_sweep(
-            &format!("shards sweep (multinode 32-node chain, best of {mn_reps}, {threads_available} hw threads):"),
-            &points,
-        );
-    }
-    let serial = &points[0].threads;
-    let (after_shards, after, after_model) = {
-        let p = points.iter().find(|p| p.shards == 4).unwrap_or(points.last().expect("nonempty"));
-        (p.shards, &p.threads, &p.sequential)
-    };
-    let serial_model = &points[0].sequential;
-    let mn_quick_ref = (!quick).then(|| {
-        let r = best_of_mn(2, || run_multinode(0.25, after_shards, Execution::Threads));
-        r.events as f64 / r.wall_s
+    let multinode = MultiNodeSim::new(MultiNodeConfig::scaled(32).warmup_ms(8).duration_ms(40));
+    sweep(&mut json, "multinode_sharded", 32, |shards, execution| {
+        let r = multinode.run(shards, execution);
+        Counts {
+            events: r.events,
+            completed: r.load.completed,
+            messages: r.messages,
+            windows: r.windows,
+            work: r.work,
+            critical_path_work: r.critical_path_work,
+        }
     });
-    let mut mn_json = format!(
-        "    {{\"driver\": \"multinode_sharded\", \"events\": {}, \"completed\": {}, \
-         \"threads_available\": {threads_available}, \"nodes\": 32, ",
-        serial.events, serial.completed,
-    );
-    mn_json.push_str(&quick_reference_json(mn_quick_ref));
-    mn_json.push_str(&format!(
-        "\"serial\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}, \
-         \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}, \"shards\": {after_shards}}}, \
-         \"critical_path_model\": {{\"serial_events_per_sec\": {:.0}, \"shards{after_shards}_events_per_sec\": {:.0}, \"speedup\": {:.2}}}, \
-         \"shards_sweep\": [",
-        eps_mn(serial), serial.wall_s,
-        eps_mn(after), after.wall_s,
-        ceps_mn(serial_model), ceps_mn(after_model),
-        ceps_mn(after_model) / ceps_mn(serial_model),
-    ));
-    mn_json.push_str(&sweep_json(&points));
-    mn_json.push_str("]}");
+    json.push_str(",\n");
 
-    // The sharded cluster record: the full Fig 16 data plane on the same
-    // runner.
-    let base = cluster_cfg(scale);
-    let cs_points = sweep_points(mn_reps, counts, |sh, ex| run_cluster(&base, sh, ex));
-    let cs_serial = &cs_points[0].threads;
-    let cs_serial_model = &cs_points[0].sequential;
-    let (cs_after_shards, cs_after, cs_after_model) = {
-        let p = cs_points
-            .iter()
-            .find(|p| p.shards == 4)
-            .unwrap_or(cs_points.last().expect("nonempty"));
-        (p.shards, &p.threads, &p.sequential)
-    };
-    let mut cs_json = format!(
-        "    {{\"driver\": \"cluster_sharded\", \"events\": {}, \"completed\": {}, \
-         \"threads_available\": {threads_available}, \"nodes\": {}, \"pairs\": 4, ",
-        cs_serial.events,
-        cs_serial.completed,
-        ClusterShardedSim::new(base.clone()).nodes(),
+    let cluster = ClusterShardedSim::new(
+        boutique::sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, 4)
+            .clients(32)
+            .warmup_ms(10)
+            .duration_ms(40),
     );
-    // Like multinode: full runs record a quick-scale reference so the CI
-    // smoke job diffs a same-shape workload.
-    let cs_quick_ref = (!quick).then(|| {
-        let qcfg = cluster_cfg(0.25);
-        let r = best_of_mn(2, || run_cluster(&qcfg, cs_after_shards, Execution::Threads));
-        r.events as f64 / r.wall_s
+    sweep(&mut json, "cluster_sharded", cluster.nodes(), |shards, execution| {
+        let r = cluster.run(shards, execution);
+        Counts {
+            events: r.events,
+            completed: r.chain.load.completed,
+            messages: r.messages,
+            windows: r.windows,
+            work: r.work,
+            critical_path_work: r.critical_path_work,
+        }
     });
-    cs_json.push_str(&quick_reference_json(cs_quick_ref));
-    cs_json.push_str(&format!(
-        "\"serial\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}}}, \
-         \"after\": {{\"events_per_sec\": {:.0}, \"wall_s\": {:.3}, \"shards\": {cs_after_shards}}}, \
-         \"critical_path_model\": {{\"serial_events_per_sec\": {:.0}, \"shards{cs_after_shards}_events_per_sec\": {:.0}, \"speedup\": {:.2}}}, \
-         \"shards_sweep\": [",
-        eps_mn(cs_serial),
-        cs_serial.wall_s,
-        eps_mn(cs_after),
-        cs_after.wall_s,
-        ceps_mn(cs_serial_model),
-        ceps_mn(cs_after_model),
-        ceps_mn(cs_after_model) / ceps_mn(cs_serial_model),
-    ));
-    cs_json.push_str(&sweep_json(&cs_points));
-    cs_json.push_str("]}");
-    if shards_sweep {
-        print_sweep(
-            &format!("shards sweep (cluster_sharded, boutique HomeQuery x4 pairs, best of {mn_reps}):"),
-            &cs_points,
-        );
-    }
-
-    let mut json = String::from(
-        "{\n  \"bench\": \"simcore_throughput\",\n  \"unit\": \"events_per_sec\",\n",
-    );
-    json.push_str(&format!("  \"quick\": {quick},\n  \"drivers\": [\n"));
-    let mut rows: Vec<String> = records.iter().map(DriverRecord::json).collect();
-    rows.push(mn_json);
-    rows.push(cs_json);
-    json.push_str(&rows.join(",\n"));
     json.push_str("\n  ]\n}\n");
 
-    std::fs::write(&out_path, &json).expect("write bench json");
-    println!(
-        "multinode_sharded: {} events; serial {:.0} events/s, {after_shards} shards measured {:.0} \
-         ({:.2}x, {threads_available} hw threads), critical-path model {:.0} ({:.2}x)",
-        serial.events,
-        eps_mn(serial),
-        eps_mn(after),
-        eps_mn(after) / eps_mn(serial),
-        ceps_mn(after_model),
-        ceps_mn(after_model) / ceps_mn(serial_model),
-    );
-    println!(
-        "cluster_sharded: {} events, {} completed; serial {:.0} events/s, {cs_after_shards} shards \
-         measured {:.0} ({:.2}x), critical-path model {:.0} ({:.2}x)",
-        cs_serial.events,
-        cs_serial.completed,
-        eps_mn(cs_serial),
-        eps_mn(cs_after),
-        eps_mn(cs_after) / eps_mn(cs_serial),
-        ceps_mn(cs_after_model),
-        ceps_mn(cs_after_model) / ceps_mn(cs_serial_model),
-    );
-    for r in &records {
-        println!(
-            "{:>14}: {} events in {:.3}s = {:.0} events/s",
-            r.name,
-            r.run.events,
-            r.run.wall_s,
-            eps(&r.run),
-        );
+    if let Err(e) = std::fs::write(&out_path, &json) {
+        eprintln!("simcore_throughput: cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

@@ -125,25 +125,6 @@ impl ConnPool {
         qpns
     }
 
-    /// Warm up connections to `peer` like [`ConnPool::warm_up`], but pay
-    /// the control-plane cost through the simulation clock: each QP setup
-    /// serializes for `per_qp`, so the pool is usable at the returned
-    /// ready-time, not at `now`. This is the rejoin path — a recovered
-    /// worker re-establishes its pool one QP at a time (Swift's
-    /// serialization bottleneck) instead of getting it for free.
-    pub fn warm_up_costed(
-        &mut self,
-        net: &mut RdmaNet,
-        peer: NodeId,
-        tenant: TenantId,
-        now: Nanos,
-        per_qp: Nanos,
-    ) -> (Vec<Qpn>, Nanos) {
-        let qpns = self.warm_up(net, peer, tenant);
-        let ready_at = now + per_qp * qpns.len() as u64;
-        (qpns, ready_at)
-    }
-
     /// Adopt an externally established connection.
     pub fn adopt(&mut self, peer: NodeId, tenant: TenantId, qpn: Qpn) {
         self.conns.push(PooledConn { peer, tenant, qpn });
@@ -165,6 +146,7 @@ impl ConnPool {
     }
 
     /// Number of pooled connections to `peer` for `tenant`.
+    #[cfg(test)]
     pub fn pool_size(&self, peer: NodeId, tenant: TenantId) -> usize {
         self.conns
             .iter()
@@ -255,7 +237,8 @@ impl ConnPool {
         picked
     }
 
-    /// How often each QPN was selected (diagnostics).
+    /// How often each QPN was selected.
+    #[cfg(test)]
     pub fn pick_count(&self, qpn: Qpn) -> u64 {
         self.picks.get(qpn.0 as usize).copied().unwrap_or(0)
     }
@@ -372,26 +355,6 @@ mod tests {
         assert_eq!(pool.pool_size(NodeId(1), TenantId(1)), 2, "errored QPs evicted");
         // The explicit sweep is idempotent.
         assert_eq!(pool.evict_errored(&net), 0);
-    }
-
-    /// The rejoin path pays Swift-style serialized setup: the pool exists
-    /// immediately but is only *ready* per-QP-cost × pool-width later, and
-    /// the ready-time scales linearly with the configured cost.
-    #[test]
-    fn costed_warm_up_serializes_setup() {
-        let mut fabric = net();
-        let mut pool = ConnPool::new(NodeId(0), ConnPoolConfig::default());
-        let now = Nanos::from_micros(100);
-        let per_qp = Nanos::from_micros(25);
-        let (qpns, ready) = pool.warm_up_costed(&mut fabric, NodeId(1), TenantId(1), now, per_qp);
-        assert_eq!(qpns.len(), 4);
-        assert_eq!(ready, now + per_qp * 4);
-        // Doubling the per-QP cost doubles the paid setup time.
-        let mut net2 = net();
-        let mut pool2 = ConnPool::new(NodeId(0), ConnPoolConfig::default());
-        let (_, ready2) =
-            pool2.warm_up_costed(&mut net2, NodeId(1), TenantId(1), now, per_qp * 2);
-        assert_eq!(ready2 - now, (ready - now) * 2);
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl Dne {
         self.node
     }
 
-    /// Engine location.
-    pub fn location(&self) -> EngineLocation {
-        self.loc
-    }
-
     /// Register a tenant's DWRR weight.
     pub fn register_tenant(&mut self, tenant: TenantId, weight: u32) {
         self.sched.register_tenant(tenant, weight);
@@ -253,14 +248,8 @@ impl Dne {
         self.kick(now, out);
     }
 
-    /// A completion arrived on the node's shared CQ.
-    pub fn submit_cqe(&mut self, now: Nanos, cqe: Cqe) -> DneStep {
-        let mut out = Vec::new();
-        self.submit_cqe_into(now, cqe, &mut out);
-        out
-    }
-
-    /// [`Dne::submit_cqe`] appending into a caller-owned buffer.
+    /// A completion arrived on the node's shared CQ; the engine's effects
+    /// are appended to the caller-owned `out`.
     pub fn submit_cqe_into(&mut self, now: Nanos, cqe: Cqe, out: &mut DneStep) {
         self.rx_queue.push_back(cqe);
         self.kick(now, out);
@@ -469,6 +458,12 @@ mod tests {
         )
     }
 
+    fn submit_cqe(dne: &mut Dne, now: Nanos, cqe: Cqe) -> DneStep {
+        let mut out = Vec::new();
+        dne.submit_cqe_into(now, cqe, &mut out);
+        out
+    }
+
     fn desc() -> BufDesc {
         BufDesc {
             tenant: TenantId(1),
@@ -570,7 +565,7 @@ mod tests {
             data: Bytes::from_static(b"hello"),
             imm: pack_imm(FnId(1), FnId(2), TenantId(1)),
         };
-        let fx = dne.submit_cqe(Nanos::ZERO, cqe);
+        let fx = submit_cqe(&mut dne, Nanos::ZERO, cqe);
         let deliver = fx
             .iter()
             .find_map(|t| match &t.value {
@@ -616,7 +611,7 @@ mod tests {
                 data: Bytes::from_static(b"x"),
                 imm: pack_imm(FnId(1), FnId(2), TenantId(1)),
             };
-            let fx = dne.submit_cqe(now, cqe);
+            let fx = submit_cqe(&mut dne, now, cqe);
             let after = |want: fn(&DneEffect) -> bool| {
                 fx.iter().find(|t| want(&t.value)).expect("effect").after
             };
@@ -644,7 +639,7 @@ mod tests {
             data: Bytes::new(),
             imm: 0,
         };
-        let fx = dne.submit_cqe(Nanos::ZERO, cqe);
+        let fx = submit_cqe(&mut dne, Nanos::ZERO, cqe);
         let released = fx
             .iter()
             .find_map(|t| match &t.value {

@@ -220,6 +220,9 @@ mod tests {
         // Paper: Comch-P >8x lower latency than TCP at low concurrency.
         let ratio = t.mean_latency.as_nanos() as f64 / p.mean_latency.as_nanos() as f64;
         assert!(ratio > 8.0, "P vs TCP latency ratio {ratio:.1}");
+        // Paper: Comch-E outperforms TCP by 2.7x–3.8x.
+        let ratio = t.mean_latency.as_nanos() as f64 / e.mean_latency.as_nanos() as f64;
+        assert!((2.7..=6.0).contains(&ratio), "E vs TCP latency ratio {ratio:.2}");
     }
 
     #[test]

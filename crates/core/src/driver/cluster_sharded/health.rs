@@ -35,8 +35,8 @@
 //! `rejoins_aborted`. The QPs themselves persist across the outage —
 //! go-back-N redelivers once the partition lifts (dense per-RNIC QP tables
 //! are what keep QPN wiring shard-count invariant) — so the rejoin models
-//! the *control-plane time* of re-establishment, mirroring
-//! [`crate::connpool::ConnPool::warm_up_costed`]. Time-to-recovery
+//! the *control-plane time* of re-establishment
+//! ([`crate::connpool::RejoinCosts::cost`]). Time-to-recovery
 //! (suspicion → paid re-admission) lands in a [`Histogram`]
 //! (`ttr_p50`/`ttr_p99` in [`ChaosReport`]).
 //!

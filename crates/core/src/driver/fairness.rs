@@ -135,29 +135,6 @@ pub struct FairnessReport {
     pub totals: Vec<(TenantId, u64)>,
 }
 
-impl FairnessReport {
-    /// Mean RPS of `tenant` over windows where `filter` holds.
-    pub fn mean_rps_during(
-        &self,
-        tenant: TenantId,
-        mut filter: impl FnMut(Nanos) -> bool,
-    ) -> f64 {
-        let Some((_, series)) = self.series.iter().find(|(t, _)| *t == tenant) else {
-            return 0.0;
-        };
-        let picked: Vec<f64> = series
-            .iter()
-            .filter(|(end, _)| filter(*end))
-            .map(|(_, rps)| *rps)
-            .collect();
-        if picked.is_empty() {
-            0.0
-        } else {
-            picked.iter().sum::<f64>() / picked.len() as f64
-        }
-    }
-}
-
 #[derive(Debug)]
 enum Ev {
     /// A client of `tenant` issues a request.
@@ -320,7 +297,13 @@ mod tests {
 
     /// Mean RPS over the steady-state second half of the run.
     fn late_rps(report: &FairnessReport, t: TenantId) -> f64 {
-        report.mean_rps_during(t, |end| end > Nanos::from_millis(700))
+        let (_, series) = report.series.iter().find(|(tenant, _)| *tenant == t).expect("tenant ran");
+        let late: Vec<f64> = series
+            .iter()
+            .filter(|(end, _)| *end > Nanos::from_millis(700))
+            .map(|(_, rps)| *rps)
+            .collect();
+        late.iter().sum::<f64>() / late.len() as f64
     }
 
     #[test]

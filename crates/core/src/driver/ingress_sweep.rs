@@ -366,13 +366,6 @@ impl IngressSim {
     /// Fig 13: fixed client count, fixed single gateway core. Returns the
     /// load report (mean E2E latency + RPS).
     pub fn sweep(&self) -> LoadReport {
-        self.sweep_counted().0
-    }
-
-    /// [`IngressSim::sweep`], also returning the number of simulation
-    /// events processed — the denominator of the `simcore_throughput`
-    /// events/sec benchmark.
-    pub fn sweep_counted(&self) -> (LoadReport, u64) {
         let cfg = self.cfg;
         let cost = self.cost;
         let gw = IngressGateway::new(
@@ -389,9 +382,9 @@ impl IngressSim {
         for conn in 0..total_conns {
             harness.schedule_at(cost.client_wire, Ev::Arrive { conn, issued: Nanos::ZERO });
         }
-        let events = harness.run(&mut engine, cfg.warmup + cfg.duration);
+        harness.run(&mut engine, cfg.warmup + cfg.duration);
 
-        (engine.stats.report(cfg.duration), events)
+        engine.stats.report(cfg.duration)
     }
 
     /// Fig 14: clients join every `join_interval`; the gateway autoscales

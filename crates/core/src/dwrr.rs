@@ -116,13 +116,6 @@ impl<T> TenantScheduler<T> {
         self.len == 0
     }
 
-    /// Queued items for one tenant.
-    pub fn tenant_depth(&self, tenant: TenantId) -> usize {
-        self.tenant_idx(tenant)
-            .map(|i| self.tenants[i].queue.len())
-            .unwrap_or(0)
-    }
-
     /// Dequeue the next item according to the policy.
     pub fn dequeue(&mut self) -> Option<(TenantId, T)> {
         if self.len == 0 {
@@ -304,7 +297,6 @@ mod tests {
     fn auto_registration_defaults_to_weight_one() {
         let mut s: TenantScheduler<u8> = TenantScheduler::new(SchedPolicy::Dwrr, 10);
         s.enqueue(TenantId(9), 1, 1);
-        assert_eq!(s.tenant_depth(TenantId(9)), 1);
         assert_eq!(s.dequeue(), Some((TenantId(9), 1)));
     }
 

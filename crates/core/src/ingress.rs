@@ -237,6 +237,7 @@ impl IngressGateway {
     }
 
     /// Is the gateway inside a scaling blip at `now`?
+    #[cfg(test)]
     pub fn in_blip(&self, now: Nanos) -> bool {
         now < self.blip_until
     }
@@ -288,6 +289,11 @@ mod tests {
         let p = per_req(IngressKind::Palladium);
         let f = per_req(IngressKind::FStackDeferred);
         let k = per_req(IngressKind::KernelDeferred);
+        let cap = 1e9 / p;
+        assert!(
+            (180_000.0..280_000.0).contains(&cap),
+            "Palladium single-core capacity {cap:.0} rps (paper: ≈250K per ingress core)"
+        );
         assert!((2.7..3.8).contains(&(f / p)), "F/P ratio {}", f / p);
         assert!((9.0..13.0).contains(&(k / p)), "K/P ratio {}", k / p);
     }

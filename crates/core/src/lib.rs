@@ -13,8 +13,6 @@
 //!   management and least-congested selection.
 //! * [`routing`] — intra-/inter-node route tables and the CNI-like
 //!   coordinator.
-//! * [`iolib`] — the unified `send()`/`recv()` I/O library functions link
-//!   against; picks SK_MSG locally, Comch→DNE remotely.
 //! * [`ingress`] — the cluster-wide HTTP/TCP→RDMA gateway: master/worker,
 //!   RSS, hysteresis autoscaler ([`autoscaler`]).
 //! * [`system`] — declarative wiring of all six evaluated systems and the
@@ -37,7 +35,6 @@ pub mod dne;
 pub mod driver;
 pub mod dwrr;
 pub mod ingress;
-pub mod iolib;
 pub mod rbr;
 pub mod routing;
 pub mod system;

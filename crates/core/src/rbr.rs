@@ -59,17 +59,8 @@ impl RbrTable {
         self.consumed.remove(tenant.raw() as usize).unwrap_or(0)
     }
 
-    /// Tenants with outstanding consumption (need replenishment), in
-    /// ascending tenant order.
-    pub fn tenants_needing_replenish(&self) -> Vec<TenantId> {
-        self.consumed
-            .iter()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(t, _)| TenantId(t as u16))
-            .collect()
-    }
-
     /// Buffers currently posted for a tenant.
+    #[cfg(test)]
     pub fn posted_depth(&self, tenant: TenantId) -> u64 {
         self.posted
             .get(tenant.raw() as usize)
@@ -147,11 +138,9 @@ mod tests {
             pool.free(tok).unwrap();
         }
         let wr2 = rbr.register(TenantId(2), pool.alloc(Owner::Rnic).unwrap());
-        assert_eq!(rbr.tenants_needing_replenish(), vec![TenantId(1)]);
         assert_eq!(rbr.take_consumed(TenantId(1)), 3);
         // Counter resets after the sweep.
         assert_eq!(rbr.take_consumed(TenantId(1)), 0);
-        assert!(rbr.tenants_needing_replenish().is_empty());
         let (_, tok) = rbr.consume(wr2).unwrap();
         pool.free(tok).unwrap();
     }

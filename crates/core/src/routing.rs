@@ -15,11 +15,11 @@ use palladium_simnet::PageTable;
 /// One node's view of the routing state.
 ///
 /// Both tables are two-level [`PageTable`]s over the 16-bit fn-id space
-/// (256×256): the DNE consults `node_of` for every TX descriptor and the
-/// I/O library consults `is_local` for every hand-off, so a route query is
-/// two indexes — not a hash — on the hot path, while a node routing a
-/// sparse production-scale slice of the fn-id space allocates only the
-/// pages it touches instead of one dense 64 Ki-entry vector per node.
+/// (256×256): the DNE consults `node_of` for every TX descriptor, so a
+/// route query is two indexes — not a hash — on the hot path, while a node
+/// routing a sparse production-scale slice of the fn-id space allocates
+/// only the pages it touches instead of one dense 64 Ki-entry vector per
+/// node.
 /// Small fn-id ranges (< 256, every paper topology) stay on the dense
 /// fast path through the pre-allocated first page. The control-plane
 /// [`Coordinator`] keeps the sparse authoritative map and materializes
@@ -39,9 +39,8 @@ impl RouteTables {
         Self::default()
     }
 
-    /// Is `f` deployed on this node? (The I/O library's first routing
-    /// query, Fig 7 "route query".)
-    #[inline]
+    /// Is `f` deployed on this node? (Fig 7 "route query".)
+    #[cfg(test)]
     pub fn is_local(&self, f: FnId) -> bool {
         self.local.contains(f.raw() as usize)
     }
@@ -53,12 +52,13 @@ impl RouteTables {
     }
 
     /// Tenant of a locally deployed function.
-    #[inline]
+    #[cfg(test)]
     pub fn local_tenant(&self, f: FnId) -> Option<TenantId> {
         self.local.get(f.raw() as usize).copied()
     }
 
     /// Locally deployed functions, in ascending id order.
+    #[cfg(test)]
     pub fn local_functions(&self) -> Vec<FnId> {
         self.local.iter().map(|(f, _)| FnId(f as u16)).collect()
     }

@@ -3,8 +3,9 @@
 //! The Bluefield-2 stand-in (hardware this reproduction cannot assume —
 //! see the README's introduction):
 //!
-//! * [`soc`] — the wimpy ARM processing complex: 8 × A72 @ 2.0 GHz against
-//!   3.7 GHz host cores, a ≈2.2× service-time multiplier for protocol work.
+//! * [`soc`] — the wimpy ARM processing complex as a spec: 8 × A72 @
+//!   2.0 GHz against 3.7 GHz host cores, a ≈2.2× service-time multiplier
+//!   the cost model applies to protocol work run on the DPU.
 //! * [`dma`] — the SoC DMA engine: ≈2.6 µs per 64 B operation and a single
 //!   serially-served channel, the bottleneck that makes *on-path* DPU
 //!   offloading lose to *off-path* + cross-processor shared memory
@@ -28,4 +29,4 @@ pub mod soc;
 
 pub use dma::{SocDma, SocDmaSpec};
 pub use mmap_import::ImportTable;
-pub use soc::{DpuSoc, SocSpec};
+pub use soc::SocSpec;

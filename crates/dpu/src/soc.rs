@@ -6,7 +6,7 @@
 //! (run-to-completion, cross-processor shared memory, two-sided RDMA) makes
 //! the wimpy cores sufficient anyway.
 
-use palladium_simnet::{Nanos, ServerBank};
+use palladium_simnet::Nanos;
 
 /// Static description of a DPU's processing complex.
 #[derive(Clone, Copy, Debug)]
@@ -46,25 +46,6 @@ impl SocSpec {
     }
 }
 
-/// One DPU's ARM processing complex with per-core queueing.
-#[derive(Debug)]
-pub struct DpuSoc {
-    /// Static spec.
-    pub spec: SocSpec,
-    /// The ARM cores.
-    pub cores: ServerBank,
-}
-
-impl DpuSoc {
-    /// A SoC with the given spec.
-    pub fn new(name: &str, spec: SocSpec) -> Self {
-        DpuSoc {
-            spec,
-            cores: ServerBank::new(&format!("{name}-arm"), spec.cores),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,12 +63,6 @@ mod tests {
         let host = Nanos::from_micros(1);
         let dpu = s.scale(host);
         assert!(dpu > Nanos::from_nanos(2_100) && dpu < Nanos::from_nanos(2_300));
-    }
-
-    #[test]
-    fn soc_has_cores() {
-        let soc = DpuSoc::new("bf2", SocSpec::default());
-        assert_eq!(soc.cores.len(), 8);
     }
 
     #[test]

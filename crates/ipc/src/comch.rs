@@ -41,9 +41,7 @@ pub struct ComchServer {
     kind: ChannelKind,
     costs: ChannelCosts,
     /// Ordered by fn id: the server iterates endpoints (tenant
-    /// disconnect, the DNE busy-poll sweep), so the registry must walk in
-    /// a deterministic order — the seed's HashMap forced `dne_sweep` to
-    /// collect-and-sort every call to stay reproducible.
+    /// disconnect), so the registry must walk in a deterministic order.
     endpoints: BTreeMap<FnId, Endpoint>,
     /// Total descriptors that crossed the channel (both directions).
     pub transferred: u64,
@@ -142,28 +140,6 @@ impl ComchServer {
         }
     }
 
-    /// The DNE's event loop sweep: drain every endpoint round-robin (the
-    /// busy-poll over "all monitored function endpoints", §3.5.4). Returns
-    /// `(fn, desc)` pairs in deterministic fn-id order.
-    pub fn dne_sweep(&mut self) -> Vec<(FnId, BufDesc)> {
-        // BTreeMap iteration is already ascending fn-id order — the
-        // deterministic sweep order falls out of the container.
-        let fns: Vec<FnId> = self
-            .endpoints
-            .iter()
-            .filter(|(_, e)| e.connected && !e.to_dne.is_empty())
-            .map(|(f, _)| *f)
-            .collect();
-        let mut out = Vec::new();
-        for f in fns {
-            let ep = self.endpoints.get_mut(&f).expect("listed above");
-            for d in ep.to_dne.drain(..) {
-                out.push((f, d));
-            }
-        }
-        out
-    }
-
     /// Host function `f` receives descriptors (epoll-ready path).
     pub fn host_recv(&mut self, f: FnId, max: usize) -> Vec<BufDesc> {
         match self.endpoint_mut(f) {
@@ -175,12 +151,8 @@ impl ComchServer {
         }
     }
 
-    /// Descriptors waiting toward host `f`.
-    pub fn pending_to_host(&self, f: FnId) -> usize {
-        self.endpoints.get(&f).map(|e| e.to_host.len()).unwrap_or(0)
-    }
-
     /// Descriptors waiting toward the DNE from `f`.
+    #[cfg(test)]
     pub fn pending_to_dne(&self, f: FnId) -> usize {
         self.endpoints.get(&f).map(|e| e.to_dne.len()).unwrap_or(0)
     }
@@ -211,7 +183,6 @@ mod tests {
         let got = ch.dne_recv(FnId(1), 8);
         assert_eq!(got.iter().map(|d| d.buf_idx).collect::<Vec<_>>(), [10, 11]);
         ch.dne_send(FnId(1), desc(0, 1, 20)).unwrap();
-        assert_eq!(ch.pending_to_host(FnId(1)), 1);
         let back = ch.host_recv(FnId(1), 8);
         assert_eq!(back[0].buf_idx, 20);
         assert_eq!(ch.transferred, 3);
@@ -243,19 +214,6 @@ mod tests {
         );
         // Other tenants unaffected.
         assert!(ch.host_send(FnId(3), desc(3, 0, 3)).is_ok());
-    }
-
-    #[test]
-    fn sweep_drains_all_endpoints_deterministically() {
-        let mut ch = ComchServer::new(ChannelKind::ComchP);
-        for f in [3u16, 1, 2] {
-            ch.connect(FnId(f), TenantId(1));
-            ch.host_send(FnId(f), desc(f, 0, f as u32)).unwrap();
-        }
-        let swept = ch.dne_sweep();
-        let order: Vec<u16> = swept.iter().map(|(f, _)| f.raw()).collect();
-        assert_eq!(order, [1, 2, 3], "fn-id order, deterministic");
-        assert!(ch.dne_sweep().is_empty());
     }
 
     #[test]

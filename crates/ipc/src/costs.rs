@@ -120,48 +120,11 @@ impl ChannelCosts {
         // simlint: allow(saturating-cost-casts) — usize→u64 widening of an endpoint count; lossless on every supported platform
         self.dne_cpu_base + self.dne_cpu_per_endpoint * endpoints as u64
     }
-
-    /// Idealized unloaded round-trip latency (host → DNE → host) with
-    /// `endpoints` attached, for calibration checks.
-    pub fn unloaded_rtt(&self, endpoints: usize) -> Nanos {
-        self.host_send_cpu
-            + self.transit
-            + self.dne_cpu(endpoints)   // DNE receives
-            + self.dne_cpu(endpoints)   // DNE replies
-            + self.transit
-            + self.host_recv_cpu
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn comch_p_is_fastest_unloaded() {
-        let e = ChannelCosts::for_kind(ChannelKind::ComchE).unloaded_rtt(1);
-        let p = ChannelCosts::for_kind(ChannelKind::ComchP).unloaded_rtt(1);
-        let t = ChannelCosts::for_kind(ChannelKind::Tcp).unloaded_rtt(1);
-        assert!(p < e, "Comch-P must beat Comch-E unloaded: {p} vs {e}");
-        assert!(e < t, "Comch-E must beat TCP: {e} vs {t}");
-        // Paper: Comch-P cuts latency by >8x versus TCP (§3.5.4).
-        assert!(
-            t.as_nanos() as f64 / p.as_nanos() as f64 > 8.0,
-            "Comch-P vs TCP ratio: {t} / {p}"
-        );
-    }
-
-    #[test]
-    fn comch_e_vs_tcp_ratio_in_paper_band() {
-        // Paper: Comch-E outperforms TCP by 2.7x–3.8x.
-        let e = ChannelCosts::for_kind(ChannelKind::ComchE).unloaded_rtt(1);
-        let t = ChannelCosts::for_kind(ChannelKind::Tcp).unloaded_rtt(1);
-        let ratio = t.as_nanos() as f64 / e.as_nanos() as f64;
-        assert!(
-            (2.7..=6.0).contains(&ratio),
-            "Comch-E vs TCP unloaded ratio {ratio:.2}"
-        );
-    }
 
     #[test]
     fn comch_p_degrades_with_endpoints() {

@@ -2,15 +2,14 @@
 //!
 //! The descriptor-passing channels of Palladium's data plane:
 //!
-//! * [`sockmap`] — eBPF `BPF_MAP_TYPE_SOCKMAP` + the `SK_MSG` fast path
-//!   used between co-located functions (§3.5.3, Fig 8): descriptors hop
-//!   socket-to-socket, bypassing the kernel protocol stack.
 //! * [`comch`] — the DOCA Communication Channel between host functions and
 //!   the DNE (§3.5.4): one server on the DPU, one client endpoint per
 //!   function, with the misbehaving-tenant disconnect hook.
 //! * [`costs`] — calibrated per-operation prices for SK_MSG, Comch-E,
 //!   Comch-P and the kernel-TCP baseline; the Fig 9 curves (and the Fig 16
-//!   DNE-vs-CNE crossover) are these costs run through queueing.
+//!   DNE-vs-CNE crossover) are these costs run through queueing. The eBPF
+//!   `SK_MSG` hand-off between co-located functions (§3.5.3, Fig 8) exists
+//!   only as its price, [`SkMsgCosts`]: the cluster charges it per hop.
 
 // The simulation's memory-safety story is that only the shard mailbox ring
 // (simnet) and the bench counting allocator contain `unsafe` at all; this
@@ -20,8 +19,6 @@
 
 pub mod comch;
 pub mod costs;
-pub mod sockmap;
 
 pub use comch::{ComchError, ComchServer};
 pub use costs::{ChannelCosts, ChannelKind, SkMsgCosts};
-pub use sockmap::{SockFd, Sockmap, SockmapError};

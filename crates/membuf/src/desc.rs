@@ -62,13 +62,6 @@ impl BufDesc {
             dst_fn: FnId(b.get_u16()),
         })
     }
-
-    /// A copy re-addressed to a new destination (used at each chain hop).
-    pub fn readdressed(mut self, src: FnId, dst: FnId) -> BufDesc {
-        self.src_fn = src;
-        self.dst_fn = dst;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -106,15 +99,6 @@ mod tests {
         let mut enc = d.encode().to_vec();
         enc.extend_from_slice(&[0xFF; 8]);
         assert_eq!(BufDesc::decode(&enc), Some(d));
-    }
-
-    #[test]
-    fn readdress_keeps_buffer_fields() {
-        let d = sample().readdressed(FnId(1), FnId(2));
-        assert_eq!(d.src_fn, FnId(1));
-        assert_eq!(d.dst_fn, FnId(2));
-        assert_eq!(d.buf_idx, 0xDEAD);
-        assert_eq!(d.len, 4096);
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use ids::{FnId, NodeId, Owner, PoolId, TenantId};
 pub use meter::{CopyMeter, MoveKind};
 pub use mmap::{create_from_export, Grant, ImportError, MmapExport, MmapExporter};
 pub use payload::PayloadCache;
-pub use pool::{copy_across, BufToken, PoolError, PoolStats, UnifiedPool};
+pub use pool::{BufToken, PoolError, PoolStats, UnifiedPool};
 pub use tenant::{ShmAgent, TenantDirectory, TenantError};

@@ -290,23 +290,8 @@ impl UnifiedPool {
         self.fill(tok, payload, MoveKind::Software, meter)
     }
 
-    /// Write `payload` via a hardware DMA engine (not a software copy).
-    pub fn dma_write(
-        &mut self,
-        tok: &BufToken,
-        payload: &[u8],
-        kind: MoveKind,
-        meter: &mut CopyMeter,
-    ) -> Result<(), PoolError> {
-        debug_assert!(
-            !matches!(kind, MoveKind::Software),
-            "use write() for software copies"
-        );
-        self.fill(tok, Bytes::copy_from_slice(payload), kind, meter)
-    }
-
-    /// [`UnifiedPool::dma_write`] taking an owned handle (see
-    /// [`UnifiedPool::write_bytes`]).
+    /// Write `payload` via a hardware DMA engine (not a software copy),
+    /// taking an owned handle (see [`UnifiedPool::write_bytes`]).
     pub fn dma_write_bytes(
         &mut self,
         tok: &BufToken,
@@ -346,35 +331,11 @@ impl UnifiedPool {
     /// its output directly through the shared mapping. This is data
     /// production, not a transport copy, so it is deliberately unmetered
     /// (the paper's zero-copy definition concerns copies introduced by the
-    /// data plane, not the application computing its result).
-    pub fn produce(&mut self, tok: &BufToken, payload: &[u8]) -> Result<(), PoolError> {
-        self.produce_bytes(tok, Bytes::copy_from_slice(payload))
-    }
-
-    /// [`UnifiedPool::produce`] taking an owned handle (see
-    /// [`UnifiedPool::write_bytes`]).
+    /// data plane, not the application computing its result). Takes an
+    /// owned handle (see [`UnifiedPool::write_bytes`]).
     pub fn produce_bytes(&mut self, tok: &BufToken, payload: Bytes) -> Result<(), PoolError> {
         let mut scratch = CopyMeter::new();
         self.fill(tok, payload, MoveKind::Software, &mut scratch)
-    }
-
-    /// Set the valid length without touching bytes — models in-place
-    /// production where the function wrote through the mapping directly
-    /// (zero-copy path: no meter entry because no copy happened).
-    pub fn set_len(&mut self, tok: &BufToken, len: u32) -> Result<(), PoolError> {
-        let idx = self.check(tok)?;
-        if len > self.buf_size {
-            return Err(PoolError::TooLarge);
-        }
-        let slot = &mut self.slots[idx];
-        if (slot.content.len() as u32) < len {
-            // Extend with zeroes past the current content, preserving the
-            // written prefix — matching the zero-initialized backing
-            // region's semantics.
-            slot.content = Bytes::zeroed_with_prefix(len as usize, &slot.content);
-        }
-        slot.len = len;
-        Ok(())
     }
 
     /// Read the valid payload of a buffer.
@@ -401,13 +362,8 @@ impl UnifiedPool {
         Ok(slot.content.slice(..slot.len as usize))
     }
 
-    /// Valid payload length.
-    pub fn len_of(&self, tok: &BufToken) -> Result<u32, PoolError> {
-        let idx = self.check(tok)?;
-        Ok(self.slots[idx].len)
-    }
-
     /// Current owner of the buffer a token points to.
+    #[cfg(test)]
     pub fn owner_of(&self, tok: &BufToken) -> Result<Owner, PoolError> {
         let idx = self.check(tok)?;
         Ok(self.slots[idx].owner)
@@ -490,20 +446,6 @@ impl fmt::Debug for UnifiedPool {
     }
 }
 
-/// Copy a payload between two buffers, potentially across pools — the
-/// explicit CPU copy Palladium requires at security-domain boundaries
-/// (§3.1). Always metered as a software copy.
-pub fn copy_across(
-    src_pool: &UnifiedPool,
-    src: &BufToken,
-    dst_pool: &mut UnifiedPool,
-    dst: &BufToken,
-    meter: &mut CopyMeter,
-) -> Result<(), PoolError> {
-    let payload = src_pool.read(src)?.to_vec();
-    dst_pool.write(dst, &payload, meter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,7 +462,6 @@ mod tests {
         let tok = p.alloc(Owner::Function(FnId(1))).unwrap();
         p.write(&tok, b"hello palladium", &mut m).unwrap();
         assert_eq!(p.read(&tok).unwrap(), b"hello palladium");
-        assert_eq!(p.len_of(&tok).unwrap(), 15);
         assert_eq!(m.sw_bytes, 15);
         p.free(tok).unwrap();
         assert_eq!(p.available(), 4);
@@ -632,38 +573,15 @@ mod tests {
     }
 
     #[test]
-    fn copy_across_pools_is_metered() {
-        let mut a = UnifiedPool::new(PoolId(1), TenantId(1), 1, 64);
-        let mut b = UnifiedPool::new(PoolId(2), TenantId(2), 1, 64);
-        let mut m = CopyMeter::new();
-        let ta = a.alloc(Owner::Function(FnId(1))).unwrap();
-        a.write(&ta, b"cross-domain", &mut m).unwrap();
-        let tb = b.alloc(Owner::Function(FnId(2))).unwrap();
-        copy_across(&a, &ta, &mut b, &tb, &mut m).unwrap();
-        assert_eq!(b.read(&tb).unwrap(), b"cross-domain");
-        assert_eq!(m.sw_ops, 2);
-        assert!(!m.is_zero_copy());
-    }
-
-    #[test]
     fn dma_write_is_not_a_software_copy() {
         let mut p = pool();
         let mut m = CopyMeter::new();
         let tok = p.alloc(Owner::Rnic).unwrap();
-        p.dma_write(&tok, &[7u8; 256], MoveKind::RnicDma, &mut m)
+        p.dma_write_bytes(&tok, Bytes::from(vec![7u8; 256]), MoveKind::RnicDma, &mut m)
             .unwrap();
         assert!(m.is_zero_copy());
         assert_eq!(m.rnic_dma_bytes, 256);
         assert_eq!(p.read(&tok).unwrap(), &[7u8; 256][..]);
-    }
-
-    #[test]
-    fn set_len_models_in_place_production() {
-        let mut p = pool();
-        let tok = p.alloc(Owner::Function(FnId(1))).unwrap();
-        p.set_len(&tok, 512).unwrap();
-        assert_eq!(p.len_of(&tok).unwrap(), 512);
-        assert_eq!(p.set_len(&tok, 2048), Err(PoolError::TooLarge));
     }
 
     #[test]

@@ -71,22 +71,10 @@ impl MrTable {
         self.regions.iter().any(|r| r.pool == pool)
     }
 
-    /// Region registered for `pool`.
-    pub fn region_for(&self, pool: PoolId) -> Option<&MemoryRegion> {
-        self.regions.iter().find(|r| r.pool == pool)
-    }
-
     /// Total MTT entries across registrations — compared against the RNIC
     /// translation cache to charge miss penalties.
     pub fn total_mtt_entries(&self) -> u64 {
         self.regions.iter().map(|r| r.mtt_entries).sum()
-    }
-
-    /// Deregister a pool (tenant teardown).
-    pub fn deregister(&mut self, pool: PoolId) -> bool {
-        let before = self.regions.len();
-        self.regions.retain(|r| r.pool != pool);
-        self.regions.len() != before
     }
 
     /// Number of registered regions.
@@ -119,9 +107,8 @@ mod tests {
             Err(MrError::NoRdmaGrant(_))
         ));
         let rdma = e.export_rdma();
-        let key = table.register(&rdma).unwrap();
+        table.register(&rdma).unwrap();
         assert!(table.covers(PoolId(3)));
-        assert_eq!(table.region_for(PoolId(3)).unwrap().key, key);
     }
 
     #[test]
@@ -142,16 +129,5 @@ mod tests {
         table.register(&e2.export_rdma()).unwrap();
         assert_eq!(table.total_mtt_entries(), 2 + 4);
         assert_eq!(table.len(), 2);
-    }
-
-    #[test]
-    fn deregister_removes_coverage() {
-        let mut table = MrTable::new();
-        let mut e = exporter();
-        table.register(&e.export_rdma()).unwrap();
-        assert!(table.deregister(PoolId(3)));
-        assert!(!table.covers(PoolId(3)));
-        assert!(!table.deregister(PoolId(3)));
-        assert!(table.is_empty());
     }
 }

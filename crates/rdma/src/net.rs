@@ -471,6 +471,7 @@ impl RdmaNet {
     }
 
     /// Answer a `ReadRequested` output with the fetched bytes.
+    // simlint: allow(unreached-pub) — responder half of the one-sided READ verb: the requester half (`ReadReq`/`ReadResp` frame arms, `ReadCtx`) is on the fabric's run path, and no driver issues READs yet
     pub fn complete_read(&mut self, now: Nanos, handle: u64, data: Bytes) -> Step {
         let mut step = Step::default();
         let Some(ctx) = self.reads.remove(handle) else {

@@ -151,6 +151,7 @@ impl RcQp {
     }
 
     /// Messages queued but not yet transmitted.
+    #[cfg(test)]
     pub fn sq_depth(&self) -> usize {
         self.sq.len()
     }
@@ -201,17 +202,11 @@ impl RcQp {
         self.inflight.back()
     }
 
-    /// Cumulative ACK: retire every inflight message with `psn <= upto`.
-    /// Returns the retired messages (for completion generation) in order.
-    pub fn on_ack(&mut self, upto: u64) -> Vec<Inflight> {
-        let mut retired = Vec::new();
-        self.on_ack_into(upto, &mut retired);
-        retired
-    }
-
-    /// [`RcQp::on_ack`] appending into a caller-owned buffer, so the ACK
-    /// hot path (one call per received ACK frame) can reuse one scratch
-    /// allocation for the whole simulation.
+    /// Cumulative ACK: retire every inflight message with `psn <= upto`,
+    /// appending the retired messages (for completion generation), in
+    /// order, to a caller-owned buffer — the ACK hot path (one call per
+    /// received ACK frame) reuses one scratch allocation for the whole
+    /// simulation.
     pub fn on_ack_into(&mut self, upto: u64, retired: &mut Vec<Inflight>) {
         let before = retired.len();
         while let Some(front) = self.inflight.front() {
@@ -307,6 +302,12 @@ mod tests {
         q
     }
 
+    fn on_ack(q: &mut RcQp, upto: u64) -> Vec<Inflight> {
+        let mut retired = Vec::new();
+        q.on_ack_into(upto, &mut retired);
+        retired
+    }
+
     fn send_wr(id: u64) -> WorkRequest {
         WorkRequest::send(WrId(id), Bytes::from_static(b"x"), 0)
     }
@@ -333,7 +334,7 @@ mod tests {
         assert_eq!(q.inflight_depth(), 3);
         assert_eq!(q.sq_depth(), 2);
         // Ack one, window opens for one more.
-        let retired = q.on_ack(0);
+        let retired = on_ack(&mut q, 0);
         assert_eq!(retired.len(), 1);
         assert!(q.next_transmit(Nanos(1), 3).is_some());
         assert!(q.next_transmit(Nanos(1), 3).is_none());
@@ -357,13 +358,13 @@ mod tests {
             q.post(send_wr(i)).unwrap();
             q.next_transmit(Nanos(0), 16);
         }
-        let retired = q.on_ack(2);
+        let retired = on_ack(&mut q, 2);
         assert_eq!(retired.len(), 3);
         assert_eq!(retired[0].wr.wr_id, WrId(0));
         assert_eq!(retired[2].wr.wr_id, WrId(2));
         assert_eq!(q.inflight_depth(), 1);
         // Stale ack is a no-op.
-        assert!(q.on_ack(1).is_empty());
+        assert!(on_ack(&mut q, 1).is_empty());
     }
 
     #[test]
@@ -427,7 +428,7 @@ mod tests {
         assert!(q.is_active());
         q.next_transmit(Nanos(0), 16);
         assert!(q.is_active());
-        q.on_ack(0);
+        on_ack(&mut q, 0);
         assert!(!q.is_active());
     }
 

@@ -221,21 +221,6 @@ impl Rnic {
         }
     }
 
-    /// Drain up to `max` CQEs into `out` (appending), returning how many
-    /// were moved. Like [`Rnic::poll_cq_into`] the doorbell re-arms only
-    /// when the drain leaves the CQ empty — a partial window keeps the
-    /// consumer responsible for the remainder (keep draining until this
-    /// returns less than `max`, or the leftover CQEs stay parked until
-    /// the next completion arrives).
-    pub fn drain_cq_window_into(&mut self, max: usize, out: &mut Vec<Cqe>) -> usize {
-        let n = max.min(self.cq.len());
-        out.extend(self.cq.drain(..n));
-        if self.cq.is_empty() {
-            self.cq_armed = true;
-        }
-        n
-    }
-
     /// Completions waiting.
     pub fn cq_depth(&self) -> usize {
         self.cq.len()
@@ -386,16 +371,15 @@ mod tests {
         // A partial window leaves backlog: the doorbell must stay down
         // (an armed doorbell over a non-empty CQ would strand the
         // leftovers until an unrelated new push).
-        assert_eq!(r.drain_cq_window_into(3, &mut out), 3);
-        assert_eq!(r.cq_depth(), 2);
+        r.poll_cq_into(3, &mut out);
+        assert_eq!((out.len(), r.cq_depth()), (3, 2));
         assert!(
             !r.push_cqe(cqe(5)),
             "doorbell must stay down while backlog remains"
         );
         // Draining the remainder empties the CQ and re-arms.
-        assert_eq!(r.drain_cq_window_into(16, &mut out), 3);
-        assert_eq!(r.cq_depth(), 0);
-        assert_eq!(out.len(), 6);
+        r.poll_cq_into(16, &mut out);
+        assert_eq!((out.len(), r.cq_depth()), (6, 0));
         assert!(r.push_cqe(cqe(6)), "empty drain re-armed the doorbell");
     }
 

@@ -94,15 +94,6 @@ impl WorkRequest {
             imm: 0,
         }
     }
-
-    /// Bytes this WR puts on the wire (payload for SEND/WRITE; the request
-    /// itself is header-only for READ).
-    pub fn wire_payload_len(&self) -> u64 {
-        match self.op {
-            OpKind::Send | OpKind::Write => self.payload.len() as u64,
-            OpKind::Read => 0,
-        }
-    }
 }
 
 /// Completion status.
@@ -174,7 +165,6 @@ mod tests {
     fn wr_constructors_set_kinds() {
         let s = WorkRequest::send(WrId(1), Bytes::from_static(b"abc"), 7);
         assert_eq!(s.op, OpKind::Send);
-        assert_eq!(s.wire_payload_len(), 3);
         assert_eq!(s.imm, 7);
 
         let w = WorkRequest::write(
@@ -188,7 +178,6 @@ mod tests {
         );
         assert_eq!(w.op, OpKind::Write);
         assert_eq!(w.remote.unwrap().buf_idx, 9);
-        assert_eq!(w.wire_payload_len(), 4);
 
         let r = WorkRequest::read(
             WrId(3),
@@ -200,6 +189,5 @@ mod tests {
         );
         assert_eq!(r.op, OpKind::Read);
         assert_eq!(r.read_len, 4096);
-        assert_eq!(r.wire_payload_len(), 0, "read request is header-only");
     }
 }

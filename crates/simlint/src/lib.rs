@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 // ---------------------------------------------------------------------------
 // Rules
 
-/// The six enforced contracts. `name` is what allow markers reference.
+/// The seven enforced contracts. `name` is what allow markers reference.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
     /// `HashMap`/`HashSet` banned in the deterministic simulation crates:
@@ -80,6 +80,19 @@ pub enum Rule {
     /// Invariant-backed expects must say *why* the invariant holds.
     /// (`assert!` is not matched: config validation is its own item.)
     PanicHotPath,
+    /// A `pub fn|struct|enum|trait|const|type|static` in a library crate
+    /// that only its own unit tests name: its name occurs, as a whole word,
+    /// in no other workspace `.rs` file (`pub use` re-exports in a `lib.rs`
+    /// are not a use) and nowhere in its own file's non-test code besides
+    /// the declaration. Such code is API nothing reaches — delete it with
+    /// the assertions that call it, gate it `#[cfg(test)]` when a test needs
+    /// it to observe private state, or annotate a reference implementation.
+    /// Unlike the other rules this one is decided over the whole file set
+    /// ([`lint_files`]), not per line. Word-matching *under-reports*: a
+    /// common name (`revoke`, `new`) counts as reached by any namesake in
+    /// another file. That is the safe direction — the rule never asks for
+    /// the deletion of something that is called.
+    UnreachedPub,
 }
 
 /// All rules, in reporting order.
@@ -90,6 +103,7 @@ pub const RULES: &[Rule] = &[
     Rule::CostCast,
     Rule::SafetyComment,
     Rule::PanicHotPath,
+    Rule::UnreachedPub,
 ];
 
 impl Rule {
@@ -102,6 +116,7 @@ impl Rule {
             Rule::CostCast => "saturating-cost-casts",
             Rule::SafetyComment => "safety-comments",
             Rule::PanicHotPath => "no-panic-hot-path",
+            Rule::UnreachedPub => "unreached-pub",
         }
     }
 
@@ -132,6 +147,10 @@ impl Rule {
             Rule::PanicHotPath => {
                 "kernel steady-state code must not panic; handle the case or \
                  annotate with the invariant that rules it out"
+            }
+            Rule::UnreachedPub => {
+                "only its own unit tests name this: delete it with the assertions \
+                 that call it, or make it `#[cfg(test)]`"
             }
         }
     }
@@ -164,7 +183,6 @@ const DETERMINISTIC_SRC: &[&str] = &[
 /// bare cast corrupts virtual time itself.
 const COST_MODULES: &[&str] = &[
     "crates/simnet/src/time.rs",
-    "crates/simnet/src/rate.rs",
     "crates/ipc/src/costs.rs",
     "crates/rdma/src/config.rs",
     "crates/core/src/config.rs",
@@ -202,6 +220,21 @@ fn panic_token(code: &str) -> Option<&'static str> {
 /// the bench crate's whole job.
 const AMBIENT_TIME_EXEMPT: &[&str] = &["crates/bench/"];
 
+/// `unreached-pub` looks for declarations in the library crates' `src/`
+/// trees (`crates/<name>/src/`), minus these: binaries declare nothing
+/// another file could name, and the linter is not a library of the
+/// simulation.
+const UNREACHED_PUB_EXEMPT: &[&str] = &[
+    "crates/simlint/",
+    "crates/bench/src/bin/",
+    // The per-tenant grant-check islands `tests/tenant_isolation.rs`
+    // reaches: ROADMAP item 3d decides "wire or delete" for them together
+    // with tenants on the engine, not this gate.
+    "crates/membuf/src/tenant.rs",
+    "crates/membuf/src/mmap.rs",
+    "crates/dpu/src/mmap_import.rs",
+];
+
 fn in_any(rel: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p))
 }
@@ -215,6 +248,11 @@ pub fn rule_applies(rule: Rule, rel: &str) -> bool {
         Rule::CostCast => in_any(rel, COST_MODULES),
         Rule::SafetyComment => true,
         Rule::PanicHotPath => in_any(rel, HOT_PATH_MODULES),
+        Rule::UnreachedPub => {
+            let mut dirs = rel.split('/');
+            (dirs.next(), dirs.nth(1)) == (Some("crates"), Some("src"))
+                && !in_any(rel, UNREACHED_PUB_EXEMPT)
+        }
     }
 }
 
@@ -610,6 +648,8 @@ fn line_fires(rule: Rule, code: &str) -> bool {
         Rule::CostCast => has_banned_cast(code),
         Rule::SafetyComment => is_unsafe_site(code),
         Rule::PanicHotPath => panic_token(code).is_some(),
+        // Decided over the whole file set, see `unreached_pub`.
+        Rule::UnreachedPub => false,
     }
 }
 
@@ -639,67 +679,195 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Lint one file's source. `rel` is its workspace-root-relative path with
-/// `/` separators — scoping is driven entirely by it, which is also what
-/// lets the fixture tests impersonate in-scope paths.
-pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
-    let lines = lex(src);
-    let skip = test_mod_mask(&lines);
-    let mut markers = parse_markers(&lines, &skip);
-    let mut out = Vec::new();
+/// One lexed file mid-lint: the findings so far plus the markers a later
+/// finding may still consume.
+struct FileLint {
+    rel: String,
+    lines: Vec<Line>,
+    skip: Vec<bool>,
+    markers: Vec<Marker>,
+    out: Vec<Violation>,
+}
 
-    for (idx, line) in lines.iter().enumerate() {
-        if skip[idx] {
+impl FileLint {
+    /// Lex `src` and run the per-line rules.
+    fn new(rel: &str, src: &str) -> FileLint {
+        let lines = lex(src);
+        let skip = test_mod_mask(&lines);
+        let markers = parse_markers(&lines, &skip);
+        let mut file = FileLint { rel: rel.to_string(), lines, skip, markers, out: Vec::new() };
+        for idx in 0..file.lines.len() {
+            if file.skip[idx] {
+                continue;
+            }
+            for &rule in RULES {
+                let code = &file.lines[idx].code;
+                if !rule_applies(rule, rel) || !line_fires(rule, code) {
+                    continue;
+                }
+                if rule == Rule::SafetyComment && safety_comment_covers(&file.lines, idx) {
+                    continue;
+                }
+                file.report(idx, rule);
+            }
+        }
+        file
+    }
+
+    /// `rule` fired on line `idx` (0-based): a marker targeting this line
+    /// for this rule suppresses the finding (and is thereby consumed —
+    /// markers must stay live), otherwise it is a violation.
+    fn report(&mut self, idx: usize, rule: Rule) {
+        if let Some(m) = self.markers.iter_mut().find(|m| {
+            m.error.is_none() && m.rule == Some(rule) && m.target == Some(idx)
+        }) {
+            m.consumed = true;
+            return;
+        }
+        self.out.push(Violation {
+            path: self.rel.clone(),
+            line: idx + 1,
+            rule: rule.name(),
+            msg: format!("{} — {}", firing_token_msg(rule, &self.lines[idx].code), rule.advice()),
+        });
+    }
+
+    /// Add the marker-hygiene findings and return everything, by line.
+    fn finish(mut self) -> Vec<Violation> {
+        for m in &self.markers {
+            if let Some(err) = &m.error {
+                self.out.push(Violation {
+                    path: self.rel.clone(),
+                    line: m.line + 1,
+                    rule: "allow-marker",
+                    msg: err.clone(),
+                });
+            } else if !m.consumed {
+                self.out.push(Violation {
+                    path: self.rel.clone(),
+                    line: m.line + 1,
+                    rule: "allow-marker",
+                    msg: format!(
+                        "stale marker: allow({}) suppresses nothing here — delete it \
+                         (or move it onto the offending line)",
+                        m.rule.map(|r| r.name()).unwrap_or("?")
+                    ),
+                });
+            }
+        }
+        self.out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+        self.out
+    }
+}
+
+/// Lint one file's source with the per-line rules. `rel` is its
+/// workspace-root-relative path with `/` separators — scoping is driven
+/// entirely by it, which is also what lets the fixture tests impersonate
+/// in-scope paths. (`unreached-pub` needs the other files: [`lint_files`].)
+pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
+    FileLint::new(rel, src).finish()
+}
+
+/// Lint a file set — `(rel, source)` pairs — with every rule, the
+/// cross-file `unreached-pub` included.
+pub fn lint_files(files: &[(String, String)]) -> Vec<Violation> {
+    let mut lints: Vec<FileLint> = files.iter().map(|(rel, src)| FileLint::new(rel, src)).collect();
+    unreached_pub(&mut lints);
+    lints.into_iter().flat_map(FileLint::finish).collect()
+}
+
+// ---------------------------------------------------------------------------
+// unreached-pub: the cross-file pass
+
+/// Item keywords `unreached-pub` recognises after `pub`.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+/// Words that may stand between `pub` and the item's name without being it.
+const ITEM_MODIFIERS: &[&str] = &["unsafe", "async", "extern", "mut"];
+
+/// The identifier tokens of one line of lexed code.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|t| t.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The name a `pub fn|struct|enum|trait|const|type|static` on this line
+/// declares. `pub(crate)`, `pub use`, `pub mod` and `pub` struct fields
+/// declare nothing this rule tracks.
+fn declared_pub_item(code: &str) -> Option<&str> {
+    let pos = code.match_indices("pub").find(|&(pos, _)| word_at(code, pos, "pub"))?.0;
+    let rest = &code[pos + 3..];
+    if !rest.starts_with(char::is_whitespace) {
+        return None;
+    }
+    let mut words = idents(rest).skip_while(|w| ITEM_MODIFIERS.contains(w));
+    if !ITEM_KEYWORDS.contains(&words.next()?) {
+        return None;
+    }
+    // `pub const fn f`, `pub const unsafe fn f`, `pub static mut X`.
+    words.find(|w| !ITEM_MODIFIERS.contains(w) && *w != "fn")
+}
+
+/// Blank the `pub use …;` statements of a `lib.rs`: a re-export is not a
+/// use.
+fn without_reexports<'a>(rel: &str, lines: &'a [Line]) -> Vec<&'a str> {
+    let mut in_reexport = false;
+    lines
+        .iter()
+        .map(|l| {
+            let code = l.code.as_str();
+            if rel.ends_with("/lib.rs") && code.trim_start().starts_with("pub use ") {
+                in_reexport = true;
+            }
+            let kept = if in_reexport { "" } else { code };
+            in_reexport &= !code.contains(';');
+            kept
+        })
+        .collect()
+}
+
+/// The `unreached-pub` pass: report every in-scope `pub` declaration whose
+/// name no other file mentions and no non-test line of its own file
+/// mentions besides the declaration.
+fn unreached_pub(files: &mut [FileLint]) {
+    use std::collections::BTreeMap;
+    // name → the files whose code (tests included) mentions it.
+    let mut mentions: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    // Per file: name → mentions in non-test code.
+    let mut own: Vec<BTreeMap<&str, usize>> = Vec::with_capacity(files.len());
+    for (f, file) in files.iter().enumerate() {
+        let mut non_test = BTreeMap::new();
+        for (idx, code) in without_reexports(&file.rel, &file.lines).into_iter().enumerate() {
+            for word in idents(code) {
+                let seen = mentions.entry(word).or_default();
+                if seen.last() != Some(&f) {
+                    seen.push(f);
+                }
+                if !file.skip[idx] {
+                    *non_test.entry(word).or_insert(0) += 1;
+                }
+            }
+        }
+        own.push(non_test);
+    }
+    let mut findings = Vec::new();
+    for (f, file) in files.iter().enumerate() {
+        if !rule_applies(Rule::UnreachedPub, &file.rel) {
             continue;
         }
-        for &rule in RULES {
-            if !rule_applies(rule, rel) || !line_fires(rule, &line.code) {
+        for (idx, line) in file.lines.iter().enumerate() {
+            let Some(name) = declared_pub_item(&line.code).filter(|_| !file.skip[idx]) else {
                 continue;
+            };
+            let on_this_line = idents(&line.code).filter(|w| *w == name).count();
+            let elsewhere = mentions[name].iter().any(|&g| g != f);
+            if !elsewhere && own[f][name] == on_this_line {
+                findings.push((f, idx));
             }
-            if rule == Rule::SafetyComment && safety_comment_covers(&lines, idx) {
-                continue;
-            }
-            // A marker targeting this line for this rule suppresses the
-            // finding (and is thereby consumed — markers must stay live).
-            if let Some(m) = markers.iter_mut().find(|m| {
-                m.error.is_none() && m.rule == Some(rule) && m.target == Some(idx)
-            }) {
-                m.consumed = true;
-                continue;
-            }
-            out.push(Violation {
-                path: rel.to_string(),
-                line: idx + 1,
-                rule: rule.name(),
-                msg: format!("{} — {}", firing_token_msg(rule, &line.code), rule.advice()),
-            });
         }
     }
-
-    for m in &markers {
-        if let Some(err) = &m.error {
-            out.push(Violation {
-                path: rel.to_string(),
-                line: m.line + 1,
-                rule: "allow-marker",
-                msg: err.clone(),
-            });
-        } else if !m.consumed {
-            out.push(Violation {
-                path: rel.to_string(),
-                line: m.line + 1,
-                rule: "allow-marker",
-                msg: format!(
-                    "stale marker: allow({}) suppresses nothing here — delete it \
-                     (or move it onto the offending line)",
-                    m.rule.map(|r| r.name()).unwrap_or("?")
-                ),
-            });
-        }
+    for (f, idx) in findings {
+        files[f].report(idx, Rule::UnreachedPub);
     }
-
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    out
 }
 
 /// For `SafetyComment`: accept a `SAFETY:` on the same line or anywhere in
@@ -752,6 +920,7 @@ fn firing_token_msg(rule: Rule, code: &str) -> String {
         Rule::CostCast => "bare `as` cast to a 64-bit/narrowing integer",
         Rule::SafetyComment => "`unsafe` without a SAFETY: comment",
         Rule::PanicHotPath => panic_token(code).unwrap_or("panic"),
+        Rule::UnreachedPub => declared_pub_item(code).unwrap_or("pub item"),
     };
     format!("`{token}`")
 }
@@ -806,13 +975,11 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 /// Lint every workspace file. Returns `(files_scanned, violations)`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Violation>)> {
-    let files = workspace_files(root)?;
-    let mut violations = Vec::new();
-    for path in &files {
-        let src = fs::read_to_string(path)?;
-        violations.extend(lint_source(&rel_path(root, path), &src));
+    let mut files = Vec::new();
+    for path in workspace_files(root)? {
+        files.push((rel_path(root, &path), fs::read_to_string(&path)?));
     }
-    Ok((files.len(), violations))
+    Ok((files.len(), lint_files(&files)))
 }
 
 /// Find the workspace root: the nearest ancestor of `start` whose

@@ -1,5 +1,6 @@
 //! Per-rule fixture proofs: every rule (1) fires on a violating fixture
-//! and (2) honors a reasoned `// simlint: allow(<rule>)` marker — plus the
+//! and (2) honors a reasoned `// simlint: allow(<rule>)` marker (the
+//! cross-file `unreached-pub` on a two-file fixture directory) — plus the
 //! marker-hygiene semantics (mandatory reason, unknown rules rejected,
 //! stale markers reported) and the lexer/scope properties the pass relies
 //! on. The fixture files live under `tests/fixtures/` (excluded from the
@@ -7,7 +8,7 @@
 //! impersonated in-scope paths, which is exactly how the engine scopes
 //! rules: by relative path alone.
 
-use simlint::{lint_source, Violation};
+use simlint::{lint_files, lint_source, Violation};
 
 /// Lint `src` as though it lived at `rel`, returning `(rule, line)` pairs.
 fn fire(rel: &str, src: &str) -> Vec<(&'static str, usize)> {
@@ -200,6 +201,66 @@ fn panic_hot_path_is_scoped() {
         include_str!("fixtures/panic_fire.rs"),
     );
     assert_eq!(got, vec![], "unwrap outside the kernel modules is clippy's problem");
+}
+
+// --- rule 7: unreached-pub (cross-file) -------------------------------------
+
+const ISLAND: &str = include_str!("fixtures/unreached/island.rs");
+const CALLER: &str = include_str!("fixtures/unreached/caller.rs");
+
+/// Lint a file set, returning `(path, rule, line)` triples.
+fn fire_files(files: &[(&str, &str)]) -> Vec<(String, &'static str, usize)> {
+    let files: Vec<(String, String)> =
+        files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
+    lint_files(&files).into_iter().map(|v| (v.path, v.rule, v.line)).collect()
+}
+
+#[test]
+fn unreached_pub_fires_on_items_only_their_own_tests_name() {
+    let island = "crates/core/src/island.rs";
+    let got = fire_files(&[(island, ISLAND), ("tests/caller.rs", CALLER)]);
+    // `only_tested` (named by the unit test alone) and `DEAD` (named by
+    // nothing) fire. `Island` is named by its own `impl`, `reached` by the
+    // other file; the marker covers `reference`; `probe` is test-gated and
+    // `internal` is not `pub`.
+    assert_eq!(
+        got,
+        vec![(island.to_string(), "unreached-pub", 9), (island.to_string(), "unreached-pub", 28)]
+    );
+}
+
+#[test]
+fn unreached_pub_needs_the_other_file_and_ignores_reexports() {
+    // Without the caller `reached` is an island too — and a `lib.rs`
+    // re-export of it is not a use.
+    let lib = "pub mod island;\npub use island::{\n    Island, DEAD,\n};\npub use island::reached;\n";
+    let got = fire_files(&[("crates/core/src/island.rs", ISLAND), ("crates/core/src/lib.rs", lib)]);
+    let lines: Vec<usize> = got.iter().map(|(_, _, line)| *line).collect();
+    assert_eq!(lines, vec![5, 9, 28], "{got:?}");
+}
+
+#[test]
+fn unreached_pub_is_scoped_to_library_crates() {
+    // Binaries, the linter itself, integration tests and the ROADMAP-3d
+    // islands declare nothing this rule tracks; the marker in the fixture
+    // then suppresses nothing and is reported stale.
+    for rel in [
+        "crates/bench/src/bin/island.rs",
+        "crates/simlint/src/island.rs",
+        "crates/membuf/src/tenant.rs",
+        "tests/island.rs",
+    ] {
+        let got = fire_files(&[(rel, ISLAND)]);
+        assert_eq!(got, vec![(rel.to_string(), "allow-marker", 13)], "at {rel}");
+    }
+}
+
+#[test]
+fn unreached_pub_marker_goes_stale_once_the_item_is_reached() {
+    let caller = "pub fn compare(island: &Island) -> u32 {\n    island.reference()\n}\n";
+    let island = "crates/core/src/island.rs";
+    let got = fire_files(&[(island, ISLAND), ("tests/caller.rs", CALLER), ("tests/compare.rs", caller)]);
+    assert!(got.contains(&(island.to_string(), "allow-marker", 13)), "{got:?}");
 }
 
 // --- marker hygiene ---------------------------------------------------------

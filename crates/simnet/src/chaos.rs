@@ -250,30 +250,6 @@ impl ScenarioScript {
         self
     }
 
-    /// Flap every member of `name` with the same drop rate and window.
-    pub fn flap_domain(mut self, name: &str, drop: f64, from: Nanos, until: Nanos) -> Self {
-        for node in self.members(name) {
-            self = self.flap(node, drop, from, until);
-        }
-        self
-    }
-
-    /// Gray every member of `name`'s ingress port with the same rate,
-    /// inflation and window (a switch degrading all its downlinks).
-    pub fn gray_domain(
-        mut self,
-        name: &str,
-        drop: f64,
-        delay: Nanos,
-        from: Nanos,
-        until: Nanos,
-    ) -> Self {
-        for node in self.members(name) {
-            self = self.gray(node, drop, delay, from, until);
-        }
-        self
-    }
-
     /// The raw ops, in script order (domain ops appear pre-expanded).
     pub fn ops(&self) -> &[ScenarioOp] {
         &self.ops
@@ -359,14 +335,6 @@ pub struct CompiledScenario {
 }
 
 impl CompiledScenario {
-    /// True when `node` is partitioned from the network at `now`.
-    #[inline]
-    pub fn is_down(&self, node: usize, now: Nanos) -> bool {
-        self.down
-            .get(node)
-            .is_some_and(|w| w.iter().any(|&(f, u)| now >= f && now < u))
-    }
-
     /// The cost multiplier in force on `node` at `now` (`1.0` when no
     /// window covers it).
     #[inline]
@@ -375,14 +343,6 @@ impl CompiledScenario {
             .get(node)
             .and_then(|ws| ws.iter().find(|w| w.active_at(now)))
             .map_or(1.0, |w| w.factor)
-    }
-
-    /// True when no table contains anything (fault-free).
-    pub fn is_quiet(&self) -> bool {
-        self.down.iter().all(Vec::is_empty)
-            && self.faults.iter().all(FaultTimeline::is_none)
-            && self.straggle.iter().all(Vec::is_empty)
-            && self.links.iter().all(Vec::is_empty)
     }
 }
 
@@ -524,17 +484,14 @@ mod tests {
             .storm(0, FaultPlan::corrupting(1.0).window(Nanos(10), Nanos(20)))
             .straggle(3, 4.0, Nanos(0), Nanos(1_000));
         let c = script.compile(4);
-        assert!(c.is_down(1, Nanos(150)));
-        assert!(!c.is_down(1, Nanos(200)));
-        assert!(!c.is_down(0, Nanos(150)));
+        assert_eq!(c.down[1], vec![(Nanos(100), Nanos(200))]);
+        assert!(c.down[0].is_empty());
         assert_eq!(c.faults[2].plan_at(Nanos(55)).drop_chance, 0.5);
         assert!(c.faults[2].plan_at(Nanos(60)).is_none());
         assert_eq!(c.faults[0].plan_at(Nanos(15)).corrupt_chance, 1.0);
         assert_eq!(c.straggle_factor(3, Nanos(500)), 4.0);
         assert_eq!(c.straggle_factor(3, Nanos(1_000)), 1.0);
         assert_eq!(c.straggle_factor(2, Nanos(500)), 1.0);
-        assert!(!c.is_quiet());
-        assert!(ScenarioScript::new().compile(4).is_quiet());
     }
 
     #[test]
@@ -619,15 +576,11 @@ mod tests {
     fn domain_ops_expand_to_member_ops() {
         let domain = ScenarioScript::new()
             .domain("rack0", &[2, 0, 3])
-            .crash_domain("rack0", Nanos(100), Nanos(200))
-            .flap_domain("rack0", 0.1, Nanos(300), Nanos(400));
+            .crash_domain("rack0", Nanos(100), Nanos(200));
         let manual = ScenarioScript::new()
             .crash(2, Nanos(100), Nanos(200))
             .crash(0, Nanos(100), Nanos(200))
-            .crash(3, Nanos(100), Nanos(200))
-            .flap(2, 0.1, Nanos(300), Nanos(400))
-            .flap(0, 0.1, Nanos(300), Nanos(400))
-            .flap(3, 0.1, Nanos(300), Nanos(400));
+            .crash(3, Nanos(100), Nanos(200));
         assert_eq!(domain.ops(), manual.ops(), "domain ops expand in member order");
         assert_eq!(domain.compile(4), manual.compile(4));
         assert_eq!(domain.domains().len(), 1);
@@ -658,6 +611,5 @@ mod tests {
         assert_eq!(tl.plan_at(Nanos(500)).drop_chance, 0.05);
         assert!(tl.plan_at(Nanos(900)).is_none());
         assert!(c.links[0].is_empty() && c.links[1].is_empty());
-        assert!(!c.is_quiet());
     }
 }

@@ -179,16 +179,9 @@ impl<'a, Ev> Effects<'a, Ev> {
         }
     }
 
-    /// Like [`Effects::extend`], but measuring delays from an absolute
-    /// `base` instead of "now" (e.g. effects produced by a server that
-    /// finishes in the future).
-    pub fn extend_at<T>(&mut self, base: Nanos, effects: Vec<Timed<T>>, lift: impl Fn(T) -> Ev) {
-        let mut effects = effects;
-        self.extend_at_drain(base, &mut effects, lift);
-    }
-
-    /// [`Effects::extend_at`] draining a reusable buffer in place, the
-    /// absolute-base counterpart of [`Effects::extend_drain`].
+    /// Like [`Effects::extend_drain`], but measuring delays from an
+    /// absolute `base` instead of "now" (e.g. effects produced by a server
+    /// that finishes in the future).
     pub fn extend_at_drain<T>(
         &mut self,
         base: Nanos,
@@ -251,6 +244,7 @@ impl<Ev> Harness<Ev> {
 
     /// Override the per-wakeup inline-drain budget. A budget of zero
     /// degenerates to the classic one-pop-per-event loop.
+    // simlint: allow(unreached-pub) — reference implementation: `with_batch(0)` is the unbatched loop the batching-equivalence tests compare every budget against
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch;
         self

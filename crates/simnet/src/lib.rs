@@ -27,7 +27,6 @@ pub mod fault;
 pub mod harness;
 pub mod openloop;
 pub mod queue;
-pub mod rate;
 pub mod rng;
 pub mod server;
 pub mod shard;
@@ -50,9 +49,8 @@ pub use shard::{
     ShardRun,
 };
 pub use table::{IdTable, PageTable, Slab};
-pub use rate::TokenBucket;
 pub use rng::SimRng;
 pub use server::{FifoServer, ServerBank};
 pub use sim::{Sim, Timed};
 pub use stats::{Counters, Histogram, Samples, UtilizationBins, WindowedRate};
-pub use time::{cycles_time, wire_time, ByteCost, Nanos};
+pub use time::{wire_time, ByteCost, Nanos};

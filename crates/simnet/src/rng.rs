@@ -24,23 +24,15 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream, e.g. one per fabric link, so that
-    /// adding consumers does not perturb other components' draws.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.inner.gen::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from(s)
-    }
-
     /// A *stateless* named sub-stream of `seed`: the stream for
     /// `(seed, stream)` is the same no matter who constructs it, when, or
     /// how many sibling streams exist. This is what makes per-entity
     /// randomness partition-invariant — e.g. one fault stream per fabric
     /// node, keyed by the **global** node id, draws the same verdict
     /// sequence whether one simulation shard owns all nodes or each node
-    /// lives on its own shard. (Contrast [`SimRng::fork`], which consumes
-    /// a draw from the parent and therefore depends on construction
-    /// order.) The seed mix is splitmix64, whose avalanche keeps
-    /// consecutive stream ids decorrelated.
+    /// lives on its own shard. (A child seeded by a draw from its parent
+    /// would depend on construction order.) The seed mix is splitmix64,
+    /// whose avalanche keeps consecutive stream ids decorrelated.
     pub fn stream(seed: u64, stream: u64) -> SimRng {
         let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -151,15 +143,6 @@ mod tests {
         let total: u64 = (0..n).map(|_| r.exponential(mean).as_nanos()).sum();
         let m = total as f64 / n as f64;
         assert!((m - 10_000.0).abs() < 500.0, "empirical mean {m}");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = SimRng::seed_from(42);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let same = (0..64).filter(|_| a.range(0, 1 << 30) == b.range(0, 1 << 30)).count();
-        assert!(same < 4);
     }
 
     #[test]

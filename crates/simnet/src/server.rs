@@ -67,11 +67,6 @@ impl FifoServer {
         self.busy_until
     }
 
-    /// Is the server idle at `now`?
-    pub fn is_idle(&self, now: Nanos) -> bool {
-        self.busy_until <= now
-    }
-
     /// Queueing delay a new arrival at `now` would experience before service
     /// begins.
     pub fn backlog(&self, now: Nanos) -> Nanos {
@@ -102,13 +97,6 @@ impl FifoServer {
             return 0.0;
         }
         (self.busy_accum.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
-    }
-
-    /// Reset utilization accounting (used at the end of warm-up windows) while
-    /// keeping the queue state.
-    pub fn reset_accounting(&mut self) {
-        self.busy_accum = Nanos::ZERO;
-        self.served = 0;
     }
 }
 
@@ -234,8 +222,8 @@ mod tests {
         let mut s = FifoServer::new("core");
         let done = s.submit(Nanos(100), Nanos(50));
         assert_eq!(done, Nanos(150));
-        assert!(!s.is_idle(Nanos(120)));
-        assert!(s.is_idle(Nanos(150)));
+        assert_eq!(s.backlog(Nanos(120)), Nanos(30));
+        assert_eq!(s.backlog(Nanos(150)), Nanos::ZERO, "idle again at 150");
     }
 
     #[test]
@@ -262,18 +250,6 @@ mod tests {
         // Utilization is clamped to 100 % even with a backlog beyond horizon.
         s.submit(Nanos(0), Nanos(10_000));
         assert_eq!(s.utilization(Nanos(1_000)), 1.0);
-    }
-
-    #[test]
-    fn reset_accounting_keeps_queue() {
-        let mut s = FifoServer::new("core");
-        s.submit(Nanos(0), Nanos(100));
-        s.reset_accounting();
-        assert_eq!(s.busy_time(), Nanos::ZERO);
-        assert_eq!(s.served(), 0);
-        // The queue state survives: next work still waits for the first.
-        let done = s.submit(Nanos(0), Nanos(10));
-        assert_eq!(done, Nanos(110));
     }
 
     #[test]

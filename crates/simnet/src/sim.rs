@@ -101,14 +101,6 @@ impl<M> Sim<M> {
         self.queue.schedule_at(at.max(self.now), msg)
     }
 
-    /// Schedule a list of timed effects produced by a substrate state
-    /// machine, lifting each into the driver's event type.
-    pub fn schedule_all<T>(&mut self, effects: Vec<Timed<T>>, lift: impl Fn(T) -> M) {
-        for eff in effects {
-            self.schedule(eff.after, lift(eff.value));
-        }
-    }
-
     /// Cancel a scheduled event (timer). No-op if it already fired.
     pub fn cancel(&mut self, id: EventId) {
         self.queue.cancel(id);
@@ -149,31 +141,6 @@ impl<M> Sim<M> {
         self.queue.peek_time()
     }
 
-    /// Drive the simulation until `deadline`, invoking `handler` for every
-    /// event. The handler receives `(sim, msg)` so it can schedule follow-up
-    /// events. Events scheduled beyond the deadline remain queued. Returns
-    /// the number of events processed.
-    ///
-    /// The clock is left at `deadline` (or at the last event if the queue ran
-    /// dry earlier).
-    pub fn run_until(&mut self, deadline: Nanos, mut handler: impl FnMut(&mut Sim<M>, M)) -> u64 {
-        let mut processed = 0;
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let (at, msg) = self.queue.pop().expect("peeked entry vanished");
-                    self.now = at;
-                    self.fired += 1;
-                    processed += 1;
-                    handler(self, msg);
-                }
-                _ => break,
-            }
-        }
-        self.park_at(deadline);
-        processed
-    }
-
     /// Move the clock forward to `deadline` (never backwards). For a
     /// driver loop that has just found nothing pending at or before
     /// `deadline`; pending events are not examined.
@@ -194,7 +161,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Ev {
         Ping(u32),
-        Pong(u32),
     }
 
     #[test]
@@ -212,54 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn run_until_processes_and_reschedules() {
-        let mut sim: Sim<Ev> = Sim::new();
-        sim.schedule(Nanos(10), Ev::Ping(0));
-        let mut log = Vec::new();
-        sim.run_until(Nanos(100), |sim, ev| match ev {
-            Ev::Ping(n) => {
-                log.push(format!("ping{n}"));
-                sim.schedule(Nanos(10), Ev::Pong(n));
-            }
-            Ev::Pong(n) => {
-                log.push(format!("pong{n}"));
-                if n < 2 {
-                    sim.schedule(Nanos(10), Ev::Ping(n + 1));
-                }
-            }
-        });
-        assert_eq!(log, ["ping0", "pong0", "ping1", "pong1", "ping2", "pong2"]);
-        assert_eq!(sim.now(), Nanos(100)); // clock parked at deadline
-    }
-
-    #[test]
-    fn run_until_leaves_future_events_queued() {
-        let mut sim: Sim<Ev> = Sim::new();
-        sim.schedule(Nanos(10), Ev::Ping(0));
-        sim.schedule(Nanos(500), Ev::Ping(1));
-        let n = sim.run_until(Nanos(100), |_, _| {});
-        assert_eq!(n, 1);
-        assert_eq!(sim.pending(), 1);
-        let (t, _) = sim.next().unwrap();
-        assert_eq!(t, Nanos(500));
-    }
-
-    #[test]
     fn timed_map_lifts_payload() {
         let t = Timed::new(Nanos(5), 7u32).map(|v| v * 2);
         assert_eq!(t, Timed::new(Nanos(5), 14u32));
         assert_eq!(Timed::now(1u8).after, Nanos::ZERO);
-    }
-
-    #[test]
-    fn schedule_all_lifts_into_event_enum() {
-        let mut sim: Sim<Ev> = Sim::new();
-        sim.schedule_all(
-            vec![Timed::new(Nanos(1), 4u32), Timed::new(Nanos(2), 5u32)],
-            Ev::Ping,
-        );
-        assert_eq!(sim.next().unwrap().1, Ev::Ping(4));
-        assert_eq!(sim.next().unwrap().1, Ev::Ping(5));
     }
 
     #[test]

@@ -304,19 +304,6 @@ impl WindowedRate {
     pub fn total(&self) -> u64 {
         self.bins.iter().sum()
     }
-
-    /// Mean rate (events/sec) over `[start, horizon]`.
-    pub fn mean_rate(&self, horizon: Nanos) -> f64 {
-        if horizon <= self.start {
-            return 0.0;
-        }
-        let span = (horizon - self.start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.total() as f64 / span
-        }
-    }
 }
 
 /// Bins busy time of a resource into fixed windows, for utilization
@@ -475,7 +462,6 @@ mod tests {
         assert_eq!(series[0].1, 10.0);
         assert_eq!(series[1].1, 1.0);
         assert_eq!(r.total(), 11);
-        assert!((r.mean_rate(Nanos::from_secs(2)) - 5.5).abs() < 1e-9);
     }
 
     #[test]

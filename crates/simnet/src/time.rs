@@ -270,11 +270,6 @@ impl ByteCost {
         // simlint: allow(saturating-cost-casts) — narrowing is explicitly clamped by the min() on the same expression
         Nanos(q.min(u64::MAX as u128) as u64)
     }
-
-    /// The slope back as f64 ns/byte (reporting/diagnostics).
-    pub fn ns_per_byte(self) -> f64 {
-        self.mul as f64 / (1u64 << 32) as f64
-    }
 }
 
 /// Transmission (serialization) time of `bytes` over a link of `gbps`
@@ -291,18 +286,6 @@ pub fn wire_time(bytes: u64, gbps: f64) -> Nanos {
     // bits / (gigabits/s) = nanoseconds.
     let ns = (bytes as f64 * 8.0) / gbps;
     Nanos::from_f64_saturating(ns.ceil())
-}
-
-/// Service time of a task costing `cycles` CPU cycles on a core clocked at
-/// `ghz` GHz. This is how the cost model translates "instructions of work"
-/// into virtual time for both beefy x86 cores (3.7 GHz in the paper's
-/// testbed) and wimpy DPU ARM cores (2.0 GHz). Same conversion contract
-/// as [`wire_time`]: rates are asserted positive in debug builds and the
-/// f64→ns cast saturates explicitly.
-#[inline]
-pub fn cycles_time(cycles: u64, ghz: f64) -> Nanos {
-    debug_assert!(ghz > 0.0, "clock rate must be positive");
-    Nanos::from_f64_saturating((cycles as f64 / ghz).ceil())
 }
 
 #[cfg(test)]
@@ -350,14 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn cycles_time_examples() {
-        // 3700 cycles at 3.7 GHz = 1 µs.
-        assert_eq!(cycles_time(3_700, 3.7), Nanos::from_micros(1));
-        // Same work on a 2.0 GHz wimpy core takes 1.85 µs.
-        assert_eq!(cycles_time(3_700, 2.0), Nanos(1_850));
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", Nanos(12)), "12ns");
         assert_eq!(format!("{}", Nanos(12_345)), "12.345µs");
@@ -385,7 +360,6 @@ mod tests {
                 "bytes={bytes}"
             );
         }
-        assert_eq!(ByteCost::per_byte_ns(0.25).ns_per_byte(), 0.25);
     }
 
     #[test]
@@ -459,6 +433,5 @@ mod tests {
         // A year of nanoseconds over a 1 bit/s-ish link must clamp, not
         // wrap.
         assert_eq!(wire_time(u64::MAX, 1e-9), Nanos::MAX);
-        assert_eq!(cycles_time(u64::MAX, 1e-9), Nanos::MAX);
     }
 }

@@ -1,13 +1,13 @@
-//! # palladium-tcpstack — TCP/IP stack models and a real HTTP/1.1 codec
+//! # palladium-tcpstack — TCP/IP stack cost models
 //!
-//! What the cluster edge runs:
+//! What the cluster edge is charged for:
 //!
-//! * [`http`] — an incremental HTTP/1.1 request/response codec (real
-//!   parsing of real bytes; the ingress terminates genuine HTTP traffic).
 //! * [`stack`] — calibrated cost models for the interrupt-driven kernel
-//!   stack and the DPDK-based F-Stack, plus the per-request ingress service
-//!   models behind Fig 13/14: Palladium's early HTTP/TCP→RDMA conversion
-//!   versus the deferred-conversion reverse proxies (K-Ingress, F-Ingress).
+//!   stack and the DPDK-based F-Stack, plus the HTTP-processing and
+//!   RDMA-bridge prices behind Fig 13/14: Palladium's early HTTP/TCP→RDMA
+//!   conversion versus the deferred-conversion reverse proxies (K-Ingress,
+//!   F-Ingress). HTTP is *costed* ([`HttpCosts`]), never parsed — no
+//!   simulated request carries header bytes.
 
 // The simulation's memory-safety story is that only the shard mailbox ring
 // (simnet) and the bench counting allocator contain `unsafe` at all; this
@@ -15,8 +15,6 @@
 // safety-comments rule covers the two that cannot be).
 #![forbid(unsafe_code)]
 
-pub mod http;
 pub mod stack;
 
-pub use http::{parse_request, parse_response, Method, Parse, ParseError, Request, Response};
 pub use stack::{HttpCosts, IngressServiceModel, RdmaBridgeCosts, StackKind, TcpCostTable, TcpCosts};

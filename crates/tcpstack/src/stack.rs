@@ -181,9 +181,10 @@ impl Default for RdmaBridgeCosts {
     }
 }
 
-/// Per-request single-core service time of the three ingress designs
-/// (request + response legs, excluding worker-side time). These are the
-/// quantities the Fig 13 saturation throughput follows.
+/// The cost tables an ingress worker charges per leg (client-facing
+/// stack, HTTP processing, RDMA bridge). `IngressGateway::leg_service` in
+/// `palladium-core` sums them per design — the per-request service time the
+/// Fig 13 saturation throughput follows is written there, once.
 #[derive(Clone, Copy, Debug)]
 pub struct IngressServiceModel {
     /// Client-facing stack.
@@ -203,77 +204,11 @@ impl IngressServiceModel {
             bridge: RdmaBridgeCosts::default(),
         }
     }
-
-    /// Palladium ingress (§3.6): client rx → parse → RDMA post; RDMA reap →
-    /// serialize → client tx. One TCP connection, no proxy bookkeeping.
-    pub fn palladium_per_request(&self, req_bytes: u64, resp_bytes: u64) -> Nanos {
-        self.client_stack.rx(req_bytes)
-            + self.http.parse
-            + self.bridge.post
-            + self.bridge.reap
-            + self.http.serialize
-            + self.client_stack.tx(resp_bytes)
-    }
-
-    /// Deferred conversion (Fig 4 (1)): full reverse proxy — two TCP
-    /// connections (client + upstream), HTTP processing both ways, proxy
-    /// bookkeeping.
-    pub fn deferred_per_request(&self, req_bytes: u64, resp_bytes: u64) -> Nanos {
-        self.client_stack.rx(req_bytes)
-            + self.http.parse
-            + self.client_stack.tx(req_bytes)   // upstream leg out
-            + self.client_stack.rx(resp_bytes)  // upstream leg back
-            + self.http.serialize
-            + self.client_stack.tx(resp_bytes)
-            + self.http.proxy_overhead
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const REQ: u64 = 256;
-    const RESP: u64 = 256;
-
-    fn rps(per_request: Nanos) -> f64 {
-        1e9 / per_request.as_nanos() as f64
-    }
-
-    #[test]
-    fn palladium_ingress_capacity_near_250k() {
-        let m = IngressServiceModel::new(StackKind::FStack);
-        let cap = rps(m.palladium_per_request(REQ, RESP));
-        assert!(
-            (180_000.0..280_000.0).contains(&cap),
-            "Palladium ingress single-core capacity {cap:.0} RPS"
-        );
-    }
-
-    #[test]
-    fn f_ingress_is_3x_slower() {
-        let m = IngressServiceModel::new(StackKind::FStack);
-        let p = rps(m.palladium_per_request(REQ, RESP));
-        let f = rps(m.deferred_per_request(REQ, RESP));
-        let ratio = p / f;
-        assert!(
-            (2.7..3.8).contains(&ratio),
-            "Palladium vs F-Ingress RPS ratio {ratio:.2} (paper: 3.2x)"
-        );
-    }
-
-    #[test]
-    fn k_ingress_is_11x_slower() {
-        let pall = IngressServiceModel::new(StackKind::FStack);
-        let kern = IngressServiceModel::new(StackKind::Kernel);
-        let p = rps(pall.palladium_per_request(REQ, RESP));
-        let k = rps(kern.deferred_per_request(REQ, RESP));
-        let ratio = p / k;
-        assert!(
-            (9.0..13.0).contains(&ratio),
-            "Palladium vs K-Ingress RPS ratio {ratio:.2} (paper: 11.4x)"
-        );
-    }
 
     #[test]
     fn lookahead_is_the_wire_floor_for_both_stacks() {

@@ -178,35 +178,6 @@ pub fn app() -> AppSpec {
     }
 }
 
-/// Checkout chain (used by the checkout example): the deepest call graph —
-/// cart, per-item lookups, currency, shipping, payment, email.
-pub fn checkout_chain() -> ChainSpec {
-    use fns::*;
-    let hop = |from, to, bytes| HopSpec { from, to, bytes };
-    ChainSpec {
-        name: "Checkout",
-        entry: FRONTEND,
-        hops: vec![
-            hop(FRONTEND, CHECKOUT, 1024),
-            hop(CHECKOUT, CART, 256),
-            hop(CART, CHECKOUT, 1024),
-            hop(CHECKOUT, PRODUCT_CATALOG, 256),
-            hop(PRODUCT_CATALOG, CHECKOUT, 2048),
-            hop(CHECKOUT, CURRENCY, 256),
-            hop(CURRENCY, CHECKOUT, 256),
-            hop(CHECKOUT, SHIPPING, 512),
-            hop(SHIPPING, CHECKOUT, 256),
-            hop(CHECKOUT, PAYMENT, 512),
-            hop(PAYMENT, CHECKOUT, 256),
-            hop(CHECKOUT, EMAIL, 1024),
-            hop(EMAIL, CHECKOUT, 128),
-            hop(CHECKOUT, FRONTEND, 1024),
-        ],
-        req_bytes: 1024,
-        resp_bytes: 2048,
-    }
-}
-
 /// A ready-to-run cluster configuration for `system` exercising `chain`.
 pub fn config(system: SystemKind, chain: ChainKind) -> ChainSimConfig {
     ChainSimConfig::new(system, app(), chain.index())
@@ -264,12 +235,6 @@ pub fn sharded_config(system: SystemKind, chain: ChainKind, pairs: usize) -> Clu
     ClusterShardedConfig::new(system, sharded_app(chain, pairs), pairs)
 }
 
-/// Count the data exchanges of a chain including the request-in and
-/// response-out legs (the paper counts "more than 11").
-pub fn exchange_count(chain: &ChainSpec) -> usize {
-    chain.hops.len() + 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,14 +266,11 @@ mod tests {
         let app = app();
         assert_eq!(app.chains.len(), 3);
         for chain in &app.chains {
-            assert!(
-                exchange_count(chain) > 11,
-                "{} has only {} exchanges",
-                chain.name,
-                exchange_count(chain)
-            );
+            // Hops plus the request-in and response-out legs (the paper
+            // counts "more than 11").
+            let exchanges = chain.hops.len() + 2;
+            assert!(exchanges > 11, "{} has only {exchanges} exchanges", chain.name);
         }
-        assert!(exchange_count(&checkout_chain()) > 11);
     }
 
     #[test]
@@ -317,7 +279,7 @@ mod tests {
         // when that function produces output, and every hop's endpoints are
         // deployed functions; the entry starts the chain.
         let app = app();
-        for chain in app.chains.iter().chain(std::iter::once(&checkout_chain())) {
+        for chain in &app.chains {
             assert_eq!(chain.hops[0].from, chain.entry, "{}", chain.name);
             for h in &chain.hops {
                 assert!(app.functions.iter().any(|f| f.id == h.from));

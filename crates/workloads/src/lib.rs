@@ -2,10 +2,7 @@
 //!
 //! * [`boutique`] — the Online Boutique application: 10 microservice
 //!   functions, the paper's hotspot placement, and the three evaluated
-//!   chains (Home Query / ViewCart / Product Query, each >11 exchanges)
-//!   plus the deeper Checkout chain used by the examples.
-//! * [`wrk`] — wrk-like closed-loop load shapes and the client sweeps /
-//!   ramps used across the figures.
+//!   chains (Home Query / ViewCart / Product Query, each >11 exchanges).
 //! * [`openloop`] — open-loop overload regimes (Poisson sweeps, flash
 //!   crowds with costed scale-out, the metastable negative control) over
 //!   the sharded cluster, shared by `slo_smoke`, `alloc_smoke` and the
@@ -19,11 +16,9 @@
 
 pub mod boutique;
 pub mod openloop;
-pub mod wrk;
 
-pub use boutique::{app, checkout_chain, config, ChainKind};
+pub use boutique::{app, config, ChainKind};
 pub use openloop::{
     flash_autoscale, metastable, poisson_overload, OVERLOAD_DEADLINE, OVERLOAD_PAIRS,
     OVERLOAD_POPULATION, SWEEP_RPS,
 };
-pub use wrk::{Ramp, WrkLoad, BOUTIQUE_SWEEP, CLIENT_SWEEP};

@@ -13,22 +13,23 @@
 //! * [`rdma`] — simulated RDMA verbs and Reliable Connected transport with
 //!   acknowledgements, go-back-N retransmission, RNR flow control, an RNIC
 //!   model (QP context cache, MTT) and a switched fabric with fault injection.
-//! * [`ipc`] — intra-node and cross-processor channels: eBPF `SK_MSG` +
-//!   sockmap descriptor passing, DOCA Comch-E/Comch-P, and a kernel TCP
-//!   channel baseline.
-//! * [`dpu`] — the DPU SoC substrate: wimpy ARM cores, the (slow) SoC DMA
-//!   engine, DOCA mmap import/export and the Comch server endpoint.
-//! * [`tcpstack`] — kernel and F-Stack TCP/IP cost models plus a real
-//!   HTTP/1.1 parser/serializer used by the ingress gateway.
+//! * [`ipc`] — intra-node and cross-processor channels: the DOCA
+//!   Comch-E/Comch-P server endpoint, and the calibrated costs of Comch,
+//!   eBPF `SK_MSG` descriptor passing and the kernel TCP channel baseline.
+//! * [`dpu`] — the DPU SoC substrate: the wimpy-ARM-core service-time
+//!   scaling, the (slow) SoC DMA engine and DOCA mmap import.
+//! * [`tcpstack`] — kernel and F-Stack TCP/IP cost models plus the HTTP and
+//!   RDMA-bridge costs the ingress gateway charges (HTTP is costed, never
+//!   parsed).
 //! * [`core`] — Palladium proper: the DPU network engine (DNE), DWRR
-//!   multi-tenancy, the RC connection pool with shadow QPs, the unified I/O
-//!   library, the function runtime and the HTTP/TCP→RDMA ingress gateway,
-//!   and the simulation drivers that compose all of the above.
+//!   multi-tenancy, the RC connection pool with shadow QPs, the
+//!   HTTP/TCP→RDMA ingress gateway, and the simulation drivers that compose
+//!   all of the above.
 //! * [`baselines`] — SPRIGHT, NightCore and FUYAO rebuilt over the same
 //!   substrates, plus the one-sided RDMA primitive variants (OWDL, OWRC) and
 //!   the on-path / FCFS DNE ablations.
-//! * [`workloads`] — the Online Boutique function graph, a wrk-like
-//!   closed-loop load generator and tenant surge schedules.
+//! * [`workloads`] — the Online Boutique function graph and the open-loop
+//!   overload regimes (Poisson sweeps, flash crowds, the metastable control).
 //!
 //! ## Quickstart
 //!

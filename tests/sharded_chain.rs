@@ -12,7 +12,9 @@
 //!
 //! To regenerate after an *intentional* workload change:
 //! `GOLDEN_REGEN=1 cargo test -q --test sharded_chain` and commit the
-//! updated snapshot together with the change that explains it.
+//! updated snapshot together with the change that explains it. The
+//! runner's critical-path model (`WORK_MODEL` below) is pinned in the same
+//! test; a change that moves `events` or `messages` moves it too.
 
 use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeReport, MultiNodeSim};
 use palladium_simnet::{Execution, Nanos};
@@ -39,6 +41,15 @@ fn trace(r: &MultiNodeReport) -> String {
     )
 }
 
+/// The shard runner's critical-path model of the golden configuration, as
+/// in `cluster_sharded.rs`: `Σ work` is the snapshot's `events + messages`
+/// at every shard count and `WORK_MODEL` holds `(shards,
+/// critical_path_work)` — machine- and mode-independent integers, so the
+/// modeled scaling `Σ work ÷ critical_path_work` (1.00× / 1.94× / 3.66× /
+/// 6.86×) is gated by equality.
+const TOTAL_WORK: u64 = 405_335 + 135_109;
+const WORK_MODEL: [(usize, u64); 4] = [(1, 540_444), (2, 278_749), (4, 147_633), (8, 78_826)];
+
 #[test]
 fn every_shard_count_reproduces_the_snapshot() {
     let sim = MultiNodeSim::new(golden_cfg());
@@ -54,12 +65,18 @@ fn every_shard_count_reproduces_the_snapshot() {
         assert_eq!(serial, want, "--shards 1 diverged from the golden snapshot");
     }
 
-    for shards in [2usize, 4] {
+    for (shards, critical_path_work) in WORK_MODEL {
         for execution in [Execution::Sequential, Execution::Threads] {
-            let got = trace(&sim.run(shards, execution));
+            let r = sim.run(shards, execution);
             assert_eq!(
-                got, serial,
+                trace(&r),
+                serial,
                 "{shards} shards / {execution:?} diverged from the serial bytes"
+            );
+            assert_eq!(
+                (r.work.iter().sum::<u64>(), r.critical_path_work),
+                (TOTAL_WORK, critical_path_work),
+                "{shards} shards / {execution:?}: the work model moved"
             );
         }
     }

@@ -20,13 +20,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use palladium_bench::out_path_arg;
 use palladium_core::driver::cluster_sharded::ClusterShardedSim;
 use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeSim};
 use palladium_core::system::SystemKind;
 use palladium_simnet::Execution;
 use palladium_workloads::boutique::{self, ChainKind};
 
-const USAGE: &str = "usage: simcore_throughput [--out PATH]";
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// What one run counted: equal on every machine and in both execution modes.
@@ -102,25 +102,10 @@ fn sweep(json: &mut String, driver: &str, nodes: usize, run: impl Fn(usize, Exec
 }
 
 fn main() -> ExitCode {
-    let mut out_path = "BENCH_simcore.json".to_string();
-    let mut args = std::env::args().skip(1);
-    let fail = |what: String| {
-        eprintln!("simcore_throughput: {what}\n{USAGE}");
-        ExitCode::FAILURE
+    let out_path = match out_path_arg("simcore_throughput", "BENCH_simcore.json") {
+        Ok(path) => path,
+        Err(code) => return code,
     };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(path) => out_path = path,
-                None => return fail("`--out` needs a path".to_string()),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return fail(format!("unknown argument `{other}`")),
-        }
-    }
 
     println!(
         "host-time columns are this machine's ({} hw threads) and are not recorded",

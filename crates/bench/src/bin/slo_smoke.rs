@@ -11,181 +11,90 @@
 //! pins both. It runs a fault-free baseline plus the five chaos
 //! scenarios and the three overload scenarios, reads p50/p99/p99.9 off
 //! the streaming latency histogram, and writes `BENCH_slo.json` — the
-//! committed copy is the per-scenario SLO the CI bench-smoke job diffs
-//! against.
+//! committed copy is the per-scenario SLO the CI bench-smoke job (and, row
+//! by row, `cargo test`) compares against.
 //!
-//! Unlike events/sec these numbers are *simulated* latencies: fully
-//! deterministic, identical on every machine and at every shard count
-//! (the chaos and overload goldens pin the bytes). A drift here is a
-//! modeling change, never runner noise — the CI diff only warns
-//! (mirroring the events/sec step) so intentional model changes can land
-//! with a regenerated JSON, but any drift deserves a look.
+//! These numbers are *simulated* latencies: fully deterministic, identical
+//! on every machine and at every shard count (the chaos and overload
+//! goldens pin the same runs — the `palladium_workloads` catalogue — byte
+//! for byte). A drift here is a modeling change, never runner noise, so CI
+//! gates the file with `cmp`: an intentional model change lands with its
+//! regenerated JSON.
 //!
-//! Hard in-binary gates (machine-independent, always enforced):
-//! - every scenario keeps completing requests (failover liveness);
-//! - the crash scenario detects, fails over and recovers;
-//! - the rack-crash scenario suspects the whole domain and both members
-//!   complete the *costed* rejoin with non-zero time-to-recovery;
-//! - the gray-partition scenario is caught by the differential EWMA
-//!   (demotion + deflection) while heartbeat suspicion stays at zero;
-//! - no chaos scenario sheds requests (the chaos-raised retry budget and
-//!   the default pool sizing hold);
-//! - the flash crowd triggers costed scale-out (warm lease + full rejoin
-//!   bill) with a measured surge-window tail;
-//! - the budgeted metastable config recovers goodput after the transient
-//!   crash while the legacy unbounded config stays collapsed.
-//!
-//! With `--load-sweep` it additionally walks the offered-load grid
-//! (`SWEEP_RPS`), locates the knee of the goodput-vs-offered-load curve
-//! (the smallest rate whose goodput is within 10% of the peak), gates
-//! goodput at 2x-the-knee offered load staying >= 50% of the peak (no
-//! congestion collapse), and writes the curve + knee into the JSON.
+//! Hard in-binary gates (machine-independent, always enforced; the arms of
+//! `gate` say what each scenario must demonstrate): every scenario keeps
+//! completing requests, no chaos scenario sheds any, every overload
+//! scenario keeps non-zero goodput, and the offered-load grid
+//! (`load_sweep`) has a knee past which goodput does not collapse.
 //!
 //! Usage: `cargo run --release -p palladium-bench --bin slo_smoke --
-//! [--load-sweep] [--out PATH]` (default `BENCH_slo.json`).
+//! [--out PATH]` (default `BENCH_slo.json`).
 
+use std::process::ExitCode;
+
+use palladium_bench::out_path_arg;
 use palladium_core::driver::cluster_sharded::{
     ClusterShardedConfig, ClusterShardedReport, ClusterShardedSim,
 };
-use palladium_core::system::SystemKind;
-use palladium_simnet::{Execution, Nanos, ScenarioScript};
-use palladium_workloads::boutique::{sharded_config, ChainKind};
-use palladium_workloads::openloop::{flash_autoscale, metastable, poisson_overload, SWEEP_RPS};
+use palladium_simnet::Execution;
+use palladium_workloads::{chaos, openloop};
 
-const PAIRS: usize = 4;
-
-fn base_cfg() -> ClusterShardedConfig {
-    sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, PAIRS)
-        .clients(8 * PAIRS)
-        .warmup_ms(1)
-        .duration_ms(4)
+/// 2 shards: covers the mailbox path too; the goldens prove every shard
+/// count reports the same bytes, so the SLO numbers are shard-count-free.
+fn run(cfg: ClusterShardedConfig) -> ClusterShardedReport {
+    ClusterShardedSim::new(cfg).run(2, Execution::Sequential)
 }
 
-/// The chaos-scenario catalogue, mirroring `tests/chaos_cluster.rs` (the
-/// golden pins the bytes; this binary pins the SLO view of them).
-fn scenarios() -> Vec<(&'static str, Option<ScenarioScript>)> {
-    vec![
-        ("fault_free", None),
-        (
-            "crash_failover",
-            Some(ScenarioScript::new().crash(2, Nanos::from_micros(1_500), Nanos::from_millis(3))),
-        ),
-        (
-            "link_flap",
-            Some(
-                ScenarioScript::new()
-                    .flap(5, 0.05, Nanos::from_millis(1), Nanos::from_micros(2_500))
-                    .flap(1, 0.02, Nanos::from_micros(1_800), Nanos::from_micros(3_200)),
-            ),
-        ),
-        (
-            "straggler",
-            Some(ScenarioScript::new().straggle(
-                6,
-                8.0,
-                Nanos::from_millis(1),
-                Nanos::from_millis(3),
-            )),
-        ),
-        (
-            "rack_crash_rejoin",
-            Some(
-                ScenarioScript::new()
-                    .domain("rack1", &[2, 3])
-                    .crash_domain("rack1", Nanos::from_micros(1_500), Nanos::from_millis(3)),
-            ),
-        ),
-        (
-            "gray_partition",
-            Some(ScenarioScript::new().gray_link(
-                4,
-                5,
-                0.05,
-                Nanos::from_micros(200),
-                Nanos::from_millis(1),
-                Nanos::from_micros(4_500),
-            )),
-        ),
-    ]
+/// Print `cols` of `r` as `key=value` cells under `label`, and return them
+/// as the JSON row that opens with the member `lead`.
+fn row(label: &str, lead: &str, r: &ClusterShardedReport, cols: &[&str]) -> String {
+    let cells = r.kv_line(cols).expect("catalogue columns are metrics");
+    println!("  {label:>20}: {cells}");
+    format!("    {}", r.json_row(lead, cols).expect("catalogue columns are metrics"))
 }
 
-/// The overload-scenario catalogue, mirroring `tests/overload_cluster.rs`
-/// (the overload golden pins the bytes; this binary pins the gates).
-fn overload_scenarios() -> Vec<(&'static str, ClusterShardedConfig)> {
-    vec![
-        ("flash_autoscale", flash_autoscale()),
-        ("metastable_budgeted", metastable(true)),
-        ("metastable_unbounded", metastable(false)),
-    ]
+/// Report `failures` of `name`'s gate; true when there are none.
+fn passed(name: &str, failures: &[String]) -> bool {
+    for f in failures {
+        eprintln!("FAIL: {name}: {f}");
+    }
+    failures.is_empty()
 }
 
+/// A scenario's gate: the cluster stays alive through it, and what the
+/// scenario exists to demonstrate did happen.
 fn gate(name: &str, r: &ClusterShardedReport) -> bool {
-    let mut ok = true;
+    let (c, o) = (&r.chaos, &r.overload);
+    let open_loop = o.offered > 0;
+    let mut failures = Vec::new();
     if r.chain.load.completed == 0 {
-        eprintln!("FAIL: {name}: cluster completed zero requests — liveness lost");
-        ok = false;
+        failures.push("cluster completed zero requests — liveness lost".to_string());
     }
-    let shed = r.chaos.shed_qp + r.chaos.shed_pool;
-    if shed > 0 {
-        eprintln!(
-            "FAIL: {name}: {shed} requests shed (qp={} pool={}) — a QP exhausted the \
-             chaos-raised retry budget or the ingress pool ran dry",
-            r.chaos.shed_qp, r.chaos.shed_pool
-        );
-        ok = false;
+    if open_loop && o.goodput == 0 {
+        failures.push("zero goodput — overload killed the cluster".to_string());
     }
-    if name == "crash_failover" {
-        let c = &r.chaos;
-        if c.suspected == 0 || c.reroutes == 0 || c.recovered == 0 {
-            eprintln!(
-                "FAIL: {name}: detection/failover/recovery incomplete \
-                 (suspected={} reroutes={} recovered={})",
-                c.suspected, c.reroutes, c.recovered
-            );
-            ok = false;
+    if !open_loop && c.shed_qp + c.shed_pool > 0 {
+        failures.push(format!(
+            "requests shed — a QP exhausted the chaos-raised retry budget or the ingress \
+             pool ran dry: {c:?}"
+        ));
+    }
+    let undemonstrated = match name {
+        "crash_failover" if c.suspected == 0 || c.reroutes == 0 || c.recovered == 0 => {
+            "detection/failover/recovery incomplete"
         }
-    }
-    if name == "rack_crash_rejoin" {
-        let c = &r.chaos;
-        // The correlated crash must suspect the whole domain, and
-        // recovery must be *costed*: both members complete the paid
-        // rejoin with a non-zero time-to-recovery.
-        if c.suspected < 2 || c.rejoins < 2 || c.ttr_p50.is_zero() {
-            eprintln!(
-                "FAIL: {name}: costed rejoin incomplete \
-                 (suspected={} rejoins={} ttr_p50={})",
-                c.suspected,
-                c.rejoins,
-                c.ttr_p50.as_nanos()
-            );
-            ok = false;
+        // The correlated crash must suspect the whole domain, and recovery
+        // must be *costed*: both members complete the paid rejoin with a
+        // non-zero time-to-recovery.
+        "rack_crash_rejoin" if c.suspected < 2 || c.rejoins < 2 || c.ttr_p50.is_zero() => {
+            "costed rejoin incomplete"
         }
-    }
-    if name == "gray_partition" {
-        let c = &r.chaos;
         // Gray faults sit below the heartbeat threshold: detection must
         // come from the differential EWMA (demotion + deflection), never
         // from suspicion.
-        if c.suspected != 0 || c.gray_demoted == 0 || c.gray_reroutes == 0 {
-            eprintln!(
-                "FAIL: {name}: EWMA detection incomplete or heartbeats fired \
-                 (suspected={} gray_demoted={} gray_reroutes={})",
-                c.suspected, c.gray_demoted, c.gray_reroutes
-            );
-            ok = false;
+        "gray_partition" if c.suspected != 0 || c.gray_demoted == 0 || c.gray_reroutes == 0 => {
+            "EWMA detection incomplete or heartbeats fired"
         }
-    }
-    ok
-}
-
-fn overload_gate(name: &str, r: &ClusterShardedReport) -> bool {
-    let o = &r.overload;
-    let mut ok = true;
-    if o.goodput == 0 {
-        eprintln!("FAIL: {name}: zero goodput — overload killed the cluster");
-        ok = false;
-    }
-    match name {
         // The surge must trigger *costed* elasticity: spare pairs
         // activate, the first claims the warm lease, later ones pay the
         // full rejoin bill, and the surge-window tail is measured.
@@ -195,15 +104,7 @@ fn overload_gate(name: &str, r: &ClusterShardedReport) -> bool {
                 || o.rejoin_bills < 1
                 || o.ramp_p99.is_zero() =>
         {
-            eprintln!(
-                "FAIL: {name}: costed scale-out incomplete (scale_ups={} lease_hits={} \
-                 rejoin_bills={} ramp_p99={})",
-                o.scale_ups,
-                o.lease_hits,
-                o.rejoin_bills,
-                o.ramp_p99.as_nanos()
-            );
-            ok = false;
+            "costed scale-out incomplete"
         }
         // Budgets + breaker + backlog shedding turn the transient crash
         // back into a transient: goodput must recover in the last
@@ -211,62 +112,32 @@ fn overload_gate(name: &str, r: &ClusterShardedReport) -> bool {
         "metastable_budgeted"
             if o.recovery_goodput == 0 || o.retry_exhausted == 0 || o.breaker_opens == 0 =>
         {
-            eprintln!(
-                "FAIL: {name}: budgeted config failed to recover \
-                 (recovery_goodput={} retry_exhausted={} breaker_opens={})",
-                o.recovery_goodput, o.retry_exhausted, o.breaker_opens
-            );
-            ok = false;
+            "budgeted config failed to recover"
         }
         // The negative control must stay collapsed — if unbounded
         // retries also recover, the scenario no longer demonstrates the
         // metastable failure the budgets exist to prevent.
         "metastable_unbounded" if o.recovery_goodput != 0 => {
-            eprintln!(
-                "FAIL: {name}: the unbounded control recovered (recovery_goodput={}) — \
-                 the metastable scenario lost its teeth",
-                o.recovery_goodput
-            );
-            ok = false;
+            "the unbounded control recovered — the metastable scenario lost its teeth"
         }
-        _ => {}
+        _ => "",
+    };
+    if !undemonstrated.is_empty() {
+        failures.push(format!("{undemonstrated}: {c:?} {o:?}"));
     }
-    ok
+    passed(name, &failures)
 }
 
 /// Walk the offered-load grid, locate the knee of the goodput curve, and
 /// gate against congestion collapse. Returns (ok, json rows, knee rps).
 fn load_sweep() -> (bool, Vec<String>, f64) {
-    println!("slo_smoke: goodput-vs-offered-load sweep ({} points)", SWEEP_RPS.len());
     let mut points = Vec::new();
     let mut rows = Vec::new();
-    for &rps in SWEEP_RPS.iter() {
-        let r = ClusterShardedSim::new(poisson_overload(rps)).run(2, Execution::Sequential);
-        let o = &r.overload;
-        println!(
-            "  {:>9.0} rps offered: offered={:>5} admitted={:>5} goodput={:>4} late={:>3} \
-             shed_admission={:>5} shed_deadline={:>5} p99={:>8} ns",
-            rps,
-            o.offered,
-            o.admitted,
-            o.goodput,
-            o.late,
-            r.chaos.shed_admission,
-            r.chaos.shed_deadline,
-            r.p99.as_nanos()
-        );
-        rows.push(format!(
-            "    {{\"offered_rps\": {rps}, \"offered\": {}, \"admitted\": {}, \"goodput\": {}, \
-             \"late\": {}, \"shed_admission\": {}, \"shed_deadline\": {}, \"p99_ns\": {}}}",
-            o.offered,
-            o.admitted,
-            o.goodput,
-            o.late,
-            r.chaos.shed_admission,
-            r.chaos.shed_deadline,
-            r.p99.as_nanos()
-        ));
-        points.push((rps, o.goodput));
+    for rps in openloop::SWEEP_RPS {
+        let r = run(openloop::poisson_overload(rps));
+        let lead = format!("\"offered_rps\": {rps}");
+        rows.push(row(&format!("{rps} rps offered"), &lead, &r, &openloop::SWEEP_COLS));
+        points.push((rps, r.overload.goodput));
     }
     let peak = points.iter().map(|&(_, g)| g).max().unwrap_or(0);
     // The knee: the smallest offered rate whose goodput is already within
@@ -278,181 +149,66 @@ fn load_sweep() -> (bool, Vec<String>, f64) {
         .map(|&(rps, _)| rps)
         .unwrap_or(0.0);
     let (top_rps, top_goodput) = *points.last().expect("sweep grid is non-empty");
-    let mut ok = true;
+    let mut failures = Vec::new();
     if knee == 0.0 || peak == 0 {
-        eprintln!("FAIL: load sweep found no knee — goodput never approached a peak");
-        ok = false;
+        failures.push("found no knee — goodput never approached a peak".to_string());
     }
     if top_rps < 2.0 * knee {
-        eprintln!(
-            "FAIL: sweep grid tops out at {top_rps} rps, under 2x the knee ({knee} rps) — \
-             the collapse gate needs deeper overload coverage"
-        );
-        ok = false;
+        failures.push(format!(
+            "grid tops out at {top_rps} rps, under 2x the knee ({knee} rps) — the collapse \
+             gate needs deeper overload coverage"
+        ));
     }
     // The no-congestion-collapse claim: past 2x the knee, admission
     // control + deadline shedding keep goodput >= half the peak instead
     // of letting retry/queueing work starve real service.
     if 2 * top_goodput < peak {
-        eprintln!(
-            "FAIL: goodput collapsed past saturation ({top_goodput} at {top_rps} rps vs \
-             peak {peak}) — the shedding machinery is not protecting service"
-        );
-        ok = false;
+        failures.push(format!(
+            "goodput collapsed past saturation ({top_goodput} at {top_rps} rps vs peak \
+             {peak}) — the shedding machinery is not protecting service"
+        ));
     }
-    println!(
-        "  knee={knee:.0} rps (goodput peak {peak}); goodput at {top_rps:.0} rps = {top_goodput}"
-    );
-    (ok, rows, knee)
+    println!("  knee={knee} rps (goodput peak {peak}); goodput at {top_rps} rps = {top_goodput}");
+    (passed("load sweep", &failures), rows, knee)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_slo.json".to_string());
-    let sweep = args.iter().any(|a| a == "--load-sweep");
+fn main() -> ExitCode {
+    let out_path = match out_path_arg("slo_smoke", "BENCH_slo.json") {
+        Ok(path) => path,
+        Err(code) => return code,
+    };
 
     let mut rows: Vec<String> = Vec::new();
     let mut all_ok = true;
-    println!("slo_smoke: chaos tail-latency gates (4-pair sharded cluster, 5 ms horizon)");
-    for (name, script) in scenarios() {
-        let mut cfg = base_cfg();
-        if let Some(s) = script {
-            cfg = cfg.chaos(s);
-        }
-        // 2 shards: covers the mailbox path too; the chaos golden proves
-        // every shard count reports the same bytes, so the SLO numbers
-        // are shard-count-free.
-        let r = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
+    println!("slo_smoke: chaos tail-latency and overload goodput gates (4-pair sharded cluster)");
+    let (chaos_cols, overload_cols) = (&chaos::SLO_COLS[..], &openloop::SLO_COLS[..]);
+    let fault_free = ("fault_free", chaos::base_cfg(), chaos_cols);
+    let faulty = chaos::scenarios().map(|(n, script)| (n, chaos::base_cfg().chaos(script), chaos_cols));
+    let overloaded = openloop::slo_scenarios().map(|(n, cfg)| (n, cfg, overload_cols));
+    for (name, cfg, cols) in std::iter::once(fault_free).chain(faulty).chain(overloaded) {
+        let r = run(cfg);
         all_ok &= gate(name, &r);
-        println!(
-            "  {name:>19}: p50={:>7} ns  p99={:>8} ns  p99.9={:>8} ns  completed={:>4}  \
-             drops={} crash={} rto={} rnr_naks={} suspected={} reroutes={} lost={} \
-             rejoins={} ttr_p50={} gray_demoted={} gray_reroutes={}",
-            r.p50.as_nanos(),
-            r.p99.as_nanos(),
-            r.p999.as_nanos(),
-            r.chain.load.completed,
-            r.chaos.fault_drops,
-            r.chaos.crash_drops,
-            r.chaos.rto,
-            r.chaos.rnr_naks,
-            r.chaos.suspected,
-            r.chaos.reroutes,
-            r.chaos.inflight_lost,
-            r.chaos.rejoins,
-            r.chaos.ttr_p50.as_nanos(),
-            r.chaos.gray_demoted,
-            r.chaos.gray_reroutes
-        );
-        rows.push(format!(
-            "    {{\"scenario\": \"{name}\", \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"completed\": {}, \"fault_drops\": {}, \"crash_drops\": {}, \"rto\": {}, \
-             \"rnr_naks\": {}, \"suspected\": {}, \"recovered\": {}, \"inflight_lost\": {}, \
-             \"reroutes\": {}, \"rejoins\": {}, \"ttr_p50_ns\": {}, \"ttr_p99_ns\": {}, \
-             \"gray_demoted\": {}, \"gray_reroutes\": {}}}",
-            r.p50.as_nanos(),
-            r.p99.as_nanos(),
-            r.p999.as_nanos(),
-            r.chain.load.completed,
-            r.chaos.fault_drops,
-            r.chaos.crash_drops,
-            r.chaos.rto,
-            r.chaos.rnr_naks,
-            r.chaos.suspected,
-            r.chaos.recovered,
-            r.chaos.inflight_lost,
-            r.chaos.reroutes,
-            r.chaos.rejoins,
-            r.chaos.ttr_p50.as_nanos(),
-            r.chaos.ttr_p99.as_nanos(),
-            r.chaos.gray_demoted,
-            r.chaos.gray_reroutes
-        ));
+        rows.push(row(name, &format!("\"scenario\": \"{name}\""), &r, cols));
     }
+    println!("slo_smoke: goodput-vs-offered-load sweep");
+    let (sweep_ok, sweep_rows, knee) = load_sweep();
+    all_ok &= sweep_ok;
 
-    println!("slo_smoke: overload goodput gates (open-loop arrivals, budgeted degradation)");
-    for (name, cfg) in overload_scenarios() {
-        let r = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
-        all_ok &= overload_gate(name, &r);
-        let o = &r.overload;
-        println!(
-            "  {name:>19}: p50={:>7} ns  p99={:>8} ns  p99.9={:>8} ns  offered={:>4}  \
-             goodput={:>3} late={} recovery={} exhausted={} breaker_opens={} \
-             scale_ups={} lease_hits={} rejoin_bills={} ramp_p99={} rnr_naks={}",
-            r.p50.as_nanos(),
-            r.p99.as_nanos(),
-            r.p999.as_nanos(),
-            o.offered,
-            o.goodput,
-            o.late,
-            o.recovery_goodput,
-            o.retry_exhausted,
-            o.breaker_opens,
-            o.scale_ups,
-            o.lease_hits,
-            o.rejoin_bills,
-            o.ramp_p99.as_nanos(),
-            r.chaos.rnr_naks
-        );
-        rows.push(format!(
-            "    {{\"scenario\": \"{name}\", \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"completed\": {}, \"offered\": {}, \"admitted\": {}, \"goodput\": {}, \
-             \"late\": {}, \"recovery_goodput\": {}, \"retries\": {}, \"retry_exhausted\": {}, \
-             \"shed_admission\": {}, \"shed_deadline\": {}, \"shed_breaker\": {}, \
-             \"breaker_opens\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \
-             \"rejoin_bills\": {}, \"lease_hits\": {}, \"ramp_p99_ns\": {}, \
-             \"rnr_naks\": {}}}",
-            r.p50.as_nanos(),
-            r.p99.as_nanos(),
-            r.p999.as_nanos(),
-            r.chain.load.completed,
-            o.offered,
-            o.admitted,
-            o.goodput,
-            o.late,
-            o.recovery_goodput,
-            o.retries,
-            o.retry_exhausted,
-            r.chaos.shed_admission,
-            r.chaos.shed_deadline,
-            r.chaos.shed_breaker,
-            o.breaker_opens,
-            o.scale_ups,
-            o.scale_downs,
-            o.rejoin_bills,
-            o.lease_hits,
-            o.ramp_p99.as_nanos(),
-            r.chaos.rnr_naks
-        ));
-    }
-
-    let mut sweep_section = String::new();
-    if sweep {
-        let (ok, sweep_rows, knee) = load_sweep();
-        all_ok &= ok;
-        sweep_section = format!(
-            ",\n  \"knee_rps\": {knee},\n  \"load_sweep\": [\n{}\n  ]",
-            sweep_rows.join(",\n")
-        );
-    }
-
-    let mut json = String::from(
-        "{\n  \"comment\": \"chaos + overload scenario SLOs; simulated (deterministic) \
-         nanoseconds, regenerate with slo_smoke --load-sweep on intentional model changes\",\n  \
-         \"scenarios\": [\n",
+    let json = format!(
+        "{{\n  \"comment\": \"chaos + overload scenario SLOs; simulated (deterministic) \
+         nanoseconds, regenerate with slo_smoke on intentional model changes\",\n  \
+         \"scenarios\": [\n{}\n  ],\n  \"knee_rps\": {knee},\n  \"load_sweep\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
+        sweep_rows.join(",\n")
     );
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ]");
-    json.push_str(&sweep_section);
-    json.push_str("\n}\n");
-    std::fs::write(&out_path, &json).expect("write slo json");
+    if let Err(e) = std::fs::write(&out_path, json) {
+        eprintln!("slo_smoke: cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
     println!("wrote {out_path}");
-
-    if !all_ok {
-        std::process::exit(1);
+    if all_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -11,9 +11,40 @@
 //! *shapes* — who wins, by what factor, where the crossovers sit — are
 //! asserted by the test suite.
 
+use std::process::ExitCode;
+
 pub mod experiments;
 
 pub use experiments::*;
+
+/// The command line of the `BENCH_*.json` writers: `[--out PATH]` (else
+/// `default`) and `--help`. Anything else — an unknown flag, `--out` with
+/// no value — prints the usage line and is `Err(FAILURE)`; the caller
+/// returns the code.
+pub fn out_path_arg(bin: &str, default: &str) -> Result<String, ExitCode> {
+    let usage = format!("usage: {bin} [--out PATH]");
+    let mut out_path = default.to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let problem = match arg.as_str() {
+            "--out" => match args.next() {
+                Some(path) => {
+                    out_path = path;
+                    continue;
+                }
+                None => "`--out` needs a path".to_string(),
+            },
+            "--help" | "-h" => {
+                println!("{usage}");
+                return Err(ExitCode::SUCCESS);
+            }
+            other => format!("unknown argument `{other}`"),
+        };
+        eprintln!("{bin}: {problem}\n{usage}");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(out_path)
+}
 
 /// Render a simple aligned table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -133,7 +133,7 @@ impl ChainSimConfig {
 }
 
 /// The cluster run's report.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChainReport {
     /// Throughput and latency details.
     pub load: LoadReport,

@@ -119,7 +119,7 @@ pub use build::ClusterShardedSim;
 pub use config::{
     AutoscalePolicy, BreakerPolicy, ClusterShardedConfig, GrayPolicy, OverloadConfig, RetryPolicy,
 };
-pub use report::{ChaosReport, ClusterShardedReport, OverloadReport};
+pub use report::{ChaosReport, ClusterShardedReport, OverloadReport, UnknownColumn};
 
 const TENANT: TenantId = TenantId(1);
 const BUF_SIZE: u32 = 8192;

@@ -426,11 +426,12 @@ impl ClusterShardedSim {
         let mut chaos_rep = std::mem::take(&mut ing.counts);
         for e in &engines {
             chaos_rep.absorb(&e.counts);
-            chaos_rep.fault_drops += e.net.counters.get("drop");
-            chaos_rep.crash_drops += e.net.counters.get("crash_drop");
-            chaos_rep.corrupt += e.net.counters.get("corrupt");
-            chaos_rep.rto += e.net.counters.get("rto");
-            chaos_rep.rnr_naks += e.net.counters.get("rnr_nak");
+            let net = &e.net.counters;
+            chaos_rep.fault_drops += net.drop;
+            chaos_rep.crash_drops += net.crash_drop;
+            chaos_rep.corrupt += net.corrupt;
+            chaos_rep.rto += net.rto;
+            chaos_rep.rnr_naks += net.rnr_nak;
         }
         if let Some(cx) = ing.chaos.as_ref().filter(|cx| !cx.ttr.is_empty()) {
             chaos_rep.ttr_p50 = cx.ttr.p50();

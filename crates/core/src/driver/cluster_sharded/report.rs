@@ -2,15 +2,18 @@
 //! run's live counters: the ingress state and every shard hold one and
 //! count straight into its public fields, and the fold at the end of the
 //! run sums them ([`ChaosReport::absorb`]) — a counter is declared once,
-//! here.
+//! here, with `palladium_simnet`'s `summed_report!`. The same declaration
+//! names it: [`ClusterShardedReport::metrics`] is the run as one flat list,
+//! and the two row writers ([`ClusterShardedReport::kv_line`],
+//! [`ClusterShardedReport::json_row`]) serialise any column list over it.
 
-use palladium_simnet::{ChannelStats, Nanos};
+use palladium_simnet::{summed_report, ChannelStats, Nanos};
 
 use crate::driver::chain::ChainReport;
 
 /// The report of one cluster run: the Fig 16 [`ChainReport`] plus the
 /// sharding counters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClusterShardedReport {
     /// The Fig 16 quantities (rps, latency, copies, utilization).
     pub chain: ChainReport,
@@ -50,60 +53,120 @@ pub struct ClusterShardedReport {
     pub overload: OverloadReport,
 }
 
-/// Open-loop overload accounting for one run. Goodput is the honest
-/// metric: completions within their propagated deadline. Folded entirely
-/// from ingress-ordered state — byte-identical at every shard count.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OverloadReport {
-    /// Arrivals generated inside the measurement window.
-    pub offered: u64,
-    /// Requests admitted to the data plane inside the window.
-    pub admitted: u64,
-    /// Completions within their deadline (the goodput numerator).
-    pub goodput: u64,
-    /// Completions past their deadline — served, but worthless.
-    pub late: u64,
-    /// Within-deadline completions finishing in the last quarter of the
-    /// window — distinguishes a system that *recovered* from one whose
-    /// backlog outlived the run (the metastable signature).
-    pub recovery_goodput: u64,
-    /// Retry attempts scheduled by the backoff machinery.
-    pub retries: u64,
-    /// Requests that exhausted their retry budget (or whose deadline
-    /// passed before the next attempt) — honest client-visible failures.
-    pub retry_exhausted: u64,
-    /// Circuit-breaker open (and re-arm) transitions.
-    pub breaker_opens: u64,
-    /// Circuit-breaker half-open probes that closed the breaker.
-    pub breaker_closes: u64,
-    /// Autoscaler pair activations that completed (after paying).
-    pub scale_ups: u64,
-    /// Autoscaler pair deactivations.
-    pub scale_downs: u64,
-    /// Activations that paid the full rejoin bill.
-    pub rejoin_bills: u64,
-    /// Activations that claimed a pre-leased warm worker at a fraction of
-    /// the bill.
-    pub lease_hits: u64,
-    /// p99 end-to-end latency of completions inside the surge window (the
-    /// flash-crowd ramp), `ZERO` when no surge window applies.
-    pub ramp_p99: Nanos,
+/// A column list named a metric [`ClusterShardedReport::metrics`] does not
+/// have; carries the name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownColumn(pub String);
+
+/// The label a golden snapshot prints for a metric: the snapshots predate
+/// the `_ns` unit suffix and shorten three names.
+fn golden_label(name: &str) -> &str {
+    match name {
+        "exact_p99_ns" => "p99",
+        "recovery_goodput" => "recovery",
+        "retry_exhausted" => "exhausted",
+        _ => name.strip_suffix("_ns").unwrap_or(name),
+    }
 }
 
-/// Declare a report struct whose every field sums: the struct as written,
-/// plus `absorb`, which adds another holder's counts into it.
-macro_rules! summed_report {
-    ($(#[$meta:meta])* pub struct $name:ident { $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)* }) => {
-        $(#[$meta])*
-        pub struct $name { $($(#[$fmeta])* pub $field: $ty,)* }
+impl ClusterShardedReport {
+    /// The run as one flat, ordered list of uniquely named integer metrics:
+    /// the report's own shard-count-invariant integers that a golden or an
+    /// SLO row pins, then every [`ChaosReport`] and [`OverloadReport`] field
+    /// under its declared name (times in nanoseconds, `_ns`-suffixed).
+    /// `p50_ns`/`p99_ns`/`p999_ns` come from the streaming histogram,
+    /// `exact_p99_ns` from the raw samples.
+    pub fn metrics(&self) -> Vec<(&'static str, u64)> {
+        let load = &self.chain.load;
+        let mut all = vec![
+            ("p50_ns", self.p50.as_nanos()),
+            ("p99_ns", self.p99.as_nanos()),
+            ("p999_ns", self.p999.as_nanos()),
+            ("completed", load.completed),
+            ("mean_ns", load.mean_latency.as_nanos()),
+            ("exact_p99_ns", load.p99_latency.as_nanos()),
+            ("sw_bytes", self.chain.software_copy_bytes),
+            ("dma_bytes", self.chain.rnic_dma_bytes),
+            ("events", self.events),
+            ("messages", self.messages),
+        ];
+        all.extend(self.chaos.metrics());
+        all.extend(self.overload.metrics());
+        all
+    }
 
-        impl $name {
-            /// Add every count of `other` into `self`.
-            pub(super) fn absorb(&mut self, other: &$name) {
-                $(self.$field += other.$field;)*
-            }
+    /// `cols` looked up in [`metrics`](Self::metrics), in `cols` order.
+    fn cells<'c>(&self, cols: &[&'c str]) -> Result<Vec<(&'c str, u64)>, UnknownColumn> {
+        let all = self.metrics();
+        cols.iter()
+            .map(|&col| match all.iter().find(|(name, _)| *name == col) {
+                Some(&(_, value)) => Ok((col, value)),
+                None => Err(UnknownColumn(col.to_string())),
+            })
+            .collect()
+    }
+
+    /// The golden-snapshot writer: `cols` as space-separated `label=value`
+    /// cells, a metric's label being its name unless the snapshots carry a
+    /// historic one (`p50` for `p50_ns`, `recovery` for `recovery_goodput`).
+    pub fn kv_line(&self, cols: &[&str]) -> Result<String, UnknownColumn> {
+        let cells = self.cells(cols)?;
+        let cells: Vec<_> = cells.iter().map(|&(n, v)| format!("{}={v}", golden_label(n))).collect();
+        Ok(cells.join(" "))
+    }
+
+    /// The `BENCH_*.json` writer: one JSON object on one line, opening with
+    /// the caller's `lead` member (`"scenario": "straggler"`) followed by
+    /// `cols` as `"name": value` members.
+    pub fn json_row(&self, lead: &str, cols: &[&str]) -> Result<String, UnknownColumn> {
+        let mut row = format!("{{{lead}");
+        for (name, value) in self.cells(cols)? {
+            row.push_str(&format!(", \"{name}\": {value}"));
         }
-    };
+        Ok(row + "}")
+    }
+}
+
+summed_report! {
+    /// Open-loop overload accounting for one run. Goodput is the honest
+    /// metric: completions within their propagated deadline. Folded entirely
+    /// from ingress-ordered state — byte-identical at every shard count.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct OverloadReport {
+        /// Arrivals generated inside the measurement window.
+        pub offered: u64,
+        /// Requests admitted to the data plane inside the window.
+        pub admitted: u64,
+        /// Completions within their deadline (the goodput numerator).
+        pub goodput: u64,
+        /// Completions past their deadline — served, but worthless.
+        pub late: u64,
+        /// Within-deadline completions finishing in the last quarter of the
+        /// window — distinguishes a system that *recovered* from one whose
+        /// backlog outlived the run (the metastable signature).
+        pub recovery_goodput: u64,
+        /// Retry attempts scheduled by the backoff machinery.
+        pub retries: u64,
+        /// Requests that exhausted their retry budget (or whose deadline
+        /// passed before the next attempt) — honest client-visible failures.
+        pub retry_exhausted: u64,
+        /// Circuit-breaker open (and re-arm) transitions.
+        pub breaker_opens: u64,
+        /// Circuit-breaker half-open probes that closed the breaker.
+        pub breaker_closes: u64,
+        /// Autoscaler pair activations that completed (after paying).
+        pub scale_ups: u64,
+        /// Autoscaler pair deactivations.
+        pub scale_downs: u64,
+        /// Activations that paid the full rejoin bill.
+        pub rejoin_bills: u64,
+        /// Activations that claimed a pre-leased warm worker at a fraction of
+        /// the bill.
+        pub lease_hits: u64,
+        /// p99 end-to-end latency of completions inside the surge window (the
+        /// flash-crowd ramp), `ZERO` when no surge window applies.
+        pub ramp_p99: Nanos,
+    }
 }
 
 summed_report! {
@@ -209,25 +272,54 @@ mod tests {
         assert_eq!(got, (1, 2, 3, 1, 2));
     }
 
+    fn report() -> ClusterShardedReport {
+        let mut r = ClusterShardedReport {
+            events: 15,
+            messages: 16,
+            p50: Nanos(17),
+            p99: Nanos(18),
+            p999: Nanos(19),
+            chaos: ChaosReport { rto: 20, ttr_p50: Nanos(21), ..Default::default() },
+            overload: OverloadReport { recovery_goodput: 22, ramp_p99: Nanos(23), ..Default::default() },
+            ..Default::default()
+        };
+        r.chain.load.p99_latency = Nanos(12);
+        r
+    }
+
     #[test]
-    fn absorb_sums_every_field() {
-        let shard = ChaosReport { shed_qp: 2, shed_pool: 1, rto: 4, ..Default::default() };
-        let mut total = ChaosReport {
-            shed_qp: 1,
-            reroutes: 7,
-            ttr_p99: Nanos(9),
-            ..Default::default()
-        };
-        total.absorb(&shard);
-        total.absorb(&shard);
-        let want = ChaosReport {
-            shed_qp: 5,
-            shed_pool: 2,
-            rto: 8,
-            reroutes: 7,
-            ttr_p99: Nanos(9),
-            ..Default::default()
-        };
-        assert_eq!(total, want);
+    fn every_chaos_and_overload_field_is_a_uniquely_named_metric() {
+        let r = report();
+        let all = r.metrics();
+        for (i, (name, _)) in all.iter().enumerate() {
+            assert!(all[..i].iter().all(|(n, _)| n != name), "`{name}` is listed twice");
+        }
+        let tail = [r.chaos.metrics(), r.overload.metrics()].concat();
+        assert_eq!(all[all.len() - tail.len()..], tail[..], "own scalars, then chaos, then overload");
+        for (name, value) in tail {
+            assert_eq!(r.cells(&[name]), Ok(vec![(name, value)]));
+        }
+    }
+
+    #[test]
+    fn both_writers_serialise_a_column_list_in_its_own_order() {
+        let r = report();
+        let cols = ["rto", "p50_ns", "exact_p99_ns", "ttr_p50_ns", "recovery_goodput", "ramp_p99_ns"];
+        assert_eq!(
+            r.kv_line(&cols).unwrap(),
+            "rto=20 p50=17 p99=12 ttr_p50=21 recovery=22 ramp_p99=23"
+        );
+        assert_eq!(
+            r.json_row("\"scenario\": \"x\"", &cols).unwrap(),
+            "{\"scenario\": \"x\", \"rto\": 20, \"p50_ns\": 17, \"exact_p99_ns\": 12, \
+             \"ttr_p50_ns\": 21, \"recovery_goodput\": 22, \"ramp_p99_ns\": 23}"
+        );
+    }
+
+    #[test]
+    fn an_unknown_column_is_an_error_that_names_it() {
+        let r = report();
+        assert_eq!(r.kv_line(&["rto", "rnr_nak"]), Err(UnknownColumn("rnr_nak".into())));
+        assert_eq!(r.json_row("", &["ttr_p50"]), Err(UnknownColumn("ttr_p50".into())));
     }
 }

@@ -41,7 +41,7 @@ pub mod verbs;
 pub use config::RdmaConfig;
 pub use fabric::{Packet, PacketKind};
 pub use mr::{MemoryRegion, MrError, MrKey, MrTable};
-pub use net::{RdmaEvent, RdmaNet, RdmaOutput, Step};
+pub use net::{NetCounts, RdmaEvent, RdmaNet, RdmaOutput, Step};
 pub use qp::{Inflight, RcQp, RxDecision};
 pub use rnic::{Rnic, RnicError, RqEntry};
 pub use verbs::{Cqe, CqeKind, CqeStatus, OpKind, QpState, Qpn, RemoteAddr, WorkRequest, WrId};

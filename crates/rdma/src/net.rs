@@ -19,7 +19,7 @@ use bytes::Bytes;
 
 use palladium_membuf::{MmapExport, NodeId, TenantId};
 use palladium_simnet::{
-    Counters, FaultPlan, FaultTimeline, Nanos, SimRng, Slab, Timed, Verdict,
+    summed_report, FaultPlan, FaultTimeline, Nanos, SimRng, Slab, Timed, Verdict,
 };
 
 use crate::config::RdmaConfig;
@@ -208,6 +208,45 @@ struct ReadCtx {
     orig_psn: u64,
 }
 
+summed_report! {
+    /// The fabric's protocol counters (a sharded driver sums its instances').
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct NetCounts {
+        /// Frames a stochastic fault plan dropped at the destination port.
+        pub drop: u64,
+        /// Frames dropped inside a partition window (no RNG draw).
+        pub crash_drop: u64,
+        /// Frames a fault plan corrupted in flight.
+        pub corrupt: u64,
+        /// Corrupted frames the receiver's CRC check discarded.
+        pub crc_drop: u64,
+        /// Retransmission-timeout firings.
+        pub rto: u64,
+        /// Data frames accepted in order.
+        pub delivered: u64,
+        /// ACKs sent for delivered frames.
+        pub acks: u64,
+        /// ACK frames received by a sender.
+        pub ack_rx: u64,
+        /// In-flight work requests those ACKs retired.
+        pub ack_retired: u64,
+        /// Duplicate frames re-ACKed at the last delivered PSN.
+        pub dup_ack: u64,
+        /// Out-of-order frames NAKed (once per gap).
+        pub ooo_nak: u64,
+        /// Out-of-order frames discarded behind a gap already NAKed.
+        pub ooo_silent: u64,
+        /// SENDs that met an empty receive queue and were RNR-NAKed.
+        pub rnr_nak: u64,
+        /// SENDs discarded behind an RNR already signalled for their PSN.
+        pub rnr_silent: u64,
+        /// Go-back-N rewinds a NAK triggered at the sender.
+        pub nak_rewind: u64,
+        /// RNR back-off pauses a sender QP sat out.
+        pub rnr_backoff: u64,
+    }
+}
+
 /// The simulated multi-node RDMA fabric.
 ///
 /// Usually one instance spans every node (`new`). A sharded driver
@@ -252,9 +291,8 @@ pub struct RdmaNet {
     /// another shard). Frames whose source or destination is inside a
     /// window are dropped at the destination port with no RNG draw.
     down: Vec<Vec<(Nanos, Nanos)>>,
-    /// Fabric-wide protocol counters: `drop`, `corrupt`, `crc_drop`,
-    /// `nak_rewind`, `rnr_nak`, `rto`, `delivered`, `acks`.
-    pub counters: Counters,
+    /// Fabric-wide protocol counters.
+    pub counters: NetCounts,
     /// Outstanding one-sided READs, keyed by generation-checked slab
     /// handles (handles are handed to the driver and come back via
     /// [`RdmaNet::complete_read`]; slots recycle, generations catch stale
@@ -286,7 +324,7 @@ impl RdmaNet {
             sharded_egress: false,
             fault: FaultPlan::NONE,
             down: Vec::new(),
-            counters: Counters::new(),
+            counters: NetCounts::default(),
             reads: Slab::new(),
             ack_scratch: Vec::new(),
             frame_scratch: Vec::new(),
@@ -633,7 +671,7 @@ impl RdmaNet {
     /// with `psn <= upto`, generating success completions (READs complete on
     /// data arrival instead). Resets the retry budget on progress.
     fn retire_acked(&mut self, node: NodeId, qpn: Qpn, upto: u64, step: &mut Step) {
-        self.counters.inc("ack_rx");
+        self.counters.ack_rx += 1;
         let mut retired = std::mem::take(&mut self.ack_scratch);
         retired.clear();
         let (tenant, peer) = {
@@ -647,7 +685,7 @@ impl RdmaNet {
             }
             (qp.tenant, qp.peer_node)
         };
-        self.counters.add("ack_retired", retired.len() as u64);
+        self.counters.ack_retired += retired.len() as u64;
         let mut notify = false;
         for msg in retired.drain(..) {
             // READ completes on data arrival, not on request-ack.
@@ -725,7 +763,7 @@ impl RdmaNet {
                 // stream (so a crash scenario perturbs no other node's
                 // verdict sequence).
                 if !exempt && (self.node_down(pkt.src, now) || self.node_down(pkt.dst, now)) {
-                    self.counters.inc("crash_drop");
+                    self.counters.crash_drop += 1;
                     return;
                 }
                 // Stochastic faults draw from the *destination node's*
@@ -753,11 +791,11 @@ impl RdmaNet {
                 if !exempt {
                     match plan.judge(now, &mut self.fault_rngs[idx]) {
                         Verdict::Drop => {
-                            self.counters.inc("drop");
+                            self.counters.drop += 1;
                             return;
                         }
                         Verdict::Corrupt => {
-                            self.counters.inc("corrupt");
+                            self.counters.corrupt += 1;
                             pkt.corrupted = true;
                         }
                         Verdict::Pass => {}
@@ -782,7 +820,7 @@ impl RdmaNet {
             }
             RdmaEvent::RxDone { pkt } => {
                 if pkt.corrupted {
-                    self.counters.inc("crc_drop");
+                    self.counters.crc_drop += 1;
                     return;
                 }
                 self.rx_done(now, pkt, step);
@@ -810,7 +848,7 @@ impl RdmaNet {
                     return;
                 }
                 if expired {
-                    self.counters.inc("rto");
+                    self.counters.rto += 1;
                     let over_limit = {
                         let qp = self.rnic_mut(node).qp_mut(qpn).expect("checked above");
                         qp.rewind();
@@ -890,7 +928,7 @@ impl RdmaNet {
                 };
                 match decision {
                     RxDecision::Deliver => {
-                        self.counters.inc("delivered");
+                        self.counters.delivered += 1;
                         match op {
                             OpKind::Send => {
                                 let entry = self
@@ -937,7 +975,7 @@ impl RdmaNet {
                                 });
                             }
                         }
-                        self.counters.inc("acks");
+                        self.counters.acks += 1;
                         self.send_control(
                             now,
                             dst,
@@ -955,7 +993,7 @@ impl RdmaNet {
                             .ok()
                             .and_then(|q| q.last_delivered_psn())
                             .unwrap_or(0);
-                        self.counters.inc("dup_ack");
+                        self.counters.dup_ack += 1;
                         self.send_control(
                             now,
                             dst,
@@ -967,13 +1005,13 @@ impl RdmaNet {
                         );
                     }
                     RxDecision::OutOfOrderSilent => {
-                        self.counters.inc("ooo_silent");
+                        self.counters.ooo_silent += 1;
                     }
                     RxDecision::ReceiverNotReadySilent => {
-                        self.counters.inc("rnr_silent");
+                        self.counters.rnr_silent += 1;
                     }
                     RxDecision::OutOfOrderNak { expected } => {
-                        self.counters.inc("ooo_nak");
+                        self.counters.ooo_nak += 1;
                         self.send_control(
                             now,
                             dst,
@@ -985,7 +1023,7 @@ impl RdmaNet {
                         );
                     }
                     RxDecision::ReceiverNotReady => {
-                        self.counters.inc("rnr_nak");
+                        self.counters.rnr_nak += 1;
                         step.outputs.push(RdmaOutput::RnrSeen { node: dst, tenant });
                         self.send_control(
                             now,
@@ -1033,7 +1071,7 @@ impl RdmaNet {
                     qp.retries += 1;
                     qp.retries > self.cfg.retry_limit
                 };
-                self.counters.inc("nak_rewind");
+                self.counters.nak_rewind += 1;
                 if over_limit {
                     self.fail_qp(node, qpn, CqeStatus::RetryExceeded, step);
                 } else {
@@ -1061,7 +1099,7 @@ impl RdmaNet {
                     qp.rnr_paused = true;
                     qp.rnr_retries > self.cfg.rnr_retry_limit
                 };
-                self.counters.inc("rnr_backoff");
+                self.counters.rnr_backoff += 1;
                 if over_limit {
                     self.fail_qp(node, qpn, CqeStatus::RnrRetryExceeded, step);
                 } else {
@@ -1245,7 +1283,7 @@ mod tests {
         let cqes = net.poll_cq(NodeId(1), 4);
         assert_eq!(cqes.len(), 1, "message delivered after retry");
         assert_eq!(cqes[0].imm, 9);
-        assert!(net.counters.get("rnr_nak") >= 1);
+        assert!(net.counters.rnr_nak >= 1);
     }
 
     #[test]
@@ -1361,7 +1399,7 @@ mod tests {
             .collect();
         let expect: Vec<u64> = (0..n).collect();
         assert_eq!(imms, expect, "exactly-once, in-order despite 20% drops");
-        assert!(net.counters.get("drop") > 0, "faults actually fired");
+        assert!(net.counters.drop > 0, "faults actually fired");
     }
 
     #[test]
@@ -1384,7 +1422,7 @@ mod tests {
             .map(|c| c.imm)
             .collect();
         assert_eq!(imms, (0..16).collect::<Vec<_>>());
-        assert!(net.counters.get("crc_drop") > 0);
+        assert!(net.counters.crc_drop > 0);
     }
 
     /// A directed link fault is asymmetric: blackholing `0 → 1` eats
@@ -1417,9 +1455,9 @@ mod tests {
         assert_eq!(recvs, vec![9], "payload crosses the healthy direction");
         // ...while the gray direction ate the ACKs until retry
         // exhaustion: drops and RTOs are all charged to 0 → 1.
-        assert!(net.counters.get("drop") > 0, "ACKs on the gray link must drop");
-        assert!(net.counters.get("rto") > 0, "missing ACKs must cost RTOs");
-        assert_eq!(net.counters.get("crash_drop"), 0, "no partitions involved");
+        assert!(net.counters.drop > 0, "ACKs on the gray link must drop");
+        assert!(net.counters.rto > 0, "missing ACKs must cost RTOs");
+        assert_eq!(net.counters.crash_drop, 0, "no partitions involved");
     }
 
     #[test]
@@ -1519,7 +1557,7 @@ mod tests {
             .map(|c| c.imm)
             .collect();
         assert_eq!(recvs, vec![1, 2], "tail loss must be recovered by RTO");
-        assert!(net.counters.get("rto") >= 1, "recovery must come from the RTO path");
+        assert!(net.counters.rto >= 1, "recovery must come from the RTO path");
     }
 
     #[test]

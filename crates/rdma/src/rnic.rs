@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use palladium_membuf::{MmapExport, NodeId, PoolId, TenantId};
-use palladium_simnet::{Counters, FifoServer, IdTable, Nanos};
+use palladium_simnet::{FifoServer, IdTable, Nanos};
 
 use crate::config::RdmaConfig;
 use crate::mr::{MrError, MrKey, MrTable};
@@ -71,8 +71,6 @@ pub struct Rnic {
     pub egress: FifoServer,
     /// RX engine: per-frame receive processing + DMA.
     pub rx_engine: FifoServer,
-    /// Device counters (rnr_naks, retransmits, crc_drops ...).
-    pub counters: Counters,
 }
 
 impl Rnic {
@@ -87,7 +85,6 @@ impl Rnic {
             mrs: MrTable::new(),
             egress: FifoServer::new(format!("rnic{}-egress", node.raw())),
             rx_engine: FifoServer::new(format!("rnic{}-rx", node.raw())),
-            counters: Counters::new(),
         }
     }
 

@@ -52,5 +52,5 @@ pub use table::{IdTable, PageTable, Slab};
 pub use rng::SimRng;
 pub use server::{FifoServer, ServerBank};
 pub use sim::{Sim, Timed};
-pub use stats::{Counters, Histogram, Samples, UtilizationBins, WindowedRate};
+pub use stats::{Histogram, Samples, UtilizationBins, WindowedRate};
 pub use time::{wire_time, ByteCost, Nanos};

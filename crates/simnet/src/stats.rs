@@ -1,5 +1,6 @@
-//! Measurement machinery: counters, latency samples, windowed time series
-//! and utilization bins — everything the figure harnesses print.
+//! Measurement machinery: latency samples, windowed time series,
+//! utilization bins and [`summed_report!`](crate::summed_report), the one
+//! way a counter is declared — everything the figure harnesses print.
 
 use crate::time::Nanos;
 
@@ -361,58 +362,34 @@ impl UtilizationBins {
     }
 }
 
-/// A monotonically increasing named counter set, used for copy accounting
-/// and protocol statistics.
-///
-/// Counters fire several times per simulated frame, so keys are `'static`
-/// literals compared by pointer+length first — the common case (the same
-/// literal from the same call site) resolves without touching the bytes.
-#[derive(Debug, Clone, Default)]
-pub struct Counters {
-    entries: Vec<(&'static str, u64)>,
-}
+/// Declare a counter struct — the workspace's one counter mechanism. The
+/// struct is emitted as written (every field `pub`, typed `u64` or
+/// [`Nanos`]) together with `absorb`, which adds another holder's counts
+/// into it, and `metrics`, its fields as `(name, value)` pairs in
+/// declaration order. A name is the field's own; a `Nanos` field reports
+/// nanoseconds and says so with an `_ns` suffix.
+#[macro_export]
+macro_rules! summed_report {
+    ($(#[$meta:meta])* pub struct $name:ident { $($(#[$fmeta:meta])* pub $field:ident: $ty:ident,)* }) => {
+        $(#[$meta])*
+        pub struct $name { $($(#[$fmeta])* pub $field: $ty,)* }
 
-/// Fast path: the same string literal is deduplicated by the compiler, so
-/// a pointer/length match almost always decides; fall back to a byte
-/// compare for distinct-but-equal literals across crates.
-#[inline]
-fn key_eq(a: &'static str, b: &str) -> bool {
-    std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len() || a == b
-}
+        impl $name {
+            /// Add every count of `other` into `self`.
+            pub fn absorb(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
 
-impl Counters {
-    /// Empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to counter `name`, creating it at zero if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|(k, _)| key_eq(k, name)) {
-            e.1 += n;
-        } else {
-            self.entries.push((name, n));
+            /// Every field as a `(name, value)` pair, in declaration order.
+            pub fn metrics(&self) -> Vec<(&'static str, u64)> {
+                vec![$($crate::summed_report!(@pair $ty, $field, self.$field)),*]
+            }
         }
-    }
-
-    /// Increment counter `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|(k, _)| key_eq(k, name))
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Iterate over `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(k, v)| (*k, *v))
-    }
+    };
+    (@pair u64, $field:ident, $value:expr) => { (stringify!($field), $value) };
+    (@pair Nanos, $field:ident, $value:expr) => {
+        (concat!(stringify!($field), "_ns"), $value.as_nanos())
+    };
 }
 
 #[cfg(test)]
@@ -558,16 +535,27 @@ mod tests {
         assert_eq!(h.len(), 0);
     }
 
+    summed_report! {
+        #[derive(Debug, Default, PartialEq)]
+        pub struct Probe {
+            pub sent: u64,
+            pub wait: Nanos,
+            pub lost: u64,
+        }
+    }
+
     #[test]
-    fn counters_accumulate() {
-        let mut c = Counters::new();
-        c.inc("sw_copy");
-        c.add("sw_copy", 4);
-        c.add("dma", 2);
-        assert_eq!(c.get("sw_copy"), 5);
-        assert_eq!(c.get("dma"), 2);
-        assert_eq!(c.get("missing"), 0);
-        let all: Vec<_> = c.iter().collect();
-        assert_eq!(all, vec![("sw_copy", 5), ("dma", 2)]);
+    fn metrics_name_every_field_once_in_declaration_order() {
+        let p = Probe { sent: 3, wait: Nanos(7), lost: 1 };
+        assert_eq!(p.metrics(), vec![("sent", 3), ("wait_ns", 7), ("lost", 1)]);
+    }
+
+    #[test]
+    fn absorb_sums_every_field() {
+        let mut total = Probe { sent: 1, wait: Nanos(9), lost: 0 };
+        let shard = Probe { sent: 2, wait: Nanos(1), lost: 4 };
+        total.absorb(&shard);
+        total.absorb(&shard);
+        assert_eq!(total, Probe { sent: 5, wait: Nanos(11), lost: 8 });
     }
 }

@@ -6,7 +6,9 @@
 //! surface. This module adds the *scenario* layer: named overload regimes
 //! over the Online Boutique cluster that `slo_smoke`, `alloc_smoke` and the
 //! test suite all share, so the load sweep, the allocation gate and the
-//! golden snapshots exercise byte-identical configurations.
+//! golden snapshots exercise byte-identical configurations — on the same
+//! base cluster as the chaos catalogue ([`crate::chaos::base_cfg`]; an
+//! open-loop run ignores its client count).
 //!
 //! Calibration anchor: the closed-loop 4-pair HomeQuery cluster completes
 //! ~290 requests in 4 ms (~72 k rps) with 32 clients in flight. The sweep
@@ -22,13 +24,9 @@ use palladium_core::autoscaler::AutoscalerConfig;
 use palladium_core::driver::cluster_sharded::{
     AutoscalePolicy, ClusterShardedConfig, OverloadConfig,
 };
-use palladium_core::system::SystemKind;
 use palladium_simnet::{Nanos, ScenarioScript};
 
-use crate::boutique::{sharded_config, ChainKind};
-
-/// Worker pairs every overload preset runs with.
-pub const OVERLOAD_PAIRS: usize = 4;
+use crate::chaos::base_cfg;
 
 /// Zipf function population — large enough to exercise the two-level
 /// page table's sparse paths on every arrival.
@@ -38,21 +36,39 @@ pub const OVERLOAD_POPULATION: u64 = 10_000;
 /// closed-loop p50, so healthy service meets it with queueing headroom).
 pub const OVERLOAD_DEADLINE: Nanos = Nanos::from_millis(2);
 
-/// The offered-load grid `slo_smoke --load-sweep` walks (requests/sec),
-/// bracketing the ~72 k rps closed-loop saturation point.
+/// The offered-load grid `slo_smoke` walks (requests/sec), bracketing the
+/// ~72 k rps closed-loop saturation point; each point runs
+/// [`poisson_overload`].
 pub const SWEEP_RPS: [f64; 7] =
     [20_000.0, 40_000.0, 60_000.0, 80_000.0, 100_000.0, 140_000.0, 200_000.0];
 
-fn overload_base() -> ClusterShardedConfig {
-    sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, OVERLOAD_PAIRS)
-        .warmup_ms(1)
-        .duration_ms(4)
+/// What a `load_sweep` row of `BENCH_slo.json` pins, after its
+/// `offered_rps` (columns of `ClusterShardedReport::metrics`).
+pub const SWEEP_COLS: [&str; 7] =
+    ["offered", "admitted", "goodput", "late", "shed_admission", "shed_deadline", "p99_ns"];
+
+/// What an overload scenario row of `BENCH_slo.json` pins.
+pub const SLO_COLS: [&str; 21] = [
+    "p50_ns", "p99_ns", "p999_ns", "completed", "offered", "admitted", "goodput", "late",
+    "recovery_goodput", "retries", "retry_exhausted", "shed_admission", "shed_deadline",
+    "shed_breaker", "breaker_opens", "scale_ups", "scale_downs", "rejoin_bills", "lease_hits",
+    "ramp_p99_ns", "rnr_naks",
+];
+
+/// The three overload scenarios `BENCH_slo.json` pins, by name, in file
+/// order.
+pub fn slo_scenarios() -> [(&'static str, ClusterShardedConfig); 3] {
+    [
+        ("flash_autoscale", flash_autoscale()),
+        ("metastable_budgeted", metastable(true)),
+        ("metastable_unbounded", metastable(false)),
+    ]
 }
 
 /// Steady Poisson arrivals at `rps` under the budgeted-degradation
 /// defaults — one point of the goodput-vs-offered-load sweep.
 pub fn poisson_overload(rps: f64) -> ClusterShardedConfig {
-    overload_base().overload(OverloadConfig::new(
+    base_cfg().overload(OverloadConfig::new(
         OpenLoopConfig::poisson(rps, OVERLOAD_POPULATION),
         OVERLOAD_DEADLINE,
     ))
@@ -76,7 +92,7 @@ pub fn flash_autoscale() -> ClusterShardedConfig {
         population: OVERLOAD_POPULATION,
         zipf_s: 1.0,
     };
-    overload_base().duration_ms(6).overload(
+    base_cfg().duration_ms(6).overload(
         OverloadConfig::new(traffic, OVERLOAD_DEADLINE).autoscale(AutoscalePolicy {
             initial_pairs: 2,
             scaler: AutoscalerConfig {
@@ -108,7 +124,7 @@ pub fn metastable(budgeted: bool) -> ClusterShardedConfig {
     if !budgeted {
         ov = ov.unbounded_legacy();
     }
-    overload_base()
+    base_cfg()
         .duration_ms(8)
         .chaos(
             ScenarioScript::new()

@@ -16,13 +16,12 @@
 
 use bytes::Bytes;
 use palladium::core::driver::cluster_sharded::ClusterShardedSim;
-use palladium::core::system::SystemKind;
 use palladium::membuf::{MmapExporter, NodeId, PoolId, Region, TenantId};
 use palladium::rdma::{
     CqeKind, RdmaConfig, RdmaEvent, RdmaNet, RqEntry, WorkRequest, WrId,
 };
 use palladium::simnet::{Execution, FaultPlan, Nanos, ScenarioScript, Sim};
-use palladium::workloads::boutique::{sharded_config, ChainKind};
+use palladium::workloads::chaos::{base_cfg, PAIRS};
 
 fn main() {
     for (drop, corrupt) in [(0.0, 0.0), (0.1, 0.05), (0.25, 0.1)] {
@@ -96,9 +95,9 @@ fn main() {
             received.len(),
             n,
             in_order,
-            net.counters.get("drop"),
-            net.counters.get("crc_drop"),
-            net.counters.get("nak_rewind") + net.counters.get("rto"),
+            net.counters.drop,
+            net.counters.crc_drop,
+            net.counters.nak_rewind + net.counters.rto,
             finish,
         );
         assert_eq!(received.len() as u64, n);
@@ -111,17 +110,13 @@ fn main() {
     // Two worker links flap with stochastic drop windows while another
     // worker computes 8× slower; the RC transport absorbs the losses and
     // the report's histogram shows what the faults cost the tail.
-    let pairs = 4;
-    let base = sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, pairs)
-        .clients(8 * pairs)
-        .warmup_ms(1)
-        .duration_ms(4);
+    let base = base_cfg();
     let script = ScenarioScript::new()
         .flap(5, 0.05, Nanos::from_millis(1), Nanos::from_micros(2_500))
         .flap(1, 0.02, Nanos::from_micros(1_800), Nanos::from_micros(3_200))
         .straggle(6, 8.0, Nanos::from_millis(1), Nanos::from_millis(3));
 
-    println!("\nChaos on the sharded Fig 16 cluster ({pairs} worker pairs, 2 shards):");
+    println!("\nChaos on the sharded Fig 16 cluster ({PAIRS} worker pairs, 2 shards):");
     let healthy = ClusterShardedSim::new(base.clone()).run(2, Execution::Sequential);
     let faulty = ClusterShardedSim::new(base.chaos(script)).run(2, Execution::Sequential);
     for (name, r) in [("fault-free", &healthy), ("flap+straggle", &faulty)] {

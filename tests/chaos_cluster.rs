@@ -17,156 +17,56 @@
 
 use proptest::prelude::*;
 
-use palladium_core::driver::cluster_sharded::{
-    ClusterShardedConfig, ClusterShardedReport, ClusterShardedSim,
-};
+use palladium_core::driver::cluster_sharded::{ClusterShardedReport, ClusterShardedSim};
 use palladium_core::system::SystemKind;
 use palladium_simnet::{Execution, FaultPlan, Nanos, ScenarioScript};
 use palladium_workloads::boutique::{sharded_config, ChainKind};
+use palladium_workloads::chaos::{
+    base_cfg, crash_failover, gray_partition, link_flap, rack_crash_rejoin, scenarios, straggler,
+    SLO_COLS,
+};
 
-const PAIRS: usize = 4;
+mod common;
+use common::{assert_golden, assert_in_slo_file};
 
-fn base_cfg() -> ClusterShardedConfig {
-    sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, PAIRS)
-        .clients(8 * PAIRS)
-        .warmup_ms(1)
-        .duration_ms(4)
-}
+/// What a golden line pins after its hex-exact `rps` (no shortest-repr
+/// float ambiguity): the fault-free trace extended with histogram tails
+/// and the chaos accounting.
+const GOLDEN_COLS: [&str; 30] = [
+    "mean_ns", "p50_ns", "p99_ns", "p999_ns", "completed", "sw_bytes", "dma_bytes", "events",
+    "messages", "fault_drops", "crash_drops", "corrupt", "rto", "rnr_naks", "suspected",
+    "recovered", "inflight_lost", "reroutes", "shed_qp", "shed_pool", "shed_admission",
+    "shed_deadline", "shed_breaker", "rejoins", "rejoins_aborted", "ttr_p50_ns", "ttr_p99_ns",
+    "gray_demoted", "gray_restored", "gray_reroutes",
+];
 
-/// Crash pair 1's first worker mid-run; the health plane must suspect
-/// it, abandon the in-flight requests, and re-route to survivors until
-/// heartbeats resume.
-fn crash_failover() -> ScenarioScript {
-    ScenarioScript::new().crash(2, Nanos::from_micros(1_500), Nanos::from_millis(3))
-}
-
-/// Flap two workers' links with stochastic drop windows: go-back-N
-/// absorbs the losses (rto/fault_drops count them), no failover fires.
-fn link_flap() -> ScenarioScript {
-    ScenarioScript::new()
-        .flap(5, 0.05, Nanos::from_millis(1), Nanos::from_micros(2_500))
-        .flap(1, 0.02, Nanos::from_micros(1_800), Nanos::from_micros(3_200))
-}
-
-/// One worker computes 8× slower for 2 ms: no losses, but the latency
-/// tail must move.
-fn straggler() -> ScenarioScript {
-    ScenarioScript::new().straggle(6, 8.0, Nanos::from_millis(1), Nanos::from_millis(3))
-}
-
-/// A correlated fault: pair 1's rack (both workers, nodes 2 and 3) goes
-/// down as one domain op. Both workers must be suspected, both must pay
-/// the costed rejoin after the window, and the time-to-recovery
-/// histogram must land in the report.
-fn rack_crash_rejoin() -> ScenarioScript {
-    ScenarioScript::new()
-        .domain("rack1", &[2, 3])
-        .crash_domain("rack1", Nanos::from_micros(1_500), Nanos::from_millis(3))
-}
-
-/// A gray partial partition on the directed link 4 → 5 (pair 2's
-/// intra-pair chain traffic): 5% drop plus up to 200 µs inflation per
-/// frame — structurally invisible to the heartbeat plane, since
-/// heartbeats travel worker → ingress and never cross this link. Pure
-/// heartbeat detection sees nothing; the differential EWMA (pair 2's
-/// chain ping-pongs 4 ↔ 5, so its end-to-end latency inflates well past
-/// `enter ×` the healthy pairs') must demote the pair.
-fn gray_partition() -> ScenarioScript {
-    ScenarioScript::new().gray_link(
-        4,
-        5,
-        0.05,
-        Nanos::from_micros(200),
-        Nanos::from_millis(1),
-        Nanos::from_micros(4_500),
-    )
-}
-
-/// Hex-exact rendering (no shortest-repr float ambiguity), the
-/// fault-free trace extended with histogram tails and chaos accounting.
 fn trace(name: &str, r: &ClusterShardedReport) -> String {
-    let c = &r.chaos;
-    format!(
-        "chaos/{name}: rps={:016x} mean={} p50={} p99={} p999={} completed={} \
-         sw_bytes={} dma_bytes={} events={} messages={} \
-         fault_drops={} crash_drops={} corrupt={} rto={} rnr_naks={} suspected={} \
-         recovered={} inflight_lost={} reroutes={} shed_qp={} shed_pool={} \
-         shed_admission={} shed_deadline={} shed_breaker={} \
-         rejoins={} rejoins_aborted={} ttr_p50={} ttr_p99={} \
-         gray_demoted={} gray_restored={} gray_reroutes={}\n",
-        r.chain.load.rps.to_bits(),
-        r.chain.load.mean_latency.as_nanos(),
-        r.p50.as_nanos(),
-        r.p99.as_nanos(),
-        r.p999.as_nanos(),
-        r.chain.load.completed,
-        r.chain.software_copy_bytes,
-        r.chain.rnic_dma_bytes,
-        r.events,
-        r.messages,
-        c.fault_drops,
-        c.crash_drops,
-        c.corrupt,
-        c.rto,
-        c.rnr_naks,
-        c.suspected,
-        c.recovered,
-        c.inflight_lost,
-        c.reroutes,
-        c.shed_qp,
-        c.shed_pool,
-        c.shed_admission,
-        c.shed_deadline,
-        c.shed_breaker,
-        c.rejoins,
-        c.rejoins_aborted,
-        c.ttr_p50.as_nanos(),
-        c.ttr_p99.as_nanos(),
-        c.gray_demoted,
-        c.gray_restored,
-        c.gray_reroutes
-    )
-}
-
-fn scenarios() -> Vec<(&'static str, ScenarioScript)> {
-    vec![
-        ("crash_failover", crash_failover()),
-        ("link_flap", link_flap()),
-        ("straggler", straggler()),
-        ("rack_crash_rejoin", rack_crash_rejoin()),
-        ("gray_partition", gray_partition()),
-    ]
+    let rps = r.chain.load.rps.to_bits();
+    format!("chaos/{name}: rps={rps:016x} {}\n", r.kv_line(&GOLDEN_COLS).unwrap())
 }
 
 #[test]
 fn chaos_scenarios_reproduce_the_snapshot_at_every_shard_count() {
-    let mut serial = String::new();
-    let mut sims = Vec::new();
+    let (mut sims, mut serial, mut slo_rows) = (Vec::new(), String::new(), Vec::new());
     for (name, script) in scenarios() {
         let sim = ClusterShardedSim::new(base_cfg().chaos(script));
         let r = sim.run(1, Execution::Sequential);
         assert!(r.chain.load.completed > 0, "{name}: cluster must survive the scenario");
-        serial.push_str(&trace(name, &r));
-        sims.push((name, sim));
+        let one = trace(name, &r);
+        serial.push_str(&one);
+        slo_rows.push(r.json_row(&format!("\"scenario\": \"{name}\""), &SLO_COLS).unwrap());
+        sims.push((name, sim, one));
     }
+    assert_golden("chaos_cluster_golden.txt", &serial);
+    // The same runs are rows of the committed SLO file.
+    slo_rows.iter().for_each(|row| assert_in_slo_file(row));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_cluster_golden.txt");
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &serial).unwrap();
-    } else {
-        let want = std::fs::read_to_string(path)
-            .expect("golden snapshot missing — run with GOLDEN_REGEN=1 to create it");
-        assert_eq!(serial, want, "--shards 1 diverged from the golden snapshot");
-    }
-
-    for (name, sim) in &sims {
-        let one = trace(name, &sim.run(1, Execution::Sequential));
+    for (name, sim, one) in &sims {
         for shards in [2usize, 4, 8] {
             for execution in [Execution::Sequential, Execution::Threads] {
                 let got = trace(name, &sim.run(shards, execution));
                 assert_eq!(
-                    got, one,
+                    &got, one,
                     "{name}: {shards} shards / {execution:?} diverged from the serial bytes"
                 );
             }

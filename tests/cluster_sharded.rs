@@ -18,35 +18,21 @@
 //! test; a change that moves `events` or `messages` moves it too.
 
 use palladium_core::driver::cluster_sharded::{ClusterShardedReport, ClusterShardedSim};
-use palladium_core::system::SystemKind;
 use palladium_simnet::Execution;
-use palladium_workloads::boutique::{sharded_config, ChainKind};
+use palladium_workloads::chaos::{base_cfg as golden_cfg, SLO_COLS};
 
-const PAIRS: usize = 4;
+mod common;
+use common::{assert_golden, assert_in_slo_file};
 
-fn golden_cfg() -> palladium_core::driver::cluster_sharded::ClusterShardedConfig {
-    sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, PAIRS)
-        .clients(8 * PAIRS)
-        .warmup_ms(1)
-        .duration_ms(4)
-}
-
-/// Hex-exact rendering (no shortest-repr float ambiguity), mirroring
-/// `golden_traces.rs`.
+/// Hex-exact rendering of the two floats (no shortest-repr ambiguity),
+/// mirroring `golden_traces.rs`; the integers between and after them are
+/// column lists.
 fn trace(r: &ClusterShardedReport) -> String {
-    format!(
-        "cluster_sharded/4p: rps={:016x} mean={} p99={} completed={} \
-         sw_bytes={} dma_bytes={} dpu={:016x} events={} messages={}\n",
-        r.chain.load.rps.to_bits(),
-        r.chain.load.mean_latency.as_nanos(),
-        r.chain.load.p99_latency.as_nanos(),
-        r.chain.load.completed,
-        r.chain.software_copy_bytes,
-        r.chain.rnic_dma_bytes,
-        r.chain.dpu_util_pct.to_bits(),
-        r.events,
-        r.messages
-    )
+    let (rps, dpu) = (r.chain.load.rps.to_bits(), r.chain.dpu_util_pct.to_bits());
+    let kv = |cols: &[&str]| r.kv_line(cols).unwrap();
+    let results = kv(&["mean_ns", "exact_p99_ns", "completed", "sw_bytes", "dma_bytes"]);
+    let counts = kv(&["events", "messages"]);
+    format!("cluster_sharded/4p: rps={rps:016x} {results} dpu={dpu:016x} {counts}\n")
 }
 
 /// The shard runner's critical-path model of the golden configuration, in
@@ -69,18 +55,10 @@ fn every_shard_count_reproduces_the_snapshot() {
     );
     let serial = trace(&serial_report);
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/cluster_sharded_golden.txt"
-    );
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &serial).unwrap();
-    } else {
-        let want = std::fs::read_to_string(path)
-            .expect("golden snapshot missing — run with GOLDEN_REGEN=1 to create it");
-        assert_eq!(serial, want, "--shards 1 diverged from the golden snapshot");
-    }
+    assert_golden("cluster_sharded_golden.txt", &serial);
+    // The same run is the fault-free row of the committed SLO file.
+    let slo_row = serial_report.json_row("\"scenario\": \"fault_free\"", &SLO_COLS).unwrap();
+    assert_in_slo_file(&slo_row);
 
     for (shards, critical_path_work) in WORK_MODEL {
         for execution in [Execution::Sequential, Execution::Threads] {

@@ -18,7 +18,7 @@ use palladium_core::system::{IngressKind, SystemKind};
 use palladium_simnet::LoadReport;
 
 mod common;
-use common::golden_app;
+use common::{assert_golden, golden_app};
 
 /// Hex-exact rendering of an `f64` (no shortest-repr ambiguity).
 fn f(x: f64) -> String {
@@ -96,18 +96,5 @@ fn golden_trace() -> String {
 
 #[test]
 fn reports_match_checked_in_snapshot() {
-    let got = golden_trace();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/simcore_golden.txt");
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(path).expect(
-        "golden snapshot missing — run with GOLDEN_REGEN=1 to create it",
-    );
-    assert_eq!(
-        got, want,
-        "simulation output diverged from the golden snapshot"
-    );
+    assert_golden("simcore_golden.txt", &golden_trace());
 }

@@ -26,91 +26,61 @@ use palladium_core::driver::cluster_sharded::{
     ClusterShardedConfig, ClusterShardedReport, ClusterShardedSim,
 };
 use palladium_simnet::Execution;
-use palladium_workloads::openloop::{flash_autoscale, metastable, poisson_overload};
+use palladium_workloads::openloop::{
+    flash_autoscale, metastable, poisson_overload, slo_scenarios, SLO_COLS, SWEEP_COLS,
+};
 
-/// Hex-exact rendering of the overload view of a run (no
-/// shortest-repr float ambiguity).
+mod common;
+use common::{assert_golden, assert_in_slo_file};
+
+/// What a golden line pins: the overload view of a run, all integers.
+const GOLDEN_COLS: [&str; 29] = [
+    "offered", "admitted", "goodput", "late", "recovery_goodput", "retries", "retry_exhausted",
+    "shed_qp", "shed_pool", "shed_admission", "shed_deadline", "shed_breaker", "breaker_opens",
+    "breaker_closes", "scale_ups", "scale_downs", "rejoin_bills", "lease_hits", "ramp_p99_ns",
+    "p50_ns", "p99_ns", "p999_ns", "completed", "events", "messages", "suspected", "reroutes",
+    "rejoins", "rnr_naks",
+];
+
 fn trace(name: &str, r: &ClusterShardedReport) -> String {
-    let o = &r.overload;
-    let c = &r.chaos;
-    format!(
-        "overload/{name}: offered={} admitted={} goodput={} late={} recovery={} \
-         retries={} exhausted={} shed_qp={} shed_pool={} shed_admission={} \
-         shed_deadline={} shed_breaker={} breaker_opens={} breaker_closes={} \
-         scale_ups={} scale_downs={} rejoin_bills={} lease_hits={} ramp_p99={} \
-         p50={} p99={} p999={} completed={} events={} messages={} \
-         suspected={} reroutes={} rejoins={} rnr_naks={}\n",
-        o.offered,
-        o.admitted,
-        o.goodput,
-        o.late,
-        o.recovery_goodput,
-        o.retries,
-        o.retry_exhausted,
-        c.shed_qp,
-        c.shed_pool,
-        c.shed_admission,
-        c.shed_deadline,
-        c.shed_breaker,
-        o.breaker_opens,
-        o.breaker_closes,
-        o.scale_ups,
-        o.scale_downs,
-        o.rejoin_bills,
-        o.lease_hits,
-        o.ramp_p99.as_nanos(),
-        r.p50.as_nanos(),
-        r.p99.as_nanos(),
-        r.p999.as_nanos(),
-        r.chain.load.completed,
-        r.events,
-        r.messages,
-        c.suspected,
-        c.reroutes,
-        c.rejoins,
-        c.rnr_naks,
-    )
+    format!("overload/{name}: {}\n", r.kv_line(&GOLDEN_COLS).unwrap())
 }
 
-fn scenarios() -> Vec<(&'static str, ClusterShardedConfig)> {
-    vec![
-        ("poisson_60k", poisson_overload(60_000.0)),
-        ("poisson_140k", poisson_overload(140_000.0)),
-        ("flash_autoscale", flash_autoscale()),
-        ("metastable_budgeted", metastable(true)),
-        ("metastable_unbounded", metastable(false)),
-    ]
+/// The golden's scenarios, each with the lead cell and columns of its
+/// `BENCH_slo.json` row: two points of the load sweep, then the three SLO
+/// scenarios.
+fn scenarios() -> Vec<(&'static str, ClusterShardedConfig, String, &'static [&'static str])> {
+    let point = |name, rps: f64| {
+        (name, poisson_overload(rps), format!("\"offered_rps\": {rps}"), &SWEEP_COLS[..])
+    };
+    let slo = slo_scenarios()
+        .map(|(name, cfg)| (name, cfg, format!("\"scenario\": \"{name}\""), &SLO_COLS[..]));
+    let points = [point("poisson_60k", 60_000.0), point("poisson_140k", 140_000.0)];
+    points.into_iter().chain(slo).collect()
 }
 
 #[test]
 fn overload_scenarios_reproduce_the_snapshot_at_every_shard_count() {
-    let mut serial = String::new();
-    let mut sims = Vec::new();
-    for (name, cfg) in scenarios() {
+    let (mut sims, mut serial, mut slo_rows) = (Vec::new(), String::new(), Vec::new());
+    for (name, cfg, slo_lead, slo_cols) in scenarios() {
         let sim = ClusterShardedSim::new(cfg);
         let r = sim.run(1, Execution::Sequential);
         assert!(r.overload.goodput > 0, "{name}: overload must not kill the cluster");
-        serial.push_str(&trace(name, &r));
-        sims.push((name, sim));
+        let one = trace(name, &r);
+        serial.push_str(&one);
+        slo_rows.push(r.json_row(&slo_lead, slo_cols).unwrap());
+        sims.push((name, sim, one));
     }
+    assert_golden("overload_cluster_golden.txt", &serial);
+    // The same runs are rows of the committed SLO file.
+    slo_rows.iter().for_each(|row| assert_in_slo_file(row));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/overload_cluster_golden.txt");
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &serial).unwrap();
-    } else {
-        let want = std::fs::read_to_string(path)
-            .expect("golden snapshot missing — run with GOLDEN_REGEN=1 to create it");
-        assert_eq!(serial, want, "--shards 1 diverged from the golden snapshot");
-    }
-
-    for (name, sim) in &sims {
-        let one = trace(name, &sim.run(1, Execution::Sequential));
+    for (name, sim, one) in &sims {
         for shards in [2usize, 4, 8] {
             for execution in [Execution::Sequential, Execution::Threads] {
                 let got = trace(name, &sim.run(shards, execution));
                 assert_eq!(
-                    got, one,
+                    &got, one,
                     "{name}: {shards} shards / {execution:?} diverged from the serial bytes"
                 );
             }
@@ -122,7 +92,7 @@ fn overload_scenarios_reproduce_the_snapshot_at_every_shard_count() {
 /// overflow, stale-queue eviction and deadline-infeasible drops are all
 /// attributed, retry budgets exhaust visibly — and goodput stays near
 /// the peak instead of collapsing (the no-congestion-collapse claim the
-/// `slo_smoke --load-sweep` gate pins on the full grid).
+/// `slo_smoke` load sweep pins on the full grid).
 #[test]
 fn saturation_sheds_honestly_without_collapsing_goodput() {
     let near = ClusterShardedSim::new(poisson_overload(100_000.0)).run(1, Execution::Sequential);

@@ -19,6 +19,9 @@
 use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeReport, MultiNodeSim};
 use palladium_simnet::{Execution, Nanos};
 
+mod common;
+use common::assert_golden;
+
 fn golden_cfg() -> MultiNodeConfig {
     let mut cfg = MultiNodeConfig::scaled(16);
     cfg.clients_per_node = 4;
@@ -55,15 +58,7 @@ fn every_shard_count_reproduces_the_snapshot() {
     let sim = MultiNodeSim::new(golden_cfg());
     let serial = trace(&sim.run(1, Execution::Sequential));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/multinode_golden.txt");
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &serial).unwrap();
-    } else {
-        let want = std::fs::read_to_string(path)
-            .expect("golden snapshot missing — run with GOLDEN_REGEN=1 to create it");
-        assert_eq!(serial, want, "--shards 1 diverged from the golden snapshot");
-    }
+    assert_golden("multinode_golden.txt", &serial);
 
     for (shards, critical_path_work) in WORK_MODEL {
         for execution in [Execution::Sequential, Execution::Threads] {

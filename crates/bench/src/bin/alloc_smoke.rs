@@ -14,8 +14,10 @@
 //!    allocation difference divided by the event difference is the
 //!    *steady-state allocations per event*;
 //! 3. assert it rounds to zero (< [`MAX_ALLOCS_PER_EVENT`]) — the only
-//!    allowance is the amortized doubling of result vectors (latency
-//!    samples, request table), a handful of calls per million events.
+//!    allowance is the amortized doubling of result vectors (the request
+//!    table, and the latency samples' runs and tail, which grow with the
+//!    distinct latencies seen, not with completions), a handful of calls
+//!    per million events.
 //!
 //! The same gate runs against the Fig 12 echo driver: since the shared
 //! [`palladium_membuf::PayloadCache`] replaced its per-message
@@ -40,7 +42,8 @@ use palladium_workloads::openloop::OpenLoopConfig;
 /// Pass threshold: steady-state allocations per simulated event. The
 /// target is literally zero on the event path; the budget only absorbs
 /// amortized growth of append-only result state (Vec doublings of the
-/// latency-sample and request tables: O(log events) calls over the run).
+/// request table, and of the latency samples' two retained buffers as new
+/// distinct latencies appear: O(log events) calls over the run).
 const MAX_ALLOCS_PER_EVENT: f64 = 0.001;
 
 struct CountingAlloc;
@@ -130,8 +133,8 @@ fn run_cluster_sharded(duration_ms: u64) -> (u64, u64) {
 /// crash and a straggle window inside the base duration. The chaos path
 /// must be as allocation-free as the healthy one — per-node fault RNG
 /// streams are stateless, the suspicion sweep reuses its scratch vector,
-/// heartbeats ride the arena frame path, and the streaming histogram
-/// never grows after construction.
+/// heartbeats ride the arena frame path, and the TTR histogram never
+/// grows after construction.
 fn run_cluster_chaos(duration_ms: u64) -> (u64, u64) {
     let script = ScenarioScript::new()
         .storm(1, FaultPlan::dropping(0.01))

@@ -443,10 +443,7 @@ impl ClusterShardedSim {
                 ..ov.report
             }
         });
-        let (p50, p99, p999) = {
-            let h = ing.stats.histogram();
-            (h.p50(), h.p99(), h.p999())
-        };
+        let [p50, p99, p999] = [50.0, 99.0, 99.9].map(|p| ing.stats.bucketed_percentile(p));
         let mean_latency = ing.stats.latency().mean();
         let load: LoadReport = ing.stats.report(cfg.duration);
         let chain = ChainReport {

@@ -229,9 +229,13 @@ impl Rnic {
     }
 
     /// Per-operation penalty from QP-context-cache and MTT-cache pressure.
+    /// Called per data frame: the active-QP walk only runs on a node
+    /// holding more QPs than the cache, the only place it can bite.
     pub fn cache_penalty(&self, cfg: &RdmaConfig) -> Nanos {
         let mut p = Nanos::ZERO;
-        if self.active_qps() > cfg.qp_cache_capacity {
+        if self.qps.len() > cfg.qp_cache_capacity as usize
+            && self.active_qps() > cfg.qp_cache_capacity
+        {
             p += cfg.qp_cache_miss_penalty;
         }
         if self.mrs.total_mtt_entries() > cfg.mtt_cache_entries {
@@ -403,6 +407,9 @@ mod tests {
         }
         assert_eq!(r.active_qps(), 2);
         assert_eq!(r.cache_penalty(&cfg), cfg.qp_cache_miss_penalty);
+        // Every QP active, but no more of them than the cache holds.
+        let roomy = RdmaConfig { qp_cache_capacity: 2, ..cfg };
+        assert_eq!(r.cache_penalty(&roomy), Nanos::ZERO);
     }
 
     #[test]

@@ -43,9 +43,10 @@ pub struct LoadReport {
 /// them into a [`LoadReport`] at the end.
 #[derive(Clone, Debug)]
 pub struct RunStats {
+    /// One latency per completion after warm-up — the only record of it:
+    /// the count, the exact mean and percentiles, and the bucketed tails
+    /// all derive from it.
     latency: Samples,
-    hist: Histogram,
-    completed: u64,
     warmup: Nanos,
 }
 
@@ -54,8 +55,6 @@ impl RunStats {
     pub fn new(warmup: Nanos) -> Self {
         RunStats {
             latency: Samples::new(),
-            hist: Histogram::new(),
-            completed: 0,
             warmup,
         }
     }
@@ -70,46 +69,46 @@ impl RunStats {
     pub fn complete(&mut self, finished: Nanos, issued: Nanos) {
         if finished >= self.warmup {
             self.latency.record(finished - issued);
-            self.hist.record(finished - issued);
-            self.completed += 1;
         }
     }
 
     /// Completions recorded after warm-up so far.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.latency.len() as u64
     }
 
-    /// The raw latency samples (mutable: percentile queries sort).
+    /// The exact latency samples (mutable: percentile queries fold their
+    /// pending tail).
     pub fn latency(&mut self) -> &mut Samples {
         &mut self.latency
     }
 
-    /// The streaming latency histogram — bounded-memory p50/p99/p99.9
-    /// with order-invariant merging; its percentiles track
-    /// [`Samples::percentile`] within [`Histogram::RELATIVE_ERROR`].
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
+    /// The `p`-th latency percentile as a [`Histogram`] fed every
+    /// completion reports it: the lower edge of the log bucket holding
+    /// the exact nearest-rank sample. Bucketing is monotone and both use
+    /// the same rank rule, so the two are equal without keeping a
+    /// histogram; the report's p50/p99/p99.9 come from here.
+    pub fn bucketed_percentile(&mut self, p: f64) -> Nanos {
+        Histogram::lower_edge(self.latency.percentile(p))
     }
 
     /// Absorb another shard's/node's stats (same warm-up horizon). Used
     /// by the sharded runner to fold per-node bookkeeping into one report;
-    /// merging in a fixed (node) order keeps the folded report identical
-    /// across shard counts.
+    /// every statistic depends only on the merged samples, so the folded
+    /// report is identical across shard counts.
     pub fn merge(&mut self, other: RunStats) {
         debug_assert_eq!(self.warmup, other.warmup, "merging mismatched warm-ups");
-        self.completed += other.completed;
         self.latency.merge(other.latency);
-        self.hist.merge(&other.hist);
     }
 
     /// Fold into the standard [`LoadReport`] over a measurement `duration`.
     pub fn report(mut self, duration: Nanos) -> LoadReport {
+        let completed = self.completed();
         LoadReport {
-            rps: self.completed as f64 / duration.as_secs_f64(),
+            rps: completed as f64 / duration.as_secs_f64(),
             mean_latency: self.latency.mean(),
             p99_latency: self.latency.p99(),
-            completed: self.completed,
+            completed,
         }
     }
 }
@@ -503,6 +502,36 @@ mod tests {
         assert!((r.rps - 2.0).abs() < 1e-9);
         assert_eq!(r.mean_latency, Nanos(100));
         assert!(r.p99_latency >= r.mean_latency);
+    }
+
+    #[test]
+    fn bucketed_percentiles_equal_a_histogram_of_the_same_completions() {
+        // Two nodes' stats merged, as the cluster report folds them, with
+        // latencies spanning the exact region, the bucketed mid-range and
+        // a long tail, and heavy repetition as the simulations produce.
+        let mut rng = crate::rng::SimRng::seed_from(7);
+        let warmup = Nanos::from_millis(10);
+        let (mut a, mut b) = (RunStats::new(warmup), RunStats::new(warmup));
+        let mut hist = Histogram::new();
+        for i in 0..50_000u64 {
+            let latency = Nanos(match rng.range(0, 4) {
+                0 => rng.range(0, 64),
+                1 => 20_000 + rng.range(0, 40) * 25,
+                2 => rng.range(0, 5_000_000),
+                _ => 31_000,
+            });
+            let finished = warmup - Nanos(1_000) + Nanos(i);
+            let stats = if i % 3 == 0 { &mut a } else { &mut b };
+            stats.complete(finished, finished - latency);
+            if finished >= warmup {
+                hist.record(latency);
+            }
+        }
+        a.merge(b);
+        assert_eq!(a.completed(), hist.len());
+        for p in [0.0, 50.0, 99.0, 99.9, 100.0] {
+            assert_eq!(a.bucketed_percentile(p), hist.percentile(p), "p{p}");
+        }
     }
 
     #[test]

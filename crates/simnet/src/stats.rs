@@ -1,17 +1,43 @@
-//! Measurement machinery: latency samples, windowed time series,
-//! utilization bins and [`summed_report!`](crate::summed_report), the one
-//! way a counter is declared — everything the figure harnesses print.
+//! Measurement machinery: exact latency samples whose memory follows the
+//! number of distinct values, a bounded-memory log histogram, windowed
+//! time series, utilization bins and
+//! [`summed_report!`](crate::summed_report), the one way a counter is
+//! declared — everything the figure harnesses print.
 
 use crate::time::Nanos;
 
-/// A latency (or any scalar) sample set with mean / percentile queries.
+/// Fewest pending samples [`Samples`] folds into its runs at once.
+const TAIL_MIN: usize = 1024;
+/// Samples a set must hold before its compression ratio may turn it raw:
+/// distinct values pile up fastest early in a run.
+const RAW_DECISION: usize = 32_768;
+
+/// A latency (or any scalar) sample set with exact mean / percentile
+/// queries: every answer is the one a sorted `Vec<u64>` of the same
+/// samples gives, for any interleaving of records, merges and queries.
 ///
-/// Samples are stored raw; the experiment scales here are small enough
-/// (≤ a few million samples) that exact percentiles beat sketch error bars.
+/// Memory follows the distinct values, not the completions: simulated
+/// latencies repeat heavily (a closed loop over fixed costs lands on a few
+/// thousand values in millions of completions). A record lands in a small
+/// unsorted tail; once the tail holds `max(1 024, distinct / 2)` samples it
+/// is sorted in place, samples of a value already held add to its count,
+/// and the new values are inserted, from the back, into the sorted
+/// `(value, count)` runs. Those two buffers are all there is and are
+/// retained, so a steady state allocates nothing. Once at least 32 768
+/// samples compress worse than 2 : 1 — where 16-byte runs outweigh 8-byte
+/// raw values — the set turns raw for good: every sample stays in the
+/// tail and a query sorts it, as a plain vector would. The data makes that
+/// choice, never a setting; [`Samples::clear`] starts over.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
-    values: Vec<u64>,
-    sorted: bool,
+    /// Ascending distinct values with their counts; empty once raw.
+    runs: Vec<(u64, u64)>,
+    /// Samples not yet folded into `runs` — every sample, once raw.
+    tail: Vec<u64>,
+    /// Samples recorded: the runs' counts plus the tail.
+    len: usize,
+    /// The data compressed worse than 2 : 1; the tail is never folded.
+    raw: bool,
 }
 
 impl Samples {
@@ -22,40 +48,54 @@ impl Samples {
 
     /// Record one sample.
     pub fn record(&mut self, v: Nanos) {
-        self.values.push(v.as_nanos());
-        self.sorted = false;
+        self.tail.push(v.as_nanos());
+        self.len += 1;
+        self.maybe_compact();
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
-    /// Arithmetic mean, or zero when empty.
+    /// Arithmetic mean (a `u128` sum over every sample), or zero when empty.
     pub fn mean(&self) -> Nanos {
-        if self.values.is_empty() {
+        if self.len == 0 {
             return Nanos::ZERO;
         }
-        let sum: u128 = self.values.iter().map(|&v| v as u128).sum();
-        Nanos((sum / self.values.len() as u128) as u64)
+        let runs: u128 = self.runs.iter().map(|&(v, c)| v as u128 * c as u128).sum();
+        let tail: u128 = self.tail.iter().map(|&v| v as u128).sum();
+        Nanos(((runs + tail) / self.len as u128) as u64)
     }
 
-    /// Exact percentile (0.0 ..= 100.0) by nearest-rank, or zero when empty.
+    /// Exact percentile (0.0 ..= 100.0) by nearest-rank — the sample at
+    /// rank `round(p / 100 · (n − 1))` in ascending order — or zero when
+    /// empty.
     pub fn percentile(&mut self, p: f64) -> Nanos {
-        if self.values.is_empty() {
+        if self.len == 0 {
             return Nanos::ZERO;
         }
-        if !self.sorted {
-            self.values.sort_unstable();
-            self.sorted = true;
+        let rank = ((p / 100.0) * (self.len as f64 - 1.0)).round() as usize;
+        let rank = rank.min(self.len - 1);
+        if !self.raw && !self.tail.is_empty() {
+            self.compact();
         }
-        let rank = ((p / 100.0) * (self.values.len() as f64 - 1.0)).round() as usize;
-        Nanos(self.values[rank.min(self.values.len() - 1)])
+        if self.raw {
+            // Linear when nothing was recorded since the last query.
+            self.tail.sort_unstable();
+            return Nanos(self.tail.get(rank).copied().unwrap_or(0));
+        }
+        let mut seen = 0u64;
+        let hit = self.runs.iter().find(|&&(_, c)| {
+            seen += c;
+            seen > rank as u64
+        });
+        Nanos(hit.map_or(0, |&(v, _)| v))
     }
 
     /// Median.
@@ -70,28 +110,129 @@ impl Samples {
 
     /// Largest sample.
     pub fn max(&self) -> Nanos {
-        Nanos(self.values.iter().copied().max().unwrap_or(0))
+        let runs = self.runs.last().map(|&(v, _)| v);
+        Nanos(self.tail.iter().copied().chain(runs).max().unwrap_or(0))
     }
 
     /// Smallest sample.
     pub fn min(&self) -> Nanos {
-        Nanos(self.values.iter().copied().min().unwrap_or(0))
+        let runs = self.runs.first().map(|&(v, _)| v);
+        Nanos(self.tail.iter().copied().chain(runs).min().unwrap_or(0))
     }
 
-    /// Absorb another sample set. Percentiles re-sort on the next query
-    /// and the mean is an integer fold, so the merged statistics are
-    /// independent of merge order — the sharded runner relies on this to
-    /// produce identical reports for every shard count.
-    pub fn merge(&mut self, mut other: Samples) {
-        self.values.append(&mut other.values);
-        self.sorted = false;
+    /// Absorb another sample set. Every statistic is a function of the
+    /// merged multiset alone, so it is independent of merge order and
+    /// split — the sharded runner relies on this to produce identical
+    /// reports for every shard count.
+    pub fn merge(&mut self, other: Samples) {
+        self.len += other.len;
+        if self.raw {
+            self.tail.extend(other.tail);
+            self.tail.extend(expand(&other.runs));
+            return;
+        }
+        let mut fresh = other.runs;
+        count_known(&mut self.runs, &mut fresh, |run| run);
+        insert_runs(&mut self.runs, fresh.len(), fresh.into_iter());
+        self.tail.extend(other.tail);
+        self.maybe_compact();
     }
 
-    /// Discard all samples (end of warm-up).
+    /// Discard all samples, keeping the buffers (end of warm-up).
     pub fn clear(&mut self) {
-        self.values.clear();
-        self.sorted = false;
+        self.runs.clear();
+        self.tail.clear();
+        self.len = 0;
+        self.raw = false;
     }
+
+    fn maybe_compact(&mut self) {
+        if !self.raw && self.tail.len() >= TAIL_MIN.max(self.runs.len() / 2) {
+            self.compact();
+        }
+    }
+
+    /// Fold the tail into the runs — or, once the set is past
+    /// [`RAW_DECISION`] samples and would hold more than half as many
+    /// distinct values, expand the runs into the tail and stay raw.
+    fn compact(&mut self) {
+        self.tail.sort_unstable();
+        count_known(&mut self.runs, &mut self.tail, |v| (v, 1));
+        let fresh = tail_runs(&self.tail).count();
+        if self.len >= RAW_DECISION && 2 * (self.runs.len() + fresh) > self.len {
+            // The capacity a vector pushed `len` times has, so later
+            // records grow it exactly as they grew the raw vector.
+            self.tail.reserve_exact(self.len.next_power_of_two() - self.tail.len());
+            self.tail.extend(expand(&self.runs));
+            self.runs = Vec::new();
+            self.raw = true;
+            return;
+        }
+        insert_runs(&mut self.runs, fresh, tail_runs(&self.tail));
+        self.tail.clear();
+    }
+
+    /// Bytes of buffer capacity held, for the memory tests.
+    #[cfg(test)]
+    fn capacity_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(u64, u64)>()
+            + self.tail.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+/// Every sample the runs hold, ascending.
+fn expand(runs: &[(u64, u64)]) -> impl Iterator<Item = u64> + '_ {
+    runs.iter().flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+}
+
+/// The sorted tail as ascending `(value, count)` pairs.
+fn tail_runs(tail: &[u64]) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
+    tail.chunk_by(|a, b| a == b)
+        .map(|same| (same[0], same.len() as u64))
+}
+
+/// Add every ascending `incoming` sample or run whose value the ascending
+/// distinct `runs` already hold to that run's count, in one forward pass
+/// that keeps only the values new to `runs` in `incoming`.
+fn count_known<T: Copy>(
+    runs: &mut [(u64, u64)],
+    incoming: &mut Vec<T>,
+    as_run: impl Fn(T) -> (u64, u64),
+) {
+    let mut runs = runs.iter_mut().peekable();
+    incoming.retain(|&item| {
+        let (v, c) = as_run(item);
+        while runs.next_if(|r| r.0 < v).is_some() {}
+        match runs.peek_mut() {
+            Some(r) if r.0 == v => {
+                r.1 += c;
+                false
+            }
+            _ => true,
+        }
+    });
+}
+
+/// Insert the ascending `incoming` runs, `fresh` of them and none of
+/// their values in `runs`, into the ascending `runs` in place: grow it by
+/// `fresh`, then fill from the back, so nothing is overwritten before it
+/// has moved and no second buffer is needed.
+fn insert_runs(
+    runs: &mut Vec<(u64, u64)>,
+    fresh: usize,
+    incoming: impl DoubleEndedIterator<Item = (u64, u64)>,
+) {
+    let mut read = runs.len();
+    runs.resize(read + fresh, (0, 0));
+    let mut write = runs.len();
+    for run in incoming.rev() {
+        let above = runs[..read].iter().rev().take_while(|r| r.0 > run.0).count();
+        runs.copy_within(read - above..read, write - above);
+        read -= above;
+        write -= above + 1;
+        runs[write] = run;
+    }
+    debug_assert_eq!(read, write, "fresh miscounted the inserted runs");
 }
 
 /// Number of sub-buckets per power-of-two range: 2^5 = 32 sub-buckets,
@@ -116,8 +257,9 @@ const BUCKETS: usize = EXACT_LIMIT as usize + RANGES * SUB_BUCKETS;
 /// lower edge, which keeps the bound one-sided (never over-reports).
 ///
 /// [`Histogram::merge`] adds counts element-wise, so merged tails are
-/// exactly independent of merge order and split — the sharded runner
-/// relies on this to report identical p99/p99.9 at every shard count.
+/// exactly independent of merge order and split. Completion latencies
+/// are not kept here: [`crate::RunStats`] derives the same bucketed tails
+/// from its exact [`Samples`].
 #[derive(Clone)]
 pub struct Histogram {
     counts: Box<[u64; BUCKETS]>,
@@ -162,6 +304,13 @@ impl Histogram {
                 + range * SUB_BUCKETS
                 + ((v >> shift) as usize - SUB_BUCKETS)
         }
+    }
+
+    /// What a histogram holding `v` reports for it: its bucket's lower
+    /// edge. Bucketing is monotone, so the lower edge of an exact
+    /// nearest-rank percentile is exactly the histogram's percentile.
+    pub(crate) fn lower_edge(v: Nanos) -> Nanos {
+        Nanos(Self::bucket_floor(Self::bucket_of(v.as_nanos())))
     }
 
     /// Lower edge of bucket `b` — the value a percentile query reports.
@@ -221,11 +370,6 @@ impl Histogram {
     /// 99th percentile.
     pub fn p99(&self) -> Nanos {
         self.percentile(99.0)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> Nanos {
-        self.percentile(99.9)
     }
 
     /// Absorb another histogram. Element-wise, so exactly order- and
@@ -425,6 +569,49 @@ mod tests {
         s.record(Nanos(5));
         s.clear();
         assert!(s.is_empty());
+    }
+
+    /// A deterministic stream over `distinct` values (xorshift, no RNG dep).
+    fn stream(n: usize, distinct: u64) -> impl Iterator<Item = u64> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % distinct * 1_000
+        })
+    }
+
+    #[test]
+    fn repetitive_samples_cost_memory_per_distinct_value() {
+        let mut s = Samples::new();
+        for v in stream(1_000_000, 1_000) {
+            s.record(Nanos(v));
+        }
+        assert!(!s.raw);
+        assert_eq!(s.len(), 1_000_000);
+        assert!(s.capacity_bytes() <= 64 << 10, "{} bytes", s.capacity_bytes());
+    }
+
+    #[test]
+    fn all_distinct_samples_fall_back_to_one_raw_vector() {
+        // Raw capacity as a `Vec<u64>` pushed `n` times grows it.
+        let mut raw: Vec<u64> = Vec::new();
+        let mut s = Samples::new();
+        for v in 0..100_000u64 {
+            raw.push(v);
+            s.record(Nanos(v.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            if s.raw {
+                // Past the decision point nothing but the raw vector and
+                // one tail's worth of slack is held.
+                let bound = (raw.capacity() + TAIL_MIN) * std::mem::size_of::<u64>();
+                assert!(s.capacity_bytes() <= bound, "n={} {}", v + 1, s.capacity_bytes());
+            } else {
+                assert!(v < (RAW_DECISION + RAW_DECISION / 2) as u64, "n={}: no fallback", v + 1);
+            }
+        }
+        assert!(s.raw);
+        assert_eq!(s.len(), 100_000);
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! `GOLDEN_REGEN=1 cargo test -q --test golden_traces` and commit the
 //! updated snapshot together with the change that explains it.
 
+use palladium_baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::chain::{ChainSim, ChainSimConfig};
+use palladium_core::driver::channel::{ChannelSim, ChannelSimConfig};
 use palladium_core::driver::fairness::{FairnessSim, FairnessSimConfig};
 use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium_core::dwrr::SchedPolicy;
 use palladium_core::system::{IngressKind, SystemKind};
-use palladium_simnet::LoadReport;
+use palladium_ipc::ChannelKind;
+use palladium_simnet::{LoadReport, Nanos};
 
 mod common;
 use common::{assert_golden, golden_app};
@@ -87,6 +90,54 @@ fn golden_trace() -> String {
         for (t, s) in &r.series {
             let sum: f64 = s.iter().map(|&(_, rps)| rps).sum();
             out.push_str(&format!("{}:{}@{} ", t.raw(), f(sum), s.len()));
+        }
+        out.push('\n');
+    }
+
+    // Channel driver (Fig 9), every descriptor channel.
+    for kind in [ChannelKind::ComchE, ChannelKind::ComchP, ChannelKind::Tcp] {
+        let mut cfg = ChannelSimConfig::new(kind, 8);
+        cfg.duration = Nanos::from_millis(10);
+        cfg.warmup = Nanos::from_millis(2);
+        let r = ChannelSim::new(cfg).run();
+        out.push_str(&load_line(&format!("channel/{kind:?}"), &r));
+        out.push('\n');
+    }
+
+    // Echo driver: Fig 11's path modes and Fig 12's primitives, contended.
+    let echo = EchoSim::new(EchoConfig {
+        duration: Nanos::from_millis(10),
+        warmup: Nanos::from_millis(2),
+        ..EchoConfig::new(1024).connections(8)
+    });
+    for mode in [PathMode::OffPath, PathMode::OnPath] {
+        out.push_str(&load_line(&format!("echo/{mode:?}"), &echo.run_path_mode(mode)));
+        out.push('\n');
+    }
+    for prim in Primitive::ALL {
+        out.push_str(&load_line(&format!("echo/{prim:?}"), &echo.run_primitive(prim)));
+        out.push('\n');
+    }
+
+    // Ingress autoscaling (Fig 14), all three designs, compressed 200x.
+    for kind in [
+        IngressKind::Palladium,
+        IngressKind::FStackDeferred,
+        IngressKind::KernelDeferred,
+    ] {
+        let cfg = IngressSimConfig {
+            fixed_workers: None,
+            conns_per_client: 32,
+            ..IngressSimConfig::fig13(kind, 0)
+        };
+        let r = IngressSim::new(cfg).scaling_run(0.005, 12);
+        out.push_str(&format!(
+            "scaling/{kind:?}: ups={} downs={} disconnected={}",
+            r.scale_ups, r.scale_downs, r.disconnected
+        ));
+        for (name, series) in [("cores", &r.cores_series), ("rps", &r.rps_series)] {
+            let sum: f64 = series.iter().map(|&(_, v)| v).sum();
+            out.push_str(&format!(" {name}={}@{}", f(sum), series.len()));
         }
         out.push('\n');
     }

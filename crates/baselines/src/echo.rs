@@ -1,8 +1,10 @@
-//! Figs 11–12 drivers: cross-node echo microbenchmarks.
+//! Figs 11–12 driver: cross-node echo microbenchmarks.
 //!
-//! * [`EchoSim::run_primitive`] (Fig 12): two DNEs on different worker
-//!   nodes act as an echo client/server pair, one core each, exchanging
-//!   messages with one of the §2.1 primitive designs:
+//! Two DNEs on different worker nodes act as an echo client/server pair,
+//! one core each, over the real [`RdmaNet`] RC machinery:
+//!
+//! * [`EchoSim::run_primitive`] (Fig 12): the bare DNEs exchange messages
+//!   with one of the §2.1 primitive designs:
 //!   - **Two-sided** SEND/RECV (Palladium's choice): receiver posts
 //!     buffers, no locks, no copies.
 //!   - **OWDL** — one-sided WRITE with distributed locks: every transfer
@@ -11,22 +13,22 @@
 //!   - **OWRC** — one-sided WRITE into a dedicated RDMA pool with a
 //!     receiver-side copy into the local pool; *Best* hits cache, *Worst*
 //!     goes to main memory (the paper's TLB-flushed variant).
-//! * [`EchoSim::run_path_mode`] (Fig 11): an echo client/server *function*
-//!   pair communicates through DNEs using two-sided RDMA, with the DNE
+//! * [`EchoSim::run_path_mode`] (Fig 11): the two-sided echo with an echo
+//!   *function* in front of each DNE, reached over Comch-E, with the DNE
 //!   either **off-path** (cross-processor shared memory; RNIC DMAs straight
 //!   to host buffers) or **on-path** (payloads staged through DPU memory,
 //!   paying the SoC DMA engine in both directions).
 //!
-//! All variants run over the real [`RdmaNet`] RC machinery through the
-//! shared [`palladium_simnet::Harness`]; only the engine-side protocol
-//! differs.
+//! Both figures run one engine on the shared [`palladium_simnet::Harness`]:
+//! the primitive and the optional function pair are its data.
 
 use palladium_core::config::CostModel;
 use palladium_core::driver::LoadReport;
 use palladium_dpu::{SocDma, SocDmaSpec};
-use palladium_membuf::{MmapExporter, NodeId, PayloadCache, PoolId, Region, TenantId};
+use palladium_ipc::{ChannelCosts, ChannelKind};
+use palladium_membuf::{CopyMeter, MmapExporter, NodeId, PayloadCache, PoolId, Region, TenantId};
 use palladium_rdma::{
-    Cqe, CqeKind, RdmaConfig, RdmaEvent, RdmaNet, RdmaOutput, RemoteAddr, RqEntry, Step,
+    Cqe, CqeKind, Qpn, RdmaConfig, RdmaEvent, RdmaNet, RdmaOutput, RemoteAddr, RqEntry, Step,
     WorkRequest, WrId,
 };
 use palladium_simnet::{Effects, Engine, FifoServer, Harness, Nanos, RunStats};
@@ -62,6 +64,15 @@ impl Primitive {
             Primitive::OwrcWorst => "OWRC (Worst)",
         }
     }
+
+    /// The message a node sends first to move one payload.
+    fn opening(self) -> MsgKind {
+        match self {
+            Primitive::TwoSided => MsgKind::Send,
+            Primitive::OwrcBest | Primitive::OwrcWorst => MsgKind::Write,
+            Primitive::Owdl => MsgKind::Control(LOCK_REQ),
+        }
+    }
 }
 
 /// DPU offloading mode (Fig 11).
@@ -86,8 +97,6 @@ pub struct EchoConfig {
     pub duration: Nanos,
     /// Warm-up.
     pub warmup: Nanos,
-    /// Fabric seed.
-    pub seed: u64,
 }
 
 impl EchoConfig {
@@ -98,7 +107,6 @@ impl EchoConfig {
             connections: 1,
             duration: Nanos::from_millis(60),
             warmup: Nanos::from_millis(10),
-            seed: 7,
         }
     }
 
@@ -117,56 +125,105 @@ const ECHO_ENGINE_OP: Nanos = Nanos::from_nanos(500);
 /// Echo-function execution cost for the Fig 11 function pair.
 const ECHO_FN_EXEC: Nanos = Nanos::from_micros(1);
 
+/// The fabric is fault-free, so its seed is never drawn.
+const FABRIC_SEED: u64 = 7;
+
 const CLIENT: NodeId = NodeId(0);
 const SERVER: NodeId = NodeId(1);
 const TENANT: TenantId = TenantId(1);
 
-/// Conn-state stages for the OWDL handshake.
+/// Immediate-word encoding: the low 32 bits carry the connection, the bits
+/// above name the OWDL control message (zero for a payload).
+const CONN_MASK: u64 = 0xFFFF_FFFF;
+const LOCK_REQ: u64 = 1 << 32;
+const LOCK_GRANT: u64 = 2 << 32;
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum OwdlStage {
-    /// Waiting for the lock grant before writing.
-    AwaitGrant,
-    /// Waiting for the payload write to land.
-    AwaitData,
+enum MsgKind {
+    /// A two-sided payload.
+    Send,
+    /// A one-sided payload write into the peer's pool.
+    Write,
+    /// A 16-byte OWDL control message: [`LOCK_REQ`] or [`LOCK_GRANT`].
+    Control(u64),
 }
 
 #[derive(Debug)]
 enum Ev {
     Rdma(RdmaEvent),
-    /// An engine finished processing; continue the per-connection FSM.
-    Engine {
-        node: NodeId,
-        conn: usize,
-        action: Action,
-    },
+    /// `node` produces its next message on `conn`: the client a new
+    /// request, the server the echo.
+    Post { node: NodeId, conn: usize },
+    /// Fig 12: the DNE finished receiving on `conn`.
+    Received { node: NodeId, conn: usize },
     /// A one-sided write became visible to the polling receiver.
     PollVisible { node: NodeId, conn: usize },
-    /// Fig 11: the host function finished its part.
-    FnStep { node: NodeId, conn: usize },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Action {
-    /// Post the next message of the protocol (direction depends on node).
-    Post,
-    /// Finish receive-side processing and either echo or complete.
-    Received,
+/// Fig 11's echo functions, one per node in front of its DNE, reached over
+/// Comch-E; on-path mode stages every payload through DPU memory.
+struct HostPair {
+    mode: PathMode,
+    comch: ChannelCosts,
+    fn_cores: [FifoServer; 2],
+    dmas: [SocDma; 2],
+    meter: CopyMeter,
 }
 
-/// The echo simulator.
-pub struct EchoSim {
-    cfg: EchoConfig,
+impl HostPair {
+    fn new(mode: PathMode) -> Self {
+        HostPair {
+            mode,
+            comch: ChannelCosts::for_kind(ChannelKind::ComchE),
+            fn_cores: [FifoServer::new(), FifoServer::new()],
+            dmas: [
+                SocDma::new(SocDmaSpec::default()),
+                SocDma::new(SocDmaSpec::default()),
+            ],
+            meter: CopyMeter::new(),
+        }
+    }
+
+    /// The function at `node` produced a message at `now`: host send and
+    /// Comch transit (on-path: SoC DMA into DPU memory). Returns when the
+    /// DNE can post it.
+    fn send(&mut self, node: NodeId, now: Nanos, payload: u32) -> Nanos {
+        let n = node.raw() as usize;
+        let sent = self.fn_cores[n].submit(now, self.comch.host_send_cpu + ECHO_FN_EXEC);
+        self.fn_cores[n].complete();
+        let ready = sent + self.comch.transit;
+        match self.mode {
+            PathMode::OffPath => ready,
+            PathMode::OnPath => self.dmas[n].transfer(ready, payload as u64, &mut self.meter),
+        }
+    }
+
+    /// The DNE at `node` received a message by `at`: (on-path: SoC DMA to
+    /// the host) + Comch transit + host wake. Returns when the function has
+    /// it.
+    fn deliver(&mut self, node: NodeId, at: Nanos, payload: u32) -> Nanos {
+        let n = node.raw() as usize;
+        let ready = match self.mode {
+            PathMode::OffPath => at,
+            PathMode::OnPath => self.dmas[n].transfer_write(at, payload as u64, &mut self.meter),
+        };
+        ready + self.comch.transit + self.comch.host_recv_cpu
+    }
+}
+
+/// The echo pair: the fabric, the two DNE cores, optionally the function
+/// pair, and the bookkeeping.
+struct EchoEngine {
+    prim: Primitive,
+    /// Fig 11's function pair; `None` for Fig 12's bare DNEs.
+    host: Option<HostPair>,
     cost: CostModel,
-}
-
-/// Shared per-run state: the fabric, the two engines, the bookkeeping.
-struct EchoState {
     net: RdmaNet,
-    qpns: Vec<(palladium_rdma::Qpn, palladium_rdma::Qpn)>,
+    /// `(client QP, server QP)` per connection.
+    qpns: Vec<(Qpn, Qpn)>,
     engines: [FifoServer; 2],
     stats: RunStats,
     issued: Vec<Nanos>,
-    owdl_stage: Vec<OwdlStage>,
     next_wr: u64,
     payload: u32,
     /// Reused CQ-drain scratch: each doorbell wakeup drains the node's
@@ -185,9 +242,35 @@ struct EchoState {
     payloads: PayloadCache,
 }
 
-impl EchoState {
-    fn engine(&mut self, node: NodeId) -> &mut FifoServer {
-        &mut self.engines[node.raw() as usize]
+impl EchoEngine {
+    fn new(cfg: EchoConfig, prim: Primitive, host: Option<HostPair>) -> Self {
+        let mut net = RdmaNet::new(RdmaConfig::default(), 2, FABRIC_SEED);
+        for node in [CLIENT, SERVER] {
+            let mut e = MmapExporter::new(PoolId(node.raw()), TENANT, Region::hugepages(64 << 20));
+            net.register_mr(node, &e.export_rdma()).expect("MR");
+        }
+        let qpns = (0..cfg.connections)
+            .map(|_| net.connect_immediate(CLIENT, SERVER, TENANT))
+            .collect();
+        let mut engine = EchoEngine {
+            prim,
+            host,
+            cost: CostModel::default(),
+            net,
+            qpns,
+            engines: [FifoServer::new(), FifoServer::new()],
+            stats: RunStats::new(cfg.warmup),
+            issued: vec![Nanos::ZERO; cfg.connections],
+            next_wr: 1,
+            payload: cfg.payload,
+            cqe_scratch: Vec::new(),
+            rdma_step: Step::default(),
+            post_step: Step::default(),
+            payloads: PayloadCache::new(),
+        };
+        engine.post_rq(CLIENT, 4 * cfg.connections as u64 + 64);
+        engine.post_rq(SERVER, 4 * cfg.connections as u64 + 64);
+        engine
     }
 
     fn post_rq(&mut self, node: NodeId, n: u64) {
@@ -199,28 +282,17 @@ impl EchoState {
                 .expect("registered pool");
         }
     }
-}
 
-/// Immediate-word encoding for the primitive protocols: low 32 bits carry
-/// the connection, bit 32 flags a lock-grant control message.
-const GRANT_FLAG: u64 = 1 << 32;
+    /// One op on `node`'s DNE core, submitted at `at`; returns when it
+    /// finishes.
+    fn engine_op(&mut self, node: NodeId, at: Nanos, service: Nanos) -> Nanos {
+        let engine = &mut self.engines[node.raw() as usize];
+        let done = engine.submit(at, service);
+        engine.complete();
+        done
+    }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum MsgKind {
-    Send,
-    Write,
-    LockReq,
-    LockGrant,
-}
-
-/// Fig 12 engine: bare DNE echo pair speaking one RDMA primitive.
-struct PrimitiveEngine {
-    prim: Primitive,
-    cost: CostModel,
-    st: EchoState,
-}
-
-impl PrimitiveEngine {
+    /// Post one message of `kind` from `node` on `conn` at `at`.
     fn post(
         &mut self,
         fx: &mut Effects<'_, Ev>,
@@ -229,137 +301,106 @@ impl PrimitiveEngine {
         at: Nanos,
         kind: MsgKind,
     ) {
-        let st = &mut self.st;
-        let (qc, qs) = st.qpns[conn];
-        let qpn = if node == CLIENT { qc } else { qs };
-        let peer = if node == CLIENT { SERVER } else { CLIENT };
-        let wr_id = WrId(st.next_wr);
-        st.next_wr += 1;
-        let imm = match kind {
-            MsgKind::LockGrant => conn as u64 | GRANT_FLAG,
-            _ => conn as u64,
-        };
+        let (qc, qs) = self.qpns[conn];
+        let (qpn, peer) = if node == CLIENT { (qc, SERVER) } else { (qs, CLIENT) };
+        let wr_id = WrId(self.next_wr);
+        self.next_wr += 1;
+        let imm = conn as u64;
         let wr = match kind {
             MsgKind::Send => {
-                WorkRequest::send(wr_id, st.payloads.make_exact(wr_id.0, st.payload), imm)
+                WorkRequest::send(wr_id, self.payloads.make_exact(wr_id.0, self.payload), imm)
             }
             MsgKind::Write => WorkRequest::write(
                 wr_id,
-                st.payloads.make_exact(wr_id.0, st.payload),
+                self.payloads.make_exact(wr_id.0, self.payload),
                 RemoteAddr { pool: PoolId(peer.raw()), buf_idx: conn as u32 },
                 imm,
             ),
-            MsgKind::LockReq | MsgKind::LockGrant => {
-                WorkRequest::send(wr_id, st.payloads.make(wr_id.0, 16), imm)
+            MsgKind::Control(tag) => {
+                WorkRequest::send(wr_id, self.payloads.make(wr_id.0, 16), imm | tag)
             }
         };
-        let mut step = std::mem::take(&mut st.post_step);
+        let mut step = std::mem::take(&mut self.post_step);
         step.clear();
-        st.net.post_send_into(at, node, qpn, wr, &mut step).expect("post");
+        self.net.post_send_into(at, node, qpn, wr, &mut step).expect("post");
         fx.extend_at_drain(at, &mut step.events, Ev::Rdma);
-        st.post_step = step;
+        self.post_step = step;
     }
 
+    /// A receive completion on `node`.
     fn on_recv(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, node: NodeId, imm: u64) {
-        let conn = (imm & 0xFFFF_FFFF) as usize;
-        let is_grant = imm & GRANT_FLAG != 0;
-        match self.prim {
-            Primitive::TwoSided => {
-                // Plain receive: engine RX then continue the FSM.
-                let done = self.st.engine(node).submit(now, ECHO_ENGINE_OP);
-                self.st.engine(node).complete();
-                fx.at(done, Ev::Engine { node, conn, action: Action::Received });
+        let conn = (imm & CONN_MASK) as usize;
+        match imm & !CONN_MASK {
+            LOCK_REQ => {
+                // The lock manager locks a local buffer and replies with the
+                // grant (§2.1 Fig 2 (1) steps 1–3).
+                let done = self.engine_op(node, now, self.cost.owdl_lock_proc);
+                self.post(fx, node, conn, done, MsgKind::Control(LOCK_GRANT));
             }
-            Primitive::Owdl => {
-                if is_grant {
-                    // Lock granted: issue the payload write.
-                    debug_assert_eq!(self.st.owdl_stage[conn], OwdlStage::AwaitGrant);
-                    self.st.owdl_stage[conn] = OwdlStage::AwaitData;
-                    let done = self.st.engine(node).submit(now, ECHO_ENGINE_OP);
-                    self.st.engine(node).complete();
-                    self.post(fx, node, conn, done, MsgKind::Write);
-                } else {
-                    // A lock request: the lock manager locks a local buffer
-                    // and replies with the grant (§2.1 Fig 2 (1) steps 1–3).
-                    let done = self
-                        .st
-                        .engine(node)
-                        .submit(now, self.cost.owdl_lock_proc);
-                    self.st.engine(node).complete();
-                    self.post(fx, node, conn, done, MsgKind::LockGrant);
+            LOCK_GRANT => {
+                // Lock granted: issue the payload write.
+                let done = self.engine_op(node, now, ECHO_ENGINE_OP);
+                self.post(fx, node, conn, done, MsgKind::Write);
+            }
+            _ => {
+                // A two-sided payload: engine RX, then (Fig 11) the hand-off
+                // to the function, which echoes or completes.
+                let done = self.engine_op(node, now, ECHO_ENGINE_OP);
+                match &mut self.host {
+                    None => fx.at(done, Ev::Received { node, conn }),
+                    Some(host) => {
+                        let woke = host.deliver(node, done, self.payload);
+                        if node == CLIENT {
+                            self.stats.complete(woke, self.issued[conn]);
+                        }
+                        fx.at(woke, Ev::Post { node, conn });
+                    }
                 }
-            }
-            Primitive::OwrcBest | Primitive::OwrcWorst => {
-                unreachable!("OWRC uses one-sided writes only")
             }
         }
     }
 }
 
-impl Engine for PrimitiveEngine {
+impl Engine for EchoEngine {
     type Ev = Ev;
 
     fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>) {
         match ev {
-            Ev::Engine { node, conn, action: Action::Post } => {
+            Ev::Post { node, conn } => {
                 if node == CLIENT {
-                    self.st.issued[conn] = now;
+                    self.issued[conn] = now;
                 }
-                match self.prim {
-                    Primitive::TwoSided => {
-                        // Engine builds + posts a SEND.
-                        let done = self.st.engine(node).submit(now, ECHO_ENGINE_OP);
-                        self.st.engine(node).complete();
-                        self.post(fx, node, conn, done, MsgKind::Send);
-                    }
-                    Primitive::OwrcBest | Primitive::OwrcWorst => {
-                        // Engine posts a one-sided WRITE into the peer's
-                        // dedicated pool.
-                        let done = self.st.engine(node).submit(now, ECHO_ENGINE_OP);
-                        self.st.engine(node).complete();
-                        self.post(fx, node, conn, done, MsgKind::Write);
-                    }
-                    Primitive::Owdl => {
-                        // Phase 1: request the remote lock/writable buffer.
-                        self.st.owdl_stage[conn] = OwdlStage::AwaitGrant;
-                        let done = self.st.engine(node).submit(now, ECHO_ENGINE_OP);
-                        self.st.engine(node).complete();
-                        self.post(fx, node, conn, done, MsgKind::LockReq);
-                    }
-                }
+                let ready = match &mut self.host {
+                    Some(host) => host.send(node, now, self.payload),
+                    None => now,
+                };
+                let done = self.engine_op(node, ready, ECHO_ENGINE_OP);
+                self.post(fx, node, conn, done, self.prim.opening());
             }
-            Ev::Engine { node, conn, action: Action::Received } => {
-                // Receive-side processing finished: server echoes, client
-                // completes and immediately re-issues.
-                if node == SERVER {
-                    fx.now_ev(Ev::Engine { node: SERVER, conn, action: Action::Post });
-                } else {
-                    self.st.stats.complete(now, self.st.issued[conn]);
-                    fx.now_ev(Ev::Engine { node: CLIENT, conn, action: Action::Post });
+            Ev::Received { node, conn } => {
+                // The server echoes; the client completes and re-issues.
+                if node == CLIENT {
+                    self.stats.complete(now, self.issued[conn]);
                 }
+                fx.now_ev(Ev::Post { node, conn });
             }
             Ev::PollVisible { node, conn } => {
                 // The polling receiver noticed the one-sided write; OWRC
                 // pays the receiver-side copy, OWDL only a pickup op.
-                let service = match self.prim {
-                    Primitive::OwrcBest => {
-                        ECHO_ENGINE_OP + self.cost.owrc_copy(self.st.payload as u64, false)
-                    }
-                    Primitive::OwrcWorst => {
-                        ECHO_ENGINE_OP + self.cost.owrc_copy(self.st.payload as u64, true)
-                    }
-                    _ => ECHO_ENGINE_OP,
+                let copy = match self.prim {
+                    Primitive::OwrcBest => self.cost.owrc_copy(self.payload as u64, false),
+                    Primitive::OwrcWorst => self.cost.owrc_copy(self.payload as u64, true),
+                    Primitive::TwoSided | Primitive::Owdl => Nanos::ZERO,
                 };
-                let done = self.st.engine(node).submit(now, service);
-                self.st.engine(node).complete();
-                fx.at(done, Ev::Engine { node, conn, action: Action::Received });
+                let done = self.engine_op(node, now, ECHO_ENGINE_OP + copy);
+                fx.at(done, Ev::Received { node, conn });
             }
             Ev::Rdma(rdma_ev) => {
                 // Reuse one Step across the run: the fabric is the
                 // dominant event source, so this path must not allocate.
-                let mut step = std::mem::take(&mut self.st.rdma_step);
+                let mut step = std::mem::take(&mut self.rdma_step);
                 step.clear();
-                self.st.net.handle_into(now, rdma_ev, &mut step);
+                self.net.handle_into(now, rdma_ev, &mut step);
                 fx.extend_drain(&mut step.events, Ev::Rdma);
                 for out in step.outputs.drain(..) {
                     match out {
@@ -367,241 +408,81 @@ impl Engine for PrimitiveEngine {
                             // One doorbell wakeup retires the whole CQ
                             // window (the doorbell stays down until the CQ
                             // drains empty).
-                            let mut cqes = std::mem::take(&mut self.st.cqe_scratch);
+                            let mut cqes = std::mem::take(&mut self.cqe_scratch);
                             cqes.clear();
-                            self.st.net.drain_cq_into(node, &mut cqes);
+                            self.net.drain_cq_into(node, &mut cqes);
                             for cqe in cqes.drain(..) {
                                 if let CqeKind::Recv = cqe.kind {
                                     // Keep the RQ replenished (the core-
                                     // thread duty, §3.5.2) so senders never
                                     // hit RNR.
-                                    self.st.post_rq(node, 1);
+                                    self.post_rq(node, 1);
                                     self.on_recv(now, fx, node, cqe.imm);
                                 }
                             }
-                            self.st.cqe_scratch = cqes;
+                            self.cqe_scratch = cqes;
                         }
                         RdmaOutput::WriteDelivered { node, imm, .. } => {
                             // Receiver is polling: visible after half a
                             // period.
-                            let conn = (imm & 0xFFFF_FFFF) as usize;
+                            let conn = (imm & CONN_MASK) as usize;
                             fx.after(
                                 self.cost.onesided_poll_interval / 2,
                                 Ev::PollVisible { node, conn },
                             );
                         }
                         RdmaOutput::RnrSeen { node, .. } => {
-                            self.st.post_rq(node, 32);
+                            self.post_rq(node, 32);
                         }
                         _ => {}
                     }
                 }
-                self.st.rdma_step = step;
+                self.rdma_step = step;
             }
-            Ev::FnStep { .. } => unreachable!("primitive echo has no functions"),
         }
     }
 }
 
-/// Fig 11 engine: function echo pair through DNEs, off-path vs on-path.
-struct PathModeEngine {
-    mode: PathMode,
-    st: EchoState,
-    dmas: [SocDma; 2],
-    meters: [palladium_membuf::CopyMeter; 2],
-    fn_cores: [FifoServer; 2],
-    comch_transit: Nanos,
-    host_send: Nanos,
-    host_recv: Nanos,
-}
-
-impl Engine for PathModeEngine {
-    type Ev = Ev;
-
-    fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>) {
-        let payload = self.st.payload;
-        match ev {
-            Ev::FnStep { node, conn } => {
-                // The function produced a message: host send + (on-path:
-                // SoC DMA staging) + engine post.
-                let n = node.raw() as usize;
-                if node == CLIENT {
-                    self.st.issued[conn] = now;
-                }
-                let send_done = self.fn_cores[n].submit(now, self.host_send + ECHO_FN_EXEC);
-                self.fn_cores[n].complete();
-                let mut ready = send_done + self.comch_transit;
-                if self.mode == PathMode::OnPath {
-                    ready = self.dmas[n].transfer(ready, payload as u64, &mut self.meters[n]);
-                }
-                let engine_done = self.st.engine(node).submit(ready, ECHO_ENGINE_OP);
-                self.st.engine(node).complete();
-                let (qc, qs) = self.st.qpns[conn];
-                let qpn = if node == CLIENT { qc } else { qs };
-                let wr_id = WrId(self.st.next_wr);
-                self.st.next_wr += 1;
-                let wr = WorkRequest::send(wr_id, self.st.payloads.make_exact(wr_id.0, payload), conn as u64);
-                let mut step = std::mem::take(&mut self.st.post_step);
-                step.clear();
-                self.st
-                    .net
-                    .post_send_into(engine_done, node, qpn, wr, &mut step)
-                    .expect("post");
-                fx.extend_at_drain(engine_done, &mut step.events, Ev::Rdma);
-                self.st.post_step = step;
-            }
-            Ev::Rdma(rdma_ev) => {
-                let mut step = std::mem::take(&mut self.st.rdma_step);
-                step.clear();
-                self.st.net.handle_into(now, rdma_ev, &mut step);
-                fx.extend_drain(&mut step.events, Ev::Rdma);
-                for out in step.outputs.drain(..) {
-                    match out {
-                        RdmaOutput::CqReady { node } => {
-                            let mut cqes = std::mem::take(&mut self.st.cqe_scratch);
-                            cqes.clear();
-                            self.st.net.drain_cq_into(node, &mut cqes);
-                            for cqe in cqes.drain(..) {
-                                if let CqeKind::Recv = cqe.kind {
-                                    self.st.post_rq(node, 1);
-                                    let conn = cqe.imm as usize;
-                                    // Engine RX + (on-path: SoC DMA to the
-                                    // host) + Comch wake.
-                                    let n = node.raw() as usize;
-                                    let eng_done =
-                                        self.st.engine(node).submit(now, ECHO_ENGINE_OP);
-                                    self.st.engine(node).complete();
-                                    let mut ready = eng_done;
-                                    if self.mode == PathMode::OnPath {
-                                        // DPU buffer → host: a DMA write.
-                                        ready = self.dmas[n].transfer_write(
-                                            ready,
-                                            payload as u64,
-                                            &mut self.meters[n],
-                                        );
-                                    }
-                                    let woke = ready + self.comch_transit + self.host_recv;
-                                    if node == SERVER {
-                                        fx.at(woke, Ev::FnStep { node: SERVER, conn });
-                                    } else {
-                                        // Echo complete at the client fn.
-                                        self.st.stats.complete(woke, self.st.issued[conn]);
-                                        fx.at(woke, Ev::FnStep { node: CLIENT, conn });
-                                    }
-                                }
-                            }
-                            self.st.cqe_scratch = cqes;
-                        }
-                        RdmaOutput::RnrSeen { node, .. } => {
-                            self.st.post_rq(node, 32);
-                        }
-                        _ => {}
-                    }
-                }
-                self.st.rdma_step = step;
-            }
-            _ => unreachable!("path-mode echo uses Fn/Rdma events only"),
-        }
-    }
+/// The echo simulator.
+pub struct EchoSim {
+    cfg: EchoConfig,
 }
 
 impl EchoSim {
     /// Build the simulator.
     pub fn new(cfg: EchoConfig) -> Self {
-        EchoSim {
-            cfg,
-            cost: CostModel::default(),
-        }
+        EchoSim { cfg }
     }
 
-    fn build_state(&self) -> EchoState {
-        let mut net = RdmaNet::new(RdmaConfig::default(), 2, self.cfg.seed);
-        for node in [CLIENT, SERVER] {
-            let mut e = MmapExporter::new(
-                PoolId(node.raw()),
-                TENANT,
-                Region::hugepages(64 << 20),
-            );
-            net.register_mr(node, &e.export_rdma()).expect("MR");
+    /// Run the echo pair until the window closes; returns the report and
+    /// the number of simulation events processed.
+    fn run(&self, prim: Primitive, host: Option<HostPair>) -> (LoadReport, u64) {
+        let cfg = self.cfg;
+        let mut engine = EchoEngine::new(cfg, prim, host);
+        let mut harness: Harness<Ev> = Harness::new();
+        // Kick off every connection from the client.
+        for conn in 0..cfg.connections {
+            harness.schedule_at(Nanos::ZERO, Ev::Post { node: CLIENT, conn });
         }
-        let qpns = (0..self.cfg.connections)
-            .map(|_| net.connect_immediate(CLIENT, SERVER, TENANT))
-            .collect();
-        let mut st = EchoState {
-            net,
-            qpns,
-            engines: [FifoServer::new("dne0"), FifoServer::new("dne1")],
-            stats: RunStats::new(self.cfg.warmup),
-            issued: vec![Nanos::ZERO; self.cfg.connections],
-            owdl_stage: vec![OwdlStage::AwaitGrant; self.cfg.connections],
-            next_wr: 1,
-            payload: self.cfg.payload,
-            cqe_scratch: Vec::new(),
-            rdma_step: Step::default(),
-            post_step: Step::default(),
-            payloads: PayloadCache::new(),
-        };
-        st.post_rq(CLIENT, 4 * self.cfg.connections as u64 + 64);
-        st.post_rq(SERVER, 4 * self.cfg.connections as u64 + 64);
-        st
+        harness.run(&mut engine, cfg.warmup + cfg.duration);
+        (engine.stats.report(cfg.duration), harness.events_fired())
     }
 
     /// Fig 12: primitive-selection echo between two bare DNEs.
     pub fn run_primitive(&self, prim: Primitive) -> LoadReport {
-        self.run_primitive_counted(prim).0
+        self.run(prim, None).0
     }
 
     /// [`EchoSim::run_primitive`], also returning the number of simulation
     /// events processed — the denominator of the `alloc_smoke` zero-alloc
     /// gate on this driver.
     pub fn run_primitive_counted(&self, prim: Primitive) -> (LoadReport, u64) {
-        let cfg = self.cfg;
-        let mut engine = PrimitiveEngine {
-            prim,
-            cost: self.cost,
-            st: self.build_state(),
-        };
-
-        let mut harness: Harness<Ev> = Harness::new();
-        // Kick off every connection from the client engine.
-        for conn in 0..cfg.connections {
-            harness.schedule_at(
-                Nanos::ZERO,
-                Ev::Engine { node: CLIENT, conn, action: Action::Post },
-            );
-        }
-        harness.run(&mut engine, cfg.warmup + cfg.duration);
-
-        (engine.st.stats.report(cfg.duration), harness.events_fired())
+        self.run(prim, None)
     }
 
     /// Fig 11: off-path vs on-path function echo through DNEs (two-sided).
     pub fn run_path_mode(&self, mode: PathMode) -> LoadReport {
-        let cfg = self.cfg;
-        let mut engine = PathModeEngine {
-            mode,
-            st: self.build_state(),
-            dmas: [
-                SocDma::new("bf2-0", SocDmaSpec::default()),
-                SocDma::new("bf2-1", SocDmaSpec::default()),
-            ],
-            meters: [
-                palladium_membuf::CopyMeter::new(),
-                palladium_membuf::CopyMeter::new(),
-            ],
-            fn_cores: [FifoServer::new("fn0"), FifoServer::new("fn1")],
-            comch_transit: Nanos::from_nanos(900),
-            host_send: Nanos::from_nanos(500),
-            host_recv: Nanos::from_nanos(1_300),
-        };
-
-        let mut harness: Harness<Ev> = Harness::new();
-        for conn in 0..cfg.connections {
-            harness.schedule_at(Nanos::ZERO, Ev::FnStep { node: CLIENT, conn });
-        }
-        harness.run(&mut engine, cfg.warmup + cfg.duration);
-
-        engine.st.stats.report(cfg.duration)
+        self.run(Primitive::TwoSided, Some(HostPair::new(mode))).0
     }
 }
 

@@ -41,11 +41,12 @@ fn main() {
     }
     print_table("Fig 15 FCFS", &["t", "T1", "T2", "T3"], &fig15(SchedPolicy::Fcfs, 0.05));
     print_table("Fig 15 DWRR", &["t", "T1", "T2", "T3"], &fig15(SchedPolicy::Dwrr, 0.05));
+    let boutique = BoutiqueSweep::run(&FIG16_CLIENTS, s);
     for chain in ChainKind::ALL {
         print_table(
             &format!("Fig 16 {} RPS (K)", chain.label()),
             &["system", "c=1", "c=20", "c=40", "c=60", "c=80"],
-            &fig16_rps(chain, s),
+            &boutique.fig16_rps(chain),
         );
     }
     print_table(
@@ -56,6 +57,6 @@ fn main() {
     print_table(
         "Table 2 (ms)",
         &["system", "H20", "H60", "H80", "V20", "V60", "V80", "P20", "P60", "P80"],
-        &table2(s),
+        &boutique.table2(),
     );
 }

@@ -25,7 +25,7 @@
 //! allocation-free too — the zero-alloc contract is uniform across
 //! drivers, not a chain-driver special.
 //!
-//! Run by the CI bench-smoke job next to the `--quick` throughput run:
+//! Run by the CI bench-smoke job:
 //! `cargo run --release -p palladium-bench --bin alloc_smoke`.
 
 use std::alloc::{GlobalAlloc, Layout, System};

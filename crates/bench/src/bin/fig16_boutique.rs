@@ -1,9 +1,10 @@
 //! Fig 16: Online Boutique — RPS and CPU/DPU utilization for three chains
 //! across six data planes.
-use palladium_bench::{fig16_rps, fig16_util, print_table, Scale};
+use palladium_bench::{print_table, BoutiqueSweep, Scale, FIG16_CLIENTS};
 use palladium_workloads::boutique::ChainKind;
 
 fn main() {
+    let sweep = BoutiqueSweep::run(&FIG16_CLIENTS, Scale::FULL);
     for chain in ChainKind::ALL {
         print_table(
             &format!(
@@ -12,12 +13,12 @@ fn main() {
                 chain.label()
             ),
             &["system", "c=1", "c=20", "c=40", "c=60", "c=80"],
-            &fig16_rps(chain, Scale::FULL),
+            &sweep.fig16_rps(chain),
         );
         print_table(
             &format!("Fig 16 — {} CPU/DPU utilization %% (cpu/dpu)", chain.label()),
             &["system", "c=20", "c=60", "c=80"],
-            &fig16_util(chain, Scale::FULL),
+            &sweep.fig16_util(chain),
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Table 2: average latency (ms) of the Online Boutique chains.
-use palladium_bench::{print_table, table2, Scale};
+use palladium_bench::{print_table, BoutiqueSweep, Scale, TABLE2_CLIENTS};
 
 fn main() {
     print_table(
@@ -11,6 +11,6 @@ fn main() {
             "V20", "V60", "V80",
             "P20", "P60", "P80",
         ],
-        &table2(Scale::FULL),
+        &BoutiqueSweep::run(&TABLE2_CLIENTS, Scale::FULL).table2(),
     );
 }

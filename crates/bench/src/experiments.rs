@@ -140,12 +140,7 @@ fn label_of(kind: IngressKind) -> &'static str {
 
 /// Fig 14: the autoscaling time series for one ingress design.
 pub fn fig14(kind: IngressKind, time_scale: f64) -> ScalingReport {
-    let cfg = IngressSimConfig {
-        fixed_workers: None,
-        conns_per_client: 32,
-        ..IngressSimConfig::fig13(kind, 0)
-    };
-    IngressSim::new(cfg).scaling_run(time_scale, 24)
+    IngressSim::scaling_run(kind, time_scale, 24)
 }
 
 /// Fig 15: per-tenant RPS time series under FCFS or DWRR.
@@ -178,32 +173,82 @@ pub fn boutique_run(
     ChainSim::new(cfg).run()
 }
 
-/// Fig 16 (1)-(3): RPS rows for one chain across systems and client counts.
-pub fn fig16_rps(chain: ChainKind, scale: Scale) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for system in SystemKind::ALL {
-        let mut row = vec![system.label().to_string()];
-        for clients in [1usize, 20, 40, 60, 80] {
-            let r = boutique_run(system, chain, clients, scale);
-            row.push(format!("{:.1}", r.rps / 1e3));
-        }
-        rows.push(row);
-    }
-    rows
+/// Client counts of Fig 16's RPS panels.
+pub const FIG16_CLIENTS: [usize; 5] = [1, 20, 40, 60, 80];
+
+/// Client counts of Fig 16's utilization panels and of Table 2.
+pub const TABLE2_CLIENTS: [usize; 3] = [20, 60, 80];
+
+/// The Fig 16 / Table 2 cluster runs: every system × chain at each of a
+/// set of client counts, each configuration run once and read by every
+/// table that shows it.
+pub struct BoutiqueSweep {
+    clients: Vec<usize>,
+    /// In `SystemKind::ALL` × `ChainKind::ALL` × `clients` order.
+    runs: Vec<ChainReport>,
 }
 
-/// Fig 16 (4)-(6): CPU/DPU utilization rows for one chain.
-pub fn fig16_util(chain: ChainKind, scale: Scale) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for system in SystemKind::ALL {
-        let mut row = vec![system.label().to_string()];
-        for clients in [20usize, 60, 80] {
-            let r = boutique_run(system, chain, clients, scale);
-            row.push(format!("{:.0}/{:.0}", r.cpu_util_pct, r.dpu_util_pct));
+impl BoutiqueSweep {
+    /// Run every system and chain at each of `clients`.
+    pub fn run(clients: &[usize], scale: Scale) -> Self {
+        let mut runs = Vec::new();
+        for system in SystemKind::ALL {
+            for chain in ChainKind::ALL {
+                for &c in clients {
+                    runs.push(boutique_run(system, chain, c, scale));
+                }
+            }
         }
-        rows.push(row);
+        BoutiqueSweep { clients: clients.to_vec(), runs }
     }
-    rows
+
+    /// The run of `system` on `chain` at `clients`.
+    fn get(&self, system: SystemKind, chain: ChainKind, clients: usize) -> &ChainReport {
+        let s = SystemKind::ALL.iter().position(|&k| k == system).expect("system swept");
+        let k = ChainKind::ALL.iter().position(|&k| k == chain).expect("chain swept");
+        let c = self.clients.iter().position(|&n| n == clients).expect("client count swept");
+        &self.runs[(s * ChainKind::ALL.len() + k) * self.clients.len() + c]
+    }
+
+    /// One row per system: its label, then `cell` of its run on each of
+    /// `chains` at each of `clients`.
+    fn rows(
+        &self,
+        chains: &[ChainKind],
+        clients: &[usize],
+        cell: impl Fn(&ChainReport) -> String,
+    ) -> Vec<Vec<String>> {
+        SystemKind::ALL
+            .iter()
+            .map(|&system| {
+                let mut row = vec![system.label().to_string()];
+                for &chain in chains {
+                    row.extend(clients.iter().map(|&c| cell(self.get(system, chain, c))));
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// Fig 16 (1)-(3): RPS rows for one chain at [`FIG16_CLIENTS`].
+    pub fn fig16_rps(&self, chain: ChainKind) -> Vec<Vec<String>> {
+        self.rows(&[chain], &FIG16_CLIENTS, |r| format!("{:.1}", r.rps / 1e3))
+    }
+
+    /// Fig 16 (4)-(6): CPU/DPU utilization rows for one chain at
+    /// [`TABLE2_CLIENTS`].
+    pub fn fig16_util(&self, chain: ChainKind) -> Vec<Vec<String>> {
+        self.rows(&[chain], &TABLE2_CLIENTS, |r| {
+            format!("{:.0}/{:.0}", r.cpu_util_pct, r.dpu_util_pct)
+        })
+    }
+
+    /// Table 2: mean latency (ms) of every chain at [`TABLE2_CLIENTS`].
+    pub fn table2(&self) -> Vec<Vec<String>> {
+        self.rows(&ChainKind::ALL, &TABLE2_CLIENTS, |r| {
+            format!("{:.2}", r.mean_latency.as_millis_f64())
+        })
+    }
 }
 
 /// Table 1: the capability matrix.
@@ -227,22 +272,6 @@ pub fn table1() -> Vec<Vec<String>> {
         ]
     })
     .collect()
-}
-
-/// Table 2: mean latency (ms) of chains at {20, 60, 80} clients.
-pub fn table2(scale: Scale) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for system in SystemKind::ALL {
-        let mut row = vec![system.label().to_string()];
-        for chain in ChainKind::ALL {
-            for clients in [20usize, 60, 80] {
-                let r = boutique_run(system, chain, clients, scale);
-                row.push(format!("{:.2}", r.mean_latency.as_millis_f64()));
-            }
-        }
-        rows.push(row);
-    }
-    rows
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //!
 //! Absolute numbers come from the calibrated simulation (the constants in
 //! `RdmaConfig`, `CostModel` and the substrates' cost tables); nothing yet
-//! records paper-versus-measured per artefact (ROADMAP item 2). The
+//! records paper-versus-measured per artefact (ROADMAP item 1). The
 //! *shapes* — who wins, by what factor, where the crossovers sit — are
 //! asserted by the test suite.
 

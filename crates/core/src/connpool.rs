@@ -11,7 +11,7 @@
 
 use palladium_membuf::{NodeId, TenantId};
 use palladium_rdma::{Qpn, RdmaNet};
-use palladium_simnet::{IdTable, Nanos};
+use palladium_simnet::Nanos;
 
 /// Identity of one pooled connection (local endpoint).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,9 +86,6 @@ pub struct ConnPool {
     node: NodeId,
     cfg: ConnPoolConfig,
     conns: Vec<PooledConn>,
-    /// Selection statistics per QPN (for tests/reports), indexed by the
-    /// dense QPN space — `select` runs once per posted WR.
-    picks: IdTable<u64>,
 }
 
 impl ConnPool {
@@ -98,7 +95,6 @@ impl ConnPool {
             node,
             cfg,
             conns: Vec::new(),
-            picks: IdTable::new(),
         }
     }
 
@@ -224,23 +220,13 @@ impl ConnPool {
                 })
                 .min_by_key(|&(l, q)| (l, q.0));
         }
-        let picked = best.map(|(_, q)| q);
-        if let Some(q) = picked {
-            *self.picks.get_or_insert_with(q.0 as usize, || 0) += 1;
-        }
         // Errored QPs surfaced during the scan are purged immediately —
         // leaving them pooled would keep re-scanning corpses and skew the
         // active-cap heuristic (which counts pooled conns).
         if saw_error {
             self.evict_errored(net);
         }
-        picked
-    }
-
-    /// How often each QPN was selected.
-    #[cfg(test)]
-    pub fn pick_count(&self, qpn: Qpn) -> u64 {
-        self.picks.get(qpn.0 as usize).copied().unwrap_or(0)
+        best.map(|(_, q)| q)
     }
 }
 
@@ -290,7 +276,6 @@ mod tests {
         }
         let picked = pool.select(&net, NodeId(1), TenantId(1)).unwrap();
         assert_ne!(picked, qpns[0], "loaded QP must not be picked");
-        assert_eq!(pool.pick_count(picked), 1);
     }
 
     #[test]

@@ -165,16 +165,12 @@ impl Dne {
         policy: SchedPolicy,
         pool: ConnPool,
     ) -> Self {
-        let prefix = match loc {
-            EngineLocation::Dpu => "dne",
-            EngineLocation::Cpu => "cne",
-        };
         Dne {
             node,
             loc,
             cost,
-            worker_core: FifoServer::new(format!("{prefix}{}-worker", node.raw())),
-            core_thread: FifoServer::new(format!("{prefix}{}-core", node.raw())),
+            worker_core: FifoServer::new(),
+            core_thread: FifoServer::new(),
             sched: TenantScheduler::new(policy, 1 << 12),
             rx_queue: VecDeque::new(),
             rbr: RbrTable::new(),

@@ -29,8 +29,6 @@ pub struct ChannelSimConfig {
     pub kind: ChannelKind,
     /// Number of host functions issuing echoes.
     pub functions: usize,
-    /// Host cores available to functions (testbed: 2 × 40).
-    pub host_cores: usize,
     /// Measurement window.
     pub duration: Nanos,
     /// Warm-up excluded from statistics.
@@ -43,12 +41,14 @@ impl ChannelSimConfig {
         ChannelSimConfig {
             kind,
             functions,
-            host_cores: 80,
             duration: Nanos::from_millis(120),
             warmup: Nanos::from_millis(20),
         }
     }
 }
+
+/// Host cores available to functions (testbed: 2 × 40).
+const HOST_CORES: usize = 80;
 
 #[derive(Debug)]
 enum Ev {
@@ -64,7 +64,6 @@ enum Ev {
 
 /// The driver's state machine: channel registry, host cores, DNE core.
 struct ChannelEngine {
-    cfg: ChannelSimConfig,
     costs: ChannelCosts,
     comch: ComchServer,
     dne_op: Nanos,
@@ -89,7 +88,7 @@ impl ChannelEngine {
     /// Charge the host-side send and put the descriptor on the wire.
     fn issue(&mut self, now: Nanos, f: usize, fx: &mut Effects<'_, Ev>) {
         self.issued_at[f] = now;
-        let core = f % self.cfg.host_cores;
+        let core = f % HOST_CORES;
         let done = self
             .fn_cores
             .get_mut(core)
@@ -123,7 +122,7 @@ impl Engine for ChannelEngine {
             Ev::DneReplied { f } => {
                 let drained = self.comch.host_recv(FnId(f as u16), 1);
                 debug_assert_eq!(drained.len(), 1);
-                let core = f % self.cfg.host_cores;
+                let core = f % HOST_CORES;
                 let done = self
                     .fn_cores
                     .get_mut(core)
@@ -170,7 +169,7 @@ impl ChannelSim {
         let mut comch = ComchServer::new(cfg.kind);
         // Active functions: Comch-P pins one host core per function.
         let active = if costs.pins_host_core {
-            cfg.functions.min(cfg.host_cores)
+            cfg.functions.min(HOST_CORES)
         } else {
             cfg.functions
         };
@@ -185,11 +184,10 @@ impl ChannelSim {
             comch,
             // Host cores: polling functions own a core; event-driven
             // functions share the bank (pinned round-robin).
-            fn_cores: ServerBank::new("host", cfg.host_cores.max(1)),
-            dne_core: FifoServer::new("dne-arm"),
+            fn_cores: ServerBank::new(HOST_CORES),
+            dne_core: FifoServer::new(),
             issued_at: vec![Nanos::ZERO; active],
             stats: RunStats::new(cfg.warmup),
-            cfg,
         };
 
         let mut harness: Harness<Ev> = Harness::new();

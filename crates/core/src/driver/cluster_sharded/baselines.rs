@@ -144,7 +144,7 @@ impl HostPlane {
             worker_tcp: TcpCostTable::new(TcpCosts::for_kind(worker_stack), tcp_sizes()),
             internode_tcp: TcpCostTable::new(TcpCosts::for_kind(StackKind::Kernel), tcp_sizes()),
             engines: (0..workers)
-                .map(|n| FifoServer::new(format!("w{n}-engine")))
+                .map(|_| FifoServer::new())
                 .collect(),
             load: vec![0; workers],
             fuyao,

@@ -329,7 +329,7 @@ impl ClusterShardedSim {
                     shard.dnes.push(None);
                     shard.ingress = ingress_state.take();
                 } else {
-                    shard.fn_cores.push(Some(ServerBank::new(&format!("w{n}-host"), 38)));
+                    shard.fn_cores.push(Some(ServerBank::new(38)));
                     shard.dnes.push(dne_it.next());
                 }
             }

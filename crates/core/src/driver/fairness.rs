@@ -74,9 +74,6 @@ pub struct FairnessSimConfig {
     pub policy: SchedPolicy,
     /// Tenants and their schedules.
     pub profiles: Vec<TenantProfile>,
-    /// Per-request DNE service time (the paper configures the engine to
-    /// sustain ≈110 K RPS → ≈9.09 µs per request).
-    pub service: Nanos,
     /// Total experiment duration.
     pub duration: Nanos,
     /// Reporting window for the time series.
@@ -119,12 +116,15 @@ impl FairnessSimConfig {
                     off_time: s(3.0),
                 },
             ],
-            service: Nanos::from_nanos(9_090),
             duration: s(240.0),
             window: s(4.0),
         }
     }
 }
+
+/// Per-request DNE service time: the paper configures the engine to
+/// sustain ≈110 K RPS, ≈9.09 µs per request.
+const DNE_SERVICE: Nanos = Nanos::from_nanos(9_090);
 
 /// Result: per-tenant time series plus totals.
 #[derive(Clone, Debug)]
@@ -150,7 +150,6 @@ struct FairnessEngine {
     sched: TenantScheduler<TenantId>,
     core: FifoServer,
     busy: bool,
-    service: Nanos,
     profiles: Vec<TenantProfile>,
     rates: Vec<WindowedRate>,
     totals: Vec<u64>,
@@ -182,7 +181,7 @@ impl Engine for FairnessEngine {
                 }
                 if let Some((tenant, _)) = self.sched.dequeue() {
                     self.busy = true;
-                    let done = self.core.submit(now, self.service);
+                    let done = self.core.submit(now, DNE_SERVICE);
                     self.core.complete();
                     fx.at(done, Ev::Done { tenant });
                 }
@@ -226,9 +225,8 @@ impl FairnessSim {
         }
         let mut engine = FairnessEngine {
             sched,
-            core: FifoServer::new("dne-core"),
+            core: FifoServer::new(),
             busy: false,
-            service: cfg.service,
             profiles: cfg.profiles.clone(),
             rates: cfg
                 .profiles
@@ -289,7 +287,6 @@ mod tests {
                 profile(TenantId(2), 1, clients[1]),
                 profile(TenantId(3), 2, clients[2]),
             ],
-            service: Nanos::from_nanos(9_090),
             duration: dur,
             window: Nanos::from_millis(100),
         }

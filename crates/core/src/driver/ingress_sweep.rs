@@ -13,12 +13,14 @@
 //!   additionally suffers receive-livelock inflation under backlog — the
 //!   Fig 14 overload collapse, complete with client disconnections.
 //!
-//! Fig 13 pins the gateway to one core and sweeps the client count; Fig 14
-//! adds a saturating client every 10 s and lets the hysteresis autoscaler
-//! (60 %/30 %) manage worker processes. Both figures run the same
-//! [`IngressPath`] request pipeline through the shared harness; only the
-//! surrounding engine differs.
+//! Both figures run one engine; a schedule and a gateway config are the
+//! only differences. Fig 13 is the ramp with every client joining at
+//! t = 0 (one connection each), a one-core fixed gateway and no timeout.
+//! Fig 14 adds a saturating client every 10 s, lets the hysteresis
+//! autoscaler (60 %/30 %) manage worker processes, and disconnects a
+//! client whose response takes longer than 1 s.
 
+use palladium_ipc::{ChannelCosts, ChannelKind};
 use palladium_rdma::RdmaConfig;
 use palladium_simnet::{
     Effects, Engine, FifoServer, Harness, Nanos, RunStats, ServerBank, UtilizationBins,
@@ -31,28 +33,22 @@ use crate::config::{CostModel, EngineLocation};
 use crate::ingress::{IngressConfig, IngressGateway, Leg};
 use crate::system::IngressKind;
 
-/// Configuration for the ingress experiments.
+/// Request and response payload bytes: 256 B echoes.
+const ECHO_BYTES: u64 = 256;
+
+/// Worker-node host cores for the echo function.
+const WORKER_CORES: usize = 16;
+
+/// Echo function execution cost.
+const FN_EXEC: Nanos = Nanos::from_micros(2);
+
+/// Configuration of one Fig 13 point.
 #[derive(Clone, Copy, Debug)]
 pub struct IngressSimConfig {
     /// Ingress design under test.
     pub kind: IngressKind,
     /// Closed-loop clients.
     pub clients: usize,
-    /// Concurrent connections per client (wrk-style pipelining).
-    pub conns_per_client: usize,
-    /// Request payload bytes.
-    pub req_bytes: u64,
-    /// Response payload bytes.
-    pub resp_bytes: u64,
-    /// Gateway worker cores pinned (None = autoscaled).
-    pub fixed_workers: Option<usize>,
-    /// Worker-node host cores for the echo function.
-    pub worker_cores: usize,
-    /// Echo function execution cost.
-    pub fn_exec: Nanos,
-    /// Client gives up if a response takes longer than this (the Fig 14
-    /// disconnections); `Nanos::MAX` disables.
-    pub client_timeout: Nanos,
     /// Measurement window.
     pub duration: Nanos,
     /// Warm-up.
@@ -65,17 +61,29 @@ impl IngressSimConfig {
         IngressSimConfig {
             kind,
             clients,
-            conns_per_client: 1,
-            req_bytes: 256,
-            resp_bytes: 256,
-            fixed_workers: Some(1),
-            worker_cores: 16,
-            fn_exec: Nanos::from_micros(2),
-            client_timeout: Nanos::MAX,
             duration: Nanos::from_millis(400),
             warmup: Nanos::from_millis(100),
         }
     }
+}
+
+/// Who connects when, and what a run records: everything besides the
+/// gateway config that differs between Fig 13 and Fig 14.
+#[derive(Clone, Copy, Debug)]
+struct Schedule {
+    /// Clients that join, one every `join_every` from t = 0.
+    clients: usize,
+    join_every: Nanos,
+    /// Concurrent connections per client (wrk-style pipelining).
+    conns_per_client: usize,
+    /// A client whose response takes longer than this disconnects.
+    timeout: Nanos,
+    /// Latency samples are kept for completions from here on.
+    warmup: Nanos,
+    /// Width of one point of the RPS and cores-in-use series.
+    window: Nanos,
+    /// The run ends here.
+    horizon: Nanos,
 }
 
 #[derive(Debug)]
@@ -89,7 +97,7 @@ enum Ev {
     WorkerDone { conn: usize, issued: Nanos },
     /// Gateway finished the outbound leg; response heads to the client.
     OutboundDone { conn: usize, issued: Nanos, worker: usize },
-    /// Fig 14: a new saturating client joins.
+    /// The next client joins.
     AddClient,
     /// Autoscaler evaluation tick.
     ScalerTick,
@@ -107,137 +115,182 @@ struct WorkerSide {
 }
 
 impl WorkerSide {
-    fn for_kind(kind: IngressKind, cost: &CostModel, fn_exec: Nanos, bytes: u64) -> Self {
-        let rdma = RdmaConfig::default();
+    fn for_kind(kind: IngressKind, cost: &CostModel) -> Self {
         match kind {
-            IngressKind::Palladium => WorkerSide {
-                // Comch deliver + epoll wake + echo + Comch send-back.
-                host_per_req: Nanos::from_nanos(1_300 + 500) + fn_exec,
-                // DNE RX for the request + TX for the response.
-                engine_per_req: cost.engine_rx_at(EngineLocation::Dpu)
-                    + cost.engine_tx_at(EngineLocation::Dpu),
-                wire: rdma.one_way(bytes),
-            },
+            IngressKind::Palladium => {
+                let comch = ChannelCosts::for_kind(ChannelKind::ComchE);
+                WorkerSide {
+                    // Comch deliver + epoll wake + echo + Comch send-back.
+                    host_per_req: comch.host_recv_cpu + comch.host_send_cpu + FN_EXEC,
+                    // DNE RX for the request + TX for the response.
+                    engine_per_req: cost.engine_rx_at(EngineLocation::Dpu)
+                        + cost.engine_tx_at(EngineLocation::Dpu),
+                    wire: RdmaConfig::default().one_way(ECHO_BYTES),
+                }
+            }
             IngressKind::FStackDeferred | IngressKind::KernelDeferred => {
                 // Worker terminates TCP with F-Stack (§4.1.3) then echoes.
                 let t = TcpCosts::for_kind(StackKind::FStack);
                 WorkerSide {
-                    host_per_req: t.rx(bytes) + fn_exec + t.tx(bytes),
+                    host_per_req: t.rx(ECHO_BYTES) + FN_EXEC + t.tx(ECHO_BYTES),
                     engine_per_req: Nanos::ZERO,
-                    wire: Nanos::from_micros(5),
+                    wire: TcpCosts::INTER_NODE_WIRE,
                 }
             }
         }
     }
 }
 
-/// The request pipeline both figures share: gateway legs, the wire, the
-/// worker engine + host cores.
-struct IngressPath {
-    cfg: IngressSimConfig,
+/// The closed-loop clients, the gateway and the worker node.
+struct IngressEngine {
+    sched: Schedule,
     cost: CostModel,
     gw: IngressGateway,
+    eval_interval: Nanos,
     ws: WorkerSide,
     worker_cores: ServerBank,
-    engine: FifoServer,
+    worker_dne: FifoServer,
+    stats: RunStats,
+    rps: WindowedRate,
+    util: UtilizationBins,
+    last_busy: Nanos,
+    last_tick: Nanos,
+    /// Per joined client: still connected?
+    alive: Vec<bool>,
+    disconnected: usize,
 }
 
-impl IngressPath {
-    fn new(cfg: IngressSimConfig, cost: CostModel, gw: IngressGateway) -> Self {
-        IngressPath {
-            ws: WorkerSide::for_kind(cfg.kind, &cost, cfg.fn_exec, cfg.req_bytes),
-            worker_cores: ServerBank::new("worker", cfg.worker_cores),
-            engine: FifoServer::new("worker-dne"),
-            cfg,
+impl IngressEngine {
+    /// Run `sched` against a gateway built from `gw_cfg`.
+    fn run(gw_cfg: IngressConfig, sched: Schedule) -> Self {
+        let cost = CostModel::default();
+        let mut engine = IngressEngine {
+            sched,
             cost,
-            gw,
-        }
+            gw: IngressGateway::new(gw_cfg, cost),
+            eval_interval: gw_cfg.autoscaler.eval_interval,
+            ws: WorkerSide::for_kind(gw_cfg.kind, &cost),
+            worker_cores: ServerBank::new(WORKER_CORES),
+            worker_dne: FifoServer::new(),
+            stats: RunStats::new(sched.warmup),
+            rps: WindowedRate::new(sched.window, Nanos::ZERO),
+            util: UtilizationBins::new(sched.window),
+            last_busy: Nanos::ZERO,
+            last_tick: Nanos::ZERO,
+            alive: Vec::new(),
+            disconnected: 0,
+        };
+        let mut harness: Harness<Ev> = Harness::new();
+        harness.schedule_at(Nanos::ZERO, Ev::AddClient);
+        harness.schedule_at(engine.eval_interval, Ev::ScalerTick);
+        harness.run(&mut engine, sched.horizon);
+        engine
     }
 
     fn client_of(&self, conn: usize) -> usize {
         // One connection per client (the Fig 13 sweep) must not pay a
         // hardware divide per leg.
-        if self.cfg.conns_per_client == 1 {
+        if self.sched.conns_per_client == 1 {
             conn
         } else {
-            conn / self.cfg.conns_per_client
+            conn / self.sched.conns_per_client
         }
     }
 
-    /// Gateway inbound leg.
-    fn arrive(&mut self, now: Nanos, conn: usize, issued: Nanos, fx: &mut Effects<'_, Ev>) {
-        let (w, done) = self.gw.submit(
-            now,
-            self.client_of(conn),
-            Leg::Inbound,
-            self.cfg.req_bytes,
-            self.cfg.resp_bytes,
-        );
-        fx.at(done, Ev::InboundDone { conn, issued, worker: w });
-    }
-
-    /// Into the cluster: wire + worker-side processing.
-    fn inbound_done(
-        &mut self,
-        now: Nanos,
-        conn: usize,
-        issued: Nanos,
-        worker: usize,
-        fx: &mut Effects<'_, Ev>,
-    ) {
-        self.gw.leg_done(worker);
-        let arrive = now + self.ws.wire;
-        let mut ready = arrive;
-        if !self.ws.engine_per_req.is_zero() {
-            ready = self.engine.submit(arrive, self.ws.engine_per_req);
-            self.engine.complete();
-        }
-        let (core, host_done) = self.worker_cores.submit(ready, self.ws.host_per_req);
-        self.worker_cores.complete(core);
-        fx.at(host_done + self.ws.wire, Ev::WorkerDone { conn, issued });
-    }
-
-    /// Gateway outbound leg.
-    fn worker_done(&mut self, now: Nanos, conn: usize, issued: Nanos, fx: &mut Effects<'_, Ev>) {
-        let (w, done) = self.gw.submit(
-            now,
-            self.client_of(conn),
-            Leg::Outbound,
-            self.cfg.req_bytes,
-            self.cfg.resp_bytes,
-        );
-        fx.at(done, Ev::OutboundDone { conn, issued, worker: w });
+    /// Gateway leg `leg` of the request on `conn`.
+    fn submit(&mut self, now: Nanos, conn: usize, leg: Leg) -> (usize, Nanos) {
+        self.gw.submit(now, self.client_of(conn), leg, ECHO_BYTES, ECHO_BYTES)
     }
 }
 
-/// Fig 13 engine: fixed clients, closed loop, latency/RPS stats.
-struct SweepEngine {
-    path: IngressPath,
-    stats: RunStats,
-}
-
-impl Engine for SweepEngine {
+impl Engine for IngressEngine {
     type Ev = Ev;
 
     fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>) {
         match ev {
-            Ev::Arrive { conn, issued } => self.path.arrive(now, conn, issued, fx),
+            Ev::AddClient => {
+                let client = self.alive.len();
+                if client < self.sched.clients {
+                    self.alive.push(true);
+                    for k in 0..self.sched.conns_per_client {
+                        let conn = client * self.sched.conns_per_client + k;
+                        fx.after(self.cost.client_wire, Ev::Arrive { conn, issued: now });
+                    }
+                    fx.after(self.sched.join_every, Ev::AddClient);
+                }
+            }
+            Ev::ScalerTick => {
+                // Track useful busy time as a cores-in-use series: for
+                // busy-polling gateways the pinned cores count fully.
+                let elapsed = now - self.last_tick;
+                let busy = self.gw.total_busy();
+                let delta = busy - self.last_busy;
+                self.last_busy = busy;
+                self.last_tick = now;
+                match self.gw.kind() {
+                    IngressKind::KernelDeferred => {
+                        // Interrupt-driven: cores used = useful busy time,
+                        // spread across the interval (delta may span
+                        // several cores' worth of work).
+                        let mut remaining = delta;
+                        while remaining > elapsed && !elapsed.is_zero() {
+                            self.util.record_busy(now - elapsed, now);
+                            remaining -= elapsed;
+                        }
+                        if !remaining.is_zero() {
+                            self.util.record_busy(now - remaining, now);
+                        }
+                    }
+                    _ => {
+                        // Busy-polling: every active worker pins its core.
+                        for _ in 0..self.gw.active_workers() {
+                            self.util.record_busy(now - elapsed, now);
+                        }
+                    }
+                }
+                self.gw.evaluate(now, elapsed);
+                fx.after(self.eval_interval, Ev::ScalerTick);
+            }
+            Ev::Arrive { conn, issued } => {
+                let (worker, done) = self.submit(now, conn, Leg::Inbound);
+                fx.at(done, Ev::InboundDone { conn, issued, worker });
+            }
             Ev::InboundDone { conn, issued, worker } => {
-                self.path.inbound_done(now, conn, issued, worker, fx)
+                // Into the cluster: wire + worker-side processing.
+                self.gw.leg_done(worker);
+                let arrive = now + self.ws.wire;
+                let mut ready = arrive;
+                if !self.ws.engine_per_req.is_zero() {
+                    ready = self.worker_dne.submit(arrive, self.ws.engine_per_req);
+                    self.worker_dne.complete();
+                }
+                let (core, host_done) = self.worker_cores.submit(ready, self.ws.host_per_req);
+                self.worker_cores.complete(core);
+                fx.at(host_done + self.ws.wire, Ev::WorkerDone { conn, issued });
             }
-            Ev::WorkerDone { conn, issued } => self.path.worker_done(now, conn, issued, fx),
+            Ev::WorkerDone { conn, issued } => {
+                let (worker, done) = self.submit(now, conn, Leg::Outbound);
+                fx.at(done, Ev::OutboundDone { conn, issued, worker });
+            }
             Ev::OutboundDone { conn, issued, worker } => {
-                self.path.gw.leg_done(worker);
-                let finish = now + self.path.cost.client_wire;
+                self.gw.leg_done(worker);
+                let finish = now + self.cost.client_wire;
                 self.stats.complete(finish, issued);
-                // Closed loop: next request after the response reaches the
-                // client.
-                fx.at(
-                    finish + self.path.cost.client_wire,
-                    Ev::Arrive { conn, issued: finish },
-                );
+                self.rps.record(finish);
+                let client = self.client_of(conn);
+                if !self.alive[client] {
+                    return;
+                }
+                if finish - issued > self.sched.timeout {
+                    // The client gives up: all its connections disconnect.
+                    self.alive[client] = false;
+                    self.disconnected += 1;
+                } else {
+                    // Closed loop: next request after the response reaches
+                    // the client.
+                    fx.at(finish + self.cost.client_wire, Ev::Arrive { conn, issued: finish });
+                }
             }
-            _ => unreachable!("sweep uses no scaling events"),
         }
     }
 }
@@ -257,184 +310,69 @@ pub struct ScalingReport {
     pub scale_downs: u32,
 }
 
-/// Fig 14 engine: ramping clients, autoscaler ticks, timeouts.
-struct ScalingEngine {
-    path: IngressPath,
-    rps: WindowedRate,
-    util: UtilizationBins,
-    last_busy: Nanos,
-    last_tick: Nanos,
-    joined: usize,
-    max_clients: usize,
-    join_interval: Nanos,
-    eval_interval: Nanos,
-    client_timeout: Nanos,
-    disconnected: usize,
-    alive: Vec<bool>,
-}
-
-impl Engine for ScalingEngine {
-    type Ev = Ev;
-
-    fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>) {
-        match ev {
-            Ev::AddClient => {
-                if self.joined < self.max_clients {
-                    let client = self.joined;
-                    self.joined += 1;
-                    self.alive.push(true);
-                    for k in 0..self.path.cfg.conns_per_client {
-                        let conn = client * self.path.cfg.conns_per_client + k;
-                        fx.after(self.path.cost.client_wire, Ev::Arrive { conn, issued: now });
-                    }
-                    fx.after(self.join_interval, Ev::AddClient);
-                }
-            }
-            Ev::ScalerTick => {
-                // Track useful busy time as a cores-in-use series: for
-                // busy-polling gateways the pinned cores count fully.
-                let elapsed = now - self.last_tick;
-                let busy = self.path.gw.total_busy();
-                let delta = busy - self.last_busy;
-                self.last_busy = busy;
-                self.last_tick = now;
-                match self.path.cfg.kind {
-                    IngressKind::KernelDeferred => {
-                        // Interrupt-driven: cores used = useful busy time,
-                        // spread across the interval (delta may span
-                        // several cores' worth of work).
-                        let mut remaining = delta;
-                        while remaining > elapsed && !elapsed.is_zero() {
-                            self.util.record_busy(now - elapsed, now);
-                            remaining -= elapsed;
-                        }
-                        if !remaining.is_zero() {
-                            self.util.record_busy(now - remaining, now);
-                        }
-                    }
-                    _ => {
-                        // Busy-polling: every active worker pins its core.
-                        for _ in 0..self.path.gw.active_workers() {
-                            self.util.record_busy(now - elapsed, now);
-                        }
-                    }
-                }
-                self.path.gw.evaluate(now, elapsed);
-                fx.after(self.eval_interval, Ev::ScalerTick);
-            }
-            Ev::Arrive { conn, issued } => self.path.arrive(now, conn, issued, fx),
-            Ev::InboundDone { conn, issued, worker } => {
-                self.path.inbound_done(now, conn, issued, worker, fx)
-            }
-            Ev::WorkerDone { conn, issued } => self.path.worker_done(now, conn, issued, fx),
-            Ev::OutboundDone { conn, issued, worker } => {
-                self.path.gw.leg_done(worker);
-                let finish = now + self.path.cost.client_wire;
-                let client = self.path.client_of(conn);
-                self.rps.record(finish);
-                let rtt = finish - issued;
-                if rtt > self.client_timeout && self.alive.get(client).copied().unwrap_or(false) {
-                    // Client gives up: disconnect all its connections.
-                    self.alive[client] = false;
-                    self.disconnected += 1;
-                } else if self.alive.get(client).copied().unwrap_or(false) {
-                    fx.at(
-                        finish + self.path.cost.client_wire,
-                        Ev::Arrive { conn, issued: finish },
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The Fig 13/14 simulation.
 pub struct IngressSim {
     cfg: IngressSimConfig,
-    cost: CostModel,
 }
 
 impl IngressSim {
     /// Build with the default cost model.
     pub fn new(cfg: IngressSimConfig) -> Self {
-        IngressSim {
-            cfg,
-            cost: CostModel::default(),
-        }
+        IngressSim { cfg }
     }
 
     /// Fig 13: fixed client count, fixed single gateway core. Returns the
     /// load report (mean E2E latency + RPS).
     pub fn sweep(&self) -> LoadReport {
         let cfg = self.cfg;
-        let cost = self.cost;
-        let gw = IngressGateway::new(
-            IngressConfig::new(cfg.kind).with_fixed_workers(cfg.fixed_workers.unwrap_or(1)),
-            cost,
-        );
-        let mut engine = SweepEngine {
-            path: IngressPath::new(cfg, cost, gw),
-            stats: RunStats::new(cfg.warmup),
+        let horizon = cfg.warmup + cfg.duration;
+        let sched = Schedule {
+            clients: cfg.clients,
+            join_every: Nanos::ZERO,
+            conns_per_client: 1,
+            timeout: Nanos::MAX,
+            warmup: cfg.warmup,
+            window: horizon,
+            horizon,
         };
-
-        let total_conns = cfg.clients * cfg.conns_per_client;
-        let mut harness: Harness<Ev> = Harness::new();
-        for conn in 0..total_conns {
-            harness.schedule_at(cost.client_wire, Ev::Arrive { conn, issued: Nanos::ZERO });
-        }
-        harness.run(&mut engine, cfg.warmup + cfg.duration);
-
-        engine.stats.report(cfg.duration)
+        let gw_cfg = IngressConfig::new(cfg.kind).with_fixed_workers(1);
+        IngressEngine::run(gw_cfg, sched).stats.report(cfg.duration)
     }
 
-    /// Fig 14: clients join every `join_interval`; the gateway autoscales
-    /// (Palladium / F-Ingress) or runs all kernel workers (K-Ingress).
-    /// `time_scale` compresses the 4-minute experiment.
-    pub fn scaling_run(&self, time_scale: f64, max_clients: usize) -> ScalingReport {
-        let cfg = self.cfg;
-        let cost = self.cost;
+    /// Fig 14: a saturating client (32 connections) joins every 10 s up to
+    /// `max_clients`; the gateway autoscales (Palladium / F-Ingress) or
+    /// runs all kernel workers (K-Ingress). `time_scale` compresses the
+    /// 4-minute experiment.
+    pub fn scaling_run(kind: IngressKind, time_scale: f64, max_clients: usize) -> ScalingReport {
         let s = |secs: f64| Nanos::from_f64_saturating(secs * time_scale * 1e9);
-        let duration = s(240.0);
-        let window = s(4.0);
-        let eval_interval = s(0.5);
-
+        let horizon = s(240.0);
         // K-Ingress: interrupt-driven kernel workers on all cores from the
         // start; Palladium/F: autoscaled busy-poll workers. The reload blip
         // compresses with the experiment's time scale.
-        let mut gw_cfg = match cfg.kind {
-            IngressKind::KernelDeferred => IngressConfig::new(cfg.kind).with_fixed_workers(24),
-            _ => IngressConfig::new(cfg.kind),
+        let mut gw_cfg = match kind {
+            IngressKind::KernelDeferred => IngressConfig::new(kind).with_fixed_workers(24),
+            _ => IngressConfig::new(kind),
         };
         gw_cfg.autoscaler.reload_blip = s(0.12);
-        gw_cfg.autoscaler.eval_interval = eval_interval;
-        let gw = IngressGateway::new(gw_cfg, cost);
-
-        let mut engine = ScalingEngine {
-            path: IngressPath::new(cfg, cost, gw),
-            rps: WindowedRate::new(window, Nanos::ZERO),
-            util: UtilizationBins::new(window),
-            last_busy: Nanos::ZERO,
-            last_tick: Nanos::ZERO,
-            joined: 0,
-            max_clients,
-            join_interval: s(10.0),
-            eval_interval,
-            client_timeout: s(1.0),
-            disconnected: 0,
-            alive: Vec::new(),
+        gw_cfg.autoscaler.eval_interval = s(0.5);
+        let sched = Schedule {
+            clients: max_clients,
+            join_every: s(10.0),
+            conns_per_client: 32,
+            timeout: s(1.0),
+            // The figure plots series, not latency: samples start at the
+            // horizon.
+            warmup: horizon,
+            window: s(4.0),
+            horizon,
         };
-
-        let mut harness: Harness<Ev> = Harness::new();
-        harness.schedule_at(Nanos::ZERO, Ev::AddClient);
-        harness.schedule_at(eval_interval, Ev::ScalerTick);
-        harness.run(&mut engine, duration);
-
+        let e = IngressEngine::run(gw_cfg, sched);
         ScalingReport {
-            cores_series: engine.util.series(duration),
-            rps_series: engine.rps.series(duration),
-            disconnected: engine.disconnected,
-            scale_ups: engine.path.gw.scaler_ups(),
-            scale_downs: engine.path.gw.scaler_downs(),
+            cores_series: e.util.series(horizon),
+            rps_series: e.rps.series(horizon),
+            disconnected: e.disconnected,
+            scale_ups: e.gw.scaler_ups(),
+            scale_downs: e.gw.scaler_downs(),
         }
     }
 }
@@ -482,12 +420,7 @@ mod tests {
 
     #[test]
     fn palladium_scales_workers_under_ramp() {
-        let cfg = IngressSimConfig {
-            fixed_workers: None,
-            conns_per_client: 32,
-            ..IngressSimConfig::fig13(IngressKind::Palladium, 0)
-        };
-        let report = IngressSim::new(cfg).scaling_run(0.05, 20);
+        let report = IngressSim::scaling_run(IngressKind::Palladium, 0.05, 20);
         assert!(report.scale_ups >= 1, "autoscaler must add workers");
         assert_eq!(report.disconnected, 0, "no palladium disconnections");
         // RPS grows over the run.
@@ -498,12 +431,7 @@ mod tests {
 
     #[test]
     fn kernel_ingress_collapses_with_disconnects() {
-        let cfg = IngressSimConfig {
-            fixed_workers: None,
-            conns_per_client: 32,
-            ..IngressSimConfig::fig13(IngressKind::KernelDeferred, 0)
-        };
-        let report = IngressSim::new(cfg).scaling_run(0.05, 20);
+        let report = IngressSim::scaling_run(IngressKind::KernelDeferred, 0.05, 20);
         assert!(
             report.disconnected > 0,
             "overloaded kernel ingress must shed clients"

@@ -11,7 +11,9 @@
 //! * [`channel`] — host↔DPU descriptor echo over Comch-E / Comch-P / TCP
 //!   (Fig 9).
 //! * [`ingress_sweep`] — external clients through one ingress design to an
-//!   echo function (Fig 13) and the autoscaling time series (Fig 14).
+//!   echo function: one engine for the client sweep (Fig 13) and the
+//!   autoscaling time series (Fig 14), which differ only in schedule,
+//!   gateway config and client timeout.
 //! * [`fairness`] — three tenants through one DNE, DWRR vs FCFS (Fig 15).
 //! * [`cluster_sharded`] — the one cluster engine: pools, RC state
 //!   machines, DNEs or the baselines' host engines, the ingress gateway,
@@ -24,9 +26,11 @@
 //!   conservative sharded runner (`palladium_simnet::shard`): one
 //!   simulation kernel per core, deterministic cross-shard mailboxes.
 //!
-//! The cross-node echo driver for Figs 11–12 (on-path/off-path, RDMA
-//! primitive selection) lives in `palladium-baselines` next to the
-//! one-sided variants it compares; it runs on the same harness.
+//! The cross-node echo driver for Figs 11–12 lives in `palladium-baselines`
+//! next to the one-sided variants it compares: one engine on the same
+//! harness, whose primitive (Fig 12) and optional host-function pair with
+//! its path mode (Fig 11) are data. Outside the cluster engine these are
+//! four engines: channel, ingress, fairness and echo.
 
 pub mod chain;
 pub mod channel;

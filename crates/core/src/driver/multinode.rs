@@ -312,8 +312,8 @@ impl MultiNodeSim {
                     shard_of: part.shard_lookup(),
                     nodes: range
                         .map(|node| Node {
-                            engine: FifoServer::new(format!("n{node}-engine")),
-                            core: FifoServer::new(format!("n{node}-core")),
+                            engine: FifoServer::new(),
+                            core: FifoServer::new(),
                             rng: SimRng::seed_from(
                                 cfg.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             ),

@@ -71,10 +71,6 @@ pub struct IngressGateway {
     blip_until: Nanos,
     /// Useful busy-time snapshot per worker at the last evaluation.
     busy_snapshot: Vec<Nanos>,
-    /// Requests whose inbound leg completed (for reports).
-    pub inbound_done: u64,
-    /// Responses returned to clients.
-    pub outbound_done: u64,
 }
 
 impl IngressGateway {
@@ -90,13 +86,11 @@ impl IngressGateway {
             cfg,
             model: IngressServiceModel::new(stack),
             cost,
-            workers: (0..max).map(|i| FifoServer::new(format!("igw-{i}"))).collect(),
+            workers: vec![FifoServer::new(); max],
             active: initial.min(max).max(1),
             scaler: Autoscaler::new(cfg.autoscaler),
             blip_until: Nanos::ZERO,
             busy_snapshot: vec![Nanos::ZERO; max],
-            inbound_done: 0,
-            outbound_done: 0,
         }
     }
 
@@ -182,12 +176,7 @@ impl IngressGateway {
             self.workers[w].in_flight()
         };
         let service = self.leg_service(leg, req_bytes, resp_bytes, backlog);
-        let done = self.workers[w].submit(start, service);
-        match leg {
-            Leg::Inbound => self.inbound_done += 1,
-            Leg::Outbound => self.outbound_done += 1,
-        }
-        (w, done)
+        (w, self.workers[w].submit(start, service))
     }
 
     /// A leg previously submitted to `worker` finished (the driver calls

@@ -24,8 +24,6 @@ pub struct RbrTable {
     /// CQEs consumed per tenant since the last replenish sweep — the shared
     /// counters the core thread reads (§3.5.2).
     consumed: IdTable<u64>,
-    /// Buffers currently posted per tenant.
-    posted: IdTable<u64>,
 }
 
 impl RbrTable {
@@ -37,9 +35,7 @@ impl RbrTable {
     /// Record a buffer posted to the tenant's shared RQ; returns the WR id
     /// to hand to the RNIC.
     pub fn register(&mut self, tenant: TenantId, token: BufToken) -> WrId {
-        let id = self.entries.insert((tenant, token));
-        *self.posted.get_or_insert_with(tenant.raw() as usize, || 0) += 1;
-        WrId(id)
+        WrId(self.entries.insert((tenant, token)))
     }
 
     /// RX stage: resolve a receive completion back to its buffer. Consumes
@@ -47,9 +43,6 @@ impl RbrTable {
     pub fn consume(&mut self, wr_id: WrId) -> Option<(TenantId, BufToken)> {
         let (tenant, token) = self.entries.remove(wr_id.0)?;
         *self.consumed.get_or_insert_with(tenant.raw() as usize, || 0) += 1;
-        if let Some(p) = self.posted.get_mut(tenant.raw() as usize) {
-            *p = p.saturating_sub(1);
-        }
         Some((tenant, token))
     }
 
@@ -57,15 +50,6 @@ impl RbrTable {
     /// number of fresh buffers to post.
     pub fn take_consumed(&mut self, tenant: TenantId) -> u64 {
         self.consumed.remove(tenant.raw() as usize).unwrap_or(0)
-    }
-
-    /// Buffers currently posted for a tenant.
-    #[cfg(test)]
-    pub fn posted_depth(&self, tenant: TenantId) -> u64 {
-        self.posted
-            .get(tenant.raw() as usize)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Total outstanding entries.
@@ -95,11 +79,10 @@ mod tests {
         let tok = pool.alloc(Owner::Rnic).unwrap();
         let idx = tok.idx();
         let wr = rbr.register(TenantId(1), tok);
-        assert_eq!(rbr.posted_depth(TenantId(1)), 1);
+        assert_eq!(rbr.len(), 1);
         let (tenant, tok) = rbr.consume(wr).expect("registered");
         assert_eq!(tenant, TenantId(1));
         assert_eq!(tok.idx(), idx);
-        assert_eq!(rbr.posted_depth(TenantId(1)), 0);
         assert!(rbr.is_empty());
         pool.free(tok).unwrap();
     }

@@ -5,7 +5,8 @@
 //! functions, stored in the unified pool) listing locally running
 //! functions, and the inter-node table (on the DPU) mapping remote
 //! functions to their nodes. A CNI-like coordinator listens for function
-//! deployment events and synchronizes both.
+//! deployment events and synchronizes them. The simulated data plane asks
+//! only the DNE's route query, so only the inter-node table is modelled.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +15,7 @@ use palladium_simnet::PageTable;
 
 /// One node's view of the routing state.
 ///
-/// Both tables are two-level [`PageTable`]s over the 16-bit fn-id space
+/// The table is a two-level [`PageTable`] over the 16-bit fn-id space
 /// (256×256): the DNE consults `node_of` for every TX descriptor, so a
 /// route query is two indexes — not a hash — on the hot path, while a node
 /// routing a sparse production-scale slice of the fn-id space allocates
@@ -23,11 +24,9 @@ use palladium_simnet::PageTable;
 /// Small fn-id ranges (< 256, every paper topology) stay on the dense
 /// fast path through the pre-allocated first page. The control-plane
 /// [`Coordinator`] keeps the sparse authoritative map and materializes
-/// these per node.
+/// this per node.
 #[derive(Debug, Default, Clone)]
 pub struct RouteTables {
-    /// Functions running on this node (fn → owning tenant).
-    local: PageTable<TenantId>,
     /// Function → node for every function in the cluster (inter-node table,
     /// kept on the DPU for the DNE's TX stage).
     global: PageTable<NodeId>,
@@ -39,34 +38,16 @@ impl RouteTables {
         Self::default()
     }
 
-    /// Is `f` deployed on this node? (Fig 7 "route query".)
-    #[cfg(test)]
-    pub fn is_local(&self, f: FnId) -> bool {
-        self.local.contains(f.raw() as usize)
-    }
-
-    /// Node hosting `f`, from the inter-node table.
+    /// Node hosting `f`, from the inter-node table (Fig 7 "route query").
     #[inline]
     pub fn node_of(&self, f: FnId) -> Option<NodeId> {
         self.global.get(f.raw() as usize).copied()
     }
 
-    /// Tenant of a locally deployed function.
-    #[cfg(test)]
-    pub fn local_tenant(&self, f: FnId) -> Option<TenantId> {
-        self.local.get(f.raw() as usize).copied()
-    }
-
-    /// Locally deployed functions, in ascending id order.
-    #[cfg(test)]
-    pub fn local_functions(&self) -> Vec<FnId> {
-        self.local.iter().map(|(f, _)| FnId(f as u16)).collect()
-    }
-
-    /// Pages allocated across both tables (memory-footprint diagnostics:
-    /// sparse fn-id populations should stay near the 2-page floor).
+    /// Pages allocated (memory-footprint diagnostics: sparse fn-id
+    /// populations should stay near the 1-page floor).
     pub fn pages_allocated(&self) -> usize {
-        self.local.pages_allocated() + self.global.pages_allocated()
+        self.global.pages_allocated()
     }
 }
 
@@ -123,15 +104,12 @@ impl Coordinator {
         self.placements.get(&f).copied()
     }
 
-    /// Build the routing tables for `node` (what the coordinator syncs to
-    /// each worker).
-    pub fn tables_for(&self, node: NodeId) -> RouteTables {
+    /// Build the routing tables for a node (what the coordinator syncs to
+    /// each worker; every node holds the same inter-node table).
+    pub fn tables_for(&self, _node: NodeId) -> RouteTables {
         let mut t = RouteTables::new();
-        for (&f, &(tenant, n)) in &self.placements {
+        for (&f, &(_, n)) in &self.placements {
             t.global.insert(f.raw() as usize, n);
-            if n == node {
-                t.local.insert(f.raw() as usize, tenant);
-            }
         }
         t
     }
@@ -165,11 +143,10 @@ mod tests {
             node: NodeId(1),
         });
         let t0 = c.tables_for(NodeId(0));
-        assert!(t0.is_local(FnId(1)));
-        assert!(!t0.is_local(FnId(2)));
+        assert_eq!(t0.node_of(FnId(1)), Some(NodeId(0)));
         assert_eq!(t0.node_of(FnId(2)), Some(NodeId(1)));
-        assert_eq!(t0.local_tenant(FnId(1)), Some(TenantId(1)));
-        assert_eq!(t0.local_functions(), vec![FnId(1)]);
+        assert_eq!(t0.node_of(FnId(3)), None);
+        assert_eq!(c.placement(FnId(1)), Some((TenantId(1), NodeId(0))));
     }
 
     #[test]
@@ -182,7 +159,6 @@ mod tests {
         });
         c.apply(DeployEvent::Terminated { f: FnId(1) });
         let t = c.tables_for(NodeId(0));
-        assert!(!t.is_local(FnId(1)));
         assert_eq!(t.node_of(FnId(1)), None);
         assert!(c.is_empty());
     }
@@ -201,16 +177,15 @@ mod tests {
             });
         }
         let t = c.tables_for(NodeId(0));
-        // global: pages for ids {1}, {300}, {9000}, {40000}, {65535} → 5
-        // pages; local: first page + at most the pages of node-0 ids.
+        // Pages for ids {1}, {300}, {9000}, {40000}, {65535} → 5 pages.
         assert!(
-            t.pages_allocated() <= 10,
+            t.pages_allocated() <= 5,
             "pages {} — sparse ids must not densify",
             t.pages_allocated()
         );
         assert_eq!(t.node_of(FnId(65_535)), Some(NodeId(1)));
         assert_eq!(t.node_of(FnId(9_000)), Some(NodeId(0)));
-        assert!(t.is_local(FnId(40_000)));
+        assert_eq!(t.node_of(FnId(40_000)), Some(NodeId(0)));
         assert_eq!(t.node_of(FnId(12_345)), None);
     }
 
@@ -218,9 +193,7 @@ mod tests {
     fn tables_are_deploy_order_invariant() {
         // Regression for the HashMap→BTreeMap conversion: two coordinators
         // fed the same deployments in different orders must materialize
-        // identical tables AND identical enumeration order (the old
-        // HashMap iterated in per-process-random order; it happened not
-        // to matter only because PageTable inserts are keyed).
+        // identical tables.
         let deploys = [
             (FnId(9_000), TenantId(2), NodeId(1)),
             (FnId(1), TenantId(1), NodeId(0)),
@@ -239,15 +212,11 @@ mod tests {
         for node in [NodeId(0), NodeId(1)] {
             let a = fwd.tables_for(node);
             let b = rev.tables_for(node);
-            assert_eq!(a.local_functions(), b.local_functions());
             for f in 0..=u16::MAX {
                 assert_eq!(a.node_of(FnId(f)), b.node_of(FnId(f)), "fn {f}");
-                assert_eq!(a.local_tenant(FnId(f)), b.local_tenant(FnId(f)));
             }
+            assert_eq!(a.pages_allocated(), b.pages_allocated());
         }
-        // And the enumeration itself is ascending — pinned, not incidental.
-        let local = fwd.tables_for(NodeId(0)).local_functions();
-        assert_eq!(local, vec![FnId(1), FnId(40_000), FnId(65_535)]);
     }
 
     #[test]
@@ -264,8 +233,7 @@ mod tests {
             tenant: TenantId(1),
             node: NodeId(1),
         });
-        assert!(!c.tables_for(NodeId(0)).is_local(FnId(1)));
-        assert!(c.tables_for(NodeId(1)).is_local(FnId(1)));
+        assert_eq!(c.tables_for(NodeId(0)).node_of(FnId(1)), Some(NodeId(1)));
         assert_eq!(c.len(), 1);
     }
 }

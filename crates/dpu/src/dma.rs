@@ -76,10 +76,10 @@ pub struct SocDma {
 
 impl SocDma {
     /// A SoC DMA engine with the given spec.
-    pub fn new(name: &str, spec: SocDmaSpec) -> Self {
+    pub fn new(spec: SocDmaSpec) -> Self {
         SocDma {
             spec,
-            engine: FifoServer::new(format!("{name}-socdma")),
+            engine: FifoServer::new(),
         }
     }
 
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn small_read_costs_2_6us_unloaded() {
-        let mut dma = SocDma::new("bf2", SocDmaSpec::default());
+        let mut dma = SocDma::new(SocDmaSpec::default());
         let mut meter = CopyMeter::new();
         let done = dma.transfer(Nanos::ZERO, 64, &mut meter);
         assert!(
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn engine_pipelines_but_saturates() {
-        let mut dma = SocDma::new("bf2", SocDmaSpec::default());
+        let mut dma = SocDma::new(SocDmaSpec::default());
         let mut meter = CopyMeter::new();
         // 10 concurrent small transfers: spaced by issue_gap, not by full
         // latency (pipelining)...

@@ -83,8 +83,8 @@ impl Rnic {
             cq: VecDeque::new(),
             cq_armed: true,
             mrs: MrTable::new(),
-            egress: FifoServer::new(format!("rnic{}-egress", node.raw())),
-            rx_engine: FifoServer::new(format!("rnic{}-rx", node.raw())),
+            egress: FifoServer::new(),
+            rx_engine: FifoServer::new(),
         }
     }
 

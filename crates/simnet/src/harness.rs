@@ -1,11 +1,9 @@
 //! The shared driver harness: one batched event-loop trampoline for every
 //! simulation driver in the workspace.
 //!
-//! Before this module each driver (channel echo, ingress sweep, fairness,
-//! the full cluster, the baselines' cross-node echo) hand-rolled the same
-//! three pieces: a `Sim` + closure trampoline, an ad-hoc way to turn
-//! substrate effects back into scheduled events, and a private copy of the
-//! latency/throughput bookkeeping. They now share:
+//! A driver supplies only its state machine; the harness owns the clock,
+//! turns the effects the machine emits back into scheduled events, and
+//! keeps the latency/throughput bookkeeping:
 //!
 //! * [`Engine`] — the driver's state machine: consumes one event, emits
 //!   [`Timed`] follow-up effects into an [`Effects`] sink.
@@ -17,7 +15,7 @@
 //!   tie-break, so results are identical to the unbatched loop — just with
 //!   far fewer heap operations on effect-chattery workloads.
 //! * [`RunStats`] / [`LoadReport`] — the one latency/throughput sink,
-//!   warm-up handling included, replacing the per-driver copies.
+//!   warm-up handling included.
 
 use std::collections::VecDeque;
 

@@ -13,34 +13,19 @@ use crate::time::Nanos;
 /// the completion time, scheduling their own completion event. `busy_until`
 /// models the FIFO queue implicitly: work submitted while busy starts when
 /// the server frees up.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FifoServer {
-    /// Human-readable name for reports ("host-core-3", "soc-dma", ...).
-    name: String,
     busy_until: Nanos,
     /// Total busy time accumulated, for utilization reports.
     busy_accum: Nanos,
-    /// Number of work items served.
-    served: u64,
     /// Work items currently queued or in service (submitted, not completed).
     in_flight: u64,
 }
 
 impl FifoServer {
     /// A new, idle server.
-    pub fn new(name: impl Into<String>) -> Self {
-        FifoServer {
-            name: name.into(),
-            busy_until: Nanos::ZERO,
-            busy_accum: Nanos::ZERO,
-            served: 0,
-            in_flight: 0,
-        }
-    }
-
-    /// Name given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Submit a unit of work at `now` requiring `service` time. Returns the
@@ -51,7 +36,6 @@ impl FifoServer {
         let done = start.saturating_add(service);
         self.busy_until = done;
         self.busy_accum += service;
-        self.served += 1;
         self.in_flight += 1;
         done
     }
@@ -76,11 +60,6 @@ impl FifoServer {
     /// Work items submitted but not yet completed.
     pub fn in_flight(&self) -> u64 {
         self.in_flight
-    }
-
-    /// Total items served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     /// Cumulative busy time.
@@ -123,12 +102,10 @@ pub struct ServerBank {
 }
 
 impl ServerBank {
-    /// `n` identical servers named `{prefix}-{i}`.
-    pub fn new(prefix: &str, n: usize) -> Self {
+    /// `n` identical idle servers.
+    pub fn new(n: usize) -> Self {
         ServerBank {
-            servers: (0..n)
-                .map(|i| FifoServer::new(format!("{prefix}-{i}")))
-                .collect(),
+            servers: vec![FifoServer::new(); n],
             busy: vec![Nanos::ZERO; n],
             heap: (0..n).map(|i| std::cmp::Reverse((Nanos::ZERO, i))).collect(),
             dirty: false,
@@ -219,7 +196,7 @@ mod tests {
 
     #[test]
     fn idle_server_starts_immediately() {
-        let mut s = FifoServer::new("core");
+        let mut s = FifoServer::new();
         let done = s.submit(Nanos(100), Nanos(50));
         assert_eq!(done, Nanos(150));
         assert_eq!(s.backlog(Nanos(120)), Nanos(30));
@@ -228,7 +205,7 @@ mod tests {
 
     #[test]
     fn busy_server_queues_fifo() {
-        let mut s = FifoServer::new("core");
+        let mut s = FifoServer::new();
         let d1 = s.submit(Nanos(0), Nanos(100));
         let d2 = s.submit(Nanos(10), Nanos(100)); // queued behind first
         assert_eq!(d1, Nanos(100));
@@ -242,7 +219,7 @@ mod tests {
 
     #[test]
     fn utilization_counts_only_busy_time() {
-        let mut s = FifoServer::new("core");
+        let mut s = FifoServer::new();
         s.submit(Nanos(0), Nanos(250));
         s.submit(Nanos(0), Nanos(250));
         assert_eq!(s.busy_time(), Nanos(500));
@@ -254,7 +231,7 @@ mod tests {
 
     #[test]
     fn bank_dispatches_to_earliest_free() {
-        let mut bank = ServerBank::new("core", 2);
+        let mut bank = ServerBank::new(2);
         let (i1, d1) = bank.submit(Nanos(0), Nanos(100));
         let (i2, d2) = bank.submit(Nanos(0), Nanos(100));
         assert_ne!(i1, i2); // second item goes to the other core
@@ -266,14 +243,14 @@ mod tests {
 
     #[test]
     fn bank_tie_breaks_deterministically() {
-        let mut bank = ServerBank::new("core", 4);
+        let mut bank = ServerBank::new(4);
         let (i, _) = bank.submit(Nanos(0), Nanos(1));
         assert_eq!(i, 0); // lowest index wins ties
     }
 
     #[test]
     fn bank_utilization_averages() {
-        let mut bank = ServerBank::new("core", 2);
+        let mut bank = ServerBank::new(2);
         bank.get_mut(0).submit(Nanos(0), Nanos(1_000));
         assert!((bank.utilization(Nanos(1_000)) - 0.5).abs() < 1e-9);
         assert_eq!(bank.busy_time(), Nanos(1_000));

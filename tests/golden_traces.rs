@@ -125,12 +125,7 @@ fn golden_trace() -> String {
         IngressKind::FStackDeferred,
         IngressKind::KernelDeferred,
     ] {
-        let cfg = IngressSimConfig {
-            fixed_workers: None,
-            conns_per_client: 32,
-            ..IngressSimConfig::fig13(kind, 0)
-        };
-        let r = IngressSim::new(cfg).scaling_run(0.005, 12);
+        let r = IngressSim::scaling_run(kind, 0.005, 12);
         out.push_str(&format!(
             "scaling/{kind:?}: ups={} downs={} disconnected={}",
             r.scale_ups, r.scale_downs, r.disconnected

@@ -19,6 +19,17 @@
 //!    distinct latencies seen, not with completions), a handful of calls
 //!    per million events.
 //!
+//! Counting calls cannot see a container that grows with the run: its
+//! doublings are O(log n) calls however many bytes it accumulates. So the
+//! allocator also tracks live and peak heap *bytes*, and a second gate
+//! bounds the peak's growth between the two durations per extra completed
+//! request (< [`MAX_PEAK_BYTES_PER_REQ`]). Its allowance covers the
+//! append-only per-request records (the request table, and the open-loop
+//! admission table) and the power-of-two capacity step either may take
+//! between the two runs; it does not cover any per-send, per-frame or
+//! per-event state that outlives its work, which is exactly the growth it
+//! exists to catch.
+//!
 //! The same gate runs against the Fig 12 echo driver: since the shared
 //! [`palladium_membuf::PayloadCache`] replaced its per-message
 //! `Bytes::from(vec![0; n])` fabrication, the echo steady state must be
@@ -33,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use palladium_baselines::echo::{EchoConfig, EchoSim, Primitive};
 use palladium_core::driver::chain::ChainSim;
-use palladium_core::driver::cluster_sharded::{ClusterShardedSim, OverloadConfig};
+use palladium_core::driver::cluster_sharded::{ClusterShardedConfig, ClusterShardedSim, OverloadConfig};
 use palladium_core::system::SystemKind;
 use palladium_simnet::{Execution, FaultPlan, Nanos, ScenarioScript};
 use palladium_workloads::boutique::{self, ChainKind};
@@ -46,9 +57,23 @@ use palladium_workloads::openloop::OpenLoopConfig;
 /// distinct latencies appear: O(log events) calls over the run).
 const MAX_ALLOCS_PER_EVENT: f64 = 0.001;
 
+/// Pass threshold: peak-heap growth per extra completed request. What may
+/// grow with run length is one 24 B request record per issued request,
+/// plus a 24 B admission record per open-loop arrival (about two per
+/// completion at 2x saturation), stored in power-of-two capacity steps.
+/// These runs allocate the same sizes on every machine and measure
+/// 0–99 B (the top: the overload run, whose request table crosses a
+/// capacity step between the two durations). When the DWRR scheduler kept
+/// an FCFS breadcrumb for every send, the same runs measured 170–222 B.
+const MAX_PEAK_BYTES_PER_REQ: f64 = 128.0;
+
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes currently allocated, and the most ever allocated at once
+/// since the last [`measured`] run began.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Per-size-bucket counters (bucket = log2 of the rounded-up size),
 /// printed when `ALLOC_SMOKE_HISTOGRAM=1` — pinpoints which object class
 /// regressed when the assertion trips.
@@ -65,6 +90,17 @@ fn count(layout: Layout) {
     BUCKETS[bucket].fetch_add(1, Ordering::Relaxed);
 }
 
+#[inline]
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+#[inline]
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
 // SAFETY: delegates every operation to `System`; the counters are relaxed
 // atomics with no further side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -72,6 +108,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // relaxed atomic side effect with no aliasing or layout impact.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout);
+        grow(layout.size());
         System.alloc(layout)
     }
 
@@ -79,19 +116,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // zeroing contract is the system allocator's.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: caller obligations (live ptr, matching layout) pass straight
-    // through to `System::realloc`, unmodified.
+    // through to `System::realloc`, unmodified. Live bytes move by the size
+    // difference (a moving realloc's brief old-plus-new overlap is not
+    // counted).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(layout);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            shrink(layout.size() - new_size);
+        }
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: caller obligations (ptr from this allocator, same layout)
     // pass straight through to `System::dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -99,32 +145,62 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// What one run cost the heap.
+struct Usage {
+    events: u64,
+    /// Completed requests (after warm-up).
+    completed: u64,
+    allocs: u64,
+    /// Peak live heap bytes during the run above the live bytes at its start.
+    peak_bytes: u64,
+}
+
+/// Run `run` (which returns `(events, completed requests)`) and count
+/// what it cost the heap.
+fn measured(run: impl FnOnce() -> (u64, u64)) -> Usage {
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    let (events, completed) = run();
+    Usage {
+        events,
+        completed,
+        allocs: ALLOCS.load(Ordering::Relaxed) - allocs,
+        peak_bytes: PEAK.load(Ordering::Relaxed) - live,
+    }
+}
+
+/// One sharded cluster run over 2 shards: `(events, completed requests)`.
+fn cluster(cfg: ClusterShardedConfig) -> (u64, u64) {
+    let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
+    (report.events, report.chain.load.completed)
+}
+
 /// Run the `simcore_throughput` chain workload for `duration_ms`,
-/// returning `(events processed, allocations performed)`.
-fn run_chain(duration_ms: u64) -> (u64, u64) {
+/// returning what it cost the heap.
+fn run_chain(duration_ms: u64) -> Usage {
     let cfg = boutique::config(SystemKind::PalladiumDne, ChainKind::HomeQuery)
         .clients(40)
         .warmup_ms(60)
         .duration_ms(duration_ms);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let (_report, events) = ChainSim::new(cfg).run_counted();
-    (events, ALLOCS.load(Ordering::Relaxed) - before)
+    measured(|| {
+        let (report, events) = ChainSim::new(cfg).run_counted();
+        (events, report.load.completed)
+    })
 }
 
 /// Run the sharded Fig 16 cluster (2 worker pairs over 2 shards) for
-/// `duration_ms`, returning `(events, allocations)`. The sharded runner's window loop —
+/// `duration_ms`, returning what it cost the heap. The sharded runner's window loop —
 /// mailbox drain, merge sort, window execution — must be as allocation-free
 /// in steady state as the serial harness; ring auto-sizing and arena growth
 /// are warmup phenomena shared by both runs, so they cancel in the
 /// difference.
-fn run_cluster_sharded(duration_ms: u64) -> (u64, u64) {
+fn run_cluster_sharded(duration_ms: u64) -> Usage {
     let cfg = boutique::sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, 2)
         .clients(32)
         .warmup_ms(10)
         .duration_ms(duration_ms);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
-    (report.events, ALLOCS.load(Ordering::Relaxed) - before)
+    measured(|| cluster(cfg))
 }
 
 /// The same sharded cluster under chaos: a persistent low-rate drop
@@ -135,7 +211,7 @@ fn run_cluster_sharded(duration_ms: u64) -> (u64, u64) {
 /// streams are stateless, the suspicion sweep reuses its scratch vector,
 /// heartbeats ride the arena frame path, and the TTR histogram never
 /// grows after construction.
-fn run_cluster_chaos(duration_ms: u64) -> (u64, u64) {
+fn run_cluster_chaos(duration_ms: u64) -> Usage {
     let script = ScenarioScript::new()
         .storm(1, FaultPlan::dropping(0.01))
         .crash(2, Nanos::from_millis(15), Nanos::from_millis(25))
@@ -145,9 +221,7 @@ fn run_cluster_chaos(duration_ms: u64) -> (u64, u64) {
         .warmup_ms(10)
         .duration_ms(duration_ms)
         .chaos(script);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
-    (report.events, ALLOCS.load(Ordering::Relaxed) - before)
+    measured(|| cluster(cfg))
 }
 
 /// The recovery path under the allocation gate: a correlated rack crash
@@ -157,7 +231,7 @@ fn run_cluster_chaos(duration_ms: u64) -> (u64, u64) {
 /// through the steady-state tail. Rejoin scheduling (epoch bump + one
 /// deferred event per recovery), the TTR histogram (fixed log buckets)
 /// and the per-pair score updates must all stay off the heap.
-fn run_cluster_rejoin(duration_ms: u64) -> (u64, u64) {
+fn run_cluster_rejoin(duration_ms: u64) -> Usage {
     let script = ScenarioScript::new()
         .domain("rack1", &[2, 3])
         .crash_domain("rack1", Nanos::from_millis(15), Nanos::from_millis(25))
@@ -174,9 +248,7 @@ fn run_cluster_rejoin(duration_ms: u64) -> (u64, u64) {
         .warmup_ms(10)
         .duration_ms(duration_ms)
         .chaos(script);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
-    (report.events, ALLOCS.load(Ordering::Relaxed) - before)
+    measured(|| cluster(cfg))
 }
 
 /// The overload plane under the allocation gate: a sustained open-loop
@@ -188,42 +260,41 @@ fn run_cluster_rejoin(duration_ms: u64) -> (u64, u64) {
 /// retries ride the arena timer path, and the only growth is the
 /// append-only request table (amortized Vec doubling) — so overload
 /// shedding must be as allocation-free per event as healthy service.
-fn run_cluster_overload(duration_ms: u64) -> (u64, u64) {
+fn run_cluster_overload(duration_ms: u64) -> Usage {
     let traffic = OpenLoopConfig::poisson(110_000.0, 10_000);
     let cfg = boutique::sharded_config(SystemKind::PalladiumDne, ChainKind::HomeQuery, 2)
         .warmup_ms(10)
         .duration_ms(duration_ms)
         .overload(OverloadConfig::new(traffic, Nanos::from_millis(2)));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
-    assert!(
-        report.chaos.shed_admission + report.chaos.shed_deadline > 0,
-        "the overload gate must actually shed (offered 2x saturation)"
-    );
-    (report.events, ALLOCS.load(Ordering::Relaxed) - before)
+    measured(|| {
+        let report = ClusterShardedSim::new(cfg).run(2, Execution::Sequential);
+        assert!(
+            report.chaos.shed_admission + report.chaos.shed_deadline > 0,
+            "the overload gate must actually shed (offered 2x saturation)"
+        );
+        (report.events, report.chain.load.completed)
+    })
 }
 
 /// Run the Fig 12 two-sided echo (the driver the shared `PayloadCache`
-/// newly covers) for `duration_ms`, returning `(events, allocations)`.
-fn run_echo(duration_ms: u64) -> (u64, u64) {
+/// newly covers) for `duration_ms`, returning what it cost the heap.
+fn run_echo(duration_ms: u64) -> Usage {
     let mut cfg = EchoConfig::new(1024).connections(16);
     cfg.duration = Nanos::from_millis(duration_ms);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let (_report, events) = EchoSim::new(cfg).run_primitive_counted(Primitive::TwoSided);
-    (events, ALLOCS.load(Ordering::Relaxed) - before)
+    measured(|| {
+        let (report, events) = EchoSim::new(cfg).run_primitive_counted(Primitive::TwoSided);
+        (events, report.completed)
+    })
 }
 
 /// Gate one driver: identical builds + warmup at two durations, assert
-/// the steady-state tail allocates (approximately) nothing per event.
-fn gate(
-    label: &str,
-    mut run: impl FnMut(u64) -> (u64, u64),
-    base_ms: u64,
-    long_ms: u64,
-) -> bool {
-    let (events_base, allocs_base) = run(base_ms);
+/// the steady-state tail allocates (approximately) nothing per event and
+/// that the heap's peak grows by at most [`MAX_PEAK_BYTES_PER_REQ`] per
+/// extra completed request.
+fn gate(label: &str, mut run: impl FnMut(u64) -> Usage, base_ms: u64, long_ms: u64) -> bool {
+    let base = run(base_ms);
     let histo_before: Vec<u64> = BUCKETS.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-    let (events_long, allocs_long) = run(long_ms);
+    let long = run(long_ms);
     if std::env::var_os("ALLOC_SMOKE_HISTOGRAM").is_some() {
         println!("{label}: steady-state allocation size histogram (bucket = ≤2^k bytes):");
         for (k, before) in histo_before.iter().enumerate() {
@@ -234,61 +305,84 @@ fn gate(
         }
     }
     assert!(
-        events_long > events_base,
-        "extended run must process more events ({events_long} vs {events_base})"
+        long.events > base.events && long.completed > base.completed,
+        "extended run must process more events and complete more requests \
+         ({} vs {} events, {} vs {} completions)",
+        long.events,
+        base.events,
+        long.completed,
+        base.completed
     );
 
-    let d_events = events_long - events_base;
-    let d_allocs = allocs_long.saturating_sub(allocs_base);
+    let d_events = long.events - base.events;
+    let d_allocs = long.allocs.saturating_sub(base.allocs);
     let per_event = d_allocs as f64 / d_events as f64;
+    let d_reqs = long.completed - base.completed;
+    let per_req = long.peak_bytes.saturating_sub(base.peak_bytes) as f64 / d_reqs as f64;
 
     println!("alloc_smoke ({label}):");
-    println!("  base run:     {events_base} events, {allocs_base} allocations");
-    println!("  extended run: {events_long} events, {allocs_long} allocations");
+    for (name, u) in [("base run:    ", &base), ("extended run:", &long)] {
+        println!(
+            "  {name} {} events, {} completions, {} allocations, peak heap +{} B",
+            u.events, u.completed, u.allocs, u.peak_bytes
+        );
+    }
     println!(
         "  steady state: {d_allocs} allocations over {d_events} extra events \
-         = {per_event:.6} allocs/event"
+         = {per_event:.6} allocs/event; {per_req:.1} B peak heap per extra completion"
     );
 
+    let mut ok = true;
     if per_event >= MAX_ALLOCS_PER_EVENT {
         eprintln!(
             "FAIL: {label}: steady-state allocations per event {per_event:.6} >= \
              {MAX_ALLOCS_PER_EVENT} — the zero-allocation event path has regressed"
         );
-        return false;
+        ok = false;
     }
-    println!("PASS: {label}: steady-state allocations per event rounds to zero");
-    true
+    if per_req > MAX_PEAK_BYTES_PER_REQ {
+        eprintln!(
+            "FAIL: {label}: peak heap grows {per_req:.1} B per extra completed request > \
+             {MAX_PEAK_BYTES_PER_REQ} — state is accumulating with run length"
+        );
+        ok = false;
+    }
+    if ok {
+        println!("PASS: {label}");
+    }
+    ok
 }
 
 fn main() {
-    let chain_ok = gate("chain driver, Fig 16 HomeQuery, 40 clients", run_chain, 120, 360);
-    let echo_ok = gate("echo driver, Fig 12 two-sided 1KB, 16 connections", run_echo, 60, 180);
-    let sharded_ok = gate(
-        "sharded cluster, Fig 16 HomeQuery ×2 pairs, 2 shards",
-        run_cluster_sharded,
-        40,
-        120,
-    );
-    let chaos_ok = gate(
-        "sharded cluster under chaos, drop storm + crash + straggler",
-        run_cluster_chaos,
-        40,
-        120,
-    );
-    let rejoin_ok = gate(
-        "sharded cluster recovery, rack crash + costed rejoin + gray link",
-        run_cluster_rejoin,
-        40,
-        120,
-    );
-    let overload_ok = gate(
-        "sharded cluster overload, open-loop flash crowd at 2x saturation",
-        run_cluster_overload,
-        40,
-        120,
-    );
-    if !(chain_ok && echo_ok && sharded_ok && chaos_ok && rejoin_ok && overload_ok) {
+    let oks = [
+        gate("chain driver, Fig 16 HomeQuery, 40 clients", run_chain, 120, 360),
+        gate("echo driver, Fig 12 two-sided 1KB, 16 connections", run_echo, 60, 180),
+        gate(
+            "sharded cluster, Fig 16 HomeQuery ×2 pairs, 2 shards",
+            run_cluster_sharded,
+            40,
+            120,
+        ),
+        gate(
+            "sharded cluster under chaos, drop storm + crash + straggler",
+            run_cluster_chaos,
+            40,
+            120,
+        ),
+        gate(
+            "sharded cluster recovery, rack crash + costed rejoin + gray link",
+            run_cluster_rejoin,
+            40,
+            120,
+        ),
+        gate(
+            "sharded cluster overload, open-loop flash crowd at 2x saturation",
+            run_cluster_overload,
+            40,
+            120,
+        ),
+    ];
+    if !oks.iter().all(|&ok| ok) {
         std::process::exit(1);
     }
 }

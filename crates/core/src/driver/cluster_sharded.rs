@@ -222,7 +222,11 @@ pub(crate) enum Ev {
 /// run's memory is this table (the open-loop admission fields live beside
 /// it in [`IngressOverload`]).
 struct ReqState {
-    client: usize,
+    /// Closed-loop client, or open-loop function id (`validate` bounds both
+    /// to 32 bits).
+    client: u32,
+    /// Arrival at the ingress; an open-loop request's deadline is this plus
+    /// [`OverloadConfig::deadline`].
     issued: Nanos,
     /// Attempts started (1 on arrival; retries increment).
     attempts: u32,
@@ -237,11 +241,12 @@ struct ReqState {
 }
 
 // `reqs` grows by one record per request ever issued.
-const _: () = assert!(std::mem::size_of::<ReqState>() <= 32);
+const _: () = assert!(std::mem::size_of::<ReqState>() <= 24);
 
 impl ReqState {
     /// A request `client` issues at `now`, not yet placed on a pair.
     fn new(client: usize, now: Nanos) -> Self {
+        let client = client as u32; // `validate` bounds clients and populations
         ReqState { client, issued: now, attempts: 1, pair: 0, done: false, inflight: false }
     }
 }
@@ -253,6 +258,10 @@ struct IngressState {
     conns: ConnPool,
     /// TX buffers awaiting send completions (slab-keyed WR ids).
     tx: Slab<BufToken>,
+    /// Every request ever issued, indexed by request id. Never windowed or
+    /// recycled: `req % pairs` drives placement, and stale `GwIn` events
+    /// read the `pair`/`client` of requests the health sweep already
+    /// marked done, so trimming it would change results.
     reqs: Vec<ReqState>,
     stats: RunStats,
     /// Client ↔ gateway wire time.
@@ -271,7 +280,7 @@ impl IngressState {
     /// Hand `leg` of request `req`, served by `pair`, to the gateway worker
     /// of the request's client at `at`, and schedule its completion.
     fn submit(&mut self, at: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize, leg: Leg) {
-        let client = self.reqs[req as usize].client;
+        let client = self.reqs[req as usize].client as usize;
         let (req_bytes, resp_bytes) = self.leg_bytes[pair];
         let (worker, done) = self.gw.submit(at, client, leg, req_bytes, resp_bytes);
         let ev = match leg {
@@ -834,7 +843,7 @@ impl ShardEngine for ClusterShard {
                 if ing.overload.is_some() {
                     ing.complete_open_loop(now, fx, req, pair, issued, finish);
                 } else {
-                    fx.at(finish, Ev::Issue { client });
+                    fx.at(finish, Ev::Issue { client: client as usize });
                 }
             }
             Ev::HeartbeatTick { .. } | Ev::HealthCheck | Ev::RejoinDone { .. } => {

@@ -410,6 +410,7 @@ impl ClusterShardedConfig {
             "the payload word holds hop indices up to {HOP_MASK}"
         );
         assert!(self.clients >= 1, "need at least one client");
+        assert!(self.clients as u64 <= 1 << 32, "client ids are 32 bits");
         assert!(
             !self.heartbeat_period.is_zero() && self.heartbeat_k > 0,
             "degenerate heartbeat config"
@@ -420,6 +421,7 @@ impl ClusterShardedConfig {
         if let Some(overload) = &self.overload {
             assert!(overload.inflight_cap >= 1, "need a non-empty in-flight window");
             assert!(overload.traffic.population >= 1, "need a function population");
+            assert!(overload.traffic.population <= 1 << 32, "function ids are 32 bits");
         }
         let (w, frame_la) = (self.window(), RdmaConfig::default().frame_lookahead());
         assert!(!w.is_zero(), "lookahead window must be positive");
@@ -462,6 +464,7 @@ mod tests {
             (set(|c| c.pairs = 3), "one chain replica per pair"),
             (set(|c| c.app.chains[1] = chain(256)), "hop indices up to 255"),
             (set(|c| c.clients = 0), "at least one client"),
+            (set(|c| c.clients = (1 << 32) + 1), "client ids are 32 bits"),
             (set(|c| c.heartbeat_period = Nanos::ZERO), "degenerate heartbeat"),
             (set(|c| c.heartbeat_k = 0), "degenerate heartbeat"),
             (set(|c| c.gray.exit = c.gray.enter), "exit < enter"),
@@ -469,6 +472,7 @@ mod tests {
             (set(|c| c.pool_bufs = 0), "at least one pool buffer"),
             (overloaded(|ov| ov.inflight_cap = 0), "non-empty in-flight window"),
             (overloaded(|ov| ov.traffic.population = 0), "function population"),
+            (overloaded(|ov| ov.traffic.population = (1 << 32) + 1), "function ids are 32 bits"),
             (set(|c| c.window_ns = Some(0)), "window must be positive"),
             (set(|c| c.window_ns = Some(654)), "exceeds the frame lookahead"),
             // The builders no longer check: they reach `validate` unchanged.
@@ -487,7 +491,9 @@ mod tests {
     fn the_defaults_and_the_widest_legal_shapes_pass() {
         valid().validate();
         overloaded(|_| {}).validate();
+        overloaded(|ov| ov.traffic.population = 1 << 32).validate();
         let mut cfg = valid();
+        cfg.clients = 1 << 32;
         cfg.app.chains[0] = chain(255);
         cfg.window_ns = Some(cfg.window().as_nanos());
         cfg.validate();

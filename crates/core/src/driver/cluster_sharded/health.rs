@@ -307,7 +307,7 @@ impl IngressState {
                     st.done = true;
                     self.counts.inflight_lost += 1;
                     cx.observe_loss(pair);
-                    fx.at(now, Ev::Issue { client: st.client });
+                    fx.at(now, Ev::Issue { client: st.client as usize });
                 }
             }
         }

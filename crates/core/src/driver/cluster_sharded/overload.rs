@@ -40,10 +40,9 @@ const EST_ALPHA: f64 = 0.125;
 
 /// A request's open-loop admission state, indexed by request id like
 /// [`IngressState::reqs`] (every overload-mode request is pushed to both
-/// by [`Ev::Arrive`]).
+/// by [`Ev::Arrive`]). Its propagated deadline is not stored: it is always
+/// [`ReqState::issued`] plus [`OverloadConfig::deadline`].
 struct Admission {
-    /// Propagated end-to-end deadline.
-    deadline: Nanos,
     /// When this request last entered the admission queue.
     queued_at: Nanos,
     /// When this request was last admitted to the data plane.
@@ -51,6 +50,9 @@ struct Admission {
     /// Routing hint from the function-population table (`fn_id % pairs`).
     hint: u16,
 }
+
+// `admission` grows by one record per open-loop arrival.
+const _: () = assert!(std::mem::size_of::<Admission>() <= 24);
 
 /// What admission control says about one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,7 +214,6 @@ impl IngressOverload {
             self.report.offered += 1;
         }
         self.admission.push(Admission {
-            deadline: now + self.ov.deadline,
             queued_at: Nanos::ZERO,
             admitted_at: Nanos::ZERO,
             hint: self.route.get(a.fn_id as usize).copied().unwrap_or(0),
@@ -257,12 +258,12 @@ impl IngressOverload {
         }
     }
 
-    /// The deadline half of admission: can `req` still finish in time with
-    /// `wait_ahead` queue slots to drain before it is served (its queue
-    /// position at enqueue, 0 at dequeue)? Always yes when deadlines are
-    /// only measured, and for every [`DL_PROBE_EVERY`]-th infeasible
-    /// request.
-    fn meets_deadline(&mut self, now: Nanos, req: u64, wait_ahead: usize) -> bool {
+    /// The deadline half of admission: can a request due by `deadline`
+    /// still finish in time with `wait_ahead` queue slots to drain before
+    /// it is served (its queue position at enqueue, 0 at dequeue)? Always
+    /// yes when deadlines are only measured, and for every
+    /// [`DL_PROBE_EVERY`]-th infeasible request.
+    fn meets_deadline(&mut self, now: Nanos, deadline: Nanos, wait_ahead: usize) -> bool {
         if !self.ov.shed_on_deadline {
             return true;
         }
@@ -270,18 +271,18 @@ impl IngressOverload {
         // window) + one service time.
         let wait = self.est * wait_ahead as f64 / self.ov.inflight_cap as f64;
         let eta = now.as_nanos() as f64 + wait + self.est;
-        if eta <= self.admission[req as usize].deadline.as_nanos() as f64 {
+        if eta <= deadline.as_nanos() as f64 {
             return true;
         }
         self.dl_probe += 1;
         self.dl_probe.is_multiple_of(DL_PROBE_EVERY)
     }
 
-    /// The verdict on an arriving or retrying request that has a pair to
-    /// go to: deadline feasibility behind the current queue, then the
-    /// in-flight window.
-    fn on_arrival(&mut self, now: Nanos, req: u64) -> Verdict {
-        if !self.meets_deadline(now, req, self.queue.len() + 1) {
+    /// The verdict on an arriving or retrying request, due by `deadline`,
+    /// that has a pair to go to: deadline feasibility behind the current
+    /// queue, then the in-flight window.
+    fn on_arrival(&mut self, now: Nanos, deadline: Nanos) -> Verdict {
+        if !self.meets_deadline(now, deadline, self.queue.len() + 1) {
             Verdict::Shed(ShedCause::Deadline)
         } else if self.inflight < self.ov.inflight_cap {
             Verdict::Admit
@@ -318,15 +319,16 @@ impl IngressOverload {
 
     /// While the in-flight window has room, the next queued request and its
     /// verdict at dequeue (`Admit` or `Shed`): staleness and deadline
-    /// feasibility are checked again, now with nothing ahead of it.
-    fn dequeue(&mut self, now: Nanos) -> Option<(u64, Verdict)> {
+    /// feasibility (against `deadline_of(req)`) are checked again, now with
+    /// nothing ahead of it.
+    fn dequeue(&mut self, now: Nanos, deadline_of: impl Fn(u64) -> Nanos) -> Option<(u64, Verdict)> {
         if self.inflight >= self.ov.inflight_cap {
             return None;
         }
         let req = self.queue.pop_front()?;
         let verdict = if self.overstayed(now, req) {
             Verdict::Shed(ShedCause::Admission)
-        } else if !self.meets_deadline(now, req, 0) {
+        } else if !self.meets_deadline(now, deadline_of(req), 0) {
             Verdict::Shed(ShedCause::Deadline)
         } else {
             Verdict::Admit
@@ -356,12 +358,12 @@ impl IngressOverload {
     /// service estimate, classify against the deadline.
     fn complete(&mut self, now: Nanos, req: u64, pair: usize, issued: Nanos, finish: Nanos) {
         self.inflight = self.inflight.saturating_sub(1);
-        let Admission { deadline, admitted_at, .. } = self.admission[req as usize];
+        let admitted_at = self.admission[req as usize].admitted_at;
         let sample = (finish - admitted_at).as_nanos() as f64;
         self.est += EST_ALPHA * (sample - self.est);
         self.breaker_ok(now, pair);
         if finish >= self.warmup {
-            if finish <= deadline {
+            if finish <= issued + self.ov.deadline {
                 self.report.goodput += 1;
                 if finish >= self.recovery_lo {
                     self.report.recovery_goodput += 1;
@@ -375,13 +377,14 @@ impl IngressOverload {
         }
     }
 
-    /// Attempt number `attempts` of `req` failed: consume retry budget and
-    /// back off exponentially with stateless jitter, or give up honestly.
-    fn next_retry(&mut self, now: Nanos, req: u64, attempts: u32) -> Retry {
+    /// Attempt number `attempts` of `req`, due by `deadline`, failed: consume
+    /// retry budget and back off exponentially with stateless jitter, or
+    /// give up honestly.
+    fn next_retry(&mut self, now: Nanos, req: u64, attempts: u32, deadline: Nanos) -> Retry {
         let rp = self.ov.retry;
         if attempts <= rp.budget {
             let at = now + backoff(&rp, self.seed, req, attempts);
-            if !(self.ov.shed_on_deadline && at > self.admission[req as usize].deadline) {
+            if !(self.ov.shed_on_deadline && at > deadline) {
                 self.report.retries += 1;
                 return Retry::At(at);
             }
@@ -439,6 +442,11 @@ impl IngressState {
         self.overload.as_mut().expect("overload mode")
     }
 
+    /// `req`'s propagated deadline: its arrival plus the configured budget.
+    fn deadline(&self, req: u64) -> Nanos {
+        self.reqs[req as usize].issued + self.overload.as_ref().expect("overload mode").ov.deadline
+    }
+
     /// Pick the pair serving `req` (see [`super::health::PairView::place`]).
     fn place(&mut self, now: Nanos, req: u64) -> Option<usize> {
         let (pref, active) = self.overload_mut().preference(req);
@@ -453,7 +461,8 @@ impl IngressState {
         let Some(pair) = self.place(now, req) else {
             return self.shed(now, fx, req, ShedCause::Breaker);
         };
-        match self.overload_mut().on_arrival(now, req) {
+        let deadline = self.deadline(req);
+        match self.overload_mut().on_arrival(now, deadline) {
             Verdict::Admit => self.admit(now, fx, req, pair),
             Verdict::Shed(cause) => self.shed(now, fx, req, cause),
             Verdict::Queue => {
@@ -478,7 +487,12 @@ impl IngressState {
     /// Refill the in-flight window from the admission queue; pair
     /// availability is re-checked at dequeue too.
     pub(super) fn drain_queue(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>) {
-        while let Some((req, verdict)) = self.overload_mut().dequeue(now) {
+        loop {
+            let (ov, reqs) = (self.overload.as_mut().expect("overload mode"), &self.reqs);
+            let budget = ov.ov.deadline;
+            let Some((req, verdict)) = ov.dequeue(now, |r| reqs[r as usize].issued + budget) else {
+                return;
+            };
             match verdict {
                 Verdict::Shed(cause) => self.shed(now, fx, req, cause),
                 _ => match self.place(now, req) {
@@ -503,7 +517,7 @@ impl IngressState {
             return;
         }
         let ov = self.overload.as_mut().expect("overload mode");
-        match ov.next_retry(now, req, st.attempts) {
+        match ov.next_retry(now, req, st.attempts, st.issued + ov.ov.deadline) {
             Retry::At(at) => {
                 st.attempts += 1;
                 fx.at(at, Ev::Retry { req });
@@ -601,10 +615,9 @@ mod tests {
         IngressOverload::new(ov, PAIRS, 7, Nanos::ZERO, Nanos::from_millis(100), BILL)
     }
 
-    /// A request due by `deadline`, hinted at pair `hint`.
-    fn request(ov: &mut IngressOverload, deadline: Nanos, hint: u16) -> u64 {
+    /// A request hinted at pair `hint`.
+    fn request(ov: &mut IngressOverload, hint: u16) -> u64 {
         ov.admission.push(Admission {
-            deadline,
             queued_at: Nanos::ZERO,
             admitted_at: Nanos::ZERO,
             hint,
@@ -705,8 +718,9 @@ mod tests {
     #[test]
     fn a_budget_of_three_is_three_retries_then_exhausted() {
         let mut ov = plane(|ov| ov.retry(unjittered()));
-        let req = request(&mut ov, US(100_000), 0);
-        let verdicts: Vec<Retry> = (1..=5).map(|attempt| ov.next_retry(US(10), req, attempt)).collect();
+        let req = request(&mut ov, 0);
+        let verdicts: Vec<Retry> =
+            (1..=5).map(|attempt| ov.next_retry(US(10), req, attempt, US(100_000))).collect();
         let at = |us: u64| Retry::At(US(10 + us));
         assert_eq!(verdicts, [at(50), at(100), at(200), Retry::Exhausted, Retry::Exhausted]);
         assert_eq!((ov.report.retries, ov.report.retry_exhausted), (3, 2));
@@ -719,8 +733,8 @@ mod tests {
                 ov.shed_on_deadline = enforce;
                 ov.retry(unjittered())
             });
-            let req = request(&mut ov, US(1_020), 0);
-            assert_eq!(ov.next_retry(US(1_000), req, 1), want, "shed_on_deadline = {enforce}");
+            let req = request(&mut ov, 0);
+            assert_eq!(ov.next_retry(US(1_000), req, 1, US(1_020)), want, "shed_on_deadline = {enforce}");
             assert_eq!(ov.report.retry_exhausted, enforce as u64);
         }
     }
@@ -729,12 +743,7 @@ mod tests {
     fn seven_of_eight_infeasible_requests_are_shed_and_the_eighth_probes() {
         // 500 µs service estimate against deadlines 100 µs away.
         let mut ov = plane(|ov| ov);
-        let verdicts: Vec<Verdict> = (0..16)
-            .map(|_| {
-                let req = request(&mut ov, US(1_100), 0);
-                ov.on_arrival(US(1_000), req)
-            })
-            .collect();
+        let verdicts: Vec<Verdict> = (0..16).map(|_| ov.on_arrival(US(1_000), US(1_100))).collect();
         for (k, v) in verdicts.iter().enumerate() {
             let want = if k % 8 == 7 { Verdict::Admit } else { Verdict::Shed(ShedCause::Deadline) };
             assert_eq!(*v, want, "infeasible request {k}");
@@ -747,8 +756,7 @@ mod tests {
             ov.shed_on_deadline = false;
             ov
         });
-        let req = request(&mut ov, US(1), 0);
-        assert_eq!(ov.on_arrival(US(1_000), req), Verdict::Admit);
+        assert_eq!(ov.on_arrival(US(1_000), US(1)), Verdict::Admit);
         assert_eq!(ov.dl_probe, 0);
     }
 
@@ -760,9 +768,8 @@ mod tests {
         let fits = |queued: u64, wait_ahead: Option<usize>| {
             let mut ov = plane(|ov| ov.admission(512, 4, US(500)));
             ov.queue.extend(0..queued);
-            let req = request(&mut ov, US(1_200), 0);
             let ahead = wait_ahead.unwrap_or(ov.queue.len() + 1);
-            ov.meets_deadline(Nanos::ZERO, req, ahead)
+            ov.meets_deadline(Nanos::ZERO, US(1_200), ahead)
         };
         assert!(fits(0, None));
         assert!(fits(4, None));
@@ -775,8 +782,8 @@ mod tests {
         let mut ov = plane(|ov| ov.admission(512, 2, US(500)));
         let verdicts: Vec<Verdict> = (0..3)
             .map(|_| {
-                let req = request(&mut ov, US(100_000), 0);
-                let v = ov.on_arrival(US(10), req);
+                let req = request(&mut ov, 0);
+                let v = ov.on_arrival(US(10), US(100_000));
                 if v == Verdict::Admit {
                     ov.admit(US(10), req);
                 }
@@ -790,7 +797,7 @@ mod tests {
     #[test]
     fn a_full_queue_refuses_and_an_overstayed_head_is_popped_first() {
         let mut ov = plane(|ov| ov.admission(2, 1, US(500)));
-        let reqs: Vec<u64> = (0..3).map(|_| request(&mut ov, US(100_000), 0)).collect();
+        let reqs: Vec<u64> = (0..3).map(|_| request(&mut ov, 0)).collect();
         assert!(ov.enqueue(US(10), reqs[0]));
         assert!(ov.enqueue(US(400), reqs[1]));
         assert!(!ov.enqueue(US(450), reqs[2]), "queue_cap = 2");
@@ -805,41 +812,40 @@ mod tests {
     #[test]
     fn dequeue_rechecks_staleness_then_the_deadline_and_stops_at_a_full_window() {
         let mut ov = plane(|ov| ov.admission(16, 2, US(500)));
-        let stale = request(&mut ov, US(100_000), 0);
-        let hopeless = request(&mut ov, US(1_300), 0);
-        let fine = request(&mut ov, US(100_000), 0);
-        let waiting = request(&mut ov, US(100_000), 0);
+        let [stale, hopeless, fine, waiting] = [0; 4].map(|hint| request(&mut ov, hint));
+        let due = |req| if req == hopeless { US(1_300) } else { US(100_000) };
         ov.enqueue(US(100), stale);
         for req in [hopeless, fine, waiting] {
             ov.enqueue(US(900), req);
         }
         let now = US(1_000);
-        assert_eq!(ov.dequeue(now), Some((stale, Verdict::Shed(ShedCause::Admission))));
-        assert_eq!(ov.dequeue(now), Some((hopeless, Verdict::Shed(ShedCause::Deadline))));
-        assert_eq!(ov.dequeue(now), Some((fine, Verdict::Admit)));
+        assert_eq!(ov.dequeue(now, due), Some((stale, Verdict::Shed(ShedCause::Admission))));
+        assert_eq!(ov.dequeue(now, due), Some((hopeless, Verdict::Shed(ShedCause::Deadline))));
+        assert_eq!(ov.dequeue(now, due), Some((fine, Verdict::Admit)));
         ov.admit(now, fine);
         ov.inflight = 2;
-        assert_eq!(ov.dequeue(now), None, "the window is full");
+        assert_eq!(ov.dequeue(now, due), None, "the window is full");
         assert_eq!(ov.queue, [waiting]);
         ov.inflight = 0;
         ov.queue.clear();
-        assert_eq!(ov.dequeue(now), None, "the queue is empty");
+        assert_eq!(ov.dequeue(now, due), None, "the queue is empty");
     }
 
     #[test]
     fn a_completion_frees_its_slot_feeds_the_estimate_and_is_classified() {
-        // Warm-up 0, horizon 100 ms: recovery goodput from 75 ms on.
+        // Warm-up 0, horizon 100 ms: recovery goodput from 75 ms on; each
+        // request is due 2 ms after it was issued.
         let mut ov = plane(|ov| ov);
         let cases = [
-            (US(1_500), US(2_000), (1, 0, 0)),
-            (US(2_500), US(2_000), (1, 1, 0)),
-            (US(80_000), US(80_000), (2, 1, 1)),
+            (US(1_500), Nanos::ZERO, (1, 0, 0)),
+            (US(2_500), Nanos::ZERO, (1, 1, 0)),
+            (US(80_000), US(78_000), (2, 1, 1)),
         ];
-        for (finish, deadline, want) in cases {
-            let req = request(&mut ov, deadline, 0);
+        for (finish, issued, want) in cases {
+            let req = request(&mut ov, 0);
             ov.admit(finish - US(300), req);
             let est = ov.est;
-            ov.complete(finish, req, 0, finish - US(400), finish);
+            ov.complete(finish, req, 0, issued, finish);
             assert_eq!(ov.inflight, 0);
             assert_eq!(ov.est, est + EST_ALPHA * (300_000.0 - est), "sample = finish − admitted");
             let r = &ov.report;
@@ -851,7 +857,7 @@ mod tests {
     #[test]
     fn an_abandoned_attempt_frees_its_slot_and_charges_the_breaker() {
         let mut ov = breaker(1);
-        let req = request(&mut ov, US(100_000), 0);
+        let req = request(&mut ov, 0);
         ov.admit(US(10), req);
         ov.abandon(US(20), 3);
         assert_eq!((ov.inflight, ov.breaker_until[3]), (0, US(220)));
@@ -860,7 +866,7 @@ mod tests {
     #[test]
     fn the_routing_hint_folds_onto_the_active_prefix() {
         let mut ov = plane(|ov| ov);
-        let req = request(&mut ov, US(100_000), 3);
+        let req = request(&mut ov, 3);
         for (active, want) in [(4, (3, 4)), (3, (0, 3)), (2, (1, 2)), (0, (0, 1))] {
             ov.active_pairs = active;
             assert_eq!(ov.preference(req), want, "{active} active pairs");
@@ -922,8 +928,7 @@ mod tests {
         let (client, next_at) = ov.arrive(first_at);
         assert!(client < 16 && next_at > first_at);
         assert_eq!(ov.first_events().0, next_at);
-        let adm = &ov.admission[0];
-        assert_eq!((adm.deadline, adm.hint as usize), (first_at + US(2_000), client % PAIRS));
+        assert_eq!(ov.admission[0].hint as usize, client % PAIRS);
         assert_eq!(ov.report.offered, 1);
     }
 }

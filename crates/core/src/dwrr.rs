@@ -46,8 +46,10 @@ pub struct TenantScheduler<T> {
     cursor: usize,
     /// Has the cursor's queue received its quantum for the current visit?
     visit_refilled: bool,
-    /// FCFS arrival order: (arrival_seq); kept in a single queue of
-    /// (tenant_idx) breadcrumbs.
+    /// FCFS only: the tenant index of every queued item, in arrival order
+    /// — exactly `len` long under [`SchedPolicy::Fcfs`], always empty under
+    /// [`SchedPolicy::Dwrr`] (which never reads it), so the scheduler holds
+    /// state for queued work only, however long the run.
     fcfs_order: VecDeque<usize>,
     len: usize,
 }
@@ -102,8 +104,17 @@ impl<T> TenantScheduler<T> {
             }
         };
         self.tenants[idx].queue.push_back((cost.max(1), item));
-        self.fcfs_order.push_back(idx);
+        if self.policy == SchedPolicy::Fcfs {
+            self.fcfs_order.push_back(idx);
+        }
         self.len += 1;
+        self.debug_check_breadcrumbs();
+    }
+
+    /// Every FCFS breadcrumb names exactly one queued item; DWRR keeps none.
+    fn debug_check_breadcrumbs(&self) {
+        let want = if self.policy == SchedPolicy::Fcfs { self.len } else { 0 };
+        debug_assert_eq!(self.fcfs_order.len(), want, "FCFS breadcrumbs track queued items");
     }
 
     /// Total queued items.
@@ -121,20 +132,19 @@ impl<T> TenantScheduler<T> {
         if self.len == 0 {
             return None;
         }
-        match self.policy {
+        let next = match self.policy {
             SchedPolicy::Fcfs => self.dequeue_fcfs(),
             SchedPolicy::Dwrr => self.dequeue_dwrr(),
-        }
+        };
+        self.debug_check_breadcrumbs();
+        next
     }
 
     fn dequeue_fcfs(&mut self) -> Option<(TenantId, T)> {
-        while let Some(idx) = self.fcfs_order.pop_front() {
-            if let Some((_, item)) = self.tenants[idx].queue.pop_front() {
-                self.len -= 1;
-                return Some((self.tenants[idx].tenant, item));
-            }
-        }
-        None
+        let idx = self.fcfs_order.pop_front()?;
+        let (_, item) = self.tenants[idx].queue.pop_front().expect("a breadcrumb per queued item");
+        self.len -= 1;
+        Some((self.tenants[idx].tenant, item))
     }
 
     fn dequeue_dwrr(&mut self) -> Option<(TenantId, T)> {
@@ -298,6 +308,50 @@ mod tests {
         let mut s: TenantScheduler<u8> = TenantScheduler::new(SchedPolicy::Dwrr, 10);
         s.enqueue(TenantId(9), 1, 1);
         assert_eq!(s.dequeue(), Some((TenantId(9), 1)));
+    }
+
+    #[test]
+    fn dwrr_state_is_bounded_by_queued_work_not_run_length() {
+        let mut s: TenantScheduler<u64> = TenantScheduler::new(SchedPolicy::Dwrr, 10);
+        for (t, w) in [(1, 6), (2, 1), (3, 2)] {
+            s.register_tenant(TenantId(t), w);
+        }
+        let mut high_water = [0usize; 3];
+        for cycle in 0..100_000u64 {
+            // Bursts of 1..=5 items per tenant, then a full drain.
+            for k in 0..=cycle % 5 {
+                for t in 1..=3 {
+                    s.enqueue(TenantId(t), 10, cycle * 8 + k);
+                }
+            }
+            for (hw, t) in high_water.iter_mut().zip(&s.tenants) {
+                *hw = (*hw).max(t.queue.len());
+            }
+            while s.dequeue().is_some() {}
+        }
+        assert!(s.is_empty());
+        assert_eq!(s.fcfs_order.capacity(), 0, "DWRR never records a breadcrumb");
+        for (hw, t) in high_water.iter().zip(&s.tenants) {
+            assert_eq!(*hw, 5);
+            assert!(t.queue.capacity() <= hw.next_power_of_two(), "tenant {:?}", t.tenant);
+        }
+    }
+
+    #[test]
+    fn fcfs_keeps_exactly_one_breadcrumb_per_queued_item() {
+        let mut s: TenantScheduler<u32> = TenantScheduler::new(SchedPolicy::Fcfs, 100);
+        for i in 0..1_000u32 {
+            s.enqueue(TenantId(1 + (i % 3) as u16), 1, i);
+            assert_eq!(s.fcfs_order.len(), s.len());
+            if i % 3 == 2 {
+                assert_eq!(s.dequeue().map(|(_, v)| v), Some(i / 3));
+                assert_eq!(s.fcfs_order.len(), s.len());
+            }
+        }
+        while s.dequeue().is_some() {
+            assert_eq!(s.fcfs_order.len(), s.len());
+        }
+        assert!(s.fcfs_order.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `alloc_smoke` — proves the kernel's zero-steady-state-allocation claim.
 //!
-//! The arena-allocated event path exists so that, once a simulation has
-//! warmed its scratch buffers and the payload arena has grown to the
+//! The slot-resident event path exists so that, once a simulation has
+//! warmed its scratch buffers and the queue's payload slots have grown to the
 //! pending-population high-water mark, *processing an event performs no
 //! heap allocation at all* — no recycled frame boxes, no effect-vector
 //! churn, no queue-entry boxing. This binary pins that property with a
@@ -34,7 +34,15 @@
 //! [`palladium_membuf::PayloadCache`] replaced its per-message
 //! `Bytes::from(vec![0; n])` fabrication, the echo steady state must be
 //! allocation-free too — the zero-alloc contract is uniform across
-//! drivers, not a chain-driver special.
+//! drivers, not a chain-driver special. It runs against the scaled
+//! multi-node driver as well, whose event loop is almost pure queue work
+//! (every pop followed by a schedule: the queue's hold path).
+//!
+//! A last gate scales the other axis: the multi-node driver at 8 and at
+//! 32 nodes, same per-node load and duration. Peak heap may grow per
+//! extra node by at most [`MAX_PEAK_BYTES_PER_NODE`], which covers the
+//! node's own servers, pending events and route entry, not a latency
+//! recorder per node.
 //!
 //! Run by the CI bench-smoke job:
 //! `cargo run --release -p palladium-bench --bin alloc_smoke`.
@@ -45,6 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use palladium_baselines::echo::{EchoConfig, EchoSim, Primitive};
 use palladium_core::driver::chain::ChainSim;
 use palladium_core::driver::cluster_sharded::{ClusterShardedConfig, ClusterShardedSim, OverloadConfig};
+use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeSim};
 use palladium_core::system::SystemKind;
 use palladium_simnet::{Execution, FaultPlan, Nanos, ScenarioScript};
 use palladium_workloads::boutique::{self, ChainKind};
@@ -66,6 +75,14 @@ const MAX_ALLOCS_PER_EVENT: f64 = 0.001;
 /// capacity step between the two durations). When the DWRR scheduler kept
 /// an FCFS breadcrumb for every send, the same runs measured 170–222 B.
 const MAX_PEAK_BYTES_PER_REQ: f64 = 128.0;
+
+/// Pass threshold: peak-heap growth per extra simulated node of the
+/// multi-node driver at equal per-node load. What a node owns is two FIFO
+/// servers, an RNG stream, a route-table entry and its clients' pending
+/// events; the 8- vs 32-node runs measure 5.5 KiB per node. With one
+/// latency recorder per node, holding the same few thousand distinct
+/// latencies 32 times over, they measured 124 KiB.
+const MAX_PEAK_BYTES_PER_NODE: f64 = 16.0 * 1024.0;
 
 struct CountingAlloc;
 
@@ -192,7 +209,7 @@ fn run_chain(duration_ms: u64) -> Usage {
 /// Run the sharded Fig 16 cluster (2 worker pairs over 2 shards) for
 /// `duration_ms`, returning what it cost the heap. The sharded runner's window loop —
 /// mailbox drain, merge sort, window execution — must be as allocation-free
-/// in steady state as the serial harness; ring auto-sizing and arena growth
+/// in steady state as the serial harness; ring auto-sizing and queue-slot growth
 /// are warmup phenomena shared by both runs, so they cancel in the
 /// difference.
 fn run_cluster_sharded(duration_ms: u64) -> Usage {
@@ -209,7 +226,7 @@ fn run_cluster_sharded(duration_ms: u64) -> Usage {
 /// crash and a straggle window inside the base duration. The chaos path
 /// must be as allocation-free as the healthy one — per-node fault RNG
 /// streams are stateless, the suspicion sweep reuses its scratch vector,
-/// heartbeats ride the arena frame path, and the TTR histogram never
+/// heartbeats ride the by-value frame path, and the TTR histogram never
 /// grows after construction.
 fn run_cluster_chaos(duration_ms: u64) -> Usage {
     let script = ScenarioScript::new()
@@ -257,7 +274,7 @@ fn run_cluster_rejoin(duration_ms: u64) -> Usage {
 /// exhaustion and the circuit breaker all run hot through the
 /// steady-state tail. The arrival generator is stateless draws, the
 /// admission queue reaches its bounded high-water mark during warmup,
-/// retries ride the arena timer path, and the only growth is the
+/// retries ride the queue's timer path, and the only growth is the
 /// append-only request table (amortized Vec doubling) — so overload
 /// shedding must be as allocation-free per event as healthy service.
 fn run_cluster_overload(duration_ms: u64) -> Usage {
@@ -285,6 +302,42 @@ fn run_echo(duration_ms: u64) -> Usage {
         let (report, events) = EchoSim::new(cfg).run_primitive_counted(Primitive::TwoSided);
         (events, report.completed)
     })
+}
+
+/// Run the scaled multi-node driver (one shard, as the benchmark runs it)
+/// at `nodes` nodes for `duration_ms`, returning what it cost the heap.
+fn run_multinode(nodes: usize, duration_ms: u64) -> Usage {
+    let cfg = MultiNodeConfig::scaled(nodes).warmup_ms(10).duration_ms(duration_ms);
+    measured(|| {
+        let report = MultiNodeSim::new(cfg).run(1, Execution::Sequential);
+        (report.events, report.load.completed)
+    })
+}
+
+/// Gate the multi-node driver's peak heap per extra node: the same
+/// duration at `small` and `large` nodes.
+fn node_gate(small: usize, large: usize, duration_ms: u64) -> bool {
+    let label = format!("multi-node driver, {small} vs {large} nodes, {duration_ms} ms");
+    let a = run_multinode(small, duration_ms);
+    let b = run_multinode(large, duration_ms);
+    let per_node = b.peak_bytes.saturating_sub(a.peak_bytes) as f64 / (large - small) as f64;
+    println!("alloc_smoke ({label}):");
+    for (name, nodes, u) in [("small:", small, &a), ("large:", large, &b)] {
+        println!(
+            "  {name} {nodes} nodes, {} events, {} completions, peak heap +{} B",
+            u.events, u.completed, u.peak_bytes
+        );
+    }
+    println!("  {per_node:.0} B peak heap per extra node");
+    if per_node > MAX_PEAK_BYTES_PER_NODE {
+        eprintln!(
+            "FAIL: {label}: peak heap grows {per_node:.0} B per extra node > \
+             {MAX_PEAK_BYTES_PER_NODE} — per-node state beyond the node's own"
+        );
+        return false;
+    }
+    println!("PASS: {label}");
+    true
 }
 
 /// Gate one driver: identical builds + warmup at two durations, assert
@@ -381,6 +434,8 @@ fn main() {
             40,
             120,
         ),
+        gate("multi-node driver, 8 nodes", |ms| run_multinode(8, ms), 40, 120),
+        node_gate(8, 32, 60),
     ];
     if !oks.iter().all(|&ok| ok) {
         std::process::exit(1);

@@ -76,8 +76,8 @@ pub enum DneEffect {
         /// Tenant the transfer belongs to.
         tenant: TenantId,
         /// The work request, by value: driver event queues keep payloads
-        /// in a slab arena (`palladium_simnet::arena`), so a wide effect
-        /// variant no longer needs a box to keep queue entries small.
+        /// in a slot vector beside the heap (`palladium_simnet::queue`),
+        /// so a wide effect variant needs no box to keep entries small.
         wr: WorkRequest,
     },
     /// Deliver a descriptor to a local function over Comch (driver charges

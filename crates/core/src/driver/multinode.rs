@@ -27,7 +27,9 @@
 //! * local events only ever target the node that produced them;
 //! * randomness is a per-node [`SimRng`] stream seeded from
 //!   `(seed, node)`, consumed in that node's (invariant) arrival order;
-//! * per-node [`RunStats`] fold in global node order.
+//! * one [`RunStats`] per shard, merged at the end: every node of a shard
+//!   records into it, and a merge is a multiset union of latency samples,
+//!   so the report needs no global node order.
 //!
 //! `--shards 1` therefore reproduces the exact bytes of every sharded
 //! run (`prop_shard`/`sharded_chain.rs` pin this), and the hop delay is
@@ -188,18 +190,19 @@ enum Ev {
     FnDone { node: u32, m: Hop },
 }
 
-/// Per-node state: queueing servers, RNG stream, local stats.
+/// Per-node state: queueing servers and RNG stream.
 struct Node {
     engine: FifoServer,
     core: FifoServer,
     rng: SimRng,
-    stats: RunStats,
 }
 
 /// One shard: a contiguous block of nodes (see [`Partition`]).
 struct NodeShard {
     lo: u32,
     nodes: Vec<Node>,
+    /// Completions at this shard's nodes.
+    stats: RunStats,
     /// Dense node → shard route table (divide-free per-send lookup).
     shard_of: Vec<u32>,
     /// Precomputed hop latency `rdma.one_way(payload)`.
@@ -258,8 +261,7 @@ impl ShardEngine for NodeShard {
                     // Response processed at the origin: complete and
                     // immediately re-issue (closed loop).
                     debug_assert_eq!(node, m.origin);
-                    let n = self.node_mut(node);
-                    n.stats.complete(now, m.issued);
+                    self.stats.complete(now, m.issued);
                     fx.now_ev(Ev::Issue { node, client: m.client });
                 } else {
                     let exec = self.exec;
@@ -317,9 +319,9 @@ impl MultiNodeSim {
                             rng: SimRng::seed_from(
                                 cfg.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             ),
-                            stats: RunStats::new(cfg.warmup),
                         })
                         .collect(),
+                    stats: RunStats::new(cfg.warmup),
                     one_way,
                     exec: cfg.exec,
                     rx_cost: cfg.rx_cost,
@@ -352,14 +354,9 @@ impl MultiNodeSim {
             deadline,
         );
 
-        // Fold per-node stats in global node order: engines arrive in
-        // shard order and each shard's nodes are a contiguous ascending
-        // block, so this concatenation *is* node order.
         let mut stats = RunStats::new(cfg.warmup);
         for shard in run.engines {
-            for node in shard.nodes {
-                stats.merge(node.stats);
-            }
+            stats.merge(shard.stats);
         }
         MultiNodeReport {
             load: stats.report(cfg.duration),

@@ -43,7 +43,7 @@ pub enum RdmaEvent {
     /// A frame reaches the destination NIC (pre fault-injection).
     Arrive {
         /// The frame, carried by value: driver event queues store their
-        /// payloads in a slab arena (`palladium_simnet::arena`), so a
+        /// payloads in a slot vector (`palladium_simnet::queue`), so a
         /// wide event variant costs nothing in queue-entry moves and the
         /// per-frame box the seed recycled here is gone entirely.
         pkt: Packet,

@@ -75,7 +75,7 @@ pub enum Rule {
     SafetyComment,
     /// `.unwrap()`/`.expect()` and the panicking macros (`unreachable!`,
     /// `panic!`, `todo!`, `unimplemented!`) banned in the kernel
-    /// steady-state modules (`queue.rs`, `arena.rs`, `shard.rs`): a panic
+    /// steady-state modules (`queue.rs`, `shard.rs`): a panic
     /// mid-window poisons the shard barrier and kills the run.
     /// Invariant-backed expects must say *why* the invariant holds.
     /// (`assert!` is not matched: config validation is its own item.)
@@ -194,7 +194,6 @@ const COST_MODULES: &[&str] = &[
 /// Kernel steady-state modules where a panic kills a shard mid-window.
 const HOT_PATH_MODULES: &[&str] = &[
     "crates/simnet/src/queue.rs",
-    "crates/simnet/src/arena.rs",
     "crates/simnet/src/shard.rs",
 ];
 

@@ -213,7 +213,7 @@ pub struct Harness<Ev> {
     /// Zero-delay effects awaiting inline drain (delayed effects go
     /// straight to the queue; see [`Effects`]). Inline-drained effects
     /// never touch the queue at all, so they also skip the payload
-    /// arena's insert/take pair — the scratch is the cheapest path
+    /// slots' insert/take pair — the scratch is the cheapest path
     /// through the kernel and stays a plain by-value ring.
     scratch: VecDeque<Ev>,
     batch: usize,

@@ -21,7 +21,6 @@
 //!   queueing phenomenon; [`FifoServer`]/[`ServerBank`] model each core, DMA
 //!   engine and NIC port so saturation emerges instead of being scripted.
 
-pub mod arena;
 pub mod chaos;
 pub mod fault;
 pub mod harness;
@@ -35,7 +34,6 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use arena::{Arena, ArenaSlot};
 pub use chaos::{
     CompiledScenario, HealthMonitor, ScenarioOp, ScenarioScript, StragglerWindow, Suspicion,
     WorkerState,

@@ -5,7 +5,7 @@
 //! queue; after the hot-path flattening PRs it runs as fast as one core
 //! allows. The next order of magnitude comes from the axis this module
 //! owns: partition the simulated *nodes* over N worker shards, each with
-//! its own full simulation kernel (event queue, payload arena, RNG
+//! its own full simulation kernel (event queue, payload slots, RNG
 //! streams), and let the shards run concurrently inside **conservative
 //! time windows**.
 //!

@@ -46,10 +46,10 @@ impl<T> Timed<T> {
 
 /// The discrete-event simulation core: current time plus pending events.
 ///
-/// Pending payloads are arena-resident: [`Sim::schedule`] moves `msg` into
-/// a generation-checked slot of the queue's per-`Sim` slab arena and the
-/// heap orders POD handles; [`Sim::next`] moves the payload back out
-/// (the slot returns to the free list). Drivers can therefore carry large
+/// Pending payloads live in the queue's slot vector: [`Sim::schedule`]
+/// moves `msg` into a tag-checked slot and the heap orders 16-byte keys;
+/// [`Sim::next`] moves the payload back out (the slot returns to the free
+/// list). Drivers can therefore carry large
 /// event variants — full RDMA frames, work requests — without boxing
 /// them: steady-state scheduling performs zero heap allocation however
 /// big `M` is.

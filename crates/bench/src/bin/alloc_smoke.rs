@@ -68,13 +68,14 @@ const MAX_ALLOCS_PER_EVENT: f64 = 0.001;
 
 /// Pass threshold: peak-heap growth per extra completed request. What may
 /// grow with run length is one 24 B request record per issued request,
-/// plus a 24 B admission record per open-loop arrival (about two per
+/// plus an 8 B admission stamp per open-loop arrival (about two per
 /// completion at 2x saturation), stored in power-of-two capacity steps.
 /// These runs allocate the same sizes on every machine and measure
-/// 0–99 B (the top: the overload run, whose request table crosses a
-/// capacity step between the two durations). When the DWRR scheduler kept
-/// an FCFS breadcrumb for every send, the same runs measured 170–222 B.
-const MAX_PEAK_BYTES_PER_REQ: f64 = 128.0;
+/// 0–74 B (the top: the overload run, whose request table crosses a
+/// capacity step between the two durations). With a 24 B admission record
+/// per arrival, the overload run measured 98.7 B; when the DWRR scheduler
+/// kept an FCFS breadcrumb for every send, the runs measured 170–222 B.
+const MAX_PEAK_BYTES_PER_REQ: f64 = 88.0;
 
 /// Pass threshold: peak-heap growth per extra simulated node of the
 /// multi-node driver at equal per-node load. What a node owns is two FIFO

@@ -114,11 +114,11 @@ mod config;
 mod health;
 mod overload;
 mod report;
+#[cfg(test)]
+mod testkit;
 
 pub use build::ClusterShardedSim;
-pub use config::{
-    AutoscalePolicy, BreakerPolicy, ClusterShardedConfig, GrayPolicy, OverloadConfig, RetryPolicy,
-};
+pub use config::{AutoscalePolicy, BreakerPolicy, ClusterShardedConfig, OverloadConfig, RetryPolicy};
 pub use report::{ChaosReport, ClusterShardedReport, OverloadReport, UnknownColumn};
 
 const TENANT: TenantId = TenantId(1);
@@ -218,9 +218,43 @@ pub(crate) enum Ev {
     Host(HostEv),
 }
 
+/// Where a request is in its life at the ingress. Only the three
+/// transitions on [`IngressState`] move it: `admit`, `abandon`, `retire`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Open loop only: queued for admission, or backing off before a retry.
+    Waiting,
+    /// Its current attempt is in the data plane, holding an in-flight window
+    /// slot on open-loop runs. A closed-loop request is born here.
+    InFlight,
+    /// Retired; never left.
+    Done,
+}
+
+/// How a request ends: the argument of [`IngressState::retire`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Terminal {
+    /// Its response reached the client.
+    Completed,
+    /// The retry budget ran out, or the next attempt could not meet the
+    /// deadline (open loop).
+    RetryExhausted,
+    /// Its pair was suspected with the request in flight (closed loop: the
+    /// client re-issues; the open loop retries the request instead).
+    Lost,
+}
+
 /// One record per request ever issued, so it stays small: a closed-loop
-/// run's memory is this table (the open-loop admission fields live beside
+/// run's memory is this table (the open-loop admission stamps live beside
 /// it in [`IngressOverload`]).
+///
+/// A retired record is still read by events scheduled before its request
+/// ended: a stale [`Ev::GwIn`] reads `pair` (and `phase`, if its send
+/// fails), a response reaching the ingress reads `pair` and `client` to
+/// start the outbound leg, and [`Ev::GwOut`] reads `phase` to drop the
+/// answer. ([`Ev::Retry`] never finds one: a backing-off request is not
+/// retired before its retry fires.) Freeing a record must wait for those
+/// events, or have them carry what they read.
 struct ReqState {
     /// Closed-loop client, or open-loop function id (`validate` bounds both
     /// to 32 bits).
@@ -234,20 +268,18 @@ struct ReqState {
     /// surviving pair under failover). 16 bits, like the payload word's
     /// pair field.
     pair: u16,
-    done: bool,
-    /// Currently admitted and unfinished (distinguishes in-plane requests
-    /// from queued/backing-off ones during suspicion sweeps).
-    inflight: bool,
+    phase: Phase,
 }
 
 // `reqs` grows by one record per request ever issued.
 const _: () = assert!(std::mem::size_of::<ReqState>() <= 24);
 
 impl ReqState {
-    /// A request `client` issues at `now`, not yet placed on a pair.
-    fn new(client: usize, now: Nanos) -> Self {
+    /// A request `client` issues at `now` in `phase`, not yet placed on a
+    /// pair.
+    fn new(client: usize, now: Nanos, phase: Phase) -> Self {
         let client = client as u32; // `validate` bounds clients and populations
-        ReqState { client, issued: now, attempts: 1, pair: 0, done: false, inflight: false }
+        ReqState { client, issued: now, attempts: 1, pair: 0, phase }
     }
 }
 
@@ -259,9 +291,9 @@ struct IngressState {
     /// TX buffers awaiting send completions (slab-keyed WR ids).
     tx: Slab<BufToken>,
     /// Every request ever issued, indexed by request id. Never windowed or
-    /// recycled: `req % pairs` drives placement, and stale `GwIn` events
-    /// read the `pair`/`client` of requests the health sweep already
-    /// marked done, so trimming it would change results.
+    /// recycled: `req % pairs` drives placement, and stale events read
+    /// retired records (which ones, and what they read: [`ReqState`]), so
+    /// trimming it would change results.
     reqs: Vec<ReqState>,
     stats: RunStats,
     /// Client ↔ gateway wire time.
@@ -305,6 +337,67 @@ impl IngressState {
             counts: &mut self.counts,
         }
     }
+
+    /// `Waiting` → `InFlight` (open loop): admit `req` to the data plane on
+    /// `pair`, taking an in-flight window slot stamped `now`, and start its
+    /// inbound leg.
+    fn admit(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize) {
+        let st = &mut self.reqs[req as usize];
+        debug_assert_eq!(st.phase, Phase::Waiting, "admitting request {req}");
+        st.phase = Phase::InFlight;
+        self.overload.as_mut().expect("overload mode").admit(now, req);
+        self.start_on(now, fx, req, pair);
+    }
+
+    /// `InFlight` → `Waiting`: `req`'s attempt died in the data plane. On
+    /// open-loop runs this frees its window slot and charges its pair's
+    /// breaker.
+    fn abandon(&mut self, now: Nanos, req: u64) {
+        let st = &mut self.reqs[req as usize];
+        debug_assert_eq!(st.phase, Phase::InFlight, "abandoning request {req}");
+        st.phase = Phase::Waiting;
+        if let Some(ov) = self.overload.as_mut() {
+            ov.abandon(now, st.pair as usize);
+        }
+    }
+
+    /// → `Done`: `req` ends as `end`. The only way a request ends: it frees
+    /// the window slot iff the request was in flight, and it is where
+    /// `retry_exhausted` is counted.
+    fn retire(&mut self, req: u64, end: Terminal) {
+        let was = std::mem::replace(&mut self.reqs[req as usize].phase, Phase::Done);
+        debug_assert_ne!(was, Phase::Done, "request {req} retired twice");
+        if let Some(ov) = self.overload.as_mut() {
+            ov.retire(was == Phase::InFlight, end);
+        }
+    }
+
+    /// `req`'s response left the gateway at `now`; the client has it one
+    /// wire later. A response for a request not in flight answers an
+    /// attempt already abandoned or retired, and is dropped.
+    fn complete(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64) {
+        let st = &self.reqs[req as usize];
+        if st.phase != Phase::InFlight {
+            return;
+        }
+        let (issued, client, pair) = (st.issued, st.client as usize, st.pair as usize);
+        let finish = now + self.client_wire;
+        self.retire(req, Terminal::Completed);
+        self.stats.complete(finish, issued);
+        // Feed the pair's gray-failure score with the end-to-end latency
+        // this request observed.
+        if let Some(cx) = self.chaos.as_mut() {
+            cx.observe(pair, finish - issued);
+        }
+        match self.overload.as_mut() {
+            // Open loop: refill the window from the queue; never re-issue.
+            Some(ov) => {
+                ov.complete(now, req, pair, issued, finish);
+                self.drain_queue(now, fx);
+            }
+            None => fx.at(finish, Ev::Issue { client }),
+        }
+    }
 }
 
 /// One shard of the cluster: a contiguous global-node block with its own
@@ -346,8 +439,6 @@ pub(crate) struct ClusterShard {
     /// Compiled chaos tables, identical on every shard (`None` on
     /// fault-free runs — every chaos branch below is then never taken).
     chaos: Option<CompiledScenario>,
-    /// Probe period for [`Ev::HeartbeatTick`] / [`Ev::HealthCheck`].
-    heartbeat_period: Nanos,
     /// Requests and sends this shard shed on pool exhaustion or an errored
     /// QP (`shed_pool`, `shed_qp`), counted in place.
     counts: ChaosReport,
@@ -675,7 +766,7 @@ impl ShardEngine for ClusterShard {
                 let pairs = self.chains.len();
                 let ing = self.ingress.as_mut().expect("issue on ingress shard");
                 let req = ing.reqs.len() as u64;
-                ing.reqs.push(ReqState::new(client, now));
+                ing.reqs.push(ReqState::new(client, now, Phase::InFlight));
                 // The preferred pair `req % pairs` unless the health plane
                 // says otherwise; when nothing qualifies the request rides
                 // the transport's retry machinery on the preferred pair.
@@ -826,25 +917,7 @@ impl ShardEngine for ClusterShard {
             Ev::GwOut { req, worker } => {
                 let ing = self.ingress.as_mut().expect("ingress shard");
                 ing.gw.leg_done(worker);
-                let finish = now + ing.client_wire;
-                let st = &mut ing.reqs[req as usize];
-                if st.done {
-                    return;
-                }
-                st.done = true;
-                st.inflight = false;
-                let (issued, client, pair) = (st.issued, st.client, st.pair as usize);
-                ing.stats.complete(finish, issued);
-                // Feed the pair's gray-failure score with the
-                // end-to-end latency this request observed.
-                if let Some(cx) = ing.chaos.as_mut() {
-                    cx.observe(pair, finish - issued);
-                }
-                if ing.overload.is_some() {
-                    ing.complete_open_loop(now, fx, req, pair, issued, finish);
-                } else {
-                    fx.at(finish, Ev::Issue { client: client as usize });
-                }
+                ing.complete(now, fx, req);
             }
             Ev::HeartbeatTick { .. } | Ev::HealthCheck | Ev::RejoinDone { .. } => {
                 self.on_health_event(now, ev, fx, out)

@@ -11,7 +11,7 @@ use palladium_simnet::{
 };
 
 use super::baselines::HostPlane;
-use super::health::IngressChaos;
+use super::health::{IngressChaos, HEARTBEAT_PERIOD};
 use super::overload::IngressOverload;
 use super::{
     ChaosReport, ClusterShard, ClusterShardedConfig, ClusterShardedReport, Ev, IngressState,
@@ -259,15 +259,7 @@ impl ClusterShardedSim {
                 .map(|c| (c.req_bytes as u64, c.resp_bytes as u64))
                 .collect(),
             counts: ChaosReport::default(),
-            chaos: chaos.as_ref().map(|_| {
-                IngressChaos::new(
-                    cfg.pairs,
-                    cfg.heartbeat_period,
-                    cfg.heartbeat_k,
-                    cfg.gray,
-                    rejoin_bill,
-                )
-            }),
+            chaos: chaos.as_ref().map(|_| IngressChaos::new(cfg.pairs, rejoin_bill)),
             overload: cfg.overload.as_ref().map(|o| {
                 IngressOverload::new(o.clone(), cfg.pairs, cfg.seed, cfg.warmup, horizon, rejoin_bill)
             }),
@@ -312,7 +304,6 @@ impl ClusterShardedSim {
                 net,
                 ingress: None,
                 chaos: chaos.clone(),
-                heartbeat_period: cfg.heartbeat_period,
                 counts: ChaosReport::default(),
                 rdma_step: Step::default(),
                 post_step: Step::default(),
@@ -353,7 +344,6 @@ impl ClusterShardedSim {
         let clients = cfg.clients;
         let ingress_shard = part.shard_of(ingress_node);
         let chaos_on = chaos.is_some();
-        let heartbeat_period = cfg.heartbeat_period;
         let run = run_sharded(
             &scfg,
             engines,
@@ -383,7 +373,7 @@ impl ClusterShardedSim {
                         }
                     }
                     if chaos_on {
-                        h.schedule_at(heartbeat_period, Ev::HealthCheck);
+                        h.schedule_at(HEARTBEAT_PERIOD, Ev::HealthCheck);
                     }
                 }
             },
@@ -423,6 +413,7 @@ impl ClusterShardedSim {
         // counters live on the ingress. Both are deterministic per the
         // invariance discipline.
         let mut ing = engines[ingress_shard].ingress.take().expect("ingress state");
+        debug_assert!(ing.window_is_exact(), "the in-flight window disagrees with the request phases");
         let mut chaos_rep = std::mem::take(&mut ing.counts);
         for e in &engines {
             chaos_rep.absorb(&e.counts);

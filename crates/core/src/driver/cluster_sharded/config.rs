@@ -1,4 +1,4 @@
-//! What a cluster run is told: [`ClusterShardedConfig`] and the five policy
+//! What a cluster run is told: [`ClusterShardedConfig`] and the four policy
 //! configurations it carries. Every field is public, so nothing here is
 //! checked where it is set: [`ClusterShardedConfig::validate`] is the one
 //! gate, and [`ClusterShardedSim::new`](super::ClusterShardedSim::new)
@@ -46,15 +46,9 @@ pub struct ClusterShardedConfig {
     /// keeps the event schedule exactly fault-free: no heartbeats, no
     /// health checks, no fault tables.
     pub chaos: Option<ScenarioScript>,
-    /// Worker → ingress heartbeat probe period (chaos runs only).
-    pub heartbeat_period: Nanos,
-    /// Silent heartbeat periods before the ingress suspects a worker.
-    pub heartbeat_k: u64,
     /// Control-plane cost model paid by a recovering worker before it
     /// re-enters the routing set (chaos runs only).
     pub rejoin: RejoinCosts,
-    /// Differential gray-failure detection policy (chaos runs only).
-    pub gray: GrayPolicy,
     /// Buffers per node pool. The default matches the historical constant;
     /// shrinking it is how the pool-exhaustion shed path is tested.
     pub pool_bufs: u32,
@@ -90,9 +84,6 @@ pub struct OverloadConfig {
     /// request that already waited this long only makes every later one
     /// later.
     pub queue_delay_max: Nanos,
-    /// Initial service-latency estimate seeding the deadline-feasibility
-    /// EWMA (updated from admission→completion samples).
-    pub est_latency: Nanos,
     /// Whether the admission/retry machinery *acts* on deadlines (sheds
     /// infeasible requests). The unbounded-legacy negative control turns
     /// this off: deadlines are still measured, never enforced.
@@ -114,7 +105,6 @@ impl OverloadConfig {
             queue_cap: 512,
             inflight_cap: 64,
             queue_delay_max: Nanos::from_micros(500),
-            est_latency: Nanos::from_micros(500),
             shed_on_deadline: true,
             retry: RetryPolicy::budgeted(),
             breaker: BreakerPolicy::default(),
@@ -268,45 +258,6 @@ pub struct AutoscalePolicy {
     pub lease_fraction: f64,
 }
 
-/// Differential gray-failure detection: per-pair EWMA latency scores,
-/// compared against the best pair (not an absolute timeout — a gray
-/// link inflates latency *relative to its peers* while heartbeats still
-/// arrive). Degraded pairs move to a probation routing weight and are
-/// readmitted with hysteresis.
-#[derive(Clone, Copy, Debug)]
-pub struct GrayPolicy {
-    /// EWMA smoothing factor for per-pair latency scores.
-    pub alpha: f64,
-    /// Demote a pair to probation when its EWMA exceeds `enter ×` the
-    /// best pair's EWMA.
-    pub enter: f64,
-    /// Restore a probationary pair when its EWMA falls back under
-    /// `exit ×` the best pair's EWMA (must be `< enter` for hysteresis).
-    pub exit: f64,
-    /// Minimum completed samples before a pair participates in the
-    /// comparison (both as baseline and as demotion candidate).
-    pub min_samples: u64,
-    /// On probation, every `probe_every`-th preferred request is still
-    /// admitted so the EWMA can observe recovery.
-    pub probe_every: u64,
-    /// Latency charged to a pair's EWMA for each in-flight request
-    /// abandoned on it (losses must hurt the score, not just vanish).
-    pub loss_penalty: Nanos,
-}
-
-impl Default for GrayPolicy {
-    fn default() -> Self {
-        GrayPolicy {
-            alpha: 0.125,
-            enter: 2.0,
-            exit: 1.4,
-            min_samples: 16,
-            probe_every: 8,
-            loss_penalty: Nanos::from_millis(10),
-        }
-    }
-}
-
 impl ClusterShardedConfig {
     /// A run of `system` over `app` with `pairs` worker pairs.
     pub fn new(system: SystemKind, app: AppSpec, pairs: usize) -> Self {
@@ -320,10 +271,7 @@ impl ClusterShardedConfig {
             seed: 42,
             window_ns: None,
             chaos: None,
-            heartbeat_period: Nanos::from_micros(50),
-            heartbeat_k: 3,
             rejoin: RejoinCosts::default(),
-            gray: GrayPolicy::default(),
             pool_bufs: POOL_BUFS,
             overload: None,
         }
@@ -359,22 +307,9 @@ impl ClusterShardedConfig {
         self
     }
 
-    /// Tune the health plane: probe period and missed-period threshold.
-    pub fn heartbeat(mut self, period: Nanos, k: u64) -> Self {
-        self.heartbeat_period = period;
-        self.heartbeat_k = k;
-        self
-    }
-
     /// Set the rejoin cost model (see [`RejoinCosts`]).
     pub fn rejoin(mut self, costs: RejoinCosts) -> Self {
         self.rejoin = costs;
-        self
-    }
-
-    /// Set the gray-failure detection policy (see [`GrayPolicy`]).
-    pub fn gray(mut self, policy: GrayPolicy) -> Self {
-        self.gray = policy;
         self
     }
 
@@ -411,12 +346,6 @@ impl ClusterShardedConfig {
         );
         assert!(self.clients >= 1, "need at least one client");
         assert!(self.clients as u64 <= 1 << 32, "client ids are 32 bits");
-        assert!(
-            !self.heartbeat_period.is_zero() && self.heartbeat_k > 0,
-            "degenerate heartbeat config"
-        );
-        assert!(self.gray.exit < self.gray.enter, "hysteresis requires exit < enter");
-        assert!(self.gray.probe_every > 0, "probation needs probe traffic");
         assert!(self.pool_bufs >= 1, "need at least one pool buffer");
         if let Some(overload) = &self.overload {
             assert!(overload.inflight_cap >= 1, "need a non-empty in-flight window");
@@ -465,10 +394,6 @@ mod tests {
             (set(|c| c.app.chains[1] = chain(256)), "hop indices up to 255"),
             (set(|c| c.clients = 0), "at least one client"),
             (set(|c| c.clients = (1 << 32) + 1), "client ids are 32 bits"),
-            (set(|c| c.heartbeat_period = Nanos::ZERO), "degenerate heartbeat"),
-            (set(|c| c.heartbeat_k = 0), "degenerate heartbeat"),
-            (set(|c| c.gray.exit = c.gray.enter), "exit < enter"),
-            (set(|c| c.gray.probe_every = 0), "probation needs probe traffic"),
             (set(|c| c.pool_bufs = 0), "at least one pool buffer"),
             (overloaded(|ov| ov.inflight_cap = 0), "non-empty in-flight window"),
             (overloaded(|ov| ov.traffic.population = 0), "function population"),
@@ -477,7 +402,6 @@ mod tests {
             (set(|c| c.window_ns = Some(654)), "exceeds the frame lookahead"),
             // The builders no longer check: they reach `validate` unchanged.
             (valid().pool_bufs(0), "at least one pool buffer"),
-            (valid().heartbeat(Nanos::ZERO, 3), "degenerate heartbeat"),
         ];
         for (cfg, want) in cases {
             let err = std::panic::catch_unwind(|| cfg.validate()).expect_err(want);

@@ -10,10 +10,12 @@
 //! (node crashes as deterministic partition windows, link flaps/storms as
 //! per-node [`palladium_simnet::FaultTimeline`]s, stragglers as cost
 //! multipliers) and turns on the health plane: every worker sends
-//! heartbeats to the ingress each `heartbeat_period`, the ingress suspects
-//! a worker after `heartbeat_k` silent periods, sheds that pair's in-flight
-//! requests (counted honestly as `inflight_lost`) and re-issues their
-//! clients against a surviving pair. Fault verdicts draw from per-node
+//! heartbeats to the ingress each [`HEARTBEAT_PERIOD`], and the ingress
+//! suspects a worker after [`HEARTBEAT_K`] silent periods. Its sweep
+//! abandons every request in flight on that pair, counted honestly as
+//! `inflight_lost`. A closed-loop request then retires as lost and its
+//! client re-issues against a surviving pair; an open-loop one goes to its
+//! retry budget. Fault verdicts draw from per-node
 //! [`palladium_simnet::SimRng::stream`]s keyed by global node id, and every
 //! shard holds identical scenario tables, so a chaos run is byte-identical
 //! at every shard count and execution mode (`tests/chaos_cluster.rs` pins
@@ -45,27 +47,50 @@
 //! Gray faults (low-rate directed drop/latency inflation, compiled into
 //! per-link [`palladium_simnet::FaultTimeline`]s) sit *below* the
 //! heartbeat-miss threshold: probes still arrive, so the monitor never
-//! suspects anyone. Detection is differential instead ([`GrayPolicy`]):
-//! the ingress keeps a per-pair EWMA of end-to-end latency (lost
-//! in-flights charge a loss penalty), and each health sweep compares pairs
-//! against the *best* pair's EWMA — a pair whose score exceeds `enter ×`
-//! the baseline moves to probation (routing deflects to healthy pairs,
-//! counted as `gray_reroutes`), readmitted with hysteresis at `exit ×`
-//! once probe traffic — every `probe_every`-th preferred request is still
-//! admitted — pulls the EWMA back down.
+//! suspects anyone. Detection is differential instead: the ingress keeps a
+//! per-pair EWMA of end-to-end latency (each lost in-flight request
+//! charges [`LOSS_PENALTY`]), and each health sweep compares pairs against
+//! the *best* pair's EWMA. A pair whose score exceeds [`GRAY_ENTER`] × the
+//! baseline moves to probation (routing deflects to healthy pairs, counted
+//! as `gray_reroutes`). It is readmitted with hysteresis at [`GRAY_EXIT`] ×
+//! once probe traffic — every [`PROBE_EVERY`]-th preferred request is
+//! still admitted — pulls the EWMA back down.
 
 use palladium_membuf::NodeId;
 use palladium_rdma::Packet;
 use palladium_simnet::{Effects, HealthMonitor, Histogram, Nanos, Outbox, Suspicion, WorkerState};
 
-use super::{ChaosReport, ClusterShard, Ev, GrayPolicy, IngressState};
+use super::{ChaosReport, ClusterShard, Ev, IngressState, Phase, Terminal};
+
+/// Worker → ingress heartbeat probe period, which is also the health
+/// sweep's period.
+pub(super) const HEARTBEAT_PERIOD: Nanos = Nanos::from_micros(50);
+/// Silent heartbeat periods before the ingress suspects a worker.
+const HEARTBEAT_K: u64 = 3;
+
+/// Smoothing factor of the per-pair latency scores.
+const GRAY_ALPHA: f64 = 0.125;
+/// A pair whose score exceeds this many times the best pair's is demoted
+/// to probation.
+const GRAY_ENTER: f64 = 2.0;
+/// A probationary pair whose score falls back to this many times the best
+/// pair's is restored (below [`GRAY_ENTER`]: hysteresis).
+const GRAY_EXIT: f64 = 1.4;
+/// Completed samples before a pair takes part in the comparison, both as
+/// baseline and as demotion candidate.
+const GRAY_MIN_SAMPLES: u64 = 16;
+/// On probation, every `PROBE_EVERY`-th preferred request is still
+/// admitted so the score can observe recovery.
+const PROBE_EVERY: u64 = 8;
+/// Latency charged to a pair's score for each in-flight request abandoned
+/// on it: losses must hurt the score, not just vanish.
+const LOSS_PENALTY: Nanos = Nanos::from_millis(10);
 
 /// Heartbeat bookkeeping, per-worker rejoin tracking and per-pair
 /// gray-failure scores, owned by the ingress on chaos runs.
 pub(super) struct IngressChaos {
     /// Liveness belief over all worker nodes.
     pub(super) health: HealthMonitor,
-    gray: GrayPolicy,
     /// What a recovering worker pays before it is routable again.
     rejoin_bill: Nanos,
     /// When each worker was last suspected (TTR measurement anchor).
@@ -85,23 +110,16 @@ pub(super) struct IngressChaos {
     /// Per-pair probe admission counter while on probation.
     probe_tick: Vec<u64>,
     /// Scratch for the health sweep: newly suspected workers, and the
-    /// in-flight requests lost with them (overload mode feeds those to the
-    /// retry machinery after the sweep).
+    /// in-flight requests lost with them (retired, or handed to the retry
+    /// budget, once the sweep is done).
     newly: Vec<Suspicion>,
     lost: Vec<u64>,
 }
 
 impl IngressChaos {
-    pub(super) fn new(
-        pairs: usize,
-        heartbeat_period: Nanos,
-        heartbeat_k: u64,
-        gray: GrayPolicy,
-        rejoin_bill: Nanos,
-    ) -> Self {
+    pub(super) fn new(pairs: usize, rejoin_bill: Nanos) -> Self {
         IngressChaos {
-            health: HealthMonitor::new(2 * pairs, heartbeat_period, heartbeat_k),
-            gray,
+            health: HealthMonitor::new(2 * pairs, HEARTBEAT_PERIOD, HEARTBEAT_K),
             rejoin_bill,
             suspected_at: vec![Nanos::ZERO; 2 * pairs],
             rejoin_epoch: vec![0; 2 * pairs],
@@ -127,7 +145,7 @@ impl IngressChaos {
         if self.ewma_n[pair] == 0 {
             self.ewma[pair] = s;
         } else {
-            self.ewma[pair] += self.gray.alpha * (s - self.ewma[pair]);
+            self.ewma[pair] += GRAY_ALPHA * (s - self.ewma[pair]);
         }
         self.ewma_n[pair] += 1;
     }
@@ -135,18 +153,17 @@ impl IngressChaos {
     /// A request in flight on `pair` was abandoned: the worst latency
     /// signal there is, so charge it to the pair's score.
     pub(super) fn observe_loss(&mut self, pair: usize) {
-        self.observe(pair, self.gray.loss_penalty);
+        self.observe(pair, LOSS_PENALTY);
     }
 
     /// Differential gray-failure sweep (run from each health check):
     /// compare every heartbeat-alive pair's EWMA against the best such
-    /// pair. Scores more than `enter ×` the baseline demote to
-    /// probation; probationary scores back under `exit ×` restore. The
-    /// best pair can never demote (its EWMA *is* the baseline), so the
+    /// pair. Scores more than [`GRAY_ENTER`] × the baseline demote to
+    /// probation; probationary scores back under [`GRAY_EXIT`] × restore.
+    /// The best pair can never demote (its EWMA *is* the baseline), so the
     /// comparison needs no absolute latency threshold.
     fn gray_sweep(&mut self, counts: &mut ChaosReport) {
-        let gray = self.gray;
-        let eligible = |p: usize, cx: &IngressChaos| cx.pair_alive(p) && cx.ewma_n[p] >= gray.min_samples;
+        let eligible = |p: usize, cx: &IngressChaos| cx.pair_alive(p) && cx.ewma_n[p] >= GRAY_MIN_SAMPLES;
         let Some(best) = (0..self.ewma.len())
             .filter(|&p| eligible(p, self))
             .map(|p| self.ewma[p])
@@ -158,10 +175,10 @@ impl IngressChaos {
             if !eligible(p, self) {
                 continue;
             }
-            if !self.probation[p] && self.ewma[p] > gray.enter * best {
+            if !self.probation[p] && self.ewma[p] > GRAY_ENTER * best {
                 self.probation[p] = true;
                 counts.gray_demoted += 1;
-            } else if self.probation[p] && self.ewma[p] <= gray.exit * best {
+            } else if self.probation[p] && self.ewma[p] <= GRAY_EXIT * best {
                 self.probation[p] = false;
                 counts.gray_restored += 1;
             }
@@ -222,7 +239,7 @@ impl PairView<'_> {
     /// active prefix `0..n_active` upward from it. A pair qualifies when
     /// both workers are believed alive, it is not deflected by gray
     /// probation — a probationary *preferred* pair still receives every
-    /// `probe_every`-th request so its EWMA can observe recovery, and
+    /// [`PROBE_EVERY`]-th request so its EWMA can observe recovery, and
     /// nothing is ever deflected *onto* a gray pair — and its circuit
     /// breaker is closed or due a half-open probe (this admission then
     /// *is* the probe). `None` means every active pair is shedding at the
@@ -243,7 +260,7 @@ impl PairView<'_> {
                         continue; // never deflect *onto* a gray pair
                     }
                     cx.probe_tick[p] += 1;
-                    if cx.probe_tick[p] % cx.gray.probe_every != 0 {
+                    if !cx.probe_tick[p].is_multiple_of(PROBE_EVERY) {
                         continue; // deflected; only probes get through
                     }
                 }
@@ -273,11 +290,13 @@ impl PairView<'_> {
 }
 
 impl IngressState {
-    /// The suspicion sweep. In-flight requests whose pair lost a node are
-    /// abandoned: closed-loop runs re-issue their clients against a
-    /// surviving pair; overload runs hand the loss to the retry budget (and
-    /// charge the pair's breaker). Scanning `reqs` in index order keeps the
-    /// accounting (and the retry schedule) deterministic.
+    /// The suspicion sweep. Every request in flight on a pair that lost a
+    /// node is abandoned: the closed loop retires it as lost and re-issues
+    /// its client against a surviving pair; the open loop hands it to the
+    /// retry budget (abandoning charged the pair's breaker). Queued and
+    /// backing-off requests have no live attempt to lose. Scanning `reqs`
+    /// in index order keeps the accounting (and the retry schedule)
+    /// deterministic.
     fn health_check(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>) {
         let cx = self.chaos.as_mut().expect("chaos run");
         let mut newly = std::mem::take(&mut cx.newly);
@@ -287,34 +306,28 @@ impl IngressState {
         cx.health.check_into(now, &mut newly);
         self.counts.suspected += newly.len() as u64;
         for &s in &newly {
-            cx.suspect(now, s, &mut self.counts);
             let pair = s.node / 2;
-            for (req, st) in self.reqs.iter_mut().enumerate() {
-                if st.pair as usize != pair {
+            self.chaos.as_mut().expect("chaos run").suspect(now, s, &mut self.counts);
+            for req in 0..self.reqs.len() {
+                let st = &self.reqs[req];
+                if st.pair as usize != pair || st.phase != Phase::InFlight {
                     continue;
                 }
-                if let Some(ov) = self.overload.as_mut() {
-                    // Only *admitted* requests ride the lost pair; queued
-                    // and backing-off ones have no live attempt to abandon.
-                    if st.inflight {
-                        st.inflight = false;
-                        self.counts.inflight_lost += 1;
-                        cx.observe_loss(pair);
-                        ov.abandon(now, pair);
-                        lost.push(req as u64);
-                    }
-                } else if !st.done {
-                    st.done = true;
-                    self.counts.inflight_lost += 1;
-                    cx.observe_loss(pair);
-                    fx.at(now, Ev::Issue { client: st.client as usize });
-                }
+                self.counts.inflight_lost += 1;
+                self.chaos.as_mut().expect("chaos run").observe_loss(pair);
+                self.abandon(now, req as u64);
+                lost.push(req as u64);
             }
         }
         for &req in &lost {
-            self.fail_or_retry(now, fx, req);
+            if self.overload.is_some() {
+                self.fail_or_retry(now, fx, req);
+            } else {
+                self.retire(req, Terminal::Lost);
+                fx.at(now, Ev::Issue { client: self.reqs[req as usize].client as usize });
+            }
         }
-        if !lost.is_empty() {
+        if self.overload.is_some() && !lost.is_empty() {
             self.drain_queue(now, fx);
         }
         let cx = self.chaos.as_mut().expect("chaos run");
@@ -356,12 +369,12 @@ impl ClusterShard {
                 fx.extend_drain(&mut step.events, Ev::Rdma);
                 self.route_egress(now, out, &mut step);
                 self.post_step = step;
-                fx.after(self.heartbeat_period, Ev::HeartbeatTick { n, seq: seq + 1 });
+                fx.after(HEARTBEAT_PERIOD, Ev::HeartbeatTick { n, seq: seq + 1 });
             }
             Ev::HealthCheck => {
                 let ing = self.ingress.as_mut().expect("health check on ingress shard");
                 ing.health_check(now, fx);
-                fx.after(self.heartbeat_period, Ev::HealthCheck);
+                fx.after(HEARTBEAT_PERIOD, Ev::HealthCheck);
             }
             Ev::RejoinDone { n, epoch } => {
                 let ing = self.ingress.as_mut().expect("rejoin on ingress shard");
@@ -377,15 +390,17 @@ impl ClusterShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::cluster_sharded::testkit::{handle, ingress, request, BILL};
+    use crate::driver::cluster_sharded::{OverloadConfig, RetryPolicy};
+    use palladium_simnet::OpenLoopConfig;
 
-    const PERIOD: Nanos = Nanos::from_micros(50);
-    const BILL: Nanos = Nanos::from_micros(400);
+    const PERIOD: Nanos = HEARTBEAT_PERIOD;
     const LATE: Nanos = Nanos::from_millis(1);
 
     /// Chaos state over `pairs` pairs at [`LATE`], with exactly the workers
     /// in `dead` suspected (silent since t = 0, far past 3 periods).
     fn chaos(pairs: usize, dead: &[usize]) -> IngressChaos {
-        let mut cx = IngressChaos::new(pairs, PERIOD, 3, GrayPolicy::default(), BILL);
+        let mut cx = IngressChaos::new(pairs, BILL);
         for n in (0..2 * pairs).filter(|n| !dead.contains(n)) {
             cx.health.heartbeat(n, LATE);
         }
@@ -414,7 +429,7 @@ mod tests {
 
     #[test]
     fn the_sweep_demotes_above_enter_restores_at_exit_and_holds_in_between() {
-        // Defaults: enter 2.0 ×, exit 1.4 ×, against a 100 µs best pair.
+        // Enter 2.0 ×, exit 1.4 ×, against a 100 µs best pair.
         let cases = [
             (false, 200, false, (0, 0)), // exactly enter ×: not above it
             (false, 201, true, (1, 0)),
@@ -441,7 +456,7 @@ mod tests {
         let mut counts = ChaosReport::default();
         let mut cx = chaos(3, &[]);
         score(&mut cx, 0, 100, 16);
-        score(&mut cx, 1, 900, 15); // one short of min_samples
+        score(&mut cx, 1, 900, 15); // one short of GRAY_MIN_SAMPLES
         cx.gray_sweep(&mut counts);
         assert_eq!(cx.probation, [false; 3], "too few samples to demote");
         // An under-sampled fast pair is no baseline: 300 vs 200 µs holds.
@@ -529,7 +544,7 @@ mod tests {
         cx.probation[0] = true;
         let placed: Vec<usize> =
             (0..16).map(|_| place(Some(&mut cx), None, 0, 2).0.expect("pair 1 is healthy")).collect();
-        // probe_every = 8: requests 8 and 16 are the probes.
+        // PROBE_EVERY = 8: requests 8 and 16 are the probes.
         let want: Vec<usize> = (1..=16).map(|k| if k % 8 == 0 { 0 } else { 1 }).collect();
         assert_eq!(placed, want);
         assert_eq!(cx.probe_tick, [16, 0]);
@@ -621,5 +636,46 @@ mod tests {
         assert!(!cx.pair_alive(1) && counts.rejoins == 0, "stale epoch {epoch}");
         cx.rejoin_done(again + PERIOD + BILL, 2, second, &mut counts);
         assert!(cx.pair_alive(1) && counts.rejoins == 1);
+    }
+
+    #[test]
+    fn a_stale_response_after_the_sweep_completes_nothing_and_frees_no_slot() {
+        // With no retry budget the open loop retires a lost request in the
+        // sweep too, as the closed loop always does.
+        let no_budget = OverloadConfig::new(OpenLoopConfig::poisson(1_000.0, 16), Nanos::from_millis(2))
+            .retry(RetryPolicy { budget: 0, ..RetryPolicy::budgeted() });
+        for overload in [None, Some(no_budget)] {
+            let open = overload.is_some();
+            let mut ing = ingress(2, overload, true);
+            // `lost` rides pair 0, whose worker 0 falls silent; `kept` rides
+            // pair 1.
+            let [lost, kept] = [0, 1].map(|client| request(&mut ing, client, Nanos::ZERO));
+            handle(Nanos::ZERO, |fx| {
+                for (req, pair) in [(lost, 0), (kept, 1)] {
+                    if open {
+                        ing.admit(Nanos::ZERO, fx, req, pair);
+                    } else {
+                        ing.start_on(Nanos::ZERO, fx, req, pair);
+                    }
+                }
+            });
+            let cx = ing.chaos.as_mut().expect("health plane on");
+            (1..4).for_each(|n| _ = cx.health.heartbeat(n, LATE));
+            let swept = handle(LATE, |fx| ing.health_check(LATE, fx));
+            let reissued = swept.iter().filter(|(_, ev)| matches!(ev, Ev::Issue { client: 0 })).count();
+            let what = format!("open loop: {open}");
+            assert_eq!(reissued, usize::from(!open), "{what}");
+            assert_eq!((ing.counts.inflight_lost, ing.reqs[lost as usize].phase), (1, Phase::Done), "{what}");
+            // `lost`'s response was already on its way back: it is dropped.
+            assert!(handle(LATE, |fx| ing.complete(LATE, fx, lost)).is_empty(), "{what}");
+            assert_eq!(ing.stats.completed(), 0, "{what}: no completion for a retired request");
+            assert!(ing.window_is_exact(), "{what}: only `kept` holds a window slot");
+            if let Some(ov) = &ing.overload {
+                assert_eq!((ov.report.retry_exhausted, ov.report.goodput), (1, 0));
+            }
+            handle(LATE, |fx| ing.complete(LATE, fx, kept));
+            assert_eq!(ing.stats.completed(), 1, "{what}");
+            assert!(ing.window_is_exact(), "{what}: `kept` freed the last slot");
+        }
     }
 }

@@ -13,13 +13,24 @@
 //! sequence numbers, and every decision executes in ingress event order, so
 //! overload runs are byte-identical at every shard count and execution
 //! mode like everything else in this driver.
+//!
+//! An open-loop request arrives [`Phase::Waiting`] and stays there while it
+//! is queued or backing off. The in-flight window is
+//! [`IngressOverload::inflight`], and only the lifecycle transitions on
+//! [`IngressState`] move it: `admit` takes a slot, `abandon` frees it, and
+//! `retire` frees it iff the request was in flight. Deadline
+//! classification (goodput, late, recovery) stays in
+//! [`IngressOverload::complete`], keyed by finish time.
 
 use std::collections::VecDeque;
 
-use palladium_simnet::{Arrival, Effects, Histogram, Nanos, OpenLoop, PageTable, SimRng};
+use palladium_simnet::{Arrival, Effects, Histogram, Nanos, OpenLoop, SimRng};
 
 use super::report::ShedCause;
-use super::{ClusterShard, Ev, IngressState, OverloadConfig, OverloadReport, ReqState, RetryPolicy};
+use super::{
+    ClusterShard, Ev, IngressState, OverloadConfig, OverloadReport, Phase, ReqState, RetryPolicy,
+    Terminal,
+};
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
 
 /// Stream-id salt for per-request retry-backoff jitter draws: the draw for
@@ -38,21 +49,12 @@ const DL_PROBE_EVERY: u64 = 8;
 /// deadline feasibility is judged against.
 const EST_ALPHA: f64 = 0.125;
 
-/// A request's open-loop admission state, indexed by request id like
-/// [`IngressState::reqs`] (every overload-mode request is pushed to both
-/// by [`Ev::Arrive`]). Its propagated deadline is not stored: it is always
-/// [`ReqState::issued`] plus [`OverloadConfig::deadline`].
-struct Admission {
-    /// When this request last entered the admission queue.
-    queued_at: Nanos,
-    /// When this request was last admitted to the data plane.
-    admitted_at: Nanos,
-    /// Routing hint from the function-population table (`fn_id % pairs`).
-    hint: u16,
-}
+/// The service-latency estimate that EWMA starts from, before any
+/// completion has been observed.
+const EST_INIT: Nanos = Nanos::from_micros(500);
 
-// `admission` grows by one record per open-loop arrival.
-const _: () = assert!(std::mem::size_of::<Admission>() <= 24);
+// `since` grows by one stamp per open-loop arrival.
+const _: () = assert!(std::mem::size_of::<Nanos>() <= 8);
 
 /// What admission control says about one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,17 +98,19 @@ pub(super) struct IngressOverload {
     gen: OpenLoop,
     /// The next arrival, pre-drawn so its time can be scheduled.
     next: Arrival,
-    /// Function id → preferred-pair hint over the whole Zipf population
-    /// (the PR 3 two-level page table, exercised per arrival).
-    route: PageTable<u16>,
-    /// Per-request admission state (see [`Admission`]).
-    admission: Vec<Admission>,
+    /// Per request id, like [`IngressState::reqs`] (every open-loop arrival
+    /// is pushed to both): when a queued request entered the queue, or
+    /// when an in-flight one was admitted. One stamp serves both, since a
+    /// request is never queued and in flight at once. Its deadline is not
+    /// stored: it is always [`ReqState::issued`] plus
+    /// [`OverloadConfig::deadline`].
+    pub(super) since: Vec<Nanos>,
     /// Bounded admission queue of request ids (FIFO).
     queue: VecDeque<u64>,
-    /// Admitted-but-unfinished requests.
+    /// The in-flight window: how many requests are [`Phase::InFlight`].
     inflight: u64,
     /// EWMA of admission→completion latency (ns), seeding deadline
-    /// feasibility; initialized from `ov.est_latency`.
+    /// feasibility; starts at [`EST_INIT`].
     est: f64,
     /// Per-pair breaker: `ZERO` = closed, else shed until that instant
     /// (first admission at/after it is the half-open probe).
@@ -151,10 +155,6 @@ impl IngressOverload {
     ) -> Self {
         let mut gen = OpenLoop::new(&ov.traffic, seed);
         let next = gen.next_arrival();
-        let mut route = PageTable::new();
-        for id in 0..ov.traffic.population {
-            route.insert(id as usize, (id % pairs as u64) as u16);
-        }
         let (ramp_lo, ramp_hi) = ov.traffic.process.surge_window().unwrap_or((warmup, horizon));
         let recovery_lo = Nanos(
             warmup.as_nanos() + (horizon.as_nanos() - warmup.as_nanos()) * 3 / 4,
@@ -173,11 +173,10 @@ impl IngressOverload {
         IngressOverload {
             gen,
             next,
-            route,
-            admission: Vec::new(),
+            since: Vec::new(),
             queue: VecDeque::with_capacity(ov.queue_cap.min(4096)),
             inflight: 0,
-            est: ov.est_latency.as_nanos() as f64,
+            est: EST_INIT.as_nanos() as f64,
             breaker_until: vec![Nanos::ZERO; pairs],
             breaker_fails: vec![0; pairs],
             dl_probe: 0,
@@ -204,7 +203,7 @@ impl IngressOverload {
     }
 
     /// Materialize the pre-drawn arrival landing at `now` as the next
-    /// request id's [`Admission`] and draw its successor. Returns the
+    /// request id's admission stamp and draw its successor. Returns the
     /// arrival's client (its function id) and when the next one lands.
     fn arrive(&mut self, now: Nanos) -> (usize, Nanos) {
         let a = self.next;
@@ -213,19 +212,16 @@ impl IngressOverload {
         if now >= self.warmup {
             self.report.offered += 1;
         }
-        self.admission.push(Admission {
-            queued_at: Nanos::ZERO,
-            admitted_at: Nanos::ZERO,
-            hint: self.route.get(a.fn_id as usize).copied().unwrap_or(0),
-        });
+        self.since.push(now);
         (a.fn_id as usize, self.next.at)
     }
 
-    /// Where placement starts for `req`: `(preferred pair, active pairs)` —
-    /// its routing hint folded onto the active prefix.
-    fn preference(&self, req: u64) -> (usize, usize) {
+    /// Where placement starts for a request of function `client`:
+    /// `(preferred pair, active pairs)` — its routing hint `client % pairs`
+    /// folded onto the active prefix.
+    fn preference(&self, client: usize) -> (usize, usize) {
         let active = self.active_pairs.max(1);
-        (self.admission[req as usize].hint as usize % active, active)
+        (client % self.breaker_until.len() % active, active)
     }
 
     /// Record a pair-attributed transport/loss failure; open (or re-arm)
@@ -294,7 +290,7 @@ impl IngressOverload {
     /// `req` waited in the queue longer than the queue-delay threshold:
     /// serving it now only makes every later request later.
     fn overstayed(&self, now: Nanos, req: u64) -> bool {
-        now - self.admission[req as usize].queued_at > self.ov.queue_delay_max
+        now - self.since[req as usize] > self.ov.queue_delay_max
     }
 
     /// Pop the queue's head if it has overstayed (oldest-first shedding,
@@ -312,7 +308,7 @@ impl IngressOverload {
         if self.queue.len() >= self.ov.queue_cap {
             return false;
         }
-        self.admission[req as usize].queued_at = now;
+        self.since[req as usize] = now;
         self.queue.push_back(req);
         true
     }
@@ -336,30 +332,39 @@ impl IngressOverload {
         Some((req, verdict))
     }
 
-    /// `req` enters the data plane: take an in-flight slot.
-    fn admit(&mut self, now: Nanos, req: u64) {
+    /// `req` enters the data plane (the window side of
+    /// [`IngressState::admit`]): take an in-flight slot stamped `now`.
+    pub(super) fn admit(&mut self, now: Nanos, req: u64) {
         self.inflight += 1;
         if now >= self.warmup {
             self.report.admitted += 1;
         }
-        self.admission[req as usize].admitted_at = now;
+        self.since[req as usize] = now;
     }
 
     /// An admitted request's attempt on `pair` died in the data plane
-    /// (lost with its pair, pool exhausted, QP errored): release its
-    /// in-flight slot and charge the pair's breaker.
+    /// (lost with its pair, pool exhausted, QP errored; the window side of
+    /// [`IngressState::abandon`]): release its in-flight slot and charge
+    /// the pair's breaker.
     pub(super) fn abandon(&mut self, now: Nanos, pair: usize) {
-        self.inflight = self.inflight.saturating_sub(1);
+        self.inflight -= 1;
         self.breaker_fail(now, pair);
     }
 
+    /// A request ends as `end` (the window side of
+    /// [`IngressState::retire`]): release its slot if it held one.
+    pub(super) fn retire(&mut self, in_flight: bool, end: Terminal) {
+        self.inflight -= u64::from(in_flight);
+        if end == Terminal::RetryExhausted {
+            self.report.retry_exhausted += 1;
+        }
+    }
+
     /// `req`, issued at `issued` and served by `pair`, completed at `finish`
-    /// (`now` plus the client wire): release the in-flight slot, update the
-    /// service estimate, classify against the deadline.
-    fn complete(&mut self, now: Nanos, req: u64, pair: usize, issued: Nanos, finish: Nanos) {
-        self.inflight = self.inflight.saturating_sub(1);
-        let admitted_at = self.admission[req as usize].admitted_at;
-        let sample = (finish - admitted_at).as_nanos() as f64;
+    /// (`now` plus the client wire) and is retired: update the service
+    /// estimate from its admission stamp, classify against the deadline.
+    pub(super) fn complete(&mut self, now: Nanos, req: u64, pair: usize, issued: Nanos, finish: Nanos) {
+        let sample = (finish - self.since[req as usize]).as_nanos() as f64;
         self.est += EST_ALPHA * (sample - self.est);
         self.breaker_ok(now, pair);
         if finish >= self.warmup {
@@ -377,19 +382,17 @@ impl IngressOverload {
         }
     }
 
-    /// Attempt number `attempts` of `req`, due by `deadline`, failed: consume
-    /// retry budget and back off exponentially with stateless jitter, or
+    /// Attempt number `attempts` of `req`, due by `deadline`, failed: back
+    /// off exponentially with stateless jitter while budget remains, or
     /// give up honestly.
-    fn next_retry(&mut self, now: Nanos, req: u64, attempts: u32, deadline: Nanos) -> Retry {
+    fn next_retry(&self, now: Nanos, req: u64, attempts: u32, deadline: Nanos) -> Retry {
         let rp = self.ov.retry;
         if attempts <= rp.budget {
             let at = now + backoff(&rp, self.seed, req, attempts);
             if !(self.ov.shed_on_deadline && at > deadline) {
-                self.report.retries += 1;
                 return Retry::At(at);
             }
         }
-        self.report.retry_exhausted += 1;
         Retry::Exhausted
     }
 
@@ -449,7 +452,8 @@ impl IngressState {
 
     /// Pick the pair serving `req` (see [`super::health::PairView::place`]).
     fn place(&mut self, now: Nanos, req: u64) -> Option<usize> {
-        let (pref, active) = self.overload_mut().preference(req);
+        let client = self.reqs[req as usize].client as usize;
+        let (pref, active) = self.overload_mut().preference(client);
         self.pairs().place(pref, active, now)
     }
 
@@ -474,14 +478,6 @@ impl IngressState {
                 }
             }
         }
-    }
-
-    /// Admit `req` to the data plane on `pair`: the overload-mode analogue
-    /// of the closed-loop [`Ev::Issue`] submission.
-    fn admit(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize) {
-        self.overload_mut().admit(now, req);
-        self.reqs[req as usize].inflight = true;
-        self.start_on(now, fx, req, pair);
     }
 
     /// Refill the in-flight window from the admission queue; pair
@@ -509,53 +505,42 @@ impl IngressState {
         self.fail_or_retry(now, fx, req);
     }
 
-    /// A request's attempt failed (shed, lost, or transport-errored):
-    /// schedule the next one if the retry budget allows.
+    /// A waiting request's attempt failed (shed, lost, or
+    /// transport-errored): schedule the next one if the retry budget
+    /// allows, else retire it as exhausted.
     pub(super) fn fail_or_retry(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64) {
         let st = &mut self.reqs[req as usize];
-        if st.done {
-            return;
-        }
+        debug_assert_eq!(st.phase, Phase::Waiting, "failing request {req}");
         let ov = self.overload.as_mut().expect("overload mode");
         match ov.next_retry(now, req, st.attempts, st.issued + ov.ov.deadline) {
             Retry::At(at) => {
+                ov.report.retries += 1;
                 st.attempts += 1;
                 fx.at(at, Ev::Retry { req });
             }
-            Retry::Exhausted => st.done = true,
+            Retry::Exhausted => self.retire(req, Terminal::RetryExhausted),
         }
     }
 
     /// An admitted request failed in the data plane (pool exhausted or QP
-    /// errored at post time). In overload mode: release its in-flight
-    /// slot, charge the pair's breaker, and hand it to the retry budget.
-    /// No-op on closed-loop runs (the health plane re-issues clients).
+    /// errored at post time). In overload mode: abandon the attempt, hand
+    /// the request to the retry budget and refill the window. No-op on
+    /// closed-loop runs (the health plane re-issues clients), and for a
+    /// stale send of an attempt already abandoned.
     pub(super) fn send_failed(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64) {
-        let (Some(ov), st) = (self.overload.as_mut(), &mut self.reqs[req as usize]) else {
-            return;
-        };
-        if !st.inflight {
+        if self.overload.is_none() || self.reqs[req as usize].phase != Phase::InFlight {
             return;
         }
-        st.inflight = false;
-        ov.abandon(now, st.pair as usize);
+        self.abandon(now, req);
         self.fail_or_retry(now, fx, req);
         self.drain_queue(now, fx);
     }
 
-    /// Open loop: a completion releases its in-flight slot and refills the
-    /// window from the queue — and never re-issues.
-    pub(super) fn complete_open_loop(
-        &mut self,
-        now: Nanos,
-        fx: &mut Effects<'_, Ev>,
-        req: u64,
-        pair: usize,
-        issued: Nanos,
-        finish: Nanos,
-    ) {
-        self.overload_mut().complete(now, req, pair, issued, finish);
-        self.drain_queue(now, fx);
+    /// The window count and the phases agree: checked when a run's report
+    /// is folded.
+    pub(super) fn window_is_exact(&self) -> bool {
+        let in_flight = || self.reqs.iter().filter(|st| st.phase == Phase::InFlight).count() as u64;
+        self.overload.as_ref().is_none_or(|ov| ov.inflight == in_flight())
     }
 }
 
@@ -571,13 +556,12 @@ impl ClusterShard {
                 let (client, next_at) = ing.overload_mut().arrive(now);
                 fx.at(next_at, Ev::Arrive);
                 let req = ing.reqs.len() as u64;
-                ing.reqs.push(ReqState::new(client, now));
+                ing.reqs.push(ReqState::new(client, now, Phase::Waiting));
                 ing.try_admit(now, fx, req);
             }
             Ev::Retry { req } => {
-                if !ing.reqs[req as usize].done {
-                    ing.try_admit(now, fx, req);
-                }
+                debug_assert_eq!(ing.reqs[req as usize].phase, Phase::Waiting, "retrying request {req}");
+                ing.try_admit(now, fx, req);
             }
             Ev::ScaleTick => {
                 let ov = ing.overload_mut();
@@ -601,28 +585,28 @@ impl ClusterShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::cluster_sharded::testkit::{handle, ingress, request as arrival, BILL};
     use crate::driver::cluster_sharded::{AutoscalePolicy, BreakerPolicy};
     use palladium_simnet::OpenLoopConfig;
 
     const PAIRS: usize = 4;
-    const BILL: Nanos = Nanos::from_micros(400);
     const US: fn(u64) -> Nanos = Nanos::from_micros;
 
-    /// The budgeted defaults (2 ms deadline, 500 µs service estimate and
-    /// queue-delay threshold, 64-slot window, 512-slot queue) after `tune`.
-    fn plane(tune: impl FnOnce(OverloadConfig) -> OverloadConfig) -> IngressOverload {
-        let ov = tune(OverloadConfig::new(OpenLoopConfig::poisson(1_000.0, 16), US(2_000)));
-        IngressOverload::new(ov, PAIRS, 7, Nanos::ZERO, Nanos::from_millis(100), BILL)
+    /// The budgeted defaults (2 ms deadline, 500 µs queue-delay threshold,
+    /// 64-slot window, 512-slot queue) after `tune`.
+    fn config(tune: impl FnOnce(OverloadConfig) -> OverloadConfig) -> OverloadConfig {
+        tune(OverloadConfig::new(OpenLoopConfig::poisson(1_000.0, 16), US(2_000)))
     }
 
-    /// A request hinted at pair `hint`.
-    fn request(ov: &mut IngressOverload, hint: u16) -> u64 {
-        ov.admission.push(Admission {
-            queued_at: Nanos::ZERO,
-            admitted_at: Nanos::ZERO,
-            hint,
-        });
-        ov.admission.len() as u64 - 1
+    /// [`config`]'s overload plane, with no request yet.
+    fn plane(tune: impl FnOnce(OverloadConfig) -> OverloadConfig) -> IngressOverload {
+        IngressOverload::new(config(tune), PAIRS, 7, Nanos::ZERO, Nanos::from_millis(100), BILL)
+    }
+
+    /// The next request's admission stamp: its id.
+    fn request(ov: &mut IngressOverload) -> u64 {
+        ov.since.push(Nanos::ZERO);
+        ov.since.len() as u64 - 1
     }
 
     fn breaker(open_after: u32) -> IngressOverload {
@@ -717,25 +701,27 @@ mod tests {
 
     #[test]
     fn a_budget_of_three_is_three_retries_then_exhausted() {
-        let mut ov = plane(|ov| ov.retry(unjittered()));
-        let req = request(&mut ov, 0);
-        let verdicts: Vec<Retry> =
-            (1..=5).map(|attempt| ov.next_retry(US(10), req, attempt, US(100_000))).collect();
-        let at = |us: u64| Retry::At(US(10 + us));
-        assert_eq!(verdicts, [at(50), at(100), at(200), Retry::Exhausted, Retry::Exhausted]);
-        assert_eq!((ov.report.retries, ov.report.retry_exhausted), (3, 2));
+        let mut ing = ingress(PAIRS, Some(config(|ov| ov.retry(unjittered()))), false);
+        let req = arrival(&mut ing, 0, Nanos::ZERO);
+        // Four failed attempts, each at 10 µs: three back off, the fourth
+        // retires the request.
+        let scheduled = handle(US(10), |fx| (0..4).for_each(|_| ing.fail_or_retry(US(10), fx, req)));
+        let retries: Vec<Nanos> =
+            scheduled.iter().map(|(at, ev)| if let Ev::Retry { .. } = ev { *at } else { Nanos::MAX }).collect();
+        assert_eq!(retries, [US(60), US(110), US(210)]);
+        assert_eq!((ing.reqs[req as usize].phase, ing.reqs[req as usize].attempts), (Phase::Done, 4));
+        let r = &ing.overload_mut().report;
+        assert_eq!((r.retries, r.retry_exhausted), (3, 1), "one request, one exhaustion");
     }
 
     #[test]
     fn a_retry_past_the_deadline_is_exhausted_only_when_deadlines_are_enforced() {
         for (enforce, want) in [(true, Retry::Exhausted), (false, Retry::At(US(1_050)))] {
-            let mut ov = plane(|mut ov| {
+            let ov = plane(|mut ov| {
                 ov.shed_on_deadline = enforce;
                 ov.retry(unjittered())
             });
-            let req = request(&mut ov, 0);
-            assert_eq!(ov.next_retry(US(1_000), req, 1, US(1_020)), want, "shed_on_deadline = {enforce}");
-            assert_eq!(ov.report.retry_exhausted, enforce as u64);
+            assert_eq!(ov.next_retry(US(1_000), 0, 1, US(1_020)), want, "shed_on_deadline = {enforce}");
         }
     }
 
@@ -782,7 +768,7 @@ mod tests {
         let mut ov = plane(|ov| ov.admission(512, 2, US(500)));
         let verdicts: Vec<Verdict> = (0..3)
             .map(|_| {
-                let req = request(&mut ov, 0);
+                let req = request(&mut ov);
                 let v = ov.on_arrival(US(10), US(100_000));
                 if v == Verdict::Admit {
                     ov.admit(US(10), req);
@@ -797,7 +783,7 @@ mod tests {
     #[test]
     fn a_full_queue_refuses_and_an_overstayed_head_is_popped_first() {
         let mut ov = plane(|ov| ov.admission(2, 1, US(500)));
-        let reqs: Vec<u64> = (0..3).map(|_| request(&mut ov, 0)).collect();
+        let reqs: Vec<u64> = (0..3).map(|_| request(&mut ov)).collect();
         assert!(ov.enqueue(US(10), reqs[0]));
         assert!(ov.enqueue(US(400), reqs[1]));
         assert!(!ov.enqueue(US(450), reqs[2]), "queue_cap = 2");
@@ -812,7 +798,7 @@ mod tests {
     #[test]
     fn dequeue_rechecks_staleness_then_the_deadline_and_stops_at_a_full_window() {
         let mut ov = plane(|ov| ov.admission(16, 2, US(500)));
-        let [stale, hopeless, fine, waiting] = [0; 4].map(|hint| request(&mut ov, hint));
+        let [stale, hopeless, fine, waiting] = [(); 4].map(|()| request(&mut ov));
         let due = |req| if req == hopeless { US(1_300) } else { US(100_000) };
         ov.enqueue(US(100), stale);
         for req in [hopeless, fine, waiting] {
@@ -842,11 +828,12 @@ mod tests {
             (US(80_000), US(78_000), (2, 1, 1)),
         ];
         for (finish, issued, want) in cases {
-            let req = request(&mut ov, 0);
+            let req = request(&mut ov);
             ov.admit(finish - US(300), req);
             let est = ov.est;
+            ov.retire(true, Terminal::Completed);
             ov.complete(finish, req, 0, issued, finish);
-            assert_eq!(ov.inflight, 0);
+            assert_eq!((ov.inflight, ov.report.retry_exhausted), (0, 0));
             assert_eq!(ov.est, est + EST_ALPHA * (300_000.0 - est), "sample = finish − admitted");
             let r = &ov.report;
             assert_eq!((r.goodput, r.late, r.recovery_goodput), want, "finish at {finish}");
@@ -855,9 +842,23 @@ mod tests {
     }
 
     #[test]
+    fn one_stamp_times_the_queue_wait_then_the_service() {
+        let mut ov = plane(|ov| ov.admission(16, 1, US(500)));
+        let req = request(&mut ov);
+        assert!(ov.enqueue(US(100), req));
+        // Staleness counts from the enqueue: past 500 µs only after 600 µs.
+        assert!(!ov.overstayed(US(600), req) && ov.overstayed(US(601), req));
+        assert_eq!(ov.dequeue(US(600), |_| US(100_000)), Some((req, Verdict::Admit)));
+        ov.admit(US(600), req);
+        let est = ov.est;
+        ov.complete(US(900), req, 0, US(100), US(900));
+        assert_eq!(ov.est, est + EST_ALPHA * (300_000.0 - est), "sample = finish − admitted, not − queued");
+    }
+
+    #[test]
     fn an_abandoned_attempt_frees_its_slot_and_charges_the_breaker() {
         let mut ov = breaker(1);
-        let req = request(&mut ov, 0);
+        let req = request(&mut ov);
         ov.admit(US(10), req);
         ov.abandon(US(20), 3);
         assert_eq!((ov.inflight, ov.breaker_until[3]), (0, US(220)));
@@ -865,11 +866,11 @@ mod tests {
 
     #[test]
     fn the_routing_hint_folds_onto_the_active_prefix() {
+        // Function 7 prefers pair 7 % 4 = 3.
         let mut ov = plane(|ov| ov);
-        let req = request(&mut ov, 3);
         for (active, want) in [(4, (3, 4)), (3, (0, 3)), (2, (1, 2)), (0, (0, 1))] {
             ov.active_pairs = active;
-            assert_eq!(ov.preference(req), want, "{active} active pairs");
+            assert_eq!(ov.preference(7), want, "{active} active pairs");
         }
     }
 
@@ -928,7 +929,7 @@ mod tests {
         let (client, next_at) = ov.arrive(first_at);
         assert!(client < 16 && next_at > first_at);
         assert_eq!(ov.first_events().0, next_at);
-        assert_eq!(ov.admission[0].hint as usize, client % PAIRS);
+        assert_eq!((&ov.since[..], ov.preference(client).0), (&[first_at][..], client % PAIRS));
         assert_eq!(ov.report.offered, 1);
     }
 }

@@ -220,7 +220,7 @@ pub struct OpenLoopConfig {
     /// The offered-rate profile.
     pub process: ArrivalProcess,
     /// Number of distinct function ids in the population (10k–100k in the
-    /// overload scenarios; stresses the two-level `PageTable`).
+    /// overload scenarios).
     pub population: u64,
     /// Zipf skew exponent over that population.
     pub zipf_s: f64,

@@ -28,8 +28,8 @@ use palladium_simnet::{Nanos, ScenarioScript};
 
 use crate::chaos::base_cfg;
 
-/// Zipf function population — large enough to exercise the two-level
-/// page table's sparse paths on every arrival.
+/// Zipf function population: every pair serves a long tail of functions
+/// behind a few hot ones.
 pub const OVERLOAD_POPULATION: u64 = 10_000;
 
 /// End-to-end deadline propagated with every request (~4–5× the loaded

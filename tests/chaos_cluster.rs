@@ -132,7 +132,7 @@ fn rack_crash_pays_a_costed_rejoin() {
     assert_eq!(c.rejoins_aborted, 0, "a single clean outage aborts nothing: {c:?}");
     assert!(!c.ttr_p50.is_zero(), "recovery must take measurable time: {c:?}");
     assert!(c.ttr_p99 >= c.ttr_p50, "histogram tails are ordered: {c:?}");
-    // Detection alone takes heartbeat_k periods; the paid rejoin makes
+    // Detection alone takes three heartbeat periods; the paid rejoin makes
     // TTR strictly larger than the ~774 µs default control-plane cost.
     assert!(
         c.ttr_p50 > Nanos::from_micros(700),

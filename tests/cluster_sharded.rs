@@ -123,13 +123,13 @@ fn a_narrower_grid_runs_more_barriers_and_the_same_physics() {
 }
 
 #[test]
-#[should_panic(expected = "probation needs probe traffic")]
+#[should_panic(expected = "at least one pool buffer")]
 fn a_config_assembled_through_its_fields_is_still_validated() {
     // Every field is public, so the builders cannot be where the checks
-    // live: `probe_every = 0` used to reach `% 0` mid-run, the first time a
-    // pair sat on probation.
+    // live: a zero-buffer pool must be refused before the run, not found
+    // empty mid-run.
     let mut cfg = golden_cfg();
-    cfg.gray.probe_every = 0;
+    cfg.pool_bufs = 0;
     let _ = ClusterShardedSim::new(cfg);
 }
 

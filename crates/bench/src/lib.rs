@@ -11,6 +11,10 @@
 //! *shapes* — who wins, by what factor, where the crossovers sit — are
 //! asserted by the test suite.
 
+// No library crate in the workspace uses `unsafe`: every crate root
+// forbids it, and CI checks that each one does.
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 pub mod experiments;

@@ -40,7 +40,7 @@
 //!   in sharded-egress mode every inter-node frame (data *and*
 //!   ACK/NAK, same-span destinations included) leaves `transmit` as a
 //!   fully-timed [`Packet`] that this driver routes through the
-//!   deterministic SPSC mailboxes.
+//!   shard runner's mailboxes.
 //! * **Frame-level lookahead.** Window barriers are sized to
 //!   [`RdmaConfig::frame_lookahead`] — the control-frame floor
 //!   (653 ns at default calibration), *not* the WR-level

@@ -451,7 +451,7 @@ impl ClusterShardedSim {
             chain,
             events: run.events,
             messages: run.messages,
-            spilled: run.spilled,
+            spilled: 0,
             windows: run.windows,
             work: run.work,
             critical_path_work: run.critical_path_work,

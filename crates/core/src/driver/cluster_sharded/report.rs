@@ -21,7 +21,8 @@ pub struct ClusterShardedReport {
     pub events: u64,
     /// Inter-node frames delivered through the mailboxes.
     pub messages: u64,
-    /// Mailbox ring overflows (spills, not drops).
+    /// Always 0: the mailboxes are plain vectors that cannot spill. Kept
+    /// for the benchmark, which reports it.
     pub spilled: u64,
     /// Window barriers executed.
     pub windows: u64,
@@ -38,8 +39,7 @@ pub struct ClusterShardedReport {
     /// The critical path's share, by work, of the run's host wall
     /// nanoseconds.
     pub critical_path_ns: u64,
-    /// Per-channel mailbox statistics (spills, high-water marks,
-    /// auto-sized capacities).
+    /// Per-channel statistics (largest single-window delivery).
     pub channels: Vec<ChannelStats>,
     /// Median end-to-end latency from the streaming histogram.
     pub p50: Nanos,

@@ -140,7 +140,8 @@ pub struct MultiNodeReport {
     pub events: u64,
     /// Cross-shard messages delivered through the mailboxes.
     pub messages: u64,
-    /// Mailbox ring overflows (spills, not drops).
+    /// Always 0: the mailboxes are plain vectors that cannot spill. Kept
+    /// for the benchmark, which reports it.
     pub spilled: u64,
     /// Window barriers executed.
     pub windows: u64,
@@ -362,7 +363,7 @@ impl MultiNodeSim {
             load: stats.report(cfg.duration),
             events: run.events,
             messages: run.messages,
-            spilled: run.spilled,
+            spilled: 0,
             windows: run.windows,
             work: run.work,
             critical_path_work: run.critical_path_work,
@@ -405,7 +406,6 @@ mod tests {
         // Every hop of every request crosses the mailboxes.
         assert!(r.messages > 5 * r.load.completed, "messages {}", r.messages);
         assert!(r.windows > 0 && r.events > 0);
-        assert_eq!(r.spilled, 0, "default mailbox capacity must absorb a window");
     }
 
     #[test]

@@ -22,10 +22,8 @@
 //!   (Figs 13–14), multi-tenant fairness (Fig 15) and the full
 //!   function-chain cluster (Fig 16 / Table 2).
 
-// The simulation's memory-safety story is that only the shard mailbox ring
-// (simnet) and the bench counting allocator contain `unsafe` at all; this
-// crate is compiler-certified to stay out of that set (simlint's
-// safety-comments rule covers the two that cannot be).
+// No library crate in the workspace uses `unsafe`: every crate root
+// forbids it, and CI checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod autoscaler;

@@ -11,10 +11,8 @@
 //!   `SK_MSG` hand-off between co-located functions (§3.5.3, Fig 8) exists
 //!   only as its price, [`SkMsgCosts`]: the cluster charges it per hop.
 
-// The simulation's memory-safety story is that only the shard mailbox ring
-// (simnet) and the bench counting allocator contain `unsafe` at all; this
-// crate is compiler-certified to stay out of that set (simlint's
-// safety-comments rule covers the two that cannot be).
+// No library crate in the workspace uses `unsafe`: every crate root
+// forbids it, and CI checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod comch;

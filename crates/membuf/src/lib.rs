@@ -20,10 +20,8 @@
 //!   RNIC DMA or SoC DMA; "zero-copy" is an *asserted invariant*, not a
 //!   slogan.
 
-// The simulation's memory-safety story is that only the shard mailbox ring
-// (simnet) and the bench counting allocator contain `unsafe` at all; this
-// crate is compiler-certified to stay out of that set (simlint's
-// safety-comments rule covers the two that cannot be).
+// No library crate in the workspace uses `unsafe`: every crate root
+// forbids it, and CI checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod desc;

@@ -38,6 +38,10 @@
 //! workspace-is-clean integration test that makes any new violation fail
 //! `cargo test`, not just CI.
 
+// No library crate in the workspace uses `unsafe`: every crate root
+// forbids it, and CI checks that each one does.
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 

@@ -21,6 +21,10 @@
 //!   queueing phenomenon; [`FifoServer`]/[`ServerBank`] model each core, DMA
 //!   engine and NIC port so saturation emerges instead of being scripted.
 
+// No library crate in the workspace uses `unsafe`: every crate root
+// forbids it, and CI checks that each one does.
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod fault;
 pub mod harness;

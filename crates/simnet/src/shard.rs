@@ -28,13 +28,12 @@
 //!
 //! # Determinism
 //!
-//! Cross-shard messages travel through SPSC mailboxes (one ring per pair
-//! of distinct shards). At each barrier the destination shard drains its
-//! inbound rings and merges the batch in **`(time, src, seq)` order**
-//! before scheduling, where `src` is a caller-chosen source key and `seq`
-//! is the per-channel send counter. Transport order — which thread pushed
-//! first, ring vs. overflow spill — is erased by the sort, so reports are
-//! bit-reproducible regardless of thread scheduling. If the engine uses a
+//! At each barrier the destination shard collects the messages sent to it
+//! during the previous window and merges the batch in **`(time, src,
+//! seq)` order** before scheduling, where `src` is a caller-chosen source
+//! key and `seq` is the per-channel send counter. Transport order — which
+//! thread handed its buffer over first — is erased by the sort, so reports
+//! are bit-reproducible regardless of thread scheduling. If the engine uses a
 //! partition-independent `src` key (e.g. the global simulated-node id, as
 //! [`palladium_core`'s multi-node driver] does) and routes **all**
 //! inter-node traffic through the outbox (same-shard destinations
@@ -42,30 +41,24 @@
 //! *count*: the same workload at 1, 2 and 4 shards produces byte-identical
 //! reports (`tests/prop_shard.rs` pins this).
 //!
-//! # Mailbox auto-sizing
+//! # Mailboxes
 //!
-//! Mailboxes start small (`MAILBOX_CAPACITY`, 64 envelopes — a window of
-//! the Fig 16 cluster delivers fewer than ten) and grow: when a window
-//! bursts past the ring into the (counted, mutex-guarded) overflow vector,
-//! the consumer — during the quiesced drain phase, when the ring is empty
-//! and no producer can race — swaps in a ring sized to twice that
-//! window's delivery high-water mark. Steady
-//! state therefore never touches the overflow mutex: only the first window
-//! of a new burst regime spills, and per-channel spill counts plus window
-//! high-water marks are reported in [`ShardRun::channels`] so the policy
-//! is observable.
-//!
-//! A shard's sends to **itself** never cross a thread, so they skip the
-//! ring: [`Outbox::send`] pushes them onto a shard-local vector that the
-//! next barrier's merge appends to the batch before the `(time, src, seq)`
-//! sort — same sequence counter, same merge, same report row in
-//! [`ShardRun::channels`] (a vector grows in place, so it never spills).
+//! A shard's sends wait in its [`Outbox`], one buffer per destination
+//! shard. At the end of its run phase the source hands every non-empty
+//! buffer to the destination's mailbox by swapping it with the mailbox's
+//! buffer, which the destination drained in its last merge and which kept
+//! its allocation — so the steady state allocates nothing. A barrier
+//! separates that hand-over from the destination's next merge, so the
+//! mailbox's lock is never contended: it is only the safe way to move a
+//! buffer between threads. A shard's sends to itself never leave its
+//! outbox; the merge appends them directly. [`ShardRun::channels`] reports
+//! each channel's largest single-window delivery.
 //!
 //! # Execution modes
 //!
 //! [`Execution::Threads`] runs one OS thread per shard with two
-//! [`SpinBarrier`] waits per window (mailboxes quiesce between the drain
-//! and run phases). [`Execution::Sequential`] interleaves the shards on
+//! [`SpinBarrier`] waits per window: one after the merge, one after the
+//! hand-over. [`Execution::Sequential`] interleaves the shards on
 //! the calling thread — same windows, same merges, same results — which
 //! serves as the reference in the determinism tests.
 //!
@@ -95,10 +88,8 @@
 //! [`Sim`]: crate::sim::Sim
 //! [`palladium_core`'s multi-node driver]: self
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::harness::{Effects, Engine, Harness};
@@ -123,193 +114,42 @@ pub struct Envelope<M> {
 }
 
 // ---------------------------------------------------------------------------
-// SPSC mailbox
+// Mailbox
 
-/// Cache-line padding so the producer and consumer cursors of a mailbox
-/// never false-share.
-#[repr(align(64))]
-struct Pad<T>(T);
-
-/// The shared state of one auto-sizing SPSC mailbox. The ring starts at
-/// the configured capacity; when a window bursts past it the producer
-/// spills to the mutex-guarded overflow vector (counted, never dropped) —
-/// the barrier merge sorts everything anyway, so the spill is a
-/// throughput detail, not a correctness event. The consumer reacts to a
-/// spill by swapping in a larger ring during the quiesced drain phase
-/// (see [`Consumer::drain_into`]), so a sustained burst regime spills at
-/// most once.
-struct Channel<M> {
-    /// The ring storage. Behind an `UnsafeCell` because the *consumer*
-    /// replaces it when auto-sizing; the swap only happens while the ring
-    /// is empty and producers are quiesced at the window barrier, whose
-    /// AcqRel arrival chain + Release/Acquire generation hand-off
-    /// publishes the new buffer to the producer before its next push.
-    buf: UnsafeCell<Box<[RingSlot<M>]>>,
-    /// Consumer cursor (next slot to pop).
-    head: Pad<AtomicUsize>,
-    /// Producer cursor (next slot to fill).
-    tail: Pad<AtomicUsize>,
-    overflow: Mutex<Vec<Envelope<M>>>,
-    spilled: AtomicU64,
+/// The hand-over point of one `(source shard, destination shard)` channel.
+/// The source fills it at the end of a window's run phase and the
+/// destination drains it in the next merge phase, with a barrier between
+/// the two (see the module docs).
+struct Mailbox<M> {
+    buf: Mutex<Vec<Envelope<M>>>,
+    /// Set (Release) by the source after a hand-over and read (Acquire) by
+    /// the destination's merge, so an idle channel costs the merge one
+    /// load. The merge clears it; the barrier orders that clear before the
+    /// source's next hand-over.
+    full: AtomicBool,
 }
 
-// SAFETY: the ring is a classic single-producer/single-consumer queue —
-// the producer only writes slots in `[tail, head + cap)` and publishes
-// them with a release store of `tail`; the consumer only reads slots in
-// `[head, tail)` after an acquire load of `tail`. `Producer`/`Consumer`
-// are constructed exactly once per channel, which enforces the SPSC
-// roles. The buffer swap (consumer-only) is confined to the barrier
-// phase where the producer provably does not touch the channel.
-unsafe impl<M: Send> Send for Channel<M> {}
-// SAFETY: same argument as `Send` above — shared access is exactly the
-// SPSC protocol: one producer thread pushing, one consumer thread
-// draining, buffer swaps confined to the quiesced barrier phase.
-unsafe impl<M: Send> Sync for Channel<M> {}
-
-/// One ring slot: interior-mutable so the producer can fill it through a
-/// shared reference, uninitialized until the producer's release-store of
-/// `tail` covers it.
-type RingSlot<M> = UnsafeCell<MaybeUninit<Envelope<M>>>;
-
-fn ring_buf<M>(cap: usize) -> Box<[RingSlot<M>]> {
-    (0..cap).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect()
-}
-
-impl<M> Channel<M> {
-    /// Build one mailbox, returning its two halves.
-    fn pair(cap: usize) -> (Producer<M>, Consumer<M>) {
-        assert!(cap > 0, "mailbox capacity must be positive");
-        let ch = Arc::new(Channel {
-            buf: UnsafeCell::new(ring_buf(cap)),
-            head: Pad(AtomicUsize::new(0)),
-            tail: Pad(AtomicUsize::new(0)),
-            overflow: Mutex::new(Vec::new()),
-            spilled: AtomicU64::new(0),
-        });
-        (
-            Producer(Arc::clone(&ch)),
-            Consumer { ch, seen_spilled: 0, high_water: 0 },
-        )
-    }
-}
-
-impl<M> Drop for Channel<M> {
-    fn drop(&mut self) {
-        // Drop any envelopes still parked in the ring (messages sent in
-        // the final window, arriving past the deadline).
-        let buf = self.buf.get_mut();
-        let tail = *self.tail.0.get_mut();
-        let mut head = *self.head.0.get_mut();
-        while head != tail {
-            // SAFETY: slots in [head, tail) were written and not yet read.
-            unsafe { (*buf[head % buf.len()].get()).assume_init_drop() };
-            head = head.wrapping_add(1);
-        }
-    }
-}
-
-/// Producing half of one SPSC mailbox (held by the source shard's
-/// [`Outbox`]).
-struct Producer<M>(Arc<Channel<M>>);
-
-/// Consuming half of one SPSC mailbox (held by the destination shard).
-struct Consumer<M> {
-    ch: Arc<Channel<M>>,
-    /// Cumulative spill count at the last drain — a drain only touches
-    /// the overflow mutex when the counter moved *since then*, so one
-    /// historic spill does not tax every subsequent window.
-    seen_spilled: u64,
-    /// Largest single-window delivery this channel has seen (the
-    /// auto-sizing signal, reported per channel in [`ShardRun`]).
-    high_water: u64,
-}
-
-impl<M> Producer<M> {
-    fn push(&mut self, env: Envelope<M>) {
-        let ch = &*self.0;
-        // SAFETY: the consumer only replaces the buffer while this
-        // producer is quiesced at the window barrier (which also
-        // publishes the swap); between barriers the pointer is stable.
-        let buf = unsafe { &*ch.buf.get() };
-        let tail = ch.tail.0.load(Ordering::Relaxed);
-        let head = ch.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) == buf.len() {
-            ch.spilled.fetch_add(1, Ordering::Relaxed);
-            // simlint: allow(no-panic-hot-path) — the mutex is poisoned only if a sibling shard already panicked; propagating is the correct response
-            ch.overflow.lock().expect("mailbox overflow lock").push(env);
-            return;
-        }
-        // SAFETY: SPSC — this thread is the only producer, and the slot at
-        // `tail` is outside the consumer's visible `[head, tail)` range.
-        unsafe { (*buf[tail % buf.len()].get()).write(env) };
-        ch.tail.0.store(tail.wrapping_add(1), Ordering::Release);
-    }
-}
-
-impl<M> Consumer<M> {
-    /// Pop everything currently visible into `out` (ring first, then any
-    /// overflow spill), then auto-size: if this window spilled, swap in a
-    /// ring holding twice the window's total delivery, so the next window
-    /// of the same burst regime stays on the lock-free path. Transport
-    /// order is irrelevant — the caller sorts.
-    ///
-    /// Only called from the barrier's drain phase: the producer is
-    /// provably quiescent, which is what makes both the relaxed spill
-    /// check and the buffer swap race-free.
-    fn drain_into(&mut self, out: &mut Vec<Envelope<M>>) {
-        let before = out.len();
-        let ch = &*self.ch;
-        // SAFETY: only this consumer ever replaces the buffer, and the
-        // producer is quiesced for the duration of the drain phase.
-        let buf = unsafe { &*ch.buf.get() };
-        let tail = ch.tail.0.load(Ordering::Acquire);
-        let mut head = ch.head.0.load(Ordering::Relaxed);
-        while head != tail {
-            // SAFETY: SPSC — slots in `[head, tail)` are initialized and
-            // owned by the consumer until `head` advances past them.
-            out.push(unsafe { (*buf[head % buf.len()].get()).assume_init_read() });
-            head = head.wrapping_add(1);
-        }
-        ch.head.0.store(head, Ordering::Release);
-        let spilled = ch.spilled.load(Ordering::Relaxed);
-        if spilled != self.seen_spilled {
-            self.seen_spilled = spilled;
-            {
-                // simlint: allow(no-panic-hot-path) — poisoned only if a sibling shard already panicked; propagating is the correct response
-                let mut of = ch.overflow.lock().expect("mailbox overflow lock");
-                out.append(&mut of);
-            }
-            // Auto-size. The ring is empty (fully drained above, producer
-            // quiesced), so replacing the storage cannot lose entries or
-            // remap live slots; `head == tail` makes the `% len` change
-            // harmless.
-            let drained = out.len() - before;
-            let new_cap = (drained * 2).next_power_of_two();
-            if new_cap > buf.len() {
-                // SAFETY: consumer-exclusive swap of an empty ring during
-                // the quiesced phase (see above); the barrier publishes
-                // it to the producer.
-                unsafe { *ch.buf.get() = ring_buf(new_cap) };
-            }
-        }
-        self.high_water = self.high_water.max((out.len() - before) as u64);
+impl<M> Mailbox<M> {
+    fn new() -> Self {
+        Mailbox { buf: Mutex::new(Vec::new()), full: AtomicBool::new(false) }
     }
 
-    fn spilled(&self) -> u64 {
-        self.ch.spilled.load(Ordering::Relaxed)
-    }
-
-    /// Current ring capacity. Only meaningful once the run has quiesced
-    /// (fold phase) — which is the only caller.
-    fn capacity(&self) -> usize {
-        // SAFETY: called after the run, when no producer is live and this
-        // consumer performs no concurrent swap.
-        unsafe { (&*self.ch.buf.get()).len() }
+    /// Lock the buffer. The phase discipline keeps the lock uncontended.
+    /// Every update under it (a swap, an append) leaves the vector valid,
+    /// so a lock poisoned by a sibling shard's panic — which the barrier
+    /// already propagates — is taken over rather than unwrapped.
+    fn buf(&self) -> std::sync::MutexGuard<'_, Vec<Envelope<M>>> {
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Spin barrier
+
+/// Cache-line padding so per-shard counters written by different threads
+/// never false-share.
+#[repr(align(64))]
+struct Pad<T>(T);
 
 /// A sense-free spinning barrier: window widths are microseconds of
 /// virtual time, so real-time barrier latency is the dominant
@@ -462,12 +302,10 @@ impl Partition {
 /// inter-node through the outbox is what makes reports independent of the
 /// shard count; see the module docs.
 pub struct Outbox<M> {
-    /// One producer per destination shard; `None` marks the shard's own
-    /// slot, whose sends go to `local`.
-    to: Vec<Option<Producer<M>>>,
-    /// Sends to the shard's own nodes, waiting for the next barrier's
-    /// merge. Keeps its capacity across windows.
-    local: Vec<Envelope<M>>,
+    /// One buffer per destination shard, the shard's own included: the
+    /// window's sends, waiting for the hand-over at its end (or, for the
+    /// shard's own, for the next merge).
+    to: Vec<Vec<Envelope<M>>>,
     seq: Vec<u64>,
     /// Start of the next window: every send must arrive at or after it
     /// (the lookahead contract).
@@ -490,11 +328,7 @@ impl<M> Outbox<M> {
         );
         let seq = self.seq[dst_shard];
         self.seq[dst_shard] = seq + 1;
-        let env = Envelope { at, src, seq, msg };
-        match &mut self.to[dst_shard] {
-            Some(ring) => ring.push(env),
-            None => self.local.push(env),
-        }
+        self.to[dst_shard].push(Envelope { at, src, seq, msg });
         self.sent += 1;
     }
 
@@ -544,11 +378,6 @@ pub enum Execution {
     Sequential,
 }
 
-/// Initial SPSC ring capacity per shard pair; a burst past it spills to the
-/// (counted) overflow vector and grows the ring (see the module docs on
-/// auto-sizing).
-const MAILBOX_CAPACITY: usize = 64;
-
 /// Configuration of one sharded run.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
@@ -579,8 +408,7 @@ impl ShardConfig {
     }
 }
 
-/// Per-`(src shard → dst shard)` mailbox statistics, reported so the
-/// auto-sizing policy is observable and spill regressions are
+/// Per-`(src shard → dst shard)` channel statistics, so a traffic burst is
 /// attributable to a channel rather than an aggregate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChannelStats {
@@ -588,15 +416,8 @@ pub struct ChannelStats {
     pub src_shard: usize,
     /// Destination shard of this channel.
     pub dst_shard: usize,
-    /// Envelopes that overflowed the ring into the spill vector (over the
-    /// whole run; steady state after auto-sizing adds zero, and a shard's
-    /// channel to itself never spills).
-    pub spilled: u64,
-    /// Largest single-window delivery (ring + overflow).
+    /// Largest single-window delivery.
     pub high_water: u64,
-    /// Final capacity after auto-sizing: of the ring, or of the local
-    /// vector on a shard's channel to itself.
-    pub capacity: usize,
 }
 
 /// The outcome of a sharded run: the engines (for report merging) plus
@@ -608,10 +429,8 @@ pub struct ShardRun<E> {
     pub events: u64,
     /// Cross-shard messages delivered.
     pub messages: u64,
-    /// Messages that overflowed an SPSC ring into the spill vector.
-    pub spilled: u64,
-    /// Per-channel mailbox statistics (spills, window high-water marks,
-    /// final auto-sized capacities), in `(dst shard, src shard)` order.
+    /// Per-channel statistics, in `(dst shard, src shard)` order, a
+    /// shard's channel to itself included.
     pub channels: Vec<ChannelStats>,
     /// Window barriers executed.
     pub windows: u64,
@@ -655,40 +474,41 @@ impl<E: ShardEngine> Engine for Runner<E> {
     }
 }
 
-/// One shard's full context: kernel, engine+outbox, inbound mailboxes and
-/// counters.
+/// One shard's full context: kernel, engine+outbox, merge buffer and
+/// counters. The mailboxes are shared by all shards, indexed
+/// `src * n + dst`, and passed to the two window phases.
 struct ShardCtx<E: ShardEngine> {
     idx: usize,
     harness: Harness<E::Ev>,
     runner: Runner<E>,
-    /// One consumer per source shard; `None` marks the shard's own slot,
-    /// fed by the outbox's local vector.
-    inbox: Vec<Option<Consumer<E::Msg>>>,
     /// Reused merge buffer.
     inbound: Vec<Envelope<E::Msg>>,
     events: u64,
     delivered: u64,
     /// Messages merged at the start of the window in progress.
     merged: u64,
-    /// Largest single-window delivery from the shard to itself.
-    local_high_water: u64,
+    /// Largest single-window delivery per source shard.
+    high_water: Vec<u64>,
 }
 
 impl<E: ShardEngine> ShardCtx<E> {
-    /// Window phase 1: drain + deterministically merge last window's
+    /// Window phase 1: collect + deterministically merge last window's
     /// cross-shard arrivals into the local queue.
-    fn merge_inbound(&mut self) {
-        for c in &mut self.inbox {
-            match c {
-                Some(ring) => ring.drain_into(&mut self.inbound),
-                // The shard's own sends join the batch where their ring
-                // would have drained.
-                None => {
-                    let local = &mut self.runner.outbox.local;
-                    self.local_high_water = self.local_high_water.max(local.len() as u64);
-                    self.inbound.append(local);
+    fn merge_inbound(&mut self, mailboxes: &[Mailbox<E::Msg>]) {
+        let n = self.high_water.len();
+        for (src, high_water) in self.high_water.iter_mut().enumerate() {
+            let before = self.inbound.len();
+            if src == self.idx {
+                self.inbound.append(&mut self.runner.outbox.to[src]);
+            } else {
+                let mailbox = &mailboxes[src * n + self.idx];
+                if !mailbox.full.load(Ordering::Acquire) {
+                    continue;
                 }
+                mailbox.full.store(false, Ordering::Relaxed);
+                self.inbound.append(&mut mailbox.buf());
             }
+            *high_water = (*high_water).max((self.inbound.len() - before) as u64);
         }
         self.merged = self.inbound.len() as u64;
         if self.merged == 0 {
@@ -704,14 +524,28 @@ impl<E: ShardEngine> ShardCtx<E> {
         }
     }
 
-    /// Window phase 2: run local events strictly before `end`. Returns the
+    /// Window phase 2: run local events strictly before `end`, then hand
+    /// the window's sends to the other shards' mailboxes. Returns the
     /// window's work (messages merged + events processed) — the
     /// critical-path model's raw material, folded by the caller as each
     /// window completes.
-    fn run_window(&mut self, end: Nanos) -> u64 {
+    fn run_window(&mut self, end: Nanos, mailboxes: &[Mailbox<E::Msg>]) -> u64 {
         self.runner.outbox.window_end = end;
         let fired = self.harness.run_window(&mut self.runner, end);
         self.events += fired;
+        let n = self.high_water.len();
+        for (dst, sent) in self.runner.outbox.to.iter_mut().enumerate() {
+            if dst == self.idx || sent.is_empty() {
+                continue;
+            }
+            let mailbox = &mailboxes[self.idx * n + dst];
+            {
+                let mut buf = mailbox.buf();
+                debug_assert!(buf.is_empty(), "shard {dst} has not merged the last hand-over");
+                std::mem::swap(&mut *buf, sent);
+            }
+            mailbox.full.store(true, Ordering::Release);
+        }
         self.merged + fired
     }
 }
@@ -743,17 +577,10 @@ pub fn run_sharded<E: ShardEngine>(
     let w = cfg.window.as_nanos();
     let n_windows = deadline.as_nanos() / w + 1;
 
-    // Mailboxes: producers[src][dst] / consumers filed per destination.
-    // A shard's channel to itself is the outbox's local vector, not a ring.
-    let mut producers: Vec<Vec<Option<Producer<E::Msg>>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut consumers: Vec<Vec<Option<Consumer<E::Msg>>>> = (0..n).map(|_| Vec::new()).collect();
-    for (src, producers_of_src) in producers.iter_mut().enumerate() {
-        for (dst, consumers_of_dst) in consumers.iter_mut().enumerate() {
-            let (p, c) = (src != dst).then(|| Channel::pair(MAILBOX_CAPACITY)).unzip();
-            producers_of_src.push(p);
-            consumers_of_dst.push(c);
-        }
-    }
+    // One mailbox per ordered shard pair, indexed `src * n + dst`; the
+    // diagonal stays unused (a shard's sends to itself stay in its outbox).
+    let mailboxes: Vec<Mailbox<E::Msg>> = (0..n * n).map(|_| Mailbox::new()).collect();
+    let mailboxes = &mailboxes[..];
 
     let mut ctxs: Vec<ShardCtx<E>> = Vec::with_capacity(n);
     for (idx, engine) in engines.into_iter().enumerate() {
@@ -765,19 +592,17 @@ pub fn run_sharded<E: ShardEngine>(
             runner: Runner {
                 engine,
                 outbox: Outbox {
-                    to: std::mem::take(&mut producers[idx]),
-                    local: Vec::with_capacity(MAILBOX_CAPACITY),
+                    to: (0..n).map(|_| Vec::new()).collect(),
                     seq: vec![0; n],
                     window_end: Nanos::ZERO,
                     sent: 0,
                 },
             },
-            inbox: std::mem::take(&mut consumers[idx]),
             inbound: Vec::new(),
             events: 0,
             delivered: 0,
             merged: 0,
-            local_high_water: 0,
+            high_water: vec![0; n],
         });
     }
 
@@ -790,11 +615,11 @@ pub fn run_sharded<E: ShardEngine>(
             for k in 0..n_windows {
                 let end = window_end(k, w, deadline);
                 for ctx in &mut ctxs {
-                    ctx.merge_inbound();
+                    ctx.merge_inbound(mailboxes);
                 }
                 let mut heaviest = 0;
                 for ctx in &mut ctxs {
-                    heaviest = heaviest.max(ctx.run_window(end));
+                    heaviest = heaviest.max(ctx.run_window(end, mailboxes));
                 }
                 critical_path_work += heaviest;
             }
@@ -811,15 +636,15 @@ pub fn run_sharded<E: ShardEngine>(
                 let _poison = PoisonOnUnwind(&barrier);
                 let mut critical = 0u64;
                 for k in 0..n_windows {
-                    ctx.merge_inbound();
-                    // All mailboxes quiesce before anyone refills them:
+                    ctx.merge_inbound(mailboxes);
+                    // Every mailbox is drained before anyone refills it:
                     // a shard ahead in window k+1 must not race a shard
                     // still draining window k's batch.
                     barrier.wait();
-                    let work = ctx.run_window(window_end(k, w, deadline));
+                    let work = ctx.run_window(window_end(k, w, deadline), mailboxes);
                     window_work[ctx.idx].0.store(work, Ordering::Relaxed);
-                    // All of window k's sends are mailboxed before any
-                    // shard starts the next drain.
+                    // All of window k's sends are handed over before any
+                    // shard starts the next merge.
                     barrier.wait();
                     if ctx.idx == 0 {
                         critical += window_work
@@ -854,12 +679,10 @@ pub fn run_sharded<E: ShardEngine>(
     let channels: Vec<ChannelStats> = ctxs
         .iter()
         .flat_map(|c| {
-            c.inbox.iter().enumerate().map(|(src, consumer)| {
-                let (spilled, high_water, capacity) = match consumer {
-                    Some(ring) => (ring.spilled(), ring.high_water, ring.capacity()),
-                    None => (0, c.local_high_water, c.runner.outbox.local.capacity()),
-                };
-                ChannelStats { src_shard: src, dst_shard: c.idx, spilled, high_water, capacity }
+            c.high_water.iter().enumerate().map(|(src, &high_water)| ChannelStats {
+                src_shard: src,
+                dst_shard: c.idx,
+                high_water,
             })
         })
         .collect();
@@ -875,7 +698,6 @@ pub fn run_sharded<E: ShardEngine>(
         engines: Vec::with_capacity(n),
         events: 0,
         messages: 0,
-        spilled: channels.iter().map(|c| c.spilled).sum(),
         channels,
         windows: n_windows,
         busy_ns: work.iter().map(|&units| share(units)).collect(),
@@ -914,63 +736,6 @@ mod tests {
             }
             assert_eq!(seen, nodes);
         }
-    }
-
-    #[test]
-    fn spsc_ring_roundtrips_and_spills() {
-        let (mut p, mut c) = Channel::<u64>::pair(4);
-        for i in 0..7u64 {
-            p.push(Envelope { at: Nanos(i), src: 0, seq: i, msg: i });
-        }
-        assert_eq!(c.spilled(), 3, "capacity 4: three spills");
-        let mut out = Vec::new();
-        c.drain_into(&mut out);
-        let mut got: Vec<u64> = out.iter().map(|e| e.msg).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..7).collect::<Vec<_>>());
-        // Ring reusable after drain.
-        p.push(Envelope { at: Nanos(9), src: 0, seq: 9, msg: 9 });
-        out.clear();
-        c.drain_into(&mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn mailbox_auto_sizes_after_a_spill() {
-        let (mut p, mut c) = Channel::<u64>::pair(4);
-        for i in 0..20u64 {
-            p.push(Envelope { at: Nanos(i), src: 0, seq: i, msg: i });
-        }
-        let mut out = Vec::new();
-        c.drain_into(&mut out);
-        assert_eq!(out.len(), 20);
-        assert_eq!(c.spilled(), 16);
-        assert_eq!(c.high_water, 20);
-        // Grown to twice the window's delivery, rounded up to a power of
-        // two: (20 * 2) → 64.
-        assert_eq!(c.capacity(), 64);
-        // The same burst regime now stays on the lock-free ring.
-        for i in 0..20u64 {
-            p.push(Envelope { at: Nanos(i), src: 0, seq: i, msg: i });
-        }
-        out.clear();
-        c.drain_into(&mut out);
-        assert_eq!(out.len(), 20);
-        assert_eq!(c.spilled(), 16, "no new spills after auto-sizing");
-    }
-
-    #[test]
-    fn spsc_drop_releases_undrained_entries() {
-        // Leak check is structural: Arc payloads would abort under Miri /
-        // assert here if double-dropped; we at least exercise the path.
-        let (mut p, c) = Channel::<std::sync::Arc<u8>>::pair(8);
-        let payload = std::sync::Arc::new(7u8);
-        for i in 0..5 {
-            p.push(Envelope { at: Nanos(i), src: 0, seq: i, msg: std::sync::Arc::clone(&payload) });
-        }
-        drop(p);
-        drop(c); // drops the channel with 5 parked envelopes
-        assert_eq!(std::sync::Arc::strong_count(&payload), 1, "parked envelopes dropped");
     }
 
     /// A deterministic ping workload: every shard owns one node; node `i`
@@ -1128,8 +893,6 @@ mod tests {
                 for st in &run.channels {
                     let active = st.dst_shard == (st.src_shard + 1) % n as usize;
                     assert_eq!(st.high_water > 0, active, "{st:?}");
-                    assert_eq!(st.spilled, 0, "{st:?}");
-                    assert!(st.capacity >= 64);
                 }
                 let delivered: u64 = run.channels.iter().map(|c| c.high_water).sum();
                 assert!(delivered > 0);
@@ -1138,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_past_the_small_default_spills_once_and_loses_nothing() {
+    fn a_burst_loses_nothing_and_merges_in_at_src_seq_order() {
         /// Shard 0 fires the same 1 000-message burst at shard 1 in two
         /// separate windows, with arrival instants and source keys
         /// shuffled against the send order.
@@ -1206,12 +969,7 @@ mod tests {
             assert_eq!(run.messages, 2 * BURST, "{execution:?}: nothing lost");
             assert_eq!(run.engines[1].log, want, "{execution:?}: (at, src, seq) order");
             let st = run.channels.iter().find(|c| (c.src_shard, c.dst_shard) == (0, 1)).unwrap();
-            // The first burst fills the 64-slot ring and spills the rest;
-            // the ring regrown to twice the delivery holds the second.
-            assert_eq!(st.spilled, BURST - 64, "{execution:?}: only the first burst spills");
             assert_eq!(st.high_water, BURST, "{execution:?}");
-            assert_eq!(st.capacity, 2_048, "{execution:?}");
-            assert_eq!(run.spilled, st.spilled, "{execution:?}: no other channel spilled");
         }
     }
 

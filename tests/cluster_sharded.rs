@@ -135,8 +135,8 @@ fn a_config_assembled_through_its_fields_is_still_validated() {
 
 #[test]
 fn mailboxes_report_their_high_water_marks() {
-    // Satellite instrumentation: every cross-shard channel of a parallel
-    // run exposes spill counts and auto-sized high-water marks.
+    // Every channel of a parallel run reports its largest single-window
+    // delivery.
     let sim = ClusterShardedSim::new(golden_cfg());
     let r = sim.run(4, Execution::Threads);
     assert_eq!(r.channels.len(), 4 * 4, "one stats row per shard pair");
@@ -145,7 +145,4 @@ fn mailboxes_report_their_high_water_marks() {
         r.channels.iter().any(|c| c.high_water > 0),
         "some channel carried traffic"
     );
-    for c in &r.channels {
-        assert!(c.capacity.is_power_of_two(), "auto-sizing keeps pow2 rings");
-    }
 }

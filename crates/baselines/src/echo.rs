@@ -406,8 +406,7 @@ impl Engine for EchoEngine {
                     match out {
                         RdmaOutput::CqReady { node } => {
                             // One doorbell wakeup retires the whole CQ
-                            // window (the doorbell stays down until the CQ
-                            // drains empty).
+                            // window (the drain re-arms the doorbell).
                             let mut cqes = std::mem::take(&mut self.cqe_scratch);
                             cqes.clear();
                             self.net.drain_cq_into(node, &mut cqes);

@@ -103,9 +103,10 @@ impl ConnPool {
         self.node
     }
 
-    /// Warm up connections to `peer` for `tenant` on the given fabric,
-    /// using immediate establishment (the paper's pools are pre-established
-    /// before traffic; the multi-ms handshake cost is what the pool hides).
+    /// Warm up connections to `peer` for `tenant` on the given fabric with
+    /// [`RdmaNet::connect_immediate`], the fabric's only way to connect
+    /// (the paper's pools are pre-established before traffic; the
+    /// handshake §3.3 prices at tens of milliseconds is what they hide).
     /// Returns the local QPNs created.
     pub fn warm_up(&mut self, net: &mut RdmaNet, peer: NodeId, tenant: TenantId) -> Vec<Qpn> {
         let mut qpns = Vec::new();
@@ -235,7 +236,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use palladium_membuf::{MmapExporter, PoolId, Region};
-    use palladium_rdma::{RdmaConfig, WorkRequest, WrId};
+    use palladium_rdma::{RdmaConfig, Step, WorkRequest, WrId};
     use palladium_simnet::Nanos;
 
     fn net() -> RdmaNet {
@@ -246,6 +247,14 @@ mod tests {
             net.register_mr(node, &e.export_rdma()).unwrap();
         }
         net
+    }
+
+    /// Queue one SEND on `qpn` without running the simulation (the
+    /// doorbell event is never handled), leaving the QP active.
+    fn post(net: &mut RdmaNet, qpn: Qpn) {
+        let wr = WorkRequest::send(WrId(1), Bytes::from_static(b"x"), 0);
+        net.post_send_into(Nanos::ZERO, NodeId(0), qpn, wr, &mut Step::default())
+            .unwrap();
     }
 
     #[test]
@@ -263,16 +272,9 @@ mod tests {
         let mut net = net();
         let mut pool = ConnPool::new(NodeId(0), ConnPoolConfig::default());
         let qpns = pool.warm_up(&mut net, NodeId(1), TenantId(1));
-        // Load the first QP with unsent work by posting without running the
-        // simulation (the doorbell event is never handled).
+        // Load the first QP with unsent work.
         for _ in 0..3 {
-            net.post_send(
-                Nanos::ZERO,
-                NodeId(0),
-                qpns[0],
-                WorkRequest::send(WrId(1), Bytes::from_static(b"x"), 0),
-            )
-            .unwrap();
+            post(&mut net, qpns[0]);
         }
         let picked = pool.select(&net, NodeId(1), TenantId(1)).unwrap();
         assert_ne!(picked, qpns[0], "loaded QP must not be picked");
@@ -290,13 +292,7 @@ mod tests {
         );
         let qpns = pool.warm_up(&mut net, NodeId(1), TenantId(1));
         // Activate exactly one QP.
-        net.post_send(
-            Nanos::ZERO,
-            NodeId(0),
-            qpns[1],
-            WorkRequest::send(WrId(1), Bytes::from_static(b"x"), 0),
-        )
-        .unwrap();
+        post(&mut net, qpns[1]);
         assert_eq!(pool.active_count(&net), 1);
         // At the cap: selection must reuse the active QP rather than waking
         // another (which would thrash the QP cache).
@@ -323,13 +319,7 @@ mod tests {
         let qpns = pool.warm_up(&mut net, NodeId(1), TenantId(1));
         assert_eq!(pool.pool_size(NodeId(1), TenantId(1)), 4);
         // Error two QPs, one of them with work still outstanding.
-        net.post_send(
-            Nanos::ZERO,
-            NodeId(0),
-            qpns[0],
-            WorkRequest::send(WrId(1), Bytes::from_static(b"x"), 0),
-        )
-        .unwrap();
+        post(&mut net, qpns[0]);
         for q in [qpns[0], qpns[1]] {
             net.rnic_mut(NodeId(0)).qp_mut(q).unwrap().set_error();
         }

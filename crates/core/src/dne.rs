@@ -433,7 +433,6 @@ impl Dne {
                     // driver decides whether to re-establish.
                 }
             }
-            CqeKind::ReadData => {}
         }
     }
 }

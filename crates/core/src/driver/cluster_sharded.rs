@@ -685,7 +685,6 @@ impl ClusterShard {
                     let _ = self.pools[li].free(token);
                 }
             }
-            CqeKind::ReadData => {}
         }
     }
 

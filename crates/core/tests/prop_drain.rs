@@ -40,8 +40,6 @@ enum CqeSpec {
     SendDoneStale,
     /// SendDone with an error status.
     SendDoneFailed(usize),
-    /// ReadData (ignored by the engine; must stay a no-op in both paths).
-    ReadData,
 }
 
 fn cqe_spec() -> impl Strategy<Value = CqeSpec> {
@@ -51,7 +49,6 @@ fn cqe_spec() -> impl Strategy<Value = CqeSpec> {
         3 => (0usize..8).prop_map(CqeSpec::SendDone),
         1 => Just(CqeSpec::SendDoneStale),
         1 => (0usize..8).prop_map(CqeSpec::SendDoneFailed),
-        1 => Just(CqeSpec::ReadData),
     ]
 }
 
@@ -149,13 +146,6 @@ fn materialize(spec: CqeSpec, rig: &Rig) -> Cqe {
             CqeKind::SendDone(OpKind::Send),
             CqeStatus::RetryExceeded,
             Bytes::new(),
-            0,
-        ),
-        CqeSpec::ReadData => (
-            WrId(u64::MAX - 3),
-            CqeKind::ReadData,
-            CqeStatus::Success,
-            Bytes::from_static(b"readback"),
             0,
         ),
     };

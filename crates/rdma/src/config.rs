@@ -52,8 +52,6 @@ pub struct RdmaConfig {
     pub mtt_cache_entries: u64,
     /// Extra per-op penalty when registered MTT entries exceed the cache.
     pub mtt_miss_penalty: Nanos,
-    /// RC connection establishment latency — "tens of milliseconds" (§3.3).
-    pub connect_latency: Nanos,
 }
 
 impl Default for RdmaConfig {
@@ -76,7 +74,6 @@ impl Default for RdmaConfig {
             qp_cache_miss_penalty: Nanos::from_nanos(600),
             mtt_cache_entries: 64 * 1024,
             mtt_miss_penalty: Nanos::from_nanos(250),
-            connect_latency: Nanos::from_millis(20),
         }
     }
 }
@@ -187,6 +184,5 @@ mod tests {
         assert!(c.send_window >= 1);
         assert!(c.rto > c.one_way(8192) * 2, "RTO must exceed an RTT");
         assert_eq!(c.link_gbps, 200.0);
-        assert!(c.connect_latency >= Nanos::from_millis(10), "tens of ms");
     }
 }

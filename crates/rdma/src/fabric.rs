@@ -2,7 +2,8 @@
 //!
 //! The fabric itself (serialization, propagation, fault injection) is
 //! orchestrated by [`crate::net::RdmaNet`]; this module defines what travels
-//! on it.
+//! on it: data frames (a SEND or a WRITE, each with its PSN), the RC
+//! control frames that acknowledge them, and liveness probes.
 
 use bytes::Bytes;
 
@@ -37,21 +38,18 @@ pub struct Packet {
 /// re-materializing one.
 #[derive(Clone, Debug)]
 pub enum PacketKind {
-    /// A data-bearing message (SEND / WRITE / READ request) with its PSN.
+    /// A data-bearing message (SEND / WRITE) with its PSN.
     Data {
         /// Sequence number within the connection.
         psn: u64,
-        /// Poster-chosen id (echoed in completions; READ responses carry
-        /// it back).
+        /// Poster-chosen id.
         wr_id: WrId,
         /// Operation kind.
         op: OpKind,
-        /// Payload handle for SEND/WRITE (empty for READ requests).
+        /// Payload handle.
         payload: Bytes,
         /// Remote address for one-sided operations.
         remote: Option<RemoteAddr>,
-        /// Bytes to fetch for READ.
-        read_len: u32,
         /// Application immediate data.
         imm: u64,
     },
@@ -77,35 +75,17 @@ pub enum PacketKind {
         /// Sender-local monotonically increasing probe number.
         seq: u64,
     },
-    /// Response to a one-sided READ. Modelled as reliable (no Palladium
-    /// experiment exercises READ; see `net` module docs).
-    ReadResp {
-        /// WR id of the originating READ.
-        wr_id: WrId,
-        /// PSN of the originating READ request.
-        orig_psn: u64,
-        /// The fetched bytes.
-        data: Bytes,
-    },
 }
 
 impl Packet {
     /// Wire size of this frame in bytes, given the per-message header size.
     pub fn wire_bytes(&self, header_bytes: u64, ack_bytes: u64) -> u64 {
         match &self.kind {
-            PacketKind::Data { op, payload, .. } => {
-                // The request itself is header-only for READ.
-                let body = match op {
-                    OpKind::Read => 0,
-                    OpKind::Send | OpKind::Write => payload.len() as u64,
-                };
-                header_bytes + body
-            }
+            PacketKind::Data { payload, .. } => header_bytes + payload.len() as u64,
             PacketKind::Ack { .. }
             | PacketKind::Nak { .. }
             | PacketKind::RnrNak { .. }
             | PacketKind::Heartbeat { .. } => ack_bytes,
-            PacketKind::ReadResp { data, .. } => header_bytes + data.len() as u64,
         }
     }
 
@@ -138,7 +118,6 @@ mod tests {
                 op: OpKind::Send,
                 payload: Bytes::from(vec![0u8; 4096]),
                 remote: None,
-                read_len: 0,
                 imm: 0,
             },
             corrupted: false,
@@ -148,20 +127,9 @@ mod tests {
 
         let ack = Packet {
             kind: PacketKind::Ack { upto: 5 },
-            ..data.clone()
+            ..data
         };
         assert_eq!(ack.wire_bytes(40, 64), 64);
         assert!(ack.is_control());
-
-        let rr = Packet {
-            kind: PacketKind::ReadResp {
-                wr_id: WrId(1),
-                orig_psn: 3,
-                data: Bytes::from(vec![0u8; 100]),
-            },
-            ..data
-        };
-        assert_eq!(rr.wire_bytes(40, 64), 140);
-        assert!(!rr.is_control());
     }
 }

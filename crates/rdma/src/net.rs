@@ -1,10 +1,20 @@
 //! `RdmaNet` — the fabric orchestrator tying QPs, RNICs and links together.
 //!
-//! `RdmaNet` is a *sub-simulator*: drivers call [`RdmaNet::post_send`] /
-//! [`RdmaNet::handle`] and receive a [`Step`] containing (a) timed
+//! `RdmaNet` is a *sub-simulator* with one way through it:
+//!
+//! * **connect** — [`RdmaNet::connect_immediate`] (or
+//!   [`RdmaNet::connect_pair_immediate`] across two span instances) wires
+//!   a pre-warmed RC pair straight into RTS, as the §3.3 connection pool
+//!   does at startup;
+//! * **post** — [`RdmaNet::post_send_into`] queues a SEND or WRITE;
+//! * **step** — [`RdmaNet::handle_into`] advances one [`RdmaEvent`];
+//! * **reap** — [`RdmaNet::drain_cq_into`] takes a node's whole CQ
+//!   backlog when a [`RdmaOutput::CqReady`] says it is non-empty.
+//!
+//! Posting and stepping append to a caller-owned [`Step`]: (a) timed
 //! [`RdmaEvent`]s the driver must re-inject into its own event loop and (b)
-//! [`RdmaOutput`]s describing externally visible effects (completions ready,
-//! one-sided writes landed, connections established). This keeps the RDMA
+//! [`RdmaOutput`]s describing externally visible effects (completions
+//! ready, one-sided writes landed, QPs failed). This keeps the RDMA
 //! protocol fully testable on its own: the unit tests below run entire
 //! lossy-fabric exchanges by trampolining events through a bare
 //! [`palladium_simnet::Sim`].
@@ -12,25 +22,25 @@
 //! Reliability model (RC, message granularity): go-back-N with cumulative
 //! ACKs, NAK-on-gap, RNR NAK + retry for SENDs without receive buffers, and
 //! an RTO guarding ACK loss. Corrupted frames are dropped by the receiver's
-//! CRC check and recovered the same way. READ responses are modelled as
-//! reliable (documented deviation — no Palladium experiment exercises READ).
+//! CRC check and recovered the same way. Faults are injected per
+//! destination port from that node's [`FaultTimeline`]
+//! ([`RdmaNet::set_node_fault`]), per directed link, and by partition
+//! windows.
 
 use bytes::Bytes;
 
 use palladium_membuf::{MmapExport, NodeId, TenantId};
-use palladium_simnet::{
-    summed_report, FaultPlan, FaultTimeline, Nanos, SimRng, Slab, Timed, Verdict,
-};
+use palladium_simnet::{summed_report, FaultTimeline, Nanos, SimRng, Timed, Verdict};
 
 use crate::config::RdmaConfig;
 use crate::fabric::{Packet, PacketKind};
 use crate::mr::MrKey;
 use crate::qp::{Inflight, RxDecision};
 use crate::rnic::{Rnic, RnicError, RqEntry};
-use crate::verbs::{Cqe, CqeKind, CqeStatus, OpKind, Qpn, RemoteAddr, WorkRequest, WrId};
+use crate::verbs::{Cqe, CqeKind, CqeStatus, OpKind, Qpn, RemoteAddr, WorkRequest};
 
 /// Events `RdmaNet` schedules for itself; drivers wrap them in their own
-/// event enum and hand them back via [`RdmaNet::handle`].
+/// event enum and hand them back via [`RdmaNet::handle_into`].
 #[derive(Clone, Debug)]
 pub enum RdmaEvent {
     /// Try to transmit pending SQ entries on a QP.
@@ -69,27 +79,15 @@ pub enum RdmaEvent {
         /// The QP.
         qpn: Qpn,
     },
-    /// Connection handshake finished.
-    ConnectDone {
-        /// First endpoint node.
-        a: NodeId,
-        /// First endpoint QP.
-        qa: Qpn,
-        /// Second endpoint node.
-        b: NodeId,
-        /// Second endpoint QP.
-        qb: Qpn,
-    },
 }
 
 /// Externally visible effects of a step.
 #[derive(Clone, Debug)]
 pub enum RdmaOutput {
     /// `node`'s shared CQ went non-empty and its doorbell was armed: drain
-    /// it (e.g. [`RdmaNet::drain_cq_into`]). At most one `CqReady` is
-    /// raised per node until the consumer drains the CQ empty (which
-    /// re-arms the doorbell), so the handler must retire the *whole*
-    /// backlog, not a fixed-size window.
+    /// it with [`RdmaNet::drain_cq_into`], which takes the whole backlog
+    /// and re-arms the doorbell. At most one `CqReady` is raised per node
+    /// between drains.
     CqReady {
         /// Node whose CQ has entries.
         node: NodeId,
@@ -106,31 +104,6 @@ pub enum RdmaOutput {
         /// Sender immediate data.
         imm: u64,
         /// Tenant owning the target QP.
-        tenant: TenantId,
-    },
-    /// A one-sided READ wants `len` bytes from `addr` on `node`; the driver
-    /// must answer via [`RdmaNet::complete_read`].
-    ReadRequested {
-        /// Responder node.
-        node: NodeId,
-        /// Source address.
-        addr: RemoteAddr,
-        /// Bytes requested.
-        len: u32,
-        /// Handle to pass to `complete_read`.
-        handle: u64,
-    },
-    /// A connection pair became ready to send.
-    Connected {
-        /// First endpoint node.
-        a: NodeId,
-        /// First endpoint QP.
-        qa: Qpn,
-        /// Second endpoint node.
-        b: NodeId,
-        /// Second endpoint QP.
-        qb: Qpn,
-        /// Tenant owning the connection.
         tenant: TenantId,
     },
     /// A QP exhausted its retries and moved to `Error`.
@@ -182,13 +155,6 @@ impl Step {
         self.events.push(Timed::new(after, ev));
     }
 
-    /// Merge another step into this one.
-    pub fn merge(&mut self, other: Step) {
-        self.events.extend(other.events);
-        self.outputs.extend(other.outputs);
-        self.egress.extend(other.egress);
-    }
-
     /// Empty the lists, keeping their capacity — drivers reuse one `Step`
     /// across [`RdmaNet::handle_into`] calls so steady-state stepping
     /// allocates nothing.
@@ -197,15 +163,6 @@ impl Step {
         self.outputs.clear();
         self.egress.clear();
     }
-}
-
-struct ReadCtx {
-    requester: NodeId,
-    requester_qpn: Qpn,
-    responder: NodeId,
-    responder_qpn: Qpn,
-    wr_id: WrId,
-    orig_psn: u64,
 }
 
 summed_report! {
@@ -268,15 +225,12 @@ pub struct RdmaNet {
     /// [`Step::egress`] (same-span destinations included — routing all
     /// frames uniformly is what makes sharded runs shard-count-invariant).
     sharded_egress: bool,
-    /// Fabric-wide fault plan — the fallback when a node has no
-    /// [`FaultTimeline`] of its own (`set_fault` back-compat).
-    fault: FaultPlan,
-    /// Per-owned-node fault timelines (indexed `node - base`); an empty
-    /// timeline falls back to the net-level `fault` plan.
+    /// Per-owned-node fault timelines (indexed `node - base`); empty means
+    /// a fault-free port.
     node_faults: Vec<FaultTimeline>,
     /// Directed-link fault timelines (indexed `dst - base`, entries keyed
     /// by global *source* id): gray faults pinned to one `src → dst`
-    /// direction. A non-none link plan overrides the port/net plan for
+    /// direction. A non-none link plan overrides the port plan for
     /// that frame only; verdicts still draw from the destination node's
     /// stream, so link faults stay shard-count invariant.
     link_faults: Vec<Vec<(u16, FaultTimeline)>>,
@@ -293,11 +247,6 @@ pub struct RdmaNet {
     down: Vec<Vec<(Nanos, Nanos)>>,
     /// Fabric-wide protocol counters.
     pub counters: NetCounts,
-    /// Outstanding one-sided READs, keyed by generation-checked slab
-    /// handles (handles are handed to the driver and come back via
-    /// [`RdmaNet::complete_read`]; slots recycle, generations catch stale
-    /// handles).
-    reads: Slab<ReadCtx>,
     /// Scratch for cumulative-ACK retirement (one use per ACK frame).
     ack_scratch: Vec<Inflight>,
     /// Scratch for a transmit window's frames (one use per TX kick).
@@ -322,10 +271,8 @@ impl RdmaNet {
             link_faults: span.clone().map(|_| Vec::new()).collect(),
             rnics: span.map(|i| Rnic::new(NodeId(i as u16))).collect(),
             sharded_egress: false,
-            fault: FaultPlan::NONE,
             down: Vec::new(),
             counters: NetCounts::default(),
-            reads: Slab::new(),
             ack_scratch: Vec::new(),
             frame_scratch: Vec::new(),
         }
@@ -338,16 +285,11 @@ impl RdmaNet {
         self.sharded_egress = on;
     }
 
-    /// Install a fabric-wide fault plan (fallback for nodes without a
-    /// dedicated timeline — see [`RdmaNet::set_node_fault`]).
-    pub fn set_fault(&mut self, plan: FaultPlan) {
-        self.fault = plan;
-    }
-
     /// Install a fault timeline on one node's ingress port (`node` is
-    /// global and must lie in this instance's span). Overrides the
-    /// net-level plan for that node; an empty timeline restores the
-    /// fallback.
+    /// global and must lie in this instance's span). Every frame arriving
+    /// at `node` is judged by the plan active at its arrival instant; an
+    /// empty timeline is a fault-free port. Setting the same timeline on
+    /// every node is the fabric-wide fault.
     pub fn set_node_fault(&mut self, node: NodeId, timeline: FaultTimeline) {
         let idx = node.raw() as usize - self.base;
         self.node_faults[idx] = timeline;
@@ -355,7 +297,7 @@ impl RdmaNet {
 
     /// Install a fault timeline on the directed link `src → dst` (`dst`
     /// must lie in this instance's span; `src` is any global node). While
-    /// the timeline has an active plan it overrides the port/net plan for
+    /// the timeline has an active plan it overrides the port plan for
     /// frames on that link only — the reverse direction and every other
     /// source are untouched, which is what makes a gray fault asymmetric.
     pub fn set_link_fault(&mut self, src: NodeId, dst: NodeId, timeline: FaultTimeline) {
@@ -404,29 +346,18 @@ impl RdmaNet {
         self.rnic_mut(node).register_mr(export)
     }
 
-    /// Establish an RC connection between `a` and `b` for `tenant`. Returns
-    /// the two QPNs plus a [`Step`] whose `ConnectDone` fires after the
-    /// realistic multi-millisecond handshake (§3.3).
-    pub fn connect(&mut self, a: NodeId, b: NodeId, tenant: TenantId) -> (Qpn, Qpn, Step) {
-        let (qa, qb) = self.create_pair(a, b, tenant);
-        let mut step = Step::default();
-        step.push_event(self.cfg.connect_latency, RdmaEvent::ConnectDone { a, qa, b, qb });
-        (qa, qb, step)
-    }
-
-    /// Create a pre-warmed connection in RTS immediately (tests; and the
-    /// connection pool's startup warm-up).
+    /// Wire a pre-warmed RC connection between `a` and `b` for `tenant`,
+    /// both halves in RTS at once. This (with
+    /// [`RdmaNet::connect_pair_immediate`]) is the only way to connect:
+    /// the §3.3 connection pool pre-warms every connection before traffic,
+    /// so no run waits on a handshake. The one setup cost a run ever pays
+    /// is the rejoin bill's per-QP `qp_setup`, charged by the driver.
     pub fn connect_immediate(&mut self, a: NodeId, b: NodeId, tenant: TenantId) -> (Qpn, Qpn) {
-        let (qa, qb) = self.create_pair(a, b, tenant);
-        self.rnic_mut(a).qp_mut(qa).expect("fresh qp").set_ready();
-        self.rnic_mut(b).qp_mut(qb).expect("fresh qp").set_ready();
-        (qa, qb)
-    }
-
-    fn create_pair(&mut self, a: NodeId, b: NodeId, tenant: TenantId) -> (Qpn, Qpn) {
         let qa = self.rnic_mut(a).create_qp(tenant, b, Qpn(0));
         let qb = self.rnic_mut(b).create_qp(tenant, a, qa);
         self.rnic_mut(a).set_peer(qa, qb);
+        self.rnic_mut(a).qp_mut(qa).expect("fresh qp").set_ready();
+        self.rnic_mut(b).qp_mut(qb).expect("fresh qp").set_ready();
         (qa, qb)
     }
 
@@ -452,24 +383,11 @@ impl RdmaNet {
         (qa, qb)
     }
 
-    /// Post a send-side work request (SEND/WRITE/READ). The returned step
-    /// carries the doorbell-delayed `TxKick`.
-    pub fn post_send(
-        &mut self,
-        now: Nanos,
-        node: NodeId,
-        qpn: Qpn,
-        wr: WorkRequest,
-    ) -> Result<Step, RnicError> {
-        let mut step = Step::default();
-        self.post_send_into(now, node, qpn, wr, &mut step)?;
-        Ok(step)
-    }
-
-    /// [`RdmaNet::post_send`] appending into a caller-owned [`Step`]:
-    /// drivers posting on their hot path reuse one `Step` so each post
-    /// costs no allocation (a fresh `Step`'s event vector is one heap
-    /// allocation per post otherwise).
+    /// Post a send-side work request (SEND/WRITE), appending the
+    /// doorbell-delayed `TxKick` to a caller-owned [`Step`]: drivers reuse
+    /// one `Step` so each post costs no allocation. Fails, appending
+    /// nothing, on an unknown QPN or a QP not in RTS (e.g. one a retry
+    /// exhaustion moved to `Error`).
     pub fn post_send_into(
         &mut self,
         _now: Nanos,
@@ -489,46 +407,12 @@ impl RdmaNet {
         self.rnic_mut(node).post_recv(tenant, entry)
     }
 
-    /// Poll up to `max` completions from `node`'s shared CQ.
-    pub fn poll_cq(&mut self, node: NodeId, max: usize) -> Vec<Cqe> {
-        self.rnic_mut(node).poll_cq(max)
-    }
-
-    /// Drain the entire CQ backlog of `node` into `out` (appending),
-    /// re-arming the CQ doorbell. This is the batched consumer API: the
-    /// fabric raises at most one [`RdmaOutput::CqReady`] per node between
-    /// drains, so the handler for that one wakeup retires the whole
-    /// window.
+    /// Drain the entire CQ backlog of `node` into `out` (appending) and
+    /// re-arm its doorbell. This is the CQ's only consumer: the fabric
+    /// raises at most one [`RdmaOutput::CqReady`] per node between drains,
+    /// and the handler for that one wakeup retires the whole backlog.
     pub fn drain_cq_into(&mut self, node: NodeId, out: &mut Vec<Cqe>) {
         self.rnic_mut(node).drain_cq_into(out)
-    }
-
-    /// Completions waiting on `node`.
-    pub fn cq_depth(&self, node: NodeId) -> usize {
-        self.rnic(node).cq_depth()
-    }
-
-    /// Answer a `ReadRequested` output with the fetched bytes.
-    // simlint: allow(unreached-pub) — responder half of the one-sided READ verb: the requester half (`ReadReq`/`ReadResp` frame arms, `ReadCtx`) is on the fabric's run path, and no driver issues READs yet
-    pub fn complete_read(&mut self, now: Nanos, handle: u64, data: Bytes) -> Step {
-        let mut step = Step::default();
-        let Some(ctx) = self.reads.remove(handle) else {
-            return step;
-        };
-        let pkt = Packet {
-            src: ctx.responder,
-            dst: ctx.requester,
-            src_qpn: ctx.responder_qpn,
-            dst_qpn: ctx.requester_qpn,
-            kind: PacketKind::ReadResp {
-                wr_id: ctx.wr_id,
-                orig_psn: ctx.orig_psn,
-                data,
-            },
-            corrupted: false,
-        };
-        self.transmit(now, pkt, &mut step);
-        step
     }
 
     /// Emit a liveness probe from `from` (which must lie in this
@@ -668,8 +552,8 @@ impl RdmaNet {
     }
 
     /// Apply a cumulative acknowledgement: retire every inflight message
-    /// with `psn <= upto`, generating success completions (READs complete on
-    /// data arrival instead). Resets the retry budget on progress.
+    /// with `psn <= upto`, generating success completions. Resets the retry
+    /// budget on progress.
     fn retire_acked(&mut self, node: NodeId, qpn: Qpn, upto: u64, step: &mut Step) {
         self.counters.ack_rx += 1;
         let mut retired = std::mem::take(&mut self.ack_scratch);
@@ -688,10 +572,6 @@ impl RdmaNet {
         self.counters.ack_retired += retired.len() as u64;
         let mut notify = false;
         for msg in retired.drain(..) {
-            // READ completes on data arrival, not on request-ack.
-            if msg.wr.op == OpKind::Read {
-                continue;
-            }
             let cqe = Cqe {
                 wr_id: msg.wr.wr_id,
                 kind: CqeKind::SendDone(msg.wr.op),
@@ -739,30 +619,22 @@ impl RdmaNet {
         step.outputs.push(RdmaOutput::QpError { node, qpn });
     }
 
-    /// Advance the sub-simulator by one event.
-    pub fn handle(&mut self, now: Nanos, ev: RdmaEvent) -> Step {
-        let mut step = Step::default();
-        self.handle_into(now, ev, &mut step);
-        step
-    }
-
-    /// [`RdmaNet::handle`] appending into a caller-owned [`Step`]: drivers
-    /// keep one `Step` (cleared between events) so the fabric's per-event
-    /// processing performs no allocation in steady state.
+    /// Advance the sub-simulator by one event, appending into a
+    /// caller-owned [`Step`]: drivers keep one `Step` (cleared between
+    /// events) so the fabric's per-event processing performs no allocation
+    /// in steady state.
     pub fn handle_into(&mut self, now: Nanos, ev: RdmaEvent, step: &mut Step) {
         match ev {
             RdmaEvent::TxKick { node, qpn } => {
                 self.tx_kick(now, node, qpn, step);
             }
             RdmaEvent::Arrive { mut pkt } => {
-                // Fault injection at the destination port. READ responses
-                // are exempt (modelled reliable; see module docs).
-                let exempt = matches!(pkt.kind, PacketKind::ReadResp { .. });
-                // Partition windows first: a crashed endpoint drops the
-                // frame deterministically, without touching any RNG
-                // stream (so a crash scenario perturbs no other node's
-                // verdict sequence).
-                if !exempt && (self.node_down(pkt.src, now) || self.node_down(pkt.dst, now)) {
+                // Fault injection at the destination port. Partition
+                // windows first: a crashed endpoint drops the frame
+                // deterministically, without touching any RNG stream (so a
+                // crash scenario perturbs no other node's verdict
+                // sequence).
+                if self.node_down(pkt.src, now) || self.node_down(pkt.dst, now) {
                     self.counters.crash_drop += 1;
                     return;
                 }
@@ -771,11 +643,7 @@ impl RdmaNet {
                 // net-level RNG — so verdicts are identical at every
                 // shard count.
                 let idx = pkt.dst.raw() as usize - self.base;
-                let mut plan = if self.node_faults[idx].is_none() {
-                    self.fault
-                } else {
-                    self.node_faults[idx].plan_at(now)
-                };
+                let mut plan = self.node_faults[idx].plan_at(now);
                 // A directed-link timeline (gray fault on src → dst)
                 // overrides the port plan while active. Selection is
                 // deterministic by (src, dst, now); the verdict still
@@ -788,30 +656,23 @@ impl RdmaNet {
                         plan = lp;
                     }
                 }
-                if !exempt {
-                    match plan.judge(now, &mut self.fault_rngs[idx]) {
-                        Verdict::Drop => {
-                            self.counters.drop += 1;
-                            return;
-                        }
-                        Verdict::Corrupt => {
-                            self.counters.corrupt += 1;
-                            pkt.corrupted = true;
-                        }
-                        Verdict::Pass => {}
+                match plan.judge(now, &mut self.fault_rngs[idx]) {
+                    Verdict::Drop => {
+                        self.counters.drop += 1;
+                        return;
                     }
+                    Verdict::Corrupt => {
+                        self.counters.corrupt += 1;
+                        pkt.corrupted = true;
+                    }
+                    Verdict::Pass => {}
                 }
                 let extra = plan.extra_delay(now, &mut self.fault_rngs[idx]);
-                let service = if pkt.is_control() {
-                    Nanos::from_nanos(150)
-                } else {
-                    let payload = match &pkt.kind {
-                        PacketKind::Data { op: OpKind::Read, .. } => 0,
-                        PacketKind::Data { payload, .. } => payload.len() as u64,
-                        PacketKind::ReadResp { data, .. } => data.len() as u64,
-                        _ => 0,
-                    };
-                    self.cfg.rx_pipeline + self.cfg.per_byte.cost(payload)
+                let service = match &pkt.kind {
+                    PacketKind::Data { payload, .. } => {
+                        self.cfg.rx_pipeline + self.cfg.per_byte.cost(payload.len() as u64)
+                    }
+                    _ => Nanos::from_nanos(150),
                 };
                 let rx = &mut self.rnic_mut(pkt.dst).rx_engine;
                 let done = rx.submit(now + extra, service);
@@ -880,18 +741,6 @@ impl RdmaNet {
                 }
                 self.tx_kick(now, node, qpn, step);
             }
-            RdmaEvent::ConnectDone { a, qa, b, qb } => {
-                let tenant = {
-                    let qp = self.rnic_mut(a).qp_mut(qa).expect("connect qp");
-                    qp.set_ready();
-                    qp.tenant
-                };
-                self.rnic_mut(b).qp_mut(qb).expect("connect qp").set_ready();
-                step.outputs.push(RdmaOutput::Connected { a, qa, b, qb, tenant });
-                // Work may have been posted while connecting.
-                step.push_event(Nanos::ZERO, RdmaEvent::TxKick { node: a, qpn: qa });
-                step.push_event(Nanos::ZERO, RdmaEvent::TxKick { node: b, qpn: qb });
-            }
         }
     }
 
@@ -909,12 +758,11 @@ impl RdmaNet {
         match kind {
             PacketKind::Data {
                 psn,
-                wr_id,
                 op,
                 payload,
                 remote,
-                read_len,
                 imm,
+                ..
             } => {
                 let (decision, tenant) = {
                     let rnic = self.rnic_mut(dst);
@@ -956,22 +804,6 @@ impl RdmaNet {
                                     data: payload,
                                     imm,
                                     tenant,
-                                });
-                            }
-                            OpKind::Read => {
-                                let handle = self.reads.insert(ReadCtx {
-                                    requester: src,
-                                    requester_qpn: src_qpn,
-                                    responder: dst,
-                                    responder_qpn: dst_qpn,
-                                    wr_id,
-                                    orig_psn: psn,
-                                });
-                                step.outputs.push(RdmaOutput::ReadRequested {
-                                    node: dst,
-                                    addr: remote.expect("read carries remote addr"),
-                                    len: read_len,
-                                    handle,
                                 });
                             }
                         }
@@ -1106,28 +938,6 @@ impl RdmaNet {
                     step.push_event(self.cfg.rnr_retry_delay, RdmaEvent::RnrResume { node, qpn });
                 }
             }
-            PacketKind::ReadResp { wr_id, orig_psn: _, data } => {
-                let node = dst;
-                let (tenant, peer) = {
-                    let Ok(qp) = self.rnic(node).qp(dst_qpn) else {
-                        return;
-                    };
-                    (qp.tenant, qp.peer_node)
-                };
-                let cqe = Cqe {
-                    wr_id,
-                    kind: CqeKind::ReadData,
-                    status: CqeStatus::Success,
-                    qpn: dst_qpn,
-                    tenant,
-                    peer,
-                    data,
-                    imm: 0,
-                };
-                if self.rnic_mut(node).push_cqe(cqe) {
-                    step.outputs.push(RdmaOutput::CqReady { node });
-                }
-            }
         }
     }
 }
@@ -1135,9 +945,43 @@ impl RdmaNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verbs::QpState;
+    use crate::verbs::WrId;
     use palladium_membuf::{MmapExporter, PoolId, Region};
-    use palladium_simnet::Sim;
+    use palladium_simnet::{FaultPlan, Sim};
+
+    /// Post `wr` on `node`'s `qpn`; returns the events to schedule.
+    fn post(
+        net: &mut RdmaNet,
+        now: Nanos,
+        node: NodeId,
+        qpn: Qpn,
+        wr: WorkRequest,
+    ) -> Vec<Timed<RdmaEvent>> {
+        let mut step = Step::default();
+        net.post_send_into(now, node, qpn, wr, &mut step).unwrap();
+        step.events
+    }
+
+    /// Advance one event into a fresh step.
+    fn handle(net: &mut RdmaNet, now: Nanos, ev: RdmaEvent) -> Step {
+        let mut step = Step::default();
+        net.handle_into(now, ev, &mut step);
+        step
+    }
+
+    /// Take `node`'s whole CQ backlog.
+    fn reap(net: &mut RdmaNet, node: NodeId) -> Vec<Cqe> {
+        let mut out = Vec::new();
+        net.drain_cq_into(node, &mut out);
+        out
+    }
+
+    /// The same fault plan on every node's port.
+    fn fault_everywhere(net: &mut RdmaNet, plan: FaultPlan) {
+        for node in [NodeId(0), NodeId(1)] {
+            net.set_node_fault(node, FaultTimeline::from_plan(plan));
+        }
+    }
 
     /// Drive the sub-simulator to quiescence, collecting outputs.
     fn run(net: &mut RdmaNet, sim: &mut Sim<RdmaEvent>, seed: Vec<Timed<RdmaEvent>>) -> Vec<RdmaOutput> {
@@ -1146,7 +990,7 @@ mod tests {
             sim.schedule(t.after, t.value);
         }
         while let Some((now, ev)) = sim.next() {
-            let step = net.handle(now, ev);
+            let step = handle(net, now, ev);
             for t in step.events {
                 sim.schedule(t.after, t.value);
             }
@@ -1189,12 +1033,11 @@ mod tests {
         let mut seed = Vec::new();
         for i in 0..4u64 {
             let wr = WorkRequest::send(WrId(i), Bytes::from(vec![i as u8; 64]), i);
-            let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
-            seed.extend(step.events);
+            seed.extend(post(&mut net, sim.now(), NodeId(0), qa, wr));
         }
         let _ = run(&mut net, &mut sim, seed);
         // Receiver got all 4 in order with payloads intact.
-        let cqes = net.poll_cq(NodeId(1), 16);
+        let cqes = reap(&mut net, NodeId(1));
         let recvs: Vec<&Cqe> = cqes.iter().filter(|c| c.kind == CqeKind::Recv).collect();
         assert_eq!(recvs.len(), 4);
         for (i, c) in recvs.iter().enumerate() {
@@ -1204,7 +1047,7 @@ mod tests {
             assert_eq!(c.wr_id, WrId(1000 + i as u64)); // RQ consumed FIFO
         }
         // Sender got 4 send completions.
-        let send_cqes = net.poll_cq(NodeId(0), 16);
+        let send_cqes = reap(&mut net, NodeId(0));
         assert_eq!(send_cqes.len(), 4);
         assert!(send_cqes.iter().all(|c| c.status == CqeStatus::Success));
     }
@@ -1215,14 +1058,12 @@ mod tests {
         post_rq(&mut net, NodeId(1), 1);
         let mut sim = Sim::new();
         let wr = WorkRequest::send(WrId(1), Bytes::from(vec![0u8; 64]), 0);
-        let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
         let mut delivered_at = None;
-        let mut seed = step.events;
-        for t in seed.drain(..) {
+        for t in post(&mut net, sim.now(), NodeId(0), qa, wr) {
             sim.schedule(t.after, t.value);
         }
         while let Some((now, ev)) = sim.next() {
-            let step = net.handle(now, ev);
+            let step = handle(&mut net, now, ev);
             for t in step.events {
                 sim.schedule(t.after, t.value);
             }
@@ -1247,15 +1088,13 @@ mod tests {
         // No RQ buffer posted: first attempt RNR-NAKs.
         let mut sim = Sim::new();
         let wr = WorkRequest::send(WrId(7), Bytes::from_static(b"payload"), 9);
-        let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
         let mut rnr_seen = false;
-        let mut seed = step.events;
-        for t in seed.drain(..) {
+        for t in post(&mut net, sim.now(), NodeId(0), qa, wr) {
             sim.schedule(t.after, t.value);
         }
         let mut replenished = false;
         while let Some((now, ev)) = sim.next() {
-            let step = net.handle(now, ev);
+            let step = handle(&mut net, now, ev);
             for t in step.events {
                 sim.schedule(t.after, t.value);
             }
@@ -1280,7 +1119,7 @@ mod tests {
             }
         }
         assert!(rnr_seen, "RNR NAK must have been generated");
-        let cqes = net.poll_cq(NodeId(1), 4);
+        let cqes = reap(&mut net, NodeId(1));
         assert_eq!(cqes.len(), 1, "message delivered after retry");
         assert_eq!(cqes[0].imm, 9);
         assert!(net.counters.rnr_nak >= 1);
@@ -1300,98 +1139,33 @@ mod tests {
             },
             0,
         );
-        let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
-        let outputs = run(&mut net, &mut sim, step.events);
+        let events = post(&mut net, sim.now(), NodeId(0), qa, wr);
+        let outputs = run(&mut net, &mut sim, events);
         let delivered = outputs.iter().any(|o| {
             matches!(o, RdmaOutput::WriteDelivered { node, addr, data, .. }
                 if *node == NodeId(1) && addr.buf_idx == 5 && data.len() == 256)
         });
         assert!(delivered, "write must land without receiver involvement");
         // Sender still completes.
-        let cqes = net.poll_cq(NodeId(0), 4);
+        let cqes = reap(&mut net, NodeId(0));
         assert_eq!(cqes.len(), 1);
         assert_eq!(cqes[0].kind, CqeKind::SendDone(OpKind::Write));
     }
 
     #[test]
-    fn one_sided_read_roundtrip() {
-        let (mut net, qa, _) = two_node_net();
-        let mut sim = Sim::new();
-        let wr = WorkRequest::read(
-            WrId(4),
-            RemoteAddr {
-                pool: PoolId(1),
-                buf_idx: 2,
-            },
-            128,
-        );
-        let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
-        for t in step.events {
-            sim.schedule(t.after, t.value);
-        }
-        let mut got_data = false;
-        while let Some((now, ev)) = sim.next() {
-            let step = net.handle(now, ev);
-            for t in step.events {
-                sim.schedule(t.after, t.value);
-            }
-            for o in step.outputs {
-                match o {
-                    RdmaOutput::ReadRequested { len, handle, .. } => {
-                        assert_eq!(len, 128);
-                        let reply = net.complete_read(now, handle, Bytes::from(vec![0xCD; 128]));
-                        for t in reply.events {
-                            sim.schedule(t.after, t.value);
-                        }
-                    }
-                    RdmaOutput::CqReady { node: NodeId(0) } => {
-                        for c in net.poll_cq(NodeId(0), 4) {
-                            if c.kind == CqeKind::ReadData {
-                                assert_eq!(c.data.len(), 128);
-                                assert_eq!(c.data[0], 0xCD);
-                                got_data = true;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        assert!(got_data, "read data must arrive");
-    }
-
-    #[test]
-    fn connection_handshake_takes_tens_of_ms() {
-        let mut net = RdmaNet::new(RdmaConfig::default(), 2, 1);
-        let (qa, _qb, step) = net.connect(NodeId(0), NodeId(1), TenantId(1));
-        assert_eq!(
-            net.rnic(NodeId(0)).qp(qa).unwrap().state,
-            QpState::Reset
-        );
-        let mut sim = Sim::new();
-        let outputs = run(&mut net, &mut sim, step.events);
-        assert!(outputs
-            .iter()
-            .any(|o| matches!(o, RdmaOutput::Connected { .. })));
-        assert_eq!(net.rnic(NodeId(0)).qp(qa).unwrap().state, QpState::Rts);
-        assert!(sim.now() >= Nanos::from_millis(19), "handshake cost ~20ms");
-    }
-
-    #[test]
     fn lossy_fabric_still_delivers_exactly_once_in_order() {
         let (mut net, qa, _) = two_node_net();
-        net.set_fault(FaultPlan::dropping(0.2));
+        fault_everywhere(&mut net, FaultPlan::dropping(0.2));
         post_rq(&mut net, NodeId(1), 64);
         let mut sim = Sim::new();
         let mut seed = Vec::new();
         let n = 32u64;
         for i in 0..n {
             let wr = WorkRequest::send(WrId(i), Bytes::from(vec![(i % 251) as u8; 512]), i);
-            let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
-            seed.extend(step.events);
+            seed.extend(post(&mut net, sim.now(), NodeId(0), qa, wr));
         }
         let _ = run(&mut net, &mut sim, seed);
-        let cqes = net.poll_cq(NodeId(1), 1024);
+        let cqes = reap(&mut net, NodeId(1));
         let imms: Vec<u64> = cqes
             .iter()
             .filter(|c| c.kind == CqeKind::Recv)
@@ -1405,18 +1179,16 @@ mod tests {
     #[test]
     fn corruption_is_dropped_and_recovered() {
         let (mut net, qa, _) = two_node_net();
-        net.set_fault(FaultPlan::corrupting(0.2));
+        fault_everywhere(&mut net, FaultPlan::corrupting(0.2));
         post_rq(&mut net, NodeId(1), 32);
         let mut sim = Sim::new();
         let mut seed = Vec::new();
         for i in 0..16u64 {
             let wr = WorkRequest::send(WrId(i), Bytes::from(vec![1u8; 128]), i);
-            let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
-            seed.extend(step.events);
+            seed.extend(post(&mut net, sim.now(), NodeId(0), qa, wr));
         }
         let _ = run(&mut net, &mut sim, seed);
-        let imms: Vec<u64> = net
-            .poll_cq(NodeId(1), 64)
+        let imms: Vec<u64> = reap(&mut net, NodeId(1))
             .iter()
             .filter(|c| c.kind == CqeKind::Recv)
             .map(|c| c.imm)
@@ -1442,12 +1214,11 @@ mod tests {
         post_rq(&mut net, NodeId(1), 4);
         let mut sim = Sim::new();
         let wr = WorkRequest::send(WrId(1), Bytes::from(vec![7u8; 64]), 9);
-        let step = net.post_send(sim.now(), NodeId(1), qb, wr).unwrap();
-        let _ = run(&mut net, &mut sim, step.events);
+        let events = post(&mut net, sim.now(), NodeId(1), qb, wr);
+        let _ = run(&mut net, &mut sim, events);
         // The clean direction delivered exactly once despite dedup'd
         // retransmissions...
-        let recvs: Vec<u64> = net
-            .poll_cq(NodeId(0), 16)
+        let recvs: Vec<u64> = reap(&mut net, NodeId(0))
             .iter()
             .filter(|c| c.kind == CqeKind::Recv)
             .map(|c| c.imm)
@@ -1469,21 +1240,20 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..16u64 {
             let wr = WorkRequest::send(WrId(i), Bytes::from(vec![0u8; 64]), i);
-            let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
-            for t in step.events {
+            for t in post(&mut net, sim.now(), NodeId(0), qa, wr) {
                 sim.schedule(t.after, t.value);
             }
         }
         let mut last_delivery = Nanos::ZERO;
         let mut delivered = 0;
         while let Some((now, ev)) = sim.next() {
-            let step = net.handle(now, ev);
+            let step = handle(&mut net, now, ev);
             for t in step.events {
                 sim.schedule(t.after, t.value);
             }
             for o in step.outputs {
                 if matches!(o, RdmaOutput::CqReady { node } if node == NodeId(1)) {
-                    delivered += net.poll_cq(NodeId(1), 64).len();
+                    delivered += reap(&mut net, NodeId(1)).len();
                     last_delivery = now;
                 }
             }
@@ -1505,10 +1275,8 @@ mod tests {
         let (mut net, qa, _) = two_node_net();
         post_rq(&mut net, NodeId(1), 4);
         let mut sim = Sim::new();
-        let step = net
-            .post_send(sim.now(), NodeId(0), qa, WorkRequest::send(WrId(1), Bytes::from_static(b"a"), 1))
-            .unwrap();
-        for t in step.events {
+        let wr = WorkRequest::send(WrId(1), Bytes::from_static(b"a"), 1);
+        for t in post(&mut net, sim.now(), NodeId(0), qa, wr) {
             sim.schedule(t.after, t.value);
         }
         // Run until WR1 hits the wire and its ACK retires it — the armed
@@ -1521,17 +1289,15 @@ mod tests {
                 break;
             }
             let (now, ev) = sim.next().expect("ack in flight");
-            let s = net.handle(now, ev);
+            let s = handle(&mut net, now, ev);
             for t in s.events {
                 sim.schedule(t.after, t.value);
             }
         }
         // WR2: arm_rto is skipped (a timer is pending), then its only data
         // frame is lost in flight (simulated tail loss).
-        let step = net
-            .post_send(sim.now(), NodeId(0), qa, WorkRequest::send(WrId(2), Bytes::from_static(b"b"), 2))
-            .unwrap();
-        for t in step.events {
+        let wr = WorkRequest::send(WrId(2), Bytes::from_static(b"b"), 2);
+        for t in post(&mut net, sim.now(), NodeId(0), qa, wr) {
             sim.schedule(t.after, t.value);
         }
         let mut dropped = false;
@@ -1544,14 +1310,13 @@ mod tests {
                     }
                 }
             }
-            let s = net.handle(now, ev);
+            let s = handle(&mut net, now, ev);
             for t in s.events {
                 sim.schedule(t.after, t.value);
             }
             assert!(sim.events_fired() < 100_000, "runaway simulation");
         }
-        let recvs: Vec<u64> = net
-            .poll_cq(NodeId(1), 16)
+        let recvs: Vec<u64> = reap(&mut net, NodeId(1))
             .iter()
             .filter(|c| c.kind == CqeKind::Recv)
             .map(|c| c.imm)
@@ -1568,13 +1333,12 @@ mod tests {
         post_rq(&mut net, NodeId(1), 1);
         let mut sim = Sim::new();
         let wr = WorkRequest::send(WrId(1), Bytes::from(vec![5u8; 64]), 77);
-        let step = net.post_send(sim.now(), NodeId(0), qa, wr).unwrap();
         let mut serial_at = None;
-        for t in step.events {
+        for t in post(&mut net, sim.now(), NodeId(0), qa, wr) {
             sim.schedule(t.after, t.value);
         }
         while let Some((now, ev)) = sim.next() {
-            let s = net.handle(now, ev);
+            let s = handle(&mut net, now, ev);
             for t in s.events {
                 sim.schedule(t.after, t.value);
             }
@@ -1617,13 +1381,12 @@ mod tests {
             .unwrap();
         let mut sim: Sim<(usize, RdmaEvent)> = Sim::new();
         let wr = WorkRequest::send(WrId(1), Bytes::from(vec![5u8; 64]), 77);
-        let step = nets[0].post_send(sim.now(), NodeId(0), sqa, wr).unwrap();
-        for t in step.events {
+        for t in post(&mut nets[0], sim.now(), NodeId(0), sqa, wr) {
             sim.schedule(t.after, (0, t.value));
         }
         let mut split_at = None;
         while let Some((now, (owner, ev))) = sim.next() {
-            let s = nets[owner].handle(now, ev);
+            let s = handle(&mut nets[owner], now, ev);
             for t in s.events {
                 sim.schedule(t.after, (owner, t.value));
             }
@@ -1639,16 +1402,25 @@ mod tests {
             }
         }
         assert_eq!(split_at, Some(serial_at), "split fabric changed the timeline");
-        let cqes = nets[1].poll_cq(NodeId(1), 4);
+        let cqes = reap(&mut nets[1], NodeId(1));
         assert_eq!(cqes.len(), 1);
         assert_eq!(cqes[0].imm, 77);
     }
 
     #[test]
-    fn post_to_unconnected_qp_fails() {
-        let mut net = RdmaNet::new(RdmaConfig::default(), 2, 1);
-        let (qa, _qb, _step) = net.connect(NodeId(0), NodeId(1), TenantId(1));
+    fn post_to_errored_or_unknown_qp_fails() {
+        let (mut net, qa, _) = two_node_net();
+        let mut step = Step::default();
+        // Retry exhaustion moved the QP to `Error`: the post is refused
+        // (the driver sheds the send) and no doorbell rings.
+        net.rnic_mut(NodeId(0)).qp_mut(qa).unwrap().set_error();
         let wr = WorkRequest::send(WrId(1), Bytes::new(), 0);
-        assert!(net.post_send(Nanos::ZERO, NodeId(0), qa, wr).is_err());
+        let refused = net.post_send_into(Nanos::ZERO, NodeId(0), qa, wr, &mut step);
+        assert!(refused.is_err());
+        // An unknown QPN is refused the same way.
+        let wr = WorkRequest::send(WrId(2), Bytes::new(), 0);
+        let refused = net.post_send_into(Nanos::ZERO, NodeId(0), Qpn(99), wr, &mut step);
+        assert!(refused.is_err());
+        assert!(step.events.is_empty(), "a refused post rings no doorbell");
     }
 }

@@ -48,7 +48,6 @@ impl Inflight {
             op: self.wr.op,
             payload: self.wr.payload.clone(),
             remote: self.wr.remote,
-            read_len: self.wr.read_len,
             imm: self.wr.imm,
         }
     }
@@ -118,7 +117,7 @@ pub struct RcQp {
 }
 
 impl RcQp {
-    /// A QP in `Reset`; `connect`/`set_ready` moves it to `Rts`.
+    /// A QP in `Reset`; wiring the pair (`set_ready`) moves it to `Rts`.
     pub fn new(qpn: Qpn, tenant: TenantId, peer_node: NodeId, peer_qpn: Qpn) -> Self {
         RcQp {
             qpn,

@@ -6,10 +6,10 @@
 //!   buffers from a single queue posted exclusively from that tenant's
 //!   private pool — the RNIC therefore always lands data in the right pool.
 //! * **One shared CQ per node.** Completions from every QP funnel into one
-//!   queue the DNE polls in its run-to-completion loop, guarded by an
+//!   queue the DNE drains in its run-to-completion loop, guarded by an
 //!   event-channel-style doorbell: one notification per burst, re-armed
-//!   when the consumer drains the queue empty (§3.2's batched completion
-//!   retirement).
+//!   by the drain, which always takes the whole backlog (§3.2's batched
+//!   completion retirement). The drain is the CQ's only consumer.
 //! * **QP context cache.** Only a bounded number of *active* QPs fit on-die;
 //!   beyond that every operation pays a thrash penalty — the reason the DNE
 //!   caps active QPs via shadow-QP management.
@@ -62,9 +62,9 @@ pub struct Rnic {
     cq: VecDeque<Cqe>,
     /// CQ event-channel doorbell: armed ⇔ the next pushed CQE should
     /// raise a `CqReady` notification. Disarmed by that push, re-armed
-    /// when the consumer drains the CQ empty — so a burst of completions
-    /// costs one notification per node per wakeup instead of one per
-    /// push-site, exactly like a verbs completion channel.
+    /// by [`Rnic::drain_cq_into`] — so a burst of completions costs one
+    /// notification per node per wakeup instead of one per push-site,
+    /// exactly like a verbs completion channel.
     cq_armed: bool,
     mrs: MrTable,
     /// Egress port: serializes outbound frames at line rate.
@@ -181,46 +181,12 @@ impl Rnic {
         std::mem::take(&mut self.cq_armed)
     }
 
-    /// Poll up to `max` completions (the DNE RX stage).
-    pub fn poll_cq(&mut self, max: usize) -> Vec<Cqe> {
-        let mut out = Vec::new();
-        self.poll_cq_into(max, &mut out);
-        out
-    }
-
-    /// [`Rnic::poll_cq`] into a caller-owned buffer (appends), so pollers
-    /// on the hot path can reuse one scratch allocation. Re-arms the CQ
-    /// doorbell only when the poll leaves the CQ empty — a consumer using
-    /// a bounded window must keep polling until empty (or use
-    /// [`Rnic::drain_cq_into`]) or it will not be notified again.
-    pub fn poll_cq_into(&mut self, max: usize, out: &mut Vec<Cqe>) {
-        let n = max.min(self.cq.len());
-        out.extend(self.cq.drain(..n));
-        if self.cq.is_empty() {
-            self.cq_armed = true;
-        }
-    }
-
-    /// Drain the *entire* CQ backlog into `out` (appending): the
-    /// windowed-drain consumer API — one `CqReady` wakeup surfaces
-    /// everything the CQ accumulated.
-    ///
-    /// The doorbell re-arms only once the CQ is observed empty, the same
-    /// contract as [`Rnic::poll_cq_into`] — never unconditionally. An
-    /// unconditional re-arm combined with any bounded drain would strand
-    /// the leftover CQEs: armed-while-non-empty means the backlog only
-    /// surfaces if a *new* completion happens to arrive and ring the
-    /// doorbell for it.
+    /// Drain the *entire* CQ backlog into `out` (appending) and re-arm
+    /// the doorbell: one `CqReady` wakeup surfaces everything the CQ
+    /// accumulated.
     pub fn drain_cq_into(&mut self, out: &mut Vec<Cqe>) {
         out.extend(self.cq.drain(..));
-        if self.cq.is_empty() {
-            self.cq_armed = true;
-        }
-    }
-
-    /// Completions waiting.
-    pub fn cq_depth(&self) -> usize {
-        self.cq.len()
+        self.cq_armed = true;
     }
 
     /// Number of QPs in the shadow-QP "active" state (holding work).
@@ -331,11 +297,13 @@ mod tests {
         for i in 0..5u64 {
             let _ = r.push_cqe(cqe(i));
         }
-        let first = r.poll_cq(3);
-        assert_eq!(first.len(), 3);
-        assert_eq!(first[0].wr_id, WrId(0));
-        assert_eq!(r.cq_depth(), 2);
-        assert_eq!(r.poll_cq(10).len(), 2);
+        let mut out = Vec::new();
+        r.drain_cq_into(&mut out);
+        let ids: Vec<WrId> = out.iter().map(|c| c.wr_id).collect();
+        assert_eq!(ids, (0..5).map(WrId).collect::<Vec<_>>());
+        // The drain took everything: a second one appends nothing.
+        r.drain_cq_into(&mut out);
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
@@ -345,43 +313,12 @@ mod tests {
         assert!(r.push_cqe(cqe(0)), "armed doorbell fires");
         assert!(!r.push_cqe(cqe(1)), "disarmed until drained");
         assert!(!r.push_cqe(cqe(2)));
-        // A partial poll leaves the CQ non-empty: still disarmed — the
-        // consumer owns the backlog until it drains to empty.
-        assert_eq!(r.poll_cq(2).len(), 2);
-        assert!(!r.push_cqe(cqe(3)), "non-empty CQ keeps doorbell down");
-        // Full drain re-arms.
+        // The drain takes the whole burst and re-arms.
         let mut out = Vec::new();
         r.drain_cq_into(&mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(r.cq_depth(), 0);
-        assert!(r.push_cqe(cqe(4)), "drained CQ re-armed the doorbell");
-        // poll_cq_into to empty also re-arms.
-        out.clear();
-        r.poll_cq_into(16, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(r.push_cqe(cqe(5)));
-    }
-
-    #[test]
-    fn windowed_drain_rearms_only_on_empty() {
-        let mut r = registered_rnic();
-        for i in 0..5u64 {
-            let _ = r.push_cqe(cqe(i));
-        }
-        let mut out = Vec::new();
-        // A partial window leaves backlog: the doorbell must stay down
-        // (an armed doorbell over a non-empty CQ would strand the
-        // leftovers until an unrelated new push).
-        r.poll_cq_into(3, &mut out);
-        assert_eq!((out.len(), r.cq_depth()), (3, 2));
-        assert!(
-            !r.push_cqe(cqe(5)),
-            "doorbell must stay down while backlog remains"
-        );
-        // Draining the remainder empties the CQ and re-arms.
-        r.poll_cq_into(16, &mut out);
-        assert_eq!((out.len(), r.cq_depth()), (6, 0));
-        assert!(r.push_cqe(cqe(6)), "empty drain re-armed the doorbell");
+        assert_eq!(out.len(), 3);
+        assert!(r.push_cqe(cqe(3)), "drained CQ re-armed the doorbell");
+        assert!(!r.push_cqe(cqe(4)), "the next burst coalesces again");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! IB verbs vocabulary: queue pairs, work requests, completions.
 //!
-//! This mirrors the subset of the verbs API Palladium's DNE uses (§3.2,
-//! §3.5.2): Reliable Connected QPs, two-sided SEND/RECV, one-sided
-//! WRITE/READ, shared receive queues (one RQ per tenant, §3.3) and a single
-//! shared completion queue per node.
+//! This mirrors the subset of the verbs API Palladium's data plane uses
+//! (§3.2, §3.5.2): Reliable Connected QPs, two-sided SEND/RECV (the DNE
+//! path), one-sided WRITE (the FUYAO/OWRC/OWDL baselines), shared receive
+//! queues (one RQ per tenant, §3.3) and a single shared completion queue
+//! per node.
 
 use bytes::Bytes;
 
@@ -24,8 +25,6 @@ pub enum OpKind {
     Send,
     /// One-sided write (receiver CPU oblivious).
     Write,
-    /// One-sided read (data flows responder → requester).
-    Read,
 }
 
 /// A remote buffer address for one-sided operations: Palladium addresses
@@ -46,13 +45,10 @@ pub struct WorkRequest {
     pub wr_id: WrId,
     /// Operation kind.
     pub op: OpKind,
-    /// Payload carried by SEND/WRITE (snapshot of the pinned buffer; for
-    /// READ this is empty and `read_len` governs the response size).
+    /// Payload (snapshot of the pinned buffer).
     pub payload: Bytes,
     /// Remote address for one-sided operations; ignored for SEND.
     pub remote: Option<RemoteAddr>,
-    /// Number of bytes to fetch for READ.
-    pub read_len: u32,
     /// Application immediate data (Palladium carries the 16-byte descriptor
     /// metadata here for SENDs so the receiver can route).
     pub imm: u64,
@@ -66,7 +62,6 @@ impl WorkRequest {
             op: OpKind::Send,
             payload,
             remote: None,
-            read_len: 0,
             imm,
         }
     }
@@ -78,20 +73,7 @@ impl WorkRequest {
             op: OpKind::Write,
             payload,
             remote: Some(remote),
-            read_len: 0,
             imm,
-        }
-    }
-
-    /// A one-sided read of `len` bytes from `remote`.
-    pub fn read(wr_id: WrId, remote: RemoteAddr, len: u32) -> Self {
-        WorkRequest {
-            wr_id,
-            op: OpKind::Read,
-            payload: Bytes::new(),
-            remote: Some(remote),
-            read_len: len,
-            imm: 0,
         }
     }
 }
@@ -110,12 +92,10 @@ pub enum CqeStatus {
 /// Which side of the operation a completion reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CqeKind {
-    /// A posted send/write/read finished (sender side).
+    /// A posted send/write finished (sender side).
     SendDone(OpKind),
     /// A two-sided receive consumed an RQ buffer (receiver side).
     Recv,
-    /// Data fetched by a READ arrived (requester side).
-    ReadData,
 }
 
 /// A completion queue entry.
@@ -134,7 +114,7 @@ pub struct Cqe {
     pub tenant: TenantId,
     /// Peer node.
     pub peer: NodeId,
-    /// Payload bytes for `Recv`/`ReadData` completions — the reproduction
+    /// Payload bytes for `Recv` completions — the reproduction
     /// hands the DMA'd bytes to the driver, which applies them to the posted
     /// buffer via `dma_write` (metered as RNIC DMA, not a software copy).
     pub data: Bytes,
@@ -142,15 +122,13 @@ pub struct Cqe {
     pub imm: u64,
 }
 
-/// QP connection state, per the RC state machine (RESET → INIT → RTR → RTS).
+/// QP connection state. Connections are pre-warmed, so a QP goes from
+/// `Reset` straight to `Rts` when its pair is wired (the RC handshake's
+/// INIT and RTR stages are never observable).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QpState {
     /// Freshly created.
     Reset,
-    /// Initialized, not yet connected.
-    Init,
-    /// Ready to receive.
-    Rtr,
     /// Ready to send (fully connected).
     Rts,
     /// Broken.
@@ -178,16 +156,5 @@ mod tests {
         );
         assert_eq!(w.op, OpKind::Write);
         assert_eq!(w.remote.unwrap().buf_idx, 9);
-
-        let r = WorkRequest::read(
-            WrId(3),
-            RemoteAddr {
-                pool: PoolId(1),
-                buf_idx: 0,
-            },
-            4096,
-        );
-        assert_eq!(r.op, OpKind::Read);
-        assert_eq!(r.read_len, 4096);
     }
 }

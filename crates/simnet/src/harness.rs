@@ -32,6 +32,8 @@ pub struct LoadReport {
     pub mean_latency: Nanos,
     /// 99th percentile latency.
     pub p99_latency: Nanos,
+    /// Largest latency in the window.
+    pub max_latency: Nanos,
     /// Requests completed in the window.
     pub completed: u64,
 }
@@ -106,6 +108,7 @@ impl RunStats {
             rps: completed as f64 / duration.as_secs_f64(),
             mean_latency: self.latency.mean(),
             p99_latency: self.latency.p99(),
+            max_latency: self.latency.max(),
             completed,
         }
     }

@@ -9,7 +9,7 @@
 //!   for ID spaces that are dense and never reused (tenants, functions,
 //!   nodes, QPNs). Lookup is a bounds-check and an index.
 //! * [`Slab`] — a generation-checked free-list slab for ID spaces that
-//!   *are* reused (in-flight WR ids, outstanding READ handles). Keys pack
+//!   *are* reused (in-flight WR ids). Keys pack
 //!   `(generation << 32) | slot`, so a stale key from a previous occupant
 //!   of the slot misses instead of aliasing.
 //! * [`PageTable`] — a two-level table (256-entry pages) for ID spaces

@@ -18,9 +18,9 @@ use bytes::Bytes;
 use palladium::core::driver::cluster_sharded::ClusterShardedSim;
 use palladium::membuf::{MmapExporter, NodeId, PoolId, Region, TenantId};
 use palladium::rdma::{
-    CqeKind, RdmaConfig, RdmaEvent, RdmaNet, RqEntry, WorkRequest, WrId,
+    CqeKind, RdmaConfig, RdmaEvent, RdmaNet, RqEntry, Step, WorkRequest, WrId,
 };
-use palladium::simnet::{Execution, FaultPlan, Nanos, ScenarioScript, Sim};
+use palladium::simnet::{Execution, FaultPlan, FaultTimeline, Nanos, ScenarioScript, Sim};
 use palladium::workloads::chaos::{base_cfg, PAIRS};
 
 fn main() {
@@ -44,11 +44,16 @@ fn main() {
             net.register_mr(node, &e.export_rdma()).unwrap();
         }
         let (qa, _) = net.connect_immediate(NodeId(0), NodeId(1), TenantId(1));
-        net.set_fault(FaultPlan {
+        // The same plan on both ports: every frame, data or ACK, runs
+        // the gauntlet.
+        let plan = FaultPlan {
             drop_chance: drop,
             corrupt_chance: corrupt,
             ..FaultPlan::NONE
-        });
+        };
+        for node in [NodeId(0), NodeId(1)] {
+            net.set_node_fault(node, FaultTimeline::from_plan(plan));
+        }
         let n = 500u64;
         for i in 0..n + 64 {
             net.post_recv(
@@ -59,27 +64,26 @@ fn main() {
             .unwrap();
         }
         let mut sim: Sim<RdmaEvent> = Sim::new();
+        let mut step = Step::default();
         for i in 0..n {
-            let step = net
-                .post_send(
-                    sim.now(),
-                    NodeId(0),
-                    qa,
-                    WorkRequest::send(WrId(10_000 + i), Bytes::from(vec![7u8; 1024]), i),
-                )
+            let wr = WorkRequest::send(WrId(10_000 + i), Bytes::from(vec![7u8; 1024]), i);
+            net.post_send_into(sim.now(), NodeId(0), qa, wr, &mut step)
                 .unwrap();
-            for t in step.events {
+            for t in step.events.drain(..) {
                 sim.schedule(t.after, t.value);
             }
         }
         let mut received = Vec::new();
+        let mut cqes = Vec::new();
         let mut finish = Nanos::ZERO;
         while let Some((now, ev)) = sim.next() {
-            let step = net.handle(now, ev);
-            for t in step.events {
+            step.clear();
+            net.handle_into(now, ev, &mut step);
+            for t in step.events.drain(..) {
                 sim.schedule(t.after, t.value);
             }
-            for cqe in net.poll_cq(NodeId(1), 64) {
+            net.drain_cq_into(NodeId(1), &mut cqes);
+            for cqe in cqes.drain(..) {
                 if cqe.kind == CqeKind::Recv {
                     received.push(cqe.imm);
                     finish = now;

@@ -4,9 +4,9 @@
 use bytes::Bytes;
 use palladium::membuf::{MmapExporter, NodeId, PoolId, Region, TenantId};
 use palladium::rdma::{
-    CqeKind, RdmaConfig, RdmaEvent, RdmaNet, RqEntry, WorkRequest, WrId,
+    CqeKind, RdmaConfig, RdmaEvent, RdmaNet, RqEntry, Step, WorkRequest, WrId,
 };
-use palladium::simnet::{FaultPlan, Sim};
+use palladium::simnet::{FaultPlan, FaultTimeline, Sim};
 use proptest::prelude::*;
 
 fn run_lossy(drop: f64, corrupt: f64, n: u64, seed: u64) -> Vec<u64> {
@@ -17,11 +17,14 @@ fn run_lossy(drop: f64, corrupt: f64, n: u64, seed: u64) -> Vec<u64> {
         net.register_mr(node, &e.export_rdma()).unwrap();
     }
     let (qa, _) = net.connect_immediate(NodeId(0), NodeId(1), TenantId(1));
-    net.set_fault(FaultPlan {
+    let plan = FaultPlan {
         drop_chance: drop,
         corrupt_chance: corrupt,
         ..FaultPlan::NONE
-    });
+    };
+    for node in [NodeId(0), NodeId(1)] {
+        net.set_node_fault(node, FaultTimeline::from_plan(plan));
+    }
     for i in 0..n + 32 {
         net.post_recv(
             NodeId(1),
@@ -31,26 +34,25 @@ fn run_lossy(drop: f64, corrupt: f64, n: u64, seed: u64) -> Vec<u64> {
         .unwrap();
     }
     let mut sim: Sim<RdmaEvent> = Sim::new();
+    let mut step = Step::default();
     for i in 0..n {
-        let step = net
-            .post_send(
-                sim.now(),
-                NodeId(0),
-                qa,
-                WorkRequest::send(WrId(1_000 + i), Bytes::from(vec![(i % 256) as u8; 256]), i),
-            )
+        let wr = WorkRequest::send(WrId(1_000 + i), Bytes::from(vec![(i % 256) as u8; 256]), i);
+        net.post_send_into(sim.now(), NodeId(0), qa, wr, &mut step)
             .unwrap();
-        for t in step.events {
+        for t in step.events.drain(..) {
             sim.schedule(t.after, t.value);
         }
     }
     let mut received = Vec::new();
+    let mut cqes = Vec::new();
     while let Some((now, ev)) = sim.next() {
-        let step = net.handle(now, ev);
-        for t in step.events {
+        step.clear();
+        net.handle_into(now, ev, &mut step);
+        for t in step.events.drain(..) {
             sim.schedule(t.after, t.value);
         }
-        for cqe in net.poll_cq(NodeId(1), 64) {
+        net.drain_cq_into(NodeId(1), &mut cqes);
+        for cqe in cqes.drain(..) {
             if cqe.kind == CqeKind::Recv {
                 // Payload integrity: first byte encodes the message index.
                 assert_eq!(cqe.data[0] as u64, cqe.imm % 256);

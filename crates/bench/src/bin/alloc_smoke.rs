@@ -95,11 +95,7 @@ static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Per-size-bucket counters (bucket = log2 of the rounded-up size),
 /// printed when `ALLOC_SMOKE_HISTOGRAM=1` — pinpoints which object class
 /// regressed when the assertion trips.
-static BUCKETS: [AtomicU64; 32] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    [ZERO; 32]
-};
+static BUCKETS: [AtomicU64; 32] = [const { AtomicU64::new(0) }; 32];
 
 #[inline]
 fn count(layout: Layout) {
@@ -122,26 +118,24 @@ fn shrink(bytes: usize) {
 // SAFETY: delegates every operation to `System`; the counters are relaxed
 // atomics with no further side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwards the exact layout to `System::alloc`; counting is a
-    // relaxed atomic side effect with no aliasing or layout impact.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout);
         grow(layout.size());
-        System.alloc(layout)
+        // SAFETY: forwards the exact layout to `System::alloc`; counting is a
+        // relaxed atomic side effect with no aliasing or layout impact.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: forwards the exact layout to `System::alloc_zeroed`; the
-    // zeroing contract is the system allocator's.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout);
         grow(layout.size());
-        System.alloc_zeroed(layout)
+        // SAFETY: forwards the exact layout to `System::alloc_zeroed`; the
+        // zeroing contract is the system allocator's.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: caller obligations (live ptr, matching layout) pass straight
-    // through to `System::realloc`, unmodified. Live bytes move by the size
-    // difference (a moving realloc's brief old-plus-new overlap is not
-    // counted).
+    // Live bytes move by the size difference (a moving realloc's brief
+    // old-plus-new overlap is not counted).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(layout);
         if new_size >= layout.size() {
@@ -149,14 +143,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
         } else {
             shrink(layout.size() - new_size);
         }
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: caller obligations (live ptr, matching layout) pass
+        // straight through to `System::realloc`, unmodified.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // SAFETY: caller obligations (ptr from this allocator, same layout)
-    // pass straight through to `System::dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         shrink(layout.size());
-        System.dealloc(ptr, layout)
+        // SAFETY: caller obligations (ptr from this allocator, same layout)
+        // pass straight through to `System::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -12,7 +12,7 @@
 //! asserted by the test suite.
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;

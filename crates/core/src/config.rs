@@ -7,6 +7,13 @@
 //! `palladium_tcpstack::stack`); this module holds the engine-, function-
 //! and client-level knobs plus derived helpers.
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use palladium_dpu::SocSpec;
 use palladium_simnet::{ByteCost, Nanos};
 

@@ -9,6 +9,13 @@
 //! the FCFS engine serves in arrival order and lets the bursty tenants
 //! starve tenant 1.
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use palladium_membuf::TenantId;
 use palladium_simnet::{Effects, Engine, FifoServer, Harness, Nanos, WindowedRate};
 

@@ -20,6 +20,13 @@
 //! autoscaler (60 %/30 %) manage worker processes, and disconnects a
 //! client whose response takes longer than 1 s.
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use palladium_ipc::{ChannelCosts, ChannelKind};
 use palladium_rdma::RdmaConfig;
 use palladium_simnet::{

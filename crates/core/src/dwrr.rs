@@ -196,7 +196,7 @@ impl<T> TenantScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn fcfs_preserves_arrival_order_across_tenants() {
@@ -219,7 +219,7 @@ mod tests {
         for i in 0..9_000 {
             s.enqueue(TenantId(1 + (i % 3) as u16), 10, i);
         }
-        let mut served: HashMap<TenantId, usize> = HashMap::new();
+        let mut served: BTreeMap<TenantId, usize> = BTreeMap::new();
         for _ in 0..900 {
             let (t, _) = s.dequeue().expect("backlogged");
             *served.entry(t).or_default() += 1;
@@ -258,7 +258,7 @@ mod tests {
             s.enqueue(TenantId(1), 8, i);
             s.enqueue(TenantId(2), 32, i);
         }
-        let mut count = HashMap::new();
+        let mut count = BTreeMap::new();
         for _ in 0..500 {
             let (t, _) = s.dequeue().unwrap();
             *count.entry(t).or_insert(0usize) += 1;
@@ -293,7 +293,7 @@ mod tests {
             s.enqueue(TenantId(1), 10, i);
             s.enqueue(TenantId(2), 10, i);
         }
-        let mut first_100 = HashMap::new();
+        let mut first_100 = BTreeMap::new();
         for _ in 0..140 {
             let (t, _) = s.dequeue().unwrap();
             *first_100.entry(t).or_insert(0usize) += 1;

@@ -23,7 +23,7 @@
 //!   function-chain cluster (Fig 16 / Table 2).
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod autoscaler;

@@ -6,6 +6,13 @@
 //! TCP with stable scaling; §4.3: SK_MSG's interrupt-driven receive
 //! throttling the CPU-resident CNE at high concurrency).
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use palladium_simnet::Nanos;
 
 /// Costs of the eBPF `SK_MSG` + sockmap descriptor hand-off (§3.5.3).
@@ -117,7 +124,6 @@ impl ChannelCosts {
 
     /// DNE-side per-descriptor CPU cost with `endpoints` functions attached.
     pub fn dne_cpu(&self, endpoints: usize) -> Nanos {
-        // simlint: allow(saturating-cost-casts) — usize→u64 widening of an endpoint count; lossless on every supported platform
         self.dne_cpu_base + self.dne_cpu_per_endpoint * endpoints as u64
     }
 }

@@ -12,7 +12,7 @@
 //!   only as its price, [`SkMsgCosts`]: the cluster charges it per hop.
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod comch;

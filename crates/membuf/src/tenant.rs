@@ -11,7 +11,7 @@
 //! [`TenantDirectory`] is the set of memory-mapped files, and
 //! [`TenantDirectory::attach`] is the EAL secondary-process attach.
 
-// simlint: allow(no-unordered-iteration) — lookup-only maps below; never iterated
+#[expect(clippy::disallowed_types, reason = "lookup-only maps below; never iterated")]
 use std::collections::HashMap;
 
 use crate::hugepage::Region;
@@ -124,9 +124,9 @@ impl ShmAgent {
 #[derive(Debug, Default)]
 pub struct TenantDirectory {
     pools: Vec<UnifiedPool>,
-    // simlint: allow(no-unordered-iteration) — keyed get/insert only (attach path); never iterated
+    #[expect(clippy::disallowed_types, reason = "keyed get/insert only (attach); never iterated")]
     by_prefix: HashMap<String, PoolId>,
-    // simlint: allow(no-unordered-iteration) — keyed get/insert only (tenant_of); never iterated
+    #[expect(clippy::disallowed_types, reason = "keyed get/insert only (tenant_of); not iterated")]
     fn_tenants: HashMap<FnId, TenantId>,
 }
 

@@ -7,7 +7,7 @@
 //!    operation interleavings.
 //! 4. Descriptor encoding round-trips for arbitrary field values.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -121,7 +121,7 @@ proptest! {
                 n_bufs as usize
             );
             // Invariant: no two live tokens share a buffer index.
-            let idxs: HashSet<u32> = live.iter().map(|t| t.idx()).collect();
+            let idxs: BTreeSet<u32> = live.iter().map(|t| t.idx()).collect();
             prop_assert_eq!(idxs.len(), live.len());
         }
 

@@ -5,6 +5,13 @@
 //! results but not the *shapes* the reproduction asserts (who wins, by what
 //! factor).
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use palladium_simnet::{ByteCost, Nanos};
 
 /// RDMA substrate configuration.

@@ -32,7 +32,7 @@
 //! RejoinCosts`, 25 µs each).
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod config;

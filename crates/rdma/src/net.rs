@@ -471,7 +471,7 @@ impl RdmaNet {
     }
 
     /// Emit a control frame from `from` back to `to`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the control frame's header fields, one by one")]
     fn send_control(
         &mut self,
         now: Nanos,

@@ -1,233 +1,55 @@
-//! # simlint — static enforcement of the workspace determinism & safety contracts
+//! # simlint — the one workspace contract rustc and clippy cannot express
 //!
-//! Every headline property of this reproduction — bit-identical reports at
-//! 1/2/4/8 shards × both execution modes, byte-stable chaos verdicts,
-//! ~0.0005 allocs/event, saturating Q32.32 cost math — is a *source-level*
-//! discipline: no unordered iteration, no ambient clocks or RNGs, no bare
-//! float→integer cost casts, justified `unsafe`, no panics on the kernel
-//! steady state. The dynamic gates (golden snapshots, proptests, alloc
-//! counters) fire only after a violation is already written; this pass
-//! fails the build instead.
+//! The invariants contract (README "Static analysis & invariants") is
+//! enforced by the compiler: `clippy.toml`, module lint headers and the
+//! root manifest's `[workspace.lints]`. What is left here is a cross-file
+//! rule no per-crate lint can see, `unreached-pub`: a
+//! `pub fn|struct|enum|trait|const|type|static` in a library crate that
+//! only its own unit tests name. Its name occurs, as a whole word, in no
+//! other workspace `.rs` file (`pub use` re-exports in a `lib.rs` are not
+//! a use) and nowhere in its own file's non-test code besides the
+//! declaration. Such code is API nothing reaches — delete it with the
+//! assertions that call it, gate it `#[cfg(test)]` when a test needs it to
+//! observe private state, or annotate a reference implementation.
+//! Word-matching *under-reports*: a common name (`revoke`, `new`) counts
+//! as reached by any namesake in another file. That is the safe direction
+//! — the rule never asks for the deletion of something that is called.
 //!
-//! The linter is deliberately *lexical*, in the style of rustc's `tidy`:
-//! a small comment/string-stripping line lexer over the workspace `.rs`
+//! The pass is deliberately *lexical*, in the style of rustc's `tidy`: a
+//! small comment/string-stripping line lexer over the workspace `.rs`
 //! files, zero external dependencies (the build environment is offline —
-//! no `syn`, no `dylint`). That makes it fast, auditable, and honest about
-//! what it can see: it matches tokens, not types, so every rule is scoped
-//! per-path by the config tables below and every legitimate use is
-//! annotated in place with a *reasoned* allow marker:
+//! no `syn`, no `dylint`). A legitimate exemption is annotated in place
+//! with a *reasoned* allow marker:
 //!
 //! ```text
-//! // simlint: allow(<rule>) — <reason>
+//! // simlint: allow(unreached-pub) — <reason>
 //! ```
 //!
 //! The reason string is mandatory (an empty one is itself a violation), a
 //! marker that no longer suppresses anything is reported as stale, and a
-//! marker naming an unknown rule is rejected — so the annotation layer
+//! marker naming any other rule is rejected — so the annotation layer
 //! cannot rot silently. Markers bind to the line they trail, or — when
 //! written on their own comment line — to the next line that contains code.
 //!
-//! `#[cfg(test)]` modules are skipped entirely: tests may use `HashMap` to
-//! cross-check determinism claims, time things, and `unwrap` freely.
-//! Files under `tests/`, `benches/` and `examples/` remain linted for the
-//! rules whose scope includes them (ambient time/RNG and safety comments),
-//! because integration tests feed the same deterministic goldens.
-//!
-//! See the crate `tests/` directory for the per-rule fixture proofs (each
-//! rule demonstrably fires and honors its allow marker) and the
+//! See the crate `tests/` directory for the fixture proofs and the
 //! workspace-is-clean integration test that makes any new violation fail
 //! `cargo test`, not just CI.
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-// ---------------------------------------------------------------------------
-// Rules
-
-/// The seven enforced contracts. `name` is what allow markers reference.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Rule {
-    /// `HashMap`/`HashSet` banned in the deterministic simulation crates:
-    /// iteration order is seeded per-process (`RandomState`), so any
-    /// iterated map silently breaks run-to-run reproducibility. Convert
-    /// iterated maps to `IdTable`/`Slab`/`BTreeMap`; annotate lookup-only
-    /// ones.
-    UnorderedIteration,
-    /// `Instant::now`/`SystemTime` banned outside `crates/bench`: virtual
-    /// time comes from the event queue, and an ambient clock read anywhere
-    /// in the simulation makes results machine-dependent. The one
-    /// annotated site in `shard.rs` (a run's host wall time, reported next
-    /// to the results and never fed back into virtual time) is the only
-    /// exemption.
-    AmbientTime,
-    /// `thread_rng`/`rand::random`/`RandomState` banned everywhere: all
-    /// randomness flows through seeded `SimRng::stream` draws so fault
-    /// verdicts and workloads replay bit-identically.
-    AmbientRng,
-    /// Bare `as u64`/`as i64` (and narrowing integer) casts banned in the
-    /// cost-model funnel modules: a careless float→int cast truncates
-    /// instead of saturating (the PR 4 `ByteCost` bug charged ~0 ns for a
-    /// 2⁶³-byte transfer). Cost conversions go through
-    /// `Nanos::from_f64_saturating` / saturating ops.
-    CostCast,
-    /// Every `unsafe` block, impl, or fn carries a `// SAFETY:` comment on
-    /// the same line or in the contiguous comment block directly above.
-    SafetyComment,
-    /// `.unwrap()`/`.expect()` and the panicking macros (`unreachable!`,
-    /// `panic!`, `todo!`, `unimplemented!`) banned in the kernel
-    /// steady-state modules (`queue.rs`, `shard.rs`): a panic
-    /// mid-window poisons the shard barrier and kills the run.
-    /// Invariant-backed expects must say *why* the invariant holds.
-    /// (`assert!` is not matched: config validation is its own item.)
-    PanicHotPath,
-    /// A `pub fn|struct|enum|trait|const|type|static` in a library crate
-    /// that only its own unit tests name: its name occurs, as a whole word,
-    /// in no other workspace `.rs` file (`pub use` re-exports in a `lib.rs`
-    /// are not a use) and nowhere in its own file's non-test code besides
-    /// the declaration. Such code is API nothing reaches — delete it with
-    /// the assertions that call it, gate it `#[cfg(test)]` when a test needs
-    /// it to observe private state, or annotate a reference implementation.
-    /// Unlike the other rules this one is decided over the whole file set
-    /// ([`lint_files`]), not per line. Word-matching *under-reports*: a
-    /// common name (`revoke`, `new`) counts as reached by any namesake in
-    /// another file. That is the safe direction — the rule never asks for
-    /// the deletion of something that is called.
-    UnreachedPub,
-}
-
-/// All rules, in reporting order.
-pub const RULES: &[Rule] = &[
-    Rule::UnorderedIteration,
-    Rule::AmbientTime,
-    Rule::AmbientRng,
-    Rule::CostCast,
-    Rule::SafetyComment,
-    Rule::PanicHotPath,
-    Rule::UnreachedPub,
-];
-
-impl Rule {
-    /// The name allow markers use.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::UnorderedIteration => "no-unordered-iteration",
-            Rule::AmbientTime => "no-ambient-time",
-            Rule::AmbientRng => "no-ambient-rng",
-            Rule::CostCast => "saturating-cost-casts",
-            Rule::SafetyComment => "safety-comments",
-            Rule::PanicHotPath => "no-panic-hot-path",
-            Rule::UnreachedPub => "unreached-pub",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Rule> {
-        RULES.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// What a firing site should do about it.
-    fn advice(self) -> &'static str {
-        match self {
-            Rule::UnorderedIteration => {
-                "iteration order is per-process random; use IdTable/Slab/BTreeMap, \
-                 or annotate a lookup-only map"
-            }
-            Rule::AmbientTime => {
-                "simulated code must read virtual time from the event queue, \
-                 never the host clock"
-            }
-            Rule::AmbientRng => "all randomness must come from seeded SimRng streams",
-            Rule::CostCast => {
-                "cost conversions must saturate: use Nanos::from_f64_saturating \
-                 or checked/saturating integer ops"
-            }
-            Rule::SafetyComment => {
-                "add a `// SAFETY:` comment stating the invariant that makes \
-                 this sound, directly above or on the same line"
-            }
-            Rule::PanicHotPath => {
-                "kernel steady-state code must not panic; handle the case or \
-                 annotate with the invariant that rules it out"
-            }
-            Rule::UnreachedPub => {
-                "only its own unit tests name this: delete it with the assertions \
-                 that call it, or make it `#[cfg(test)]`"
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scope configuration
-//
-// All paths are workspace-root-relative with '/' separators. An entry is a
-// prefix: directories end in '/', single files are spelled out in full.
-
-/// Crates whose `src/` must stay free of unordered containers — exactly the
-/// crates on the deterministic simulation path (the report-producing side
-/// of the golden-trace contract). `tcpstack` cost tables, `baselines`,
-/// `workloads` and `bench` construct scenarios but any map they iterate
-/// flows into these crates as ordered event streams.
-const DETERMINISTIC_SRC: &[&str] = &[
-    "crates/core/src/",
-    "crates/rdma/src/",
-    "crates/simnet/src/",
-    "crates/ipc/src/",
-    "crates/dpu/src/",
-    "crates/membuf/src/",
-];
-
-/// The cost-model funnel modules: where external parameters (slopes,
-/// rates, cycle counts, figure time scales) become integer nanoseconds.
-/// This is deliberately the *funnel* — the id/index `as` casts that pepper
-/// the drivers are int↔int and out of scope; the modules below are where a
-/// bare cast corrupts virtual time itself.
-const COST_MODULES: &[&str] = &[
-    "crates/simnet/src/time.rs",
-    "crates/ipc/src/costs.rs",
-    "crates/rdma/src/config.rs",
-    "crates/core/src/config.rs",
-    "crates/tcpstack/src/stack.rs",
-    "crates/core/src/driver/ingress_sweep.rs",
-    "crates/core/src/driver/fairness.rs",
-];
-
-/// Kernel steady-state modules where a panic kills a shard mid-window.
-const HOT_PATH_MODULES: &[&str] = &[
-    "crates/simnet/src/queue.rs",
-    "crates/simnet/src/shard.rs",
-];
-
-/// What `no-panic-hot-path` matches, and how it reports each.
-const PANIC_TOKENS: &[(&str, &str)] = &[
-    (".unwrap(", ".unwrap()"),
-    (".expect(", ".expect()"),
-    ("unreachable!(", "unreachable!"),
-    ("panic!(", "panic!"),
-    ("todo!(", "todo!"),
-    ("unimplemented!(", "unimplemented!"),
-];
-
-/// The first panicking token on this line, as reported.
-fn panic_token(code: &str) -> Option<&'static str> {
-    PANIC_TOKENS
-        .iter()
-        .find(|(pattern, _)| code.contains(pattern))
-        .map(|&(_, label)| label)
-}
-
-/// The only tree allowed to read host clocks: wall-clock measurement is
-/// the bench crate's whole job.
-const AMBIENT_TIME_EXEMPT: &[&str] = &["crates/bench/"];
+/// The rule's name, as allow markers and reports spell it.
+const RULE: &str = "unreached-pub";
 
 /// `unreached-pub` looks for declarations in the library crates' `src/`
 /// trees (`crates/<name>/src/`), minus these: binaries declare nothing
 /// another file could name, and the linter is not a library of the
 /// simulation.
-const UNREACHED_PUB_EXEMPT: &[&str] = &[
+const EXEMPT: &[&str] = &[
     "crates/simlint/",
     "crates/bench/src/bin/",
     // The per-tenant grant-check islands `tests/tenant_isolation.rs`
@@ -238,25 +60,12 @@ const UNREACHED_PUB_EXEMPT: &[&str] = &[
     "crates/dpu/src/mmap_import.rs",
 ];
 
-fn in_any(rel: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| rel.starts_with(p))
-}
-
-/// Does `rule` apply to the file at workspace-relative path `rel`?
-pub fn rule_applies(rule: Rule, rel: &str) -> bool {
-    match rule {
-        Rule::UnorderedIteration => in_any(rel, DETERMINISTIC_SRC),
-        Rule::AmbientTime => !in_any(rel, AMBIENT_TIME_EXEMPT),
-        Rule::AmbientRng => true,
-        Rule::CostCast => in_any(rel, COST_MODULES),
-        Rule::SafetyComment => true,
-        Rule::PanicHotPath => in_any(rel, HOT_PATH_MODULES),
-        Rule::UnreachedPub => {
-            let mut dirs = rel.split('/');
-            (dirs.next(), dirs.nth(1)) == (Some("crates"), Some("src"))
-                && !in_any(rel, UNREACHED_PUB_EXEMPT)
-        }
-    }
+/// Does the rule look for declarations in the file at workspace-relative
+/// path `rel`?
+fn in_scope(rel: &str) -> bool {
+    let mut dirs = rel.split('/');
+    (dirs.next(), dirs.nth(1)) == (Some("crates"), Some("src"))
+        && !EXEMPT.iter().any(|p| rel.starts_with(p))
 }
 
 // ---------------------------------------------------------------------------
@@ -264,9 +73,8 @@ pub fn rule_applies(rule: Rule, rel: &str) -> bool {
 
 /// One source line, split into executable code and comment text. String
 /// and char literal *contents* are stripped from `code` (the delimiters
-/// remain), so `"HashMap"` in a log message can never fire a rule; comment
-/// text is preserved separately because two rules read it (`SAFETY:` and
-/// the allow markers).
+/// remain), so a name in a log message is never a mention; comment text
+/// is preserved separately because the allow markers live there.
 #[derive(Default, Debug)]
 pub struct Line {
     /// Code with comments and literal contents removed.
@@ -445,9 +253,8 @@ fn raw_or_byte_string_start(chars: &[char], i: usize) -> Option<(Option<usize>, 
 // #[cfg(test)] skipping
 
 /// Mark every line belonging to a `#[cfg(test)]` item (attribute line
-/// through the matching closing brace). Tests legitimately use ambient
-/// maps, clocks, and `unwrap` — the contracts bind the simulation, not its
-/// cross-checks.
+/// through the matching closing brace): a name only these lines mention
+/// is not reached.
 pub fn test_mod_mask(lines: &[Line]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0;
@@ -493,7 +300,7 @@ pub fn test_mod_mask(lines: &[Line]) -> Vec<bool> {
 // ---------------------------------------------------------------------------
 // Allow markers
 
-/// A parsed `// simlint: allow(<rule>) — <reason>` marker.
+/// A parsed `// simlint: allow(unreached-pub) — <reason>` marker.
 #[derive(Debug)]
 struct Marker {
     /// Line the marker comment sits on (0-based).
@@ -501,13 +308,34 @@ struct Marker {
     /// Line the marker suppresses (0-based): its own line if it trails
     /// code, otherwise the next line containing code.
     target: Option<usize>,
-    rule: Option<Rule>,
     /// Problem with the marker itself, reported as a violation.
     error: Option<String>,
     consumed: bool,
 }
 
 const MARKER_TAG: &str = "simlint:";
+
+/// What is wrong with the text after `simlint:`, if anything.
+fn marker_error(rest: &str) -> Option<String> {
+    let Some(args) = rest.strip_prefix("allow(") else {
+        return Some("malformed marker: expected `simlint: allow(<rule>) — <reason>`".into());
+    };
+    let Some(close) = args.find(')') else {
+        return Some("malformed marker: missing `)`".into());
+    };
+    let name = args[..close].trim();
+    if name != RULE {
+        return Some(format!("unknown rule `{name}` (the one rule is {RULE})"));
+    }
+    // The reason: everything after the ')', minus a leading separator
+    // (— or - or :).
+    let reason = args[close + 1..]
+        .trim_start_matches(|c: char| c.is_whitespace() || c == '—' || c == '-' || c == ':')
+        .trim();
+    (reason.len() < 3).then(|| {
+        format!("allow({name}) needs a reason: `// simlint: allow({name}) — <why this is sound>`")
+    })
+}
 
 fn parse_markers(lines: &[Line], skip: &[bool]) -> Vec<Marker> {
     let mut out = Vec::new();
@@ -520,157 +348,32 @@ fn parse_markers(lines: &[Line], skip: &[bool]) -> Vec<Marker> {
         if skip[idx] || !trimmed.starts_with(MARKER_TAG) {
             continue;
         }
-        let rest = trimmed[MARKER_TAG.len()..].trim();
-        let mut marker = Marker {
-            line: idx,
-            target: None,
-            rule: None,
-            error: None,
-            consumed: false,
-        };
-        if let Some(args) = rest.strip_prefix("allow(") {
-            if let Some(close) = args.find(')') {
-                let name = args[..close].trim();
-                match Rule::from_name(name) {
-                    Some(rule) => {
-                        marker.rule = Some(rule);
-                        // The reason: everything after the ')', minus a
-                        // leading separator (— or - or :).
-                        let reason = args[close + 1..]
-                            .trim_start_matches(|c: char| {
-                                c.is_whitespace() || c == '—' || c == '-' || c == ':'
-                            })
-                            .trim();
-                        if reason.len() < 3 {
-                            marker.error = Some(format!(
-                                "allow({name}) needs a reason: \
-                                 `// simlint: allow({name}) — <why this is sound>`"
-                            ));
-                        }
-                    }
-                    None => {
-                        marker.error = Some(format!(
-                            "unknown rule `{name}` (rules: {})",
-                            RULES
-                                .iter()
-                                .map(|r| r.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ));
-                    }
-                }
-            } else {
-                marker.error = Some("malformed marker: missing `)`".into());
-            }
-        } else {
-            marker.error = Some(
-                "malformed marker: expected `simlint: allow(<rule>) — <reason>`".into(),
-            );
-        }
         // Bind to a line of code: this one if it has any, else the next
         // non-skipped line that does.
-        if !lines[idx].code.trim().is_empty() {
-            marker.target = Some(idx);
+        let target = if line.code.trim().is_empty() {
+            (idx + 1..lines.len()).find(|&j| !skip[j] && !lines[j].code.trim().is_empty())
         } else {
-            marker.target = lines
-                .iter()
-                .enumerate()
-                .skip(idx + 1)
-                .find(|(j, l)| !skip[*j] && !l.code.trim().is_empty())
-                .map(|(j, _)| j);
-        }
-        out.push(marker);
+            Some(idx)
+        };
+        out.push(Marker {
+            line: idx,
+            target,
+            error: marker_error(trimmed[MARKER_TAG.len()..].trim()),
+            consumed: false,
+        });
     }
     out
 }
 
 // ---------------------------------------------------------------------------
-// Token matching
-
-/// Is `code[pos..pos+word.len()]` a standalone word (not an identifier
-/// fragment)?
-fn word_at(code: &str, pos: usize, word: &str) -> bool {
-    let before_ok = pos == 0
-        || !code[..pos]
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-    let end = pos + word.len();
-    let after_ok = end >= code.len()
-        || !code[end..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-    before_ok && after_ok
-}
-
-fn has_word(code: &str, word: &str) -> bool {
-    code.match_indices(word).any(|(pos, _)| word_at(code, pos, word))
-}
-
-/// Integer targets a bare `as` cast may not produce in cost modules —
-/// `u64`/`i64` (the float→int hazard) plus every narrowing width. `usize`,
-/// `u128` and the float targets stay legal: widening an id for indexing
-/// and int→float for reporting are not cost hazards.
-const BANNED_CAST_TARGETS: &[&str] = &["u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8"];
-
-fn has_banned_cast(code: &str) -> bool {
-    for (pos, _) in code.match_indices("as") {
-        if !word_at(code, pos, "as") {
-            continue;
-        }
-        let rest = code[pos + 2..].trim_start();
-        let target_hit = BANNED_CAST_TARGETS.iter().any(|t| {
-            rest.starts_with(t)
-                && !rest[t.len()..]
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
-        });
-        if target_hit {
-            return true;
-        }
-    }
-    false
-}
-
-/// Does this line's code fire `rule`? Purely lexical, one verdict per
-/// line.
-fn line_fires(rule: Rule, code: &str) -> bool {
-    match rule {
-        Rule::UnorderedIteration => has_word(code, "HashMap") || has_word(code, "HashSet"),
-        Rule::AmbientTime => {
-            (code.contains("Instant::now") && has_word(code, "Instant"))
-                || has_word(code, "SystemTime")
-        }
-        Rule::AmbientRng => {
-            has_word(code, "thread_rng")
-                || (code.contains("rand::random") && has_word(code, "random"))
-                || has_word(code, "RandomState")
-        }
-        Rule::CostCast => has_banned_cast(code),
-        Rule::SafetyComment => is_unsafe_site(code),
-        Rule::PanicHotPath => panic_token(code).is_some(),
-        // Decided over the whole file set, see `unreached_pub`.
-        Rule::UnreachedPub => false,
-    }
-}
-
-/// An `unsafe` keyword that opens a block, impl, fn, or trait — i.e. a
-/// site that owes the reader a `SAFETY:` justification.
-fn is_unsafe_site(code: &str) -> bool {
-    has_word(code, "unsafe")
-}
-
-// ---------------------------------------------------------------------------
-// Violations & the per-file pass
+// Violations & the cross-file pass
 
 /// One finding. `line` is 1-based.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     pub path: String,
     pub line: usize,
-    /// Rule name, or `"allow-marker"` for problems with markers
+    /// `"unreached-pub"`, or `"allow-marker"` for problems with markers
     /// themselves (missing reason, unknown rule, stale marker).
     pub rule: &'static str,
     pub msg: String,
@@ -693,94 +396,61 @@ struct FileLint {
 }
 
 impl FileLint {
-    /// Lex `src` and run the per-line rules.
     fn new(rel: &str, src: &str) -> FileLint {
         let lines = lex(src);
         let skip = test_mod_mask(&lines);
-        let markers = parse_markers(&lines, &skip);
-        let mut file = FileLint { rel: rel.to_string(), lines, skip, markers, out: Vec::new() };
-        for idx in 0..file.lines.len() {
-            if file.skip[idx] {
-                continue;
-            }
-            for &rule in RULES {
-                let code = &file.lines[idx].code;
-                if !rule_applies(rule, rel) || !line_fires(rule, code) {
-                    continue;
-                }
-                if rule == Rule::SafetyComment && safety_comment_covers(&file.lines, idx) {
-                    continue;
-                }
-                file.report(idx, rule);
-            }
-        }
-        file
+        let markers =
+            if rel.starts_with(MENTIONS_ONLY) { Vec::new() } else { parse_markers(&lines, &skip) };
+        FileLint { rel: rel.to_string(), lines, skip, markers, out: Vec::new() }
     }
 
-    /// `rule` fired on line `idx` (0-based): a marker targeting this line
-    /// for this rule suppresses the finding (and is thereby consumed —
-    /// markers must stay live), otherwise it is a violation.
-    fn report(&mut self, idx: usize, rule: Rule) {
-        if let Some(m) = self.markers.iter_mut().find(|m| {
-            m.error.is_none() && m.rule == Some(rule) && m.target == Some(idx)
-        }) {
+    /// The `pub` item `name` on line `idx` (0-based) is unreached: a marker
+    /// targeting this line suppresses the finding (and is thereby consumed
+    /// — markers must stay live), otherwise it is a violation.
+    fn report(&mut self, idx: usize, name: &str) {
+        let live = |m: &&mut Marker| m.error.is_none() && m.target == Some(idx);
+        if let Some(m) = self.markers.iter_mut().find(live) {
             m.consumed = true;
             return;
         }
         self.out.push(Violation {
             path: self.rel.clone(),
             line: idx + 1,
-            rule: rule.name(),
-            msg: format!("{} — {}", firing_token_msg(rule, &self.lines[idx].code), rule.advice()),
+            rule: RULE,
+            msg: format!(
+                "`{name}` — only its own unit tests name this: delete it with the \
+                 assertions that call it, or make it `#[cfg(test)]`"
+            ),
         });
     }
 
     /// Add the marker-hygiene findings and return everything, by line.
     fn finish(mut self) -> Vec<Violation> {
         for m in &self.markers {
-            if let Some(err) = &m.error {
-                self.out.push(Violation {
-                    path: self.rel.clone(),
-                    line: m.line + 1,
-                    rule: "allow-marker",
-                    msg: err.clone(),
-                });
-            } else if !m.consumed {
-                self.out.push(Violation {
-                    path: self.rel.clone(),
-                    line: m.line + 1,
-                    rule: "allow-marker",
-                    msg: format!(
-                        "stale marker: allow({}) suppresses nothing here — delete it \
-                         (or move it onto the offending line)",
-                        m.rule.map(|r| r.name()).unwrap_or("?")
-                    ),
-                });
-            }
+            let msg = match &m.error {
+                Some(err) => err.clone(),
+                None if !m.consumed => format!(
+                    "stale marker: allow({RULE}) suppresses nothing here — delete it \
+                     (or move it onto the offending line)"
+                ),
+                None => continue,
+            };
+            let (path, line) = (self.rel.clone(), m.line + 1);
+            self.out.push(Violation { path, line, rule: "allow-marker", msg });
         }
         self.out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
         self.out
     }
 }
 
-/// Lint one file's source with the per-line rules. `rel` is its
-/// workspace-root-relative path with `/` separators — scoping is driven
-/// entirely by it, which is also what lets the fixture tests impersonate
-/// in-scope paths. (`unreached-pub` needs the other files: [`lint_files`].)
-pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
-    FileLint::new(rel, src).finish()
+/// Is `code[pos..pos+word.len()]` a standalone word (not an identifier
+/// fragment)?
+fn word_at(code: &str, pos: usize, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let end = pos + word.len();
+    !code[..pos].chars().next_back().is_some_and(ident)
+        && !code[end..].chars().next().is_some_and(ident)
 }
-
-/// Lint a file set — `(rel, source)` pairs — with every rule, the
-/// cross-file `unreached-pub` included.
-pub fn lint_files(files: &[(String, String)]) -> Vec<Violation> {
-    let mut lints: Vec<FileLint> = files.iter().map(|(rel, src)| FileLint::new(rel, src)).collect();
-    unreached_pub(&mut lints);
-    lints.into_iter().flat_map(FileLint::finish).collect()
-}
-
-// ---------------------------------------------------------------------------
-// unreached-pub: the cross-file pass
 
 /// Item keywords `unreached-pub` recognises after `pub`.
 const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
@@ -854,7 +524,7 @@ fn unreached_pub(files: &mut [FileLint]) {
     }
     let mut findings = Vec::new();
     for (f, file) in files.iter().enumerate() {
-        if !rule_applies(Rule::UnreachedPub, &file.rel) {
+        if !in_scope(&file.rel) {
             continue;
         }
         for (idx, line) in file.lines.iter().enumerate() {
@@ -864,68 +534,22 @@ fn unreached_pub(files: &mut [FileLint]) {
             let on_this_line = idents(&line.code).filter(|w| *w == name).count();
             let elsewhere = mentions[name].iter().any(|&g| g != f);
             if !elsewhere && own[f][name] == on_this_line {
-                findings.push((f, idx));
+                findings.push((f, idx, name.to_string()));
             }
         }
     }
-    for (f, idx) in findings {
-        files[f].report(idx, Rule::UnreachedPub);
+    for (f, idx, name) in findings {
+        files[f].report(idx, &name);
     }
 }
 
-/// For `SafetyComment`: accept a `SAFETY:` on the same line or anywhere in
-/// the contiguous run of code-free (comment/blank) lines directly above.
-/// Each `unsafe` site needs its own coverage — a comment does not leak
-/// through an intervening line of code (so `unsafe impl Send`/`Sync` on
-/// adjacent lines each carry one).
-fn safety_comment_covers(lines: &[Line], idx: usize) -> bool {
-    if lines[idx].comment.contains("SAFETY:") {
-        return true;
-    }
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        if !lines[j].code.trim().is_empty() {
-            return false;
-        }
-        if lines[j].comment.contains("SAFETY:") {
-            return true;
-        }
-    }
-    false
-}
-
-fn firing_token_msg(rule: Rule, code: &str) -> String {
-    let token = match rule {
-        Rule::UnorderedIteration => {
-            if has_word(code, "HashMap") {
-                "HashMap"
-            } else {
-                "HashSet"
-            }
-        }
-        Rule::AmbientTime => {
-            if code.contains("Instant::now") {
-                "Instant::now"
-            } else {
-                "SystemTime"
-            }
-        }
-        Rule::AmbientRng => {
-            if has_word(code, "thread_rng") {
-                "thread_rng"
-            } else if code.contains("rand::random") {
-                "rand::random"
-            } else {
-                "RandomState"
-            }
-        }
-        Rule::CostCast => "bare `as` cast to a 64-bit/narrowing integer",
-        Rule::SafetyComment => "`unsafe` without a SAFETY: comment",
-        Rule::PanicHotPath => panic_token(code).unwrap_or("panic"),
-        Rule::UnreachedPub => declared_pub_item(code).unwrap_or("pub item"),
-    };
-    format!("`{token}`")
+/// Lint a file set — `(rel, source)` pairs, `rel` workspace-root-relative
+/// with `/` separators (scoping is driven entirely by it, which is also
+/// what lets the fixture tests impersonate in-scope paths).
+pub fn lint_files(files: &[(String, String)]) -> Vec<Violation> {
+    let mut lints: Vec<FileLint> = files.iter().map(|(rel, src)| FileLint::new(rel, src)).collect();
+    unreached_pub(&mut lints);
+    lints.into_iter().flat_map(FileLint::finish).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -934,8 +558,13 @@ fn firing_token_msg(rule: Rule, code: &str) -> String {
 /// Directories never descended into.
 const EXCLUDE_DIRS: &[&str] = &["vendor", "target", ".git"];
 
+/// The benchmark package is not a workspace member and keeps its own
+/// conventions: its files are read for mentions only (the API it calls
+/// stays reached), never for markers.
+const MENTIONS_ONLY: &str = "benchmark/";
+
 /// Path fragments excluded from the walk: the fixture corpus *must*
-/// violate the rules (that is its job), and is proven against them by the
+/// violate the rule (that is its job), and is proven against it by the
 /// crate's own tests instead.
 const EXCLUDE_PATHS: &[&str] = &["crates/simlint/tests/fixtures"];
 

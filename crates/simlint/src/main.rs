@@ -1,5 +1,5 @@
-//! `cargo run -p simlint` — lint the workspace against the determinism &
-//! safety contracts. Exit 0 when clean, 1 with one line per violation
+//! `cargo run -p simlint` — lint the workspace for `unreached-pub` (the
+//! rest of the invariants contract is clippy's). Exit 0 when clean, 1 with one line per violation
 //! otherwise. `--root <dir>` overrides workspace-root discovery (the
 //! nearest ancestor whose `Cargo.toml` has a `[workspace]` table).
 
@@ -45,7 +45,7 @@ fn main() -> ExitCode {
             }
             println!(
                 "simlint: {} violation(s) in {files} files — fix, or annotate with \
-                 `// simlint: allow(<rule>) — <reason>`",
+                 `// simlint: allow(unreached-pub) — <reason>`",
                 violations.len()
             );
             ExitCode::FAILURE

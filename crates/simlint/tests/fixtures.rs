@@ -1,219 +1,38 @@
-//! Per-rule fixture proofs: every rule (1) fires on a violating fixture
-//! and (2) honors a reasoned `// simlint: allow(<rule>)` marker (the
-//! cross-file `unreached-pub` on a two-file fixture directory) — plus the
-//! marker-hygiene semantics (mandatory reason, unknown rules rejected,
-//! stale markers reported) and the lexer/scope properties the pass relies
-//! on. The fixture files live under `tests/fixtures/` (excluded from the
-//! workspace walk — violating is their job) and are linted here under
-//! impersonated in-scope paths, which is exactly how the engine scopes
-//! rules: by relative path alone.
+//! Fixture proofs for `unreached-pub`: the cross-file rule fires on a
+//! two-file fixture directory and honors a reasoned
+//! `// simlint: allow(unreached-pub)` marker — plus the marker-hygiene
+//! semantics (mandatory reason, unknown rules rejected, stale markers
+//! reported) and the lexer/scope properties the pass relies on. The
+//! fixture files live under `tests/fixtures/` (excluded from the workspace
+//! walk — violating is their job) and are linted here under impersonated
+//! in-scope paths, which is exactly how the engine scopes the rule: by
+//! relative path alone.
 
-use simlint::{lint_files, lint_source, Violation};
-
-/// Lint `src` as though it lived at `rel`, returning `(rule, line)` pairs.
-fn fire(rel: &str, src: &str) -> Vec<(&'static str, usize)> {
-    lint_source(rel, src)
-        .into_iter()
-        .map(|v: Violation| (v.rule, v.line))
-        .collect()
-}
-
-// --- rule 1: no-unordered-iteration ---------------------------------------
-
-#[test]
-fn unordered_iteration_fires_in_deterministic_crates() {
-    let got = fire(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/unordered_fire.rs"),
-    );
-    // The pass is lexical: the `use` and the field type fire (that is
-    // where the type is named); the iteration site on line 11 mentions no
-    // banned token and is reached through the flagged field anyway.
-    assert_eq!(
-        got,
-        vec![
-            ("no-unordered-iteration", 2),
-            ("no-unordered-iteration", 5),
-        ]
-    );
-}
-
-#[test]
-fn unordered_iteration_honors_marker_strings_and_test_mods() {
-    let got = fire(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/unordered_allow.rs"),
-    );
-    assert_eq!(got, vec![], "markers, string literals and cfg(test) must all be inert");
-}
-
-#[test]
-fn unordered_iteration_is_scoped_to_sim_crates() {
-    // The same violating source is clean outside the deterministic set.
-    let got = fire(
-        "crates/workloads/src/fixture.rs",
-        include_str!("fixtures/unordered_fire.rs"),
-    );
-    assert_eq!(got, vec![]);
-}
-
-// --- rule 2: no-ambient-time ----------------------------------------------
-
-#[test]
-fn ambient_time_fires() {
-    let got = fire(
-        "crates/simnet/src/fixture.rs",
-        include_str!("fixtures/time_fire.rs"),
-    );
-    assert_eq!(got, vec![("no-ambient-time", 5)]);
-}
-
-#[test]
-fn ambient_time_honors_marker() {
-    let got = fire(
-        "crates/simnet/src/fixture.rs",
-        include_str!("fixtures/time_allow.rs"),
-    );
-    assert_eq!(got, vec![]);
-}
-
-#[test]
-fn ambient_time_exempts_bench() {
-    let got = fire(
-        "crates/bench/src/bin/fixture.rs",
-        include_str!("fixtures/time_fire.rs"),
-    );
-    assert_eq!(got, vec![], "the bench crate's whole job is wall-clock time");
-}
-
-// --- rule 3: no-ambient-rng -----------------------------------------------
-
-#[test]
-fn ambient_rng_fires_everywhere() {
-    for rel in [
-        "crates/core/src/fixture.rs",
-        "crates/bench/src/fixture.rs",
-        "tests/fixture.rs",
-        "examples/fixture.rs",
-    ] {
-        let got = fire(rel, include_str!("fixtures/rng_fire.rs"));
-        assert_eq!(got, vec![("no-ambient-rng", 3)], "at {rel}");
-    }
-}
-
-#[test]
-fn ambient_rng_honors_marker() {
-    let got = fire(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/rng_allow.rs"),
-    );
-    assert_eq!(got, vec![]);
-}
-
-// --- rule 4: saturating-cost-casts ----------------------------------------
-
-#[test]
-fn cost_cast_fires_in_cost_modules() {
-    let got = fire(
-        "crates/simnet/src/time.rs",
-        include_str!("fixtures/cast_fire.rs"),
-    );
-    assert_eq!(got, vec![("saturating-cost-casts", 3)]);
-}
-
-#[test]
-fn cost_cast_honors_marker_and_ignores_widening() {
-    let got = fire(
-        "crates/simnet/src/time.rs",
-        include_str!("fixtures/cast_allow.rs"),
-    );
-    assert_eq!(got, vec![], "guarded+marked, u128 and f64 targets must all pass");
-}
-
-#[test]
-fn cost_cast_is_scoped_to_the_funnel() {
-    // Drivers full of id↔index casts are deliberately out of scope.
-    let got = fire(
-        "crates/core/src/driver/cluster_sharded.rs",
-        include_str!("fixtures/cast_fire.rs"),
-    );
-    assert_eq!(got, vec![]);
-}
-
-// --- rule 5: safety-comments ----------------------------------------------
-
-#[test]
-fn safety_comment_fires_and_does_not_leak_across_code() {
-    let got = fire(
-        "crates/simnet/src/fixture.rs",
-        include_str!("fixtures/safety_fire.rs"),
-    );
-    // The SAFETY comment covers the `unsafe fn` on line 4 (directly
-    // below it) only. The unsafe *block* on line 5 sits behind a line of
-    // code and needs its own justification, as does line 9 — exactly the
-    // per-site discipline shard.rs follows.
-    assert_eq!(
-        got,
-        vec![("safety-comments", 5), ("safety-comments", 9)]
-    );
-}
-
-#[test]
-fn safety_comment_accepts_adjacent_comment_inline_or_marker() {
-    let got = fire(
-        "crates/simnet/src/fixture.rs",
-        include_str!("fixtures/safety_allow.rs"),
-    );
-    assert_eq!(got, vec![]);
-}
-
-// --- rule 6: no-panic-hot-path --------------------------------------------
-
-#[test]
-fn panic_hot_path_fires_in_kernel_modules() {
-    let got = fire(
-        "crates/simnet/src/queue.rs",
-        include_str!("fixtures/panic_fire.rs"),
-    );
-    assert_eq!(
-        got,
-        vec![
-            ("no-panic-hot-path", 3),
-            ("no-panic-hot-path", 7),
-            ("no-panic-hot-path", 13)
-        ]
-    );
-}
-
-#[test]
-fn panic_hot_path_honors_marker_and_test_mods() {
-    let got = fire(
-        "crates/simnet/src/queue.rs",
-        include_str!("fixtures/panic_allow.rs"),
-    );
-    assert_eq!(got, vec![]);
-}
-
-#[test]
-fn panic_hot_path_is_scoped() {
-    let got = fire(
-        "crates/core/src/dne.rs",
-        include_str!("fixtures/panic_fire.rs"),
-    );
-    assert_eq!(got, vec![], "unwrap outside the kernel modules is clippy's problem");
-}
-
-// --- rule 7: unreached-pub (cross-file) -------------------------------------
-
-const ISLAND: &str = include_str!("fixtures/unreached/island.rs");
-const CALLER: &str = include_str!("fixtures/unreached/caller.rs");
+use simlint::{lint_files, Violation};
 
 /// Lint a file set, returning `(path, rule, line)` triples.
 fn fire_files(files: &[(&str, &str)]) -> Vec<(String, &'static str, usize)> {
+    lint(files).into_iter().map(|v| (v.path, v.rule, v.line)).collect()
+}
+
+fn lint(files: &[(&str, &str)]) -> Vec<Violation> {
     let files: Vec<(String, String)> =
         files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
-    lint_files(&files).into_iter().map(|v| (v.path, v.rule, v.line)).collect()
+    lint_files(&files)
 }
+
+/// Lint `src` alone as though it lived at `crates/core/src/fixture.rs`,
+/// returning `(rule, line)` pairs.
+fn fire(src: &str) -> Vec<(&'static str, usize)> {
+    lint(&[(FIXTURE, src)]).into_iter().map(|v| (v.rule, v.line)).collect()
+}
+
+const FIXTURE: &str = "crates/core/src/fixture.rs";
+
+// --- unreached-pub (cross-file) ---------------------------------------------
+
+const ISLAND: &str = include_str!("fixtures/unreached/island.rs");
+const CALLER: &str = include_str!("fixtures/unreached/caller.rs");
 
 #[test]
 fn unreached_pub_fires_on_items_only_their_own_tests_name() {
@@ -233,7 +52,8 @@ fn unreached_pub_fires_on_items_only_their_own_tests_name() {
 fn unreached_pub_needs_the_other_file_and_ignores_reexports() {
     // Without the caller `reached` is an island too — and a `lib.rs`
     // re-export of it is not a use.
-    let lib = "pub mod island;\npub use island::{\n    Island, DEAD,\n};\npub use island::reached;\n";
+    let lib =
+        "pub mod island;\npub use island::{\n    Island, DEAD,\n};\npub use island::reached;\n";
     let got = fire_files(&[("crates/core/src/island.rs", ISLAND), ("crates/core/src/lib.rs", lib)]);
     let lines: Vec<usize> = got.iter().map(|(_, _, line)| *line).collect();
     assert_eq!(lines, vec![5, 9, 28], "{got:?}");
@@ -259,7 +79,8 @@ fn unreached_pub_is_scoped_to_library_crates() {
 fn unreached_pub_marker_goes_stale_once_the_item_is_reached() {
     let caller = "pub fn compare(island: &Island) -> u32 {\n    island.reference()\n}\n";
     let island = "crates/core/src/island.rs";
-    let got = fire_files(&[(island, ISLAND), ("tests/caller.rs", CALLER), ("tests/compare.rs", caller)]);
+    let got =
+        fire_files(&[(island, ISLAND), ("tests/caller.rs", CALLER), ("tests/compare.rs", caller)]);
     assert!(got.contains(&(island.to_string(), "allow-marker", 13)), "{got:?}");
 }
 
@@ -267,19 +88,18 @@ fn unreached_pub_marker_goes_stale_once_the_item_is_reached() {
 
 #[test]
 fn marker_requires_a_reason() {
-    let src = "// simlint: allow(no-ambient-time)\nlet t = Instant::now();\n";
-    let got = lint_source("crates/core/src/fixture.rs", src);
+    let got = lint(&[(FIXTURE, "// simlint: allow(unreached-pub)\npub fn island() {}\n")]);
     assert_eq!(got.len(), 2, "{got:?}");
     assert_eq!(got[0].rule, "allow-marker");
     assert!(got[0].msg.contains("needs a reason"), "{}", got[0].msg);
     // And the violation it failed to suppress still stands.
-    assert_eq!(got[1].rule, "no-ambient-time");
+    assert_eq!(got[1].rule, "unreached-pub");
 }
 
 #[test]
 fn marker_rejects_unknown_rules() {
-    let src = "// simlint: allow(no-such-rule) — because\nfn f() {}\n";
-    let got = lint_source("crates/core/src/fixture.rs", src);
+    // The rules that moved to clippy are unknown here now.
+    let got = lint(&[(FIXTURE, "// simlint: allow(no-ambient-time) — because\nfn f() {}\n")]);
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].rule, "allow-marker");
     assert!(got[0].msg.contains("unknown rule"), "{}", got[0].msg);
@@ -287,10 +107,10 @@ fn marker_rejects_unknown_rules() {
 
 #[test]
 fn stale_markers_are_reported() {
-    // The marker names a real rule with a real reason, but nothing on the
-    // next code line fires it: the annotation layer must not rot.
-    let src = "// simlint: allow(no-ambient-time) — left behind after a refactor\nfn f() {}\n";
-    let got = lint_source("crates/core/src/fixture.rs", src);
+    // The marker names the rule with a real reason, but the next code line
+    // declares nothing it fires on: the annotation layer must not rot.
+    let src = "// simlint: allow(unreached-pub) — left behind after a refactor\nfn f() {}\n";
+    let got = lint(&[(FIXTURE, src)]);
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].rule, "allow-marker");
     assert!(got[0].msg.contains("stale"), "{}", got[0].msg);
@@ -300,8 +120,8 @@ fn stale_markers_are_reported() {
 fn marker_must_be_the_whole_comment() {
     // Prose *quoting* the syntax (docs, this repo's README examples) is
     // inert — only a comment that IS a marker parses as one.
-    let src = "//! write `// simlint: allow(no-ambient-time) — why` to exempt a line\nfn f() {}\n";
-    let got = lint_source("crates/core/src/fixture.rs", src);
+    let got =
+        fire("//! write `// simlint: allow(unreached-pub) — why` to exempt an item\nfn f() {}\n");
     assert_eq!(got, vec![]);
 }
 
@@ -309,10 +129,9 @@ fn marker_must_be_the_whole_comment() {
 fn accepted_separators_for_the_reason() {
     for sep in ["—", "-", ":", "--"] {
         let src = format!(
-            "// simlint: allow(no-ambient-time) {sep} busy accounting only\nlet t = Instant::now();\n"
+            "// simlint: allow(unreached-pub) {sep} reference implementation\npub fn island() {{}}\n"
         );
-        let got = lint_source("crates/core/src/fixture.rs", &src);
-        assert_eq!(got, vec![], "separator {sep:?}");
+        assert_eq!(fire(&src), vec![], "separator {sep:?}");
     }
 }
 
@@ -322,25 +141,25 @@ fn accepted_separators_for_the_reason() {
 fn string_continuations_do_not_shift_line_numbers() {
     // A backslash-newline inside a string literal once swallowed the
     // newline and shifted every subsequent violation's line by one.
-    let src = "let s = \"a \\\n b\";\nlet t = Instant::now();\n";
-    let got = fire("crates/core/src/fixture.rs", src);
-    assert_eq!(got, vec![("no-ambient-time", 3)]);
+    let got = fire("const S: &str = \"a \\\n b\";\npub fn island() {}\n");
+    assert_eq!(got, vec![("unreached-pub", 3)]);
 }
 
 #[test]
 fn raw_strings_and_char_literals_are_inert() {
-    let src = r##"let a = r#"HashMap thread_rng unsafe"#;
+    // Neither declarations nor mentions inside literals count: `island`
+    // stays unreached, and `hidden` is never declared.
+    let other = r##"let a = r#"pub fn hidden() island"#;
 let b = 'x';
 let c = '\n';
-let d: &'static str = "SystemTime";
+let d: &'static str = "island";
 "##;
-    let got = fire("crates/core/src/fixture.rs", src);
-    assert_eq!(got, vec![]);
+    let got = fire_files(&[(FIXTURE, "pub fn island() {}\n"), ("crates/core/src/other.rs", other)]);
+    assert_eq!(got, vec![(FIXTURE.to_string(), "unreached-pub", 1)]);
 }
 
 #[test]
 fn block_comments_are_inert_but_unsafe_code_is_not() {
-    let src = "/* HashMap in prose */\nfn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-    let got = fire("crates/core/src/fixture.rs", src);
-    assert_eq!(got, vec![("safety-comments", 3)]);
+    let got = fire("/* pub fn in_prose() {} */\npub unsafe fn island() {}\n");
+    assert_eq!(got, vec![("unreached-pub", 2)]);
 }

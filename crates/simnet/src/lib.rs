@@ -22,7 +22,7 @@
 //!   engine and NIC port so saturation emerges instead of being scripted.
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod chaos;

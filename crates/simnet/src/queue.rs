@@ -69,6 +69,20 @@
 //!
 //! [`Sim`]: crate::sim::Sim
 
+// Kernel steady state: a panic mid-window poisons the shard barrier and
+// kills the run.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -88,6 +88,20 @@
 //! [`Sim`]: crate::sim::Sim
 //! [`palladium_core`'s multi-node driver]: self
 
+// Kernel steady state: a panic mid-window poisons the shard barrier and
+// kills the run.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -608,7 +622,11 @@ pub fn run_sharded<E: ShardEngine>(
 
     // `Σ_k max_s work[s][k]`, folded as each window completes.
     let mut critical_path_work = 0u64;
-    // simlint: allow(no-ambient-time) — the run's host wall time, read here and once after the last window; apportioned by work share in the report, never feeds virtual time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the run's host wall time, read here and once after the last window; \
+                  apportioned by work share in the report, never feeds virtual time"
+    )]
     let started = Instant::now();
     match cfg.execution {
         Execution::Sequential => {
@@ -665,7 +683,11 @@ pub fn run_sharded<E: ShardEngine>(
                     .collect();
                 critical_path_work = run_shard(first);
                 for h in handles {
-                    // simlint: allow(no-panic-hot-path) — re-raises a shard panic on the coordinating thread after the barrier poisoned; the run is already dead
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "re-raises a shard panic on the coordinating thread after the \
+                                  barrier poisoned; the run is already dead"
+                    )]
                     h.join().expect("shard thread panicked");
                 }
             });

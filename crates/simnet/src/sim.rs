@@ -108,9 +108,11 @@ impl<M> Sim<M> {
 
     /// Advance the clock to the next event and return it, or `None` when the
     /// simulation has run dry.
-    // Not an Iterator: advancing mutates the clock, and `for` loops over a
-    // simulation would hide that.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not an Iterator: advancing mutates the clock, and a `for` loop over a \
+                  simulation would hide that"
+    )]
     pub fn next(&mut self) -> Option<(Nanos, M)> {
         let (at, msg) = self.queue.pop()?;
         debug_assert!(at >= self.now, "event queue went backwards");

@@ -6,6 +6,13 @@
 //! being fine-grained enough to express sub-microsecond RDMA costs from the
 //! paper (e.g. the 2.6 µs SoC DMA read, §4.1.1).
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -103,8 +110,13 @@ impl Nanos {
         if ns >= u64::MAX as f64 {
             Nanos::MAX
         } else if ns > 0.0 {
-            // simlint: allow(saturating-cost-casts) — this IS the saturating funnel: the cast is guarded by the range checks above
-            Nanos(ns as u64)
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "this IS the saturating funnel: the range checks above guard the cast"
+            )]
+            let ns = ns as u64;
+            Nanos(ns)
         } else {
             Nanos::ZERO
         }
@@ -267,8 +279,12 @@ impl ByteCost {
     #[inline]
     pub fn cost(self, bytes: u64) -> Nanos {
         let q = ((bytes as u128 * self.mul as u128) + (1u128 << 31)) >> 32;
-        // simlint: allow(saturating-cost-casts) — narrowing is explicitly clamped by the min() on the same expression
-        Nanos(q.min(u64::MAX as u128) as u64)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the min() on the same expression clamps the narrowing"
+        )]
+        let ns = q.min(u64::MAX as u128) as u64;
+        Nanos(ns)
     }
 }
 

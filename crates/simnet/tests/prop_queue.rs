@@ -27,7 +27,7 @@
 //! The second test pins the one thing the sharded runner adds on top:
 //! that a window deadline cuts the stream at exactly the right event.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// scans — it is a specification, not an implementation.
 struct BoxedRef {
     pending: Vec<(u128, Box<u64>)>,
-    cancelled: HashSet<u64>,
+    cancelled: BTreeSet<u64>,
     next_seq: u64,
 }
 
@@ -90,7 +90,7 @@ impl BoxedRef {
     fn new() -> Self {
         BoxedRef {
             pending: Vec::new(),
-            cancelled: HashSet::new(),
+            cancelled: BTreeSet::new(),
             next_seq: 0,
         }
     }

@@ -10,7 +10,7 @@
 //!   simulated request carries header bytes.
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 pub mod stack;

@@ -10,6 +10,13 @@
 //! ≈250 K RPS (Palladium), ≈3.2× less for F-Ingress, ≈11.4× less for
 //! K-Ingress.
 
+// A cost-model funnel: a bare truncating cast here corrupts virtual time,
+// so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use palladium_simnet::{ByteCost, IdTable, Nanos};
 
 /// Which TCP/IP stack a component runs.
@@ -105,11 +112,14 @@ pub struct TcpCostTable {
 }
 
 impl TcpCostTable {
-    /// Precompute `(rx, tx)` for each of `sizes` (duplicates are fine).
+    /// Precompute `(rx, tx)` for each of `sizes` (duplicates are fine). A
+    /// size that does not fit an index stays uncached.
     pub fn new(costs: TcpCosts, sizes: impl IntoIterator<Item = u64>) -> Self {
         let mut by_size = IdTable::new();
         for s in sizes {
-            by_size.insert(s as usize, (costs.rx(s), costs.tx(s)));
+            if let Ok(idx) = usize::try_from(s) {
+                by_size.insert(idx, (costs.rx(s), costs.tx(s)));
+            }
         }
         TcpCostTable { costs, by_size }
     }
@@ -119,10 +129,15 @@ impl TcpCostTable {
         &self.costs
     }
 
+    #[inline]
+    fn cached(&self, bytes: u64) -> Option<&(Nanos, Nanos)> {
+        self.by_size.get(usize::try_from(bytes).ok()?)
+    }
+
     /// Receive cost for a message of `bytes`.
     #[inline]
     pub fn rx(&self, bytes: u64) -> Nanos {
-        match self.by_size.get(bytes as usize) {
+        match self.cached(bytes) {
             Some(&(rx, _)) => rx,
             None => self.costs.rx(bytes),
         }
@@ -131,7 +146,7 @@ impl TcpCostTable {
     /// Transmit cost for a message of `bytes`.
     #[inline]
     pub fn tx(&self, bytes: u64) -> Nanos {
-        match self.by_size.get(bytes as usize) {
+        match self.cached(bytes) {
             Some(&(_, tx)) => tx,
             None => self.costs.tx(bytes),
         }

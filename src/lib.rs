@@ -54,7 +54,7 @@
 //! and table.
 
 // No library crate in the workspace uses `unsafe`: every crate root
-// forbids it, and CI checks that each one does.
+// forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
 pub use palladium_baselines as baselines;

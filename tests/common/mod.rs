@@ -1,6 +1,5 @@
 //! Fixtures shared by the integration tests.
-// Each test target compiles its own copy and uses a subset.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test target compiles its own copy and uses a subset")]
 
 use palladium_core::driver::chain::{AppSpec, ChainSpec, FnSpec, HopSpec};
 use palladium_membuf::FnId;

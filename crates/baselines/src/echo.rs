@@ -55,16 +55,6 @@ impl Primitive {
         Primitive::Owdl,
     ];
 
-    /// Paper label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Primitive::TwoSided => "Two-sided",
-            Primitive::Owdl => "OWDL",
-            Primitive::OwrcBest => "OWRC (Best)",
-            Primitive::OwrcWorst => "OWRC (Worst)",
-        }
-    }
-
     /// The message a node sends first to move one payload.
     fn opening(self) -> MsgKind {
         match self {

@@ -88,11 +88,6 @@ impl Autoscaler {
         self.workers
     }
 
-    /// Configuration.
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.cfg
-    }
-
     /// Evaluate the policy against the average useful utilization measured
     /// over the last interval. Applies and returns the action.
     pub fn evaluate(&mut self, avg_useful_util: f64) -> ScaleAction {

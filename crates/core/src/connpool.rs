@@ -98,11 +98,6 @@ impl ConnPool {
         }
     }
 
-    /// Node this pool belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Warm up connections to `peer` for `tenant` on the given fabric with
     /// [`RdmaNet::connect_immediate`], the fabric's only way to connect
     /// (the paper's pools are pre-established before traffic; the

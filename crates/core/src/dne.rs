@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 
 use palladium_membuf::{BufDesc, BufToken, FnId, NodeId, TenantId};
-use palladium_rdma::{Cqe, CqeKind, CqeStatus, Qpn, WorkRequest, WrId};
+use palladium_rdma::{Cqe, CqeKind, Qpn, WorkRequest, WrId};
 use palladium_simnet::{FifoServer, Nanos, Slab, Timed};
 
 use crate::config::{CostModel, EngineLocation};
@@ -83,9 +83,8 @@ pub enum DneEffect {
     /// Deliver a descriptor to a local function over Comch (driver charges
     /// channel costs and wakes the function).
     DeliverToFn {
-        /// Destination function.
-        dst: FnId,
-        /// The descriptor (references a buffer in the tenant pool).
+        /// The descriptor (references a buffer in the tenant pool); its
+        /// `dst_fn` is the destination function.
         desc: BufDesc,
     },
     /// Apply received bytes into the posted buffer (RNIC DMA; driver calls
@@ -112,7 +111,7 @@ pub enum DneEffect {
         n: u64,
     },
     /// The engine core freed up; the driver must call
-    /// [`Dne::on_engine_slot`] at this time.
+    /// [`Dne::on_engine_slot_into`] at this time.
     EngineSlot,
     /// TX submitted for an unroutable destination (dropped; counted).
     RouteMiss {
@@ -123,7 +122,6 @@ pub enum DneEffect {
 
 /// One network engine instance (DNE on the DPU or CNE on the host).
 pub struct Dne {
-    node: NodeId,
     loc: EngineLocation,
     cost: CostModel,
     /// Worker-thread core (the run-to-completion loop).
@@ -157,16 +155,17 @@ pub struct Dne {
 pub type DneStep = Vec<Timed<DneEffect>>;
 
 impl Dne {
-    /// An engine for `node` at `loc` with the given scheduling policy.
+    /// An engine at `loc` with the given scheduling policy. The node it
+    /// serves is its connection pool's; the benchmark's DNE probe still
+    /// names it here.
     pub fn new(
-        node: NodeId,
+        _node: NodeId,
         loc: EngineLocation,
         cost: CostModel,
         policy: SchedPolicy,
         pool: ConnPool,
     ) -> Self {
         Dne {
-            node,
             loc,
             cost,
             worker_core: FifoServer::new(),
@@ -184,11 +183,6 @@ impl Dne {
         }
     }
 
-    /// Node this engine serves.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Register a tenant's DWRR weight.
     pub fn register_tenant(&mut self, tenant: TenantId, weight: u32) {
         self.sched.register_tenant(tenant, weight);
@@ -202,21 +196,9 @@ impl Dne {
     /// A function handed the engine a descriptor for a remote function
     /// (the Comch arrival). `payload` is the RNIC's view of the buffer;
     /// `token` is the redeemed sender-side buffer, released on the send
-    /// completion (exclusive-ownership lifecycle, §3.5.1).
-    pub fn submit_tx(
-        &mut self,
-        now: Nanos,
-        desc: BufDesc,
-        payload: Bytes,
-        token: Option<BufToken>,
-    ) -> DneStep {
-        let mut out = Vec::new();
-        self.submit_tx_into(now, desc, payload, token, &mut out);
-        out
-    }
-
-    /// [`Dne::submit_tx`] appending into a caller-owned buffer, so drivers
-    /// can reuse one effect vector across every engine poke.
+    /// completion (exclusive-ownership lifecycle, §3.5.1). Effects are
+    /// appended to the caller-owned `out`, so drivers can reuse one effect
+    /// vector across every engine poke.
     pub fn submit_tx_into(
         &mut self,
         now: Nanos,
@@ -297,15 +279,8 @@ impl Dne {
 
     /// The engine core is free: start the next unit of work
     /// (run-to-completion: RX completions first, then TX per the
-    /// scheduler). Returns effects; includes the next `EngineSlot` if more
-    /// work was started.
-    pub fn on_engine_slot(&mut self, now: Nanos) -> DneStep {
-        let mut out = Vec::new();
-        self.on_engine_slot_into(now, &mut out);
-        out
-    }
-
-    /// [`Dne::on_engine_slot`] appending into a caller-owned buffer.
+    /// scheduler). Effects are appended to `out`, including the next
+    /// `EngineSlot` if more work was started.
     pub fn on_engine_slot_into(&mut self, now: Nanos, out: &mut DneStep) {
         self.engine_busy = false;
         // RX stage has priority: completions free buffers and unblock
@@ -361,13 +336,6 @@ impl Dne {
         self.pool.select(net, dst_node, tenant)
     }
 
-    /// Track a posted TX buffer awaiting its send completion; returns the
-    /// WR id the send must carry so the completion resolves back to the
-    /// buffer.
-    pub fn track_tx_buffer(&mut self, token: BufToken) -> WrId {
-        WrId(self.tx_inflight.insert(Some(token)))
-    }
-
     /// `now` is the instant the engine started on this CQE and `delay` its
     /// service time: every effect is relative to `now`.
     fn process_cqe(&mut self, cqe: Cqe, now: Nanos, delay: Nanos, out: &mut DneStep) {
@@ -394,7 +362,7 @@ impl Dne {
                         data: cqe.data,
                     },
                 ));
-                out.push(Timed::new(delay, DneEffect::DeliverToFn { dst, desc }));
+                out.push(Timed::new(delay, DneEffect::DeliverToFn { desc }));
                 // Core thread replenishment sweep (runs on the other core,
                 // asynchronously — charge it there). The sweep starts when
                 // the worker finishes this CQE (`now + delay`) or when the
@@ -428,10 +396,6 @@ impl Dne {
                 if let Some(Some(token)) = self.tx_inflight.remove(cqe.wr_id.0) {
                     out.push(Timed::new(delay, DneEffect::ReleaseTxBuffer { token }));
                 }
-                if cqe.status != CqeStatus::Success {
-                    // Connection died; buffers already released above. The
-                    // driver decides whether to re-establish.
-                }
             }
         }
     }
@@ -442,6 +406,7 @@ mod tests {
     use super::*;
     use crate::connpool::ConnPoolConfig;
     use palladium_membuf::PoolId;
+    use palladium_rdma::CqeStatus;
 
     fn engine(loc: EngineLocation) -> Dne {
         Dne::new(
@@ -457,6 +422,31 @@ mod tests {
         let mut out = Vec::new();
         dne.submit_cqe_into(now, cqe, &mut out);
         out
+    }
+
+    fn submit_tx(dne: &mut Dne, payload: &'static [u8], token: Option<BufToken>) -> DneStep {
+        let mut out = Vec::new();
+        dne.submit_tx_into(Nanos::ZERO, desc(), Bytes::from_static(payload), token, &mut out);
+        out
+    }
+
+    fn engine_slot(dne: &mut Dne, now: Nanos) -> DneStep {
+        let mut out = Vec::new();
+        dne.on_engine_slot_into(now, &mut out);
+        out
+    }
+
+    /// An engine that routes fn 2 to node 1.
+    fn routed_engine() -> Dne {
+        let mut dne = engine(EngineLocation::Dpu);
+        let mut coord = crate::routing::Coordinator::new();
+        coord.apply(crate::routing::DeployEvent::Created {
+            f: FnId(2),
+            tenant: TenantId(1),
+            node: NodeId(1),
+        });
+        dne.routes = coord.tables_for(NodeId(0));
+        dne
     }
 
     fn desc() -> BufDesc {
@@ -479,23 +469,15 @@ mod tests {
     #[test]
     fn unroutable_tx_is_a_route_miss() {
         let mut dne = engine(EngineLocation::Dpu);
-        let fx = dne.submit_tx(Nanos::ZERO, desc(), Bytes::from_static(b"x"), None);
+        let fx = submit_tx(&mut dne, b"x", None);
         assert!(matches!(fx[0].value, DneEffect::RouteMiss { dst } if dst == FnId(2)));
         assert_eq!(dne.route_misses, 1);
     }
 
     #[test]
     fn tx_emits_post_send_after_service_time() {
-        let mut dne = engine(EngineLocation::Dpu);
-        // Route fn 2 to node 1.
-        let mut coord = crate::routing::Coordinator::new();
-        coord.apply(crate::routing::DeployEvent::Created {
-            f: FnId(2),
-            tenant: TenantId(1),
-            node: NodeId(1),
-        });
-        dne.routes = coord.tables_for(NodeId(0));
-        let fx = dne.submit_tx(Nanos::ZERO, desc(), Bytes::from_static(b"payload"), None);
+        let mut dne = routed_engine();
+        let fx = submit_tx(&mut dne, b"payload", None);
         let post = fx
             .iter()
             .find(|t| matches!(t.value, DneEffect::PostSend { .. }))
@@ -564,13 +546,13 @@ mod tests {
         let deliver = fx
             .iter()
             .find_map(|t| match &t.value {
-                DneEffect::DeliverToFn { dst, desc } => Some((*dst, *desc)),
+                DneEffect::DeliverToFn { desc } => Some(*desc),
                 _ => None,
             })
             .expect("delivery effect");
-        assert_eq!(deliver.0, FnId(2));
-        assert_eq!(deliver.1.buf_idx, idx);
-        assert_eq!(deliver.1.len, 5);
+        assert_eq!(deliver.dst_fn, FnId(2));
+        assert_eq!(deliver.buf_idx, idx);
+        assert_eq!(deliver.len, 5);
         // DMA application effect present.
         assert!(fx
             .iter()
@@ -613,17 +595,24 @@ mod tests {
             let engine_delay = after(|e| matches!(e, DneEffect::EngineSlot));
             let replenish = after(|e| matches!(e, DneEffect::Replenish { .. }));
             assert_eq!(replenish, engine_delay + service, "CQE {i} at {now}");
-            assert!(dne.on_engine_slot(now + engine_delay).is_empty());
+            assert!(engine_slot(&mut dne, now + engine_delay).is_empty());
         }
     }
 
     #[test]
     fn send_done_releases_tracked_buffer() {
-        let mut dne = engine(EngineLocation::Dpu);
+        let mut dne = routed_engine();
         let mut pool = palladium_membuf::UnifiedPool::new(PoolId(0), TenantId(1), 4, 256);
         let tok = pool.alloc(palladium_membuf::Owner::Engine).unwrap();
         let idx = tok.idx();
-        let wr_id = dne.track_tx_buffer(tok);
+        let fx = submit_tx(&mut dne, b"payload", Some(tok));
+        let (wr_id, after) = fx
+            .iter()
+            .find_map(|t| match &t.value {
+                DneEffect::PostSend { wr, .. } => Some((wr.wr_id, t.after)),
+                _ => None,
+            })
+            .expect("PostSend effect");
         let cqe = Cqe {
             wr_id,
             kind: CqeKind::SendDone(palladium_rdma::OpKind::Send),
@@ -634,7 +623,8 @@ mod tests {
             data: Bytes::new(),
             imm: 0,
         };
-        let fx = submit_cqe(&mut dne, Nanos::ZERO, cqe);
+        assert!(engine_slot(&mut dne, after).is_empty(), "the send was the only work");
+        let fx = submit_cqe(&mut dne, after, cqe);
         let released = fx
             .iter()
             .find_map(|t| match &t.value {
@@ -649,25 +639,18 @@ mod tests {
     fn engine_serializes_work() {
         // Two TX submissions: the second's PostSend lands one service time
         // after the first (single engine core).
-        let mut dne = engine(EngineLocation::Dpu);
-        let mut coord = crate::routing::Coordinator::new();
-        coord.apply(crate::routing::DeployEvent::Created {
-            f: FnId(2),
-            tenant: TenantId(1),
-            node: NodeId(1),
-        });
-        dne.routes = coord.tables_for(NodeId(0));
-        let fx1 = dne.submit_tx(Nanos::ZERO, desc(), Bytes::from_static(b"a"), None);
+        let mut dne = routed_engine();
+        let fx1 = submit_tx(&mut dne, b"a", None);
         let t1 = fx1
             .iter()
             .find(|t| matches!(t.value, DneEffect::PostSend { .. }))
             .unwrap()
             .after;
         // Second arrives immediately; engine busy → no effects yet.
-        let fx2 = dne.submit_tx(Nanos::ZERO, desc(), Bytes::from_static(b"b"), None);
+        let fx2 = submit_tx(&mut dne, b"b", None);
         assert!(fx2.is_empty(), "engine busy: work deferred to EngineSlot");
         // Driver fires EngineSlot at t1.
-        let fx3 = dne.on_engine_slot(t1);
+        let fx3 = engine_slot(&mut dne, t1);
         let t2 = fx3
             .iter()
             .find(|t| matches!(t.value, DneEffect::PostSend { .. }))

@@ -71,13 +71,6 @@ pub struct AppSpec {
 }
 
 impl AppSpec {
-    /// Function spec by id.
-    pub fn function(&self, f: FnId) -> &FnSpec {
-        self.functions
-            .iter()
-            .find(|s| s.id == f)
-            .expect("unknown function id")
-    }
 }
 
 /// Configuration of one Fig 16 cluster run.

@@ -568,7 +568,7 @@ impl ClusterShard {
                         },
                     );
                 }
-                DneEffect::DeliverToFn { dst: _, desc } => {
+                DneEffect::DeliverToFn { desc } => {
                     fx.after(t.after + to_fn_transit, Ev::Deliver { n, desc });
                 }
                 DneEffect::ApplyDma { token, data, .. } => {

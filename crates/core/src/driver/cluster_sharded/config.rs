@@ -114,6 +114,7 @@ impl OverloadConfig {
 
     /// Tune the admission bound: queue capacity, in-flight window, and the
     /// oldest-first queue-delay threshold.
+    #[cfg(test)]
     pub fn admission(mut self, queue_cap: usize, inflight_cap: u64, queue_delay_max: Nanos) -> Self {
         self.queue_cap = queue_cap;
         self.inflight_cap = inflight_cap;

@@ -104,11 +104,6 @@ impl IngressGateway {
         self.active
     }
 
-    /// The service model in force.
-    pub fn model(&self) -> &IngressServiceModel {
-        &self.model
-    }
-
     /// RSS: assign a client's connection to a worker. The single-worker
     /// case (every Fig 13 run pins one core) skips the hardware divide —
     /// a measurable cost when this runs once per leg on the hot path.
@@ -218,11 +213,6 @@ impl IngressGateway {
     /// Busy time accumulated across active workers (for CPU-usage series).
     pub fn total_busy(&self) -> Nanos {
         self.workers.iter().map(|w| w.busy_time()).sum()
-    }
-
-    /// The worker FifoServers (read access for utilization bins).
-    pub fn workers(&self) -> &[FifoServer] {
-        &self.workers
     }
 
     /// Is the gateway inside a scaling blip at `now`?

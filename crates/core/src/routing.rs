@@ -43,12 +43,6 @@ impl RouteTables {
     pub fn node_of(&self, f: FnId) -> Option<NodeId> {
         self.global.get(f.raw() as usize).copied()
     }
-
-    /// Pages allocated (memory-footprint diagnostics: sparse fn-id
-    /// populations should stay near the 1-page floor).
-    pub fn pages_allocated(&self) -> usize {
-        self.global.pages_allocated()
-    }
 }
 
 /// A function deployment event (creation or termination).
@@ -99,11 +93,6 @@ impl Coordinator {
         }
     }
 
-    /// Where a function runs.
-    pub fn placement(&self, f: FnId) -> Option<(TenantId, NodeId)> {
-        self.placements.get(&f).copied()
-    }
-
     /// Build the routing tables for a node (what the coordinator syncs to
     /// each worker; every node holds the same inter-node table).
     pub fn tables_for(&self, _node: NodeId) -> RouteTables {
@@ -112,16 +101,6 @@ impl Coordinator {
             t.global.insert(f.raw() as usize, n);
         }
         t
-    }
-
-    /// Total deployed functions.
-    pub fn len(&self) -> usize {
-        self.placements.len()
-    }
-
-    /// True when nothing is deployed.
-    pub fn is_empty(&self) -> bool {
-        self.placements.is_empty()
     }
 }
 
@@ -146,7 +125,6 @@ mod tests {
         assert_eq!(t0.node_of(FnId(1)), Some(NodeId(0)));
         assert_eq!(t0.node_of(FnId(2)), Some(NodeId(1)));
         assert_eq!(t0.node_of(FnId(3)), None);
-        assert_eq!(c.placement(FnId(1)), Some((TenantId(1), NodeId(0))));
     }
 
     #[test]
@@ -160,7 +138,7 @@ mod tests {
         c.apply(DeployEvent::Terminated { f: FnId(1) });
         let t = c.tables_for(NodeId(0));
         assert_eq!(t.node_of(FnId(1)), None);
-        assert!(c.is_empty());
+        assert!(c.placements.is_empty());
     }
 
     #[test]
@@ -179,9 +157,9 @@ mod tests {
         let t = c.tables_for(NodeId(0));
         // Pages for ids {1}, {300}, {9000}, {40000}, {65535} → 5 pages.
         assert!(
-            t.pages_allocated() <= 5,
+            t.global.pages_allocated() <= 5,
             "pages {} — sparse ids must not densify",
-            t.pages_allocated()
+            t.global.pages_allocated()
         );
         assert_eq!(t.node_of(FnId(65_535)), Some(NodeId(1)));
         assert_eq!(t.node_of(FnId(9_000)), Some(NodeId(0)));
@@ -215,7 +193,6 @@ mod tests {
             for f in 0..=u16::MAX {
                 assert_eq!(a.node_of(FnId(f)), b.node_of(FnId(f)), "fn {f}");
             }
-            assert_eq!(a.pages_allocated(), b.pages_allocated());
         }
     }
 
@@ -234,6 +211,6 @@ mod tests {
             node: NodeId(1),
         });
         assert_eq!(c.tables_for(NodeId(0)).node_of(FnId(1)), Some(NodeId(1)));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.placements.len(), 1);
     }
 }

@@ -6,8 +6,9 @@
 //! to feeding it one CQE at a time: each CQE lands in the engine's RX
 //! queue in the same order and only the first kick starts work (the
 //! engine is busy afterwards). This test drives two identically
-//! constructed engines — random RBR occupancy, random in-flight TX
-//! buffers, random engine-busy state, a random CQE window mixing hits,
+//! constructed engines — random RBR occupancy, random in-flight TX sends
+//! (posted through `submit_tx_into`, as the cluster posts them), random
+//! engine-busy state, a random CQE window mixing hits,
 //! stale ids and every `CqeKind` — through both paths and asserts the
 //! full timed effect streams match, at submission time and through every
 //! subsequent engine-slot step until both engines go idle.
@@ -17,10 +18,10 @@ use proptest::prelude::*;
 
 use palladium_core::config::{CostModel, EngineLocation};
 use palladium_core::connpool::{ConnPool, ConnPoolConfig};
-use palladium_core::dne::{pack_imm, Dne, DneEffect};
+use palladium_core::dne::{pack_imm, Dne, DneEffect, DneStep};
 use palladium_core::dwrr::SchedPolicy;
 use palladium_core::routing::{Coordinator, DeployEvent};
-use palladium_membuf::{FnId, NodeId, Owner, PoolId, TenantId, UnifiedPool};
+use palladium_membuf::{BufDesc, FnId, NodeId, Owner, PoolId, TenantId, UnifiedPool};
 use palladium_rdma::{Cqe, CqeKind, CqeStatus, OpKind, Qpn, WrId};
 use palladium_simnet::{Nanos, Timed};
 
@@ -34,7 +35,7 @@ enum CqeSpec {
     Recv(usize),
     /// Recv with a wr_id nothing registered.
     RecvStale,
-    /// SendDone for the i-th tracked TX buffer (modulo population).
+    /// SendDone for the i-th in-flight TX send (modulo population).
     SendDone(usize),
     /// SendDone for an untracked (already-released) wr_id.
     SendDoneStale,
@@ -83,25 +84,35 @@ fn build_rig(loc: EngineLocation, n_rbr: usize, n_tx: usize, busy: bool) -> Rig 
         let tok = pool.alloc(Owner::Rnic).expect("rbr token");
         rbr_ids.push(dne.rbr.register(TENANT, tok));
     }
-    let mut tx_ids = Vec::new();
+    // In-flight sends: post `n_tx` buffers and run the engine until every
+    // `PostSend` is out; each carries the WR id its SendDone echoes.
+    let mut fx = Vec::new();
     for _ in 0..n_tx {
         let tok = pool.alloc(Owner::Engine).expect("tx token");
-        tx_ids.push(dne.track_tx_buffer(tok));
+        let desc = tx_desc(tok.idx());
+        dne.submit_tx_into(Nanos::ZERO, desc, Bytes::from_static(b"inflight"), Some(tok), &mut fx);
     }
+    let mut tx_ids = Vec::new();
+    run_to_idle(&mut dne, Nanos::ZERO, fx, |_, step| {
+        tx_ids.extend(step.iter().filter_map(|t| match &t.value {
+            DneEffect::PostSend { wr, .. } => Some(wr.wr_id),
+            _ => None,
+        }));
+    });
+    assert_eq!(tx_ids.len(), n_tx);
     if busy {
         // Occupy the engine core: a TX whose EngineSlot has not fired yet.
-        let desc = palladium_membuf::BufDesc {
-            tenant: TENANT,
-            pool: PoolId(0),
-            buf_idx: 60,
-            len: 8,
-            src_fn: FnId(3),
-            dst_fn: FnId(2),
-        };
-        let fx = dne.submit_tx(Nanos::ZERO, desc, Bytes::from_static(b"occupied"), None);
-        assert!(!fx.is_empty(), "first submission must start the engine");
+        let mut fx = Vec::new();
+        let occupied = Bytes::from_static(b"occupied");
+        dne.submit_tx_into(Nanos::ZERO, tx_desc(60), occupied, None, &mut fx);
+        assert!(!fx.is_empty(), "an idle engine starts the submission");
     }
     Rig { dne, pool, rbr_ids, tx_ids }
+}
+
+/// A descriptor from local fn 3 to fn 2 on node 1.
+fn tx_desc(buf_idx: u32) -> BufDesc {
+    BufDesc { tenant: TENANT, pool: PoolId(0), buf_idx, len: 8, src_fn: FnId(3), dst_fn: FnId(2) }
 }
 
 fn materialize(spec: CqeSpec, rig: &Rig) -> Cqe {
@@ -160,12 +171,17 @@ fn render(fx: &[Timed<DneEffect>]) -> String {
 }
 
 /// Drive the engine through successive engine-slot firings until idle,
-/// appending every effect (tagged with its firing time) to `log`.
-fn run_to_idle(dne: &mut Dne, mut now: Nanos, first: Vec<Timed<DneEffect>>, log: &mut String) {
+/// handing each step's effects, with the time they were returned, to
+/// `visit`.
+fn run_to_idle(
+    dne: &mut Dne,
+    mut now: Nanos,
+    first: DneStep,
+    mut visit: impl FnMut(Nanos, &DneStep),
+) {
     let mut pending = first;
     for _round in 0..512 {
-        log.push_str(&format!("@{now:?}:\n"));
-        log.push_str(&render(&pending));
+        visit(now, &pending);
         let next_slot = pending
             .iter()
             .find(|t| matches!(t.value, DneEffect::EngineSlot))
@@ -173,12 +189,23 @@ fn run_to_idle(dne: &mut Dne, mut now: Nanos, first: Vec<Timed<DneEffect>>, log:
         match next_slot {
             Some(after) => {
                 now += after;
-                pending = dne.on_engine_slot(now);
+                pending.clear();
+                dne.on_engine_slot_into(now, &mut pending);
             }
             None => return,
         }
     }
     panic!("engine failed to go idle");
+}
+
+/// Run to idle, logging every effect tagged with its firing time.
+fn log_to_idle(dne: &mut Dne, now: Nanos, first: DneStep) -> String {
+    let mut log = String::new();
+    run_to_idle(dne, now, first, |at, step| {
+        log.push_str(&format!("@{at:?}:\n"));
+        log.push_str(&render(step));
+    });
+    log
 }
 
 proptest! {
@@ -217,10 +244,8 @@ proptest! {
 
         // ... and identical behavior through every subsequent engine slot
         // until both engines drain their queued work.
-        let mut log_a = String::new();
-        let mut log_b = String::new();
-        run_to_idle(&mut a.dne, now, fx_a, &mut log_a);
-        run_to_idle(&mut b.dne, now, fx_b, &mut log_b);
+        let log_a = log_to_idle(&mut a.dne, now, fx_a);
+        let log_b = log_to_idle(&mut b.dne, now, fx_b);
         prop_assert_eq!(log_a, log_b, "post-drain engine evolution diverged");
         prop_assert_eq!(a.dne.rx_count, b.dne.rx_count);
         prop_assert_eq!(a.dne.tx_count, b.dne.tx_count);
@@ -270,10 +295,8 @@ proptest! {
         prop_assert_eq!(render(&fx_a), render(&fx_b), "split-window effects diverged");
         prop_assert_eq!(a.dne.backlog(), b.dne.backlog());
 
-        let mut log_a = String::new();
-        let mut log_b = String::new();
-        run_to_idle(&mut a.dne, now, fx_a, &mut log_a);
-        run_to_idle(&mut b.dne, now, fx_b, &mut log_b);
+        let log_a = log_to_idle(&mut a.dne, now, fx_a);
+        let log_b = log_to_idle(&mut b.dne, now, fx_b);
         prop_assert_eq!(log_a, log_b, "post-drain engine evolution diverged");
         prop_assert_eq!(a.dne.rx_count, b.dne.rx_count);
         prop_assert_eq!(a.dne.tx_count, b.dne.tx_count);

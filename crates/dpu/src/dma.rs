@@ -147,6 +147,6 @@ mod tests {
         // throughput at 1/issue_gap.
         assert!(last < lat * 10);
         assert_eq!(meter.soc_dma_ops, 10);
-        assert!(meter.is_zero_copy(), "DMA is not a software copy");
+        assert_eq!(meter.sw_ops, 0, "DMA is not a software copy");
     }
 }

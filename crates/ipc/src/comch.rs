@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use palladium_membuf::{BufDesc, FnId, TenantId};
 
-use crate::costs::{ChannelCosts, ChannelKind};
+use crate::costs::ChannelKind;
 
 /// Errors from Comch operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,8 +38,6 @@ struct Endpoint {
 /// The Comch server instance owned by one DNE.
 #[derive(Debug)]
 pub struct ComchServer {
-    kind: ChannelKind,
-    costs: ChannelCosts,
     /// Ordered by fn id: the server iterates endpoints (tenant
     /// disconnect), so the registry must walk in a deterministic order.
     endpoints: BTreeMap<FnId, Endpoint>,
@@ -48,24 +46,15 @@ pub struct ComchServer {
 }
 
 impl ComchServer {
-    /// A server speaking the given channel flavour.
-    pub fn new(kind: ChannelKind) -> Self {
+    /// A server speaking the given channel flavour. Every flavour keeps the
+    /// same endpoint state; only the timing differs, and callers charge it
+    /// from [`crate::costs::ChannelCosts::for_kind`]. The flavour stays in the signature
+    /// because the benchmark's Comch probe builds its server through it.
+    pub fn new(_kind: ChannelKind) -> Self {
         ComchServer {
-            kind,
-            costs: ChannelCosts::for_kind(kind),
             endpoints: BTreeMap::new(),
             transferred: 0,
         }
-    }
-
-    /// Channel flavour.
-    pub fn kind(&self) -> ChannelKind {
-        self.kind
-    }
-
-    /// The cost model for this flavour.
-    pub fn costs(&self) -> &ChannelCosts {
-        &self.costs
     }
 
     /// Connect a function endpoint (done at function startup).
@@ -83,6 +72,7 @@ impl ComchServer {
 
     /// Administratively disconnect every endpoint of `tenant` (the
     /// misbehaving-tenant hook). Returns how many endpoints were cut.
+    // simlint: allow(unreached-pub) — tenant-shaped: ROADMAP item 3d wires it or deletes it
     pub fn disconnect_tenant(&mut self, tenant: TenantId) -> usize {
         let mut n = 0;
         for ep in self.endpoints.values_mut() {
@@ -214,12 +204,5 @@ mod tests {
         );
         // Other tenants unaffected.
         assert!(ch.host_send(FnId(3), desc(3, 0, 3)).is_ok());
-    }
-
-    #[test]
-    fn costs_match_kind() {
-        let ch = ComchServer::new(ChannelKind::ComchP);
-        assert!(ch.costs().pins_host_core);
-        assert_eq!(ch.kind(), ChannelKind::ComchP);
     }
 }

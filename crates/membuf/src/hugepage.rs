@@ -8,8 +8,6 @@
 //! MTT entries overflow the device cache, making this a measurable design
 //! choice (ablation bench `bench_substrate`).
 
-/// Standard small page size.
-pub const PAGE_4K: u64 = 4 * 1024;
 /// x86 2 MB hugepage — what Palladium allocates (§3.4).
 pub const HUGEPAGE_2M: u64 = 2 * 1024 * 1024;
 
@@ -39,11 +37,6 @@ impl Region {
         Region::new(len, HUGEPAGE_2M)
     }
 
-    /// A 4 KB-page region (the baseline an ablation compares against).
-    pub fn small_pages(len: u64) -> Region {
-        Region::new(len, PAGE_4K)
-    }
-
     /// Number of backing pages.
     pub fn pages(&self) -> u64 {
         self.len / self.page_size
@@ -60,6 +53,9 @@ impl Region {
 mod tests {
     use super::*;
 
+    /// Standard small page size: the baseline hugepages are measured against.
+    const PAGE_4K: u64 = 4 * 1024;
+
     #[test]
     fn rounds_up_to_page_boundary() {
         let r = Region::new(5_000, PAGE_4K);
@@ -71,7 +67,7 @@ mod tests {
     fn hugepages_shrink_mtt() {
         let bytes = 64 * 1024 * 1024; // 64 MB pool
         let huge = Region::hugepages(bytes);
-        let small = Region::small_pages(bytes);
+        let small = Region::new(bytes, PAGE_4K);
         assert_eq!(huge.mtt_entries(), 32);
         assert_eq!(small.mtt_entries(), 16_384);
         // The 512x ratio the paper's design leans on.

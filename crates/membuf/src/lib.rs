@@ -33,11 +33,11 @@ pub mod payload;
 pub mod pool;
 pub mod tenant;
 
-pub use desc::{BufDesc, DESC_WIRE_SIZE};
-pub use hugepage::{Region, HUGEPAGE_2M, PAGE_4K};
+pub use desc::BufDesc;
+pub use hugepage::{Region, HUGEPAGE_2M};
 pub use ids::{FnId, NodeId, Owner, PoolId, TenantId};
 pub use meter::{CopyMeter, MoveKind};
 pub use mmap::{create_from_export, Grant, ImportError, MmapExport, MmapExporter};
 pub use payload::PayloadCache;
-pub use pool::{BufToken, PoolError, PoolStats, UnifiedPool};
+pub use pool::{BufToken, PoolError, UnifiedPool};
 pub use tenant::{ShmAgent, TenantDirectory, TenantError};

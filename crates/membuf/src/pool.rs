@@ -95,19 +95,6 @@ struct Slot {
     content: Bytes,
 }
 
-/// Statistics a pool keeps about itself.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Buffers returned to the free list.
-    pub frees: u64,
-    /// Allocation failures due to exhaustion.
-    pub alloc_failures: u64,
-    /// High-water mark of concurrently allocated buffers.
-    pub max_in_use: u32,
-}
-
 /// A fixed-size pool of equal-size buffers. The reserved region's *size*
 /// models the up-front hugepage reservation (MR registration / MTT sizing
 /// read it); payload content rides per-buffer [`Bytes`] handles.
@@ -126,7 +113,6 @@ pub struct UnifiedPool {
     slots: Vec<Slot>,
     /// Recycled indices, most-recently-freed on top.
     free: Vec<u32>,
-    stats: PoolStats,
 }
 
 impl UnifiedPool {
@@ -142,7 +128,6 @@ impl UnifiedPool {
             n_bufs,
             slots: Vec::new(),
             free: Vec::new(),
-            stats: PoolStats::default(),
         }
     }
 
@@ -156,29 +141,15 @@ impl UnifiedPool {
         self.tenant
     }
 
-    /// Size of each buffer in bytes.
-    pub fn buf_size(&self) -> u32 {
-        self.buf_size
-    }
-
     /// Total number of buffers.
     pub fn capacity(&self) -> u32 {
         self.n_bufs
     }
 
-    /// Buffers free to allocate: recycled plus never touched.
-    pub fn available(&self) -> u32 {
-        self.n_bufs - self.in_use()
-    }
-
-    /// Buffers currently allocated (owned by someone or in transit).
+    /// Buffers currently allocated (owned by someone or in transit). No
+    /// binary reads it; it is the pool tests' leak check.
     pub fn in_use(&self) -> u32 {
         (self.slots.len() - self.free.len()) as u32
-    }
-
-    /// Pool statistics.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
     }
 
     /// Total backing bytes (for MR registration / MTT sizing).
@@ -206,11 +177,8 @@ impl UnifiedPool {
             });
             (self.slots.len() as u32 - 1, 0)
         } else {
-            self.stats.alloc_failures += 1;
             return Err(PoolError::Exhausted);
         };
-        self.stats.allocs += 1;
-        self.stats.max_in_use = self.stats.max_in_use.max(self.in_use());
         Ok(BufToken {
             pool: self.id,
             idx,
@@ -262,25 +230,14 @@ impl UnifiedPool {
         // the buffer lifecycle ends.
         slot.content = Bytes::new();
         self.free.push(tok.idx);
-        self.stats.frees += 1;
         Ok(())
     }
 
     /// Write `payload` into the buffer (software copy — metered). Sets the
     /// valid length. Used by functions producing output and by the explicit
-    /// cross-security-domain copy path (§3.1 security model).
-    pub fn write(
-        &mut self,
-        tok: &BufToken,
-        payload: &[u8],
-        meter: &mut CopyMeter,
-    ) -> Result<(), PoolError> {
-        self.fill(tok, Bytes::copy_from_slice(payload), MoveKind::Software, meter)
-    }
-
-    /// [`UnifiedPool::write`] taking an owned handle: the copy is metered
-    /// identically, but the content transfers by refcount — no payload
-    /// bytes move on the simulator's hot path.
+    /// cross-security-domain copy path (§3.1 security model). The copy is
+    /// metered, but the content transfers by refcount — no payload bytes
+    /// move on the simulator's hot path.
     pub fn write_bytes(
         &mut self,
         tok: &BufToken,
@@ -441,7 +398,7 @@ impl fmt::Debug for UnifiedPool {
             .field("tenant", &self.tenant)
             .field("buf_size", &self.buf_size)
             .field("capacity", &self.capacity())
-            .field("available", &self.available())
+            .field("in_use", &self.in_use())
             .finish()
     }
 }
@@ -460,13 +417,11 @@ mod tests {
         let mut p = pool();
         let mut m = CopyMeter::new();
         let tok = p.alloc(Owner::Function(FnId(1))).unwrap();
-        p.write(&tok, b"hello palladium", &mut m).unwrap();
+        p.write_bytes(&tok, Bytes::from_static(b"hello palladium"), &mut m).unwrap();
         assert_eq!(p.read(&tok).unwrap(), b"hello palladium");
         assert_eq!(m.sw_bytes, 15);
         p.free(tok).unwrap();
-        assert_eq!(p.available(), 4);
-        assert_eq!(p.stats().allocs, 1);
-        assert_eq!(p.stats().frees, 1);
+        assert_eq!(p.in_use(), 0);
     }
 
     #[test]
@@ -474,8 +429,7 @@ mod tests {
         let mut p = pool();
         let toks: Vec<_> = (0..4).map(|_| p.alloc(Owner::Engine).unwrap()).collect();
         assert_eq!(p.alloc(Owner::Engine), Err(PoolError::Exhausted));
-        assert_eq!(p.stats().alloc_failures, 1);
-        assert_eq!(p.stats().max_in_use, 4);
+        assert_eq!(p.in_use(), 4);
         for t in toks {
             p.free(t).unwrap();
         }
@@ -519,7 +473,7 @@ mod tests {
         let mut m = CopyMeter::new();
         let tok = p.alloc(Owner::Engine).unwrap();
         assert_eq!(
-            p.write(&tok, &[0u8; 9], &mut m),
+            p.write_bytes(&tok, Bytes::from_static(&[0u8; 9]), &mut m),
             Err(PoolError::TooLarge)
         );
         assert_eq!(m.sw_bytes, 0, "failed writes must not be metered");
@@ -530,7 +484,7 @@ mod tests {
         let mut p = pool();
         let mut m = CopyMeter::new();
         let tok = p.alloc(Owner::Function(FnId(1))).unwrap();
-        p.write(&tok, b"payload", &mut m).unwrap();
+        p.write_bytes(&tok, Bytes::from_static(b"payload"), &mut m).unwrap();
         let desc = p.into_transit(tok, FnId(1), FnId(2)).unwrap();
         assert_eq!(desc.len, 7);
         // While in transit nobody can read.
@@ -579,7 +533,7 @@ mod tests {
         let tok = p.alloc(Owner::Rnic).unwrap();
         p.dma_write_bytes(&tok, Bytes::from(vec![7u8; 256]), MoveKind::RnicDma, &mut m)
             .unwrap();
-        assert!(m.is_zero_copy());
+        assert_eq!(m.sw_ops, 0);
         assert_eq!(m.rnic_dma_bytes, 256);
         assert_eq!(p.read(&tok).unwrap(), &[7u8; 256][..]);
     }
@@ -728,7 +682,7 @@ mod tests {
                     Op::Free(_) | Op::Handoff(_) => {}
                 }
                 prop_assert_eq!(lazy.capacity(), n_bufs);
-                prop_assert_eq!(lazy.available() as usize, eager.free.len());
+                prop_assert_eq!((n_bufs - lazy.in_use()) as usize, eager.free.len());
                 prop_assert_eq!(lazy.in_use() as usize, live.len());
             }
         }

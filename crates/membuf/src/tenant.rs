@@ -267,7 +267,7 @@ mod tests {
         let (_, p2) = ShmAgent::create_pool(&mut dir, TenantId(2), "t2", 2, 64).unwrap();
         let mut m = CopyMeter::new();
         let t1 = dir.pool_mut(p1).alloc(Owner::Engine).unwrap();
-        dir.pool_mut(p1).write(&t1, b"secret", &mut m).unwrap();
+        dir.pool_mut(p1).write_bytes(&t1, bytes::Bytes::from_static(b"secret"), &mut m).unwrap();
         let t2 = dir.pool_mut(p2).alloc(Owner::Engine).unwrap();
         assert_eq!(dir.pool(p2).read(&t2).unwrap(), b"");
         dir.pool_mut(p1).free(t1).unwrap();

@@ -76,16 +76,6 @@ impl MrTable {
     pub fn total_mtt_entries(&self) -> u64 {
         self.regions.iter().map(|r| r.mtt_entries).sum()
     }
-
-    /// Number of registered regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -128,6 +118,6 @@ mod tests {
         table.register(&e1.export_rdma()).unwrap();
         table.register(&e2.export_rdma()).unwrap();
         assert_eq!(table.total_mtt_entries(), 2 + 4);
-        assert_eq!(table.len(), 2);
+        assert_eq!(table.regions.len(), 2);
     }
 }

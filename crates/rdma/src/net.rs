@@ -269,7 +269,7 @@ impl RdmaNet {
             fault_rngs: span.clone().map(|i| SimRng::stream(seed, i as u64)).collect(),
             node_faults: span.clone().map(|_| FaultTimeline::new()).collect(),
             link_faults: span.clone().map(|_| Vec::new()).collect(),
-            rnics: span.map(|i| Rnic::new(NodeId(i as u16))).collect(),
+            rnics: span.map(|_| Rnic::default()).collect(),
             sharded_egress: false,
             down: Vec::new(),
             counters: NetCounts::default(),
@@ -323,11 +323,6 @@ impl RdmaNet {
         self.down
             .get(node.raw() as usize)
             .is_some_and(|w| w.iter().any(|&(f, u)| now >= f && now < u))
-    }
-
-    /// Substrate configuration.
-    pub fn config(&self) -> &RdmaConfig {
-        &self.cfg
     }
 
     /// Borrow a node's RNIC (`node` is global; it must lie in this
@@ -1179,7 +1174,7 @@ mod tests {
     #[test]
     fn corruption_is_dropped_and_recovered() {
         let (mut net, qa, _) = two_node_net();
-        fault_everywhere(&mut net, FaultPlan::corrupting(0.2));
+        fault_everywhere(&mut net, FaultPlan { corrupt_chance: 0.2, ..FaultPlan::NONE });
         post_rq(&mut net, NodeId(1), 32);
         let mut sim = Sim::new();
         let mut seed = Vec::new();
@@ -1259,7 +1254,7 @@ mod tests {
             }
         }
         assert_eq!(delivered, 16);
-        let single = net.config().one_way(64);
+        let single = net.cfg.one_way(64);
         assert!(
             last_delivery < single * 8,
             "16 pipelined messages delivered by {last_delivery}, single is {single}"

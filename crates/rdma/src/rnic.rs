@@ -50,7 +50,6 @@ pub enum RnicError {
 /// One node's RNIC.
 #[derive(Debug)]
 pub struct Rnic {
-    node: NodeId,
     /// QP table, indexed densely by `qpn - 1` (QPNs are allocated
     /// sequentially from 1 and never destroyed — `Qpn(0)` is the
     /// "unpaired" placeholder and always misses).
@@ -73,11 +72,10 @@ pub struct Rnic {
     pub rx_engine: FifoServer,
 }
 
-impl Rnic {
-    /// A fresh RNIC for `node`.
-    pub fn new(node: NodeId) -> Self {
+impl Default for Rnic {
+    /// A fresh RNIC.
+    fn default() -> Self {
         Rnic {
-            node,
             qps: Vec::new(),
             rqs: IdTable::new(),
             cq: VecDeque::new(),
@@ -87,20 +85,12 @@ impl Rnic {
             rx_engine: FifoServer::new(),
         }
     }
+}
 
-    /// Node this RNIC belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
+impl Rnic {
     /// Register a memory region from a DOCA mmap export.
     pub fn register_mr(&mut self, export: &MmapExport) -> Result<MrKey, RnicError> {
         self.mrs.register(export).map_err(RnicError::Mr)
-    }
-
-    /// Registered-memory table (read access for checks).
-    pub fn mrs(&self) -> &MrTable {
-        &self.mrs
     }
 
     /// Create a QP half; the peer fields are fixed at creation (RC is
@@ -209,11 +199,6 @@ impl Rnic {
         }
         p
     }
-
-    /// All QPNs (diagnostics; ascending by construction).
-    pub fn qpns(&self) -> Vec<Qpn> {
-        self.qps.iter().map(|q| q.qpn).collect()
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +207,7 @@ mod tests {
     use palladium_membuf::{MmapExporter, Region};
 
     fn registered_rnic() -> Rnic {
-        let mut r = Rnic::new(NodeId(0));
+        let mut r = Rnic::default();
         let mut e = MmapExporter::new(PoolId(1), TenantId(1), Region::hugepages(4 << 20));
         r.register_mr(&e.export_rdma()).unwrap();
         r
@@ -230,7 +215,7 @@ mod tests {
 
     #[test]
     fn post_recv_requires_registration() {
-        let mut r = Rnic::new(NodeId(0));
+        let mut r = Rnic::default();
         let entry = RqEntry {
             wr_id: WrId(1),
             pool: PoolId(1),
@@ -268,8 +253,8 @@ mod tests {
 
     #[test]
     fn qp_creation_and_peering() {
-        let mut a = Rnic::new(NodeId(0));
-        let mut b = Rnic::new(NodeId(1));
+        let mut a = Rnic::default();
+        let mut b = Rnic::default();
         let qa = a.create_qp(TenantId(1), NodeId(1), Qpn(0));
         let qb = b.create_qp(TenantId(1), NodeId(0), qa);
         a.set_peer(qa, qb);
@@ -351,16 +336,16 @@ mod tests {
 
     #[test]
     fn mtt_pressure_charges_penalty() {
-        let mut r = Rnic::new(NodeId(0));
+        let mut r = Rnic::default();
         // Register a 4 KB-page region big enough to blow the MTT cache.
         let mut e = MmapExporter::new(
             PoolId(1),
             TenantId(1),
-            Region::small_pages(512 * 1024 * 1024), // 128K entries
+            Region::new(512 * 1024 * 1024, 4 * 1024), // 4 KB pages: 128K entries
         );
         r.register_mr(&e.export_rdma()).unwrap();
         let cfg = RdmaConfig::default();
-        assert!(r.mrs().total_mtt_entries() > cfg.mtt_cache_entries);
+        assert!(r.mrs.total_mtt_entries() > cfg.mtt_cache_entries);
         assert_eq!(r.cache_penalty(&cfg), cfg.mtt_miss_penalty);
     }
 }

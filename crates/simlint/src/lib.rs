@@ -5,12 +5,13 @@
 //! root manifest's `[workspace.lints]`. What is left here is a cross-file
 //! rule no per-crate lint can see, `unreached-pub`: a
 //! `pub fn|struct|enum|trait|const|type|static` in a library crate that
-//! only its own unit tests name. Its name occurs, as a whole word, in no
-//! other workspace `.rs` file (`pub use` re-exports in a `lib.rs` are not
-//! a use) and nowhere in its own file's non-test code besides the
-//! declaration. Such code is API nothing reaches — delete it with the
-//! assertions that call it, gate it `#[cfg(test)]` when a test needs it to
-//! observe private state, or annotate a reference implementation.
+//! only tests name. Its name occurs, as a whole word, on no non-test line
+//! of any workspace `.rs` file besides its declaration. Test lines are
+//! every file under a `tests/` directory and every `#[cfg(test)]` item;
+//! `pub use` re-exports in a `lib.rs` are not a use either. Such code is
+//! API no binary reaches — delete it with the assertions that call it,
+//! gate it `#[cfg(test)]` when its own crate's tests need it to observe
+//! private state, or annotate why a test elsewhere needs it.
 //! Word-matching *under-reports*: a common name (`revoke`, `new`) counts
 //! as reached by any namesake in another file. That is the safe direction
 //! — the rule never asks for the deletion of something that is called.
@@ -418,7 +419,7 @@ impl FileLint {
             line: idx + 1,
             rule: RULE,
             msg: format!(
-                "`{name}` — only its own unit tests name this: delete it with the \
+                "`{name}` — only tests name this: delete it with the \
                  assertions that call it, or make it `#[cfg(test)]`"
             ),
         });
@@ -498,29 +499,27 @@ fn without_reexports<'a>(rel: &str, lines: &'a [Line]) -> Vec<&'a str> {
         .collect()
 }
 
+/// Is the file at `rel` test code as a whole: an integration test, test
+/// helper or fixture under some `tests/` directory?
+fn is_test_file(rel: &str) -> bool {
+    rel.split('/').any(|dir| dir == "tests")
+}
+
 /// The `unreached-pub` pass: report every in-scope `pub` declaration whose
-/// name no other file mentions and no non-test line of its own file
-/// mentions besides the declaration.
+/// name no non-test line mentions besides the declaration. Test lines are
+/// files under a `tests/` directory and `#[cfg(test)]` items.
 fn unreached_pub(files: &mut [FileLint]) {
     use std::collections::BTreeMap;
-    // name → the files whose code (tests included) mentions it.
-    let mut mentions: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    // Per file: name → mentions in non-test code.
-    let mut own: Vec<BTreeMap<&str, usize>> = Vec::with_capacity(files.len());
-    for (f, file) in files.iter().enumerate() {
-        let mut non_test = BTreeMap::new();
+    // name → its mentions on non-test lines, workspace-wide.
+    let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
+    for file in files.iter().filter(|file| !is_test_file(&file.rel)) {
         for (idx, code) in without_reexports(&file.rel, &file.lines).into_iter().enumerate() {
-            for word in idents(code) {
-                let seen = mentions.entry(word).or_default();
-                if seen.last() != Some(&f) {
-                    seen.push(f);
-                }
-                if !file.skip[idx] {
-                    *non_test.entry(word).or_insert(0) += 1;
+            if !file.skip[idx] {
+                for word in idents(code) {
+                    *mentions.entry(word).or_insert(0) += 1;
                 }
             }
         }
-        own.push(non_test);
     }
     let mut findings = Vec::new();
     for (f, file) in files.iter().enumerate() {
@@ -531,9 +530,8 @@ fn unreached_pub(files: &mut [FileLint]) {
             let Some(name) = declared_pub_item(&line.code).filter(|_| !file.skip[idx]) else {
                 continue;
             };
-            let on_this_line = idents(&line.code).filter(|w| *w == name).count();
-            let elsewhere = mentions[name].iter().any(|&g| g != f);
-            if !elsewhere && own[f][name] == on_this_line {
+            // Only the declaration itself names it.
+            if mentions[name] == idents(&line.code).filter(|w| *w == name).count() {
                 findings.push((f, idx, name.to_string()));
             }
         }

@@ -37,7 +37,7 @@ const CALLER: &str = include_str!("fixtures/unreached/caller.rs");
 #[test]
 fn unreached_pub_fires_on_items_only_their_own_tests_name() {
     let island = "crates/core/src/island.rs";
-    let got = fire_files(&[(island, ISLAND), ("tests/caller.rs", CALLER)]);
+    let got = fire_files(&[(island, ISLAND), ("examples/caller.rs", CALLER)]);
     // `only_tested` (named by the unit test alone) and `DEAD` (named by
     // nothing) fire. `Island` is named by its own `impl`, `reached` by the
     // other file; the marker covers `reference`; `probe` is test-gated and
@@ -46,6 +46,19 @@ fn unreached_pub_fires_on_items_only_their_own_tests_name() {
         got,
         vec![(island.to_string(), "unreached-pub", 9), (island.to_string(), "unreached-pub", 28)]
     );
+}
+
+#[test]
+fn unreached_pub_does_not_count_a_mention_in_test_code() {
+    // The same caller as an integration test, or inside another file's
+    // `#[cfg(test)]` module, reaches nothing: `reached` fires too.
+    let island = "crates/core/src/island.rs";
+    let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{CALLER}}}\n");
+    for (rel, caller) in [("tests/caller.rs", CALLER), ("crates/core/src/other.rs", &in_test_mod)] {
+        let got = fire_files(&[(island, ISLAND), (rel, caller)]);
+        let lines: Vec<usize> = got.iter().map(|(_, _, line)| *line).collect();
+        assert_eq!(lines, vec![5, 9, 28], "caller at {rel}: {got:?}");
+    }
 }
 
 #[test]
@@ -79,8 +92,11 @@ fn unreached_pub_is_scoped_to_library_crates() {
 fn unreached_pub_marker_goes_stale_once_the_item_is_reached() {
     let caller = "pub fn compare(island: &Island) -> u32 {\n    island.reference()\n}\n";
     let island = "crates/core/src/island.rs";
-    let got =
-        fire_files(&[(island, ISLAND), ("tests/caller.rs", CALLER), ("tests/compare.rs", caller)]);
+    let got = fire_files(&[
+        (island, ISLAND),
+        ("examples/caller.rs", CALLER),
+        ("examples/compare.rs", caller),
+    ]);
     assert!(got.contains(&(island.to_string(), "allow-marker", 13)), "{got:?}");
 }
 

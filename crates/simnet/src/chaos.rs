@@ -189,12 +189,6 @@ impl ScenarioScript {
         self.op(ScenarioOp::Straggle { node, factor, from, until })
     }
 
-    /// Append a gray failure on `node`'s whole ingress port (all
-    /// sources): low-rate `drop` plus uniform `0..=delay` inflation.
-    pub fn gray(self, node: usize, drop: f64, delay: Nanos, from: Nanos, until: Nanos) -> Self {
-        self.op(ScenarioOp::Gray { node, src: None, drop, delay, from, until })
-    }
-
     /// Append a gray failure on the *directed link* `src → dst` only —
     /// the asymmetric gray partial partition (the reverse direction and
     /// every other source stay clean).
@@ -236,11 +230,6 @@ impl ScenarioScript {
             .unwrap_or_else(|| panic!("unknown fault domain {name}"))
     }
 
-    /// Registered fault domains, in registration order.
-    pub fn domains(&self) -> &[(String, Vec<usize>)] {
-        &self.domains
-    }
-
     /// Crash every member of `name` over the same window — a rack/switch
     /// outage as one op.
     pub fn crash_domain(mut self, name: &str, from: Nanos, until: Nanos) -> Self {
@@ -248,16 +237,6 @@ impl ScenarioScript {
             self = self.crash(node, from, until);
         }
         self
-    }
-
-    /// The raw ops, in script order (domain ops appear pre-expanded).
-    pub fn ops(&self) -> &[ScenarioOp] {
-        &self.ops
-    }
-
-    /// True when the script contains no ops.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Lower the script into per-node lookup tables over `n_nodes` global
@@ -465,11 +444,6 @@ impl HealthMonitor {
     pub fn is_alive(&self, node: usize) -> bool {
         self.state[node] == WorkerState::Alive
     }
-
-    /// The configured probe period.
-    pub fn period(&self) -> Nanos {
-        self.period
-    }
 }
 
 #[cfg(test)]
@@ -478,10 +452,11 @@ mod tests {
 
     #[test]
     fn compile_routes_ops_to_tables() {
+        let corrupt = FaultPlan { corrupt_chance: 1.0, ..FaultPlan::NONE };
         let script = ScenarioScript::new()
             .crash(1, Nanos(100), Nanos(200))
             .flap(2, 0.5, Nanos(50), Nanos(60))
-            .storm(0, FaultPlan::corrupting(1.0).window(Nanos(10), Nanos(20)))
+            .storm(0, corrupt.window(Nanos(10), Nanos(20)))
             .straggle(3, 4.0, Nanos(0), Nanos(1_000));
         let c = script.compile(4);
         assert_eq!(c.down[1], vec![(Nanos(100), Nanos(200))]);
@@ -581,9 +556,9 @@ mod tests {
             .crash(2, Nanos(100), Nanos(200))
             .crash(0, Nanos(100), Nanos(200))
             .crash(3, Nanos(100), Nanos(200));
-        assert_eq!(domain.ops(), manual.ops(), "domain ops expand in member order");
+        assert_eq!(domain.ops, manual.ops, "domain ops expand in member order");
         assert_eq!(domain.compile(4), manual.compile(4));
-        assert_eq!(domain.domains().len(), 1);
+        assert_eq!(domain.domains.len(), 1);
     }
 
     #[test]
@@ -595,7 +570,14 @@ mod tests {
     #[test]
     fn gray_ops_compile_to_port_and_link_tables() {
         let c = ScenarioScript::new()
-            .gray(1, 0.02, Nanos(500), Nanos(100), Nanos(900))
+            .op(ScenarioOp::Gray {
+                node: 1,
+                src: None,
+                drop: 0.02,
+                delay: Nanos(500),
+                from: Nanos(100),
+                until: Nanos(900),
+            })
             .gray_link(0, 2, 0.05, Nanos(250), Nanos(200), Nanos(800))
             .compile(3);
         // Port-wide gray: destination 1's node timeline.

@@ -68,14 +68,6 @@ impl FaultPlan {
         }
     }
 
-    /// A plan that only corrupts packets.
-    pub fn corrupting(p: f64) -> Self {
-        FaultPlan {
-            corrupt_chance: p,
-            ..FaultPlan::NONE
-        }
-    }
-
     /// Restrict this plan to the window `[from, until)`.
     pub fn window(mut self, from: Nanos, until: Nanos) -> Self {
         self.active_after = from;
@@ -243,7 +235,8 @@ mod tests {
     fn timeline_selects_the_covering_segment() {
         let mut tl = FaultTimeline::new();
         tl.push(FaultPlan::dropping(1.0).window(Nanos(100), Nanos(200)));
-        tl.push(FaultPlan::corrupting(1.0).window(Nanos(300), Nanos(400)));
+        let corrupt = FaultPlan { corrupt_chance: 1.0, ..FaultPlan::NONE };
+        tl.push(corrupt.window(Nanos(300), Nanos(400)));
         assert!(tl.plan_at(Nanos(50)).is_none());
         assert_eq!(tl.plan_at(Nanos(150)).drop_chance, 1.0);
         assert!(tl.plan_at(Nanos(250)).is_none());

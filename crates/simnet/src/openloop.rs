@@ -190,27 +190,15 @@ impl ZipfSampler {
     }
 
     /// Population size.
+    #[expect(clippy::len_without_is_empty, reason = "`new` rejects an empty population")]
     pub fn len(&self) -> u64 {
         self.cdf.len() as u64
-    }
-
-    /// True when the population is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
     }
 
     /// Map a uniform `u ∈ [0,1)` to a 0-based rank (rank 0 hottest).
     pub fn sample(&self, u: f64) -> u64 {
         let r = self.cdf.partition_point(|&c| c < u);
         (r as u64).min(self.len() - 1)
-    }
-
-    /// The probability mass of a 0-based rank.
-    pub fn weight(&self, rank: u64) -> f64 {
-        let i = rank as usize;
-        let hi = self.cdf[i];
-        let lo = if i == 0 { 0.0 } else { self.cdf[i - 1] };
-        hi - lo
     }
 }
 
@@ -274,11 +262,6 @@ impl OpenLoop {
             seq: 0,
             clock: Nanos::ZERO,
         }
-    }
-
-    /// The profile this generator is driving.
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
     }
 
     /// Generate the next arrival. Draws come from the stateless stream for
@@ -374,10 +357,17 @@ mod tests {
 
     #[test]
     fn zipf_is_a_distribution_and_skewed() {
+        // A rank's probability mass is its step of the cumulative table.
+        let weight =
+            |z: &ZipfSampler, r: usize| z.cdf[r] - r.checked_sub(1).map_or(0.0, |p| z.cdf[p]);
+        for s in [0.5, 1.6] {
+            let z = ZipfSampler::new(64, s);
+            assert!((1..64).all(|r| weight(&z, r - 1) >= weight(&z, r)), "decays at s={s}");
+        }
         let z = ZipfSampler::new(10_000, 1.0);
-        let total: f64 = (0..z.len()).map(|r| z.weight(r)).sum();
+        let total: f64 = (0..10_000).map(|r| weight(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(z.weight(0) > 100.0 * z.weight(9_999));
+        assert!(weight(&z, 0) > 100.0 * weight(&z, 9_999));
         // Inverse CDF hits the extremes.
         assert_eq!(z.sample(0.0), 0);
         assert_eq!(z.sample(0.999_999_999), z.len() - 1);

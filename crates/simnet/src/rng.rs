@@ -80,12 +80,6 @@ impl SimRng {
         let u: f64 = self.unit().max(1e-12);
         mean.scale(-u.ln())
     }
-
-    /// Pick a uniformly random index below `n`. Panics when `n == 0`.
-    pub fn index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "cannot pick from an empty set");
-        self.inner.gen_range(0..n)
-    }
 }
 
 #[cfg(test)]

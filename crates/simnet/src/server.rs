@@ -52,7 +52,8 @@ impl FifoServer {
     }
 
     /// Queueing delay a new arrival at `now` would experience before service
-    /// begins.
+    /// begins. No binary reads it: it stays as the observable of the
+    /// backlog law in `tests/queueing_laws.rs`.
     pub fn backlog(&self, now: Nanos) -> Nanos {
         self.busy_until.saturating_sub(now)
     }
@@ -112,16 +113,6 @@ impl ServerBank {
         }
     }
 
-    /// Number of servers in the bank.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// True if the bank has no servers.
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
     /// Submit to the server that will start the work the earliest (ties
     /// break toward the lowest index). Returns `(server index, completion
     /// time)`.
@@ -156,37 +147,17 @@ impl ServerBank {
         self.servers[idx].complete();
     }
 
-    /// Access a server by index.
-    pub fn get(&self, idx: usize) -> &FifoServer {
-        &self.servers[idx]
-    }
-
     /// Mutable access by index (for targeted submission, e.g. RSS pinning).
     pub fn get_mut(&mut self, idx: usize) -> &mut FifoServer {
         self.dirty = true;
         &mut self.servers[idx]
     }
 
-    /// Mean utilization across the bank over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if self.servers.is_empty() {
-            return 0.0;
-        }
-        self.servers
-            .iter()
-            .map(|s| s.utilization(horizon))
-            .sum::<f64>()
-            / self.servers.len() as f64
-    }
-
-    /// Total busy time across the bank.
+    /// Total busy time across the bank. No binary reads it yet: it is the
+    /// bank's one busy-time reader, for `tests/queueing_laws.rs` and for
+    /// the per-station view of ROADMAP item 13a.
     pub fn busy_time(&self) -> Nanos {
         self.servers.iter().map(|s| s.busy_time()).sum()
-    }
-
-    /// Iterate over servers.
-    pub fn iter(&self) -> impl Iterator<Item = &FifoServer> {
-        self.servers.iter()
     }
 }
 
@@ -250,9 +221,11 @@ mod tests {
 
     #[test]
     fn bank_utilization_averages() {
+        // The bank's busy time sums its servers': over `cores × horizon`
+        // it is their mean utilization.
         let mut bank = ServerBank::new(2);
         bank.get_mut(0).submit(Nanos(0), Nanos(1_000));
-        assert!((bank.utilization(Nanos(1_000)) - 0.5).abs() < 1e-9);
-        assert_eq!(bank.busy_time(), Nanos(1_000));
+        bank.get_mut(1).submit(Nanos(0), Nanos(500));
+        assert_eq!(bank.busy_time(), Nanos(1_500));
     }
 }

@@ -17,7 +17,7 @@
 //! a source shard decides to send and the earliest instant the destination
 //! can observe the effect. The substrates expose that bound
 //! (`RdmaConfig::lookahead()` = doorbell + TX pipeline + propagation + RX
-//! pipeline; `TcpCosts::lookahead()` = the intra-cluster wire floor), and
+//! pipeline; `TcpCosts::INTER_NODE_WIRE` = the intra-cluster wire floor), and
 //! the runner sizes its windows to it: during window `k` covering
 //! `[k·L, (k+1)·L)` every shard processes only local events, and any
 //! cross-shard message sent inside the window arrives at
@@ -269,16 +269,6 @@ impl Partition {
         let base = nodes / shards;
         let rem = nodes % shards;
         Partition { nodes, shards, base, rem, fat: rem * (base + 1) }
-    }
-
-    /// Total simulated nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The shard owning `node`. One variable division; engines routing at

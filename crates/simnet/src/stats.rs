@@ -27,7 +27,7 @@ const RAW_DECISION: usize = 32_768;
 /// samples compress worse than 2 : 1 — where 16-byte runs outweigh 8-byte
 /// raw values — the set turns raw for good: every sample stays in the
 /// tail and a query sorts it, as a plain vector would. The data makes that
-/// choice, never a setting; [`Samples::clear`] starts over.
+/// choice, never a setting.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     /// Ascending distinct values with their counts; empty once raw.
@@ -54,13 +54,9 @@ impl Samples {
     }
 
     /// Number of samples.
+    #[expect(clippy::len_without_is_empty, reason = "no caller asks; `len() == 0` does")]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Arithmetic mean (a `u128` sum over every sample), or zero when empty.
@@ -98,11 +94,6 @@ impl Samples {
         Nanos(hit.map_or(0, |&(v, _)| v))
     }
 
-    /// Median.
-    pub fn p50(&mut self) -> Nanos {
-        self.percentile(50.0)
-    }
-
     /// 99th percentile.
     pub fn p99(&mut self) -> Nanos {
         self.percentile(99.0)
@@ -112,12 +103,6 @@ impl Samples {
     pub fn max(&self) -> Nanos {
         let runs = self.runs.last().map(|&(v, _)| v);
         Nanos(self.tail.iter().copied().chain(runs).max().unwrap_or(0))
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> Nanos {
-        let runs = self.runs.first().map(|&(v, _)| v);
-        Nanos(self.tail.iter().copied().chain(runs).min().unwrap_or(0))
     }
 
     /// Absorb another sample set. Every statistic is a function of the
@@ -136,14 +121,6 @@ impl Samples {
         insert_runs(&mut self.runs, fresh.len(), fresh.into_iter());
         self.tail.extend(other.tail);
         self.maybe_compact();
-    }
-
-    /// Discard all samples, keeping the buffers (end of warm-up).
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.tail.clear();
-        self.len = 0;
-        self.raw = false;
     }
 
     fn maybe_compact(&mut self) {
@@ -256,9 +233,7 @@ const BUCKETS: usize = EXACT_LIMIT as usize + RANGES * SUB_BUCKETS;
 /// nearest-rank rule as [`Samples::percentile`] and report the bucket's
 /// lower edge, which keeps the bound one-sided (never over-reports).
 ///
-/// [`Histogram::merge`] adds counts element-wise, so merged tails are
-/// exactly independent of merge order and split. Completion latencies
-/// are not kept here: [`crate::RunStats`] derives the same bucketed tails
+/// Completion latencies are not kept here: [`crate::RunStats`] derives the same bucketed tails
 /// from its exact [`Samples`].
 #[derive(Clone)]
 pub struct Histogram {
@@ -288,9 +263,6 @@ impl Histogram {
             total: 0,
         }
     }
-
-    /// The documented worst-case relative error of any percentile query.
-    pub const RELATIVE_ERROR: f64 = 1.0 / SUB_BUCKETS as f64;
 
     #[inline]
     fn bucket_of(v: u64) -> usize {
@@ -334,7 +306,8 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples. No binary reads it; the driver tests
+    /// do, and no other method exposes the count.
     pub fn len(&self) -> u64 {
         self.total
     }
@@ -370,21 +343,6 @@ impl Histogram {
     /// 99th percentile.
     pub fn p99(&self) -> Nanos {
         self.percentile(99.0)
-    }
-
-    /// Absorb another histogram. Element-wise, so exactly order- and
-    /// split-invariant.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Reset all buckets without releasing memory (end of warm-up).
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
     }
 }
 
@@ -443,11 +401,6 @@ impl WindowedRate {
                 (end, count as f64 / secs)
             })
             .collect()
-    }
-
-    /// Total events recorded (after `start`).
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
     }
 }
 
@@ -547,10 +500,9 @@ mod tests {
             s.record(Nanos(v));
         }
         assert_eq!(s.mean(), Nanos(30));
-        assert_eq!(s.p50(), Nanos(30));
+        assert_eq!(s.percentile(50.0), Nanos(30));
         assert_eq!(s.percentile(0.0), Nanos(10));
         assert_eq!(s.percentile(100.0), Nanos(50));
-        assert_eq!(s.min(), Nanos(10));
         assert_eq!(s.max(), Nanos(50));
         assert_eq!(s.len(), 5);
     }
@@ -560,15 +512,7 @@ mod tests {
         let mut s = Samples::new();
         assert_eq!(s.mean(), Nanos::ZERO);
         assert_eq!(s.p99(), Nanos::ZERO);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn samples_clear_resets() {
-        let mut s = Samples::new();
-        s.record(Nanos(5));
-        s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
     }
 
     /// A deterministic stream over `distinct` values (xorshift, no RNG dep).
@@ -625,7 +569,6 @@ mod tests {
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].1, 10.0);
         assert_eq!(series[1].1, 1.0);
-        assert_eq!(r.total(), 11);
     }
 
     #[test]
@@ -633,7 +576,8 @@ mod tests {
         let mut r = WindowedRate::new(Nanos::from_secs(1), Nanos::from_secs(1));
         r.record(Nanos::from_millis(500)); // warm-up, dropped
         r.record(Nanos::from_millis(1_500));
-        assert_eq!(r.total(), 1);
+        let series = r.series(Nanos::from_secs(2));
+        assert_eq!(series, vec![(Nanos::from_secs(2), 1.0)]);
     }
 
     #[test]
@@ -660,7 +604,6 @@ mod tests {
         for v in [0u64, 1, 7, 63] {
             h.record(Nanos(v));
         }
-        assert_eq!(h.len(), 4);
         assert_eq!(h.percentile(0.0), Nanos(0));
         assert_eq!(h.percentile(100.0), Nanos(63));
         // Nearest-rank over 4 samples: rank round(0.5 * 3) = 2 → third value.
@@ -685,41 +628,17 @@ mod tests {
             let floor = Histogram::bucket_floor(Histogram::bucket_of(v));
             assert!(floor <= v);
             let err = (v - floor) as f64 / v as f64;
-            assert!(err < Histogram::RELATIVE_ERROR + 1e-12, "v={v} err={err}");
+            assert!(err < 1.0 / SUB_BUCKETS as f64 + 1e-12, "v={v} err={err}");
         }
     }
 
     #[test]
-    fn histogram_merge_is_elementwise() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in 0..1_000u64 {
-            if v % 2 == 0 {
-                a.record(Nanos(v * 17));
-            } else {
-                b.record(Nanos(v * 17));
-            }
-        }
-        let mut whole = Histogram::new();
-        for v in 0..1_000u64 {
-            whole.record(Nanos(v * 17));
-        }
-        a.merge(&b);
-        assert_eq!(a.len(), whole.len());
-        for p in [0.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(a.percentile(p), whole.percentile(p), "p={p}");
-        }
-    }
-
-    #[test]
-    fn histogram_empty_and_clear() {
+    fn histogram_empty_is_zero() {
         let mut h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.p99(), Nanos::ZERO);
         h.record(Nanos(123));
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.len(), 0);
+        assert!(!h.is_empty());
     }
 
     summed_report! {

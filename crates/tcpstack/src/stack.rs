@@ -52,19 +52,10 @@ impl TcpCosts {
     /// One-way wire/switching delay of an intra-cluster TCP hop — the
     /// interval between a node engine finishing its transmit processing
     /// and the destination stack first seeing bytes. The cluster drivers
-    /// charge exactly this constant on every inter-node TCP leg.
+    /// charge exactly this constant on every inter-node TCP leg. It is
+    /// also the TCP path's lookahead floor for the sharded runner: rx/tx
+    /// processing and per-byte copies only add on top of it.
     pub const INTER_NODE_WIRE: Nanos = Nanos::from_micros(5);
-
-    /// The TCP path's conservative **lookahead** bound: the minimum delay
-    /// between a transmit decision on one node and the earliest instant
-    /// any other node can observe it — the RTT floor the sharded
-    /// simulation runner (`palladium_simnet::shard`) may use as its
-    /// window width when TCP is the fastest inter-node path. Per-message
-    /// rx/tx processing and per-byte copies only add on top of the wire
-    /// delay, so [`TcpCosts::INTER_NODE_WIRE`] is the floor.
-    pub fn lookahead(&self) -> Nanos {
-        Self::INTER_NODE_WIRE
-    }
 
     /// The calibrated cost table for a stack flavour.
     pub fn for_kind(kind: StackKind) -> TcpCosts {
@@ -122,11 +113,6 @@ impl TcpCostTable {
             }
         }
         TcpCostTable { costs, by_size }
-    }
-
-    /// The underlying cost model.
-    pub fn costs(&self) -> &TcpCosts {
-        &self.costs
     }
 
     #[inline]
@@ -227,11 +213,7 @@ mod tests {
 
     #[test]
     fn lookahead_is_the_wire_floor_for_both_stacks() {
-        for kind in [StackKind::Kernel, StackKind::FStack] {
-            let c = TcpCosts::for_kind(kind);
-            assert_eq!(c.lookahead(), TcpCosts::INTER_NODE_WIRE, "{kind:?}");
-            assert!(!c.lookahead().is_zero(), "zero lookahead forbids sharding");
-        }
+        assert!(!TcpCosts::INTER_NODE_WIRE.is_zero(), "zero lookahead forbids sharding");
     }
 
     #[test]

@@ -243,9 +243,10 @@ mod tests {
     fn ten_functions_with_hotspot_placement() {
         let app = app();
         assert_eq!(app.functions.len(), 10);
+        let node = |f| app.functions.iter().find(|s| s.id == f).expect("deployed").node;
         // Hotspots on node 0 (§4.3).
         for f in [fns::FRONTEND, fns::CHECKOUT, fns::RECOMMENDATION] {
-            assert_eq!(app.function(f).node, 0, "{f:?} is a hotspot");
+            assert_eq!(node(f), 0, "{f:?} is a hotspot");
         }
         // Everything else on node 1.
         for f in [
@@ -257,7 +258,7 @@ mod tests {
             fns::EMAIL,
             fns::AD,
         ] {
-            assert_eq!(app.function(f).node, 1);
+            assert_eq!(node(f), 1);
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! 1. **Poisson mean** — the empirical inter-arrival mean tracks `1/rate`
 //!    within a statistical bound at any rate and seed.
-//! 2. **Zipf shape** — the population sampler is a proper distribution
-//!    whose rank-frequency curve decays monotonically, heavy head first.
+//! 2. **Zipf shape** — the population sampler covers the population and
+//!    draws its head decile far more often than its tail decile.
 //! 3. **Statelessness** — every arrival is a pure function of
 //!    `(seed, seq)`: regenerating, resuming mid-stream, or drawing
 //!    tenants' streams in any order reproduces identical bytes. This is
@@ -48,9 +48,9 @@ proptest! {
         );
     }
 
-    // The sampler is a distribution (ranks cover the population, CDF
-    // monotone) and Zipf-shaped: per-rank weight decays monotonically
-    // and the head rank dominates an equally-sized tail slice.
+    // The sampler covers the population and is Zipf-shaped: the head
+    // ranks dominate an equally-sized tail slice. (Per-rank decay reads
+    // the sampler's private table; its unit test checks it.)
     #[test]
     fn zipf_rank_frequency_decays_head_first(
         population in 16u64..20_000,
@@ -59,12 +59,6 @@ proptest! {
     ) {
         let z = ZipfSampler::new(population, s);
         prop_assert_eq!(z.len(), population);
-        for rank in 1..population.min(64) {
-            prop_assert!(
-                z.weight(rank - 1) >= z.weight(rank),
-                "weight must decay with rank ({rank})"
-            );
-        }
         // Empirical head vs tail: count draws landing in the first 10%
         // of ranks vs the last 10% — the head must win by a wide margin.
         let cfg = OpenLoopConfig { process: ArrivalProcess::Poisson { rps: 1e6 }, population, zipf_s: s };

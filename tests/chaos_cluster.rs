@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use palladium_core::driver::cluster_sharded::{ClusterShardedReport, ClusterShardedSim};
 use palladium_core::system::SystemKind;
-use palladium_simnet::{Execution, FaultPlan, Nanos, ScenarioScript};
+use palladium_simnet::{Execution, FaultPlan, Nanos, ScenarioOp, ScenarioScript};
 use palladium_workloads::boutique::{sharded_config, ChainKind};
 use palladium_workloads::chaos::{
     base_cfg, crash_failover, gray_partition, link_flap, rack_crash_rejoin, scenarios, straggler,
@@ -224,37 +224,37 @@ fn drop_counters_are_shard_count_invariant() {
 /// shapes no hand-written pin would think of.
 fn storm_strategy() -> impl Strategy<Value = ScenarioScript> {
     let crash = (0usize..4, 200_000u64..1_200_000, 200_000u64..1_500_000).prop_map(
-        |(node, from, len)| {
-            ScenarioScript::new().crash(node, Nanos(from), Nanos(from + len))
-        },
+        |(node, from, len)| ScenarioOp::Crash { node, from: Nanos(from), until: Nanos(from + len) },
     );
     let flap = (0usize..4, 0.01f64..0.2, 100_000u64..1_000_000, 200_000u64..1_500_000)
-        .prop_map(|(node, p, from, len)| {
-            ScenarioScript::new().flap(node, p, Nanos(from), Nanos(from + len))
+        .prop_map(|(node, drop, from, len)| ScenarioOp::Flap {
+            node,
+            drop,
+            from: Nanos(from),
+            until: Nanos(from + len),
         });
-    let corrupt = (0usize..4, 0.005f64..0.05).prop_map(|(node, p)| {
-        ScenarioScript::new().storm(node, FaultPlan::corrupting(p))
+    let corrupt = (0usize..4, 0.005f64..0.05).prop_map(|(node, p)| ScenarioOp::Storm {
+        node,
+        plan: FaultPlan { corrupt_chance: p, ..FaultPlan::NONE },
     });
     let straggle = (0usize..5, 2.0f64..12.0, 100_000u64..1_000_000, 200_000u64..1_500_000)
-        .prop_map(|(node, f, from, len)| {
-            ScenarioScript::new().straggle(node, f, Nanos(from), Nanos(from + len))
+        .prop_map(|(node, factor, from, len)| ScenarioOp::Straggle {
+            node,
+            factor,
+            from: Nanos(from),
+            until: Nanos(from + len),
         });
     let gray = (0usize..5, 1usize..5, 0.01f64..0.1, 0u64..20_000, 100_000u64..1_000_000, 200_000u64..1_500_000)
-        .prop_map(|(src, off, p, delay, from, len)| {
-            let dst = (src + off) % 5;
-            ScenarioScript::new().gray_link(src, dst, p, Nanos(delay), Nanos(from), Nanos(from + len))
+        .prop_map(|(src, off, drop, delay, from, len)| ScenarioOp::Gray {
+            node: (src + off) % 5,
+            src: Some(src),
+            drop,
+            delay: Nanos(delay),
+            from: Nanos(from),
+            until: Nanos(from + len),
         });
-    proptest::collection::vec(prop_oneof![crash, flap, corrupt, straggle, gray], 1..4).prop_map(
-        |parts| {
-            let mut script = ScenarioScript::new();
-            for part in parts {
-                for op in part.ops() {
-                    script = script.op(*op);
-                }
-            }
-            script
-        },
-    )
+    proptest::collection::vec(prop_oneof![crash, flap, corrupt, straggle, gray], 1..4)
+        .prop_map(|ops| ops.into_iter().fold(ScenarioScript::new(), ScenarioScript::op))
 }
 
 fn check_storm(script: ScenarioScript) -> Result<(), TestCaseError> {

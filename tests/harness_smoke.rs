@@ -112,7 +112,7 @@ fn baselines_echo_driver_smoke() {
     let sim = EchoSim::new(cfg);
     for prim in Primitive::ALL {
         let r = sim.run_primitive(prim);
-        assert_load_report(&format!("echo/{}", prim.label()), &r, cfg.duration);
+        assert_load_report(&format!("echo/{prim:?}"), &r, cfg.duration);
     }
     for mode in [PathMode::OffPath, PathMode::OnPath] {
         let r = sim.run_path_mode(mode);

@@ -141,7 +141,7 @@ fn echo_driver_obeys_the_law() {
     for prim in Primitive::ALL {
         let r = sim.run_primitive(prim);
         assert_law(
-            &format!("echo/{}", prim.label()),
+            &format!("echo/{prim:?}"),
             cfg.connections,
             cfg.duration,
             &r,

@@ -125,6 +125,7 @@ mod tests {
         assert_eq!(t0.node_of(FnId(1)), Some(NodeId(0)));
         assert_eq!(t0.node_of(FnId(2)), Some(NodeId(1)));
         assert_eq!(t0.node_of(FnId(3)), None);
+        assert_eq!(c.placements.get(&FnId(1)), Some(&(TenantId(1), NodeId(0))));
     }
 
     #[test]
@@ -193,6 +194,7 @@ mod tests {
             for f in 0..=u16::MAX {
                 assert_eq!(a.node_of(FnId(f)), b.node_of(FnId(f)), "fn {f}");
             }
+            assert_eq!(a.global.pages_allocated(), b.global.pages_allocated());
         }
     }
 

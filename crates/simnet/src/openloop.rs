@@ -297,6 +297,7 @@ pub fn tenant_stream(seed: u64, tenant: u64, draw: u64) -> SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn poisson_rate_is_flat() {
@@ -355,15 +356,25 @@ mod tests {
         }
     }
 
+    /// A rank's probability mass: its step of the cumulative table.
+    fn weight(z: &ZipfSampler, r: usize) -> f64 {
+        z.cdf[r] - r.checked_sub(1).map_or(0.0, |p| z.cdf[p])
+    }
+
+    proptest! {
+        // Per-rank mass decays monotonically over the head of any
+        // population and skew the workloads use.
+        #[test]
+        fn zipf_weight_decays_with_rank(population in 16u64..20_000, s in 0.5f64..1.6) {
+            let z = ZipfSampler::new(population, s);
+            for r in 1..population.min(64) as usize {
+                prop_assert!(weight(&z, r - 1) >= weight(&z, r), "rank {r}");
+            }
+        }
+    }
+
     #[test]
     fn zipf_is_a_distribution_and_skewed() {
-        // A rank's probability mass is its step of the cumulative table.
-        let weight =
-            |z: &ZipfSampler, r: usize| z.cdf[r] - r.checked_sub(1).map_or(0.0, |p| z.cdf[p]);
-        for s in [0.5, 1.6] {
-            let z = ZipfSampler::new(64, s);
-            assert!((1..64).all(|r| weight(&z, r - 1) >= weight(&z, r)), "decays at s={s}");
-        }
         let z = ZipfSampler::new(10_000, 1.0);
         let total: f64 = (0..10_000).map(|r| weight(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-9);

@@ -147,6 +147,13 @@ impl ServerBank {
         self.servers[idx].complete();
     }
 
+    /// Access a server by index. No binary reads it: it is the read-only
+    /// view `tests/queueing_laws.rs` checks each server's backlog through,
+    /// which `get_mut` would disturb by dirtying the dispatch index.
+    pub fn get(&self, idx: usize) -> &FifoServer {
+        &self.servers[idx]
+    }
+
     /// Mutable access by index (for targeted submission, e.g. RSS pinning).
     pub fn get_mut(&mut self, idx: usize) -> &mut FifoServer {
         self.dirty = true;

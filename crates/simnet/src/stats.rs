@@ -604,6 +604,7 @@ mod tests {
         for v in [0u64, 1, 7, 63] {
             h.record(Nanos(v));
         }
+        assert_eq!(h.len(), 4);
         assert_eq!(h.percentile(0.0), Nanos(0));
         assert_eq!(h.percentile(100.0), Nanos(63));
         // Nearest-rank over 4 samples: rank round(0.5 * 3) = 2 → third value.
@@ -636,6 +637,7 @@ mod tests {
     fn histogram_empty_is_zero() {
         let mut h = Histogram::new();
         assert!(h.is_empty());
+        assert_eq!(h.len(), 0);
         assert_eq!(h.p99(), Nanos::ZERO);
         h.record(Nanos(123));
         assert!(!h.is_empty());

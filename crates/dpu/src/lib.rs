@@ -10,9 +10,6 @@
 //!   serially-served channel, the bottleneck that makes *on-path* DPU
 //!   offloading lose to *off-path* + cross-processor shared memory
 //!   (§4.1.1 / Fig 11).
-//! * [`mmap_import`] — the DPU-side `doca_mmap_create_from_export` table:
-//!   host pools become DPU-visible only through explicit PCI grants, with
-//!   tenant-scoped revocation.
 //!
 //! The DNE itself (the engine that runs *on* this SoC) lives in
 //! `palladium-core::dne`; this crate is the hardware it runs on.
@@ -22,9 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dma;
-pub mod mmap_import;
 pub mod soc;
 
 pub use dma::{SocDma, SocDmaSpec};
-pub use mmap_import::ImportTable;
 pub use soc::SocSpec;

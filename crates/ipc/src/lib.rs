@@ -4,7 +4,7 @@
 //!
 //! * [`comch`] — the DOCA Communication Channel between host functions and
 //!   the DNE (§3.5.4): one server on the DPU, one client endpoint per
-//!   function, with the misbehaving-tenant disconnect hook.
+//!   function, FIFO both ways.
 //! * [`costs`] — calibrated per-operation prices for SK_MSG, Comch-E,
 //!   Comch-P and the kernel-TCP baseline; the Fig 9 curves (and the Fig 16
 //!   DNE-vs-CNE crossover) are these costs run through queueing. The eBPF

@@ -8,12 +8,9 @@
 //!   (the token-passing scheme of §3.5.1).
 //! * [`desc::BufDesc`] — the 16-byte descriptor that is the only thing
 //!   software channels carry; payloads never move.
-//! * [`tenant`] — per-tenant isolation via the DPDK `file-prefix` mechanism:
-//!   a shared-memory agent (primary process) publishes the pool, functions
-//!   attach as secondaries, and cross-tenant attaches are rejected.
-//! * [`mmap`] — DOCA-style cross-processor mmap export (`export_pci` /
-//!   `export_rdma` / `create_from_export`), the key enabler of off-path DPU
-//!   offloading (§3.4.2).
+//! * [`mmap`] — DOCA-style mmap export (`export_rdma`): the descriptor the
+//!   RNIC registers a pool from, the key enabler of off-path DPU offloading
+//!   (§3.4.2).
 //! * [`hugepage`] — 2 MB hugepage regions and their MTT footprint, the
 //!   RNIC-cache motivation for hugepages (§3.4).
 //! * [`meter::CopyMeter`] — every byte moved is accounted as software copy,
@@ -31,13 +28,11 @@ pub mod meter;
 pub mod mmap;
 pub mod payload;
 pub mod pool;
-pub mod tenant;
 
 pub use desc::BufDesc;
 pub use hugepage::{Region, HUGEPAGE_2M};
 pub use ids::{FnId, NodeId, Owner, PoolId, TenantId};
 pub use meter::{CopyMeter, MoveKind};
-pub use mmap::{create_from_export, Grant, ImportError, MmapExport, MmapExporter};
+pub use mmap::{MmapExport, MmapExporter};
 pub use payload::PayloadCache;
 pub use pool::{BufToken, PoolError, UnifiedPool};
-pub use tenant::{ShmAgent, TenantDirectory, TenantError};

@@ -1,28 +1,19 @@
 //! Cross-processor shared memory — the DOCA `mmap` analogue.
 //!
-//! Palladium makes the host-resident unified pool visible to the DPU and to
-//! the integrated RNIC through NVIDIA DOCA's mmap export mechanism (§3.4.2):
-//! the host-side shared-memory agent calls `doca_mmap_export_pci()` (grants
-//! the ARM cores access) and `doca_mmap_export_rdma()` (grants the RNIC
-//! access), ships the resulting export descriptor over Comch, and the DNE
-//! re-creates the mapping with `doca_mmap_create_from_export()`.
+//! Palladium makes the host-resident unified pool visible to the integrated
+//! RNIC through NVIDIA DOCA's mmap export mechanism (§3.4.2): the host-side
+//! shared-memory agent calls `doca_mmap_export_rdma()`, ships the resulting
+//! export descriptor over Comch, and the DNE registers the pool with the
+//! RNIC from it.
 //!
-//! The reproduction keeps the same three-step protocol and enforces the same
-//! security property: *no grant, no access*. The DPU crate refuses to import
-//! a pool without a PCI grant and the RNIC refuses to register memory
-//! without an RDMA grant — tests assert both.
+//! The model keeps the one export every run issues. The RNIC still refuses
+//! to post receive buffers from a pool no export registered
+//! (`Rnic::post_recv`). The paper's PCI grant to the ARM cores and its
+//! per-tenant import checks come back with the driver that runs a second
+//! tenant (ROADMAP item 3).
 
 use crate::hugepage::Region;
 use crate::ids::{PoolId, TenantId};
-
-/// Which device class an export grants access to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Grant {
-    /// DPU ARM cores over PCIe (`doca_mmap_export_pci`).
-    Pci,
-    /// The integrated RNIC (`doca_mmap_export_rdma`).
-    Rdma,
-}
 
 /// An export descriptor: the opaque blob DOCA would hand back, carrying
 /// enough metadata for the remote side to re-create the mapping.
@@ -34,15 +25,6 @@ pub struct MmapExport {
     pub tenant: TenantId,
     /// Backing region geometry (used for MTT sizing at MR registration).
     pub region: Region,
-    /// What this export grants.
-    pub grant: Grant,
-}
-
-/// Host-side bookkeeping of what has been exported for one pool.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExportState {
-    pci: bool,
-    rdma: bool,
 }
 
 /// The host side of the mmap protocol, owned by the per-tenant shared-memory
@@ -52,7 +34,6 @@ pub struct MmapExporter {
     pool: PoolId,
     tenant: TenantId,
     region: Region,
-    state: ExportState,
 }
 
 impl MmapExporter {
@@ -62,144 +43,30 @@ impl MmapExporter {
             pool,
             tenant,
             region,
-            state: ExportState::default(),
         }
     }
 
-    /// `doca_mmap_export_pci()` — grant the DPU ARM cores access.
-    pub fn export_pci(&mut self) -> MmapExport {
-        self.state.pci = true;
-        MmapExport {
-            pool: self.pool,
-            tenant: self.tenant,
-            region: self.region,
-            grant: Grant::Pci,
-        }
-    }
-
-    /// `doca_mmap_export_rdma()` — grant the RNIC access.
+    /// `doca_mmap_export_rdma()` — grant the RNIC access. It records nothing
+    /// on the exporter; the receiver stays `&mut` because the benchmark's
+    /// fabric probe calls it through a mutable binding.
     pub fn export_rdma(&mut self) -> MmapExport {
-        self.state.rdma = true;
         MmapExport {
             pool: self.pool,
             tenant: self.tenant,
             region: self.region,
-            grant: Grant::Rdma,
         }
     }
-
-    /// Has a PCI export been issued?
-    pub fn pci_exported(&self) -> bool {
-        self.state.pci
-    }
-
-    /// Has an RDMA export been issued?
-    pub fn rdma_exported(&self) -> bool {
-        self.state.rdma
-    }
-
-    /// Revoke all exports (tenant teardown). Remote mappings created from
-    /// earlier descriptors must be dropped by the control plane — the DPU
-    /// import table validates against a revocation epoch in `palladium-dpu`.
-    pub fn revoke(&mut self) {
-        self.state = ExportState::default();
-    }
-}
-
-/// Error returned when importing an export descriptor fails validation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ImportError {
-    /// The export grants the wrong device class.
-    WrongGrant {
-        /// Grant class required by the importer.
-        needed: Grant,
-        /// Grant class carried by the descriptor.
-        got: Grant,
-    },
-    /// The importer belongs to a different tenant than the export.
-    TenantMismatch,
-}
-
-/// `doca_mmap_create_from_export()` — validate an export descriptor for an
-/// importer of the given device class and tenant scope. Returns the export
-/// on success so the importer can record the mapping.
-pub fn create_from_export(
-    export: &MmapExport,
-    needed: Grant,
-    tenant_scope: Option<TenantId>,
-) -> Result<MmapExport, ImportError> {
-    if export.grant != needed {
-        return Err(ImportError::WrongGrant {
-            needed,
-            got: export.grant,
-        });
-    }
-    if let Some(t) = tenant_scope {
-        if t != export.tenant {
-            return Err(ImportError::TenantMismatch);
-        }
-    }
-    Ok(*export)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exporter() -> MmapExporter {
-        MmapExporter::new(PoolId(1), TenantId(1), Region::hugepages(4 * 1024 * 1024))
-    }
-
-    #[test]
-    fn export_records_state() {
-        let mut e = exporter();
-        assert!(!e.pci_exported() && !e.rdma_exported());
-        let pci = e.export_pci();
-        let rdma = e.export_rdma();
-        assert!(e.pci_exported() && e.rdma_exported());
-        assert_eq!(pci.grant, Grant::Pci);
-        assert_eq!(rdma.grant, Grant::Rdma);
-        assert_eq!(pci.pool, PoolId(1));
-    }
-
-    #[test]
-    fn import_validates_grant_class() {
-        let mut e = exporter();
-        let pci = e.export_pci();
-        // The RNIC cannot register memory from a PCI-only export.
-        assert_eq!(
-            create_from_export(&pci, Grant::Rdma, None),
-            Err(ImportError::WrongGrant {
-                needed: Grant::Rdma,
-                got: Grant::Pci
-            })
-        );
-        assert!(create_from_export(&pci, Grant::Pci, None).is_ok());
-    }
-
-    #[test]
-    fn import_validates_tenant_scope() {
-        let mut e = exporter();
-        let rdma = e.export_rdma();
-        assert_eq!(
-            create_from_export(&rdma, Grant::Rdma, Some(TenantId(9))),
-            Err(ImportError::TenantMismatch)
-        );
-        assert!(create_from_export(&rdma, Grant::Rdma, Some(TenantId(1))).is_ok());
-    }
-
-    #[test]
-    fn revoke_clears_state() {
-        let mut e = exporter();
-        e.export_pci();
-        e.revoke();
-        assert!(!e.pci_exported());
-    }
-
     #[test]
     fn export_carries_region_geometry() {
-        let mut e = exporter();
+        let mut e = MmapExporter::new(PoolId(1), TenantId(1), Region::hugepages(4 * 1024 * 1024));
         let x = e.export_rdma();
+        assert_eq!((x.pool, x.tenant), (PoolId(1), TenantId(1)));
         assert_eq!(x.region.mtt_entries(), 2); // 4 MB over 2 MB hugepages
     }
 }

@@ -136,11 +136,6 @@ impl UnifiedPool {
         self.id
     }
 
-    /// Owning tenant.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     /// Total number of buffers.
     pub fn capacity(&self) -> u32 {
         self.n_bufs
@@ -461,10 +456,17 @@ mod tests {
     #[test]
     fn wrong_pool_rejected() {
         let mut p1 = UnifiedPool::new(PoolId(1), TenantId(1), 2, 64);
-        let p2 = UnifiedPool::new(PoolId(2), TenantId(2), 2, 64);
+        let mut p2 = UnifiedPool::new(PoolId(2), TenantId(2), 2, 64);
         let tok = p1.alloc(Owner::Engine).unwrap();
         assert_eq!(p2.read(&tok), Err(PoolError::WrongPool));
+        // Each pool has its own backing bytes: a write through one is
+        // invisible in the other.
+        p1.write_bytes(&tok, Bytes::from_static(b"secret"), &mut CopyMeter::new())
+            .unwrap();
+        let other = p2.alloc(Owner::Engine).unwrap();
+        assert_eq!(p2.read(&other).unwrap(), b"");
         p1.free(tok).unwrap();
+        p2.free(other).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`qp`] — the Reliable Connected state machine: PSNs, cumulative ACKs,
 //!   go-back-N retransmission, RNR NAK/retry, shadow-QP activity tracking.
 //! * [`rnic`] — the device model: per-tenant shared RQs, the node-wide
-//!   shared CQ and its doorbell, MR registration gated on DOCA RDMA grants,
+//!   shared CQ and its doorbell, MR registration from DOCA mmap exports,
 //!   QP-context-cache and MTT-cache pressure penalties.
 //! * [`fabric`] — wire frames: SEND/WRITE data, RC control, heartbeats.
 //! * [`net`] — [`net::RdmaNet`], the sub-simulator drivers embed; see its

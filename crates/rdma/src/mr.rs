@@ -1,12 +1,12 @@
 //! Memory region registration.
 //!
-//! The DNE registers the (host-resident) unified pool with the RNIC after
-//! importing it via DOCA mmap (§3.4.2, step 3). Registration requires an
-//! RDMA grant — a pool that was never exported with
-//! `doca_mmap_export_rdma()` cannot be registered, which is the security
-//! boundary keeping untrusted functions away from the fabric.
+//! The DNE registers the (host-resident) unified pool with the RNIC from
+//! its DOCA mmap export (§3.4.2, step 3). The table is the fabric's
+//! security boundary: the RNIC posts receive buffers only from a pool
+//! registered here (`Rnic::post_recv`), so data always lands in memory the
+//! pool's owner exported.
 
-use palladium_membuf::{create_from_export, Grant, ImportError, MmapExport, PoolId, TenantId};
+use palladium_membuf::{MmapExport, PoolId, TenantId};
 
 /// Key naming a registered memory region on one RNIC.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -28,8 +28,6 @@ pub struct MemoryRegion {
 /// Registration failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MrError {
-    /// Export descriptor did not carry an RDMA grant.
-    NoRdmaGrant(ImportError),
     /// Pool already registered on this RNIC.
     AlreadyRegistered,
 }
@@ -47,21 +45,18 @@ impl MrTable {
         Self::default()
     }
 
-    /// Register a pool from its mmap export descriptor. Validates the RDMA
-    /// grant exactly like `doca_mmap_create_from_export` would.
+    /// Register a pool from its mmap export descriptor.
     pub fn register(&mut self, export: &MmapExport) -> Result<MrKey, MrError> {
-        let validated =
-            create_from_export(export, Grant::Rdma, None).map_err(MrError::NoRdmaGrant)?;
-        if self.regions.iter().any(|r| r.pool == validated.pool) {
+        if self.covers(export.pool) {
             return Err(MrError::AlreadyRegistered);
         }
         let key = MrKey(self.next_key);
         self.next_key += 1;
         self.regions.push(MemoryRegion {
             key,
-            pool: validated.pool,
-            tenant: validated.tenant,
-            mtt_entries: validated.region.mtt_entries(),
+            pool: export.pool,
+            tenant: export.tenant,
+            mtt_entries: export.region.mtt_entries(),
         });
         Ok(key)
     }
@@ -88,16 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn register_requires_rdma_grant() {
+    fn registration_covers_the_exported_pool() {
         let mut table = MrTable::new();
-        let mut e = exporter();
-        let pci_only = e.export_pci();
-        assert!(matches!(
-            table.register(&pci_only),
-            Err(MrError::NoRdmaGrant(_))
-        ));
-        let rdma = e.export_rdma();
-        table.register(&rdma).unwrap();
+        assert!(!table.covers(PoolId(3)));
+        table.register(&exporter().export_rdma()).unwrap();
         assert!(table.covers(PoolId(3)));
     }
 

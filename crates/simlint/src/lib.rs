@@ -4,15 +4,16 @@
 //! enforced by the compiler: `clippy.toml`, module lint headers and the
 //! root manifest's `[workspace.lints]`. What is left here is a cross-file
 //! rule no per-crate lint can see, `unreached-pub`: a
-//! `pub fn|struct|enum|trait|const|type|static` in a library crate that
-//! only tests name. Its name occurs, as a whole word, on no non-test line
-//! of any workspace `.rs` file besides its declaration. Test lines are
+//! `pub fn|struct|enum|trait|const|type|static` in a library crate's
+//! `src/` tree (every one but simlint's own and `crates/bench/src/bin/`)
+//! that only tests name. Its name occurs, as a whole word, on no non-test
+//! line of any workspace `.rs` file besides its declaration. Test lines are
 //! every file under a `tests/` directory and every `#[cfg(test)]` item;
 //! `pub use` re-exports in a `lib.rs` are not a use either. Such code is
 //! API no binary reaches — delete it with the assertions that call it,
 //! gate it `#[cfg(test)]` when its own crate's tests need it to observe
 //! private state, or annotate why a test elsewhere needs it.
-//! Word-matching *under-reports*: a common name (`revoke`, `new`) counts
+//! Word-matching *under-reports*: a common name (`len`, `new`) counts
 //! as reached by any namesake in another file. That is the safe direction
 //! — the rule never asks for the deletion of something that is called.
 //!
@@ -50,16 +51,7 @@ const RULE: &str = "unreached-pub";
 /// trees (`crates/<name>/src/`), minus these: binaries declare nothing
 /// another file could name, and the linter is not a library of the
 /// simulation.
-const EXEMPT: &[&str] = &[
-    "crates/simlint/",
-    "crates/bench/src/bin/",
-    // The per-tenant grant-check islands `tests/tenant_isolation.rs`
-    // reaches: ROADMAP item 3d decides "wire or delete" for them together
-    // with tenants on the engine, not this gate.
-    "crates/membuf/src/tenant.rs",
-    "crates/membuf/src/mmap.rs",
-    "crates/dpu/src/mmap_import.rs",
-];
+const EXEMPT: &[&str] = &["crates/simlint/", "crates/bench/src/bin/"];
 
 /// Does the rule look for declarations in the file at workspace-relative
 /// path `rel`?

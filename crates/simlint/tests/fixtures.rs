@@ -74,18 +74,25 @@ fn unreached_pub_needs_the_other_file_and_ignores_reexports() {
 
 #[test]
 fn unreached_pub_is_scoped_to_library_crates() {
-    // Binaries, the linter itself, integration tests and the ROADMAP-3d
-    // islands declare nothing this rule tracks; the marker in the fixture
-    // then suppresses nothing and is reported stale.
+    // Binaries, the linter itself and integration tests declare nothing
+    // this rule tracks; the marker in the fixture then suppresses nothing
+    // and is reported stale.
     for rel in [
         "crates/bench/src/bin/island.rs",
         "crates/simlint/src/island.rs",
-        "crates/membuf/src/tenant.rs",
         "tests/island.rs",
     ] {
         let got = fire_files(&[(rel, ISLAND)]);
         assert_eq!(got, vec![(rel.to_string(), "allow-marker", 13)], "at {rel}");
     }
+    // Every other library `src/` file is in scope, the mmap export module
+    // included: with no caller, all three unmarked items fire.
+    let rel = "crates/membuf/src/mmap.rs";
+    let lines: Vec<usize> = fire_files(&[(rel, ISLAND)])
+        .iter()
+        .map(|(_, _, line)| *line)
+        .collect();
+    assert_eq!(lines, vec![5, 9, 28], "at {rel}");
 }
 
 #[test]

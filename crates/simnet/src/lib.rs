@@ -44,7 +44,7 @@ pub use chaos::{
 };
 pub use fault::{FaultPlan, FaultTimeline, Verdict};
 pub use harness::{Effects, Engine, Harness, LoadReport, RunStats};
-pub use openloop::{tenant_stream, Arrival, ArrivalProcess, OpenLoop, OpenLoopConfig, ZipfSampler};
+pub use openloop::{Arrival, ArrivalProcess, OpenLoop, OpenLoopConfig, ZipfSampler};
 pub use queue::{EventId, EventQueue};
 pub use shard::{
     run_sharded, ChannelStats, Envelope, Execution, Outbox, Partition, ShardConfig, ShardEngine,

@@ -286,14 +286,6 @@ impl OpenLoop {
     }
 }
 
-/// Stateless per-tenant stream: draw `draw` for tenant (function id)
-/// `tenant` under `seed` is the same value no matter who asks, when, or on
-/// which shard — the per-entity invariance primitive the retry-jitter and
-/// arrival machinery build on.
-pub fn tenant_stream(seed: u64, tenant: u64, draw: u64) -> SimRng {
-    SimRng::stream(seed ^ 0x7465_6E61_6E74, tenant.wrapping_mul(1 << 20).wrapping_add(draw))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,16 +413,6 @@ mod tests {
             let a = g.next_arrival();
             assert!(a.at > last);
             last = a.at;
-        }
-    }
-
-    #[test]
-    fn tenant_streams_are_stateless() {
-        let mut a = tenant_stream(42, 17, 3);
-        let _noise = tenant_stream(42, 18, 3);
-        let mut b = tenant_stream(42, 17, 3);
-        for _ in 0..64 {
-            assert_eq!(a.range(0, 1 << 30), b.range(0, 1 << 30));
         }
     }
 }

@@ -17,7 +17,7 @@
 //! load — is what tips the cluster over.
 
 pub use palladium_simnet::openloop::{
-    tenant_stream, Arrival, ArrivalProcess, OpenLoop, OpenLoopConfig, ZipfSampler,
+    Arrival, ArrivalProcess, OpenLoop, OpenLoopConfig, ZipfSampler,
 };
 
 use palladium_core::autoscaler::AutoscalerConfig;

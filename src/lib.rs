@@ -8,8 +8,8 @@
 //! * [`simnet`] — deterministic discrete-event simulation kernel (virtual
 //!   clock, event queue, FIFO servers, statistics, fault injection).
 //! * [`membuf`] — the unified shared-memory pool substrate: hugepage regions,
-//!   pool-based buffer allocation, move-only ownership tokens, per-tenant
-//!   isolation and DOCA-style cross-processor mmap export.
+//!   pool-based buffer allocation, move-only ownership tokens and the
+//!   DOCA-style mmap export the RNIC registers memory from.
 //! * [`rdma`] — simulated RDMA verbs and Reliable Connected transport with
 //!   acknowledgements, go-back-N retransmission, RNR flow control, an RNIC
 //!   model (QP context cache, MTT) and a switched fabric with fault injection.
@@ -17,7 +17,7 @@
 //!   Comch-E/Comch-P server endpoint, and the calibrated costs of Comch,
 //!   eBPF `SK_MSG` descriptor passing and the kernel TCP channel baseline.
 //! * [`dpu`] — the DPU SoC substrate: the wimpy-ARM-core service-time
-//!   scaling, the (slow) SoC DMA engine and DOCA mmap import.
+//!   scaling and the (slow) SoC DMA engine.
 //! * [`tcpstack`] — kernel and F-Stack TCP/IP cost models plus the HTTP and
 //!   RDMA-bridge costs the ingress gateway charges (HTTP is costed, never
 //!   parsed).

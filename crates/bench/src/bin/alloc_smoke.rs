@@ -50,9 +50,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use palladium_baselines::echo::{EchoConfig, EchoSim, Primitive};
 use palladium_core::driver::chain::ChainSim;
 use palladium_core::driver::cluster_sharded::{ClusterShardedConfig, ClusterShardedSim, OverloadConfig};
+use palladium_core::driver::echo::{EchoConfig, EchoSim, Primitive};
 use palladium_core::driver::multinode::{MultiNodeConfig, MultiNodeSim};
 use palladium_core::system::SystemKind;
 use palladium_simnet::{Execution, FaultPlan, Nanos, ScenarioScript};

@@ -24,8 +24,9 @@
 //! Hard in-binary gates (machine-independent, always enforced; the arms of
 //! `gate` say what each scenario must demonstrate): every scenario keeps
 //! completing requests, no chaos scenario sheds any, every overload
-//! scenario keeps non-zero goodput, and the offered-load grid
-//! (`load_sweep`) has a knee past which goodput does not collapse.
+//! scenario keeps non-zero goodput, every open-loop run's ledger balances
+//! (`OverloadReport::check`), and the offered-load grid (`load_sweep`) has
+//! a knee past which goodput does not collapse.
 //!
 //! Usage: `cargo run --release -p palladium-bench --bin slo_smoke --
 //! [--out PATH]` (default `BENCH_slo.json`).
@@ -72,6 +73,9 @@ fn gate(name: &str, r: &ClusterShardedReport) -> bool {
     }
     if open_loop && o.goodput == 0 {
         failures.push("zero goodput — overload killed the cluster".to_string());
+    }
+    if let Err(e) = o.check() {
+        failures.push(format!("open-loop ledger: {e}"));
     }
     if !open_loop && c.shed_qp + c.shed_pool > 0 {
         failures.push(format!(
@@ -133,11 +137,15 @@ fn gate(name: &str, r: &ClusterShardedReport) -> bool {
 fn load_sweep() -> (bool, Vec<String>, f64) {
     let mut points = Vec::new();
     let mut rows = Vec::new();
+    let mut failures = Vec::new();
     for rps in openloop::SWEEP_RPS {
         let r = run(openloop::poisson_overload(rps));
         let lead = format!("\"offered_rps\": {rps}");
         rows.push(row(&format!("{rps} rps offered"), &lead, &r, &openloop::SWEEP_COLS));
         points.push((rps, r.overload.goodput));
+        if let Err(e) = r.overload.check() {
+            failures.push(format!("{rps} rps: open-loop ledger: {e}"));
+        }
     }
     let peak = points.iter().map(|&(_, g)| g).max().unwrap_or(0);
     // The knee: the smallest offered rate whose goodput is already within
@@ -149,7 +157,6 @@ fn load_sweep() -> (bool, Vec<String>, f64) {
         .map(|&(rps, _)| rps)
         .unwrap_or(0.0);
     let (top_rps, top_goodput) = *points.last().expect("sweep grid is non-empty");
-    let mut failures = Vec::new();
     if knee == 0.0 || peak == 0 {
         failures.push("found no knee — goodput never approached a peak".to_string());
     }

@@ -4,9 +4,9 @@
 //! binaries add the table headers. `Scale` shrinks virtual durations so
 //! tests can run the identical code quickly.
 
-use palladium_baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::chain::{ChainReport, ChainSim};
 use palladium_core::driver::channel::{ChannelSim, ChannelSimConfig};
+use palladium_core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::fairness::{FairnessSim, FairnessSimConfig};
 use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig, ScalingReport};
 use palladium_core::dwrr::SchedPolicy;

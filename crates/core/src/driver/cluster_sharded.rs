@@ -119,7 +119,7 @@ mod testkit;
 
 pub use build::ClusterShardedSim;
 pub use config::{AutoscalePolicy, BreakerPolicy, ClusterShardedConfig, OverloadConfig, RetryPolicy};
-pub use report::{ChaosReport, ClusterShardedReport, OverloadReport, UnknownColumn};
+pub use report::{ChaosReport, ClusterShardedReport, LedgerError, OverloadReport, UnknownColumn};
 
 const TENANT: TenantId = TenantId(1);
 const BUF_SIZE: u32 = 8192;
@@ -197,7 +197,7 @@ pub(crate) enum Ev {
     /// Function finished executing on input `desc`.
     FnDone { n: usize, desc: BufDesc },
     /// Worker node `n` emits its next liveness probe (chaos runs only).
-    HeartbeatTick { n: usize, seq: u64 },
+    HeartbeatTick { n: usize },
     /// The ingress sweeps for silent workers (chaos runs only).
     HealthCheck,
     /// Worker `n` finished paying its rejoin cost (chaos runs only).
@@ -361,14 +361,15 @@ impl IngressState {
         }
     }
 
-    /// → `Done`: `req` ends as `end`. The only way a request ends: it frees
-    /// the window slot iff the request was in flight, and it is where
-    /// `retry_exhausted` is counted.
-    fn retire(&mut self, req: u64, end: Terminal) {
+    /// → `Done`: `req` ends as `end` at `at` (a completion at its client
+    /// finish time). The only way a request ends: it frees the window slot
+    /// iff the request was in flight, and it is where the open-loop ledger
+    /// counts the end.
+    fn retire(&mut self, at: Nanos, req: u64, end: Terminal) {
         let was = std::mem::replace(&mut self.reqs[req as usize].phase, Phase::Done);
         debug_assert_ne!(was, Phase::Done, "request {req} retired twice");
         if let Some(ov) = self.overload.as_mut() {
-            ov.retire(was == Phase::InFlight, end);
+            ov.retire(at, was == Phase::InFlight, end);
         }
     }
 
@@ -382,7 +383,7 @@ impl IngressState {
         }
         let (issued, client, pair) = (st.issued, st.client as usize, st.pair as usize);
         let finish = now + self.client_wire;
-        self.retire(req, Terminal::Completed);
+        self.retire(finish, req, Terminal::Completed);
         self.stats.complete(finish, issued);
         // Feed the pair's gray-failure score with the end-to-end latency
         // this request observed.
@@ -652,7 +653,7 @@ impl ClusterShard {
                     self.replenish(n, 32);
                 }
             }
-            RdmaOutput::HeartbeatSeen { node, from, .. }
+            RdmaOutput::HeartbeatSeen { node, from }
                 if node.raw() as usize == self.ingress_node =>
             {
                 self.on_heartbeat_seen(now, fx, from)

@@ -15,7 +15,7 @@ use super::health::{IngressChaos, HEARTBEAT_PERIOD};
 use super::overload::IngressOverload;
 use super::{
     ChaosReport, ClusterShard, ClusterShardedConfig, ClusterShardedReport, Ev, IngressState,
-    OverloadReport, BUF_SIZE, TENANT,
+    BUF_SIZE, TENANT,
 };
 use crate::config::{CostModel, EngineLocation};
 use crate::connpool::{ConnPool, ConnPoolConfig};
@@ -355,7 +355,7 @@ impl ClusterShardedSim {
                     // schedule (and its goldens) is untouched.
                     for n in part.range(s) {
                         if n != ingress_node {
-                            h.schedule_at(Nanos::ZERO, Ev::HeartbeatTick { n, seq: 0 });
+                            h.schedule_at(Nanos::ZERO, Ev::HeartbeatTick { n });
                         }
                     }
                 }
@@ -413,7 +413,6 @@ impl ClusterShardedSim {
         // counters live on the ingress. Both are deterministic per the
         // invariance discipline.
         let mut ing = engines[ingress_shard].ingress.take().expect("ingress state");
-        debug_assert!(ing.window_is_exact(), "the in-flight window disagrees with the request phases");
         let mut chaos_rep = std::mem::take(&mut ing.counts);
         for e in &engines {
             chaos_rep.absorb(&e.counts);
@@ -428,12 +427,7 @@ impl ClusterShardedSim {
             chaos_rep.ttr_p50 = cx.ttr.p50();
             chaos_rep.ttr_p99 = cx.ttr.p99();
         }
-        let overload_rep = ing.overload.take().map_or_else(OverloadReport::default, |ov| {
-            OverloadReport {
-                ramp_p99: if ov.ramp.is_empty() { Nanos::ZERO } else { ov.ramp.p99() },
-                ..ov.report
-            }
-        });
+        let overload_rep = ing.fold_overload();
         let [p50, p99, p999] = [50.0, 99.0, 99.9].map(|p| ing.stats.bucketed_percentile(p));
         let mean_latency = ing.stats.latency().mean();
         let load: LoadReport = ing.stats.report(cfg.duration);

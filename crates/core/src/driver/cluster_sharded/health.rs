@@ -323,7 +323,7 @@ impl IngressState {
             if self.overload.is_some() {
                 self.fail_or_retry(now, fx, req);
             } else {
-                self.retire(req, Terminal::Lost);
+                self.retire(now, req, Terminal::Lost);
                 fx.at(now, Ev::Issue { client: self.reqs[req as usize].client as usize });
             }
         }
@@ -357,7 +357,7 @@ impl ClusterShard {
         out: &mut Outbox<Packet>,
     ) {
         match ev {
-            Ev::HeartbeatTick { n, seq } => {
+            Ev::HeartbeatTick { n } => {
                 // Probe the ingress and reschedule. A crashed node keeps
                 // "sending" — its frames die at the destination's
                 // partition check, which is exactly what lets the ingress
@@ -365,11 +365,11 @@ impl ClusterShard {
                 let mut step = std::mem::take(&mut self.post_step);
                 step.clear();
                 let (from, to) = (NodeId(n as u16), NodeId(self.ingress_node as u16));
-                self.net.send_heartbeat_into(now, from, to, seq, &mut step);
+                self.net.send_heartbeat_into(now, from, to, &mut step);
                 fx.extend_drain(&mut step.events, Ev::Rdma);
                 self.route_egress(now, out, &mut step);
                 self.post_step = step;
-                fx.after(HEARTBEAT_PERIOD, Ev::HeartbeatTick { n, seq: seq + 1 });
+                fx.after(HEARTBEAT_PERIOD, Ev::HeartbeatTick { n });
             }
             Ev::HealthCheck => {
                 let ing = self.ingress.as_mut().expect("health check on ingress shard");

@@ -20,7 +20,9 @@
 //! [`IngressState`] move it: `admit` takes a slot, `abandon` frees it, and
 //! `retire` frees it iff the request was in flight. Deadline
 //! classification (goodput, late, recovery) stays in
-//! [`IngressOverload::complete`], keyed by finish time.
+//! [`IngressOverload::complete`], keyed by finish time; `retire` keeps the
+//! rest of the ledger ([`OverloadReport::check`]), keyed by when the
+//! request ended.
 
 use std::collections::VecDeque;
 
@@ -209,9 +211,7 @@ impl IngressOverload {
         let a = self.next;
         debug_assert_eq!(a.at, now, "arrival lands at its drawn time");
         self.next = self.gen.next_arrival();
-        if now >= self.warmup {
-            self.report.offered += 1;
-        }
+        self.report.offered += 1;
         self.since.push(now);
         (a.fn_id as usize, self.next.at)
     }
@@ -351,11 +351,15 @@ impl IngressOverload {
         self.breaker_fail(now, pair);
     }
 
-    /// A request ends as `end` (the window side of
-    /// [`IngressState::retire`]): release its slot if it held one.
-    pub(super) fn retire(&mut self, in_flight: bool, end: Terminal) {
+    /// A request ends as `end` at `at` (the window side of
+    /// [`IngressState::retire`]): release its slot if it held one. An end
+    /// before warm-up leaves the ledger: it is no longer offered, and an
+    /// exhaustion is counted only at or after warm-up.
+    pub(super) fn retire(&mut self, at: Nanos, in_flight: bool, end: Terminal) {
         self.inflight -= u64::from(in_flight);
-        if end == Terminal::RetryExhausted {
+        if at < self.warmup {
+            self.report.offered -= 1;
+        } else if end == Terminal::RetryExhausted {
             self.report.retry_exhausted += 1;
         }
     }
@@ -518,7 +522,7 @@ impl IngressState {
                 st.attempts += 1;
                 fx.at(at, Ev::Retry { req });
             }
-            Retry::Exhausted => self.retire(req, Terminal::RetryExhausted),
+            Retry::Exhausted => self.retire(now, req, Terminal::RetryExhausted),
         }
     }
 
@@ -536,11 +540,43 @@ impl IngressState {
         self.drain_queue(now, fx);
     }
 
-    /// The window count and the phases agree: checked when a run's report
-    /// is folded.
+    /// One walk of the request table: how many requests are
+    /// [`Phase::InFlight`], and how many are not yet [`Phase::Done`].
+    fn census(&self) -> (u64, u64) {
+        self.reqs.iter().fold((0, 0), |(in_flight, live), st| {
+            (
+                in_flight + u64::from(st.phase == Phase::InFlight),
+                live + u64::from(st.phase != Phase::Done),
+            )
+        })
+    }
+
+    /// The window count and the phases agree.
+    #[cfg(test)]
     pub(super) fn window_is_exact(&self) -> bool {
-        let in_flight = || self.reqs.iter().filter(|st| st.phase == Phase::InFlight).count() as u64;
-        self.overload.as_ref().is_none_or(|ov| ov.inflight == in_flight())
+        self.overload.as_ref().is_none_or(|ov| ov.inflight == self.census().0)
+    }
+
+    /// The run's overload report, folded at its end (all-zero on a closed
+    /// loop). One walk of the request table counts `live_at_end`; debug
+    /// builds also check the window count against the phases and the
+    /// ledger ([`OverloadReport::check`]).
+    pub(super) fn fold_overload(&mut self) -> OverloadReport {
+        let Some(ov) = self.overload.take() else {
+            return OverloadReport::default();
+        };
+        let (in_flight, live_at_end) = self.census();
+        debug_assert_eq!(
+            ov.inflight, in_flight,
+            "the in-flight window disagrees with the request phases"
+        );
+        let report = OverloadReport {
+            live_at_end,
+            ramp_p99: if ov.ramp.is_empty() { Nanos::ZERO } else { ov.ramp.p99() },
+            ..ov.report
+        };
+        debug_assert_eq!(report.check(), Ok(()), "the open-loop ledger does not balance");
+        report
     }
 }
 
@@ -586,7 +622,7 @@ impl ClusterShard {
 mod tests {
     use super::*;
     use crate::driver::cluster_sharded::testkit::{handle, ingress, request as arrival, BILL};
-    use crate::driver::cluster_sharded::{AutoscalePolicy, BreakerPolicy};
+    use crate::driver::cluster_sharded::{AutoscalePolicy, BreakerPolicy, LedgerError};
     use palladium_simnet::OpenLoopConfig;
 
     const PAIRS: usize = 4;
@@ -831,7 +867,7 @@ mod tests {
             let req = request(&mut ov);
             ov.admit(finish - US(300), req);
             let est = ov.est;
-            ov.retire(true, Terminal::Completed);
+            ov.retire(finish, true, Terminal::Completed);
             ov.complete(finish, req, 0, issued, finish);
             assert_eq!((ov.inflight, ov.report.retry_exhausted), (0, 0));
             assert_eq!(ov.est, est + EST_ALPHA * (300_000.0 - est), "sample = finish − admitted");
@@ -839,6 +875,27 @@ mod tests {
             assert_eq!((r.goodput, r.late, r.recovery_goodput), want, "finish at {finish}");
         }
         assert_eq!(ov.ramp.len(), 3, "no surge window: the ramp histogram spans the run");
+    }
+
+    #[test]
+    fn an_end_before_warm_up_leaves_the_ledger() {
+        // Warm-up at 1 ms. Of four arrivals, one completes and one runs out
+        // of retries before it, one runs out at it, and one is still live.
+        let warmup = US(1_000);
+        let horizon = Nanos::from_millis(100);
+        let mut ov = IngressOverload::new(config(|ov| ov), PAIRS, 7, warmup, horizon, BILL);
+        for _ in 0..4 {
+            let at = ov.next.at;
+            ov.arrive(at);
+        }
+        ov.retire(US(400), false, Terminal::Completed);
+        ov.retire(US(999), false, Terminal::RetryExhausted);
+        ov.retire(warmup, false, Terminal::RetryExhausted);
+        let r = OverloadReport { live_at_end: 1, ..ov.report.clone() };
+        assert_eq!((r.offered, r.retry_exhausted), (2, 1));
+        assert_eq!(r.check(), Ok(()));
+        let unbalanced = OverloadReport { live_at_end: 0, ..r };
+        assert_eq!(unbalanced.check(), Err(LedgerError { offered: 2, accounted: 1 }));
     }
 
     #[test]

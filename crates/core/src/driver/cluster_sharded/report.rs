@@ -131,9 +131,16 @@ summed_report! {
     /// Open-loop overload accounting for one run. Goodput is the honest
     /// metric: completions within their propagated deadline. Folded entirely
     /// from ingress-ordered state — byte-identical at every shard count.
+    ///
+    /// A request *ends* when it completes (at its client finish time, the
+    /// instant the latency window filters on) or exhausts its retries. The
+    /// ledger counts an end iff it happens at or after warm-up, so every
+    /// offered request is in exactly one of `goodput`, `late`,
+    /// `retry_exhausted` and `live_at_end` ([`check`](Self::check)).
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct OverloadReport {
-        /// Arrivals generated inside the measurement window.
+        /// Requests not ended before warm-up: every arrival, minus those
+        /// that completed or exhausted their retries before it.
         pub offered: u64,
         /// Requests admitted to the data plane inside the window.
         pub admitted: u64,
@@ -148,8 +155,12 @@ summed_report! {
         /// Retry attempts scheduled by the backoff machinery.
         pub retries: u64,
         /// Requests that exhausted their retry budget (or whose deadline
-        /// passed before the next attempt) — honest client-visible failures.
+        /// passed before the next attempt) at or after warm-up — honest
+        /// client-visible failures.
         pub retry_exhausted: u64,
+        /// Requests still queued, backing off or in flight when the run
+        /// ended.
+        pub live_at_end: u64,
         /// Circuit-breaker open (and re-arm) transitions.
         pub breaker_opens: u64,
         /// Circuit-breaker half-open probes that closed the breaker.
@@ -166,6 +177,39 @@ summed_report! {
         /// p99 end-to-end latency of completions inside the surge window (the
         /// flash-crowd ramp), `ZERO` when no surge window applies.
         pub ramp_p99: Nanos,
+    }
+}
+
+impl OverloadReport {
+    /// The open-loop ledger: `offered == goodput + late + retry_exhausted
+    /// + live_at_end`. Debug builds check it at the end of every run.
+    pub fn check(&self) -> Result<(), LedgerError> {
+        let accounted = self.goodput + self.late + self.retry_exhausted + self.live_at_end;
+        if self.offered == accounted {
+            Ok(())
+        } else {
+            Err(LedgerError { offered: self.offered, accounted })
+        }
+    }
+}
+
+/// An open-loop run whose request ends do not add up (see
+/// [`OverloadReport::check`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LedgerError {
+    /// Requests not ended before warm-up.
+    pub offered: u64,
+    /// `goodput + late + retry_exhausted + live_at_end`.
+    pub accounted: u64,
+}
+
+impl std::fmt::Display for LedgerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "offered {} != goodput + late + retry_exhausted + live_at_end = {}",
+            self.offered, self.accounted
+        )
     }
 }
 

@@ -22,8 +22,8 @@
 //! Both figures run one engine on the shared [`palladium_simnet::Harness`]:
 //! the primitive and the optional function pair are its data.
 
-use palladium_core::config::CostModel;
-use palladium_core::driver::LoadReport;
+use crate::config::CostModel;
+use crate::driver::LoadReport;
 use palladium_dpu::{SocDma, SocDmaSpec};
 use palladium_ipc::{ChannelCosts, ChannelKind};
 use palladium_membuf::{CopyMeter, MmapExporter, NodeId, PayloadCache, PoolId, Region, TenantId};

@@ -25,16 +25,17 @@
 //! * [`multinode`] — the cluster traffic pattern scaled to N nodes on the
 //!   conservative sharded runner (`palladium_simnet::shard`): one
 //!   simulation kernel per core, deterministic cross-shard mailboxes.
+//! * [`echo`] — the cross-node echo for Figs 11–12: the RDMA primitive
+//!   (Fig 12) and the optional host-function pair with its path mode
+//!   (Fig 11) are data of one engine.
 //!
-//! The cross-node echo driver for Figs 11–12 lives in `palladium-baselines`
-//! next to the one-sided variants it compares: one engine on the same
-//! harness, whose primitive (Fig 12) and optional host-function pair with
-//! its path mode (Fig 11) are data. Outside the cluster engine these are
-//! four engines: channel, ingress, fairness and echo.
+//! Outside the cluster engine these are four engines: channel, ingress,
+//! fairness and echo.
 
 pub mod chain;
 pub mod channel;
 pub mod cluster_sharded;
+pub mod echo;
 pub mod fairness;
 pub mod ingress_sweep;
 pub mod multinode;

@@ -45,7 +45,8 @@ impl RouteTables {
     }
 }
 
-/// A function deployment event (creation or termination).
+/// A function deployment event: a function started on a node. Redeploying
+/// a function moves its route.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeployEvent {
     /// Function started on a node.
@@ -56,11 +57,6 @@ pub enum DeployEvent {
         tenant: TenantId,
         /// Where it runs.
         node: NodeId,
-    },
-    /// Function terminated.
-    Terminated {
-        /// The function.
-        f: FnId,
     },
 }
 
@@ -83,14 +79,8 @@ impl Coordinator {
 
     /// Apply a deployment event.
     pub fn apply(&mut self, ev: DeployEvent) {
-        match ev {
-            DeployEvent::Created { f, tenant, node } => {
-                self.placements.insert(f, (tenant, node));
-            }
-            DeployEvent::Terminated { f } => {
-                self.placements.remove(&f);
-            }
-        }
+        let DeployEvent::Created { f, tenant, node } = ev;
+        self.placements.insert(f, (tenant, node));
     }
 
     /// Build the routing tables for a node (what the coordinator syncs to
@@ -126,20 +116,6 @@ mod tests {
         assert_eq!(t0.node_of(FnId(2)), Some(NodeId(1)));
         assert_eq!(t0.node_of(FnId(3)), None);
         assert_eq!(c.placements.get(&FnId(1)), Some(&(TenantId(1), NodeId(0))));
-    }
-
-    #[test]
-    fn termination_removes_routes() {
-        let mut c = Coordinator::new();
-        c.apply(DeployEvent::Created {
-            f: FnId(1),
-            tenant: TenantId(1),
-            node: NodeId(0),
-        });
-        c.apply(DeployEvent::Terminated { f: FnId(1) });
-        let t = c.tables_for(NodeId(0));
-        assert_eq!(t.node_of(FnId(1)), None);
-        assert!(c.placements.is_empty());
     }
 
     #[test]

@@ -71,10 +71,7 @@ pub enum PacketKind {
     /// A liveness probe: unreliable, unacknowledged, outside any QP's PSN
     /// space. Subject to fault injection like any data frame, so link
     /// flaps produce honest missed-heartbeat false positives.
-    Heartbeat {
-        /// Sender-local monotonically increasing probe number.
-        seq: u64,
-    },
+    Heartbeat,
 }
 
 impl Packet {
@@ -85,7 +82,7 @@ impl Packet {
             PacketKind::Ack { .. }
             | PacketKind::Nak { .. }
             | PacketKind::RnrNak { .. }
-            | PacketKind::Heartbeat { .. } => ack_bytes,
+            | PacketKind::Heartbeat => ack_bytes,
         }
     }
 
@@ -96,7 +93,7 @@ impl Packet {
             PacketKind::Ack { .. }
                 | PacketKind::Nak { .. }
                 | PacketKind::RnrNak { .. }
-                | PacketKind::Heartbeat { .. }
+                | PacketKind::Heartbeat
         )
     }
 }

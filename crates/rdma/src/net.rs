@@ -106,13 +106,6 @@ pub enum RdmaOutput {
         /// Tenant owning the target QP.
         tenant: TenantId,
     },
-    /// A QP exhausted its retries and moved to `Error`.
-    QpError {
-        /// Node owning the QP.
-        node: NodeId,
-        /// The QP.
-        qpn: Qpn,
-    },
     /// The receiver NAK'd a SEND for lack of buffers — the DNE core thread
     /// should replenish the tenant's RQ (§3.5.2).
     RnrSeen {
@@ -128,8 +121,6 @@ pub enum RdmaOutput {
         node: NodeId,
         /// Node the probe came from.
         from: NodeId,
-        /// The probe's sequence number.
-        seq: u64,
     },
 }
 
@@ -414,20 +405,13 @@ impl RdmaNet {
     /// instance's span) to `to`. Probes ride outside any QP — no PSN, no
     /// ACK — and are subject to fault injection like data frames, so a
     /// flapping link produces honest missed-heartbeat false positives.
-    pub fn send_heartbeat_into(
-        &mut self,
-        now: Nanos,
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        step: &mut Step,
-    ) {
+    pub fn send_heartbeat_into(&mut self, now: Nanos, from: NodeId, to: NodeId, step: &mut Step) {
         let pkt = Packet {
             src: from,
             dst: to,
             src_qpn: Qpn(0),
             dst_qpn: Qpn(0),
-            kind: PacketKind::Heartbeat { seq },
+            kind: PacketKind::Heartbeat,
             corrupted: false,
         };
         self.transmit(now, pkt, step);
@@ -611,7 +595,6 @@ impl RdmaNet {
         if notify {
             step.outputs.push(RdmaOutput::CqReady { node });
         }
-        step.outputs.push(RdmaOutput::QpError { node, qpn });
     }
 
     /// Advance the sub-simulator by one event, appending into a
@@ -864,10 +847,10 @@ impl RdmaNet {
                     }
                 }
             }
-            PacketKind::Heartbeat { seq } => {
+            PacketKind::Heartbeat => {
                 // No QP involved: surface the probe to the driver's
                 // health monitor and stop.
-                step.outputs.push(RdmaOutput::HeartbeatSeen { node: dst, from: src, seq });
+                step.outputs.push(RdmaOutput::HeartbeatSeen { node: dst, from: src });
             }
             PacketKind::Ack { upto } => {
                 let node = dst;

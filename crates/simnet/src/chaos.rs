@@ -100,21 +100,20 @@ pub enum ScenarioOp {
         /// Window end (exclusive).
         until: Nanos,
     },
-    /// Gray failure at `node`'s port: low-rate drop plus uniform latency
-    /// inflation (`0..=delay` per frame) over `[from, until)`, calibrated
-    /// *below* the heartbeat-miss threshold — liveness probes keep
-    /// passing, so only a differential detector (cross-pair latency
-    /// comparison) can see it. With `src` set the fault pins one
-    /// *directed link* (`src → node` frames only): an asymmetric gray
-    /// partial partition — the reverse direction and every other source
+    /// Gray failure on the *directed link* `src → node`: low-rate drop
+    /// plus uniform latency inflation (`0..=delay` per frame) over
+    /// `[from, until)`, calibrated *below* the heartbeat-miss threshold —
+    /// liveness probes keep passing, so only a differential detector
+    /// (cross-pair latency comparison) can see it. An asymmetric gray
+    /// partial partition: the reverse direction and every other source
     /// stay clean, which is exactly the failure mode absolute-timeout
-    /// detection is blind to.
+    /// detection is blind to. (A port-wide gray is a [`ScenarioOp::Storm`]
+    /// with the same drop and delay.)
     Gray {
         /// Global destination node id (the degraded ingress port).
         node: usize,
-        /// Faulty source (directed link `src → node`); `None` grays the
-        /// whole port.
-        src: Option<usize>,
+        /// Faulty source node id.
+        src: usize,
         /// Per-frame drop probability while active (keep well below the
         /// rate that would miss `k` consecutive heartbeats).
         drop: f64,
@@ -201,7 +200,7 @@ impl ScenarioScript {
         from: Nanos,
         until: Nanos,
     ) -> Self {
-        self.op(ScenarioOp::Gray { node: dst, src: Some(src), drop, delay, from, until })
+        self.op(ScenarioOp::Gray { node: dst, src, drop, delay, from, until })
     }
 
     /// Register a named **fault domain**: a correlated set of nodes that
@@ -272,21 +271,16 @@ impl ScenarioScript {
                 }
                 ScenarioOp::Gray { node, src, drop, delay, from, until } => {
                     assert!(node < n_nodes, "gray names node {node} of {n_nodes}");
+                    assert!(src < n_nodes, "gray names source {src} of {n_nodes}");
                     let plan = FaultPlan {
                         drop_chance: drop,
                         max_extra_delay: delay,
                         ..FaultPlan::NONE
                     }
                     .window(from, until);
-                    match src {
-                        None => faults[node].push(plan),
-                        Some(s) => {
-                            assert!(s < n_nodes, "gray names source {s} of {n_nodes}");
-                            match links[node].iter_mut().find(|(from_n, _)| *from_n == s) {
-                                Some((_, tl)) => tl.push(plan),
-                                None => links[node].push((s, FaultTimeline::from_plan(plan))),
-                            }
-                        }
+                    match links[node].iter_mut().find(|(from_n, _)| *from_n == src) {
+                        Some((_, tl)) => tl.push(plan),
+                        None => links[node].push((src, FaultTimeline::from_plan(plan))),
                     }
                 }
             }
@@ -570,21 +564,8 @@ mod tests {
     #[test]
     fn gray_ops_compile_to_port_and_link_tables() {
         let c = ScenarioScript::new()
-            .op(ScenarioOp::Gray {
-                node: 1,
-                src: None,
-                drop: 0.02,
-                delay: Nanos(500),
-                from: Nanos(100),
-                until: Nanos(900),
-            })
             .gray_link(0, 2, 0.05, Nanos(250), Nanos(200), Nanos(800))
             .compile(3);
-        // Port-wide gray: destination 1's node timeline.
-        let p = c.faults[1].plan_at(Nanos(400));
-        assert_eq!(p.drop_chance, 0.02);
-        assert_eq!(p.max_extra_delay, Nanos(500));
-        assert_eq!(p.corrupt_chance, 0.0);
         // Link gray: only on (0 → 2), not on node 2's port timeline.
         assert!(c.faults[2].is_none());
         assert_eq!(c.links[2].len(), 1);

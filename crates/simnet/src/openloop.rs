@@ -29,27 +29,12 @@ const MIN_RPS: f64 = 1.0;
 
 /// A time-varying offered-load profile, in requests per second.
 ///
-/// All four shapes are *open*: the rate is a pure function of simulated
-/// time, never of completions.
+/// Both shapes are *open*: the rate is a pure function of simulated time,
+/// never of completions.
 #[derive(Debug, Clone, Copy)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals at a constant rate.
     Poisson { rps: f64 },
-    /// Square-wave bursts: `burst_rps` for the first `duty` fraction of each
-    /// `period`, `base_rps` for the rest — the periodic-spike shape.
-    Bursty {
-        base_rps: f64,
-        burst_rps: f64,
-        period: Nanos,
-        duty: f64,
-    },
-    /// Sinusoidal day/night swing between `min_rps` and `max_rps` with the
-    /// given period, starting at the trough.
-    Diurnal {
-        min_rps: f64,
-        max_rps: f64,
-        period: Nanos,
-    },
     /// A flash crowd: `base_rps` until `start`, linear ramp to `peak_rps`
     /// over `ramp`, hold at peak for `hold`, linear decay back to base over
     /// `decay`. The canonical autoscaler trigger.
@@ -68,38 +53,6 @@ impl ArrivalProcess {
     pub fn rate_at(&self, now: Nanos) -> f64 {
         let rate = match *self {
             ArrivalProcess::Poisson { rps } => rps,
-            ArrivalProcess::Bursty {
-                base_rps,
-                burst_rps,
-                period,
-                duty,
-            } => {
-                if period.is_zero() {
-                    base_rps
-                } else {
-                    let phase = (now.as_nanos() % period.as_nanos()) as f64
-                        / period.as_nanos() as f64;
-                    if phase < duty {
-                        burst_rps
-                    } else {
-                        base_rps
-                    }
-                }
-            }
-            ArrivalProcess::Diurnal {
-                min_rps,
-                max_rps,
-                period,
-            } => {
-                if period.is_zero() {
-                    min_rps
-                } else {
-                    let phase = (now.as_nanos() % period.as_nanos()) as f64
-                        / period.as_nanos() as f64;
-                    let swing = 0.5 * (1.0 - (std::f64::consts::TAU * phase).cos());
-                    min_rps + (max_rps - min_rps) * swing
-                }
-            }
             ArrivalProcess::FlashCrowd {
                 base_rps,
                 peak_rps,
@@ -149,9 +102,10 @@ impl ArrivalProcess {
     }
 }
 
-/// Inverse-CDF sampler over a Zipf(s) rank distribution on `n` ranks.
+/// Inverse-CDF sampler over the Zipf rank distribution (skew s = 1) on `n`
+/// ranks.
 ///
-/// Rank `r` (0-based) carries weight `1/(r+1)^s`; the cumulative table is
+/// Rank `r` (0-based) carries weight `1/(r+1)`; the cumulative table is
 /// precomputed once (the only allocation) and each sample is a
 /// `partition_point` binary search — no per-draw heap traffic, which the
 /// alloc gate depends on.
@@ -161,25 +115,13 @@ pub struct ZipfSampler {
 }
 
 impl ZipfSampler {
-    /// Build the cumulative table for `n` ranks with exponent `s`
-    /// (`s = 0` is uniform; the serverless literature uses `s ≈ 1`).
-    pub fn new(n: u64, s: f64) -> Self {
-        if s == 1.0 {
-            // `pow(x, 1.0)` is exactly `x`: the canonical skew gets the
-            // same table, bit for bit, without a libm call per rank.
-            Self::from_weights(n, |rank| 1.0 / rank)
-        } else {
-            Self::from_weights(n, |rank| 1.0 / rank.powf(s))
-        }
-    }
-
-    /// The normalised cumulative table of `weight(1.0) ..= weight(n)`.
-    fn from_weights(n: u64, weight: impl Fn(f64) -> f64) -> Self {
+    /// Build the normalised cumulative table for `n` ranks.
+    pub fn new(n: u64) -> Self {
         assert!(n > 0, "zipf population must be non-empty");
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0f64;
         for r in 1..=n {
-            acc += weight(r as f64);
+            acc += 1.0 / r as f64;
             cdf.push(acc);
         }
         let total = acc;
@@ -207,20 +149,17 @@ impl ZipfSampler {
 pub struct OpenLoopConfig {
     /// The offered-rate profile.
     pub process: ArrivalProcess,
-    /// Number of distinct function ids in the population (10k–100k in the
-    /// overload scenarios).
+    /// Number of distinct function ids in the Zipf-skewed population
+    /// (10k–100k in the overload scenarios).
     pub population: u64,
-    /// Zipf skew exponent over that population.
-    pub zipf_s: f64,
 }
 
 impl OpenLoopConfig {
-    /// Constant-rate Poisson over a canonically skewed (s = 1) population.
+    /// Constant-rate Poisson over the population.
     pub fn poisson(rps: f64, population: u64) -> Self {
         OpenLoopConfig {
             process: ArrivalProcess::Poisson { rps },
             population,
-            zipf_s: 1.0,
         }
     }
 }
@@ -257,7 +196,7 @@ impl OpenLoop {
     pub fn new(cfg: &OpenLoopConfig, seed: u64) -> Self {
         OpenLoop {
             process: cfg.process,
-            zipf: ZipfSampler::new(cfg.population, cfg.zipf_s),
+            zipf: ZipfSampler::new(cfg.population),
             seed,
             seq: 0,
             clock: Nanos::ZERO,
@@ -320,34 +259,6 @@ mod tests {
         assert_eq!(hi, Nanos::from_millis(24));
     }
 
-    #[test]
-    fn bursty_duty_cycle() {
-        let p = ArrivalProcess::Bursty {
-            base_rps: 1_000.0,
-            burst_rps: 80_000.0,
-            period: Nanos::from_millis(10),
-            duty: 0.2,
-        };
-        assert_eq!(p.rate_at(Nanos::from_millis(1)), 80_000.0);
-        assert_eq!(p.rate_at(Nanos::from_millis(5)), 1_000.0);
-        assert_eq!(p.rate_at(Nanos::from_millis(11)), 80_000.0);
-    }
-
-    #[test]
-    fn diurnal_swings_between_bounds() {
-        let p = ArrivalProcess::Diurnal {
-            min_rps: 5_000.0,
-            max_rps: 45_000.0,
-            period: Nanos::from_millis(20),
-        };
-        assert!((p.rate_at(Nanos::ZERO) - 5_000.0).abs() < 1.0);
-        assert!((p.rate_at(Nanos::from_millis(10)) - 45_000.0).abs() < 1.0);
-        for t in 0..40 {
-            let r = p.rate_at(Nanos::from_millis(t));
-            assert!((5_000.0..=45_000.0).contains(&r), "{r}");
-        }
-    }
-
     /// A rank's probability mass: its step of the cumulative table.
     fn weight(z: &ZipfSampler, r: usize) -> f64 {
         z.cdf[r] - r.checked_sub(1).map_or(0.0, |p| z.cdf[p])
@@ -355,10 +266,10 @@ mod tests {
 
     proptest! {
         // Per-rank mass decays monotonically over the head of any
-        // population and skew the workloads use.
+        // population the workloads use.
         #[test]
-        fn zipf_weight_decays_with_rank(population in 16u64..20_000, s in 0.5f64..1.6) {
-            let z = ZipfSampler::new(population, s);
+        fn zipf_weight_decays_with_rank(population in 16u64..20_000) {
+            let z = ZipfSampler::new(population);
             for r in 1..population.min(64) as usize {
                 prop_assert!(weight(&z, r - 1) >= weight(&z, r), "rank {r}");
             }
@@ -367,22 +278,13 @@ mod tests {
 
     #[test]
     fn zipf_is_a_distribution_and_skewed() {
-        let z = ZipfSampler::new(10_000, 1.0);
+        let z = ZipfSampler::new(10_000);
         let total: f64 = (0..10_000).map(|r| weight(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(weight(&z, 0) > 100.0 * weight(&z, 9_999));
         // Inverse CDF hits the extremes.
         assert_eq!(z.sample(0.0), 0);
         assert_eq!(z.sample(0.999_999_999), z.len() - 1);
-    }
-
-    #[test]
-    fn unit_skew_shortcut_builds_the_same_table() {
-        // `new(_, 1.0)` divides instead of calling `powf`; the benchmark's
-        // 10k-function population must not move by a bit.
-        let general = ZipfSampler::from_weights(10_000, |rank| 1.0 / rank.powf(1.0));
-        let bits = |z: &ZipfSampler| z.cdf.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&ZipfSampler::new(10_000, 1.0)), bits(&general));
     }
 
     #[test]

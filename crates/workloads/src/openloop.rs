@@ -90,7 +90,6 @@ pub fn flash_autoscale() -> ClusterShardedConfig {
             decay: Nanos::from_millis(1),
         },
         population: OVERLOAD_POPULATION,
-        zipf_s: 1.0,
     };
     base_cfg().duration_ms(6).overload(
         OverloadConfig::new(traffic, OVERLOAD_DEADLINE).autoscale(AutoscalePolicy {

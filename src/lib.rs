@@ -24,10 +24,10 @@
 //! * [`core`] — Palladium proper: the DPU network engine (DNE), DWRR
 //!   multi-tenancy, the RC connection pool with shadow QPs, the
 //!   HTTP/TCP→RDMA ingress gateway, and the simulation drivers that compose
-//!   all of the above.
-//! * [`baselines`] — SPRIGHT, NightCore and FUYAO rebuilt over the same
-//!   substrates, plus the one-sided RDMA primitive variants (OWDL, OWRC) and
-//!   the on-path / FCFS DNE ablations.
+//!   all of the above — among them the one cluster engine, which also runs
+//!   the SPRIGHT, NightCore and FUYAO baselines and the CNE / FCFS DNE
+//!   ablations, and the Figs 11–12 echo (`core::driver::echo`) with its
+//!   one-sided RDMA primitive variants (OWDL, OWRC) and on-path DNE.
 //! * [`workloads`] — the Online Boutique function graph and the open-loop
 //!   overload regimes (Poisson sweeps, flash crowds, the metastable control).
 //!
@@ -57,7 +57,6 @@
 // forbids it, and `cargo test` checks that each one does.
 #![forbid(unsafe_code)]
 
-pub use palladium_baselines as baselines;
 pub use palladium_core as core;
 pub use palladium_dpu as dpu;
 pub use palladium_ipc as ipc;

@@ -247,7 +247,7 @@ fn storm_strategy() -> impl Strategy<Value = ScenarioScript> {
     let gray = (0usize..5, 1usize..5, 0.01f64..0.1, 0u64..20_000, 100_000u64..1_000_000, 200_000u64..1_500_000)
         .prop_map(|(src, off, drop, delay, from, len)| ScenarioOp::Gray {
             node: (src + off) % 5,
-            src: Some(src),
+            src,
             drop,
             delay: Nanos(delay),
             from: Nanos(from),

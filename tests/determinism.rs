@@ -1,8 +1,8 @@
 //! Reproducibility: identical configurations produce byte-identical
 //! results across all drivers (the DES determinism guarantee).
 
-use palladium::baselines::{EchoConfig, EchoSim, Primitive};
 use palladium::core::driver::chain::ChainSim;
+use palladium::core::driver::echo::{EchoConfig, EchoSim, Primitive};
 use palladium::core::system::SystemKind;
 use palladium::workloads::boutique::{self, ChainKind};
 

@@ -1,9 +1,9 @@
 //! The headline comparative claims of every figure, asserted end-to-end at
 //! reduced scale (the `fig*`/`table*` binaries print the full-scale numbers).
 
-use palladium::baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::chain::ChainSim;
 use palladium::core::driver::channel::{ChannelSim, ChannelSimConfig};
+use palladium::core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium::core::system::{IngressKind, SystemKind};
 use palladium::ipc::ChannelKind;

@@ -10,9 +10,9 @@
 //! `GOLDEN_REGEN=1 cargo test -q --test golden_traces` and commit the
 //! updated snapshot together with the change that explains it.
 
-use palladium_baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::chain::{ChainSim, ChainSimConfig};
 use palladium_core::driver::channel::{ChannelSim, ChannelSimConfig};
+use palladium_core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::fairness::{FairnessSim, FairnessSimConfig};
 use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium_core::dwrr::SchedPolicy;

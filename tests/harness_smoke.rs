@@ -7,9 +7,9 @@
 //! statistics are coherent (`p99 >= mean > 0`), and the rate is consistent
 //! with the completion count over the measurement window.
 
-use palladium::baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::chain::{ChainSim, ChainSimConfig};
 use palladium::core::driver::channel::{ChannelSim, ChannelSimConfig};
+use palladium::core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::fairness::{FairnessSim, FairnessSimConfig};
 use palladium::core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium::core::driver::LoadReport;

@@ -42,8 +42,25 @@ const GOLDEN_COLS: [&str; 29] = [
     "rejoins", "rnr_naks",
 ];
 
+/// A golden line, once the run's open-loop ledger is checked.
 fn trace(name: &str, r: &ClusterShardedReport) -> String {
+    checked(name, r);
     format!("overload/{name}: {}\n", r.kv_line(&GOLDEN_COLS).unwrap())
+}
+
+/// Panic unless `r`'s open-loop ledger balances
+/// (`offered == goodput + late + retry_exhausted + live_at_end`).
+fn checked(name: &str, r: &ClusterShardedReport) {
+    if let Err(e) = r.overload.check() {
+        panic!("{name}: {e}");
+    }
+}
+
+/// `cfg` on one shard, its ledger checked.
+fn run1(cfg: ClusterShardedConfig) -> ClusterShardedReport {
+    let r = ClusterShardedSim::new(cfg).run(1, Execution::Sequential);
+    checked("one-shard run", &r);
+    r
 }
 
 /// The golden's scenarios, each with the lead cell and columns of its
@@ -95,8 +112,8 @@ fn overload_scenarios_reproduce_the_snapshot_at_every_shard_count() {
 /// `slo_smoke` load sweep pins on the full grid).
 #[test]
 fn saturation_sheds_honestly_without_collapsing_goodput() {
-    let near = ClusterShardedSim::new(poisson_overload(100_000.0)).run(1, Execution::Sequential);
-    let over = ClusterShardedSim::new(poisson_overload(200_000.0)).run(1, Execution::Sequential);
+    let near = run1(poisson_overload(100_000.0));
+    let over = run1(poisson_overload(200_000.0));
     let o = &over.overload;
     assert!(o.offered > near.overload.offered, "open loop: offered load is not throttled");
     assert!(o.offered > o.admitted, "past saturation some arrivals must be refused");
@@ -125,15 +142,14 @@ fn saturation_sheds_honestly_without_collapsing_goodput() {
 /// *attributed* (`shed_pool`), while the cluster keeps serving.
 #[test]
 fn pool_exhaustion_is_attributed_not_silent() {
-    let r = ClusterShardedSim::new(poisson_overload(140_000.0).pool_bufs(514))
-        .run(1, Execution::Sequential);
+    let r = run1(poisson_overload(140_000.0).pool_bufs(514));
     assert!(
         r.chaos.shed_pool > 0,
         "a 2-spare-buffer pool must exhaust under overload: {:?}",
         r.chaos
     );
     assert!(r.overload.goodput > 0, "pool sheds must not kill the cluster");
-    let healthy = ClusterShardedSim::new(poisson_overload(140_000.0)).run(1, Execution::Sequential);
+    let healthy = run1(poisson_overload(140_000.0));
     assert_eq!(healthy.chaos.shed_pool, 0, "the default pool never exhausts");
 }
 
@@ -144,7 +160,7 @@ fn pool_exhaustion_is_attributed_not_silent() {
 /// is recorded. After the decay the scaler releases capacity again.
 #[test]
 fn flash_crowd_pays_costed_scale_out() {
-    let r = ClusterShardedSim::new(flash_autoscale()).run(1, Execution::Sequential);
+    let r = run1(flash_autoscale());
     let o = &r.overload;
     assert!(o.scale_ups >= 1, "the surge must activate spare pairs: {o:?}");
     assert!(o.lease_hits >= 1, "the first activation claims the warm lease: {o:?}");
@@ -162,8 +178,8 @@ fn flash_crowd_pays_costed_scale_out() {
 /// continue (late), goodput does not. Same fault, same offered load.
 #[test]
 fn budgets_recover_from_the_transient_crash_unbounded_retries_do_not() {
-    let good = ClusterShardedSim::new(metastable(true)).run(1, Execution::Sequential);
-    let bad = ClusterShardedSim::new(metastable(false)).run(1, Execution::Sequential);
+    let good = run1(metastable(true));
+    let bad = run1(metastable(false));
     let (g, b) = (&good.overload, &bad.overload);
     assert_eq!(g.offered, b.offered, "identical offered load by construction");
     assert!(
@@ -194,7 +210,7 @@ fn budgets_recover_from_the_transient_crash_unbounded_retries_do_not() {
 /// drops are attributed to `shed_breaker`/`shed_deadline`, never lost.
 #[test]
 fn every_drop_path_is_attributed() {
-    let r = ClusterShardedSim::new(metastable(true)).run(1, Execution::Sequential);
+    let r = run1(metastable(true));
     let c = &r.chaos;
     let o = &r.overload;
     let dropped = c.shed_qp

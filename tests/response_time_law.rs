@@ -29,10 +29,10 @@
 //! Z ≠ 0), and the chaos and overload runs (requests are abandoned or
 //! shed, so not every client is always in the loop).
 
-use palladium::baselines::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::chain::ChainSim;
 use palladium::core::driver::channel::{ChannelSim, ChannelSimConfig};
 use palladium::core::driver::cluster_sharded::ClusterShardedSim;
+use palladium::core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium::core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium::core::driver::multinode::{MultiNodeConfig, MultiNodeSim};
 use palladium::core::driver::LoadReport;

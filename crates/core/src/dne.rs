@@ -288,7 +288,6 @@ impl Dne {
         if let Some(cqe) = self.rx_queue.pop_front() {
             let service = self.service(self.cost.engine_rx);
             let done = self.worker_core.submit(now, service);
-            self.worker_core.complete();
             self.engine_busy = true;
             let delay = done - now;
             self.process_cqe(cqe, now, delay, out);
@@ -298,7 +297,6 @@ impl Dne {
         if let Some((_tenant, item)) = self.sched.dequeue() {
             let service = self.service(self.cost.engine_tx);
             let done = self.worker_core.submit(now, service);
-            self.worker_core.complete();
             self.engine_busy = true;
             let delay = done - now;
             self.process_tx(item, delay, out);
@@ -382,7 +380,6 @@ impl Dne {
                         }
                     };
                     let rdone = self.core_thread.submit(now + delay, service);
-                    self.core_thread.complete();
                     out.push(Timed::new(
                         rdone - now,
                         DneEffect::Replenish {

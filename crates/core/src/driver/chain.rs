@@ -70,9 +70,6 @@ pub struct AppSpec {
     pub chains: Vec<ChainSpec>,
 }
 
-impl AppSpec {
-}
-
 /// Configuration of one Fig 16 cluster run.
 #[derive(Clone, Debug)]
 pub struct ChainSimConfig {

@@ -18,7 +18,7 @@
 
 use palladium_ipc::{ChannelCosts, ChannelKind, ComchServer};
 use palladium_membuf::{BufDesc, FnId, PoolId, TenantId};
-use palladium_simnet::{Effects, Engine, FifoServer, Harness, Nanos, RunStats, ServerBank};
+use palladium_simnet::{Effects, Engine, FifoServer, Harness, Nanos, RunStats};
 
 use super::LoadReport;
 
@@ -67,7 +67,7 @@ struct ChannelEngine {
     costs: ChannelCosts,
     comch: ComchServer,
     dne_op: Nanos,
-    fn_cores: ServerBank,
+    fn_cores: Vec<FifoServer>,
     dne_core: FifoServer,
     issued_at: Vec<Nanos>,
     stats: RunStats,
@@ -88,12 +88,7 @@ impl ChannelEngine {
     /// Charge the host-side send and put the descriptor on the wire.
     fn issue(&mut self, now: Nanos, f: usize, fx: &mut Effects<'_, Ev>) {
         self.issued_at[f] = now;
-        let core = f % HOST_CORES;
-        let done = self
-            .fn_cores
-            .get_mut(core)
-            .submit(now, self.costs.host_send_cpu);
-        self.fn_cores.get_mut(core).complete();
+        let done = self.fn_cores[f % HOST_CORES].submit(now, self.costs.host_send_cpu);
         self.comch
             .host_send(FnId(f as u16), self.desc(f))
             .expect("endpoint connected");
@@ -113,7 +108,6 @@ impl Engine for ChannelEngine {
                 let drained = self.comch.dne_recv(FnId(f as u16), 1);
                 debug_assert_eq!(drained.len(), 1);
                 let done = self.dne_core.submit(now, self.dne_op + self.dne_op);
-                self.dne_core.complete();
                 self.comch
                     .dne_send(FnId(f as u16), self.desc(f))
                     .expect("endpoint connected");
@@ -122,12 +116,7 @@ impl Engine for ChannelEngine {
             Ev::DneReplied { f } => {
                 let drained = self.comch.host_recv(FnId(f as u16), 1);
                 debug_assert_eq!(drained.len(), 1);
-                let core = f % HOST_CORES;
-                let done = self
-                    .fn_cores
-                    .get_mut(core)
-                    .submit(now, self.costs.host_recv_cpu);
-                self.fn_cores.get_mut(core).complete();
+                let done = self.fn_cores[f % HOST_CORES].submit(now, self.costs.host_recv_cpu);
                 fx.at(
                     done,
                     Ev::EchoDone {
@@ -184,7 +173,7 @@ impl ChannelSim {
             comch,
             // Host cores: polling functions own a core; event-driven
             // functions share the bank (pinned round-robin).
-            fn_cores: ServerBank::new(HOST_CORES),
+            fn_cores: vec![FifoServer::new(); HOST_CORES],
             dne_core: FifoServer::new(),
             issued_at: vec![Nanos::ZERO; active],
             stats: RunStats::new(cfg.warmup),

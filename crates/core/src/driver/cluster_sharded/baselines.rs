@@ -181,9 +181,7 @@ impl ClusterShard {
             service += self.cost.kernel_livelock(host.load[n]);
         }
         host.load[n] += 1;
-        let done = host.engines[n].submit(now, service);
-        host.engines[n].complete();
-        done
+        host.engines[n].submit(now, service)
     }
 
     fn engine_done(&mut self, n: usize) {

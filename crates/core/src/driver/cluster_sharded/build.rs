@@ -98,7 +98,15 @@ impl ClusterShardedSim {
     /// fabric delivering frames itself instead of through the mailboxes, and
     /// therefore one window spanning the whole horizon — the serial event
     /// loop, with no per-window cost. Same bytes and event count as
-    /// `run(1, _)` (`tests/one_engine.rs`).
+    /// `run(1, _)` on the pinned, unjittered configuration of
+    /// `tests/one_engine.rs`, but not in general: at the benchmark's full
+    /// horizon, with ±1 % drawn execution costs, `boutique_closed` seed 3
+    /// reads 73 701.4 rps and a 434.203 µs mean here against 73 670 rps and
+    /// 434.344 µs through the mailboxes, and `openloop_80k` seed 2 a p99 of
+    /// 550.863 µs against 549.118 µs (seed 1 matches on both). The serial
+    /// loop stays because it is cheaper: `ChainSim` through `run(1,
+    /// Sequential)` kept `baseline_fuyao`'s results but cost 13–33 % more
+    /// run wall time on a 2-vCPU host.
     pub(crate) fn run_direct(&self) -> ClusterShardedReport {
         self.run_on(1, Execution::Sequential, true)
     }
@@ -338,7 +346,8 @@ impl ClusterShardedSim {
             // Nothing crosses a mailbox, so nothing bounds the window.
             ShardConfig::new(1, horizon + Nanos(1))
         } else {
-            ShardConfig::new(shards, cfg.window())
+            // The window is the frame lookahead: no frame lands sooner.
+            ShardConfig::new(shards, rdma_cfg.frame_lookahead())
         }
         .execution(execution);
         let clients = cfg.clients;

@@ -4,7 +4,6 @@
 //! gate, and [`ClusterShardedSim::new`](super::ClusterShardedSim::new)
 //! runs it.
 
-use palladium_rdma::RdmaConfig;
 use palladium_simnet::{Nanos, OpenLoopConfig, ScenarioScript};
 
 use super::HOP_MASK;
@@ -37,11 +36,6 @@ pub struct ClusterShardedConfig {
     /// Fabric seed (only drawn by fault injection, which this driver
     /// keeps disabled — see the module docs on invariance).
     pub seed: u64,
-    /// Explicit window width override in nanoseconds; the default is the
-    /// frame lookahead. Narrower windows are always sound (the physical
-    /// results do not depend on the barrier grid — `tests/cluster_sharded.rs`
-    /// pins it), wider ones are rejected.
-    pub window_ns: Option<u64>,
     /// Chaos scenario replayed by the run (see the module docs). `None`
     /// keeps the event schedule exactly fault-free: no heartbeats, no
     /// health checks, no fault tables.
@@ -119,18 +113,6 @@ impl OverloadConfig {
         self.queue_cap = queue_cap;
         self.inflight_cap = inflight_cap;
         self.queue_delay_max = queue_delay_max;
-        self
-    }
-
-    /// Set the retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Set the circuit-breaker policy.
-    pub fn breaker(mut self, policy: BreakerPolicy) -> Self {
-        self.breaker = policy;
         self
     }
 
@@ -270,7 +252,6 @@ impl ClusterShardedConfig {
             duration: Nanos::from_millis(120),
             warmup: Nanos::from_millis(30),
             seed: 42,
-            window_ns: None,
             chaos: None,
             rejoin: RejoinCosts::default(),
             pool_bufs: POOL_BUFS,
@@ -296,27 +277,9 @@ impl ClusterShardedConfig {
         self
     }
 
-    /// Pin the window width (see [`ClusterShardedConfig::window_ns`]).
-    pub fn window_ns(mut self, ns: u64) -> Self {
-        self.window_ns = Some(ns);
-        self
-    }
-
     /// Replay `script` during the run (turns on the health plane).
     pub fn chaos(mut self, script: ScenarioScript) -> Self {
         self.chaos = Some(script);
-        self
-    }
-
-    /// Set the rejoin cost model (see [`RejoinCosts`]).
-    pub fn rejoin(mut self, costs: RejoinCosts) -> Self {
-        self.rejoin = costs;
-        self
-    }
-
-    /// Set the per-node pool size in buffers.
-    pub fn pool_bufs(mut self, bufs: u32) -> Self {
-        self.pool_bufs = bufs;
         self
     }
 
@@ -325,11 +288,6 @@ impl ClusterShardedConfig {
     pub fn overload(mut self, overload: OverloadConfig) -> Self {
         self.overload = Some(overload);
         self
-    }
-
-    /// The window width a run of this configuration uses.
-    pub fn window(&self) -> Nanos {
-        self.window_ns.map_or(RdmaConfig::default().frame_lookahead(), Nanos)
     }
 
     /// Reject a configuration no run can honour. Every field is public, so
@@ -353,9 +311,6 @@ impl ClusterShardedConfig {
             assert!(overload.traffic.population >= 1, "need a function population");
             assert!(overload.traffic.population <= 1 << 32, "function ids are 32 bits");
         }
-        let (w, frame_la) = (self.window(), RdmaConfig::default().frame_lookahead());
-        assert!(!w.is_zero(), "lookahead window must be positive");
-        assert!(w <= frame_la, "window {w} exceeds the frame lookahead {frame_la}");
     }
 }
 
@@ -399,10 +354,6 @@ mod tests {
             (overloaded(|ov| ov.inflight_cap = 0), "non-empty in-flight window"),
             (overloaded(|ov| ov.traffic.population = 0), "function population"),
             (overloaded(|ov| ov.traffic.population = (1 << 32) + 1), "function ids are 32 bits"),
-            (set(|c| c.window_ns = Some(0)), "window must be positive"),
-            (set(|c| c.window_ns = Some(654)), "exceeds the frame lookahead"),
-            // The builders no longer check: they reach `validate` unchanged.
-            (valid().pool_bufs(0), "at least one pool buffer"),
         ];
         for (cfg, want) in cases {
             let err = std::panic::catch_unwind(|| cfg.validate()).expect_err(want);
@@ -420,9 +371,6 @@ mod tests {
         let mut cfg = valid();
         cfg.clients = 1 << 32;
         cfg.app.chains[0] = chain(255);
-        cfg.window_ns = Some(cfg.window().as_nanos());
         cfg.validate();
-        assert_eq!(cfg.window(), RdmaConfig::default().frame_lookahead());
-        assert_eq!(valid().window_ns(326).window(), Nanos(326));
     }
 }

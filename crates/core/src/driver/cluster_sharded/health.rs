@@ -642,8 +642,8 @@ mod tests {
     fn a_stale_response_after_the_sweep_completes_nothing_and_frees_no_slot() {
         // With no retry budget the open loop retires a lost request in the
         // sweep too, as the closed loop always does.
-        let no_budget = OverloadConfig::new(OpenLoopConfig::poisson(1_000.0, 16), Nanos::from_millis(2))
-            .retry(RetryPolicy { budget: 0, ..RetryPolicy::budgeted() });
+        let mut no_budget = OverloadConfig::new(OpenLoopConfig::poisson(1_000.0, 16), Nanos::from_millis(2));
+        no_budget.retry = RetryPolicy { budget: 0, ..RetryPolicy::budgeted() };
         for overload in [None, Some(no_budget)] {
             let open = overload.is_some();
             let mut ing = ingress(2, overload, true);

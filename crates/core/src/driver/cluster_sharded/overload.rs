@@ -646,7 +646,7 @@ mod tests {
     }
 
     fn breaker(open_after: u32) -> IngressOverload {
-        plane(|ov| ov.breaker(BreakerPolicy { open_after, cooldown: US(200) }))
+        plane(|ov| OverloadConfig { breaker: BreakerPolicy { open_after, cooldown: US(200) }, ..ov })
     }
 
     #[test]
@@ -698,7 +698,7 @@ mod tests {
 
     #[test]
     fn a_disabled_breaker_never_opens() {
-        let mut ov = plane(|ov| ov.breaker(BreakerPolicy::disabled()));
+        let mut ov = plane(|ov| OverloadConfig { breaker: BreakerPolicy::disabled(), ..ov });
         for k in 0..1_000 {
             ov.breaker_fail(US(k), 0);
         }
@@ -737,7 +737,8 @@ mod tests {
 
     #[test]
     fn a_budget_of_three_is_three_retries_then_exhausted() {
-        let mut ing = ingress(PAIRS, Some(config(|ov| ov.retry(unjittered()))), false);
+        let budgeted = config(|ov| OverloadConfig { retry: unjittered(), ..ov });
+        let mut ing = ingress(PAIRS, Some(budgeted), false);
         let req = arrival(&mut ing, 0, Nanos::ZERO);
         // Four failed attempts, each at 10 µs: three back off, the fourth
         // retires the request.
@@ -755,7 +756,7 @@ mod tests {
         for (enforce, want) in [(true, Retry::Exhausted), (false, Retry::At(US(1_050)))] {
             let ov = plane(|mut ov| {
                 ov.shed_on_deadline = enforce;
-                ov.retry(unjittered())
+                OverloadConfig { retry: unjittered(), ..ov }
             });
             assert_eq!(ov.next_retry(US(1_000), 0, 1, US(1_020)), want, "shed_on_deadline = {enforce}");
         }

@@ -137,6 +137,10 @@ summed_report! {
     /// ledger counts an end iff it happens at or after warm-up, so every
     /// offered request is in exactly one of `goodput`, `late`,
     /// `retry_exhausted` and `live_at_end` ([`check`](Self::check)).
+    ///
+    /// No binary calls its generated `absorb`: the whole report lives on
+    /// the ingress, so nothing sums it. The macro emits it beside
+    /// `metrics`, which the row writers read.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct OverloadReport {
         /// Requests not ended before warm-up: every arrival, minus those

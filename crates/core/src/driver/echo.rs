@@ -180,7 +180,6 @@ impl HostPair {
     fn send(&mut self, node: NodeId, now: Nanos, payload: u32) -> Nanos {
         let n = node.raw() as usize;
         let sent = self.fn_cores[n].submit(now, self.comch.host_send_cpu + ECHO_FN_EXEC);
-        self.fn_cores[n].complete();
         let ready = sent + self.comch.transit;
         match self.mode {
             PathMode::OffPath => ready,
@@ -276,10 +275,7 @@ impl EchoEngine {
     /// One op on `node`'s DNE core, submitted at `at`; returns when it
     /// finishes.
     fn engine_op(&mut self, node: NodeId, at: Nanos, service: Nanos) -> Nanos {
-        let engine = &mut self.engines[node.raw() as usize];
-        let done = engine.submit(at, service);
-        engine.complete();
-        done
+        self.engines[node.raw() as usize].submit(at, service)
     }
 
     /// Post one message of `kind` from `node` on `conn` at `at`.

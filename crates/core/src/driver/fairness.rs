@@ -189,7 +189,6 @@ impl Engine for FairnessEngine {
                 if let Some((tenant, _)) = self.sched.dequeue() {
                     self.busy = true;
                     let done = self.core.submit(now, DNE_SERVICE);
-                    self.core.complete();
                     fx.at(done, Ev::Done { tenant });
                 }
             }

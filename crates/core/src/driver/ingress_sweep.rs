@@ -269,10 +269,8 @@ impl Engine for IngressEngine {
                 let mut ready = arrive;
                 if !self.ws.engine_per_req.is_zero() {
                     ready = self.worker_dne.submit(arrive, self.ws.engine_per_req);
-                    self.worker_dne.complete();
                 }
-                let (core, host_done) = self.worker_cores.submit(ready, self.ws.host_per_req);
-                self.worker_cores.complete(core);
+                let host_done = self.worker_cores.submit(ready, self.ws.host_per_req);
                 fx.at(host_done + self.ws.wire, Ev::WorkerDone { conn, issued });
             }
             Ev::WorkerDone { conn, issued } => {

@@ -94,12 +94,6 @@ impl MultiNodeConfig {
         }
     }
 
-    /// Set the closed-loop client count per node.
-    pub fn clients(mut self, n: usize) -> Self {
-        self.clients_per_node = n;
-        self
-    }
-
     /// Set the measurement window in milliseconds.
     pub fn duration_ms(mut self, ms: u64) -> Self {
         self.duration = Nanos::from_millis(ms);
@@ -252,9 +246,7 @@ impl ShardEngine for NodeShard {
             }
             Ev::Arrive { node, m } => {
                 let rx = self.rx_cost;
-                let n = self.node_mut(node);
-                let done = n.engine.submit(now, rx);
-                n.engine.complete();
+                let done = self.node_mut(node).engine.submit(now, rx);
                 fx.at(done, Ev::EngineDone { node, m });
             }
             Ev::EngineDone { node, m } => {
@@ -269,7 +261,6 @@ impl ShardEngine for NodeShard {
                     let n = self.node_mut(node);
                     let service = n.rng.jitter(exec, 0.1);
                     let done = n.core.submit(now, service);
-                    n.core.complete();
                     fx.at(done, Ev::FnDone { node, m });
                 }
             }

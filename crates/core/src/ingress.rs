@@ -65,6 +65,9 @@ pub struct IngressGateway {
     cost: CostModel,
     /// One FifoServer per potential worker (up to max_workers).
     workers: Vec<FifoServer>,
+    /// Legs submitted to each worker and not yet `leg_done`: the backlog
+    /// the kernel stack's livelock inflation reads.
+    outstanding: Vec<u64>,
     active: usize,
     scaler: Autoscaler,
     /// During a scaling reload, processing pauses until this instant.
@@ -87,6 +90,7 @@ impl IngressGateway {
             model: IngressServiceModel::new(stack),
             cost,
             workers: vec![FifoServer::new(); max],
+            outstanding: vec![0; max],
             active: initial.min(max).max(1),
             scaler: Autoscaler::new(cfg.autoscaler),
             blip_until: Nanos::ZERO,
@@ -166,24 +170,22 @@ impl IngressGateway {
         // steal cycles in proportion to the *total* interrupt arrival rate,
         // not one worker's queue.
         let backlog = if self.cfg.kind == IngressKind::KernelDeferred {
-            self.total_in_flight()
+            self.outstanding.iter().sum()
         } else {
-            self.workers[w].in_flight()
+            self.outstanding[w]
         };
         let service = self.leg_service(leg, req_bytes, resp_bytes, backlog);
+        self.outstanding[w] += 1;
         (w, self.workers[w].submit(start, service))
     }
 
     /// A leg previously submitted to `worker` finished (the driver calls
-    /// this at the returned completion time). Keeping in-flight counts
-    /// accurate is what drives the kernel stack's livelock inflation.
+    /// this at the returned completion time). Keeping the outstanding
+    /// counts accurate is what drives the kernel stack's livelock
+    /// inflation.
     pub fn leg_done(&mut self, worker: usize) {
-        self.workers[worker].complete();
-    }
-
-    /// Total legs in flight across all workers (interrupt pressure).
-    pub fn total_in_flight(&self) -> u64 {
-        self.workers.iter().map(|w| w.in_flight()).sum()
+        debug_assert!(self.outstanding[worker] > 0, "leg_done without a submitted leg");
+        self.outstanding[worker] = self.outstanding[worker].saturating_sub(1);
     }
 
     /// Master-process evaluation tick: measure useful utilization over the
@@ -294,8 +296,10 @@ mod tests {
         // Pile up 20 concurrent legs: later ones must take much longer than
         // base service because livelock grows with in-flight count...
         let mut last = Nanos::ZERO;
+        let mut legs = Vec::new();
         for _ in 0..20 {
-            let (_, t) = k.submit(Nanos::ZERO, 0, Leg::Inbound, 256, 256);
+            let (w, t) = k.submit(Nanos::ZERO, 0, Leg::Inbound, 256, 256);
+            legs.push(w);
             last = t;
         }
         // ...whereas F-stack stays linear.
@@ -315,6 +319,13 @@ mod tests {
         let f_inflation = flast.as_nanos() as f64 / (f_one.as_nanos() as f64 * 20.0);
         assert!(k_inflation > 1.3, "kernel inflation {k_inflation}");
         assert!(f_inflation < 1.05, "fstack stays linear {f_inflation}");
+        // Once every outstanding leg is done, the backlog is gone: the next
+        // leg, on the now idle worker, costs the single-leg service again.
+        for w in legs {
+            k.leg_done(w);
+        }
+        let (_, t) = k.submit(last, 0, Leg::Inbound, 256, 256);
+        assert_eq!(t - last, k_one, "livelock inflation ends with the backlog");
     }
 
     #[test]

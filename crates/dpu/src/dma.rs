@@ -98,7 +98,6 @@ impl SocDma {
     fn run(&mut self, now: Nanos, bytes: u64, latency: Nanos, meter: &mut CopyMeter) -> Nanos {
         let occupancy = self.spec.occupancy(bytes);
         let issued_done = self.engine.submit(now, occupancy);
-        self.engine.complete();
         meter.record(MoveKind::SocDma, bytes);
         // The residual latency beyond occupancy is pipelined (not blocking
         // the next op).

@@ -8,11 +8,10 @@
 
 use palladium_simnet::Nanos;
 
-/// Static description of a DPU's processing complex.
+/// Static description of a DPU ARM core against a host core: the ratio
+/// that turns host-core service time into DPU-core service time.
 #[derive(Clone, Copy, Debug)]
 pub struct SocSpec {
-    /// Number of ARM cores (Bluefield-2: 8).
-    pub cores: usize,
     /// ARM core clock in GHz.
     pub dpu_ghz: f64,
     /// Host core clock in GHz (for the service-time ratio).
@@ -25,7 +24,6 @@ pub struct SocSpec {
 impl Default for SocSpec {
     fn default() -> Self {
         SocSpec {
-            cores: 8,
             dpu_ghz: 2.0,
             host_ghz: 3.7,
             arch_penalty: 1.2,

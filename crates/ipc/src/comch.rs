@@ -35,8 +35,6 @@ struct Endpoint {
 #[derive(Debug)]
 pub struct ComchServer {
     endpoints: BTreeMap<FnId, Endpoint>,
-    /// Total descriptors that crossed the channel (both directions).
-    pub transferred: u64,
 }
 
 impl ComchServer {
@@ -47,7 +45,6 @@ impl ComchServer {
     pub fn new(_kind: ChannelKind) -> Self {
         ComchServer {
             endpoints: BTreeMap::new(),
-            transferred: 0,
         }
     }
 
@@ -80,7 +77,6 @@ impl ComchServer {
     pub fn host_send(&mut self, f: FnId, desc: BufDesc) -> Result<(), ComchError> {
         let ep = self.endpoint_mut(f)?;
         ep.to_dne.push(desc);
-        self.transferred += 1;
         Ok(())
     }
 
@@ -88,7 +84,6 @@ impl ComchServer {
     pub fn dne_send(&mut self, f: FnId, desc: BufDesc) -> Result<(), ComchError> {
         let ep = self.endpoint_mut(f)?;
         ep.to_host.push(desc);
-        self.transferred += 1;
         Ok(())
     }
 
@@ -142,7 +137,6 @@ mod tests {
         ch.dne_send(FnId(1), desc(0, 1, 20)).unwrap();
         let back = ch.host_recv(FnId(1), 8);
         assert_eq!(back[0].buf_idx, 20);
-        assert_eq!(ch.transferred, 3);
         assert_eq!(ch.connected_endpoints(), 1);
     }
 

@@ -30,7 +30,7 @@
 use bytes::Bytes;
 
 use palladium_membuf::{MmapExport, NodeId, TenantId};
-use palladium_simnet::{summed_report, FaultTimeline, Nanos, SimRng, Timed, Verdict};
+use palladium_simnet::{FaultTimeline, Nanos, SimRng, Timed, Verdict};
 
 use crate::config::RdmaConfig;
 use crate::fabric::{Packet, PacketKind};
@@ -156,43 +156,25 @@ impl Step {
     }
 }
 
-summed_report! {
-    /// The fabric's protocol counters (a sharded driver sums its instances').
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct NetCounts {
-        /// Frames a stochastic fault plan dropped at the destination port.
-        pub drop: u64,
-        /// Frames dropped inside a partition window (no RNG draw).
-        pub crash_drop: u64,
-        /// Frames a fault plan corrupted in flight.
-        pub corrupt: u64,
-        /// Corrupted frames the receiver's CRC check discarded.
-        pub crc_drop: u64,
-        /// Retransmission-timeout firings.
-        pub rto: u64,
-        /// Data frames accepted in order.
-        pub delivered: u64,
-        /// ACKs sent for delivered frames.
-        pub acks: u64,
-        /// ACK frames received by a sender.
-        pub ack_rx: u64,
-        /// In-flight work requests those ACKs retired.
-        pub ack_retired: u64,
-        /// Duplicate frames re-ACKed at the last delivered PSN.
-        pub dup_ack: u64,
-        /// Out-of-order frames NAKed (once per gap).
-        pub ooo_nak: u64,
-        /// Out-of-order frames discarded behind a gap already NAKed.
-        pub ooo_silent: u64,
-        /// SENDs that met an empty receive queue and were RNR-NAKed.
-        pub rnr_nak: u64,
-        /// SENDs discarded behind an RNR already signalled for their PSN.
-        pub rnr_silent: u64,
-        /// Go-back-N rewinds a NAK triggered at the sender.
-        pub nak_rewind: u64,
-        /// RNR back-off pauses a sender QP sat out.
-        pub rnr_backoff: u64,
-    }
+/// The fabric's fault and recovery counters: the ones a report or an
+/// example reads (a sharded driver sums its instances' into its
+/// `ChaosReport`). A protocol counter comes back with its reader.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NetCounts {
+    /// Frames a stochastic fault plan dropped at the destination port.
+    pub drop: u64,
+    /// Frames dropped inside a partition window (no RNG draw).
+    pub crash_drop: u64,
+    /// Frames a fault plan corrupted in flight.
+    pub corrupt: u64,
+    /// Corrupted frames the receiver's CRC check discarded.
+    pub crc_drop: u64,
+    /// Retransmission-timeout firings.
+    pub rto: u64,
+    /// SENDs that met an empty receive queue and were RNR-NAKed.
+    pub rnr_nak: u64,
+    /// Go-back-N rewinds a NAK triggered at the sender.
+    pub nak_rewind: u64,
 }
 
 /// The simulated multi-node RDMA fabric.
@@ -236,7 +218,7 @@ pub struct RdmaNet {
     /// another shard). Frames whose source or destination is inside a
     /// window are dropped at the destination port with no RNG draw.
     down: Vec<Vec<(Nanos, Nanos)>>,
-    /// Fabric-wide protocol counters.
+    /// Fabric-wide fault and recovery counters.
     pub counters: NetCounts,
     /// Scratch for cumulative-ACK retirement (one use per ACK frame).
     ack_scratch: Vec<Inflight>,
@@ -429,9 +411,7 @@ impl RdmaNet {
             let penalty = self.rnic(pkt.src).cache_penalty(&self.cfg);
             self.cfg.tx_pipeline + wire + penalty
         };
-        let egress = &mut self.rnic_mut(pkt.src).egress;
-        let done = egress.submit(now, service);
-        egress.complete();
+        let done = self.rnic_mut(pkt.src).egress.submit(now, service);
         let prop = self.cfg.propagation;
         let after = done - now + prop;
         debug_assert!(
@@ -534,7 +514,6 @@ impl RdmaNet {
     /// with `psn <= upto`, generating success completions. Resets the retry
     /// budget on progress.
     fn retire_acked(&mut self, node: NodeId, qpn: Qpn, upto: u64, step: &mut Step) {
-        self.counters.ack_rx += 1;
         let mut retired = std::mem::take(&mut self.ack_scratch);
         retired.clear();
         let (tenant, peer) = {
@@ -548,7 +527,6 @@ impl RdmaNet {
             }
             (qp.tenant, qp.peer_node)
         };
-        self.counters.ack_retired += retired.len() as u64;
         let mut notify = false;
         for msg in retired.drain(..) {
             let cqe = Cqe {
@@ -652,9 +630,7 @@ impl RdmaNet {
                     }
                     _ => Nanos::from_nanos(150),
                 };
-                let rx = &mut self.rnic_mut(pkt.dst).rx_engine;
-                let done = rx.submit(now + extra, service);
-                rx.complete();
+                let done = self.rnic_mut(pkt.dst).rx_engine.submit(now + extra, service);
                 step.push_event(done - now, RdmaEvent::RxDone { pkt });
             }
             RdmaEvent::RxDone { pkt } => {
@@ -754,7 +730,6 @@ impl RdmaNet {
                 };
                 match decision {
                     RxDecision::Deliver => {
-                        self.counters.delivered += 1;
                         match op {
                             OpKind::Send => {
                                 let entry = self
@@ -785,7 +760,6 @@ impl RdmaNet {
                                 });
                             }
                         }
-                        self.counters.acks += 1;
                         self.send_control(
                             now,
                             dst,
@@ -803,7 +777,6 @@ impl RdmaNet {
                             .ok()
                             .and_then(|q| q.last_delivered_psn())
                             .unwrap_or(0);
-                        self.counters.dup_ack += 1;
                         self.send_control(
                             now,
                             dst,
@@ -814,14 +787,8 @@ impl RdmaNet {
                             step,
                         );
                     }
-                    RxDecision::OutOfOrderSilent => {
-                        self.counters.ooo_silent += 1;
-                    }
-                    RxDecision::ReceiverNotReadySilent => {
-                        self.counters.rnr_silent += 1;
-                    }
+                    RxDecision::OutOfOrderSilent | RxDecision::ReceiverNotReadySilent => {}
                     RxDecision::OutOfOrderNak { expected } => {
-                        self.counters.ooo_nak += 1;
                         self.send_control(
                             now,
                             dst,
@@ -909,7 +876,6 @@ impl RdmaNet {
                     qp.rnr_paused = true;
                     qp.rnr_retries > self.cfg.rnr_retry_limit
                 };
-                self.counters.rnr_backoff += 1;
                 if over_limit {
                     self.fail_qp(node, qpn, CqeStatus::RnrRetryExceeded, step);
                 } else {

@@ -18,8 +18,6 @@ pub struct FifoServer {
     busy_until: Nanos,
     /// Total busy time accumulated, for utilization reports.
     busy_accum: Nanos,
-    /// Work items currently queued or in service (submitted, not completed).
-    in_flight: u64,
 }
 
 impl FifoServer {
@@ -29,38 +27,22 @@ impl FifoServer {
     }
 
     /// Submit a unit of work at `now` requiring `service` time. Returns the
-    /// absolute completion time; the caller must schedule a completion event
-    /// at that time and then call [`FifoServer::complete`].
+    /// absolute completion time, at which the caller schedules its own
+    /// completion event; the server is not told when it fires.
     pub fn submit(&mut self, now: Nanos, service: Nanos) -> Nanos {
         let start = self.busy_until.max(now);
         let done = start.saturating_add(service);
         self.busy_until = done;
         self.busy_accum += service;
-        self.in_flight += 1;
         done
     }
 
-    /// Record that one previously submitted unit completed.
-    pub fn complete(&mut self) {
-        debug_assert!(self.in_flight > 0, "complete() without matching submit()");
-        self.in_flight = self.in_flight.saturating_sub(1);
-    }
-
-    /// Time at which the server next becomes idle (equals `now` when idle).
-    pub fn busy_until(&self) -> Nanos {
-        self.busy_until
-    }
-
     /// Queueing delay a new arrival at `now` would experience before service
-    /// begins. No binary reads it: it stays as the observable of the
-    /// backlog law in `tests/queueing_laws.rs`.
+    /// begins; `backlog(Nanos::ZERO)` is the instant the server next goes
+    /// idle. No binary reads it: it stays as the observable of the backlog
+    /// and dispatch laws in `tests/queueing_laws.rs`.
     pub fn backlog(&self, now: Nanos) -> Nanos {
         self.busy_until.saturating_sub(now)
-    }
-
-    /// Work items submitted but not yet completed.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
     }
 
     /// Cumulative busy time.
@@ -84,22 +66,16 @@ impl FifoServer {
 /// pool of cores or a multi-engine device (e.g. the RNIC's DMA engines).
 ///
 /// Earliest-free dispatch runs on every request hop, so the bank keeps a
-/// lazy min-heap of `(busy_until, index)` beside a dense truth vector:
-/// dispatch is O(log n) instead of an argmin scan over one `FifoServer`
-/// cache line per core (a bank models up to dozens of cores). Heap entries
-/// go stale when a server is re-dispatched; they are discarded on sight
-/// against the truth vector. [`ServerBank::get_mut`] hands out direct
-/// server access, so it marks the index dirty and the next dispatch
-/// rebuilds it.
+/// min-heap of `(busy_until, index)` with exactly one entry per server:
+/// dispatch is O(log n) instead of an argmin scan over every server (a
+/// bank models up to dozens of cores). The bank is the only writer of its
+/// servers, so the entries never go stale.
 #[derive(Debug, Clone)]
 pub struct ServerBank {
     servers: Vec<FifoServer>,
-    /// Truth: `busy[i]` mirrors `servers[i].busy_until()`.
-    busy: Vec<Nanos>,
-    /// Lazy min-heap over `(busy_until, index)`; `Reverse` for min order.
-    /// Ties break toward the lowest index by the tuple order.
+    /// Min-heap over `(busy_until, index)`; `Reverse` for min order. Ties
+    /// break toward the lowest index by the tuple order.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(Nanos, usize)>>,
-    dirty: bool,
 }
 
 impl ServerBank {
@@ -107,57 +83,25 @@ impl ServerBank {
     pub fn new(n: usize) -> Self {
         ServerBank {
             servers: vec![FifoServer::new(); n],
-            busy: vec![Nanos::ZERO; n],
             heap: (0..n).map(|i| std::cmp::Reverse((Nanos::ZERO, i))).collect(),
-            dirty: false,
         }
     }
 
-    /// Submit to the server that will start the work the earliest (ties
-    /// break toward the lowest index). Returns `(server index, completion
-    /// time)`.
-    pub fn submit(&mut self, now: Nanos, service: Nanos) -> (usize, Nanos) {
-        assert!(!self.servers.is_empty(), "ServerBank must not be empty");
-        if self.dirty {
-            for (b, s) in self.busy.iter_mut().zip(&self.servers) {
-                *b = s.busy_until();
-            }
-            self.heap.clear();
-            self.heap
-                .extend(self.busy.iter().enumerate().map(|(i, &b)| std::cmp::Reverse((b, i))));
-            self.dirty = false;
-        }
-        let idx = loop {
-            let &std::cmp::Reverse((b, i)) = self.heap.peek().expect("bank indexed");
-            if self.busy[i] != b {
-                self.heap.pop(); // stale: server was re-dispatched since
-                continue;
-            }
-            break i;
-        };
+    /// Submit to the server that frees up the earliest (ties break toward
+    /// the lowest index). Returns the completion time.
+    pub fn submit(&mut self, now: Nanos, service: Nanos) -> Nanos {
+        let mut top = self.heap.peek_mut().expect("ServerBank must not be empty");
+        let std::cmp::Reverse((_, idx)) = *top;
         let done = self.servers[idx].submit(now, service);
-        self.busy[idx] = done;
-        self.heap.pop();
-        self.heap.push(std::cmp::Reverse((done, idx)));
-        (idx, done)
-    }
-
-    /// Record completion on server `idx`.
-    pub fn complete(&mut self, idx: usize) {
-        self.servers[idx].complete();
+        // Rewriting the root in place sifts it down once `top` drops.
+        *top = std::cmp::Reverse((done, idx));
+        done
     }
 
     /// Access a server by index. No binary reads it: it is the read-only
-    /// view `tests/queueing_laws.rs` checks each server's backlog through,
-    /// which `get_mut` would disturb by dirtying the dispatch index.
+    /// view `tests/queueing_laws.rs` checks each server's backlog through.
     pub fn get(&self, idx: usize) -> &FifoServer {
         &self.servers[idx]
-    }
-
-    /// Mutable access by index (for targeted submission, e.g. RSS pinning).
-    pub fn get_mut(&mut self, idx: usize) -> &mut FifoServer {
-        self.dirty = true;
-        &mut self.servers[idx]
     }
 
     /// Total busy time across the bank. No binary reads it yet: it is the
@@ -189,10 +133,9 @@ mod tests {
         assert_eq!(d1, Nanos(100));
         assert_eq!(d2, Nanos(200));
         assert_eq!(s.backlog(Nanos(10)), Nanos(190));
-        assert_eq!(s.in_flight(), 2);
-        s.complete();
-        s.complete();
-        assert_eq!(s.in_flight(), 0);
+        // The server goes idle at the second job's completion.
+        assert_eq!(s.backlog(Nanos::ZERO), d2);
+        assert_eq!(s.backlog(d2), Nanos::ZERO);
     }
 
     #[test]
@@ -210,20 +153,19 @@ mod tests {
     #[test]
     fn bank_dispatches_to_earliest_free() {
         let mut bank = ServerBank::new(2);
-        let (i1, d1) = bank.submit(Nanos(0), Nanos(100));
-        let (i2, d2) = bank.submit(Nanos(0), Nanos(100));
-        assert_ne!(i1, i2); // second item goes to the other core
-        assert_eq!(d1, Nanos(100));
-        assert_eq!(d2, Nanos(100));
-        let (_, d3) = bank.submit(Nanos(0), Nanos(50));
-        assert_eq!(d3, Nanos(150)); // both busy, queued behind earliest
+        assert_eq!(bank.submit(Nanos(0), Nanos(100)), Nanos(100));
+        // The second item goes to the other core, so it does not queue.
+        assert_eq!(bank.submit(Nanos(0), Nanos(100)), Nanos(100));
+        assert_eq!(bank.get(1).busy_time(), Nanos(100));
+        // Both busy: queued behind the earliest.
+        assert_eq!(bank.submit(Nanos(0), Nanos(50)), Nanos(150));
     }
 
     #[test]
     fn bank_tie_breaks_deterministically() {
         let mut bank = ServerBank::new(4);
-        let (i, _) = bank.submit(Nanos(0), Nanos(1));
-        assert_eq!(i, 0); // lowest index wins ties
+        bank.submit(Nanos(0), Nanos(1));
+        assert_eq!(bank.get(0).busy_time(), Nanos(1)); // lowest index wins ties
     }
 
     #[test]
@@ -231,8 +173,10 @@ mod tests {
         // The bank's busy time sums its servers': over `cores × horizon`
         // it is their mean utilization.
         let mut bank = ServerBank::new(2);
-        bank.get_mut(0).submit(Nanos(0), Nanos(1_000));
-        bank.get_mut(1).submit(Nanos(0), Nanos(500));
+        assert_eq!(bank.submit(Nanos(0), Nanos(1_000)), Nanos(1_000));
+        assert_eq!(bank.submit(Nanos(0), Nanos(500)), Nanos(500));
+        assert_eq!(bank.get(0).busy_time(), Nanos(1_000));
+        assert_eq!(bank.get(1).busy_time(), Nanos(500));
         assert_eq!(bank.busy_time(), Nanos(1_500));
     }
 }

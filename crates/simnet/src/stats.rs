@@ -1,8 +1,9 @@
 //! Measurement machinery: exact latency samples whose memory follows the
 //! number of distinct values, a bounded-memory log histogram, windowed
 //! time series, utilization bins and
-//! [`summed_report!`](crate::summed_report), the one way a counter is
-//! declared — everything the figure harnesses print.
+//! [`summed_report!`](crate::summed_report), the one way a counter that is
+//! summed or listed by name is declared — everything the figure harnesses
+//! print.
 
 use crate::time::Nanos;
 

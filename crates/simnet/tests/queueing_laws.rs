@@ -3,8 +3,8 @@
 //!
 //! * **Conservation of work, in exact integers.** Over a seeded random
 //!   submit sequence, at loads from half to one and a half times capacity:
-//!   every job starts when the earliest-free server frees up (or at once),
-//!   busy time equals the service submitted, busy time fits in
+//!   every job starts when the earliest-free server frees up (or at once)
+//!   and runs on that server (the lowest index on ties), busy time equals the service submitted, busy time fits in
 //!   `cores × last completion`, and each server's `backlog(now)` equals the
 //!   service still unfinished on it at `now`.
 //! * **Single-server closed forms.** One `FifoServer` fed by `OpenLoop`'s
@@ -36,9 +36,9 @@ impl Servers {
         }
     }
 
-    fn submit(&mut self, now: Nanos, service: Nanos) -> (usize, Nanos) {
+    fn submit(&mut self, now: Nanos, service: Nanos) -> Nanos {
         match self {
-            Servers::One(s) => (0, s.submit(now, service)),
+            Servers::One(s) => s.submit(now, service),
             Servers::Bank(b, _) => b.submit(now, service),
         }
     }
@@ -76,14 +76,17 @@ fn check_conservation(mut servers: Servers, load: f64, seed: u64) {
     for i in 0..JOBS {
         now += Nanos(rng.range(0, gap_bound));
         let service = Nanos(rng.range(1, MAX_SERVICE));
-        let earliest = (0..cores)
-            .map(|s| servers.server(s).busy_until())
+        // `backlog(0)` is when a server next goes idle: the earliest-free
+        // one, lowest index on ties, must take the job.
+        let (earliest, server) = (0..cores)
+            .map(|s| (servers.server(s).backlog(Nanos::ZERO), s))
             .min()
             .unwrap();
-        let (server, done) = servers.submit(now, service);
+        let done = servers.submit(now, service);
         // Work-conserving, earliest-free dispatch: no idle server while
         // this job waits, and no double-booked one.
         assert_eq!(done, earliest.max(now) + service, "{what}: job {i}");
+        assert_eq!(servers.server(server).backlog(Nanos::ZERO), done, "{what}: job {i} placed");
         submitted += service;
         last_done = last_done.max(done);
         pending.push((server, service, done));

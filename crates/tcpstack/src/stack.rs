@@ -41,11 +41,6 @@ pub struct TcpCosts {
     /// fixed-point Q32.32 ns/byte multiplier — the drivers charge this per
     /// simulated message, so the hot path must not touch f64.
     pub per_byte: ByteCost,
-    /// Accept a new connection (three-way handshake processing, socket
-    /// setup).
-    pub per_accept: Nanos,
-    /// Does this stack busy-poll (pinning its core at 100 %)?
-    pub pins_core: bool,
 }
 
 impl TcpCosts {
@@ -64,15 +59,11 @@ impl TcpCosts {
                 per_msg_rx: Nanos::from_nanos(14_000),
                 per_msg_tx: Nanos::from_nanos(9_000),
                 per_byte: ByteCost::per_byte_ns(0.25),
-                per_accept: Nanos::from_micros(25),
-                pins_core: false,
             },
             StackKind::FStack => TcpCosts {
                 per_msg_rx: Nanos::from_nanos(2_000),
                 per_msg_tx: Nanos::from_nanos(1_200),
                 per_byte: ByteCost::per_byte_ns(0.06),
-                per_accept: Nanos::from_micros(6),
-                pins_core: true,
             },
         }
     }
@@ -217,11 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn fstack_is_cheaper_but_pins_core() {
+    fn fstack_is_cheaper() {
         let k = TcpCosts::for_kind(StackKind::Kernel);
         let f = TcpCosts::for_kind(StackKind::FStack);
         assert!(f.per_msg_rx < k.per_msg_rx);
-        assert!(f.pins_core && !k.pins_core);
     }
 
     #[test]

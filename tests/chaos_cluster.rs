@@ -148,12 +148,13 @@ fn time_to_recovery_scales_with_rejoin_costs() {
     use palladium_core::connpool::RejoinCosts;
     let cfg = || base_cfg().duration_ms(7).chaos(rack_crash_rejoin());
     let base = ClusterShardedSim::new(cfg()).run(1, Execution::Sequential);
-    let pricey = ClusterShardedSim::new(cfg().rejoin(RejoinCosts {
+    let mut pricey = cfg();
+    pricey.rejoin = RejoinCosts {
         qp_setup: Nanos::from_micros(100),
         mr_register: Nanos::from_micros(200),
         resync_ns_per_kib: 64,
-    }))
-    .run(1, Execution::Sequential);
+    };
+    let pricey = ClusterShardedSim::new(pricey).run(1, Execution::Sequential);
     assert_eq!(base.chaos.rejoins, 2, "{:?}", base.chaos);
     assert_eq!(pricey.chaos.rejoins, 2, "{:?}", pricey.chaos);
     assert!(

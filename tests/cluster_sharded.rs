@@ -101,28 +101,6 @@ fn fault_free_receive_queues_never_run_dry() {
 }
 
 #[test]
-fn a_narrower_grid_runs_more_barriers_and_the_same_physics() {
-    // The window may be any width up to the frame lookahead: 326 ns
-    // windows run ~2× the barriers of 652 ns ones and merge on different
-    // boundaries, so the frames-in-flight tail counter may differ — the
-    // physical results may not. Pinned here for this driver: the kernel
-    // does not promise grid independence in general (`prop_shard.rs`).
-    let run = |ns| ClusterShardedSim::new(golden_cfg().window_ns(ns)).run(4, Execution::Sequential);
-    let (wide, narrow) = (run(652), run(326));
-    assert!(
-        narrow.windows > wide.windows + wide.windows / 2,
-        "half-width windows run ~2× the barriers ({} vs {})",
-        narrow.windows,
-        wide.windows
-    );
-    let results = |r: &ClusterShardedReport| {
-        let t = trace(r);
-        t.split(" messages=").next().unwrap().to_string()
-    };
-    assert_eq!(results(&narrow), results(&wide), "narrower windows changed results");
-}
-
-#[test]
 #[should_panic(expected = "at least one pool buffer")]
 fn a_config_assembled_through_its_fields_is_still_validated() {
     // Every field is public, so the builders cannot be where the checks

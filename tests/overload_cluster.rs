@@ -142,7 +142,9 @@ fn saturation_sheds_honestly_without_collapsing_goodput() {
 /// *attributed* (`shed_pool`), while the cluster keeps serving.
 #[test]
 fn pool_exhaustion_is_attributed_not_silent() {
-    let r = run1(poisson_overload(140_000.0).pool_bufs(514));
+    let mut cfg = poisson_overload(140_000.0);
+    cfg.pool_bufs = 514;
+    let r = run1(cfg);
     assert!(
         r.chaos.shed_pool > 0,
         "a 2-spare-buffer pool must exhaust under overload: {:?}",

@@ -1,13 +1,7 @@
 //! Fig 9: viable DPU↔host communication channels — round-trip latency and
 //! descriptor transfer rate versus function count.
-use palladium_bench::{fig09, print_table, Scale};
+use palladium_bench::{fig09, print, Scale};
 
 fn main() {
-    let rows = fig09(Scale::FULL);
-    print_table(
-        "Fig 9 — DPU<->host descriptor channels (paper: Comch-P >8x faster than \
-         TCP until ~6 fns; Comch-E 2.7-3.8x faster than TCP, stable)",
-        &["channel", "#functions", "RT latency (ms)", "RPS (x1M)"],
-        &rows,
-    );
+    print(&fig09(Scale::FULL));
 }

@@ -1,15 +1,6 @@
 //! Fig 11: off-path DNE (cross-processor shared memory) vs on-path DNE.
-use palladium_bench::{fig11_concurrency, fig11_payload, print_table, Scale};
+use palladium_bench::{fig11, print, Scale};
 
 fn main() {
-    print_table(
-        "Fig 11 (1) — payload sweep, 1 connection (paper: close at low load)",
-        &["payload (B)", "off RPS (K)", "on RPS (K)", "off lat (µs)", "on lat (µs)"],
-        &fig11_payload(Scale::FULL),
-    );
-    print_table(
-        "Fig 11 (2) — concurrency sweep, 1 KB (paper: off-path up to +30% RPS)",
-        &["#conns", "off RPS (K)", "on RPS (K)", "off lat (µs)", "on lat (µs)"],
-        &fig11_concurrency(Scale::FULL),
-    );
+    print(&fig11(Scale::FULL));
 }

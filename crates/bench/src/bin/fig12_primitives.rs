@@ -1,17 +1,6 @@
 //! Fig 12: RDMA primitive selection — two-sided vs one-sided variants.
-use palladium_bench::{fig12, print_table, Scale};
+use palladium_bench::{fig12, print, Scale};
 
 fn main() {
-    print_table(
-        "Fig 12 — RDMA primitives (paper @4KB: two-sided 11.6µs < OWRC-B 15 < \
-         OWRC-W 16.7 < OWDL 26.1µs; BW: two-sided highest)",
-        &[
-            "msg (B)",
-            "2-sided µs", "2-sided MB/s",
-            "OWRC-B µs", "OWRC-B MB/s",
-            "OWRC-W µs", "OWRC-W MB/s",
-            "OWDL µs", "OWDL MB/s",
-        ],
-        &fig12(Scale::FULL),
-    );
+    print(&fig12(Scale::FULL));
 }

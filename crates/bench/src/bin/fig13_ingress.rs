@@ -1,11 +1,6 @@
 //! Fig 13: cluster ingress designs under a client sweep (one gateway core).
-use palladium_bench::{fig13, print_table, Scale};
+use palladium_bench::{fig13, print, Scale};
 
 fn main() {
-    print_table(
-        "Fig 13 — ingress designs (paper: Palladium 3.2x F-Ingress RPS, \
-         11.4x K-Ingress; 3.4x lower latency than F-Ingress)",
-        &["ingress", "#clients", "E2E latency (ms)", "RPS (K)"],
-        &fig13(Scale::FULL),
-    );
+    print(&fig13(Scale::FULL));
 }

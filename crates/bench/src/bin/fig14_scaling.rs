@@ -1,36 +1,7 @@
 //! Fig 14: horizontal scaling of the ingress — CPU cores and RPS over time
 //! as a saturating client joins every 10 s.
-use palladium_bench::{fig14, print_table};
-use palladium_core::system::IngressKind;
+use palladium_bench::{fig14, print};
 
 fn main() {
-    // 0.1x time compression: the 4-minute experiment in 24 virtual seconds.
-    let scale = 0.1;
-    for kind in [
-        IngressKind::KernelDeferred,
-        IngressKind::FStackDeferred,
-        IngressKind::Palladium,
-    ] {
-        let r = fig14(kind, scale);
-        let rows: Vec<Vec<String>> = r
-            .cores_series
-            .iter()
-            .zip(&r.rps_series)
-            .map(|(&(t, cores), &(_, rps))| {
-                vec![
-                    format!("{:.0}", t.as_secs_f64() / scale),
-                    format!("{cores:.1}"),
-                    format!("{:.1}", rps / 1e3),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!(
-                "Fig 14 — {kind:?} (ups={}, downs={}, disconnected clients={})",
-                r.scale_ups, r.scale_downs, r.disconnected
-            ),
-            &["t (s)", "cores", "RPS (K)"],
-            &rows,
-        );
-    }
+    print(&fig14());
 }

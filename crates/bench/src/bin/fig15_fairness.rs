@@ -1,18 +1,6 @@
 //! Fig 15: multi-tenant RDMA fairness — FCFS vs DWRR per-tenant RPS series.
-use palladium_bench::{fig15, print_table};
-use palladium_core::dwrr::SchedPolicy;
+use palladium_bench::{fig15, print};
 
 fn main() {
-    let scale = 0.1; // 4-minute schedule compressed 10x
-    print_table(
-        "Fig 15 (1) — FCFS DNE (no multi-tenancy support)",
-        &["t (s)", "T1 w=6 (K)", "T2 w=1 (K)", "T3 w=2 (K)"],
-        &fig15(SchedPolicy::Fcfs, scale),
-    );
-    print_table(
-        "Fig 15 (2) — Palladium DNE with DWRR (paper: 6:1:2 split, \
-         115->90/15K on T2 arrival, 65/11/22K with all three)",
-        &["t (s)", "T1 w=6 (K)", "T2 w=1 (K)", "T3 w=2 (K)"],
-        &fig15(SchedPolicy::Dwrr, scale),
-    );
+    print(&fig15());
 }

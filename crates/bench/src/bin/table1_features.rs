@@ -1,17 +1,7 @@
 //! Table 1: qualitative comparison of high-performance serverless data
 //! planes.
-use palladium_bench::{print_table, table1};
+use palladium_bench::{print, table1};
 
 fn main() {
-    print_table(
-        "Table 1 — capability matrix (Y = supported)",
-        &[
-            "system",
-            "multi-tenancy",
-            "distributed zero-copy",
-            "DPU offloading",
-            "no proto. in cluster",
-        ],
-        &table1(),
-    );
+    print(&table1());
 }

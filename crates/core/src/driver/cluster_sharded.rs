@@ -1,4 +1,4 @@
-//! The cluster engine behind Fig 16 / Table 2 / Fig 14: `pairs`
+//! The cluster engine behind Fig 16 / Table 2: `pairs`
 //! worker-node pairs plus one ingress node running function chains on any
 //! of the six evaluated data planes, on the conservative sharded kernel
 //! ([`palladium_simnet::shard`]) with one [`RdmaNet`] fabric instance
@@ -30,8 +30,8 @@
 //! any system) runs one shard with the fabric delivering its own frames
 //! — a plain serial event loop. [`ClusterShardedSim::run`] splits the
 //! cluster along [`Partition`] node-block boundaries so the paper's
-//! headline workload (the boutique application, Fig 16, and the scaling
-//! sweep, Fig 14) parallelizes across cores:
+//! headline workload (the boutique application, Fig 16) parallelizes
+//! across cores:
 //!
 //! * **Per-shard `RdmaNet` ownership.** Each shard owns the RNICs, CQs
 //!   and QP state of its contiguous node block

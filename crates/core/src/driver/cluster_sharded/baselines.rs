@@ -29,7 +29,7 @@ use palladium_membuf::{
 };
 use palladium_rdma::{Cqe, CqeKind, RdmaNet, RemoteAddr, WorkRequest, WrId};
 use palladium_simnet::{Effects, FifoServer, Nanos, Slab};
-use palladium_tcpstack::{StackKind, TcpCostTable, TcpCosts};
+use palladium_tcpstack::{StackKind, TcpCosts};
 
 use super::{ClusterShard, ClusterShardedConfig, Ev, BUF_SIZE, INGRESS_FN, REQ_MASK, TENANT};
 use crate::connpool::{ConnPool, ConnPoolConfig};
@@ -83,11 +83,10 @@ struct FuyaoNode {
 
 /// Per-cluster state of a baseline data plane, indexed by worker node.
 pub(super) struct HostPlane {
-    /// Worker-side TCP termination (F-stack or kernel, per system). The
-    /// tables precompute every payload size a run can charge.
-    worker_tcp: TcpCostTable,
+    /// Worker-side TCP termination (F-stack or kernel, per system).
+    worker_tcp: TcpCosts,
     /// SPRIGHT's inter-node legs always ride the kernel stack.
-    internode_tcp: TcpCostTable,
+    internode_tcp: TcpCosts,
     /// The node's generic engine: one FIFO core doing TCP processing,
     /// FUYAO engine ops and copies, NightCore dispatch.
     engines: Vec<FifoServer>,
@@ -105,14 +104,6 @@ impl HostPlane {
         let worker_stack = match cfg.system {
             SystemKind::Spright | SystemKind::FuyaoF => StackKind::FStack,
             _ => StackKind::Kernel,
-        };
-        let tcp_sizes = || {
-            cfg.app.chains.iter().flat_map(|c| {
-                c.hops
-                    .iter()
-                    .map(|h| h.bytes as u64)
-                    .chain([c.req_bytes as u64, c.resp_bytes as u64])
-            })
         };
         let mut fuyao = Vec::new();
         if cfg.system.spec().inter_node == InterNode::OneSidedRecvCopy {
@@ -141,8 +132,8 @@ impl HostPlane {
             }
         }
         HostPlane {
-            worker_tcp: TcpCostTable::new(TcpCosts::for_kind(worker_stack), tcp_sizes()),
-            internode_tcp: TcpCostTable::new(TcpCosts::for_kind(StackKind::Kernel), tcp_sizes()),
+            worker_tcp: TcpCosts::for_kind(worker_stack),
+            internode_tcp: TcpCosts::for_kind(StackKind::Kernel),
             engines: (0..workers)
                 .map(|_| FifoServer::new())
                 .collect(),

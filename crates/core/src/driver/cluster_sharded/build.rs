@@ -66,7 +66,7 @@ fn warm_conns(
     }
 }
 
-/// The sharded Fig 16 / Fig 14 cluster simulation.
+/// The sharded Fig 16 cluster simulation.
 pub struct ClusterShardedSim {
     cfg: ClusterShardedConfig,
 }

@@ -15,4 +15,4 @@
 
 pub mod stack;
 
-pub use stack::{HttpCosts, IngressServiceModel, RdmaBridgeCosts, StackKind, TcpCostTable, TcpCosts};
+pub use stack::{HttpCosts, IngressServiceModel, RdmaBridgeCosts, StackKind, TcpCosts};

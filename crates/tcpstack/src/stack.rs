@@ -17,7 +17,7 @@
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
 )]
 
-use palladium_simnet::{ByteCost, IdTable, Nanos};
+use palladium_simnet::{ByteCost, Nanos};
 
 /// Which TCP/IP stack a component runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,55 +78,6 @@ impl TcpCosts {
     #[inline]
     pub fn tx(&self, bytes: u64) -> Nanos {
         self.per_msg_tx + self.per_byte.cost(bytes)
-    }
-}
-
-/// A per-size-class lookup over [`TcpCosts`]: `(rx, tx)` totals
-/// precomputed for the message sizes a driver knows it will charge
-/// (request/response/hop payloads are fixed per workload). The steady-state
-/// path is then one dense index — not even the fixed-point multiply — with
-/// a transparent fallback to [`TcpCosts::rx`]/[`TcpCosts::tx`] for sizes
-/// outside the table.
-#[derive(Clone, Debug)]
-pub struct TcpCostTable {
-    costs: TcpCosts,
-    by_size: IdTable<(Nanos, Nanos)>,
-}
-
-impl TcpCostTable {
-    /// Precompute `(rx, tx)` for each of `sizes` (duplicates are fine). A
-    /// size that does not fit an index stays uncached.
-    pub fn new(costs: TcpCosts, sizes: impl IntoIterator<Item = u64>) -> Self {
-        let mut by_size = IdTable::new();
-        for s in sizes {
-            if let Ok(idx) = usize::try_from(s) {
-                by_size.insert(idx, (costs.rx(s), costs.tx(s)));
-            }
-        }
-        TcpCostTable { costs, by_size }
-    }
-
-    #[inline]
-    fn cached(&self, bytes: u64) -> Option<&(Nanos, Nanos)> {
-        self.by_size.get(usize::try_from(bytes).ok()?)
-    }
-
-    /// Receive cost for a message of `bytes`.
-    #[inline]
-    pub fn rx(&self, bytes: u64) -> Nanos {
-        match self.cached(bytes) {
-            Some(&(rx, _)) => rx,
-            None => self.costs.rx(bytes),
-        }
-    }
-
-    /// Transmit cost for a message of `bytes`.
-    #[inline]
-    pub fn tx(&self, bytes: u64) -> Nanos {
-        match self.cached(bytes) {
-            Some(&(_, tx)) => tx,
-            None => self.costs.tx(bytes),
-        }
     }
 }
 
@@ -234,18 +185,5 @@ mod tests {
                 assert_eq!(c.tx(bytes), c.per_msg_tx + byte_ns, "{kind:?} tx {bytes}");
             }
         }
-    }
-
-    #[test]
-    fn size_class_table_agrees_with_model() {
-        let c = TcpCosts::for_kind(StackKind::FStack);
-        let t = TcpCostTable::new(c, [256, 512, 1024]);
-        for bytes in [256u64, 512, 1024] {
-            assert_eq!(t.rx(bytes), c.rx(bytes), "tabled rx {bytes}");
-            assert_eq!(t.tx(bytes), c.tx(bytes), "tabled tx {bytes}");
-        }
-        // Out-of-table sizes fall back to the computed path.
-        assert_eq!(t.rx(300), c.rx(300));
-        assert_eq!(t.tx(7777), c.tx(7777));
     }
 }

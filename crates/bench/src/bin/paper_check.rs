@@ -1,0 +1,54 @@
+//! `paper_check` — every number the paper quotes, against the model.
+//!
+//! Runs each artefact whose title or figure quotes a paper number (Figs 9,
+//! 11–13, 15, 16 and Table 2) at full scale, computes every point of the
+//! ledger (`palladium_bench::LEDGER`) from the tables' own values, and
+//! writes `EXPERIMENTS.md`: paper value, model value, error, class and
+//! verdict per point, then the count of ratio points in tolerance. Exits
+//! non-zero when a point's verdict is not the one the ledger declares, or
+//! when a quote's words are missing from the title it cites; the file is
+//! written either way, so its diff shows what moved.
+//!
+//! Usage: `cargo run --release -p palladium-bench --bin paper_check --
+//! [--out PATH]` (default `EXPERIMENTS.md`).
+
+use std::process::ExitCode;
+
+use palladium_bench::{check, ledger_markdown, out_path_arg, quoted_artefacts, Scale};
+
+fn main() -> ExitCode {
+    let out_path = match out_path_arg("paper_check", "EXPERIMENTS.md") {
+        Ok(path) => path,
+        Err(code) => return code,
+    };
+    let tables = quoted_artefacts(Scale::FULL);
+    let outcomes = match check(&tables) {
+        Ok(outcomes) => outcomes,
+        Err(e) => {
+            eprintln!("paper_check: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let md = ledger_markdown(&outcomes);
+    if let Err(e) = std::fs::write(&out_path, &md) {
+        eprintln!("paper_check: cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    print!("{}", md.lines().last().map(|l| format!("{l}\n")).unwrap_or_default());
+    let mut ok = true;
+    for o in &outcomes {
+        let declared = o.point.declared(Scale::FULL);
+        if o.verdict != declared {
+            eprintln!(
+                "paper_check: {} @ {}: model {:.4} is {:?}, the ledger declares {declared:?}",
+                o.quote.id, o.point.at, o.model, o.verdict
+            );
+            ok = false;
+        }
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}

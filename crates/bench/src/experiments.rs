@@ -2,10 +2,15 @@
 //!
 //! Each function runs one of the paper's evaluation artefacts (Figs 9 and
 //! 11–16, Tables 1–2) and returns its [`Table`]s: the title with the
-//! paper's quoted values, the headers and the rows. The figure binaries
-//! and `all_experiments` only [`print`] them, so a quoted paper value has
-//! exactly one source line, here. `Scale` shrinks virtual durations so
-//! tests can run the identical code quickly.
+//! paper's quoted values, the headers and the rows of typed cells.
+//! The figure binaries and `all_experiments` only [`print()`] them.
+//! `Scale` shrinks virtual durations so tests can run the identical code
+//! quickly.
+//!
+//! Each quoted paper value is also one row of [`LEDGER`], below the
+//! artefacts: the paper's value or band, its class and provenance, and
+//! the verdict the model gives at each load point. [`check`] computes
+//! every point from the tables' own values.
 
 use std::fmt;
 
@@ -21,16 +26,44 @@ use palladium_simnet::Nanos;
 use palladium_workloads::boutique::{self, ChainKind};
 
 /// How much virtual time an experiment runs for (1.0 = harness default).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Scale(pub f64);
 
 impl Scale {
     /// Full harness runs.
     pub const FULL: Scale = Scale(1.0);
 
+    /// The scale the test suite runs every quoted artefact at; a ledger
+    /// point whose verdict differs there declares it with `.reduced(..)`.
+    pub const REDUCED: Scale = Scale(0.12);
+
     fn ms(&self, base: u64) -> Nanos {
         Nanos::from_nanos((base as f64 * self.0 * 1e6).max(1e6) as u64)
     }
+}
+
+/// One table cell: text, or a number printed with a fixed count of
+/// decimal places. A number keeps the run's own value, so a ratio of two
+/// cells is a ratio of what the run measured, not of what it printed.
+#[derive(Clone, Debug, PartialEq)]
+enum Cell {
+    /// Printed as is.
+    Text(String),
+    /// A value and its decimal places.
+    Num(f64, usize),
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(s) => f.write_str(s),
+            Cell::Num(v, places) => write!(f, "{v:.places$}"),
+        }
+    }
+}
+
+fn text(s: impl Into<String>) -> Cell {
+    Cell::Text(s.into())
 }
 
 /// One printed table: a title, its column headers and one row of cells
@@ -38,7 +71,7 @@ impl Scale {
 pub struct Table {
     title: String,
     headers: &'static [&'static str],
-    rows: Vec<Vec<String>>,
+    rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
@@ -46,7 +79,7 @@ impl Table {
     fn new(
         title: impl Into<String>,
         headers: &'static [&'static str],
-        rows: Vec<Vec<String>>,
+        rows: Vec<Vec<Cell>>,
     ) -> Self {
         let title = title.into();
         let width = headers.len();
@@ -55,14 +88,38 @@ impl Table {
         }
         Table { title, headers, rows }
     }
+
+    /// The number under `header` in the row whose leading cells print as
+    /// `key`.
+    pub fn value(&self, key: &[&str], header: &str) -> Result<f64, String> {
+        let col = self
+            .headers
+            .iter()
+            .position(|&h| h == header)
+            .ok_or_else(|| format!("{}: no column {header:?}", self.title))?;
+        let row = self
+            .rows
+            .iter()
+            .find(|row| row.iter().zip(key).all(|(cell, k)| cell.to_string() == *k))
+            .ok_or_else(|| format!("{}: no row {key:?}", self.title))?;
+        match row[col] {
+            Cell::Num(v, _) => Ok(v),
+            Cell::Text(ref s) => Err(format!("{}: {key:?} {header:?} is text {s:?}", self.title)),
+        }
+    }
 }
 
 /// A blank line, `== title ==`, then the headers and rows, each column
 /// right-aligned to its widest cell and columns two spaces apart.
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (w, cell) in widths.iter_mut().zip(row) {
                 *w = (*w).max(cell.len());
             }
@@ -73,7 +130,7 @@ impl fmt::Display for Table {
         }
         writeln!(f, "\n== {} ==", self.title)?;
         writeln!(f, "{}", line(&widths, self.headers.iter().copied()))?;
-        for row in &self.rows {
+        for row in &rows {
             writeln!(f, "{}", line(&widths, row.iter().map(String::as_str)))?;
         }
         Ok(())
@@ -97,10 +154,10 @@ pub fn fig09(scale: Scale) -> Vec<Table> {
             cfg.warmup = scale.ms(20);
             let r = ChannelSim::new(cfg).run();
             rows.push(vec![
-                format!("{kind:?}"),
-                fns.to_string(),
-                format!("{:.3}", r.mean_latency.as_millis_f64()),
-                format!("{:.3}", r.rps / 1e6),
+                text(format!("{kind:?}")),
+                text(fns.to_string()),
+                Cell::Num(r.mean_latency.as_millis_f64(), 3),
+                Cell::Num(r.rps / 1e6, 3),
             ]);
         }
     }
@@ -120,11 +177,11 @@ pub fn fig11(scale: Scale) -> Vec<Table> {
         let off = EchoSim::new(cfg).run_path_mode(PathMode::OffPath);
         let on = EchoSim::new(cfg).run_path_mode(PathMode::OnPath);
         vec![
-            axis,
-            format!("{:.1}", off.rps / 1e3),
-            format!("{:.1}", on.rps / 1e3),
-            format!("{:.2}", off.mean_latency.as_micros_f64()),
-            format!("{:.2}", on.mean_latency.as_micros_f64()),
+            text(axis),
+            Cell::Num(off.rps / 1e3, 1),
+            Cell::Num(on.rps / 1e3, 1),
+            Cell::Num(off.mean_latency.as_micros_f64(), 2),
+            Cell::Num(on.mean_latency.as_micros_f64(), 2),
         ]
     };
     vec![
@@ -154,11 +211,11 @@ pub fn fig12(scale: Scale) -> Vec<Table> {
         let mut cfg = EchoConfig::new(size);
         cfg.duration = scale.ms(60);
         cfg.warmup = scale.ms(10);
-        let mut row = vec![size.to_string()];
+        let mut row = vec![text(size.to_string())];
         for prim in Primitive::ALL {
             let r = EchoSim::new(cfg).run_primitive(prim);
-            row.push(format!("{:.1}", r.mean_latency.as_micros_f64()));
-            row.push(format!("{:.0}", r.rps * size.max(1) as f64 / 1e6));
+            row.push(Cell::Num(r.mean_latency.as_micros_f64(), 1));
+            row.push(Cell::Num(r.rps * size.max(1) as f64 / 1e6, 0));
         }
         rows.push(row);
     }
@@ -189,10 +246,10 @@ pub fn fig13(scale: Scale) -> Vec<Table> {
             cfg.warmup = scale.ms(100);
             let r = IngressSim::new(cfg).sweep();
             rows.push(vec![
-                label_of(kind).to_string(),
-                clients.to_string(),
-                format!("{:.3}", r.mean_latency.as_millis_f64()),
-                format!("{:.1}", r.rps / 1e3),
+                text(label_of(kind)),
+                text(clients.to_string()),
+                Cell::Num(r.mean_latency.as_millis_f64(), 3),
+                Cell::Num(r.rps / 1e3, 1),
             ]);
         }
     }
@@ -231,9 +288,9 @@ pub fn fig14() -> Vec<Table> {
             .zip(&r.rps_series)
             .map(|(&(t, cores), &(_, rps))| {
                 vec![
-                    format!("{:.0}", t.as_secs_f64() / TIME_SCALE),
-                    format!("{cores:.1}"),
-                    format!("{:.1}", rps / 1e3),
+                    Cell::Num(t.as_secs_f64() / TIME_SCALE, 0),
+                    Cell::Num(cores, 1),
+                    Cell::Num(rps / 1e3, 1),
                 ]
             })
             .collect();
@@ -257,9 +314,9 @@ pub fn fig15() -> Vec<Table> {
         (0..n)
             .map(|i| {
                 let (end, _) = report.series[0].1[i];
-                let mut row = vec![format!("{:.1}", end.as_secs_f64() / TIME_SCALE)];
+                let mut row = vec![Cell::Num(end.as_secs_f64() / TIME_SCALE, 1)];
                 for (_, series) in &report.series {
-                    row.push(format!("{:.1}", series[i].1 / 1e3));
+                    row.push(Cell::Num(series[i].1 / 1e3, 1));
                 }
                 row
             })
@@ -337,12 +394,12 @@ impl BoutiqueSweep {
         &self,
         chains: &[ChainKind],
         clients: &[usize],
-        cell: impl Fn(&ChainReport) -> String,
-    ) -> Vec<Vec<String>> {
+        cell: impl Fn(&ChainReport) -> Cell,
+    ) -> Vec<Vec<Cell>> {
         SystemKind::ALL
             .iter()
             .map(|&system| {
-                let mut row = vec![system.label().to_string()];
+                let mut row = vec![text(system.label())];
                 for &chain in chains {
                     row.extend(clients.iter().map(|&c| cell(self.get(system, chain, c))));
                 }
@@ -360,13 +417,13 @@ impl BoutiqueSweep {
             tables.push(Table::new(
                 format!("Fig 16 — {} RPS x1K (paper: DNE 5.1-20.9x NightCore, 2.1-4.1x FUYAO-F, 2.4-4.1x SPRIGHT, 1.3-1.8x CNE)", chain.label()),
                 &["system", "c=1", "c=20", "c=40", "c=60", "c=80"],
-                self.rows(&[chain], &FIG16_CLIENTS, |r| format!("{:.1}", r.rps / 1e3)),
+                self.rows(&[chain], &FIG16_CLIENTS, |r| Cell::Num(r.rps / 1e3, 1)),
             ));
             tables.push(Table::new(
                 format!("Fig 16 — {} CPU/DPU utilization % (cpu/dpu)", chain.label()),
                 &["system", "c=20", "c=60", "c=80"],
                 self.rows(&[chain], &TABLE2_CLIENTS, |r| {
-                    format!("{:.0}/{:.0}", r.cpu_util_pct, r.dpu_util_pct)
+                    text(format!("{:.0}/{:.0}", r.cpu_util_pct, r.dpu_util_pct))
                 }),
             ));
         }
@@ -384,15 +441,25 @@ impl BoutiqueSweep {
                 "P20", "P60", "P80",
             ],
             self.rows(&ChainKind::ALL, &TABLE2_CLIENTS, |r| {
-                format!("{:.2}", r.mean_latency.as_millis_f64())
+                Cell::Num(r.mean_latency.as_millis_f64(), 2)
             }),
         )]
     }
 }
 
+/// Every artefact the ledger reads, in README order: Figs 9, 11–13, 15,
+/// 16 and Table 2. Fig 14 and Table 1 quote no number.
+pub fn quoted_artefacts(scale: Scale) -> Vec<Table> {
+    let boutique = BoutiqueSweep::run(&FIG16_CLIENTS, scale);
+    [fig09(scale), fig11(scale), fig12(scale), fig13(scale), fig15(), boutique.fig16(), boutique.table2()]
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
 /// Table 1: the capability matrix.
 pub fn table1() -> Vec<Table> {
-    let mark = |b: bool| if b { "Y" } else { "x" }.to_string();
+    let mark = |b: bool| text(if b { "Y" } else { "x" });
     let rows = [
         SystemKind::NightCore,
         SystemKind::Spright,
@@ -403,7 +470,7 @@ pub fn table1() -> Vec<Table> {
     .map(|s| {
         let c = s.capabilities();
         vec![
-            s.label().to_string(),
+            text(s.label()),
             mark(c.multi_tenancy),
             mark(c.distributed_zero_copy),
             mark(c.dpu_offloading),
@@ -424,37 +491,848 @@ pub fn table1() -> Vec<Table> {
     )]
 }
 
+/// Where a model value sits against the paper's value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Under the band.
+    Below,
+    /// Inside it, either edge included.
+    In,
+    /// Over it.
+    Above,
+}
+
+/// A quoted value: a band the model must land in, or a point it must
+/// land within ±10 % of (`Paper::POINT_TOLERANCE`).
+#[derive(Clone, Copy, Debug)]
+pub enum Paper {
+    /// `lo..=hi`; `hi` may be infinite (a "> lo" quote).
+    Band(f64, f64),
+    /// One value.
+    Point(f64),
+}
+
+impl Paper {
+    /// The relative spread a point quote allows, both ways. The calibrated
+    /// Fig 12 latencies land in −8 … +10 % of theirs.
+    const POINT_TOLERANCE: f64 = 0.10;
+
+    /// `lo..=hi` of the quote.
+    fn band(self) -> (f64, f64) {
+        match self {
+            Paper::Band(lo, hi) => (lo, hi),
+            Paper::Point(p) => (p * (1.0 - Self::POINT_TOLERANCE), p * (1.0 + Self::POINT_TOLERANCE)),
+        }
+    }
+
+    /// The verdict on `model`; a model value that is not a finite number
+    /// has none.
+    fn verdict(self, model: f64) -> Result<Verdict, String> {
+        if !model.is_finite() {
+            return Err(format!("model value {model} is not a finite number"));
+        }
+        let (lo, hi) = self.band();
+        Ok(if model < lo {
+            Verdict::Below
+        } else if model > hi {
+            Verdict::Above
+        } else {
+            Verdict::In
+        })
+    }
+
+    /// `model`'s signed distance from the quote, relative: from a point
+    /// to its value, from a band to its nearer edge (0 inside).
+    fn error(self, model: f64) -> f64 {
+        let reference = match self {
+            Paper::Point(p) => p,
+            Paper::Band(lo, _) if model < lo => lo,
+            Paper::Band(_, hi) if model > hi => hi,
+            Paper::Band(..) => return 0.0,
+        };
+        model / reference - 1.0
+    }
+}
+
+impl fmt::Display for Paper {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Paper::Band(lo, hi) if hi.is_infinite() => write!(f, "≥ {lo}"),
+            Paper::Band(lo, hi) => write!(f, "{lo}–{hi}"),
+            // A quoted value prints as quoted, a derived one to 3 digits.
+            Paper::Point(p) if p.to_string().len() > 6 => write!(f, "{} ± 10 %", sig3(p)),
+            Paper::Point(p) => write!(f, "{p} ± 10 %"),
+        }
+    }
+}
+
+/// What kind of number a quote is.
+#[derive(Clone, Copy, Debug)]
+pub enum Class {
+    /// Palladium ÷ a baseline, or one design ÷ another.
+    Ratio,
+    /// A hardware number, set by the named calibration constant.
+    Absolute(&'static str),
+    /// A quoted number put through an operational law.
+    Derived,
+}
+
+/// Where a quote comes from.
+#[derive(Clone, Copy, Debug)]
+pub enum Provenance {
+    /// These words of the title of the table the quote's points read.
+    Title(&'static str),
+    /// The paper's section and words, or the law and the numbers it takes.
+    Text(&'static str),
+}
+
+/// One cell of the artefacts' tables: in the table whose title starts
+/// with `table`, the row whose leading cells print as `row`, column `col`.
+#[derive(Clone, Copy, Debug)]
+pub struct CellRef {
+    /// A prefix of exactly one table's title.
+    pub table: &'static str,
+    /// The printed leading cells of the row.
+    pub row: &'static [&'static str],
+    /// The column header.
+    pub col: &'static str,
+}
+
+const fn cell(table: &'static str, row: &'static [&'static str], col: &'static str) -> CellRef {
+    CellRef { table, row, col }
+}
+
+impl CellRef {
+    /// The one table among `tables` this cell is in.
+    fn table<'a>(&self, tables: &'a [Table]) -> Result<&'a Table, String> {
+        let mut found = tables.iter().filter(|t| t.title.starts_with(self.table));
+        match (found.next(), found.next()) {
+            (Some(t), None) => Ok(t),
+            (None, _) => Err(format!("no table titled {:?}", self.table)),
+            (Some(_), Some(_)) => Err(format!("more than one table titled {:?}", self.table)),
+        }
+    }
+
+    /// This cell's number in `tables`.
+    pub fn read(&self, tables: &[Table]) -> Result<f64, String> {
+        self.table(tables)?.value(self.row, self.col)
+    }
+}
+
+/// One load point of a quote: the model value is `num`, or `num ÷ den`.
+#[derive(Clone, Copy, Debug)]
+pub struct Point {
+    /// The load point, as `EXPERIMENTS.md` labels it.
+    pub at: &'static str,
+    num: CellRef,
+    den: Option<CellRef>,
+    /// The verdict a full-scale run gives.
+    verdict: Verdict,
+    /// The verdict at [`Scale::REDUCED`], where it differs.
+    reduced: Option<Verdict>,
+}
+
+const fn value(at: &'static str, num: CellRef, verdict: Verdict) -> Point {
+    Point { at, num, den: None, verdict, reduced: None }
+}
+
+const fn ratio(at: &'static str, num: CellRef, den: CellRef, verdict: Verdict) -> Point {
+    Point { at, num, den: Some(den), verdict, reduced: None }
+}
+
+impl Point {
+    const fn reduced(mut self, verdict: Verdict) -> Self {
+        self.reduced = Some(verdict);
+        self
+    }
+
+    /// The verdict declared for a run at `scale`.
+    pub fn declared(&self, scale: Scale) -> Verdict {
+        match self.reduced {
+            Some(v) if scale == Scale::REDUCED => v,
+            _ => self.verdict,
+        }
+    }
+}
+
+/// One quoted paper value and the load points it is checked at.
+#[derive(Clone, Copy, Debug)]
+pub struct Quote {
+    /// Stable name, cited by comments and `CHANGES.md`.
+    pub id: &'static str,
+    /// The paper's value or band.
+    pub paper: Paper,
+    /// Ratio, absolute or derived.
+    pub class: Class,
+    /// Where the paper (or the law) gives it.
+    pub provenance: Provenance,
+    /// The load points it is checked at.
+    pub points: &'static [Point],
+}
+
+// Title prefixes and row keys the ledger reads.
+const FIG09: &str = "Fig 9 —";
+const FIG11_PAYLOAD: &str = "Fig 11 (1) —";
+const FIG11_CONNS: &str = "Fig 11 (2) —";
+const FIG12: &str = "Fig 12 —";
+const FIG13: &str = "Fig 13 —";
+const FIG15_DWRR: &str = "Fig 15 (2) —";
+const HOME: &str = "Fig 16 — Home Query RPS";
+const VIEWCART: &str = "Fig 16 — ViewCart RPS";
+const PRODUCT: &str = "Fig 16 — Product Query RPS";
+const TABLE2: &str = "Table 2 —";
+const DNE: &[&str] = &["Palladium (DNE)"];
+const CNE: &[&str] = &["Palladium (CNE)"];
+const FUYAO_F: &[&str] = &["FUYAO-F"];
+const SPRIGHT: &[&str] = &["SPRIGHT"];
+const NIGHTCORE: &[&str] = &["NightCore"];
+
+/// Fig 9: how many times lower the `fast` row's latency is than `slow`'s.
+const fn fig09_faster(
+    at: &'static str,
+    fast: &'static [&'static str],
+    slow: &'static [&'static str],
+    v: Verdict,
+) -> Point {
+    ratio(at, cell(FIG09, slow, "RT latency (ms)"), cell(FIG09, fast, "RT latency (ms)"), v)
+}
+
+/// Fig 11 (2): off-path RPS over on-path RPS at `conns` connections.
+const fn fig11_off_over_on(at: &'static str, conns: &'static [&'static str], v: Verdict) -> Point {
+    ratio(at, cell(FIG11_CONNS, conns, "off RPS (K)"), cell(FIG11_CONNS, conns, "on RPS (K)"), v)
+}
+
+/// Fig 12: two-sided bandwidth over the one-sided column `col` at 8 KB.
+const fn fig12_bw_over(at: &'static str, col: &'static str, v: Verdict) -> Point {
+    ratio(at, cell(FIG12, &["8192"], "2-sided MB/s"), cell(FIG12, &["8192"], col), v)
+}
+
+/// Fig 13 `col` of row `a` over row `b`.
+const fn fig13_ratio(
+    at: &'static str,
+    a: &'static [&'static str],
+    b: &'static [&'static str],
+    col: &'static str,
+    v: Verdict,
+) -> Point {
+    ratio(at, cell(FIG13, a, col), cell(FIG13, b, col), v)
+}
+
+/// Fig 15 (2): tenant column `col` at window end `t`.
+const fn fig15_tenant(at: &'static str, t: &'static [&'static str], col: &'static str, v: Verdict) -> Point {
+    value(at, cell(FIG15_DWRR, t, col), v)
+}
+
+/// Fig 16: the DNE's RPS over `den`'s, in the RPS panel `chain`, at `col`.
+const fn dne_over(
+    at: &'static str,
+    chain: &'static str,
+    den: &'static [&'static str],
+    col: &'static str,
+    v: Verdict,
+) -> Point {
+    ratio(at, cell(chain, DNE, col), cell(chain, den, col), v)
+}
+
+/// Table 2's quoted Home means (ms) at 20 / 60 / 80 clients.
+const DNE_HOME_MS: [f64; 3] = [1.12, 2.55, 3.19];
+const NIGHTCORE_HOME_MS: [f64; 3] = [10.77, 32.4, 42.8];
+
+/// Every number the artefacts' titles quote, and the few the paper states
+/// elsewhere that a figure's run measures. Each point declares the verdict
+/// the model gives today; `paper_check` (full scale) and
+/// `tests/figure_shapes.rs` ([`Scale::REDUCED`]) fail when a run gives
+/// another, so a change that moves a verdict edits this table.
+///
+/// Figs 11 (2), 13 and 16 are checked at their loaded points: at one
+/// connection or client no design is saturated, and those ratios describe
+/// the saturated regime. Fig 9's "until ~6 fns" bounds the Comch-P row to
+/// the one function count below it. Fig 12's "two-sided highest" is a
+/// ratio of at least 1 over each one-sided primitive. Fig 11 (1)'s "close
+/// at low load" is the one quote with no row: it gives no number.
+pub const LEDGER: &[Quote] = {
+    use Verdict::{Above, Below, In};
+    const COMCH_P: &[&str] = &["ComchP", "1"];
+    const TCP: &[&str] = &["Tcp", "1"];
+    &[
+        Quote {
+            id: "fig09.comch_p_over_tcp",
+            paper: Paper::Band(8.0, f64::INFINITY),
+            class: Class::Ratio,
+            provenance: Provenance::Title("Comch-P >8x faster than TCP until ~6 fns"),
+            points: &[fig09_faster("1 fn", COMCH_P, TCP, In)],
+        },
+        Quote {
+            id: "fig09.comch_e_over_tcp",
+            paper: Paper::Band(2.7, 3.8),
+            class: Class::Ratio,
+            provenance: Provenance::Title("Comch-E 2.7-3.8x faster than TCP, stable"),
+            points: &[
+                fig09_faster("1 fn", &["ComchE", "1"], TCP, Above),
+                fig09_faster("20 fns", &["ComchE", "20"], &["Tcp", "20"], Above),
+                fig09_faster("40 fns", &["ComchE", "40"], &["Tcp", "40"], Above),
+                fig09_faster("60 fns", &["ComchE", "60"], &["Tcp", "60"], Above),
+                fig09_faster("80 fns", &["ComchE", "80"], &["Tcp", "80"], Above),
+                fig09_faster("100 fns", &["ComchE", "100"], &["Tcp", "100"], Above),
+            ],
+        },
+        Quote {
+            id: "fig11.on_over_off_latency",
+            paper: Paper::Band(1.33, 1.54),
+            class: Class::Ratio,
+            provenance: Provenance::Text("§1, §4.1.1: on-path costs 1.33-1.54x the off-path latency"),
+            points: &[ratio(
+                "1 KB, 1 conn",
+                cell(FIG11_PAYLOAD, &["1024"], "on lat (µs)"),
+                cell(FIG11_PAYLOAD, &["1024"], "off lat (µs)"),
+                In,
+            )],
+        },
+        Quote {
+            id: "fig11.off_over_on_rps",
+            paper: Paper::Band(1.0, 1.3),
+            class: Class::Ratio,
+            provenance: Provenance::Title("off-path up to +30% RPS"),
+            points: &[
+                fig11_off_over_on("10 conns", &["10"], Above),
+                fig11_off_over_on("20 conns", &["20"], Above),
+                fig11_off_over_on("30 conns", &["30"], Above),
+                fig11_off_over_on("40 conns", &["40"], Above),
+                fig11_off_over_on("50 conns", &["50"], Above),
+            ],
+        },
+        Quote {
+            id: "fig12.two_sided_4k_us",
+            paper: Paper::Point(11.6),
+            class: Class::Absolute("RdmaConfig::per_byte"),
+            provenance: Provenance::Title("two-sided 11.6µs"),
+            points: &[value("4 KB", cell(FIG12, &["4096"], "2-sided µs"), In)],
+        },
+        Quote {
+            id: "fig12.owrc_best_4k_us",
+            paper: Paper::Point(15.0),
+            class: Class::Absolute("CostModel::copy_per_byte_hot"),
+            provenance: Provenance::Title("OWRC-B 15"),
+            points: &[value("4 KB", cell(FIG12, &["4096"], "OWRC-B µs"), In)],
+        },
+        Quote {
+            id: "fig12.owrc_worst_4k_us",
+            paper: Paper::Point(16.7),
+            class: Class::Absolute("CostModel::copy_per_byte_cold"),
+            provenance: Provenance::Title("OWRC-W 16.7"),
+            points: &[value("4 KB", cell(FIG12, &["4096"], "OWRC-W µs"), In)],
+        },
+        Quote {
+            id: "fig12.owdl_4k_us",
+            paper: Paper::Point(26.1),
+            class: Class::Absolute("CostModel::owdl_lock_proc"),
+            provenance: Provenance::Title("OWDL 26.1µs"),
+            points: &[value("4 KB", cell(FIG12, &["4096"], "OWDL µs"), Above)],
+        },
+        Quote {
+            id: "fig12.two_sided_bw_highest",
+            paper: Paper::Band(1.0, f64::INFINITY),
+            class: Class::Ratio,
+            provenance: Provenance::Title("BW: two-sided highest"),
+            points: &[
+                fig12_bw_over("8 KB, ÷ OWRC-B", "OWRC-B MB/s", In),
+                fig12_bw_over("8 KB, ÷ OWRC-W", "OWRC-W MB/s", In),
+                fig12_bw_over("8 KB, ÷ OWDL", "OWDL MB/s", In),
+            ],
+        },
+        Quote {
+            id: "fig12.two_sided_8k_mbps",
+            paper: Paper::Point(600.0),
+            class: Class::Absolute("RdmaConfig::per_byte"),
+            provenance: Provenance::Text("Fig 12 (2), §4.1.2: two-sided reaches ≈600 MB/s at 8 KB"),
+            points: &[value("8 KB", cell(FIG12, &["8192"], "2-sided MB/s"), In)],
+        },
+        Quote {
+            id: "fig13.palladium_over_f_rps",
+            paper: Paper::Point(3.2),
+            class: Class::Ratio,
+            provenance: Provenance::Title("Palladium 3.2x F-Ingress RPS"),
+            points: &[
+                fig13_ratio("20 clients", &["Palladium", "20"], &["F-Ingress", "20"], "RPS (K)", In),
+                fig13_ratio("40 clients", &["Palladium", "40"], &["F-Ingress", "40"], "RPS (K)", In),
+                fig13_ratio("60 clients", &["Palladium", "60"], &["F-Ingress", "60"], "RPS (K)", In),
+                fig13_ratio("80 clients", &["Palladium", "80"], &["F-Ingress", "80"], "RPS (K)", In),
+                fig13_ratio("100 clients", &["Palladium", "100"], &["F-Ingress", "100"], "RPS (K)", In),
+            ],
+        },
+        Quote {
+            id: "fig13.palladium_over_k_rps",
+            paper: Paper::Point(11.4),
+            class: Class::Ratio,
+            provenance: Provenance::Title("11.4x K-Ingress"),
+            points: &[
+                fig13_ratio("20 clients", &["Palladium", "20"], &["K-Ingress", "20"], "RPS (K)", Above),
+                fig13_ratio("40 clients", &["Palladium", "40"], &["K-Ingress", "40"], "RPS (K)", Above),
+                fig13_ratio("60 clients", &["Palladium", "60"], &["K-Ingress", "60"], "RPS (K)", Above),
+                fig13_ratio("80 clients", &["Palladium", "80"], &["K-Ingress", "80"], "RPS (K)", Above),
+                fig13_ratio("100 clients", &["Palladium", "100"], &["K-Ingress", "100"], "RPS (K)", Above),
+            ],
+        },
+        Quote {
+            id: "fig13.f_over_palladium_latency",
+            paper: Paper::Point(3.4),
+            class: Class::Ratio,
+            provenance: Provenance::Title("3.4x lower latency than F-Ingress"),
+            points: &[
+                fig13_ratio("20 clients", &["F-Ingress", "20"], &["Palladium", "20"], "E2E latency (ms)", Below),
+                fig13_ratio("40 clients", &["F-Ingress", "40"], &["Palladium", "40"], "E2E latency (ms)", Below),
+                fig13_ratio("60 clients", &["F-Ingress", "60"], &["Palladium", "60"], "E2E latency (ms)", Below),
+                fig13_ratio("80 clients", &["F-Ingress", "80"], &["Palladium", "80"], "E2E latency (ms)", Below),
+                fig13_ratio("100 clients", &["F-Ingress", "100"], &["Palladium", "100"], "E2E latency (ms)", Below),
+            ],
+        },
+        Quote {
+            id: "fig13.palladium_rps_per_core",
+            paper: Paper::Point(250.0),
+            class: Class::Absolute("TcpCosts::for_kind(StackKind::FStack)"),
+            provenance: Provenance::Text("§4.1.3: ≈250 K rps per ingress core"),
+            points: &[value("60 clients", cell(FIG13, &["Palladium", "60"], "RPS (K)"), Below)],
+        },
+        Quote {
+            id: "fig15.t1_over_t2",
+            paper: Paper::Point(6.0),
+            class: Class::Ratio,
+            provenance: Provenance::Title("6:1:2 split"),
+            points: &[ratio(
+                "t=96 s, all three",
+                cell(FIG15_DWRR, &["96.0"], "T1 w=6 (K)"),
+                cell(FIG15_DWRR, &["96.0"], "T2 w=1 (K)"),
+                In,
+            )],
+        },
+        Quote {
+            id: "fig15.t3_over_t2",
+            paper: Paper::Point(2.0),
+            class: Class::Ratio,
+            provenance: Provenance::Title("6:1:2 split"),
+            points: &[ratio(
+                "t=96 s, all three",
+                cell(FIG15_DWRR, &["96.0"], "T3 w=2 (K)"),
+                cell(FIG15_DWRR, &["96.0"], "T2 w=1 (K)"),
+                Below,
+            )],
+        },
+        Quote {
+            id: "fig15.t1_alone_k",
+            paper: Paper::Point(115.0),
+            class: Class::Absolute("fairness::DNE_SERVICE"),
+            provenance: Provenance::Title("115->90/15K on T2 arrival"),
+            points: &[fig15_tenant("t=20 s, T1 alone", &["20.0"], "T1 w=6 (K)", In)],
+        },
+        Quote {
+            id: "fig15.t1_with_t2_k",
+            paper: Paper::Point(90.0),
+            class: Class::Absolute("fairness::DNE_SERVICE"),
+            provenance: Provenance::Title("115->90/15K on T2 arrival"),
+            points: &[fig15_tenant("t=24 s, T1+T2", &["24.0"], "T1 w=6 (K)", In)],
+        },
+        Quote {
+            id: "fig15.t2_with_t1_k",
+            paper: Paper::Point(15.0),
+            class: Class::Absolute("fairness::DNE_SERVICE"),
+            provenance: Provenance::Title("115->90/15K on T2 arrival"),
+            points: &[fig15_tenant("t=24 s, T1+T2", &["24.0"], "T2 w=1 (K)", In)],
+        },
+        Quote {
+            id: "fig15.t1_with_all_k",
+            paper: Paper::Point(65.0),
+            class: Class::Absolute("fairness::DNE_SERVICE"),
+            provenance: Provenance::Title("65/11/22K with all three"),
+            points: &[fig15_tenant("t=96 s, all three", &["96.0"], "T1 w=6 (K)", Above)],
+        },
+        Quote {
+            id: "fig15.t2_with_all_k",
+            paper: Paper::Point(11.0),
+            class: Class::Absolute("fairness::DNE_SERVICE"),
+            provenance: Provenance::Title("65/11/22K with all three"),
+            points: &[fig15_tenant("t=96 s, all three", &["96.0"], "T2 w=1 (K)", Above)],
+        },
+        Quote {
+            id: "fig15.t3_with_all_k",
+            paper: Paper::Point(22.0),
+            class: Class::Absolute("fairness::DNE_SERVICE"),
+            provenance: Provenance::Title("65/11/22K with all three"),
+            points: &[fig15_tenant("t=96 s, all three", &["96.0"], "T3 w=2 (K)", Below)],
+        },
+        Quote {
+            id: "fig16.dne_over_nightcore",
+            paper: Paper::Band(5.1, 20.9),
+            class: Class::Ratio,
+            provenance: Provenance::Title("DNE 5.1-20.9x NightCore"),
+            points: &[
+                dne_over("Home c=20", HOME, NIGHTCORE, "c=20", Below),
+                dne_over("Home c=40", HOME, NIGHTCORE, "c=40", In).reduced(Below),
+                dne_over("Home c=60", HOME, NIGHTCORE, "c=60", In),
+                dne_over("Home c=80", HOME, NIGHTCORE, "c=80", In),
+                dne_over("ViewCart c=20", VIEWCART, NIGHTCORE, "c=20", Below),
+                dne_over("ViewCart c=40", VIEWCART, NIGHTCORE, "c=40", In).reduced(Below),
+                dne_over("ViewCart c=60", VIEWCART, NIGHTCORE, "c=60", In),
+                dne_over("ViewCart c=80", VIEWCART, NIGHTCORE, "c=80", In),
+                dne_over("Product c=20", PRODUCT, NIGHTCORE, "c=20", Below),
+                dne_over("Product c=40", PRODUCT, NIGHTCORE, "c=40", In).reduced(Below),
+                dne_over("Product c=60", PRODUCT, NIGHTCORE, "c=60", In),
+                dne_over("Product c=80", PRODUCT, NIGHTCORE, "c=80", In),
+            ],
+        },
+        Quote {
+            id: "fig16.dne_over_fuyao_f",
+            paper: Paper::Band(2.1, 4.1),
+            class: Class::Ratio,
+            provenance: Provenance::Title("2.1-4.1x FUYAO-F"),
+            points: &[
+                dne_over("Home c=20", HOME, FUYAO_F, "c=20", Below),
+                dne_over("Home c=40", HOME, FUYAO_F, "c=40", Below),
+                dne_over("Home c=60", HOME, FUYAO_F, "c=60", Below),
+                dne_over("Home c=80", HOME, FUYAO_F, "c=80", Below),
+                dne_over("ViewCart c=20", VIEWCART, FUYAO_F, "c=20", Below),
+                dne_over("ViewCart c=40", VIEWCART, FUYAO_F, "c=40", Below),
+                dne_over("ViewCart c=60", VIEWCART, FUYAO_F, "c=60", Below),
+                dne_over("ViewCart c=80", VIEWCART, FUYAO_F, "c=80", Below),
+                dne_over("Product c=20", PRODUCT, FUYAO_F, "c=20", Below),
+                dne_over("Product c=40", PRODUCT, FUYAO_F, "c=40", Below),
+                dne_over("Product c=60", PRODUCT, FUYAO_F, "c=60", Below),
+                dne_over("Product c=80", PRODUCT, FUYAO_F, "c=80", Below),
+            ],
+        },
+        Quote {
+            id: "fig16.dne_over_spright",
+            paper: Paper::Band(2.4, 4.1),
+            class: Class::Ratio,
+            provenance: Provenance::Title("2.4-4.1x SPRIGHT"),
+            points: &[
+                dne_over("Home c=20", HOME, SPRIGHT, "c=20", Below),
+                dne_over("Home c=40", HOME, SPRIGHT, "c=40", Below),
+                dne_over("Home c=60", HOME, SPRIGHT, "c=60", Below),
+                dne_over("Home c=80", HOME, SPRIGHT, "c=80", Below),
+                dne_over("ViewCart c=20", VIEWCART, SPRIGHT, "c=20", Below),
+                dne_over("ViewCart c=40", VIEWCART, SPRIGHT, "c=40", Below),
+                dne_over("ViewCart c=60", VIEWCART, SPRIGHT, "c=60", Below),
+                dne_over("ViewCart c=80", VIEWCART, SPRIGHT, "c=80", Below),
+                dne_over("Product c=20", PRODUCT, SPRIGHT, "c=20", Below),
+                dne_over("Product c=40", PRODUCT, SPRIGHT, "c=40", Below),
+                dne_over("Product c=60", PRODUCT, SPRIGHT, "c=60", Below),
+                dne_over("Product c=80", PRODUCT, SPRIGHT, "c=80", Below),
+            ],
+        },
+        Quote {
+            id: "fig16.dne_over_cne",
+            paper: Paper::Band(1.3, 1.8),
+            class: Class::Ratio,
+            provenance: Provenance::Title("1.3-1.8x CNE"),
+            points: &[
+                dne_over("Home c=20", HOME, CNE, "c=20", In),
+                dne_over("Home c=40", HOME, CNE, "c=40", In),
+                dne_over("Home c=60", HOME, CNE, "c=60", Above),
+                dne_over("Home c=80", HOME, CNE, "c=80", Above),
+                dne_over("ViewCart c=20", VIEWCART, CNE, "c=20", In),
+                dne_over("ViewCart c=40", VIEWCART, CNE, "c=40", In),
+                dne_over("ViewCart c=60", VIEWCART, CNE, "c=60", Above),
+                dne_over("ViewCart c=80", VIEWCART, CNE, "c=80", Above),
+                dne_over("Product c=20", PRODUCT, CNE, "c=20", In),
+                dne_over("Product c=40", PRODUCT, CNE, "c=40", In),
+                dne_over("Product c=60", PRODUCT, CNE, "c=60", Above),
+                dne_over("Product c=80", PRODUCT, CNE, "c=80", Above),
+            ],
+        },
+        Quote {
+            id: "table2.home_dne_ms_20",
+            paper: Paper::Point(DNE_HOME_MS[0]),
+            class: Class::Absolute("CostModel::engine_tx"),
+            provenance: Provenance::Title("DNE 1.12/2.55/3.19"),
+            points: &[value("Home c=20", cell(TABLE2, DNE, "H20"), Below)],
+        },
+        Quote {
+            id: "table2.home_dne_ms_60",
+            paper: Paper::Point(DNE_HOME_MS[1]),
+            class: Class::Absolute("CostModel::engine_tx"),
+            provenance: Provenance::Title("DNE 1.12/2.55/3.19"),
+            points: &[value("Home c=60", cell(TABLE2, DNE, "H60"), Below)],
+        },
+        Quote {
+            id: "table2.home_dne_ms_80",
+            paper: Paper::Point(DNE_HOME_MS[2]),
+            class: Class::Absolute("CostModel::engine_tx"),
+            provenance: Provenance::Title("DNE 1.12/2.55/3.19"),
+            points: &[value("Home c=80", cell(TABLE2, DNE, "H80"), Below)],
+        },
+        Quote {
+            id: "table2.home_nightcore_ms_20",
+            paper: Paper::Point(NIGHTCORE_HOME_MS[0]),
+            class: Class::Absolute("CostModel::kernel_livelock_slope"),
+            provenance: Provenance::Title("NightCore 10.77/32.4/42.8"),
+            points: &[value("Home c=20", cell(TABLE2, NIGHTCORE, "H20"), Below)],
+        },
+        Quote {
+            id: "table2.home_nightcore_ms_60",
+            paper: Paper::Point(NIGHTCORE_HOME_MS[1]),
+            class: Class::Absolute("CostModel::kernel_livelock_slope"),
+            provenance: Provenance::Title("NightCore 10.77/32.4/42.8"),
+            points: &[value("Home c=60", cell(TABLE2, NIGHTCORE, "H60"), Below)],
+        },
+        Quote {
+            id: "table2.home_nightcore_ms_80",
+            paper: Paper::Point(NIGHTCORE_HOME_MS[2]),
+            class: Class::Absolute("CostModel::kernel_livelock_slope"),
+            provenance: Provenance::Title("NightCore 10.77/32.4/42.8"),
+            points: &[value("Home c=80", cell(TABLE2, NIGHTCORE, "H80"), Below)],
+        },
+        Quote {
+            id: "derived.home_dne_krps_20",
+            paper: Paper::Point(20.0 / DNE_HOME_MS[0]),
+            class: Class::Derived,
+            provenance: Provenance::Text(LITTLE),
+            points: &[value("Home c=20", cell(HOME, DNE, "c=20"), Above)],
+        },
+        Quote {
+            id: "derived.home_dne_krps_60",
+            paper: Paper::Point(60.0 / DNE_HOME_MS[1]),
+            class: Class::Derived,
+            provenance: Provenance::Text(LITTLE),
+            points: &[value("Home c=60", cell(HOME, DNE, "c=60"), Above)],
+        },
+        Quote {
+            id: "derived.home_dne_krps_80",
+            paper: Paper::Point(80.0 / DNE_HOME_MS[2]),
+            class: Class::Derived,
+            provenance: Provenance::Text(LITTLE),
+            points: &[value("Home c=80", cell(HOME, DNE, "c=80"), Above)],
+        },
+        Quote {
+            id: "derived.home_nightcore_krps_20",
+            paper: Paper::Point(20.0 / NIGHTCORE_HOME_MS[0]),
+            class: Class::Derived,
+            provenance: Provenance::Text(LITTLE),
+            points: &[value("Home c=20", cell(HOME, NIGHTCORE, "c=20"), Above)],
+        },
+        Quote {
+            id: "derived.home_nightcore_krps_60",
+            paper: Paper::Point(60.0 / NIGHTCORE_HOME_MS[1]),
+            class: Class::Derived,
+            provenance: Provenance::Text(LITTLE),
+            points: &[value("Home c=60", cell(HOME, NIGHTCORE, "c=60"), Above)],
+        },
+        Quote {
+            id: "derived.home_nightcore_krps_80",
+            paper: Paper::Point(80.0 / NIGHTCORE_HOME_MS[2]),
+            class: Class::Derived,
+            provenance: Provenance::Text(LITTLE),
+            points: &[value("Home c=80", cell(HOME, NIGHTCORE, "c=80"), Above)],
+        },
+    ]
+};
+
+/// The provenance of the derived rows.
+const LITTLE: &str = "X = N / R on the quoted Table 2 Home mean at the same N (closed loop, no think time)";
+
+/// A point's verdict, as one run computed it.
+#[derive(Clone, Copy, Debug)]
+pub struct Outcome {
+    /// The ledger row.
+    pub quote: &'static Quote,
+    /// Its load point.
+    pub point: &'static Point,
+    /// The model value (the cell, or the ratio of the two cells).
+    pub model: f64,
+    /// Where `model` sits against the quote.
+    pub verdict: Verdict,
+}
+
+/// Every ledger point with its model value and verdict, read from
+/// `tables` (those of [`quoted_artefacts`]). Errors on a cell `tables`
+/// lack, on a point whose value is not a finite number, and on a quote
+/// whose title words are missing from its table's title.
+pub fn check(tables: &[Table]) -> Result<Vec<Outcome>, String> {
+    let mut outcomes = Vec::new();
+    for quote in LEDGER {
+        for point in quote.points {
+            let table = point.num.table(tables)?;
+            if let Provenance::Title(words) = quote.provenance {
+                if !table.title.contains(words) {
+                    return Err(format!("{}: {words:?} is not in the title {:?}", quote.id, table.title));
+                }
+            }
+            let mut model = table.value(point.num.row, point.num.col)?;
+            if let Some(den) = point.den {
+                model /= den.read(tables)?;
+            }
+            let verdict = quote.paper.verdict(model).map_err(|e| format!("{} @ {}: {e}", quote.id, point.at))?;
+            outcomes.push(Outcome { quote, point, model, verdict });
+        }
+    }
+    Ok(outcomes)
+}
+
+/// `EXPERIMENTS.md`: one line per ledger point, then the count of ratio
+/// points in tolerance.
+pub fn ledger_markdown(outcomes: &[Outcome]) -> String {
+    let mut md = String::from(
+        "# Paper ledger\n\n\
+         Every number the paper quotes that a figure of this repo measures, one\n\
+         line per load point, at full scale. Written by\n\
+         `cargo run --release -p palladium-bench --bin paper_check`, which fails\n\
+         when a verdict moves; do not edit by hand. The ledger itself (paper\n\
+         values, load points, declared verdicts) is `LEDGER` in\n\
+         `crates/bench/src/experiments.rs`.\n\n\
+         A point quote is in tolerance within ±10 %; a band, edges included.\n\
+         *Error* is the model's relative distance from the paper's value, or\n\
+         from the band's nearer edge (0 inside it).\n\n\
+         | id | at | paper | model | error | class | verdict | source |\n\
+         |---|---|---|---|---|---|---|---|\n",
+    );
+    for o in outcomes {
+        let class = match o.quote.class {
+            Class::Ratio => "ratio".to_string(),
+            Class::Absolute(constant) => format!("absolute (`{constant}`)"),
+            Class::Derived => "derived".to_string(),
+        };
+        let source = match o.quote.provenance {
+            Provenance::Title(words) => format!("title: \"{words}\""),
+            Provenance::Text(text) => text.to_string(),
+        };
+        let error = match o.quote.paper.error(o.model) {
+            0.0 => "0".to_string(),
+            e => format!("{:+.1} %", e * 100.0),
+        };
+        md += &format!(
+            "| {} | {} | {} | {} | {error} | {class} | {:?} | {source} |\n",
+            o.quote.id,
+            o.point.at,
+            o.quote.paper,
+            sig3(o.model),
+            o.verdict,
+        );
+    }
+    let ratios: Vec<&Outcome> = outcomes.iter().filter(|o| matches!(o.quote.class, Class::Ratio)).collect();
+    let in_band = ratios.iter().filter(|o| o.verdict == Verdict::In).count();
+    md += &format!("\n{in_band} of {} ratio rows in tolerance\n", ratios.len());
+    md
+}
+
+/// `v` to three significant digits (for |v| ≥ 0.1).
+fn sig3(v: f64) -> String {
+    match v.abs() {
+        a if a >= 100.0 => format!("{v:.0}"),
+        a if a >= 10.0 => format!("{v:.1}"),
+        a if a >= 1.0 => format!("{v:.2}"),
+        _ => format!("{v:.3}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const TINY: Scale = Scale(0.12);
 
     #[test]
     fn table_display_is_the_figure_format() {
         let t = Table::new(
             "t",
-            &["a", "b"],
-            vec![vec!["1".into(), "2".into()], vec!["33".into(), "4".into()]],
+            &["a", "b", "ms"],
+            vec![
+                vec![text("1"), text("2"), Cell::Num(3_600e-6, 3)],
+                vec![text("33"), Cell::Num(4.0, 0), Cell::Num(31_000e-6, 3)],
+            ],
         );
-        assert_eq!(t.to_string(), "\n== t ==\n a  b\n 1  2\n33  4\n");
+        assert_eq!(t.to_string(), "\n== t ==\n a  b     ms\n 1  2  0.004\n33  4  0.031\n");
+        // A lookup reads the run's value, not the printed one.
+        assert_eq!(t.value(&["1"], "ms"), Ok(3_600e-6));
+        assert!(t.value(&["1"], "a").is_err(), "a text cell is not a number");
+        assert!(t.value(&["9"], "ms").is_err());
     }
 
     #[test]
     #[should_panic(expected = "does not match the headers")]
     fn ragged_row_is_rejected() {
-        Table::new("t", &["a", "b"], vec![vec!["1".into()]]);
+        Table::new("t", &["a", "b"], vec![vec![text("1")]]);
+    }
+
+    #[test]
+    fn verdict_includes_both_band_edges() {
+        let band = Paper::Band(2.7, 3.8);
+        assert_eq!(band.verdict(2.7), Ok(Verdict::In));
+        assert_eq!(band.verdict(3.8), Ok(Verdict::In));
+        assert_eq!(band.verdict(2.69), Ok(Verdict::Below));
+        assert_eq!(band.verdict(3.81), Ok(Verdict::Above));
+        let point = Paper::Point(10.0);
+        assert_eq!(point.verdict(9.0), Ok(Verdict::In));
+        assert_eq!(point.verdict(11.0), Ok(Verdict::In));
+        assert_eq!(point.verdict(8.9), Ok(Verdict::Below));
+        assert_eq!(Paper::Band(8.0, f64::INFINITY).verdict(1e9), Ok(Verdict::In));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(band.verdict(bad).is_err(), "{bad} has no verdict");
+        }
+    }
+
+    fn paper(id: &str) -> f64 {
+        match LEDGER.iter().find(|q| q.id == id).expect("ledger id").paper {
+            Paper::Point(p) => p,
+            Paper::Band(..) => panic!("{id} is a band"),
+        }
+    }
+
+    #[test]
+    fn derived_rows_are_table2_through_n_equals_x_r() {
+        // X = N / R: clients over mean latency (ms) is K rps.
+        let rows = [
+            ("derived.home_dne_krps_20", 17.9),
+            ("derived.home_dne_krps_60", 23.5),
+            ("derived.home_dne_krps_80", 25.1),
+            ("derived.home_nightcore_krps_20", 1.86),
+            ("derived.home_nightcore_krps_60", 1.85),
+            ("derived.home_nightcore_krps_80", 1.87),
+        ];
+        for (id, want) in rows {
+            assert_eq!(sig3(paper(id)), want.to_string(), "{id}");
+        }
+        // Table 2's own DNE ÷ NightCore sits inside Fig 16's quoted band.
+        let Paper::Band(lo, hi) = LEDGER.iter().find(|q| q.id == "fig16.dne_over_nightcore").unwrap().paper
+        else {
+            panic!("a band")
+        };
+        for (c, want) in [(20, "9.6"), (60, "12.7"), (80, "13.4")] {
+            let r = paper(&format!("table2.home_nightcore_ms_{c}")) / paper(&format!("table2.home_dne_ms_{c}"));
+            assert_eq!(format!("{r:.1}"), want);
+            assert!((lo..=hi).contains(&r), "{r:.1} in {lo}-{hi}");
+        }
+    }
+
+    #[test]
+    fn ledger_ids_are_unique_and_title_rows_write_their_numbers() {
+        let mut ids: Vec<&str> = LEDGER.iter().map(|q| q.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), LEDGER.len(), "duplicate ledger id");
+        // A title row's paper value is written in its title words, which
+        // `check` finds in the title, so the two cannot drift apart. Two
+        // rows restate their words: a percentage gain and an ordering.
+        for q in LEDGER {
+            let Provenance::Title(words) = q.provenance else { continue };
+            if ["fig11.off_over_on_rps", "fig12.two_sided_bw_highest"].contains(&q.id) {
+                continue;
+            }
+            let numbers = match q.paper {
+                Paper::Point(p) => vec![p],
+                Paper::Band(lo, hi) => vec![lo, hi],
+            };
+            for n in numbers.into_iter().filter(|n| n.is_finite()) {
+                assert!(words.contains(&n.to_string()), "{}: {n} is not in {words:?}", q.id);
+            }
+        }
     }
 
     #[test]
     fn fig09_rows_shape() {
-        let [t] = &fig09(TINY)[..] else { panic!("one table") };
+        let [t] = &fig09(Scale::REDUCED)[..] else { panic!("one table") };
         assert_eq!(t.rows.len(), 3 * 6);
     }
 
     #[test]
     fn fig12_rows_shape() {
-        let [t] = &fig12(TINY)[..] else { panic!("one table") };
+        let [t] = &fig12(Scale::REDUCED)[..] else { panic!("one table") };
         assert_eq!(t.rows.len(), 6);
         assert_eq!(t.headers.len(), 1 + 2 * 4);
     }
@@ -463,13 +1341,13 @@ mod tests {
     fn table1_matches_paper() {
         let [t] = &table1()[..] else { panic!("one table") };
         // Palladium: all capabilities; NightCore: none.
-        assert_eq!(t.rows[3][1..], ["Y", "Y", "Y", "Y"].map(String::from));
-        assert_eq!(t.rows[0][1..], ["x", "x", "x", "x"].map(String::from));
+        assert_eq!(t.rows[3][1..], ["Y", "Y", "Y", "Y"].map(text));
+        assert_eq!(t.rows[0][1..], ["x", "x", "x", "x"].map(text));
     }
 
     #[test]
     fn boutique_quick_run_sane() {
-        let r = boutique_run(SystemKind::PalladiumDne, ChainKind::HomeQuery, 20, TINY);
+        let r = boutique_run(SystemKind::PalladiumDne, ChainKind::HomeQuery, 20, Scale::REDUCED);
         assert!(r.rps > 1_000.0, "rps {}", r.rps);
         assert_eq!(r.software_copy_bytes, 0);
     }

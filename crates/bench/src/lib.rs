@@ -8,10 +8,12 @@
 //! exactly what the nine per-artefact binaries print, in README order.
 //!
 //! Absolute numbers come from the calibrated simulation (the constants in
-//! `RdmaConfig`, `CostModel` and the substrates' cost tables); nothing yet
-//! checks paper against measured per artefact (ROADMAP item 1). The
-//! *shapes* — who wins, by what factor, where the crossovers sit — are
-//! asserted by the test suite.
+//! `RdmaConfig`, `CostModel` and the substrates' cost tables). Every
+//! number the paper quotes is one row of [`LEDGER`], beside the artefacts,
+//! with the verdict (below, in or above the paper's band) the model gives
+//! at each load point. The `paper_check` binary checks them at full scale
+//! and writes `EXPERIMENTS.md`; `tests/figure_shapes.rs` checks them at
+//! [`Scale::REDUCED`].
 
 // No library crate in the workspace uses `unsafe`: every crate root
 // forbids it, and `cargo test` checks that each one does.
@@ -23,7 +25,8 @@ pub mod experiments;
 
 pub use experiments::*;
 
-/// The command line of the `BENCH_*.json` writers: `[--out PATH]` (else
+/// The command line of the binaries that write a committed file
+/// (`BENCH_*.json`, `EXPERIMENTS.md`): `[--out PATH]` (else
 /// `default`) and `--help`. Anything else — an unknown flag, `--out` with
 /// no value — prints the usage line and is `Err(FAILURE)`; the caller
 /// returns the code.

@@ -513,8 +513,9 @@ mod tests {
         let ratio = cne_unloaded.as_nanos() as f64 / dne_op.as_nanos() as f64;
         assert!((0.8..1.4).contains(&ratio), "unloaded ratio {ratio}");
         // Heavily backlogged: CNE per-op must clearly exceed DNE per-op
-        // (this is what throttles the CNE at high concurrency, §4.3 — the
-        // end-to-end crossover lands at the paper's 1.3-1.8x band).
+        // (this is what throttles the CNE at high concurrency, §4.3; where
+        // the end-to-end DNE ÷ CNE ratio lands against the paper's band is
+        // ledger row `fig16.dne_over_cne`).
         let cne_loaded = cost.engine_tx + cost.cne_overhead(40);
         assert!(
             cne_loaded > dne_op + Nanos::from_nanos(800),

@@ -146,7 +146,12 @@ summed_report! {
         /// Requests not ended before warm-up: every arrival, minus those
         /// that completed or exhausted their retries before it.
         pub offered: u64,
-        /// Requests admitted to the data plane inside the window.
+        /// Admission *events* inside the window, counted at the admission
+        /// instant — not on the end-instant convention `offered` and
+        /// `goodput` share. A request admitted before warm-up that
+        /// completes after it counts in `goodput` only, so `admitted <
+        /// goodput` is expected: `flash_autoscale` and the three lowest
+        /// `load_sweep` rows of `BENCH_slo.json` read so.
         pub admitted: u64,
         /// Completions within their deadline (the goodput numerator).
         pub goodput: u64,

@@ -1,10 +1,12 @@
 //! IPC cost models — the per-operation prices drivers charge to cores.
 //!
-//! All values are calibrated so the reproduction lands on the paper's
-//! comparative results (Fig 9: Comch-P ≈ 8× faster than TCP at low
-//! concurrency but collapsing past its knee; Comch-E 2.7–3.8× faster than
-//! TCP with stable scaling; §4.3: SK_MSG's interrupt-driven receive
-//! throttling the CPU-resident CNE at high concurrency).
+//! All values are calibrated against the paper's comparative results
+//! (Fig 9: Comch-P ≈ 8× faster than TCP at low concurrency but collapsing
+//! past its knee; Comch-E 2.7–3.8× faster than TCP with stable scaling;
+//! §4.3: SK_MSG's interrupt-driven receive throttling the CPU-resident CNE
+//! at high concurrency). Where the model lands against each is ledger rows
+//! `fig09.comch_p_over_tcp`, `fig09.comch_e_over_tcp` and
+//! `fig16.dne_over_cne`.
 
 // A cost-model funnel: a bare truncating cast here corrupts virtual time,
 // so conversions saturate (`Nanos::from_f64_saturating`, checked ops).

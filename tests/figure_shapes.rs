@@ -1,92 +1,85 @@
-//! The headline comparative claims of every figure, asserted end-to-end at
-//! reduced scale (the `fig*`/`table*` binaries print the full-scale numbers).
+//! The paper ledger at reduced scale. Every artefact the ledger reads runs
+//! at `Scale::REDUCED` through the same functions the figure binaries
+//! print, and every ledger point must give the verdict the ledger declares
+//! for that scale (`paper_check` holds the full-scale ones). Figs 9, 11,
+//! 12 and 13 have a test each over their own ledger rows; one test covers
+//! the whole ledger. Beside them, the orderings no quoted number implies.
 
-use palladium::core::driver::chain::ChainSim;
-use palladium::core::driver::channel::{ChannelSim, ChannelSimConfig};
-use palladium::core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
-use palladium::core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
-use palladium::core::system::{IngressKind, SystemKind};
-use palladium::ipc::ChannelKind;
-use palladium::simnet::Nanos;
-use palladium::workloads::boutique::{self, ChainKind};
+use std::sync::OnceLock;
+
+use palladium_bench::{check, quoted_artefacts, CellRef, Scale, Table};
+
+/// One reduced-scale run of every quoted artefact, shared by the tests.
+fn tables() -> &'static [Table] {
+    static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
+    TABLES.get_or_init(|| quoted_artefacts(Scale::REDUCED))
+}
+
+/// Asserts that every ledger point whose id starts with `prefix` gives its
+/// declared reduced-scale verdict, and that there is at least one.
+fn assert_verdicts_hold(prefix: &str) {
+    let outcomes = check(tables()).expect("every ledger point reads a finite value");
+    let ours: Vec<_> = outcomes.iter().filter(|o| o.quote.id.starts_with(prefix)).collect();
+    assert!(!ours.is_empty(), "no ledger row starts with {prefix:?}");
+    let moved: Vec<String> = ours
+        .iter()
+        .filter(|o| o.verdict != o.point.declared(Scale::REDUCED))
+        .map(|o| {
+            format!(
+                "{} @ {}: model {:.4} is {:?}, declared {:?}",
+                o.quote.id,
+                o.point.at,
+                o.model,
+                o.verdict,
+                o.point.declared(Scale::REDUCED)
+            )
+        })
+        .collect();
+    assert!(moved.is_empty(), "verdicts moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn ledger_verdicts_hold_at_reduced_scale() {
+    assert_verdicts_hold("");
+}
 
 #[test]
 fn fig09_shape_comch_e_is_the_practical_choice() {
-    let run = |kind, fns| {
-        let mut cfg = ChannelSimConfig::new(kind, fns);
-        cfg.duration = Nanos::from_millis(30);
-        cfg.warmup = Nanos::from_millis(5);
-        ChannelSim::new(cfg).run()
-    };
-    // Low concurrency: P < E < TCP on latency.
-    let p1 = run(ChannelKind::ComchP, 1);
-    let e1 = run(ChannelKind::ComchE, 1);
-    let t1 = run(ChannelKind::Tcp, 1);
-    assert!(p1.mean_latency < e1.mean_latency && e1.mean_latency < t1.mean_latency);
-    // High concurrency: E sustains, P collapses below E.
-    let p60 = run(ChannelKind::ComchP, 60);
-    let e60 = run(ChannelKind::ComchE, 60);
-    assert!(e60.rps > p60.rps, "Comch-E {} > Comch-P {}", e60.rps, p60.rps);
+    assert_verdicts_hold("fig09.");
 }
 
 #[test]
 fn fig11_shape_offpath_wins_under_load() {
-    let mut cfg = EchoConfig::new(1024).connections(40);
-    cfg.duration = Nanos::from_millis(25);
-    cfg.warmup = Nanos::from_millis(5);
-    let off = EchoSim::new(cfg).run_path_mode(PathMode::OffPath);
-    let on = EchoSim::new(cfg).run_path_mode(PathMode::OnPath);
-    assert!(off.rps > on.rps * 1.1);
+    assert_verdicts_hold("fig11.");
 }
 
 #[test]
 fn fig12_shape_two_sided_fastest() {
-    let mut cfg = EchoConfig::new(4096);
-    cfg.duration = Nanos::from_millis(25);
-    cfg.warmup = Nanos::from_millis(5);
-    let sim = EchoSim::new(cfg);
-    let ts = sim.run_primitive(Primitive::TwoSided).mean_latency;
-    let ob = sim.run_primitive(Primitive::OwrcBest).mean_latency;
-    let ow = sim.run_primitive(Primitive::OwrcWorst).mean_latency;
-    let od = sim.run_primitive(Primitive::Owdl).mean_latency;
-    assert!(ts < ob && ob < ow && ow < od, "{ts} {ob} {ow} {od}");
+    assert_verdicts_hold("fig12.");
 }
 
 #[test]
 fn fig13_shape_early_conversion_wins() {
-    let run = |kind| {
-        let mut cfg = IngressSimConfig::fig13(kind, 60);
-        cfg.duration = Nanos::from_millis(120);
-        cfg.warmup = Nanos::from_millis(30);
-        IngressSim::new(cfg).sweep()
-    };
-    let p = run(IngressKind::Palladium);
-    let f = run(IngressKind::FStackDeferred);
-    let k = run(IngressKind::KernelDeferred);
-    assert!(p.rps > f.rps * 2.0, "paper: 3.2x");
-    assert!(p.rps > k.rps * 5.0, "paper: 11.4x");
+    assert_verdicts_hold("fig13.");
 }
 
 #[test]
-fn fig16_shape_system_ordering() {
-    let run = |system| {
-        ChainSim::new(
-            boutique::config(system, ChainKind::ProductQuery)
-                .clients(40)
-                .warmup_ms(30)
-                .duration_ms(120),
-        )
-        .run()
-    };
-    let dne = run(SystemKind::PalladiumDne);
-    let cne = run(SystemKind::PalladiumCne);
-    let spright = run(SystemKind::Spright);
-    let nightcore = run(SystemKind::NightCore);
-    assert!(dne.rps >= cne.rps * 0.95, "DNE ≥ CNE at 40 clients");
-    assert!(cne.rps > spright.rps, "both Palladium variants beat SPRIGHT");
-    assert!(
-        dne.rps / nightcore.rps > 3.0,
-        "paper: 5.1-20.9x over NightCore; got {:.1}x",
-        dne.rps / nightcore.rps
-    );
+fn orderings_no_quote_implies() {
+    let read = |table, row, col| CellRef { table, row, col }.read(tables()).unwrap();
+    // Fig 9, one function: Comch-P < Comch-E < TCP on latency.
+    let lat = |channel| read("Fig 9 —", channel, "RT latency (ms)");
+    let (p, e, t) = (lat(&["ComchP", "1"]), lat(&["ComchE", "1"]), lat(&["Tcp", "1"]));
+    assert!(p < e && e < t, "Comch-P {p} < Comch-E {e} < TCP {t}");
+    // Fig 9, 60 functions: Comch-E sustains its rate, Comch-P falls below it.
+    let rps = |channel| read("Fig 9 —", channel, "RPS (x1M)");
+    let (e60, p60) = (rps(&["ComchE", "60"]), rps(&["ComchP", "60"]));
+    assert!(e60 > p60, "Comch-E {e60} > Comch-P {p60} at 60 fns");
+    // Fig 12, 4 KB: a cache-hot receiver copy beats a cold one.
+    let best = read("Fig 12 —", &["4096"], "OWRC-B µs");
+    let worst = read("Fig 12 —", &["4096"], "OWRC-W µs");
+    assert!(best < worst, "OWRC-B {best} < OWRC-W {worst}");
+    // Fig 16, Product Query at 40 clients: the CNE still beats SPRIGHT.
+    let rps = |system| read("Fig 16 — Product Query RPS", system, "c=40");
+    let (cne, spright) = (rps(&["Palladium (CNE)"]), rps(&["SPRIGHT"]));
+    assert!(cne > spright, "CNE {cne} > SPRIGHT {spright}");
 }

@@ -111,6 +111,7 @@ use baselines::{Hop, HostEv, HostPlane};
 use health::{IngressChaos, PairView};
 use overload::IngressOverload;
 use report::ShedCause;
+use requests::{ClosedLedger, ReqState, Requests};
 
 mod baselines;
 mod build;
@@ -118,6 +119,7 @@ mod config;
 mod health;
 mod overload;
 mod report;
+mod requests;
 #[cfg(test)]
 mod testkit;
 
@@ -222,8 +224,13 @@ pub(crate) enum Ev {
     Host(HostEv),
 }
 
-/// Where a request is in its life at the ingress. Only the three
-/// transitions on [`IngressState`] move it: `admit`, `abandon`, `retire`.
+// The event queue holds one of these per pending event: what a retired
+// request's late events read stays in the request table, not in them.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 88);
+
+/// Where a live request is in its life at the ingress. Only the three
+/// transitions on [`IngressState`] move it: `admit`, `abandon`, and
+/// `retire`, which frees its record ([`requests`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     /// Open loop only: queued for admission, or backing off before a retry.
@@ -231,8 +238,6 @@ enum Phase {
     /// Its current attempt is in the data plane, holding an in-flight window
     /// slot on open-loop runs. A closed-loop request is born here.
     InFlight,
-    /// Retired; never left.
-    Done,
 }
 
 /// How a request ends: the argument of [`IngressState::retire`].
@@ -248,45 +253,6 @@ enum Terminal {
     Lost,
 }
 
-/// One record per request ever issued, so it stays small: a closed-loop
-/// run's memory is this table (the open-loop admission stamps live beside
-/// it in [`IngressOverload`]).
-///
-/// A retired record is still read by events scheduled before its request
-/// ended: a stale [`Ev::GwIn`] reads `pair` (and `phase`, if its send
-/// fails), a response reaching the ingress reads `pair` and `client` to
-/// start the outbound leg, and [`Ev::GwOut`] reads `phase` to drop the
-/// answer. ([`Ev::Retry`] never finds one: a backing-off request is not
-/// retired before its retry fires.) Freeing a record must wait for those
-/// events, or have them carry what they read.
-struct ReqState {
-    /// Closed-loop client, or open-loop function id (`validate` bounds both
-    /// to 32 bits).
-    client: u32,
-    /// Arrival at the ingress; an open-loop request's deadline is this plus
-    /// [`OverloadConfig::deadline`].
-    issued: Nanos,
-    /// Attempts started (1 on arrival; retries increment).
-    attempts: u32,
-    /// Worker pair serving this request (usually `req % pairs`; a
-    /// surviving pair under failover). 16 bits, like the payload word's
-    /// pair field.
-    pair: u16,
-    phase: Phase,
-}
-
-// `reqs` grows by one record per request ever issued.
-const _: () = assert!(std::mem::size_of::<ReqState>() <= 24);
-
-impl ReqState {
-    /// A request `client` issues at `now` in `phase`, not yet placed on a
-    /// pair.
-    fn new(client: usize, now: Nanos, phase: Phase) -> Self {
-        let client = client as u32; // `validate` bounds clients and populations
-        ReqState { client, issued: now, attempts: 1, pair: 0, phase }
-    }
-}
-
 /// State owned by the shard carrying the ingress node.
 struct IngressState {
     gw: IngressGateway,
@@ -294,11 +260,11 @@ struct IngressState {
     conns: ConnPool,
     /// TX buffers awaiting send completions (slab-keyed WR ids).
     tx: Slab<BufToken>,
-    /// Every request ever issued, indexed by request id. Never windowed or
-    /// recycled: `req % pairs` drives placement, and stale events read
-    /// retired records (which ones, and what they read: [`ReqState`]), so
-    /// trimming it would change results.
-    reqs: Vec<ReqState>,
+    /// The live requests by id, and the tombstones of retired ones whose
+    /// abandoned attempts may still answer ([`requests`]).
+    reqs: Requests,
+    /// The closed loop's issued and lost counts, checked at the fold.
+    closed: ClosedLedger,
     stats: RunStats,
     /// Client ↔ gateway wire time.
     client_wire: Nanos,
@@ -316,7 +282,7 @@ impl IngressState {
     /// Hand `leg` of request `req`, served by `pair`, to the gateway worker
     /// of the request's client at `at`, and schedule its completion.
     fn submit(&mut self, at: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize, leg: Leg) {
-        let client = self.reqs[req as usize].client as usize;
+        let (client, _) = self.reqs.placement(req);
         let (req_bytes, resp_bytes) = self.leg_bytes[pair];
         let (worker, done) = self.gw.submit(at, client, leg, req_bytes, resp_bytes);
         let ev = match leg {
@@ -329,7 +295,7 @@ impl IngressState {
     /// Place request `req` on `pair` and start it: the inbound leg, one
     /// client wire from `now`.
     fn start_on(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize) {
-        self.reqs[req as usize].pair = pair as u16;
+        self.reqs.live_mut(req).pair = pair as u16;
         self.submit(now + self.client_wire, fx, req, pair, Leg::Inbound);
     }
 
@@ -343,37 +309,40 @@ impl IngressState {
     }
 
     /// `Waiting` → `InFlight` (open loop): admit `req` to the data plane on
-    /// `pair`, taking an in-flight window slot stamped `now`, and start its
-    /// inbound leg.
+    /// `pair` at `now` (its admission stamp), taking an in-flight window
+    /// slot, and start its inbound leg.
     fn admit(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize) {
-        let st = &mut self.reqs[req as usize];
+        let st = self.reqs.live_mut(req);
         debug_assert_eq!(st.phase, Phase::Waiting, "admitting request {req}");
         st.phase = Phase::InFlight;
-        self.overload.as_mut().expect("overload mode").admit(now, req);
+        st.admitted = now;
+        self.overload.as_mut().expect("overload mode").admit(now);
         self.start_on(now, fx, req, pair);
     }
 
-    /// `InFlight` → `Waiting`: `req`'s attempt died in the data plane. On
+    /// `InFlight` → `Waiting`: `req`'s attempt died in the data plane, and
+    /// its frames may still answer (the request is now orphaned). On
     /// open-loop runs this frees its window slot and charges its pair's
     /// breaker.
     fn abandon(&mut self, now: Nanos, req: u64) {
-        let st = &mut self.reqs[req as usize];
+        let st = self.reqs.live_mut(req);
         debug_assert_eq!(st.phase, Phase::InFlight, "abandoning request {req}");
         st.phase = Phase::Waiting;
+        st.orphaned = true;
         if let Some(ov) = self.overload.as_mut() {
             ov.abandon(now, st.pair as usize);
         }
     }
 
-    /// → `Done`: `req` ends as `end` at `at` (a completion at its client
-    /// finish time). The only way a request ends: it frees the window slot
-    /// iff the request was in flight, and it is where the open-loop ledger
-    /// counts the end.
+    /// → retired: `req` ends as `end` at `at` (a completion at its client
+    /// finish time). The only way a request ends: it frees the record (and
+    /// the window slot iff the request was in flight), and it is where
+    /// both loops' ledgers count the end.
     fn retire(&mut self, at: Nanos, req: u64, end: Terminal) {
-        let was = std::mem::replace(&mut self.reqs[req as usize].phase, Phase::Done);
-        debug_assert_ne!(was, Phase::Done, "request {req} retired twice");
-        if let Some(ov) = self.overload.as_mut() {
-            ov.retire(at, was == Phase::InFlight, end);
+        let st = self.reqs.free(req);
+        match self.overload.as_mut() {
+            Some(ov) => ov.retire(at, st.phase == Phase::InFlight, end),
+            None => self.closed.retire(at, end),
         }
     }
 
@@ -381,11 +350,11 @@ impl IngressState {
     /// wire later. A response for a request not in flight answers an
     /// attempt already abandoned or retired, and is dropped.
     fn complete(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64) {
-        let st = &self.reqs[req as usize];
-        if st.phase != Phase::InFlight {
+        let Some(st) = self.reqs.get(req).filter(|st| st.phase == Phase::InFlight) else {
             return;
-        }
-        let (issued, client, pair) = (st.issued, st.client as usize, st.pair as usize);
+        };
+        let (issued, admitted) = (st.issued, st.admitted);
+        let (client, pair) = (st.client as usize, st.pair as usize);
         let finish = now + self.client_wire;
         self.retire(finish, req, Terminal::Completed);
         self.stats.complete(finish, issued);
@@ -397,7 +366,7 @@ impl IngressState {
         match self.overload.as_mut() {
             // Open loop: refill the window from the queue; never re-issue.
             Some(ov) => {
-                ov.complete(now, req, pair, issued, finish);
+                ov.complete(now, admitted, pair, issued, finish);
                 self.drain_queue(now, fx);
             }
             None => fx.at(finish, Ev::Issue { client }),
@@ -767,8 +736,8 @@ impl ShardEngine for ClusterShard {
             Ev::Issue { client } => {
                 let pairs = self.chains.len();
                 let ing = self.ingress.as_mut().expect("issue on ingress shard");
-                let req = ing.reqs.len() as u64;
-                ing.reqs.push(ReqState::new(client, now, Phase::InFlight));
+                let req = ing.reqs.push(ReqState::new(client, now, Phase::InFlight));
+                ing.closed.issued += 1;
                 // The preferred pair `req % pairs` unless the health plane
                 // says otherwise; when nothing qualifies the request rides
                 // the transport's retry machinery on the preferred pair.
@@ -779,7 +748,7 @@ impl ShardEngine for ClusterShard {
             Ev::GwIn { req, worker } => {
                 let ing = self.ingress.as_mut().expect("ingress shard");
                 ing.gw.leg_done(worker);
-                let pair = ing.reqs[req as usize].pair as usize;
+                let (_, pair) = ing.reqs.placement(req);
                 let (entry, bytes) = (self.chains[pair].entry, self.chains[pair].req_bytes);
                 let entry_node = self.node_of(entry);
                 // The word encodes hop 0.

@@ -341,7 +341,7 @@ impl ClusterShard {
             HostEv::RespTcpTx { req } => {
                 // Response reached the ingress over TCP: outbound leg.
                 let ing = self.ingress.as_mut().expect("ingress shard");
-                let pair = ing.reqs[req as usize].pair as usize;
+                let (_, pair) = ing.reqs.placement(req);
                 ing.submit(now + TcpCosts::INTER_NODE_WIRE, fx, req, pair, Leg::Outbound);
             }
             HostEv::EngineRelease { n } => self.engine_done(n),

@@ -7,15 +7,16 @@ use palladium_ipc::{ChannelCosts, ChannelKind, SkMsgCosts};
 use palladium_membuf::{CopyMeter, MmapExporter, NodeId, PayloadCache, PoolId, Region, UnifiedPool};
 use palladium_rdma::{RdmaConfig, RdmaNet, Step};
 use palladium_simnet::{
-    run_sharded, Execution, IdTable, Nanos, Partition, RunStats, ServerBank, ShardConfig, Slab,
+    run_sharded, Execution, IdTable, Nanos, Partition, RunStats, ServerBank, ShardConfig, ShardRun,
+    Slab,
 };
 
 use super::baselines::HostPlane;
 use super::health::{IngressChaos, HEARTBEAT_PERIOD};
 use super::overload::IngressOverload;
 use super::{
-    ChaosReport, ClusterShard, ClusterShardedConfig, ClusterShardedReport, Ev, IngressState,
-    BUF_SIZE, TENANT,
+    ChaosReport, ClosedLedger, ClusterShard, ClusterShardedConfig, ClusterShardedReport, Ev,
+    IngressState, Requests, BUF_SIZE, TENANT,
 };
 use crate::config::{CostModel, EngineLocation};
 use crate::connpool::{ConnPool, ConnPoolConfig};
@@ -112,6 +113,16 @@ impl ClusterShardedSim {
     }
 
     fn run_on(&self, shards: usize, execution: Execution, direct: bool) -> ClusterShardedReport {
+        self.fold(shards, self.simulate(shards, execution, direct))
+    }
+
+    /// Build the shards and run them: the run, with every shard as it ended.
+    pub(super) fn simulate(
+        &self,
+        shards: usize,
+        execution: Execution,
+        direct: bool,
+    ) -> ShardRun<ClusterShard> {
         let cfg = &self.cfg;
         let n_nodes = self.nodes();
         let ingress_node = 2 * cfg.pairs;
@@ -257,7 +268,8 @@ impl ClusterShardedSim {
             rbr: RbrTable::new(),
             conns: ingress_conns,
             tx: Slab::new(),
-            reqs: Vec::new(),
+            reqs: Requests::new(),
+            closed: ClosedLedger::new(cfg.warmup),
             stats: RunStats::new(cfg.warmup),
             client_wire: cost.client_wire,
             leg_bytes: cfg
@@ -353,7 +365,7 @@ impl ClusterShardedSim {
         let clients = cfg.clients;
         let ingress_shard = part.shard_of(ingress_node);
         let chaos_on = chaos.is_some();
-        let run = run_sharded(
+        run_sharded(
             &scfg,
             engines,
             |s, h| {
@@ -387,10 +399,19 @@ impl ClusterShardedSim {
                 }
             },
             horizon,
-        );
+        )
+    }
 
-        // Fold the report in global node order (identical floats at every
-        // shard count).
+    /// Fold the report of a run over `shards` shards in global node order
+    /// (identical floats at every shard count).
+    fn fold(&self, shards: usize, run: ShardRun<ClusterShard>) -> ClusterShardedReport {
+        let cfg = &self.cfg;
+        let n_nodes = self.nodes();
+        let ingress_node = 2 * cfg.pairs;
+        let part = Partition::new(n_nodes, shards);
+        let spec = cfg.system.spec();
+        let horizon = cfg.warmup + cfg.duration;
+        let ingress_shard = part.shard_of(ingress_node);
         let mut engines = run.engines;
         let mut worker_meter = CopyMeter::new();
         let mut cpu_pct = 0.0;

@@ -60,7 +60,7 @@ use palladium_membuf::NodeId;
 use palladium_rdma::Packet;
 use palladium_simnet::{Effects, HealthMonitor, Histogram, Nanos, Outbox, Suspicion, WorkerState};
 
-use super::{ChaosReport, ClusterShard, Ev, IngressState, Phase, Terminal};
+use super::{ChaosReport, ClusterShard, Ev, IngressState, Phase, ReqState, Terminal};
 
 /// Worker → ingress heartbeat probe period, which is also the health
 /// sweep's period.
@@ -294,9 +294,9 @@ impl IngressState {
     /// node is abandoned: the closed loop retires it as lost and re-issues
     /// its client against a surviving pair; the open loop hands it to the
     /// retry budget (abandoning charged the pair's breaker). Queued and
-    /// backing-off requests have no live attempt to lose. Scanning `reqs`
-    /// in index order keeps the accounting (and the retry schedule)
-    /// deterministic.
+    /// backing-off requests have no live attempt to lose. Each scan walks
+    /// the live requests in id order, which keeps the accounting (and the
+    /// retry schedule) deterministic and costs O(live requests).
     fn health_check(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>) {
         let cx = self.chaos.as_mut().expect("chaos run");
         let mut newly = std::mem::take(&mut cx.newly);
@@ -308,23 +308,22 @@ impl IngressState {
         for &s in &newly {
             let pair = s.node / 2;
             self.chaos.as_mut().expect("chaos run").suspect(now, s, &mut self.counts);
-            for req in 0..self.reqs.len() {
-                let st = &self.reqs[req];
-                if st.pair as usize != pair || st.phase != Phase::InFlight {
-                    continue;
-                }
+            let swept = lost.len();
+            let on_pair = |st: &ReqState| st.pair as usize == pair && st.phase == Phase::InFlight;
+            lost.extend(self.reqs.iter().filter(|(_, st)| on_pair(st)).map(|(req, _)| req));
+            for &req in &lost[swept..] {
                 self.counts.inflight_lost += 1;
                 self.chaos.as_mut().expect("chaos run").observe_loss(pair);
-                self.abandon(now, req as u64);
-                lost.push(req as u64);
+                self.abandon(now, req);
             }
         }
         for &req in &lost {
             if self.overload.is_some() {
                 self.fail_or_retry(now, fx, req);
             } else {
+                let client = self.reqs.live(req).client as usize;
                 self.retire(now, req, Terminal::Lost);
-                fx.at(now, Ev::Issue { client: self.reqs[req as usize].client as usize });
+                fx.at(now, Ev::Issue { client });
             }
         }
         if self.overload.is_some() && !lost.is_empty() {
@@ -392,6 +391,7 @@ mod tests {
     use super::*;
     use crate::driver::cluster_sharded::testkit::{handle, ingress, request, BILL};
     use crate::driver::cluster_sharded::{OverloadConfig, RetryPolicy};
+    use crate::ingress::Leg;
     use palladium_simnet::OpenLoopConfig;
 
     const PERIOD: Nanos = HEARTBEAT_PERIOD;
@@ -665,7 +665,7 @@ mod tests {
             let reissued = swept.iter().filter(|(_, ev)| matches!(ev, Ev::Issue { client: 0 })).count();
             let what = format!("open loop: {open}");
             assert_eq!(reissued, usize::from(!open), "{what}");
-            assert_eq!((ing.counts.inflight_lost, ing.reqs[lost as usize].phase), (1, Phase::Done), "{what}");
+            assert_eq!((ing.counts.inflight_lost, ing.reqs.get(lost).is_none()), (1, true), "{what}");
             // `lost`'s response was already on its way back: it is dropped.
             assert!(handle(LATE, |fx| ing.complete(LATE, fx, lost)).is_empty(), "{what}");
             assert_eq!(ing.stats.completed(), 0, "{what}: no completion for a retired request");
@@ -677,5 +677,30 @@ mod tests {
             assert_eq!(ing.stats.completed(), 1, "{what}");
             assert!(ing.window_is_exact(), "{what}: `kept` freed the last slot");
         }
+    }
+
+    #[test]
+    fn a_late_response_to_a_lost_request_rides_its_clients_worker_then_is_dropped() {
+        // Client 3's request rides pair 0, whose worker 0 falls silent.
+        let client = 3;
+        let mut ing = ingress(2, None, true);
+        let lost = request(&mut ing, client, Nanos::ZERO);
+        handle(Nanos::ZERO, |fx| ing.start_on(Nanos::ZERO, fx, lost, 0));
+        let cx = ing.chaos.as_mut().expect("health plane on");
+        (1..4).for_each(|n| _ = cx.health.heartbeat(n, LATE));
+        handle(LATE, |fx| ing.health_check(LATE, fx));
+        assert!(ing.reqs.get(lost).is_none(), "retired as lost");
+        assert_eq!(ing.reqs.placement(lost), (client, 0), "its tombstone holds the client");
+        // Its response was still in the data plane: the outbound leg is
+        // charged on the client's gateway worker, as for a live request.
+        let out = handle(LATE, |fx| ing.submit(LATE, fx, lost, 0, Leg::Outbound));
+        let [(_, Ev::GwOut { req, worker })] = out[..] else { panic!("one outbound leg: {out:?}") };
+        assert_eq!((req, worker), (lost, ing.gw.rss_worker(client)));
+        assert_eq!(worker, 3, "8 gateway workers");
+        // Then its `GwOut` finds no live record: the answer is dropped.
+        ing.gw.leg_done(worker);
+        assert!(handle(LATE, |fx| ing.complete(LATE, fx, lost)).is_empty());
+        assert_eq!(ing.stats.completed(), 0);
+        ing.closed.check(0, 0); // issued 1 = completed 0 + lost 1 + live 0
     }
 }

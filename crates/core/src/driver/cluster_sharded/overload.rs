@@ -55,9 +55,6 @@ const EST_ALPHA: f64 = 0.125;
 /// completion has been observed.
 const EST_INIT: Nanos = Nanos::from_micros(500);
 
-// `since` grows by one stamp per open-loop arrival.
-const _: () = assert!(std::mem::size_of::<Nanos>() <= 8);
-
 /// What admission control says about one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Verdict {
@@ -100,15 +97,9 @@ pub(super) struct IngressOverload {
     gen: OpenLoop,
     /// The next arrival, pre-drawn so its time can be scheduled.
     next: Arrival,
-    /// Per request id, like [`IngressState::reqs`] (every open-loop arrival
-    /// is pushed to both): when a queued request entered the queue, or
-    /// when an in-flight one was admitted. One stamp serves both, since a
-    /// request is never queued and in flight at once. Its deadline is not
-    /// stored: it is always [`ReqState::issued`] plus
-    /// [`OverloadConfig::deadline`].
-    pub(super) since: Vec<Nanos>,
-    /// Bounded admission queue of request ids (FIFO).
-    queue: VecDeque<u64>,
+    /// Bounded admission queue (FIFO): request ids, each with the instant
+    /// it entered the queue.
+    queue: VecDeque<(u64, Nanos)>,
     /// The in-flight window: how many requests are [`Phase::InFlight`].
     inflight: u64,
     /// EWMA of admission→completion latency (ns), seeding deadline
@@ -175,7 +166,6 @@ impl IngressOverload {
         IngressOverload {
             gen,
             next,
-            since: Vec::new(),
             queue: VecDeque::with_capacity(ov.queue_cap.min(4096)),
             inflight: 0,
             est: EST_INIT.as_nanos() as f64,
@@ -204,15 +194,14 @@ impl IngressOverload {
         (self.next.at, self.ov.autoscale.map(|p| p.scaler.eval_interval))
     }
 
-    /// Materialize the pre-drawn arrival landing at `now` as the next
-    /// request id's admission stamp and draw its successor. Returns the
-    /// arrival's client (its function id) and when the next one lands.
+    /// Take the pre-drawn arrival landing at `now` and draw its successor.
+    /// Returns the arrival's client (its function id) and when the next
+    /// one lands.
     fn arrive(&mut self, now: Nanos) -> (usize, Nanos) {
         let a = self.next;
         debug_assert_eq!(a.at, now, "arrival lands at its drawn time");
         self.next = self.gen.next_arrival();
         self.report.offered += 1;
-        self.since.push(now);
         (a.fn_id as usize, self.next.at)
     }
 
@@ -287,20 +276,21 @@ impl IngressOverload {
         }
     }
 
-    /// `req` waited in the queue longer than the queue-delay threshold:
-    /// serving it now only makes every later request later.
-    fn overstayed(&self, now: Nanos, req: u64) -> bool {
-        now - self.since[req as usize] > self.ov.queue_delay_max
+    /// A request queued at `queued` has waited longer than the queue-delay
+    /// threshold: serving it now only makes every later request later.
+    fn overstayed(&self, now: Nanos, queued: Nanos) -> bool {
+        now - queued > self.ov.queue_delay_max
     }
 
     /// Pop the queue's head if it has overstayed (oldest-first shedding,
     /// run before every enqueue).
     fn pop_overstayed(&mut self, now: Nanos) -> Option<u64> {
-        let head = *self.queue.front()?;
-        if !self.overstayed(now, head) {
+        let &(head, queued) = self.queue.front()?;
+        if !self.overstayed(now, queued) {
             return None;
         }
-        self.queue.pop_front()
+        self.queue.pop_front();
+        Some(head)
     }
 
     /// Queue `req` behind the full window; `false` when the queue is full.
@@ -308,8 +298,7 @@ impl IngressOverload {
         if self.queue.len() >= self.ov.queue_cap {
             return false;
         }
-        self.since[req as usize] = now;
-        self.queue.push_back(req);
+        self.queue.push_back((req, now));
         true
     }
 
@@ -321,8 +310,8 @@ impl IngressOverload {
         if self.inflight >= self.ov.inflight_cap {
             return None;
         }
-        let req = self.queue.pop_front()?;
-        let verdict = if self.overstayed(now, req) {
+        let (req, queued) = self.queue.pop_front()?;
+        let verdict = if self.overstayed(now, queued) {
             Verdict::Shed(ShedCause::Admission)
         } else if !self.meets_deadline(now, deadline_of(req), 0) {
             Verdict::Shed(ShedCause::Deadline)
@@ -332,14 +321,13 @@ impl IngressOverload {
         Some((req, verdict))
     }
 
-    /// `req` enters the data plane (the window side of
-    /// [`IngressState::admit`]): take an in-flight slot stamped `now`.
-    pub(super) fn admit(&mut self, now: Nanos, req: u64) {
+    /// A request enters the data plane at `now` (the window side of
+    /// [`IngressState::admit`]): take an in-flight slot.
+    pub(super) fn admit(&mut self, now: Nanos) {
         self.inflight += 1;
         if now >= self.warmup {
             self.report.admitted += 1;
         }
-        self.since[req as usize] = now;
     }
 
     /// An admitted request's attempt on `pair` died in the data plane
@@ -364,11 +352,11 @@ impl IngressOverload {
         }
     }
 
-    /// `req`, issued at `issued` and served by `pair`, completed at `finish`
-    /// (`now` plus the client wire) and is retired: update the service
-    /// estimate from its admission stamp, classify against the deadline.
-    pub(super) fn complete(&mut self, now: Nanos, req: u64, pair: usize, issued: Nanos, finish: Nanos) {
-        let sample = (finish - self.since[req as usize]).as_nanos() as f64;
+    /// A request issued at `issued`, admitted at `admitted` and served by
+    /// `pair` completed at `finish` (`now` plus the client wire) and is
+    /// retired: update the service estimate, classify against the deadline.
+    pub(super) fn complete(&mut self, now: Nanos, admitted: Nanos, pair: usize, issued: Nanos, finish: Nanos) {
+        let sample = (finish - admitted).as_nanos() as f64;
         self.est += EST_ALPHA * (sample - self.est);
         self.breaker_ok(now, pair);
         if finish >= self.warmup {
@@ -451,12 +439,12 @@ impl IngressState {
 
     /// `req`'s propagated deadline: its arrival plus the configured budget.
     fn deadline(&self, req: u64) -> Nanos {
-        self.reqs[req as usize].issued + self.overload.as_ref().expect("overload mode").ov.deadline
+        self.reqs.live(req).issued + self.overload.as_ref().expect("overload mode").ov.deadline
     }
 
     /// Pick the pair serving `req` (see [`super::health::PairView::place`]).
     fn place(&mut self, now: Nanos, req: u64) -> Option<usize> {
-        let client = self.reqs[req as usize].client as usize;
+        let client = self.reqs.live(req).client as usize;
         let (pref, active) = self.overload_mut().preference(client);
         self.pairs().place(pref, active, now)
     }
@@ -490,7 +478,7 @@ impl IngressState {
         loop {
             let (ov, reqs) = (self.overload.as_mut().expect("overload mode"), &self.reqs);
             let budget = ov.ov.deadline;
-            let Some((req, verdict)) = ov.dequeue(now, |r| reqs[r as usize].issued + budget) else {
+            let Some((req, verdict)) = ov.dequeue(now, |r| reqs.live(r).issued + budget) else {
                 return;
             };
             match verdict {
@@ -513,7 +501,7 @@ impl IngressState {
     /// transport-errored): schedule the next one if the retry budget
     /// allows, else retire it as exhausted.
     pub(super) fn fail_or_retry(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64) {
-        let st = &mut self.reqs[req as usize];
+        let st = self.reqs.live_mut(req);
         debug_assert_eq!(st.phase, Phase::Waiting, "failing request {req}");
         let ov = self.overload.as_mut().expect("overload mode");
         match ov.next_retry(now, req, st.attempts, st.issued + ov.ov.deadline) {
@@ -530,9 +518,10 @@ impl IngressState {
     /// errored at post time). In overload mode: abandon the attempt, hand
     /// the request to the retry budget and refill the window. No-op on
     /// closed-loop runs (the health plane re-issues clients), and for a
-    /// stale send of an attempt already abandoned.
+    /// stale send of an attempt already abandoned or of a retired request.
     pub(super) fn send_failed(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64) {
-        if self.overload.is_none() || self.reqs[req as usize].phase != Phase::InFlight {
+        let in_flight = self.reqs.get(req).is_some_and(|st| st.phase == Phase::InFlight);
+        if self.overload.is_none() || !in_flight {
             return;
         }
         self.abandon(now, req);
@@ -540,38 +529,33 @@ impl IngressState {
         self.drain_queue(now, fx);
     }
 
-    /// One walk of the request table: how many requests are
-    /// [`Phase::InFlight`], and how many are not yet [`Phase::Done`].
-    fn census(&self) -> (u64, u64) {
-        self.reqs.iter().fold((0, 0), |(in_flight, live), st| {
-            (
-                in_flight + u64::from(st.phase == Phase::InFlight),
-                live + u64::from(st.phase != Phase::Done),
-            )
-        })
+    /// One walk of the live requests: how many are [`Phase::InFlight`].
+    fn in_flight(&self) -> u64 {
+        self.reqs.iter().filter(|(_, st)| st.phase == Phase::InFlight).count() as u64
     }
 
     /// The window count and the phases agree.
     #[cfg(test)]
     pub(super) fn window_is_exact(&self) -> bool {
-        self.overload.as_ref().is_none_or(|ov| ov.inflight == self.census().0)
+        self.overload.as_ref().is_none_or(|ov| ov.inflight == self.in_flight())
     }
 
     /// The run's overload report, folded at its end (all-zero on a closed
-    /// loop). One walk of the request table counts `live_at_end`; debug
-    /// builds also check the window count against the phases and the
-    /// ledger ([`OverloadReport::check`]).
+    /// loop, whose ledger debug builds check instead). `live_at_end` is the
+    /// request table's live count; debug builds also check the window
+    /// count against the phases and the ledger ([`OverloadReport::check`]).
     pub(super) fn fold_overload(&mut self) -> OverloadReport {
         let Some(ov) = self.overload.take() else {
+            self.closed.check(self.stats.completed(), self.reqs.live_count());
             return OverloadReport::default();
         };
-        let (in_flight, live_at_end) = self.census();
         debug_assert_eq!(
-            ov.inflight, in_flight,
+            ov.inflight,
+            self.in_flight(),
             "the in-flight window disagrees with the request phases"
         );
         let report = OverloadReport {
-            live_at_end,
+            live_at_end: self.reqs.live_count(),
             ramp_p99: if ov.ramp.is_empty() { Nanos::ZERO } else { ov.ramp.p99() },
             ..ov.report
         };
@@ -591,12 +575,11 @@ impl ClusterShard {
                 // pump the next one, and run the admission pipeline.
                 let (client, next_at) = ing.overload_mut().arrive(now);
                 fx.at(next_at, Ev::Arrive);
-                let req = ing.reqs.len() as u64;
-                ing.reqs.push(ReqState::new(client, now, Phase::Waiting));
+                let req = ing.reqs.push(ReqState::new(client, now, Phase::Waiting));
                 ing.try_admit(now, fx, req);
             }
             Ev::Retry { req } => {
-                debug_assert_eq!(ing.reqs[req as usize].phase, Phase::Waiting, "retrying request {req}");
+                debug_assert_eq!(ing.reqs.live(req).phase, Phase::Waiting, "retrying request {req}");
                 ing.try_admit(now, fx, req);
             }
             Ev::ScaleTick => {
@@ -621,7 +604,9 @@ impl ClusterShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::cluster_sharded::testkit::{handle, ingress, request as arrival, BILL};
+    use crate::driver::cluster_sharded::testkit::{
+        cluster, handle, ingress, ingress_after, request as arrival, BILL,
+    };
     use crate::driver::cluster_sharded::{AutoscalePolicy, BreakerPolicy, LedgerError};
     use palladium_simnet::OpenLoopConfig;
 
@@ -637,12 +622,6 @@ mod tests {
     /// [`config`]'s overload plane, with no request yet.
     fn plane(tune: impl FnOnce(OverloadConfig) -> OverloadConfig) -> IngressOverload {
         IngressOverload::new(config(tune), PAIRS, 7, Nanos::ZERO, Nanos::from_millis(100), BILL)
-    }
-
-    /// The next request's admission stamp: its id.
-    fn request(ov: &mut IngressOverload) -> u64 {
-        ov.since.push(Nanos::ZERO);
-        ov.since.len() as u64 - 1
     }
 
     fn breaker(open_after: u32) -> IngressOverload {
@@ -746,7 +725,7 @@ mod tests {
         let retries: Vec<Nanos> =
             scheduled.iter().map(|(at, ev)| if let Ev::Retry { .. } = ev { *at } else { Nanos::MAX }).collect();
         assert_eq!(retries, [US(60), US(110), US(210)]);
-        assert_eq!((ing.reqs[req as usize].phase, ing.reqs[req as usize].attempts), (Phase::Done, 4));
+        assert!(ing.reqs.get(req).is_none(), "the fourth failure retires it");
         let r = &ing.overload_mut().report;
         assert_eq!((r.retries, r.retry_exhausted), (3, 1), "one request, one exhaustion");
     }
@@ -790,7 +769,7 @@ mod tests {
         // but not behind 8.
         let fits = |queued: u64, wait_ahead: Option<usize>| {
             let mut ov = plane(|ov| ov.admission(512, 4, US(500)));
-            ov.queue.extend(0..queued);
+            ov.queue.extend((0..queued).map(|req| (req, Nanos::ZERO)));
             let ahead = wait_ahead.unwrap_or(ov.queue.len() + 1);
             ov.meets_deadline(Nanos::ZERO, US(1_200), ahead)
         };
@@ -805,10 +784,9 @@ mod tests {
         let mut ov = plane(|ov| ov.admission(512, 2, US(500)));
         let verdicts: Vec<Verdict> = (0..3)
             .map(|_| {
-                let req = request(&mut ov);
                 let v = ov.on_arrival(US(10), US(100_000));
                 if v == Verdict::Admit {
-                    ov.admit(US(10), req);
+                    ov.admit(US(10));
                 }
                 v
             })
@@ -820,7 +798,7 @@ mod tests {
     #[test]
     fn a_full_queue_refuses_and_an_overstayed_head_is_popped_first() {
         let mut ov = plane(|ov| ov.admission(2, 1, US(500)));
-        let reqs: Vec<u64> = (0..3).map(|_| request(&mut ov)).collect();
+        let reqs = [0, 1, 2];
         assert!(ov.enqueue(US(10), reqs[0]));
         assert!(ov.enqueue(US(400), reqs[1]));
         assert!(!ov.enqueue(US(450), reqs[2]), "queue_cap = 2");
@@ -829,13 +807,13 @@ mod tests {
         assert_eq!(ov.pop_overstayed(US(520)), Some(reqs[0]));
         assert_eq!(ov.pop_overstayed(US(520)), None);
         assert!(ov.enqueue(US(520), reqs[2]));
-        assert_eq!(ov.queue, [reqs[1], reqs[2]]);
+        assert_eq!(ov.queue, [(reqs[1], US(400)), (reqs[2], US(520))]);
     }
 
     #[test]
     fn dequeue_rechecks_staleness_then_the_deadline_and_stops_at_a_full_window() {
         let mut ov = plane(|ov| ov.admission(16, 2, US(500)));
-        let [stale, hopeless, fine, waiting] = [(); 4].map(|()| request(&mut ov));
+        let [stale, hopeless, fine, waiting] = [0, 1, 2, 3];
         let due = |req| if req == hopeless { US(1_300) } else { US(100_000) };
         ov.enqueue(US(100), stale);
         for req in [hopeless, fine, waiting] {
@@ -845,10 +823,10 @@ mod tests {
         assert_eq!(ov.dequeue(now, due), Some((stale, Verdict::Shed(ShedCause::Admission))));
         assert_eq!(ov.dequeue(now, due), Some((hopeless, Verdict::Shed(ShedCause::Deadline))));
         assert_eq!(ov.dequeue(now, due), Some((fine, Verdict::Admit)));
-        ov.admit(now, fine);
+        ov.admit(now);
         ov.inflight = 2;
         assert_eq!(ov.dequeue(now, due), None, "the window is full");
-        assert_eq!(ov.queue, [waiting]);
+        assert_eq!(ov.queue, [(waiting, US(900))]);
         ov.inflight = 0;
         ov.queue.clear();
         assert_eq!(ov.dequeue(now, due), None, "the queue is empty");
@@ -865,11 +843,11 @@ mod tests {
             (US(80_000), US(78_000), (2, 1, 1)),
         ];
         for (finish, issued, want) in cases {
-            let req = request(&mut ov);
-            ov.admit(finish - US(300), req);
+            let admitted = finish - US(300);
+            ov.admit(admitted);
             let est = ov.est;
             ov.retire(finish, true, Terminal::Completed);
-            ov.complete(finish, req, 0, issued, finish);
+            ov.complete(finish, admitted, 0, issued, finish);
             assert_eq!((ov.inflight, ov.report.retry_exhausted), (0, 0));
             assert_eq!(ov.est, est + EST_ALPHA * (300_000.0 - est), "sample = finish − admitted");
             let r = &ov.report;
@@ -902,22 +880,22 @@ mod tests {
     #[test]
     fn one_stamp_times_the_queue_wait_then_the_service() {
         let mut ov = plane(|ov| ov.admission(16, 1, US(500)));
-        let req = request(&mut ov);
-        assert!(ov.enqueue(US(100), req));
-        // Staleness counts from the enqueue: past 500 µs only after 600 µs.
-        assert!(!ov.overstayed(US(600), req) && ov.overstayed(US(601), req));
-        assert_eq!(ov.dequeue(US(600), |_| US(100_000)), Some((req, Verdict::Admit)));
-        ov.admit(US(600), req);
+        // Issued at 0, queued at 100 µs: staleness counts from the enqueue,
+        // so it is past 500 µs only after 600 µs.
+        assert!(ov.enqueue(US(100), 0));
+        assert_eq!(ov.pop_overstayed(US(600)), None);
+        assert!(ov.overstayed(US(601), US(100)));
+        assert_eq!(ov.dequeue(US(600), |_| US(100_000)), Some((0, Verdict::Admit)));
+        ov.admit(US(600));
         let est = ov.est;
-        ov.complete(US(900), req, 0, US(100), US(900));
+        ov.complete(US(900), US(600), 0, Nanos::ZERO, US(900));
         assert_eq!(ov.est, est + EST_ALPHA * (300_000.0 - est), "sample = finish − admitted, not − queued");
     }
 
     #[test]
     fn an_abandoned_attempt_frees_its_slot_and_charges_the_breaker() {
         let mut ov = breaker(1);
-        let req = request(&mut ov);
-        ov.admit(US(10), req);
+        ov.admit(US(10));
         ov.abandon(US(20), 3);
         assert_eq!((ov.inflight, ov.breaker_until[3]), (0, US(220)));
     }
@@ -981,13 +959,25 @@ mod tests {
     }
 
     #[test]
+    fn a_run_below_the_knee_keeps_no_tombstones_and_only_its_window_and_queue_live() {
+        let ov = OverloadConfig::new(OpenLoopConfig::poisson(40_000.0, 16), US(2_000));
+        let ing = ingress_after(cluster(2).warmup_ms(1).duration_ms(4).overload(ov));
+        let ov = ing.overload.as_ref().expect("open loop");
+        assert_eq!((ov.report.retries, ov.report.retry_exhausted), (0, 0), "every request completes");
+        assert_eq!(ing.reqs.tombstones(), 0);
+        let waiting = ov.queue.len() as u64;
+        assert!(ov.inflight > 0, "the run ends with requests in flight");
+        assert_eq!(ing.reqs.live_count(), ov.inflight + waiting);
+    }
+
+    #[test]
     fn an_arrival_becomes_the_next_request_and_draws_its_successor() {
         let mut ov = plane(|ov| ov);
         let (first_at, _) = ov.first_events();
         let (client, next_at) = ov.arrive(first_at);
         assert!(client < 16 && next_at > first_at);
         assert_eq!(ov.first_events().0, next_at);
-        assert_eq!((&ov.since[..], ov.preference(client).0), (&[first_at][..], client % PAIRS));
+        assert_eq!(ov.preference(client).0, client % PAIRS);
         assert_eq!(ov.report.offered, 1);
     }
 }

@@ -1,19 +1,24 @@
 //! Unit-test scaffolding for the ingress request lifecycle: an
 //! [`IngressState`] with no fabric behind it, requests made the way
-//! [`Ev::Issue`] and [`Ev::Arrive`] make them, and a one-event harness that
-//! records what a handler schedules.
+//! [`Ev::Issue`] and [`Ev::Arrive`] make them, a one-event harness that
+//! records what a handler schedules, and a small cluster whose ingress can
+//! be inspected as a run left it.
 
-use palladium_membuf::NodeId;
-use palladium_simnet::{Effects, Engine, Harness, Nanos, RunStats, Slab};
+use palladium_membuf::{FnId, NodeId};
+use palladium_simnet::{Effects, Engine, Execution, Harness, Nanos, RunStats, Slab};
 
 use super::health::IngressChaos;
 use super::overload::IngressOverload;
-use super::{ChaosReport, Ev, IngressState, OverloadConfig, Phase, ReqState};
+use super::{
+    ChaosReport, ClosedLedger, ClusterShardedConfig, ClusterShardedSim, Ev, IngressState,
+    OverloadConfig, Phase, ReqState, Requests,
+};
 use crate::config::CostModel;
 use crate::connpool::{ConnPool, ConnPoolConfig};
+use crate::driver::chain::{AppSpec, ChainSpec, FnSpec, HopSpec};
 use crate::ingress::{IngressConfig, IngressGateway};
 use crate::rbr::RbrTable;
-use crate::system::IngressKind;
+use crate::system::{IngressKind, SystemKind};
 
 /// What a worker pays to rejoin, and an autoscaled pair to activate.
 pub(super) const BILL: Nanos = Nanos::from_micros(400);
@@ -24,11 +29,12 @@ pub(super) const BILL: Nanos = Nanos::from_micros(400);
 pub(super) fn ingress(pairs: usize, overload: Option<OverloadConfig>, chaos: bool) -> IngressState {
     let cost = CostModel::default();
     IngressState {
-        gw: IngressGateway::new(IngressConfig::new(IngressKind::Palladium), cost),
+        gw: IngressGateway::new(IngressConfig::new(IngressKind::Palladium).with_fixed_workers(8), cost),
         rbr: RbrTable::new(),
         conns: ConnPool::new(NodeId(2 * pairs as u16), ConnPoolConfig::default()),
         tx: Slab::new(),
-        reqs: Vec::new(),
+        reqs: Requests::new(),
+        closed: ClosedLedger::new(Nanos::ZERO),
         stats: RunStats::new(Nanos::ZERO),
         client_wire: cost.client_wire,
         leg_bytes: vec![(64, 64); pairs],
@@ -39,18 +45,17 @@ pub(super) fn ingress(pairs: usize, overload: Option<OverloadConfig>, chaos: boo
     }
 }
 
-/// A request from `client` at `now`: in flight on a closed loop, waiting
-/// (and stamped) on an open one. Returns its id.
+/// A request from `client` at `now`: in flight (and counted issued) on a
+/// closed loop, waiting on an open one. Returns its id.
 pub(super) fn request(ing: &mut IngressState, client: usize, now: Nanos) -> u64 {
-    let phase = match ing.overload.as_mut() {
-        Some(ov) => {
-            ov.since.push(now);
-            Phase::Waiting
+    let phase = match ing.overload {
+        Some(_) => Phase::Waiting,
+        None => {
+            ing.closed.issued += 1;
+            Phase::InFlight
         }
-        None => Phase::InFlight,
     };
-    ing.reqs.push(ReqState::new(client, now, phase));
-    ing.reqs.len() as u64 - 1
+    ing.reqs.push(ReqState::new(client, now, phase))
 }
 
 /// Run `handler` as the one event firing at `now`, and return what it
@@ -74,4 +79,26 @@ pub(super) fn handle(now: Nanos, handler: impl FnOnce(&mut Effects<'_, Ev>)) -> 
     let mut once = Once { handler: Some(handler), scheduled: Vec::new() };
     harness.run(&mut once, Nanos::MAX);
     once.scheduled
+}
+
+/// A Palladium DNE cluster of `pairs` pairs, each running a two-function
+/// chain across its two workers (A on the first, B on the second: A → B →
+/// A, then the response).
+pub(super) fn cluster(pairs: usize) -> ClusterShardedConfig {
+    let us = Nanos::from_micros;
+    let mut app = AppSpec { functions: Vec::new(), chains: Vec::new() };
+    for p in 0..pairs {
+        let (a, b) = (FnId(1 + 16 * p as u16), FnId(2 + 16 * p as u16));
+        app.functions.push(FnSpec { id: a, name: "A", node: 2 * p, exec: us(15) });
+        app.functions.push(FnSpec { id: b, name: "B", node: 2 * p + 1, exec: us(10) });
+        let hops = vec![HopSpec { from: a, to: b, bytes: 512 }, HopSpec { from: b, to: a, bytes: 256 }];
+        app.chains.push(ChainSpec { name: "ab", entry: a, hops, req_bytes: 256, resp_bytes: 512 });
+    }
+    ClusterShardedConfig::new(SystemKind::PalladiumDne, app, pairs)
+}
+
+/// The ingress of a `cfg` run on one shard, as the run left it.
+pub(super) fn ingress_after(cfg: ClusterShardedConfig) -> IngressState {
+    let mut run = ClusterShardedSim::new(cfg).simulate(1, Execution::Sequential, false);
+    run.engines[0].ingress.take().expect("one shard owns the ingress")
 }

@@ -23,12 +23,13 @@ const RAW_DECISION: usize = 32_768;
 /// unsorted tail; once the tail holds `max(1 024, distinct / 2)` samples it
 /// is sorted in place, samples of a value already held add to its count,
 /// and the new values are inserted, from the back, into the sorted
-/// `(value, count)` runs. Those two buffers are all there is and are
-/// retained, so a steady state allocates nothing. Once at least 32 768
-/// samples compress worse than 2 : 1 — where 16-byte runs outweigh 8-byte
-/// raw values — the set turns raw for good: every sample stays in the
-/// tail and a query sorts it, as a plain vector would. The data makes that
-/// choice, never a setting.
+/// `(value, count)` runs, which grow by exactly the new values (no
+/// power-of-two slack on 16-byte runs). Those two buffers are all there
+/// is and are retained, so a steady state allocates nothing. Once at least
+/// 32 768 samples compress worse than 2 : 1 — where 16-byte runs outweigh
+/// 8-byte raw values — the set turns raw for good: every sample stays in
+/// the tail and a query sorts it, as a plain vector would. The data makes
+/// that choice, never a setting.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     /// Ascending distinct values with their counts; empty once raw.
@@ -193,14 +194,15 @@ fn count_known<T: Copy>(
 
 /// Insert the ascending `incoming` runs, `fresh` of them and none of
 /// their values in `runs`, into the ascending `runs` in place: grow it by
-/// `fresh`, then fill from the back, so nothing is overwritten before it
-/// has moved and no second buffer is needed.
+/// exactly `fresh`, then fill from the back, so nothing is overwritten
+/// before it has moved and no second buffer is needed.
 fn insert_runs(
     runs: &mut Vec<(u64, u64)>,
     fresh: usize,
     incoming: impl DoubleEndedIterator<Item = (u64, u64)>,
 ) {
     let mut read = runs.len();
+    runs.reserve_exact(fresh);
     runs.resize(read + fresh, (0, 0));
     let mut write = runs.len();
     for run in incoming.rev() {

@@ -10,6 +10,11 @@
 //! shard-dependent RNG, the down table diverged between fabric
 //! instances, or the health plane observed shard-dependent timing.
 //!
+//! Every row is a closed-loop run, and the run's fold asserts the ingress's
+//! request ledger, `issued == completed + lost + live_at_end` (a request
+//! lost to suspicion ends as lost, and its client re-issues), in debug
+//! builds such as `cargo test`'s: every row here checks it.
+//!
 //! To regenerate after an *intentional* change:
 //! `GOLDEN_REGEN=1 cargo test -q --test chaos_cluster` and commit the
 //! updated snapshot together with the change that explains it.

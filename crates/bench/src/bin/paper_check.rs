@@ -4,7 +4,9 @@
 //! 11–13, 15, 16 and Table 2) at full scale, computes every point of the
 //! ledger (`palladium_bench::LEDGER`) from the tables' own values, and
 //! writes `EXPERIMENTS.md`: paper value, model value, error, class and
-//! verdict per point, then the count of ratio points in tolerance. Exits
+//! verdict per point, then the count of ratio points in tolerance. On
+//! stdout it prints the bottleneck station of every Fig 16 / Table 2 run
+//! (`BoutiqueSweep::bottlenecks`), then that count. Exits
 //! non-zero when a point's verdict is not the one the ledger declares, or
 //! when a quote's words are missing from the title it cites; the file is
 //! written either way, so its diff shows what moved.
@@ -14,14 +16,17 @@
 
 use std::process::ExitCode;
 
-use palladium_bench::{check, ledger_markdown, out_path_arg, quoted_artefacts, Scale};
+use palladium_bench::{
+    check, ledger_markdown, out_path_arg, quoted_artefacts, BoutiqueSweep, Scale, FIG16_CLIENTS,
+};
 
 fn main() -> ExitCode {
     let out_path = match out_path_arg("paper_check", "EXPERIMENTS.md") {
         Ok(path) => path,
         Err(code) => return code,
     };
-    let tables = quoted_artefacts(Scale::FULL);
+    let boutique = BoutiqueSweep::run(&FIG16_CLIENTS, Scale::FULL);
+    let tables = quoted_artefacts(&boutique);
     let outcomes = match check(&tables) {
         Ok(outcomes) => outcomes,
         Err(e) => {
@@ -33,6 +38,9 @@ fn main() -> ExitCode {
     if let Err(e) = std::fs::write(&out_path, &md) {
         eprintln!("paper_check: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
+    }
+    for line in boutique.bottlenecks() {
+        println!("{line}");
     }
     print!("{}", md.lines().last().map(|l| format!("{l}\n")).unwrap_or_default());
     let mut ok = true;

@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use palladium_core::driver::chain::{ChainReport, ChainSim};
+use palladium_core::driver::chain::{ChainReport, ChainSim, Station};
 use palladium_core::driver::channel::{ChannelSim, ChannelSimConfig};
 use palladium_core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::fairness::{FairnessSim, FairnessSimConfig};
@@ -337,6 +337,12 @@ pub fn fig15() -> Vec<Table> {
     ]
 }
 
+/// The warm-up and measurement window of a Fig 16 / Table 2 run at
+/// `scale`, in whole milliseconds.
+fn boutique_window_ms(scale: Scale) -> (u64, u64) {
+    (scale.ms(60).as_nanos() / 1_000_000, scale.ms(240).as_nanos() / 1_000_000)
+}
+
 /// One Fig 16 / Table 2 cluster run.
 fn boutique_run(
     system: SystemKind,
@@ -344,10 +350,11 @@ fn boutique_run(
     clients: usize,
     scale: Scale,
 ) -> ChainReport {
+    let (warmup, duration) = boutique_window_ms(scale);
     let cfg = boutique::config(system, chain)
         .clients(clients)
-        .warmup_ms(scale.ms(60).as_nanos() / 1_000_000)
-        .duration_ms(scale.ms(240).as_nanos() / 1_000_000);
+        .warmup_ms(warmup)
+        .duration_ms(duration);
     ChainSim::new(cfg).run()
 }
 
@@ -361,6 +368,7 @@ pub const TABLE2_CLIENTS: [usize; 3] = [20, 60, 80];
 /// set of client counts, each configuration run once and read by every
 /// table that shows it.
 pub struct BoutiqueSweep {
+    scale: Scale,
     clients: Vec<usize>,
     /// In `SystemKind::ALL` × `ChainKind::ALL` × `clients` order.
     runs: Vec<ChainReport>,
@@ -377,7 +385,7 @@ impl BoutiqueSweep {
                 }
             }
         }
-        BoutiqueSweep { clients: clients.to_vec(), runs }
+        BoutiqueSweep { scale, clients: clients.to_vec(), runs }
     }
 
     /// The run of `system` on `chain` at `clients`.
@@ -430,6 +438,37 @@ impl BoutiqueSweep {
         tables
     }
 
+    /// The bottleneck of every run: one line per system × chain naming, at
+    /// each client count, the station with the highest utilisation U =
+    /// busy ÷ (servers × horizon), unclamped, and its demand D = busy ÷
+    /// (horizon × X) in µs per request (the utilisation law, with X the
+    /// measured throughput). Busy time counts the whole horizon, warm-up
+    /// included.
+    pub fn bottlenecks(&self) -> Vec<String> {
+        let (warmup, duration) = boutique_window_ms(self.scale);
+        let horizon_s = (warmup + duration) as f64 / 1e3;
+        let busy_cores = |st: &Station| st.busy.as_secs_f64() / horizon_s;
+        let util = |st: &Station| busy_cores(st) / st.cores as f64;
+        let mut lines = Vec::new();
+        for system in SystemKind::ALL {
+            for chain in ChainKind::ALL {
+                let cells: Vec<String> = self
+                    .clients
+                    .iter()
+                    .map(|&c| {
+                        let r = self.get(system, chain, c);
+                        let top = r.stations.iter().max_by(|a, b| util(a).total_cmp(&util(b)));
+                        let top = top.expect("a cluster run has stations");
+                        let (u, d) = (100.0 * util(top), 1e6 * busy_cores(top) / r.rps);
+                        format!("c={c} {}@{} U={u:.1}% D={d:.2}us", top.name, top.node)
+                    })
+                    .collect();
+                lines.push(format!("bottleneck {} / {}: {}", chain.label(), system.label(), cells.join(" | ")));
+            }
+        }
+        lines
+    }
+
     /// Table 2: mean latency (ms) of every chain at [`TABLE2_CLIENTS`].
     pub fn table2(&self) -> Vec<Table> {
         vec![Table::new(
@@ -448,36 +487,37 @@ impl BoutiqueSweep {
 }
 
 /// Every artefact the ledger reads, in README order: Figs 9, 11–13, 15,
-/// 16 and Table 2. Fig 14 and Table 1 quote no number.
-pub fn quoted_artefacts(scale: Scale) -> Vec<Table> {
-    let boutique = BoutiqueSweep::run(&FIG16_CLIENTS, scale);
+/// 16 and Table 2, at the scale of `boutique`, a sweep at
+/// [`FIG16_CLIENTS`]. Fig 14 and Table 1 quote no number.
+pub fn quoted_artefacts(boutique: &BoutiqueSweep) -> Vec<Table> {
+    let scale = boutique.scale;
     [fig09(scale), fig11(scale), fig12(scale), fig13(scale), fig15(), boutique.fig16(), boutique.table2()]
         .into_iter()
         .flatten()
         .collect()
 }
 
+/// Table 1 as the paper prints it: a quote, not a property of the model.
+/// Every system runs one tenant, and the model runs FUYAO's engine on host
+/// cores (390 % CPU in Fig 16) where the paper credits it with DPU
+/// offloading.
+const TABLE1: [(&str, [bool; 4]); 4] = [
+    ("NightCore", [false, false, false, false]),
+    ("SPRIGHT", [false, false, false, false]),
+    ("FUYAO-F", [false, false, true, false]),
+    ("Palladium (DNE)", [true, true, true, true]),
+];
+
 /// Table 1: the capability matrix.
 pub fn table1() -> Vec<Table> {
-    let mark = |b: bool| text(if b { "Y" } else { "x" });
-    let rows = [
-        SystemKind::NightCore,
-        SystemKind::Spright,
-        SystemKind::FuyaoF,
-        SystemKind::PalladiumDne,
-    ]
-    .iter()
-    .map(|s| {
-        let c = s.capabilities();
-        vec![
-            text(s.label()),
-            mark(c.multi_tenancy),
-            mark(c.distributed_zero_copy),
-            mark(c.dpu_offloading),
-            mark(c.eliminates_proto_in_cluster),
-        ]
-    })
-    .collect();
+    let rows = TABLE1
+        .iter()
+        .map(|(system, marks)| {
+            let mut row = vec![text(*system)];
+            row.extend(marks.map(|y| text(if y { "Y" } else { "x" })));
+            row
+        })
+        .collect();
     vec![Table::new(
         "Table 1 — capability matrix (Y = supported)",
         &[
@@ -1340,9 +1380,15 @@ mod tests {
     #[test]
     fn table1_matches_paper() {
         let [t] = &table1()[..] else { panic!("one table") };
-        // Palladium: all capabilities; NightCore: none.
-        assert_eq!(t.rows[3][1..], ["Y", "Y", "Y", "Y"].map(text));
-        assert_eq!(t.rows[0][1..], ["x", "x", "x", "x"].map(text));
+        // Every cell: Palladium is the only row with all four
+        // capabilities, and FUYAO's one mark is DPU offloading.
+        let want = [
+            ["NightCore", "x", "x", "x", "x"],
+            ["SPRIGHT", "x", "x", "x", "x"],
+            ["FUYAO-F", "x", "x", "Y", "x"],
+            ["Palladium (DNE)", "Y", "Y", "Y", "Y"],
+        ];
+        assert_eq!(t.rows, want.map(|row| row.map(text).to_vec()));
     }
 
     #[test]

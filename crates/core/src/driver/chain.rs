@@ -143,6 +143,27 @@ pub struct ChainReport {
     /// DPU utilization in percent of one core (busy-polling DNE cores count
     /// 100 % each, §4.3.1).
     pub dpu_util_pct: f64,
+    /// Every queueing station on the run's nodes, in global node order
+    /// (a station no request reached reads zero).
+    pub stations: Vec<Station>,
+}
+
+/// One queueing station of a cluster run: a FIFO server, or a bank of
+/// identical ones, with the work booked on it over the whole run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Station {
+    /// What serves here: `"fn cores"`, `"dne worker"`, `"dne core thread"`,
+    /// `"host engine"`, `"ingress"`, `"rnic egress"` or `"rnic rx"`.
+    pub name: &'static str,
+    /// Global node index.
+    pub node: usize,
+    /// Servers at the station.
+    pub cores: usize,
+    /// Service time booked on its servers, warm-up and work past the
+    /// horizon included.
+    pub busy: Nanos,
+    /// How long past the horizon its servers stay booked, summed.
+    pub backlog: Nanos,
 }
 
 /// The Fig 16 simulation.
@@ -166,12 +187,7 @@ impl ChainSim {
     /// the `simcore_throughput` events/sec benchmark.
     pub fn run_counted(self) -> (ChainReport, u64) {
         let ChainSimConfig { system, app, chain_idx, clients, duration, warmup, seed } = self.cfg;
-        let AppSpec { mut functions, mut chains } = app;
-        if system.spec().single_node {
-            for f in &mut functions {
-                f.node = 0;
-            }
-        }
+        let AppSpec { functions, mut chains } = app;
         let app = AppSpec { functions, chains: vec![chains.swap_remove(chain_idx)] };
         let mut cfg = ClusterShardedConfig::new(system, app, 1).clients(clients);
         cfg.duration = duration;

@@ -11,11 +11,13 @@
 //! token passing, inter-node hops run the full RC state machine in
 //! [`RdmaNet`], the DNE really schedules with DWRR and replenishes its
 //! RBR, and every software copy lands on a per-node [`CopyMeter`] — the
-//! zero-copy claims are asserted, not assumed. The declarative
-//! [`SystemSpec`] selects what differs between systems — the inter-node
-//! primitive, the ingress design, the engine location — and nothing else
-//! does: Palladium's two-sided-RDMA arms live in this file, the
-//! baselines' TCP / one-sided-write / host-engine arms in [`baselines`].
+//! zero-copy claims are asserted, not assumed. A system's [`SystemSpec`]
+//! selects what differs between systems — the ingress design and the
+//! [`DataPlane`] — and nothing else does: the [`DataPlane::Dne`] arms
+//! (two-sided RDMA through the engine, on the DPU or a host core) live in
+//! this file, the [`DataPlane::Host`] arms (each
+//! [`HostHop`](crate::system::HostHop): TCP, one-sided write, or
+//! node-local) in [`baselines`].
 //!
 //! This file is the data plane — the [`Ev`] alphabet, [`ClusterShard`] and
 //! its request-path event arms. The ingress's control plane sits beside it,
@@ -106,7 +108,7 @@ use crate::connpool::ConnPool;
 use crate::dne::{pack_imm, Dne, DneEffect};
 use crate::ingress::{IngressGateway, Leg};
 use crate::rbr::RbrTable;
-use crate::system::{IngressKind, InterNode, SystemSpec};
+use crate::system::{DataPlane, IngressKind, SystemSpec};
 use baselines::{Hop, HostEv, HostPlane};
 use health::{IngressChaos, PairView};
 use overload::IngressOverload;
@@ -388,8 +390,8 @@ pub(crate) struct ClusterShard {
     placement: IdTable<usize>,
     fn_exec: IdTable<Nanos>,
     cost: CostModel,
-    /// The data plane under test: which inter-node path, ingress design
-    /// and engine location every arm below follows.
+    /// The system under test: which ingress design and data plane every
+    /// arm below follows.
     spec: SystemSpec,
     comch: ChannelCosts,
     skmsg: SkMsgCosts,
@@ -398,12 +400,12 @@ pub(crate) struct ClusterShard {
     pools: Vec<UnifiedPool>,
     meters: Vec<CopyMeter>,
     fn_cores: Vec<Option<ServerBank>>,
-    /// Palladium engines: `Some` on worker nodes of a two-sided-RDMA
+    /// Palladium engines: `Some` on worker nodes of a [`DataPlane::Dne`]
     /// system, `None` otherwise (the baselines run [`HostPlane`]).
     dnes: Vec<Option<Dne>>,
     inbound_tokens: Vec<IdTable<BufToken>>,
     /// The baselines' host engines, TCP cost tables and FUYAO pools —
-    /// present exactly when the system is not two-sided RDMA.
+    /// present exactly on a [`DataPlane::Host`] system.
     host: Option<HostPlane>,
 
     /// This shard's span of the fabric, in sharded-egress mode.
@@ -463,20 +465,15 @@ impl ClusterShard {
         desc
     }
 
-    /// Channel costs between functions and the Palladium engine:
-    /// `(transit, host_send)` — Comch for the DNE, SK_MSG for the CNE.
-    fn fn_channel_costs(&self) -> (Nanos, Nanos) {
-        match self.spec.engine_loc {
-            EngineLocation::Dpu => (self.comch.transit, self.comch.host_send_cpu),
-            EngineLocation::Cpu => (self.skmsg.transit, self.skmsg.send_cpu),
-        }
-    }
-
-    /// Host-side receive cost when the engine delivers to a function.
-    fn fn_recv_cost(&self) -> Nanos {
-        match self.spec.engine_loc {
-            EngineLocation::Dpu => self.comch.host_recv_cpu,
-            EngineLocation::Cpu => self.skmsg.recv_cpu,
+    /// Channel costs between functions and their node's engine:
+    /// `(transit, host_send, host_recv)` — Comch to a DNE on the DPU,
+    /// SK_MSG to every engine on the host (the CNE's and the baselines').
+    fn fn_channel_costs(&self) -> (Nanos, Nanos, Nanos) {
+        match self.spec.plane {
+            DataPlane::Dne { loc: EngineLocation::Dpu, .. } => {
+                (self.comch.transit, self.comch.host_send_cpu, self.comch.host_recv_cpu)
+            }
+            _ => (self.skmsg.transit, self.skmsg.send_cpu, self.skmsg.recv_cpu),
         }
     }
 
@@ -520,7 +517,7 @@ impl ClusterShard {
     /// the first effect landing at that same instant carries it (`wake`)
     /// instead of a second event being queued behind it.
     fn apply_dne_step(&mut self, fx: &mut Effects<'_, Ev>, n: usize, step: &mut crate::dne::DneStep) {
-        let (to_fn_transit, _) = self.fn_channel_costs();
+        let (to_fn_transit, ..) = self.fn_channel_costs();
         let mut wake_at = match step.last() {
             Some(t) if matches!(t.value, DneEffect::EngineSlot) => Some(t.after),
             _ => None,
@@ -620,7 +617,7 @@ impl ClusterShard {
             }
             RdmaOutput::RnrSeen { node, .. } => {
                 let n = node.raw() as usize;
-                if n == self.ingress_node || self.spec.inter_node == InterNode::TwoSidedRdma {
+                if n == self.ingress_node || matches!(self.spec.plane, DataPlane::Dne { .. }) {
                     self.replenish(n, 32);
                 }
             }
@@ -711,9 +708,9 @@ impl ClusterShard {
 
         // Remote hop (or response to the ingress): over two-sided RDMA
         // through the node's DNE, or down the baseline's own path.
-        if self.spec.inter_node != InterNode::TwoSidedRdma {
+        if let DataPlane::Host(path) = self.spec.plane {
             let hop = Hop { from: f, to, word, bytes };
-            return self.remote_hop(now, fx, n, hop, data);
+            return self.remote_hop(now, fx, n, path, hop, data);
         }
         let Ok(out) = self.pools[li].alloc(Owner::Function(f)) else {
             self.counts.shed_pool += 1;
@@ -721,7 +718,7 @@ impl ClusterShard {
         };
         self.pools[li].produce_bytes(&out, data).expect("sized buffer");
         let out_desc = self.pools[li].into_transit(out, f, to).expect("owned");
-        let (transit, send_cpu) = self.fn_channel_costs();
+        let (transit, send_cpu, _) = self.fn_channel_costs();
         let send_done = self.on_fn_core(n, now, send_cpu);
         fx.at(send_done + transit, Ev::EngineRx { n, desc: out_desc });
     }
@@ -843,7 +840,7 @@ impl ShardEngine for ClusterShard {
                 }
             }
             Ev::Deliver { n, desc } => {
-                let recv = self.fn_recv_cost();
+                let (.., recv) = self.fn_channel_costs();
                 let exec = self.fn_exec(desc.dst_fn);
                 let mut service = recv + exec;
                 // Straggler windows scale the node's compute service time;

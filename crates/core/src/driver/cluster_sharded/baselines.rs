@@ -1,19 +1,21 @@
 //! The baseline data planes of the cluster engine: everything a
-//! non-Palladium [`SystemSpec`](crate::system::SystemSpec) does differently
-//! between a function's hand-off and the next function's delivery.
+//! [`DataPlane::Host`] does differently between a function's hand-off and
+//! the next function's delivery.
 //!
 //! The testbed, the ingress gateway, the pools, token passing and the local
 //! SK_MSG hop are shared with Palladium (the parent module); only the
 //! inter-node primitive and the ingress design differ (§4.3):
 //!
-//! * **SPRIGHT** (`InterNode::KernelTcp`) serializes a remote hop out
+//! * **SPRIGHT** ([`HostHop::KernelTcp`]) serializes a remote hop out
 //!   through the node's host engine over kernel TCP — a software copy at
 //!   each end.
-//! * **FUYAO** (`InterNode::OneSidedRecvCopy`) posts a one-sided WRITE into
+//! * **FUYAO** ([`HostHop::OneSidedRecvCopy`]) posts a one-sided WRITE into
 //!   a dedicated RDMA pool on the destination; the receiver's poller picks
 //!   it up and *copies* it into the node's unified pool.
-//! * **NightCore** (`InterNode::None`) dispatches through a node-local
-//!   gateway whose kernel path livelocks under backlog.
+//! * **NightCore** ([`HostHop::Local`]) runs every function of a pair on
+//!   the pair's first node, so each hop between functions is a local
+//!   SK_MSG hop; its host engine terminates the gateway's TCP legs, and
+//!   its kernel path livelocks under backlog.
 //! * All three take requests in and send responses out over a second TCP
 //!   connection between the gateway and the workers (deferred conversion).
 //!
@@ -35,7 +37,7 @@ use super::{ClusterShard, ClusterShardedConfig, Ev, BUF_SIZE, INGRESS_FN, REQ_MA
 use crate::connpool::{ConnPool, ConnPoolConfig};
 use crate::dne::{pack_imm, unpack_imm};
 use crate::ingress::Leg;
-use crate::system::{InterNode, SystemKind};
+use crate::system::{DataPlane, HostHop};
 
 /// Buffers in a FUYAO worker's dedicated RDMA pool.
 const DEDICATED_BUFS: u32 = 1024;
@@ -83,13 +85,13 @@ struct FuyaoNode {
 
 /// Per-cluster state of a baseline data plane, indexed by worker node.
 pub(super) struct HostPlane {
-    /// Worker-side TCP termination (F-stack or kernel, per system).
+    /// Worker-side TCP termination: the ingress design's own stack.
     worker_tcp: TcpCosts,
     /// SPRIGHT's inter-node legs always ride the kernel stack.
     internode_tcp: TcpCosts,
-    /// The node's generic engine: one FIFO core doing TCP processing,
-    /// FUYAO engine ops and copies, NightCore dispatch.
-    engines: Vec<FifoServer>,
+    /// The node's generic engine: one FIFO core doing TCP processing and
+    /// FUYAO engine ops and copies.
+    pub(super) engines: Vec<FifoServer>,
     /// Work items outstanding per engine (NightCore's livelock input).
     load: Vec<u64>,
     /// Empty unless the system is FUYAO.
@@ -101,12 +103,9 @@ impl HostPlane {
     /// instance `net`.
     pub(super) fn new(cfg: &ClusterShardedConfig, net: &mut RdmaNet) -> HostPlane {
         let workers = 2 * cfg.pairs;
-        let worker_stack = match cfg.system {
-            SystemKind::Spright | SystemKind::FuyaoF => StackKind::FStack,
-            _ => StackKind::Kernel,
-        };
+        let spec = cfg.system.spec();
         let mut fuyao = Vec::new();
-        if cfg.system.spec().inter_node == InterNode::OneSidedRecvCopy {
+        if spec.plane == DataPlane::Host(HostHop::OneSidedRecvCopy) {
             // Dedicated pool ids follow the node pools' (`0..=workers`).
             let pool_id = |n: usize| PoolId((workers + 1 + n) as u16);
             for n in 0..workers {
@@ -132,7 +131,7 @@ impl HostPlane {
             }
         }
         HostPlane {
-            worker_tcp: TcpCosts::for_kind(worker_stack),
+            worker_tcp: TcpCosts::for_kind(spec.ingress.stack()),
             internode_tcp: TcpCosts::for_kind(StackKind::Kernel),
             engines: (0..workers)
                 .map(|_| FifoServer::new())
@@ -145,12 +144,12 @@ impl HostPlane {
     /// Worker-side data-plane CPU in percent of one core: the host
     /// engines' busy time, plus the core FUYAO pins busy-polling on every
     /// worker.
-    pub(super) fn cpu_pct(&self, horizon: Nanos, receiver_polls: bool) -> f64 {
+    pub(super) fn cpu_pct(&self, horizon: Nanos) -> f64 {
         let mut pct = 0.0;
         for e in &self.engines {
             pct += 100.0 * e.utilization(horizon);
         }
-        if receiver_polls {
+        if !self.fuyao.is_empty() {
             pct += 100.0 * self.engines.len() as f64;
         }
         pct
@@ -168,7 +167,7 @@ impl ClusterShard {
     fn on_engine(&mut self, n: usize, now: Nanos, base: Nanos) -> Nanos {
         let host = self.host.as_mut().expect("baseline data plane");
         let mut service = base;
-        if self.spec.kind == SystemKind::NightCore {
+        if self.spec.plane == DataPlane::Host(HostHop::Local) {
             service += self.cost.kernel_livelock(host.load[n]);
         }
         host.load[n] += 1;
@@ -191,12 +190,13 @@ impl ClusterShard {
     }
 
     /// Function `hop.from` on worker `n` hands `data` to a function on
-    /// another node (or the response to the ingress).
+    /// another node down `path` (or the response to the ingress).
     pub(super) fn remote_hop(
         &mut self,
         now: Nanos,
         fx: &mut Effects<'_, Ev>,
         n: usize,
+        path: HostHop,
         hop: Hop,
         data: Bytes,
     ) {
@@ -218,9 +218,8 @@ impl ClusterShard {
         }
         let dst_node = self.node_of(to);
         let (send_cpu, transit) = (self.skmsg.send_cpu, self.skmsg.transit);
-        match self.spec.inter_node {
-            InterNode::TwoSidedRdma => unreachable!("Palladium hops go through the DNE"),
-            InterNode::OneSidedRecvCopy => {
+        match path {
+            HostHop::OneSidedRecvCopy => {
                 // Local buffer holds the payload until the write completes.
                 let Ok(out) = self.pools[n].alloc(Owner::Engine) else {
                     self.counts.shed_pool += 1;
@@ -259,7 +258,7 @@ impl ClusterShard {
                 fx.extend_at_drain(engine_done, &mut step.events, Ev::Rdma);
                 self.post_step = step;
             }
-            InterNode::KernelTcp => {
+            HostHop::KernelTcp => {
                 // SPRIGHT: serialize out through the node engine over
                 // kernel TCP — a software copy at each end.
                 let send_done = self.on_fn_core(n, now, send_cpu);
@@ -272,22 +271,9 @@ impl ClusterShard {
                     Ev::Host(HostEv::TcpWire { n: dst_node, hop }),
                 );
             }
-            InterNode::None => {
-                // NightCore: hops pass through its node-local gateway
-                // over per-function pipes (syscalls both ways).
-                let dispatch = Nanos::from_nanos(1_200);
-                let done = self.on_engine(n, now, dispatch);
-                fx.at(done, Ev::Host(HostEv::EngineRelease { n }));
-                let Ok(out) = self.pools[n].alloc(Owner::Engine) else {
-                    self.counts.shed_pool += 1;
-                    return;
-                };
-                self.pools[n]
-                    .produce_bytes(&out, data)
-                    .expect("sized buffer");
-                let desc = self.hand_to_fn(n, out, f, to);
-                fx.at(done + transit, Ev::Deliver { n, desc });
-            }
+            // `validate` holds a node-local plane's functions on one node,
+            // so its every hop between functions is a local SK_MSG hop.
+            HostHop::Local => unreachable!("a node-local plane has no remote hop"),
         }
     }
 

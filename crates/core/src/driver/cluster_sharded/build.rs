@@ -7,8 +7,8 @@ use palladium_ipc::{ChannelCosts, ChannelKind, SkMsgCosts};
 use palladium_membuf::{CopyMeter, MmapExporter, NodeId, PayloadCache, PoolId, Region, UnifiedPool};
 use palladium_rdma::{RdmaConfig, RdmaNet, Step};
 use palladium_simnet::{
-    run_sharded, Execution, IdTable, Nanos, Partition, RunStats, ServerBank, ShardConfig, ShardRun,
-    Slab,
+    run_sharded, Execution, FifoServer, IdTable, Nanos, Partition, RunStats, ServerBank, ShardConfig,
+    ShardRun, Slab,
 };
 
 use super::baselines::HostPlane;
@@ -21,15 +21,18 @@ use super::{
 use crate::config::{CostModel, EngineLocation};
 use crate::connpool::{ConnPool, ConnPoolConfig};
 use crate::dne::Dne;
-use crate::driver::chain::{ChainReport, INGRESS_FN};
+use crate::driver::chain::{ChainReport, Station, INGRESS_FN};
 use crate::driver::LoadReport;
 use crate::ingress::{IngressConfig, IngressGateway};
 use crate::rbr::RbrTable;
 use crate::routing::{Coordinator, DeployEvent};
-use crate::system::{IngressKind, InterNode};
+use crate::system::{DataPlane, IngressKind};
 
 /// Receive buffers every two-sided-RDMA node posts before the run starts.
 const INITIAL_RQ: u64 = 512;
+
+/// Function cores per worker node.
+const FN_CORES: usize = 38;
 
 /// Transport retry budget under chaos *without* an overload retry policy —
 /// the legacy "undying" configuration: the QP never suicides, go-back-N
@@ -65,6 +68,22 @@ fn warm_conns(
         };
         pool.adopt(nb, TENANT, qa);
     }
+}
+
+/// The station of `servers` on `node`, read at `horizon`.
+fn station<'a>(
+    name: &'static str,
+    node: usize,
+    horizon: Nanos,
+    servers: impl IntoIterator<Item = &'a FifoServer>,
+) -> Station {
+    let mut st = Station { name, node, cores: 0, busy: Nanos::ZERO, backlog: Nanos::ZERO };
+    for s in servers {
+        st.cores += 1;
+        st.busy += s.busy_time();
+        st.backlog += s.backlog(horizon);
+    }
+    st
 }
 
 /// The sharded Fig 16 cluster simulation.
@@ -129,7 +148,7 @@ impl ClusterShardedSim {
         assert!(shards >= 1 && shards <= n_nodes, "1..=nodes shards");
         let part = Partition::new(n_nodes, shards);
         let spec = cfg.system.spec();
-        let palladium = spec.inter_node == InterNode::TwoSidedRdma;
+        let palladium = matches!(spec.plane, DataPlane::Dne { .. });
         assert!(
             palladium || shards == 1,
             "{:?} does not shard: its inter-node legs are local events",
@@ -217,35 +236,36 @@ impl ClusterShardedSim {
         let mut dnes: Vec<Dne> = Vec::new();
         let mut ingress_conns = ConnPool::new(NodeId(ingress_node as u16), ConnPoolConfig::default());
         let mut host = None;
-        if palladium {
-            dnes.extend((0..2 * cfg.pairs).map(|n| {
-                let mut dne = Dne::new(
-                    NodeId(n as u16),
-                    spec.engine_loc,
-                    cost,
-                    spec.sched,
-                    ConnPool::new(NodeId(n as u16), ConnPoolConfig::default()),
-                );
-                dne.routes = coord.tables_for(NodeId(n as u16));
-                dne.register_tenant(TENANT, 1);
-                dne
-            }));
-            // Warm RC connections in one canonical global order (see
-            // `warm_conns` on QPN invariance): per pair worker↔worker and
-            // worker→ingress, then ingress→workers.
-            for p in 0..cfg.pairs {
-                let (w0, w1) = (2 * p, 2 * p + 1);
-                warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, w1, cpp);
-                warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, w0, cpp);
-                warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, ingress_node, cpp);
-                warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, ingress_node, cpp);
+        match spec.plane {
+            DataPlane::Dne { loc, sched } => {
+                dnes.extend((0..2 * cfg.pairs).map(|n| {
+                    let mut dne = Dne::new(
+                        NodeId(n as u16),
+                        loc,
+                        cost,
+                        sched,
+                        ConnPool::new(NodeId(n as u16), ConnPoolConfig::default()),
+                    );
+                    dne.routes = coord.tables_for(NodeId(n as u16));
+                    dne.register_tenant(TENANT, 1);
+                    dne
+                }));
+                // Warm RC connections in one canonical global order (see
+                // `warm_conns` on QPN invariance): per pair worker↔worker and
+                // worker→ingress, then ingress→workers.
+                for p in 0..cfg.pairs {
+                    let (w0, w1) = (2 * p, 2 * p + 1);
+                    warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, w1, cpp);
+                    warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, w0, cpp);
+                    warm_conns(&mut dnes[w0].pool, &mut nets, &part, w0, ingress_node, cpp);
+                    warm_conns(&mut dnes[w1].pool, &mut nets, &part, w1, ingress_node, cpp);
+                }
+                for p in 0..cfg.pairs {
+                    warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p, cpp);
+                    warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p + 1, cpp);
+                }
             }
-            for p in 0..cfg.pairs {
-                warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p, cpp);
-                warm_conns(&mut ingress_conns, &mut nets, &part, ingress_node, 2 * p + 1, cpp);
-            }
-        } else {
-            host = Some(HostPlane::new(cfg, &mut nets[0]));
+            DataPlane::Host(_) => host = Some(HostPlane::new(cfg, &mut nets[0])),
         }
 
         // Assemble the shard engines: distribute the per-node state along
@@ -340,7 +360,7 @@ impl ClusterShardedSim {
                     shard.dnes.push(None);
                     shard.ingress = ingress_state.take();
                 } else {
-                    shard.fn_cores.push(Some(ServerBank::new(38)));
+                    shard.fn_cores.push(Some(ServerBank::new(FN_CORES)));
                     shard.dnes.push(dne_it.next());
                 }
             }
@@ -416,28 +436,42 @@ impl ClusterShardedSim {
         let mut worker_meter = CopyMeter::new();
         let mut cpu_pct = 0.0;
         let mut dpu_pct = 0.0;
+        let mut stations = Vec::new();
         for n in 0..n_nodes {
-            if n == ingress_node {
-                continue;
-            }
             let e = &engines[part.shard_of(n)];
             let li = n - e.lo;
-            worker_meter.merge(&e.meters[li]);
-            let Some(dne) = e.dnes[li].as_ref() else {
-                continue;
-            };
-            if spec.engine_loc == EngineLocation::Dpu {
-                // Busy-polling DNE worker cores: 100% each (§4.3.1), plus
-                // the core thread's useful time.
-                dpu_pct += 100.0;
-                dpu_pct += 100.0 * dne.core_thread.utilization(horizon);
+            if n == ingress_node {
+                let gw = &e.ingress.as_ref().expect("ingress state").gw;
+                stations.push(station("ingress", n, horizon, gw.active_servers()));
             } else {
-                cpu_pct += 100.0 * dne.worker_core.utilization(horizon);
-                cpu_pct += 100.0 * dne.core_thread.utilization(horizon);
+                worker_meter.merge(&e.meters[li]);
+                let bank = e.fn_cores[li].as_ref().expect("worker node");
+                let backlog = (0..FN_CORES).map(|i| bank.get(i).backlog(horizon)).sum();
+                let busy = bank.busy_time();
+                stations.push(Station { name: "fn cores", node: n, cores: FN_CORES, busy, backlog });
+                if let Some(host) = &e.host {
+                    stations.push(station("host engine", n, horizon, [&host.engines[n]]));
+                }
             }
+            if let Some(dne) = e.dnes[li].as_ref() {
+                stations.push(station("dne worker", n, horizon, [&dne.worker_core]));
+                stations.push(station("dne core thread", n, horizon, [&dne.core_thread]));
+                if matches!(spec.plane, DataPlane::Dne { loc: EngineLocation::Dpu, .. }) {
+                    // Busy-polling DNE worker cores: 100% each (§4.3.1), plus
+                    // the core thread's useful time.
+                    dpu_pct += 100.0;
+                    dpu_pct += 100.0 * dne.core_thread.utilization(horizon);
+                } else {
+                    cpu_pct += 100.0 * dne.worker_core.utilization(horizon);
+                    cpu_pct += 100.0 * dne.core_thread.utilization(horizon);
+                }
+            }
+            let rnic = e.net.rnic(NodeId(n as u16));
+            stations.push(station("rnic egress", n, horizon, [&rnic.egress]));
+            stations.push(station("rnic rx", n, horizon, [&rnic.rx_engine]));
         }
         if let Some(host) = &engines[0].host {
-            cpu_pct += host.cpu_pct(horizon, spec.receiver_polls);
+            cpu_pct += host.cpu_pct(horizon);
         }
         // Fault/protocol counters fold in shard order; health/failover
         // counters live on the ingress. Both are deterministic per the
@@ -469,6 +503,7 @@ impl ClusterShardedSim {
             rnic_dma_bytes: worker_meter.rnic_dma_bytes,
             cpu_util_pct: cpu_pct,
             dpu_util_pct: dpu_pct,
+            stations,
             load,
         };
         ClusterShardedReport {

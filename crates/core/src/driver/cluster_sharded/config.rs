@@ -10,7 +10,7 @@ use super::HOP_MASK;
 use crate::autoscaler::AutoscalerConfig;
 use crate::connpool::RejoinCosts;
 use crate::driver::chain::AppSpec;
-use crate::system::SystemKind;
+use crate::system::{DataPlane, HostHop, SystemKind};
 
 /// Default buffers per node pool.
 const POOL_BUFS: u32 = 4096;
@@ -23,7 +23,8 @@ pub struct ClusterShardedConfig {
     pub system: SystemKind,
     /// The application: `chains[p]` is worker pair `p`'s chain, function
     /// nodes are **global** node indices (see
-    /// `palladium_workloads::boutique::sharded_app`).
+    /// `palladium_workloads::boutique::sharded_app`). A node-local system
+    /// (NightCore) runs each function on its pair's first node.
     pub app: AppSpec,
     /// Worker-node pairs; the cluster has `2·pairs + 1` nodes.
     pub pairs: usize,
@@ -242,8 +243,14 @@ pub struct AutoscalePolicy {
 }
 
 impl ClusterShardedConfig {
-    /// A run of `system` over `app` with `pairs` worker pairs.
-    pub fn new(system: SystemKind, app: AppSpec, pairs: usize) -> Self {
+    /// A run of `system` over `app` with `pairs` worker pairs. A node-local
+    /// system moves each function onto its pair's first node.
+    pub fn new(system: SystemKind, mut app: AppSpec, pairs: usize) -> Self {
+        if node_local(system) {
+            for f in &mut app.functions {
+                f.node &= !1;
+            }
+        }
         ClusterShardedConfig {
             system,
             app,
@@ -306,6 +313,10 @@ impl ClusterShardedConfig {
         assert!(self.clients >= 1, "need at least one client");
         assert!(self.clients as u64 <= 1 << 32, "client ids are 32 bits");
         assert!(self.pool_bufs >= 1, "need at least one pool buffer");
+        assert!(
+            !node_local(self.system) || self.app.functions.iter().all(|f| f.node % 2 == 0),
+            "a node-local system runs each function on its pair's first node"
+        );
         if let Some(overload) = &self.overload {
             assert!(overload.inflight_cap >= 1, "need a non-empty in-flight window");
             assert!(overload.traffic.population >= 1, "need a function population");
@@ -314,10 +325,15 @@ impl ClusterShardedConfig {
     }
 }
 
+/// Does `system` keep every hop on one node (NightCore)?
+fn node_local(system: SystemKind) -> bool {
+    system.spec().plane == DataPlane::Host(HostHop::Local)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::chain::{ChainSpec, HopSpec};
+    use crate::driver::chain::{ChainSpec, FnSpec, HopSpec};
     use palladium_membuf::FnId;
 
     fn chain(hops: usize) -> ChainSpec {
@@ -328,6 +344,10 @@ mod tests {
     fn valid() -> ClusterShardedConfig {
         let app = AppSpec { functions: Vec::new(), chains: vec![chain(3), chain(3)] };
         ClusterShardedConfig::new(SystemKind::PalladiumDne, app, 2)
+    }
+
+    fn on_node(node: usize) -> FnSpec {
+        FnSpec { id: FnId(1), name: "f", node, exec: Nanos(1) }
     }
 
     fn overloaded(tune: impl FnOnce(&mut OverloadConfig)) -> ClusterShardedConfig {
@@ -351,6 +371,7 @@ mod tests {
             (set(|c| c.clients = 0), "at least one client"),
             (set(|c| c.clients = (1 << 32) + 1), "client ids are 32 bits"),
             (set(|c| c.pool_bufs = 0), "at least one pool buffer"),
+            (set(|c| (c.system, c.app.functions) = (SystemKind::NightCore, vec![on_node(3)])), "first node"),
             (overloaded(|ov| ov.inflight_cap = 0), "non-empty in-flight window"),
             (overloaded(|ov| ov.traffic.population = 0), "function population"),
             (overloaded(|ov| ov.traffic.population = (1 << 32) + 1), "function ids are 32 bits"),
@@ -366,6 +387,12 @@ mod tests {
     #[test]
     fn the_defaults_and_the_widest_legal_shapes_pass() {
         valid().validate();
+        // `new` moves a node-local system's functions onto their pair's
+        // first node.
+        let app = AppSpec { functions: vec![on_node(0), on_node(3)], ..valid().app };
+        let cfg = ClusterShardedConfig::new(SystemKind::NightCore, app, 2);
+        assert_eq!(cfg.app.functions.iter().map(|f| f.node).collect::<Vec<_>>(), [0, 2]);
+        cfg.validate();
         overloaded(|_| {}).validate();
         overloaded(|ov| ov.traffic.population = 1 << 32).validate();
         let mut cfg = valid();

@@ -15,7 +15,7 @@
 //! inflation under overload — the collapse visible in Fig 14.
 
 use palladium_simnet::{FifoServer, Nanos};
-use palladium_tcpstack::{IngressServiceModel, StackKind};
+use palladium_tcpstack::IngressServiceModel;
 
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
 use crate::config::CostModel;
@@ -79,15 +79,11 @@ pub struct IngressGateway {
 impl IngressGateway {
     /// Build a gateway.
     pub fn new(cfg: IngressConfig, cost: CostModel) -> Self {
-        let stack = match cfg.kind {
-            IngressKind::Palladium | IngressKind::FStackDeferred => StackKind::FStack,
-            IngressKind::KernelDeferred => StackKind::Kernel,
-        };
         let max = cfg.autoscaler.max_workers;
         let initial = cfg.fixed_workers.unwrap_or(cfg.autoscaler.min_workers);
         IngressGateway {
             cfg,
-            model: IngressServiceModel::new(stack),
+            model: IngressServiceModel::new(cfg.kind.stack()),
             cost,
             workers: vec![FifoServer::new(); max],
             outstanding: vec![0; max],
@@ -215,6 +211,11 @@ impl IngressGateway {
     /// Busy time accumulated across active workers (for CPU-usage series).
     pub fn total_busy(&self) -> Nanos {
         self.workers.iter().map(|w| w.busy_time()).sum()
+    }
+
+    /// The active worker processes' servers.
+    pub(crate) fn active_servers(&self) -> &[FifoServer] {
+        &self.workers[..self.active]
     }
 
     /// Is the gateway inside a scaling blip at `now`?

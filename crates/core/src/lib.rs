@@ -15,8 +15,8 @@
 //!   coordinator.
 //! * [`ingress`] — the cluster-wide HTTP/TCP→RDMA gateway: master/worker,
 //!   RSS, hysteresis autoscaler ([`autoscaler`]).
-//! * [`system`] — declarative wiring of all six evaluated systems and the
-//!   Table 1 capability matrix.
+//! * [`system`] — the six evaluated systems, each an ingress design and a
+//!   data plane.
 //! * [`driver`] — the simulation drivers that regenerate the paper's
 //!   figures: descriptor-channel echo (Fig 9), ingress sweep & scaling
 //!   (Figs 13–14), multi-tenant fairness (Fig 15) and the full
@@ -44,4 +44,4 @@ pub use dne::{pack_imm, unpack_imm, Dne, DneEffect, DneStep};
 pub use dwrr::{SchedPolicy, TenantScheduler};
 pub use rbr::RbrTable;
 pub use routing::{Coordinator, DeployEvent, RouteTables};
-pub use system::{Capabilities, IngressKind, InterNode, SystemKind, SystemSpec};
+pub use system::{IngressKind, SystemKind};

@@ -1,6 +1,8 @@
-//! System definitions: the six data planes of the §4.3 evaluation plus the
-//! ablation variants, expressed as a single declarative spec the chain
-//! driver wires up. Also the Table 1 capability matrix.
+//! System definitions: the six data planes of the §4.3 evaluation, each
+//! an ingress design and a data plane — the two things the cluster engine
+//! runs differently.
+
+use palladium_tcpstack::StackKind;
 
 use crate::config::EngineLocation;
 use crate::dwrr::SchedPolicy;
@@ -47,94 +49,19 @@ impl SystemKind {
         }
     }
 
-    /// The declarative wiring for this system.
-    pub fn spec(self) -> SystemSpec {
-        match self {
-            SystemKind::PalladiumDne => SystemSpec {
-                kind: self,
-                ingress: IngressKind::Palladium,
-                inter_node: InterNode::TwoSidedRdma,
-                engine_loc: EngineLocation::Dpu,
-                sched: SchedPolicy::Dwrr,
-                single_node: false,
-                receiver_polls: false,
-            },
-            SystemKind::PalladiumCne => SystemSpec {
-                kind: self,
-                ingress: IngressKind::Palladium,
-                inter_node: InterNode::TwoSidedRdma,
-                engine_loc: EngineLocation::Cpu,
-                sched: SchedPolicy::Dwrr,
-                single_node: false,
-                receiver_polls: false,
-            },
-            SystemKind::FuyaoF => SystemSpec {
-                kind: self,
-                ingress: IngressKind::FStackDeferred,
-                inter_node: InterNode::OneSidedRecvCopy,
-                engine_loc: EngineLocation::Cpu,
-                sched: SchedPolicy::Fcfs,
-                single_node: false,
-                receiver_polls: true,
-            },
-            SystemKind::FuyaoK => SystemSpec {
-                kind: self,
-                ingress: IngressKind::KernelDeferred,
-                inter_node: InterNode::OneSidedRecvCopy,
-                engine_loc: EngineLocation::Cpu,
-                sched: SchedPolicy::Fcfs,
-                single_node: false,
-                receiver_polls: true,
-            },
-            SystemKind::Spright => SystemSpec {
-                kind: self,
-                ingress: IngressKind::FStackDeferred,
-                inter_node: InterNode::KernelTcp,
-                engine_loc: EngineLocation::Cpu,
-                sched: SchedPolicy::Fcfs,
-                single_node: false,
-                receiver_polls: false,
-            },
-            SystemKind::NightCore => SystemSpec {
-                kind: self,
-                ingress: IngressKind::KernelDeferred,
-                inter_node: InterNode::None,
-                engine_loc: EngineLocation::Cpu,
-                sched: SchedPolicy::Fcfs,
-                single_node: true,
-                receiver_polls: false,
-            },
-        }
-    }
-
-    /// Table 1 capability row.
-    pub fn capabilities(self) -> Capabilities {
-        match self {
-            SystemKind::PalladiumDne | SystemKind::PalladiumCne => Capabilities {
-                multi_tenancy: true,
-                distributed_zero_copy: true,
-                dpu_offloading: self == SystemKind::PalladiumDne,
-                eliminates_proto_in_cluster: true,
-            },
-            SystemKind::FuyaoF | SystemKind::FuyaoK => Capabilities {
-                multi_tenancy: false,
-                distributed_zero_copy: false, // receiver-side copy
-                dpu_offloading: true,
-                eliminates_proto_in_cluster: false,
-            },
-            SystemKind::Spright => Capabilities {
-                multi_tenancy: false,
-                distributed_zero_copy: false,
-                dpu_offloading: false,
-                eliminates_proto_in_cluster: false,
-            },
-            SystemKind::NightCore => Capabilities {
-                multi_tenancy: false,
-                distributed_zero_copy: false,
-                dpu_offloading: false,
-                eliminates_proto_in_cluster: false,
-            },
-        }
+    /// What the cluster engine runs for this system. The only place a
+    /// [`SystemSpec`] is built, so every spec is one of these six.
+    pub(crate) fn spec(self) -> SystemSpec {
+        let dne = |loc| DataPlane::Dne { loc, sched: SchedPolicy::Dwrr };
+        let (ingress, plane) = match self {
+            SystemKind::PalladiumDne => (IngressKind::Palladium, dne(EngineLocation::Dpu)),
+            SystemKind::PalladiumCne => (IngressKind::Palladium, dne(EngineLocation::Cpu)),
+            SystemKind::FuyaoF => (IngressKind::FStackDeferred, DataPlane::Host(HostHop::OneSidedRecvCopy)),
+            SystemKind::FuyaoK => (IngressKind::KernelDeferred, DataPlane::Host(HostHop::OneSidedRecvCopy)),
+            SystemKind::Spright => (IngressKind::FStackDeferred, DataPlane::Host(HostHop::KernelTcp)),
+            SystemKind::NightCore => (IngressKind::KernelDeferred, DataPlane::Host(HostHop::Local)),
+        };
+        SystemSpec { ingress, plane }
     }
 }
 
@@ -149,94 +76,49 @@ pub enum IngressKind {
     KernelDeferred,
 }
 
-/// How inter-node function hops travel.
+impl IngressKind {
+    /// The TCP stack this design runs: the gateway's client side, and on a
+    /// deferred design also the workers' end of the second connection.
+    pub(crate) fn stack(self) -> StackKind {
+        match self {
+            IngressKind::Palladium | IngressKind::FStackDeferred => StackKind::FStack,
+            IngressKind::KernelDeferred => StackKind::Kernel,
+        }
+    }
+}
+
+/// What a system runs: its ingress design and its data plane.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SystemSpec {
+    pub(crate) ingress: IngressKind,
+    pub(crate) plane: DataPlane,
+}
+
+/// The path between a function's hand-off and the next function's delivery.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InterNode {
-    /// Two-sided RDMA SEND/RECV through the engine (Palladium, §2.1).
-    TwoSidedRdma,
+pub(crate) enum DataPlane {
+    /// Two-sided RDMA SEND/RECV through Palladium's network engine (§2.1),
+    /// on the DPU (DNE) or on a host core (CNE).
+    Dne { loc: EngineLocation, sched: SchedPolicy },
+    /// A baseline's node-local host engine.
+    Host(HostHop),
+}
+
+/// How a baseline's host engine moves a hop to another node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum HostHop {
     /// One-sided WRITE into a dedicated pool + receiver-side copy (FUYAO).
     OneSidedRecvCopy,
     /// Kernel TCP between node-local engines (SPRIGHT).
     KernelTcp,
-    /// No inter-node path: all functions co-located (NightCore).
-    None,
-}
-
-/// Full declarative wiring of one system.
-#[derive(Clone, Copy, Debug)]
-pub struct SystemSpec {
-    /// Which system this is.
-    pub kind: SystemKind,
-    /// Ingress design.
-    pub ingress: IngressKind,
-    /// Inter-node transport.
-    pub inter_node: InterNode,
-    /// Engine location (DPU vs CPU).
-    pub engine_loc: EngineLocation,
-    /// TX scheduling policy.
-    pub sched: SchedPolicy,
-    /// All functions forced onto one node?
-    pub single_node: bool,
-    /// Does the receiver pin a core busy-polling for one-sided arrivals?
-    pub receiver_polls: bool,
-}
-
-/// Table 1 capability flags.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Capabilities {
-    /// Multi-tenancy support for the RDMA fabric.
-    pub multi_tenancy: bool,
-    /// Distributed zero-copy data plane.
-    pub distributed_zero_copy: bool,
-    /// DPU offloading.
-    pub dpu_offloading: bool,
-    /// Eliminates protocol processing within the cluster.
-    pub eliminates_proto_in_cluster: bool,
+    /// No inter-node path: every function of a pair runs on its first node
+    /// (NightCore).
+    Local,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_table1_matrix() {
-        // Palladium is the only row with all four capabilities (Table 1).
-        let p = SystemKind::PalladiumDne.capabilities();
-        assert!(
-            p.multi_tenancy
-                && p.distributed_zero_copy
-                && p.dpu_offloading
-                && p.eliminates_proto_in_cluster
-        );
-        let f = SystemKind::FuyaoF.capabilities();
-        assert!(f.dpu_offloading && !f.multi_tenancy && !f.distributed_zero_copy);
-        let s = SystemKind::Spright.capabilities();
-        assert!(!s.dpu_offloading && !s.distributed_zero_copy);
-        let n = SystemKind::NightCore.capabilities();
-        assert!(!n.multi_tenancy && !n.dpu_offloading);
-    }
-
-    #[test]
-    fn specs_are_consistent() {
-        for k in SystemKind::ALL {
-            let s = k.spec();
-            assert_eq!(s.kind, k);
-            if s.single_node {
-                assert_eq!(s.inter_node, InterNode::None);
-            }
-            if s.receiver_polls {
-                assert_eq!(s.inter_node, InterNode::OneSidedRecvCopy);
-            }
-        }
-        assert_eq!(
-            SystemKind::PalladiumDne.spec().engine_loc,
-            EngineLocation::Dpu
-        );
-        assert_eq!(
-            SystemKind::PalladiumCne.spec().engine_loc,
-            EngineLocation::Cpu
-        );
-    }
 
     #[test]
     fn labels_match_paper() {

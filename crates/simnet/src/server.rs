@@ -39,8 +39,8 @@ impl FifoServer {
 
     /// Queueing delay a new arrival at `now` would experience before service
     /// begins; `backlog(Nanos::ZERO)` is the instant the server next goes
-    /// idle. No binary reads it: it stays as the observable of the backlog
-    /// and dispatch laws in `tests/queueing_laws.rs`.
+    /// idle. A cluster run's stations read it at the horizon: how long past
+    /// the horizon the server stays booked.
     pub fn backlog(&self, now: Nanos) -> Nanos {
         self.busy_until.saturating_sub(now)
     }
@@ -98,15 +98,13 @@ impl ServerBank {
         done
     }
 
-    /// Access a server by index. No binary reads it: it is the read-only
-    /// view `tests/queueing_laws.rs` checks each server's backlog through.
+    /// Access a server by index: the read-only view each server's backlog
+    /// is read through.
     pub fn get(&self, idx: usize) -> &FifoServer {
         &self.servers[idx]
     }
 
-    /// Total busy time across the bank. No binary reads it yet: it is the
-    /// bank's one busy-time reader, for `tests/queueing_laws.rs` and for
-    /// the per-station view of ROADMAP item 13a.
+    /// Total busy time across the bank.
     pub fn busy_time(&self) -> Nanos {
         self.servers.iter().map(|s| s.busy_time()).sum()
     }

@@ -7,12 +7,12 @@
 
 use std::sync::OnceLock;
 
-use palladium_bench::{check, quoted_artefacts, CellRef, Scale, Table};
+use palladium_bench::{check, quoted_artefacts, BoutiqueSweep, CellRef, Scale, Table, FIG16_CLIENTS};
 
 /// One reduced-scale run of every quoted artefact, shared by the tests.
 fn tables() -> &'static [Table] {
     static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
-    TABLES.get_or_init(|| quoted_artefacts(Scale::REDUCED))
+    TABLES.get_or_init(|| quoted_artefacts(&BoutiqueSweep::run(&FIG16_CLIENTS, Scale::REDUCED)))
 }
 
 /// Asserts that every ledger point whose id starts with `prefix` gives its

@@ -20,10 +20,10 @@ const CLIENTS: usize = 12;
 const WARMUP_MS: u64 = 5;
 const DURATION_MS: u64 = 15;
 
-/// Every `ChainReport` field, floats hex-exact.
+/// Every `ChainReport` field, floats hex-exact, stations included.
 fn fields(r: &ChainReport) -> String {
     format!(
-        "rps={:016x}/{:016x} mean={}/{} p99={} completed={} sw={}/{} dma={} cpu={:016x} dpu={:016x}",
+        "rps={:016x}/{:016x} mean={}/{} p99={} completed={} sw={}/{} dma={} cpu={:016x} dpu={:016x} stations={:?}",
         r.rps.to_bits(),
         r.load.rps.to_bits(),
         r.mean_latency.as_nanos(),
@@ -34,7 +34,8 @@ fn fields(r: &ChainReport) -> String {
         r.software_copy_ops,
         r.rnic_dma_bytes,
         r.cpu_util_pct.to_bits(),
-        r.dpu_util_pct.to_bits()
+        r.dpu_util_pct.to_bits(),
+        r.stations
     )
 }
 
@@ -49,16 +50,8 @@ fn facade(system: SystemKind) -> (String, u64) {
 }
 
 fn sharded(system: SystemKind) -> ClusterShardedSim {
-    let mut app = golden_app();
-    if system.spec().single_node {
-        // NightCore serves the whole chain from one node; the facade places
-        // it so before it builds the same configuration.
-        for f in &mut app.functions {
-            f.node = 0;
-        }
-    }
     ClusterShardedSim::new(
-        ClusterShardedConfig::new(system, app, 1)
+        ClusterShardedConfig::new(system, golden_app(), 1)
             .clients(CLIENTS)
             .warmup_ms(WARMUP_MS)
             .duration_ms(DURATION_MS),

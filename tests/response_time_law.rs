@@ -28,8 +28,26 @@
 //! Left out: the fairness driver (its clients park between bursts, so
 //! Z ≠ 0), and the chaos and overload runs (requests are abandoned or
 //! shed, so not every client is always in the loop).
+//!
+//! **The utilisation law, on every station of a cluster run.** A station
+//! of c servers can serve at most c · T over a run of horizon T, so its
+//! utilisation U = busy ÷ T is at most c. The edge: a server is booked by
+//! `submit(now, service)`, which may start work after T (behind a queue,
+//! or at a start time the caller put in the future), and `busy` counts
+//! that work too. All booked work lies in [0, busy_until]; the part
+//! inside [0, T] is at most T, and the part after T lies in
+//! (T, busy_until], whose length is the server's `backlog(T)`. Summed
+//! over the station's servers,
+//!
+//! ```text
+//! Σ busy  ≤  c · T  +  Σ backlog(T)
+//! ```
+//!
+//! checked below in exact integer nanoseconds. The backlog term is not
+//! slack: NightCore's node-0 engine at 80 clients books 103.9 % of T, and
+//! `FifoServer::utilization` clamps that to 100 %.
 
-use palladium::core::driver::chain::ChainSim;
+use palladium::core::driver::chain::{ChainReport, ChainSim};
 use palladium::core::driver::channel::{ChannelSim, ChannelSimConfig};
 use palladium::core::driver::cluster_sharded::ClusterShardedSim;
 use palladium::core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
@@ -62,6 +80,24 @@ fn assert_law(name: &str, clients: usize, duration: Nanos, r: &LoadReport) {
     );
 }
 
+/// Assert the utilisation law on every station of a run of `horizon`.
+fn assert_stations(name: &str, horizon: Nanos, r: &ChainReport) {
+    assert!(!r.stations.is_empty(), "{name}: no stations");
+    let t = horizon.as_nanos() as u128;
+    for st in &r.stations {
+        let (busy, backlog) = (st.busy.as_nanos() as u128, st.backlog.as_nanos() as u128);
+        assert!(
+            busy <= st.cores as u128 * t + backlog,
+            "{name}: {} on node {} booked {} over {} cores × {horizon} (backlog {})",
+            st.name,
+            st.node,
+            st.busy,
+            st.cores,
+            st.backlog,
+        );
+    }
+}
+
 #[test]
 fn chain_driver_obeys_the_law() {
     for system in SystemKind::ALL {
@@ -69,20 +105,22 @@ fn chain_driver_obeys_the_law() {
             .clients(8)
             .warmup_ms(1)
             .duration_ms(4);
-        let (n, d) = (cfg.clients, cfg.duration);
+        let (n, d, horizon) = (cfg.clients, cfg.duration, cfg.warmup + cfg.duration);
         let r = ChainSim::new(cfg).run();
         assert_law(&format!("chain/{system:?}"), n, d, &r.load);
+        assert_stations(&format!("chain/{system:?}"), horizon, &r);
     }
 }
 
 #[test]
 fn sharded_cluster_obeys_the_law() {
     let cfg = base_cfg();
-    let (n, d) = (cfg.clients, cfg.duration);
+    let (n, d, horizon) = (cfg.clients, cfg.duration, cfg.warmup + cfg.duration);
     let sim = ClusterShardedSim::new(cfg);
     for shards in [1, 4] {
         let r = sim.run(shards, Execution::Sequential);
         assert_law(&format!("cluster_sharded/{shards}"), n, d, &r.chain.load);
+        assert_stations(&format!("cluster_sharded/{shards}"), horizon, &r.chain);
     }
 }
 

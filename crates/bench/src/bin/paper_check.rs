@@ -7,9 +7,11 @@
 //! verdict per point, then the count of ratio points in tolerance. On
 //! stdout it prints the bottleneck station of every Fig 16 / Table 2 run
 //! (`BoutiqueSweep::bottlenecks`), then that count. Exits
-//! non-zero when a point's verdict is not the one the ledger declares, or
-//! when a quote's words are missing from the title it cites; the file is
-//! written either way, so its diff shows what moved.
+//! non-zero when a point's verdict is not the one the ledger declares,
+//! when a quote's words are missing from the title it cites, or when a
+//! closed-loop sweep of Fig 13 or Fig 16 reads less throughput with more
+//! clients (`throughput_drops`); the file is written either way, so its
+//! diff shows what moved.
 //!
 //! Usage: `cargo run --release -p palladium-bench --bin paper_check --
 //! [--out PATH]` (default `EXPERIMENTS.md`).
@@ -17,7 +19,8 @@
 use std::process::ExitCode;
 
 use palladium_bench::{
-    check, ledger_markdown, out_path_arg, quoted_artefacts, BoutiqueSweep, Scale, FIG16_CLIENTS,
+    check, ledger_markdown, out_path_arg, quoted_artefacts, throughput_drops, BoutiqueSweep, Scale,
+    FIG16_CLIENTS,
 };
 
 fn main() -> ExitCode {
@@ -45,12 +48,24 @@ fn main() -> ExitCode {
     print!("{}", md.lines().last().map(|l| format!("{l}\n")).unwrap_or_default());
     let mut ok = true;
     for o in &outcomes {
-        let declared = o.point.declared(Scale::FULL);
+        let declared = o.point.declared;
         if o.verdict != declared {
             eprintln!(
                 "paper_check: {} @ {}: model {:.4} is {:?}, the ledger declares {declared:?}",
                 o.quote.id, o.point.at, o.model, o.verdict
             );
+            ok = false;
+        }
+    }
+    match throughput_drops(&tables, Scale::FULL) {
+        Ok(drops) => {
+            for drop in &drops {
+                eprintln!("paper_check: closed-loop throughput falls: {drop}");
+            }
+            ok &= drops.is_empty();
+        }
+        Err(e) => {
+            eprintln!("paper_check: {e}");
             ok = false;
         }
     }

@@ -33,10 +33,6 @@ impl Scale {
     /// Full harness runs.
     pub const FULL: Scale = Scale(1.0);
 
-    /// The scale the test suite runs every quoted artefact at; a ledger
-    /// point whose verdict differs there declares it with `.reduced(..)`.
-    pub const REDUCED: Scale = Scale(0.12);
-
     fn ms(&self, base: u64) -> Nanos {
         Nanos::from_nanos((base as f64 * self.0 * 1e6).max(1e6) as u64)
     }
@@ -232,17 +228,28 @@ pub fn fig12(scale: Scale) -> Vec<Table> {
     )]
 }
 
+/// The ingress designs of Figs 13 and 14, in print order.
+const INGRESSES: [IngressKind; 3] = [
+    IngressKind::KernelDeferred,
+    IngressKind::FStackDeferred,
+    IngressKind::Palladium,
+];
+
+/// Client counts of Fig 13's sweep.
+const FIG13_CLIENTS: [usize; 6] = [1, 20, 40, 60, 80, 100];
+
+/// Fig 13's measurement window at `scale`, after a quarter as much warm-up.
+fn fig13_window(scale: Scale) -> Nanos {
+    scale.ms(400)
+}
+
 /// Fig 13: ingress design × clients → (E2E latency ms, RPS ×1K).
 pub fn fig13(scale: Scale) -> Vec<Table> {
     let mut rows = Vec::new();
-    for kind in [
-        IngressKind::KernelDeferred,
-        IngressKind::FStackDeferred,
-        IngressKind::Palladium,
-    ] {
-        for clients in [1usize, 20, 40, 60, 80, 100] {
+    for kind in INGRESSES {
+        for clients in FIG13_CLIENTS {
             let mut cfg = IngressSimConfig::fig13(kind, clients);
-            cfg.duration = scale.ms(400);
+            cfg.duration = fig13_window(scale);
             cfg.warmup = scale.ms(100);
             let r = IngressSim::new(cfg).sweep();
             rows.push(vec![
@@ -274,36 +281,29 @@ const TIME_SCALE: f64 = 0.1;
 /// Fig 14: the autoscaling time series (cores and RPS) of each ingress
 /// design as a saturating client joins every 10 s.
 pub fn fig14() -> Vec<Table> {
-    [
-        IngressKind::KernelDeferred,
-        IngressKind::FStackDeferred,
-        IngressKind::Palladium,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let r = IngressSim::scaling_run(kind, TIME_SCALE, 24);
-        let rows = r
-            .cores_series
-            .iter()
-            .zip(&r.rps_series)
-            .map(|(&(t, cores), &(_, rps))| {
-                vec![
-                    Cell::Num(t.as_secs_f64() / TIME_SCALE, 0),
-                    Cell::Num(cores, 1),
-                    Cell::Num(rps / 1e3, 1),
-                ]
-            })
-            .collect();
-        Table::new(
-            format!(
-                "Fig 14 — {kind:?} (ups={}, downs={}, disconnected clients={})",
-                r.scale_ups, r.scale_downs, r.disconnected
-            ),
-            &["t (s)", "cores", "RPS (K)"],
-            rows,
-        )
-    })
-    .collect()
+    INGRESSES
+        .into_iter()
+        .map(|kind| {
+            let r = IngressSim::scaling_run(kind, TIME_SCALE, 24);
+            let rows = r
+                .cores_series
+                .iter()
+                .zip(&r.rps_series)
+                .map(|(&(t, cores), &(_, rps))| {
+                    vec![
+                        Cell::Num(t.as_secs_f64() / TIME_SCALE, 0),
+                        Cell::Num(cores, 1),
+                        Cell::Num(rps / 1e3, 1),
+                    ]
+                })
+                .collect();
+            Table::new(
+                format!("Fig 14 — {kind:?} (ups={}, downs={})", r.scale_ups, r.scale_downs),
+                &["t (s)", "cores", "RPS (K)"],
+                rows,
+            )
+        })
+        .collect()
 }
 
 /// Fig 15: per-tenant RPS time series under FCFS, then under DWRR.
@@ -338,9 +338,14 @@ pub fn fig15() -> Vec<Table> {
 }
 
 /// The warm-up and measurement window of a Fig 16 / Table 2 run at
-/// `scale`, in whole milliseconds.
+/// `scale`, in whole milliseconds. A run must hold its slowest request
+/// more than once, or it completes none: the warm-up lasts at least the
+/// longest latency the ledger quotes (NightCore's Home mean at 80 clients)
+/// and the window at least three times it. Full scale is above both.
 fn boutique_window_ms(scale: Scale) -> (u64, u64) {
-    (scale.ms(60).as_nanos() / 1_000_000, scale.ms(240).as_nanos() / 1_000_000)
+    let longest = |k: f64| (k * NIGHTCORE_HOME_MS[2]).ceil() as u64;
+    let ms = |base| scale.ms(base).as_nanos() / 1_000_000;
+    (ms(60).max(longest(1.0)), ms(240).max(longest(3.0)))
 }
 
 /// One Fig 16 / Table 2 cluster run.
@@ -642,15 +647,20 @@ const fn cell(table: &'static str, row: &'static [&'static str], col: &'static s
     CellRef { table, row, col }
 }
 
+/// The one table among `tables` whose title starts with `prefix`.
+fn titled<'a>(tables: &'a [Table], prefix: &str) -> Result<&'a Table, String> {
+    let mut found = tables.iter().filter(|t| t.title.starts_with(prefix));
+    match (found.next(), found.next()) {
+        (Some(t), None) => Ok(t),
+        (None, _) => Err(format!("no table titled {prefix:?}")),
+        (Some(_), Some(_)) => Err(format!("more than one table titled {prefix:?}")),
+    }
+}
+
 impl CellRef {
     /// The one table among `tables` this cell is in.
     fn table<'a>(&self, tables: &'a [Table]) -> Result<&'a Table, String> {
-        let mut found = tables.iter().filter(|t| t.title.starts_with(self.table));
-        match (found.next(), found.next()) {
-            (Some(t), None) => Ok(t),
-            (None, _) => Err(format!("no table titled {:?}", self.table)),
-            (Some(_), Some(_)) => Err(format!("more than one table titled {:?}", self.table)),
-        }
+        titled(tables, self.table)
     }
 
     /// This cell's number in `tables`.
@@ -666,33 +676,16 @@ pub struct Point {
     pub at: &'static str,
     num: CellRef,
     den: Option<CellRef>,
-    /// The verdict a full-scale run gives.
-    verdict: Verdict,
-    /// The verdict at [`Scale::REDUCED`], where it differs.
-    reduced: Option<Verdict>,
+    /// The verdict a run gives, at full or reduced scale.
+    pub declared: Verdict,
 }
 
-const fn value(at: &'static str, num: CellRef, verdict: Verdict) -> Point {
-    Point { at, num, den: None, verdict, reduced: None }
+const fn value(at: &'static str, num: CellRef, declared: Verdict) -> Point {
+    Point { at, num, den: None, declared }
 }
 
-const fn ratio(at: &'static str, num: CellRef, den: CellRef, verdict: Verdict) -> Point {
-    Point { at, num, den: Some(den), verdict, reduced: None }
-}
-
-impl Point {
-    const fn reduced(mut self, verdict: Verdict) -> Self {
-        self.reduced = Some(verdict);
-        self
-    }
-
-    /// The verdict declared for a run at `scale`.
-    pub fn declared(&self, scale: Scale) -> Verdict {
-        match self.reduced {
-            Some(v) if scale == Scale::REDUCED => v,
-            _ => self.verdict,
-        }
-    }
+const fn ratio(at: &'static str, num: CellRef, den: CellRef, declared: Verdict) -> Point {
+    Point { at, num, den: Some(den), declared }
 }
 
 /// One quoted paper value and the load points it is checked at.
@@ -781,7 +774,7 @@ const NIGHTCORE_HOME_MS: [f64; 3] = [10.77, 32.4, 42.8];
 /// Every number the artefacts' titles quote, and the few the paper states
 /// elsewhere that a figure's run measures. Each point declares the verdict
 /// the model gives today; `paper_check` (full scale) and
-/// `tests/figure_shapes.rs` ([`Scale::REDUCED`]) fail when a run gives
+/// `tests/figure_shapes.rs` (at a reduced scale) fail when a run gives
 /// another, so a change that moves a verdict edits this table.
 ///
 /// Figs 11 (2), 13 and 16 are checked at their loaded points: at one
@@ -906,11 +899,11 @@ pub const LEDGER: &[Quote] = {
             class: Class::Ratio,
             provenance: Provenance::Title("11.4x K-Ingress"),
             points: &[
-                fig13_ratio("20 clients", &["Palladium", "20"], &["K-Ingress", "20"], "RPS (K)", Above),
-                fig13_ratio("40 clients", &["Palladium", "40"], &["K-Ingress", "40"], "RPS (K)", Above),
-                fig13_ratio("60 clients", &["Palladium", "60"], &["K-Ingress", "60"], "RPS (K)", Above),
-                fig13_ratio("80 clients", &["Palladium", "80"], &["K-Ingress", "80"], "RPS (K)", Above),
-                fig13_ratio("100 clients", &["Palladium", "100"], &["K-Ingress", "100"], "RPS (K)", Above),
+                fig13_ratio("20 clients", &["Palladium", "20"], &["K-Ingress", "20"], "RPS (K)", In),
+                fig13_ratio("40 clients", &["Palladium", "40"], &["K-Ingress", "40"], "RPS (K)", In),
+                fig13_ratio("60 clients", &["Palladium", "60"], &["K-Ingress", "60"], "RPS (K)", In),
+                fig13_ratio("80 clients", &["Palladium", "80"], &["K-Ingress", "80"], "RPS (K)", In),
+                fig13_ratio("100 clients", &["Palladium", "100"], &["K-Ingress", "100"], "RPS (K)", In),
             ],
         },
         Quote {
@@ -1005,18 +998,18 @@ pub const LEDGER: &[Quote] = {
             class: Class::Ratio,
             provenance: Provenance::Title("DNE 5.1-20.9x NightCore"),
             points: &[
-                dne_over("Home c=20", HOME, NIGHTCORE, "c=20", Below),
-                dne_over("Home c=40", HOME, NIGHTCORE, "c=40", In).reduced(Below),
+                dne_over("Home c=20", HOME, NIGHTCORE, "c=20", In),
+                dne_over("Home c=40", HOME, NIGHTCORE, "c=40", In),
                 dne_over("Home c=60", HOME, NIGHTCORE, "c=60", In),
-                dne_over("Home c=80", HOME, NIGHTCORE, "c=80", In),
-                dne_over("ViewCart c=20", VIEWCART, NIGHTCORE, "c=20", Below),
-                dne_over("ViewCart c=40", VIEWCART, NIGHTCORE, "c=40", In).reduced(Below),
+                dne_over("Home c=80", HOME, NIGHTCORE, "c=80", Above),
+                dne_over("ViewCart c=20", VIEWCART, NIGHTCORE, "c=20", In),
+                dne_over("ViewCart c=40", VIEWCART, NIGHTCORE, "c=40", In),
                 dne_over("ViewCart c=60", VIEWCART, NIGHTCORE, "c=60", In),
-                dne_over("ViewCart c=80", VIEWCART, NIGHTCORE, "c=80", In),
-                dne_over("Product c=20", PRODUCT, NIGHTCORE, "c=20", Below),
-                dne_over("Product c=40", PRODUCT, NIGHTCORE, "c=40", In).reduced(Below),
+                dne_over("ViewCart c=80", VIEWCART, NIGHTCORE, "c=80", Above),
+                dne_over("Product c=20", PRODUCT, NIGHTCORE, "c=20", In),
+                dne_over("Product c=40", PRODUCT, NIGHTCORE, "c=40", In),
                 dne_over("Product c=60", PRODUCT, NIGHTCORE, "c=60", In),
-                dne_over("Product c=80", PRODUCT, NIGHTCORE, "c=80", In),
+                dne_over("Product c=80", PRODUCT, NIGHTCORE, "c=80", Above),
             ],
         },
         Quote {
@@ -1065,18 +1058,18 @@ pub const LEDGER: &[Quote] = {
             class: Class::Ratio,
             provenance: Provenance::Title("1.3-1.8x CNE"),
             points: &[
-                dne_over("Home c=20", HOME, CNE, "c=20", In),
-                dne_over("Home c=40", HOME, CNE, "c=40", In),
-                dne_over("Home c=60", HOME, CNE, "c=60", Above),
-                dne_over("Home c=80", HOME, CNE, "c=80", Above),
-                dne_over("ViewCart c=20", VIEWCART, CNE, "c=20", In),
-                dne_over("ViewCart c=40", VIEWCART, CNE, "c=40", In),
-                dne_over("ViewCart c=60", VIEWCART, CNE, "c=60", Above),
-                dne_over("ViewCart c=80", VIEWCART, CNE, "c=80", Above),
-                dne_over("Product c=20", PRODUCT, CNE, "c=20", In),
-                dne_over("Product c=40", PRODUCT, CNE, "c=40", In),
-                dne_over("Product c=60", PRODUCT, CNE, "c=60", Above),
-                dne_over("Product c=80", PRODUCT, CNE, "c=80", Above),
+                dne_over("Home c=20", HOME, CNE, "c=20", Below),
+                dne_over("Home c=40", HOME, CNE, "c=40", Below),
+                dne_over("Home c=60", HOME, CNE, "c=60", Below),
+                dne_over("Home c=80", HOME, CNE, "c=80", Below),
+                dne_over("ViewCart c=20", VIEWCART, CNE, "c=20", Below),
+                dne_over("ViewCart c=40", VIEWCART, CNE, "c=40", Below),
+                dne_over("ViewCart c=60", VIEWCART, CNE, "c=60", Below),
+                dne_over("ViewCart c=80", VIEWCART, CNE, "c=80", Below),
+                dne_over("Product c=20", PRODUCT, CNE, "c=20", Below),
+                dne_over("Product c=40", PRODUCT, CNE, "c=40", Below),
+                dne_over("Product c=60", PRODUCT, CNE, "c=60", Below),
+                dne_over("Product c=80", PRODUCT, CNE, "c=80", Below),
             ],
         },
         Quote {
@@ -1103,23 +1096,23 @@ pub const LEDGER: &[Quote] = {
         Quote {
             id: "table2.home_nightcore_ms_20",
             paper: Paper::Point(NIGHTCORE_HOME_MS[0]),
-            class: Class::Absolute("CostModel::kernel_livelock_slope"),
+            class: Class::Absolute("CostModel::nightcore_dispatch"),
             provenance: Provenance::Title("NightCore 10.77/32.4/42.8"),
-            points: &[value("Home c=20", cell(TABLE2, NIGHTCORE, "H20"), Below)],
+            points: &[value("Home c=20", cell(TABLE2, NIGHTCORE, "H20"), In)],
         },
         Quote {
             id: "table2.home_nightcore_ms_60",
             paper: Paper::Point(NIGHTCORE_HOME_MS[1]),
-            class: Class::Absolute("CostModel::kernel_livelock_slope"),
+            class: Class::Absolute("CostModel::nightcore_dispatch"),
             provenance: Provenance::Title("NightCore 10.77/32.4/42.8"),
-            points: &[value("Home c=60", cell(TABLE2, NIGHTCORE, "H60"), Below)],
+            points: &[value("Home c=60", cell(TABLE2, NIGHTCORE, "H60"), In)],
         },
         Quote {
             id: "table2.home_nightcore_ms_80",
             paper: Paper::Point(NIGHTCORE_HOME_MS[2]),
-            class: Class::Absolute("CostModel::kernel_livelock_slope"),
+            class: Class::Absolute("CostModel::nightcore_dispatch"),
             provenance: Provenance::Title("NightCore 10.77/32.4/42.8"),
-            points: &[value("Home c=80", cell(TABLE2, NIGHTCORE, "H80"), Below)],
+            points: &[value("Home c=80", cell(TABLE2, NIGHTCORE, "H80"), In)],
         },
         Quote {
             id: "derived.home_dne_krps_20",
@@ -1147,21 +1140,21 @@ pub const LEDGER: &[Quote] = {
             paper: Paper::Point(20.0 / NIGHTCORE_HOME_MS[0]),
             class: Class::Derived,
             provenance: Provenance::Text(LITTLE),
-            points: &[value("Home c=20", cell(HOME, NIGHTCORE, "c=20"), Above)],
+            points: &[value("Home c=20", cell(HOME, NIGHTCORE, "c=20"), In)],
         },
         Quote {
             id: "derived.home_nightcore_krps_60",
             paper: Paper::Point(60.0 / NIGHTCORE_HOME_MS[1]),
             class: Class::Derived,
             provenance: Provenance::Text(LITTLE),
-            points: &[value("Home c=60", cell(HOME, NIGHTCORE, "c=60"), Above)],
+            points: &[value("Home c=60", cell(HOME, NIGHTCORE, "c=60"), In)],
         },
         Quote {
             id: "derived.home_nightcore_krps_80",
             paper: Paper::Point(80.0 / NIGHTCORE_HOME_MS[2]),
             class: Class::Derived,
             provenance: Provenance::Text(LITTLE),
-            points: &[value("Home c=80", cell(HOME, NIGHTCORE, "c=80"), Above)],
+            points: &[value("Home c=80", cell(HOME, NIGHTCORE, "c=80"), Below)],
         },
     ]
 };
@@ -1205,6 +1198,52 @@ pub fn check(tables: &[Table]) -> Result<Vec<Outcome>, String> {
         }
     }
     Ok(outcomes)
+}
+
+/// Closed-loop throughput must not fall as clients are added (ROADMAP
+/// 13d): with stations whose service does not depend on load, X(N) does
+/// not decrease in N (mean-value analysis). A run reads X as the
+/// completions in its window T ÷ T; at most N requests straddle each edge
+/// of the window, so a run at N clients reads its steady rate to within
+/// N ÷ T, and runs at c > c′ must read X(c) ≥ X(c′) − (c + c′) ÷ T.
+/// Returns one line per pair that does not, over every sweep of Fig 13
+/// (each ingress) and Fig 16 (each system × chain) in `tables`, those of
+/// [`quoted_artefacts`] at `scale`.
+pub fn throughput_drops(tables: &[Table], scale: Scale) -> Result<Vec<String>, String> {
+    // (sweep, window in seconds, (clients, K rps) in client order)
+    let mut sweeps = Vec::new();
+    let fig13 = titled(tables, FIG13)?;
+    for kind in INGRESSES {
+        let label = label_of(kind);
+        let xs = FIG13_CLIENTS
+            .iter()
+            .map(|&c| Ok((c, fig13.value(&[label, &c.to_string()], "RPS (K)")?)))
+            .collect::<Result<Vec<_>, String>>()?;
+        sweeps.push((format!("Fig 13 {label}"), fig13_window(scale).as_secs_f64(), xs));
+    }
+    let fig16_window = boutique_window_ms(scale).1 as f64 / 1e3;
+    for chain in [HOME, VIEWCART, PRODUCT] {
+        let table = titled(tables, chain)?;
+        for system in SystemKind::ALL {
+            let xs = FIG16_CLIENTS
+                .iter()
+                .map(|&c| Ok((c, table.value(&[system.label()], &format!("c={c}"))?)))
+                .collect::<Result<Vec<_>, String>>()?;
+            sweeps.push((format!("{chain} {}", system.label()), fig16_window, xs));
+        }
+    }
+    let mut drops = Vec::new();
+    for (sweep, window, xs) in &sweeps {
+        for (i, &(c0, x0)) in xs.iter().enumerate() {
+            for &(c, x) in &xs[i + 1..] {
+                let slack = (c + c0) as f64 / window / 1e3;
+                if x < x0 - slack {
+                    drops.push(format!("{sweep}: X({c}) = {x:.2} K < X({c0}) = {x0:.2} K − {slack:.2} K"));
+                }
+            }
+        }
+    }
+    Ok(drops)
 }
 
 /// `EXPERIMENTS.md`: one line per ledger point, then the count of ratio
@@ -1266,6 +1305,9 @@ fn sig3(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A scale small enough for a unit test.
+    const REDUCED: Scale = Scale(0.12);
 
     #[test]
     fn table_display_is_the_figure_format() {
@@ -1366,13 +1408,13 @@ mod tests {
 
     #[test]
     fn fig09_rows_shape() {
-        let [t] = &fig09(Scale::REDUCED)[..] else { panic!("one table") };
+        let [t] = &fig09(REDUCED)[..] else { panic!("one table") };
         assert_eq!(t.rows.len(), 3 * 6);
     }
 
     #[test]
     fn fig12_rows_shape() {
-        let [t] = &fig12(Scale::REDUCED)[..] else { panic!("one table") };
+        let [t] = &fig12(REDUCED)[..] else { panic!("one table") };
         assert_eq!(t.rows.len(), 6);
         assert_eq!(t.headers.len(), 1 + 2 * 4);
     }
@@ -1393,7 +1435,7 @@ mod tests {
 
     #[test]
     fn boutique_quick_run_sane() {
-        let r = boutique_run(SystemKind::PalladiumDne, ChainKind::HomeQuery, 20, Scale::REDUCED);
+        let r = boutique_run(SystemKind::PalladiumDne, ChainKind::HomeQuery, 20, REDUCED);
         assert!(r.rps > 1_000.0, "rps {}", r.rps);
         assert_eq!(r.software_copy_bytes, 0);
     }

@@ -12,8 +12,8 @@
 //! number the paper quotes is one row of [`LEDGER`], beside the artefacts,
 //! with the verdict (below, in or above the paper's band) the model gives
 //! at each load point. The `paper_check` binary checks them at full scale
-//! and writes `EXPERIMENTS.md`; `tests/figure_shapes.rs` checks them at
-//! [`Scale::REDUCED`].
+//! and writes `EXPERIMENTS.md`; `tests/figure_shapes.rs` checks them at a
+//! reduced [`Scale`].
 
 // No library crate in the workspace uses `unsafe`: every crate root
 // forbids it, and `cargo test` checks that each one does.

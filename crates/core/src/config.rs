@@ -25,8 +25,8 @@ pub enum EngineLocation {
     /// interrupt hit (it busy-polls Comch and the CQ).
     Dpu,
     /// On a host core — the CNE ablation (§4.3). Host-speed ops, but
-    /// SK_MSG's interrupt-driven delivery charges a per-message wake and
-    /// degrades under high concurrency (receive-livelock pressure \[68\]).
+    /// SK_MSG's interrupt-driven delivery charges a fixed per-message wake
+    /// (`CostModel::cne_interrupt`) on top of each.
     Cpu,
 }
 
@@ -45,15 +45,6 @@ pub struct CostModel {
     pub engine_replenish: Nanos,
     /// Per-message interrupt cost on a CPU-located engine (SK_MSG wake).
     pub cne_interrupt: Nanos,
-    /// Queue-depth-dependent slowdown per queued message for interrupt-
-    /// driven receivers (receive-livelock model): effective service =
-    /// base + livelock_slope × backlog.
-    pub cne_livelock_slope: Nanos,
-    /// Interrupt-driven kernel ingress livelock slope (much steeper; drives
-    /// the K-Ingress collapse in Fig 14 and NightCore's overload).
-    pub kernel_livelock_slope: Nanos,
-    /// Backlog threshold below which no livelock penalty applies.
-    pub livelock_threshold: u64,
     /// Client ↔ ingress one-way latency over the external Ethernet side
     /// (client stack + switch).
     pub client_wire: Nanos,
@@ -74,6 +65,13 @@ pub struct CostModel {
     /// engine. Calibrated so FUYAO saturates where the paper's Table 2
     /// shows it already saturated at 20 clients.
     pub fuyao_engine_op: Nanos,
+    /// NightCore's per-hop gateway dispatch (host time): every
+    /// function-to-function hop of a NightCore chain passes through its
+    /// node's host engine once before delivery. Fitted to Table 2's
+    /// NightCore Home means (ledger rows `table2.home_nightcore_ms_{20,60,80}`);
+    /// held out: Fig 16's DNE ÷ NightCore band (`fig16.dne_over_nightcore`)
+    /// and Table 2's NightCore ViewCart and Product cells.
+    pub nightcore_dispatch: Nanos,
 }
 
 impl Default for CostModel {
@@ -84,15 +82,13 @@ impl Default for CostModel {
             engine_rx: Nanos::from_nanos(700),
             engine_replenish: Nanos::from_nanos(250),
             cne_interrupt: Nanos::from_nanos(1_200),
-            cne_livelock_slope: Nanos::from_nanos(25),
-            kernel_livelock_slope: Nanos::from_nanos(1_800),
-            livelock_threshold: 2,
             client_wire: Nanos::from_micros(20),
             onesided_poll_interval: Nanos::from_micros(2),
             copy_per_byte_hot: ByteCost::per_byte_ns(0.12),
             copy_per_byte_cold: ByteCost::per_byte_ns(0.25),
             owdl_lock_proc: Nanos::from_micros(1),
             fuyao_engine_op: Nanos::from_nanos(5_000),
+            nightcore_dispatch: Nanos::from_micros(43),
         }
     }
 }
@@ -112,20 +108,6 @@ impl CostModel {
             EngineLocation::Dpu => self.soc.scale(self.engine_rx),
             EngineLocation::Cpu => self.engine_rx,
         }
-    }
-
-    /// Extra per-message cost on a CPU engine: the SK_MSG interrupt plus
-    /// the livelock slope applied to the current backlog.
-    pub fn cne_overhead(&self, backlog: u64) -> Nanos {
-        let over = backlog.saturating_sub(self.livelock_threshold);
-        self.cne_interrupt + self.cne_livelock_slope * over
-    }
-
-    /// Kernel-stack livelock inflation for an interrupt-driven server with
-    /// the given backlog (charged on top of base service).
-    pub fn kernel_livelock(&self, backlog: u64) -> Nanos {
-        let over = backlog.saturating_sub(self.livelock_threshold);
-        self.kernel_livelock_slope * over
     }
 
     /// OWRC receiver-side copy cost for `bytes`.
@@ -150,30 +132,6 @@ mod tests {
         let dpu = m.engine_tx_at(EngineLocation::Dpu);
         let ratio = dpu.as_nanos() as f64 / cpu.as_nanos() as f64;
         assert!((2.1..2.3).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn cne_overhead_grows_with_backlog() {
-        let m = CostModel::default();
-        let idle = m.cne_overhead(0);
-        let busy = m.cne_overhead(30);
-        assert_eq!(idle, m.cne_interrupt);
-        assert!(busy > idle + Nanos::from_nanos(500));
-        // At low load the CPU engine is cheaper per op than the DPU engine
-        // (paper: CNE slightly better latency under 20 clients)...
-        let cne_total = m.engine_rx_at(EngineLocation::Cpu) + m.cne_overhead(1);
-        let dne_total = m.engine_rx_at(EngineLocation::Dpu);
-        assert!(cne_total < dne_total + Nanos::from_micros(1));
-        // ...but at high backlog the DNE wins (the >20-client crossover).
-        let cne_loaded = m.engine_rx_at(EngineLocation::Cpu) + m.cne_overhead(30);
-        assert!(cne_loaded > dne_total);
-    }
-
-    #[test]
-    fn kernel_livelock_is_steep() {
-        let m = CostModel::default();
-        assert_eq!(m.kernel_livelock(m.livelock_threshold), Nanos::ZERO);
-        assert!(m.kernel_livelock(22) >= Nanos::from_micros(30));
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! This is exactly the "two wimpy DPU cores" the paper's efficiency result
 //! counts (§4.3.1). The same engine, instantiated with
 //! [`EngineLocation::Cpu`], is the CNE ablation: host-speed service times
-//! but per-message SK_MSG interrupt overhead that throttles it at high
-//! concurrency.
+//! plus a fixed per-message SK_MSG interrupt.
 //!
 //! Like every substrate here, the engine is a passive state machine: the
 //! driver feeds it descriptors/CQEs and trampolines the returned timed
@@ -188,11 +187,6 @@ impl Dne {
         self.sched.register_tenant(tenant, weight);
     }
 
-    /// Pending work (TX queued + RX queued).
-    pub fn backlog(&self) -> u64 {
-        (self.sched.len() + self.rx_queue.len()) as u64
-    }
-
     /// A function handed the engine a descriptor for a remote function
     /// (the Comch arrival). `payload` is the RNIC's view of the buffer;
     /// `token` is the redeemed sender-side buffer, released on the send
@@ -244,12 +238,11 @@ impl Dne {
     /// windows/occupancy) — but hoists the engine-busy check and the
     /// effect-vector bookkeeping out of the per-CQE loop, which is what
     /// makes a single doorbell wakeup that surfaces a deep CQ backlog
-    /// cheap. The kick happens after queuing only the *first* CQE: the
-    /// CNE's receive-livelock model samples the backlog at kick time, so
-    /// the first CQE's service time must see the same queue depth the
-    /// per-CQE loop would have shown it (once the engine is busy, the
-    /// rest of the window is bulk-queued without re-sampling, identically
-    /// in both paths).
+    /// cheap. The kick happens after queuing only the *first* CQE, as the
+    /// per-CQE loop's first call does. No op's service time reads the
+    /// queue depth, so kicking after the whole window would give the same
+    /// effects; the order is kept because it is the one the equivalence
+    /// test pins step for step.
     pub fn drain_cq_into(&mut self, now: Nanos, cqes: &mut Vec<Cqe>, out: &mut DneStep) {
         if cqes.is_empty() {
             return;
@@ -269,11 +262,12 @@ impl Dne {
         self.on_engine_slot_into(now, out);
     }
 
-    /// Per-op service time for the current location and backlog.
+    /// Per-op service time at the engine's location: the same at any
+    /// queue depth.
     fn service(&self, base: Nanos) -> Nanos {
         match self.loc {
             EngineLocation::Dpu => self.cost.soc.scale(base),
-            EngineLocation::Cpu => base + self.cost.cne_overhead(self.backlog()),
+            EngineLocation::Cpu => base + self.cost.cne_interrupt,
         }
     }
 
@@ -493,34 +487,40 @@ mod tests {
     }
 
     #[test]
-    fn cne_degrades_with_backlog_while_dne_stays_flat() {
-        // The Fig 16 DNE-vs-CNE crossover at the engine level: the CPU
-        // engine pays interrupt + livelock costs that grow with backlog;
-        // the DPU engine's busy-polled op cost is constant (just wimpier).
-        let mut coordinator = crate::routing::Coordinator::new();
-        coordinator.apply(crate::routing::DeployEvent::Created {
+    fn cne_op_costs_host_op_plus_interrupt_at_any_depth() {
+        // A CPU-located engine pays the host-speed op plus one SK_MSG
+        // interrupt, however deep its queue: TX ops stacked on an idle CNE
+        // each start when the last one's slot fires and take exactly that.
+        let mut dne = engine(EngineLocation::Cpu);
+        let mut coord = crate::routing::Coordinator::new();
+        coord.apply(crate::routing::DeployEvent::Created {
             f: FnId(2),
             tenant: TenantId(1),
             node: NodeId(1),
         });
+        dne.routes = coord.tables_for(NodeId(0));
         let cost = CostModel::default();
-        // Unloaded per-op: CNE = engine_tx + interrupt; DNE = engine_tx ×
-        // wimpy. They are within ~25% of each other (the end-to-end
-        // light-load advantage of the CNE comes from the cheaper SK_MSG
-        // transit, exercised in the chain driver tests).
-        let cne_unloaded = cost.engine_tx + cost.cne_overhead(0);
-        let dne_op = cost.engine_tx_at(EngineLocation::Dpu);
-        let ratio = cne_unloaded.as_nanos() as f64 / dne_op.as_nanos() as f64;
-        assert!((0.8..1.4).contains(&ratio), "unloaded ratio {ratio}");
-        // Heavily backlogged: CNE per-op must clearly exceed DNE per-op
-        // (this is what throttles the CNE at high concurrency, §4.3; where
-        // the end-to-end DNE ÷ CNE ratio lands against the paper's band is
-        // ledger row `fig16.dne_over_cne`).
-        let cne_loaded = cost.engine_tx + cost.cne_overhead(40);
-        assert!(
-            cne_loaded > dne_op + Nanos::from_nanos(800),
-            "loaded CNE {cne_loaded} vs DNE {dne_op}"
-        );
+        let op = cost.engine_tx_at(EngineLocation::Cpu) + cost.cne_interrupt;
+        let mut fx = Vec::new();
+        for _ in 0..40 {
+            dne.submit_tx_into(Nanos::ZERO, desc(), Bytes::from_static(b"x"), None, &mut fx);
+        }
+        let mut now = Nanos::ZERO;
+        for depth in (1..=40).rev() {
+            let slot = fx
+                .iter()
+                .find(|t| matches!(t.value, DneEffect::EngineSlot))
+                .unwrap_or_else(|| panic!("a slot with {depth} ops queued"));
+            assert_eq!(slot.after, op, "{depth} ops queued");
+            now += slot.after;
+            fx.clear();
+            dne.on_engine_slot_into(now, &mut fx);
+        }
+        assert!(fx.is_empty(), "the engine went idle");
+        assert_eq!(dne.worker_core.busy_time(), op * 40);
+        // The RX stage pays the same interrupt on its host-speed op.
+        let cne = engine(EngineLocation::Cpu);
+        assert_eq!(cne.service(cost.engine_rx), cost.engine_rx_at(EngineLocation::Cpu) + cost.cne_interrupt);
     }
 
     #[test]

@@ -164,9 +164,9 @@ pub(crate) enum Ev {
     /// A client issues a request (ingress shard only).
     Issue { client: usize },
     /// Ingress finished the inbound leg.
-    GwIn { req: u64, worker: usize },
+    GwIn { req: u64 },
     /// Ingress finished the outbound leg.
-    GwOut { req: u64, worker: usize },
+    GwOut { req: u64 },
     /// RDMA fabric sub-simulator event (this shard's instance).
     Rdma(RdmaEvent),
     /// A Palladium engine core freed up on node `n` after an op that left
@@ -286,10 +286,10 @@ impl IngressState {
     fn submit(&mut self, at: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize, leg: Leg) {
         let (client, _) = self.reqs.placement(req);
         let (req_bytes, resp_bytes) = self.leg_bytes[pair];
-        let (worker, done) = self.gw.submit(at, client, leg, req_bytes, resp_bytes);
+        let (_, done) = self.gw.submit(at, client, leg, req_bytes, resp_bytes);
         let ev = match leg {
-            Leg::Inbound => Ev::GwIn { req, worker },
-            Leg::Outbound => Ev::GwOut { req, worker },
+            Leg::Inbound => Ev::GwIn { req },
+            Leg::Outbound => Ev::GwOut { req },
         };
         fx.at(done, ev);
     }
@@ -702,7 +702,8 @@ impl ClusterShard {
             let send_cpu = self.skmsg.send_cpu;
             let transit = self.skmsg.transit;
             let send_done = self.on_fn_core(n, now, send_cpu);
-            fx.at(send_done + transit, Ev::Deliver { n, desc: out_desc });
+            let sent = self.local_dispatch(n, send_done);
+            fx.at(sent + transit, Ev::Deliver { n, desc: out_desc });
             return;
         }
 
@@ -742,9 +743,8 @@ impl ShardEngine for ClusterShard {
                 let pair = ing.pairs().place(pref, pairs, now).unwrap_or(pref);
                 ing.start_on(now, fx, req, pair);
             }
-            Ev::GwIn { req, worker } => {
+            Ev::GwIn { req } => {
                 let ing = self.ingress.as_mut().expect("ingress shard");
-                ing.gw.leg_done(worker);
                 let (_, pair) = ing.reqs.placement(req);
                 let (entry, bytes) = (self.chains[pair].entry, self.chains[pair].req_bytes);
                 let entry_node = self.node_of(entry);
@@ -882,9 +882,8 @@ impl ShardEngine for ClusterShard {
             Ev::FnDone { n, desc } => {
                 self.on_fn_done(now, fx, n, desc);
             }
-            Ev::GwOut { req, worker } => {
+            Ev::GwOut { req } => {
                 let ing = self.ingress.as_mut().expect("ingress shard");
-                ing.gw.leg_done(worker);
                 ing.complete(now, fx, req);
             }
             Ev::HeartbeatTick { .. } | Ev::HealthCheck | Ev::RejoinDone { .. } => {

@@ -14,8 +14,9 @@
 //!   it up and *copies* it into the node's unified pool.
 //! * **NightCore** ([`HostHop::Local`]) runs every function of a pair on
 //!   the pair's first node, so each hop between functions is a local
-//!   SK_MSG hop; its host engine terminates the gateway's TCP legs, and
-//!   its kernel path livelocks under backlog.
+//!   SK_MSG hop; its host engine terminates the gateway's TCP legs and
+//!   dispatches every hop between functions
+//!   (`CostModel::nightcore_dispatch`, [`ClusterShard::local_dispatch`]).
 //! * All three take requests in and send responses out over a second TCP
 //!   connection between the gateway and the workers (deferred conversion).
 //!
@@ -66,8 +67,6 @@ pub(crate) enum HostEv {
     FuyaoCopied { n: usize, imm: u64, data: Bytes },
     /// Worker engine finished the TCP transmit of the response leg.
     RespTcpTx { req: u64 },
-    /// A host-engine work item completed (backlog accounting).
-    EngineRelease { n: usize },
 }
 
 /// One FUYAO worker's RDMA side.
@@ -92,8 +91,6 @@ pub(super) struct HostPlane {
     /// The node's generic engine: one FIFO core doing TCP processing and
     /// FUYAO engine ops and copies.
     pub(super) engines: Vec<FifoServer>,
-    /// Work items outstanding per engine (NightCore's livelock input).
-    load: Vec<u64>,
     /// Empty unless the system is FUYAO.
     fuyao: Vec<FuyaoNode>,
 }
@@ -136,7 +133,6 @@ impl HostPlane {
             engines: (0..workers)
                 .map(|_| FifoServer::new())
                 .collect(),
-            load: vec![0; workers],
             fuyao,
         }
     }
@@ -161,22 +157,23 @@ impl ClusterShard {
         self.host.as_mut().expect("baseline data plane")
     }
 
-    /// Charge work on the host engine of worker `n` (with NightCore's
-    /// kernel livelock where applicable). The caller must later call
-    /// [`ClusterShard::engine_done`].
-    fn on_engine(&mut self, n: usize, now: Nanos, base: Nanos) -> Nanos {
-        let host = self.host.as_mut().expect("baseline data plane");
-        let mut service = base;
-        if self.spec.plane == DataPlane::Host(HostHop::Local) {
-            service += self.cost.kernel_livelock(host.load[n]);
-        }
-        host.load[n] += 1;
-        host.engines[n].submit(now, service)
+    /// Charge `service` on the host engine of worker `n` from `now`;
+    /// returns when it finishes.
+    fn on_engine(&mut self, n: usize, now: Nanos, service: Nanos) -> Nanos {
+        self.host_mut().engines[n].submit(now, service)
     }
 
-    fn engine_done(&mut self, n: usize) {
-        let load = &mut self.host_mut().load[n];
-        *load = load.saturating_sub(1);
+    /// A hop between two functions on worker `n` leaves its sender's core
+    /// at `sent`; returns when it enters the SK_MSG channel toward its
+    /// receiver. NightCore routes every such hop through its gateway on
+    /// the node's host engine (one SK_MSG transit in, then one
+    /// `nightcore_dispatch`); every other system hands it over at once.
+    pub(super) fn local_dispatch(&mut self, n: usize, sent: Nanos) -> Nanos {
+        if self.spec.plane != DataPlane::Host(HostHop::Local) {
+            return sent;
+        }
+        let (transit, dispatch) = (self.skmsg.transit, self.cost.nightcore_dispatch);
+        self.on_engine(n, sent + transit, dispatch)
     }
 
     /// Deferred conversion at the ingress: the request rides a second TCP
@@ -211,7 +208,6 @@ impl ClusterShard {
             let send_done = self.on_fn_core(n, now, send_cpu);
             let tx = self.host_mut().worker_tcp.tx(bytes as u64);
             let done = self.on_engine(n, send_done, tx);
-            fx.at(done, Ev::Host(HostEv::EngineRelease { n }));
             self.meters[n].record(MoveKind::Software, bytes as u64);
             fx.at(done, Ev::Host(HostEv::RespTcpTx { req }));
             return;
@@ -230,8 +226,7 @@ impl ClusterShard {
                     .expect("sized buffer");
                 let send_done = self.on_fn_core(n, now, send_cpu);
                 let engine_op = self.cost.fuyao_engine_op;
-                let engine_done = self.on_engine(n, send_done + transit, engine_op);
-                fx.at(engine_done, Ev::Host(HostEv::EngineRelease { n }));
+                let op_done = self.on_engine(n, send_done + transit, engine_op);
                 // Pick a dedicated slot on the destination.
                 let host = self.host.as_mut().expect("baseline data plane");
                 let dst = &mut host.fuyao[dst_node];
@@ -252,10 +247,10 @@ impl ClusterShard {
                 let mut step = std::mem::take(&mut self.post_step);
                 step.clear();
                 self.net
-                    .post_send_into(engine_done, NodeId(n as u16), qpn, wr, &mut step)
+                    .post_send_into(op_done, NodeId(n as u16), qpn, wr, &mut step)
                     .expect("post one-sided write");
                 // The doorbell rings when the engine finishes.
-                fx.extend_at_drain(engine_done, &mut step.events, Ev::Rdma);
+                fx.extend_at_drain(op_done, &mut step.events, Ev::Rdma);
                 self.post_step = step;
             }
             HostHop::KernelTcp => {
@@ -264,7 +259,6 @@ impl ClusterShard {
                 let send_done = self.on_fn_core(n, now, send_cpu);
                 let tx = self.host_mut().internode_tcp.tx(bytes as u64);
                 let done = self.on_engine(n, send_done + transit, tx);
-                fx.at(done, Ev::Host(HostEv::EngineRelease { n }));
                 self.meters[n].record(MoveKind::Software, bytes as u64);
                 fx.at(
                     done + TcpCosts::INTER_NODE_WIRE,
@@ -272,7 +266,8 @@ impl ClusterShard {
                 );
             }
             // `validate` holds a node-local plane's functions on one node,
-            // so its every hop between functions is a local SK_MSG hop.
+            // so its every hop between functions is a local SK_MSG hop
+            // (dispatched in `local_dispatch`).
             HostHop::Local => unreachable!("a node-local plane has no remote hop"),
         }
     }
@@ -308,7 +303,6 @@ impl ClusterShard {
                 fx.at(done, Ev::Host(HostEv::TcpRxDone { n, hop }));
             }
             HostEv::TcpRxDone { n, hop } => {
-                self.engine_done(n);
                 let data = self.payloads.make(hop.word, hop.bytes);
                 self.copy_in_and_deliver(fx, n, hop.from, hop.to, data);
             }
@@ -320,7 +314,6 @@ impl ClusterShard {
                 fx.at(done, Ev::Host(HostEv::FuyaoCopied { n, imm, data }));
             }
             HostEv::FuyaoCopied { n, imm, data } => {
-                self.engine_done(n);
                 let (from, to, _) = unpack_imm(imm);
                 self.copy_in_and_deliver(fx, n, from, to, data);
             }
@@ -330,7 +323,6 @@ impl ClusterShard {
                 let (_, pair) = ing.reqs.placement(req);
                 ing.submit(now + TcpCosts::INTER_NODE_WIRE, fx, req, pair, Leg::Outbound);
             }
-            HostEv::EngineRelease { n } => self.engine_done(n),
         }
     }
 
@@ -370,5 +362,54 @@ impl ClusterShard {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CostModel;
+    use crate::driver::chain::{AppSpec, ChainSim, ChainSimConfig, ChainSpec, FnSpec, HopSpec};
+    use crate::system::SystemKind;
+
+    #[test]
+    fn one_nightcore_request_books_its_dispatches_and_two_tcp_legs_on_the_host_engine() {
+        let us = Nanos::from_micros;
+        let (req_bytes, resp_bytes) = (256, 512);
+        let app = AppSpec {
+            functions: vec![
+                FnSpec { id: FnId(1), name: "A", node: 0, exec: us(15) },
+                FnSpec { id: FnId(2), name: "B", node: 0, exec: us(10) },
+                FnSpec { id: FnId(3), name: "C", node: 0, exec: us(12) },
+            ],
+            chains: vec![ChainSpec {
+                name: "abca",
+                entry: FnId(1),
+                hops: vec![
+                    HopSpec { from: FnId(1), to: FnId(2), bytes: 512 },
+                    HopSpec { from: FnId(2), to: FnId(3), bytes: 1024 },
+                    HopSpec { from: FnId(3), to: FnId(1), bytes: 256 },
+                ],
+                req_bytes,
+                resp_bytes,
+            }],
+        };
+        let run = |horizon: Nanos| {
+            let mut cfg = ChainSimConfig::new(SystemKind::NightCore, app.clone(), 0).clients(1);
+            (cfg.warmup, cfg.duration) = (Nanos::ZERO, horizon);
+            ChainSim::new(cfg).run()
+        };
+        // One client sees the same latency on every request.
+        let long = run(Nanos::from_millis(5));
+        assert!(long.load.completed > 1);
+        assert_eq!(long.load.max_latency, long.mean_latency, "an uncontended client");
+        // The next request reaches the engine a client wire and more after
+        // the first one's response reaches its client: stop in between.
+        let one = run(long.mean_latency + us(10));
+        assert_eq!(one.load.completed, 1);
+        let engine = one.stations.iter().find(|s| s.name == "host engine" && s.node == 0);
+        let tcp = TcpCosts::for_kind(SystemKind::NightCore.spec().ingress.stack());
+        let want = CostModel::default().nightcore_dispatch * 3 + tcp.rx(req_bytes as u64) + tcp.tx(resp_bytes as u64);
+        assert_eq!(engine.expect("node 0's host engine").busy, want);
     }
 }

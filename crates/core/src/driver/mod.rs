@@ -12,8 +12,8 @@
 //!   (Fig 9).
 //! * [`ingress_sweep`] — external clients through one ingress design to an
 //!   echo function: one engine for the client sweep (Fig 13) and the
-//!   autoscaling time series (Fig 14), which differ only in schedule,
-//!   gateway config and client timeout.
+//!   autoscaling time series (Fig 14), which differ only in schedule and
+//!   gateway config.
 //! * [`fairness`] — three tenants through one DNE, DWRR vs FCFS (Fig 15).
 //! * [`cluster_sharded`] — the one cluster engine: pools, RC state
 //!   machines, DNEs or the baselines' host engines, the ingress gateway,

@@ -25,9 +25,10 @@ pub struct SkMsgCosts {
     /// In-kernel redirect latency (socket-to-socket, protocol stack
     /// bypassed).
     pub transit: Nanos,
-    /// Receiver-side wakeup: softirq + epoll wake + `recv()`. This is the
-    /// *interrupt-driven* cost that piles onto the CNE's core at high rate
-    /// (§4.3's receive-livelock citation \[68\]).
+    /// Receiver-side wakeup: softirq + epoll wake + `recv()`, charged per
+    /// message on the receiving core. It is the same at any message rate:
+    /// §4.3 cites receive livelock \[68\] for this interrupt-driven path,
+    /// but the model charges no rate-dependent term.
     pub recv_cpu: Nanos,
 }
 

@@ -1,29 +1,38 @@
 //! The paper ledger at reduced scale. Every artefact the ledger reads runs
-//! at `Scale::REDUCED` through the same functions the figure binaries
-//! print, and every ledger point must give the verdict the ledger declares
-//! for that scale (`paper_check` holds the full-scale ones). Figs 9, 11,
+//! at [`REDUCED`] scale through the same functions the figure binaries
+//! print, and every ledger point must give the verdict the ledger declares,
+//! the same one `paper_check` holds the full-scale run to. Figs 9, 11,
 //! 12 and 13 have a test each over their own ledger rows; one test covers
-//! the whole ledger. Beside them, the orderings no quoted number implies.
+//! the whole ledger. Beside them, the closed-loop monotonicity check
+//! `paper_check` runs at full scale, and the orderings no quoted number
+//! implies.
 
 use std::sync::OnceLock;
 
-use palladium_bench::{check, quoted_artefacts, BoutiqueSweep, CellRef, Scale, Table, FIG16_CLIENTS};
+use palladium_bench::{
+    check, quoted_artefacts, throughput_drops, BoutiqueSweep, CellRef, Scale, Table, FIG16_CLIENTS,
+};
+
+/// The scale every quoted artefact runs at here: 0.12 of full, with the
+/// Fig 16 window's floor (`boutique_window_ms`) keeping NightCore's
+/// slowest requests inside it.
+const REDUCED: Scale = Scale(0.12);
 
 /// One reduced-scale run of every quoted artefact, shared by the tests.
 fn tables() -> &'static [Table] {
     static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
-    TABLES.get_or_init(|| quoted_artefacts(&BoutiqueSweep::run(&FIG16_CLIENTS, Scale::REDUCED)))
+    TABLES.get_or_init(|| quoted_artefacts(&BoutiqueSweep::run(&FIG16_CLIENTS, REDUCED)))
 }
 
 /// Asserts that every ledger point whose id starts with `prefix` gives its
-/// declared reduced-scale verdict, and that there is at least one.
+/// declared verdict, and that there is at least one.
 fn assert_verdicts_hold(prefix: &str) {
     let outcomes = check(tables()).expect("every ledger point reads a finite value");
     let ours: Vec<_> = outcomes.iter().filter(|o| o.quote.id.starts_with(prefix)).collect();
     assert!(!ours.is_empty(), "no ledger row starts with {prefix:?}");
     let moved: Vec<String> = ours
         .iter()
-        .filter(|o| o.verdict != o.point.declared(Scale::REDUCED))
+        .filter(|o| o.verdict != o.point.declared)
         .map(|o| {
             format!(
                 "{} @ {}: model {:.4} is {:?}, declared {:?}",
@@ -31,7 +40,7 @@ fn assert_verdicts_hold(prefix: &str) {
                 o.point.at,
                 o.model,
                 o.verdict,
-                o.point.declared(Scale::REDUCED)
+                o.point.declared
             )
         })
         .collect();
@@ -61,6 +70,12 @@ fn fig12_shape_two_sided_fastest() {
 #[test]
 fn fig13_shape_early_conversion_wins() {
     assert_verdicts_hold("fig13.");
+}
+
+#[test]
+fn closed_loop_throughput_does_not_fall_with_clients() {
+    let drops = throughput_drops(tables(), REDUCED).expect("every sweep reads");
+    assert!(drops.is_empty(), "throughput falls:\n{}", drops.join("\n"));
 }
 
 #[test]

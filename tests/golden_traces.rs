@@ -127,8 +127,8 @@ fn golden_trace() -> String {
     ] {
         let r = IngressSim::scaling_run(kind, 0.005, 12);
         out.push_str(&format!(
-            "scaling/{kind:?}: ups={} downs={} disconnected={}",
-            r.scale_ups, r.scale_downs, r.disconnected
+            "scaling/{kind:?}: ups={} downs={}",
+            r.scale_ups, r.scale_downs
         ));
         for (name, series) in [("cores", &r.cores_series), ("rps", &r.rps_series)] {
             let sum: f64 = series.iter().map(|&(_, v)| v).sum();

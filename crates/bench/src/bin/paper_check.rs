@@ -5,13 +5,15 @@
 //! ledger (`palladium_bench::LEDGER`) from the tables' own values, and
 //! writes `EXPERIMENTS.md`: paper value, model value, error, class and
 //! verdict per point, then the count of ratio points in tolerance. On
-//! stdout it prints the bottleneck station of every Fig 16 / Table 2 run
-//! (`BoutiqueSweep::bottlenecks`), then that count. Exits
-//! non-zero when a point's verdict is not the one the ledger declares,
-//! when a quote's words are missing from the title it cites, or when a
-//! closed-loop sweep of Fig 13 or Fig 16 reads less throughput with more
-//! clients (`throughput_drops`); the file is written either way, so its
-//! diff shows what moved.
+//! stdout it prints the bottleneck of every Fig 16 / Table 2 system ×
+//! chain twice, walked and measured (`BoutiqueSweep::bottlenecks`), then
+//! that count. Exits non-zero when a point's verdict is not the one the
+//! ledger declares, when a quote's words are missing from the title it
+//! cites, when a closed-loop sweep of Fig 13 or Fig 16 reads less
+//! throughput with more clients (`throughput_drops`), or when a saturated
+//! run's measured bottleneck is a walked station other than the walk's
+//! (`BoutiqueSweep::bottleneck_mismatches`); the file is written either
+//! way, so its diff shows what moved.
 //!
 //! Usage: `cargo run --release -p palladium-bench --bin paper_check --
 //! [--out PATH]` (default `EXPERIMENTS.md`).
@@ -56,6 +58,10 @@ fn main() -> ExitCode {
             );
             ok = false;
         }
+    }
+    for mismatch in boutique.bottleneck_mismatches() {
+        eprintln!("paper_check: the measured bottleneck is not the walked one: {mismatch}");
+        ok = false;
     }
     match throughput_drops(&tables, Scale::FULL) {
         Ok(drops) => {

@@ -20,6 +20,7 @@ use palladium_core::driver::echo::{EchoConfig, EchoSim, PathMode, Primitive};
 use palladium_core::driver::fairness::{FairnessSim, FairnessSimConfig};
 use palladium_core::driver::ingress_sweep::{IngressSim, IngressSimConfig};
 use palladium_core::dwrr::SchedPolicy;
+use palladium_core::price::demand;
 use palladium_core::system::{IngressKind, SystemKind};
 use palladium_ipc::ChannelKind;
 use palladium_simnet::Nanos;
@@ -337,15 +338,45 @@ pub fn fig15() -> Vec<Table> {
     ]
 }
 
-/// The warm-up and measurement window of a Fig 16 / Table 2 run at
-/// `scale`, in whole milliseconds. A run must hold its slowest request
-/// more than once, or it completes none: the warm-up lasts at least the
-/// longest latency the ledger quotes (NightCore's Home mean at 80 clients)
-/// and the window at least three times it. Full scale is above both.
-fn boutique_window_ms(scale: Scale) -> (u64, u64) {
-    let longest = |k: f64| (k * NIGHTCORE_HOME_MS[2]).ceil() as u64;
-    let ms = |base| scale.ms(base).as_nanos() / 1_000_000;
-    (ms(60).max(longest(1.0)), ms(240).max(longest(3.0)))
+/// The station of `walk` (a [`demand`]) with the highest demand per
+/// server, D ÷ c: the one a closed loop saturates first.
+fn walked_bottleneck(walk: &[Station]) -> &Station {
+    let per_server = |s: &Station| (u128::from(s.busy.as_nanos()), s.cores as u128);
+    walk.iter()
+        .max_by(|a, b| {
+            let ((da, ca), (db, cb)) = (per_server(a), per_server(b));
+            (da * cb).cmp(&(db * ca))
+        })
+        .expect("the walk covers stations")
+}
+
+/// The warm-up and measurement window of a Fig 16 / Table 2 run of
+/// `system` on `chain` at `scale`, in whole milliseconds, floored by the
+/// run's own longest request R. At the sweep's largest client count N
+/// every request queues behind the walk's bottleneck, so R ≈ N × D ÷ c (D
+/// that station's walked demand, c its servers). The clients start
+/// together, so the loop completes its requests in waves R apart and a
+/// window T counts throughput to within one wave, a relative R ÷ T. The
+/// warm-up lasts at least R, and the window holds at least 2 ÷ tolerance
+/// of them: a ratio of two runs then stays within the ledger's point
+/// tolerance ([`Paper::POINT_TOLERANCE`]). A run whose floor is above the
+/// full-scale window runs at full scale, which is above every other floor.
+fn boutique_window_ms(scale: Scale, system: SystemKind, chain: ChainKind) -> (u64, u64) {
+    let walk = demand(system, &boutique::app(), chain.index());
+    let top = walked_bottleneck(&walk);
+    let n = FIG16_CLIENTS.iter().max().copied().unwrap_or(1);
+    let longest_ms = n as f64 * top.busy.as_millis_f64() / top.cores as f64;
+    let floor = |k: f64| (k * longest_ms).ceil() as u64;
+    let (warmup_floor, window_floor) = (floor(1.0), floor(2.0 / Paper::POINT_TOLERANCE));
+    let window_at = |scale: Scale| {
+        let ms = |base| scale.ms(base).as_nanos() / 1_000_000;
+        (ms(60), ms(240))
+    };
+    let (full, (warmup, duration)) = (window_at(Scale::FULL), window_at(scale));
+    if window_floor > full.1 {
+        return full;
+    }
+    (warmup.max(warmup_floor), duration.max(window_floor))
 }
 
 /// One Fig 16 / Table 2 cluster run.
@@ -355,7 +386,7 @@ fn boutique_run(
     clients: usize,
     scale: Scale,
 ) -> ChainReport {
-    let (warmup, duration) = boutique_window_ms(scale);
+    let (warmup, duration) = boutique_window_ms(scale, system, chain);
     let cfg = boutique::config(system, chain)
         .clients(clients)
         .warmup_ms(warmup)
@@ -368,6 +399,10 @@ pub const FIG16_CLIENTS: [usize; 5] = [1, 20, 40, 60, 80];
 
 /// Client counts of Fig 16's utilization panels and of Table 2.
 pub const TABLE2_CLIENTS: [usize; 3] = [20, 60, 80];
+
+/// The client count from which every system of the Fig 16 / Table 2
+/// sweep saturates its bottleneck station.
+const SATURATED_FROM: usize = 20;
 
 /// The Fig 16 / Table 2 cluster runs: every system × chain at each of a
 /// set of client counts, each configuration run once and read by every
@@ -443,32 +478,71 @@ impl BoutiqueSweep {
         tables
     }
 
-    /// The bottleneck of every run: one line per system × chain naming, at
-    /// each client count, the station with the highest utilisation U =
-    /// busy ÷ (servers × horizon), unclamped, and its demand D = busy ÷
-    /// (horizon × X) in µs per request (the utilisation law, with X the
-    /// measured throughput). Busy time counts the whole horizon, warm-up
-    /// included.
-    pub fn bottlenecks(&self) -> Vec<String> {
-        let (warmup, duration) = boutique_window_ms(self.scale);
+    /// The measured bottleneck of the run of `system` on `chain` at
+    /// `clients`: the station with the highest utilisation U = busy ÷
+    /// (servers × horizon), unclamped, with U in percent and its demand D =
+    /// busy ÷ (horizon × X) in µs per request (the utilisation law, with X
+    /// the measured throughput). Busy time counts the whole horizon,
+    /// warm-up included.
+    fn measured_bottleneck(&self, system: SystemKind, chain: ChainKind, clients: usize) -> (&Station, f64, f64) {
+        let (warmup, duration) = boutique_window_ms(self.scale, system, chain);
         let horizon_s = (warmup + duration) as f64 / 1e3;
+        let r = self.get(system, chain, clients);
         let busy_cores = |st: &Station| st.busy.as_secs_f64() / horizon_s;
         let util = |st: &Station| busy_cores(st) / st.cores as f64;
+        let top = r.stations.iter().max_by(|a, b| util(a).total_cmp(&util(b)));
+        let top = top.expect("a cluster run has stations");
+        (top, 100.0 * util(top), 1e6 * busy_cores(top) / r.rps)
+    }
+
+    /// The bottleneck of every run, named twice: one line per system ×
+    /// chain giving the walk's bottleneck and its demand D
+    /// ([`demand`], µs per request), then at each client count the
+    /// measured one (`measured_bottleneck`: station, U and D).
+    pub fn bottlenecks(&self) -> Vec<String> {
         let mut lines = Vec::new();
         for system in SystemKind::ALL {
             for chain in ChainKind::ALL {
-                let cells: Vec<String> = self
-                    .clients
-                    .iter()
-                    .map(|&c| {
-                        let r = self.get(system, chain, c);
-                        let top = r.stations.iter().max_by(|a, b| util(a).total_cmp(&util(b)));
-                        let top = top.expect("a cluster run has stations");
-                        let (u, d) = (100.0 * util(top), 1e6 * busy_cores(top) / r.rps);
-                        format!("c={c} {}@{} U={u:.1}% D={d:.2}us", top.name, top.node)
-                    })
-                    .collect();
+                let walk = demand(system, &boutique::app(), chain.index());
+                let top = walked_bottleneck(&walk);
+                let mut cells = vec![format!("walked {}@{} D={:.2}us", top.name, top.node, top.busy.as_micros_f64())];
+                for &c in &self.clients {
+                    let (top, u, d) = self.measured_bottleneck(system, chain, c);
+                    cells.push(format!("c={c} {}@{} U={u:.1}% D={d:.2}us", top.name, top.node));
+                }
                 lines.push(format!("bottleneck {} / {}: {}", chain.label(), system.label(), cells.join(" | ")));
+            }
+        }
+        lines
+    }
+
+    /// One line per run at `SATURATED_FROM` (20) clients or more whose
+    /// measured bottleneck is a station the walk covers but not the walk's
+    /// bottleneck. At those loads every system saturates, so the station
+    /// it saturates is the walk's arg-max of D ÷ servers, or the walk has
+    /// mispriced a station. (A measured bottleneck the walk does not cover,
+    /// an RNIC, is not judged.)
+    pub fn bottleneck_mismatches(&self) -> Vec<String> {
+        let mut lines = Vec::new();
+        for system in SystemKind::ALL {
+            for chain in ChainKind::ALL {
+                let walk = demand(system, &boutique::app(), chain.index());
+                let walked = walked_bottleneck(&walk);
+                let key = |s: &Station| (s.name, s.node);
+                for &c in self.clients.iter().filter(|&&c| c >= SATURATED_FROM) {
+                    let (top, ..) = self.measured_bottleneck(system, chain, c);
+                    if key(top) != key(walked) && walk.iter().any(|w| key(w) == key(top)) {
+                        lines.push(format!(
+                            "{} / {} at c={c}: measured {}@{}, walked {}@{}",
+                            chain.label(),
+                            system.label(),
+                            top.name,
+                            top.node,
+                            walked.name,
+                            walked.node
+                        ));
+                    }
+                }
             }
         }
         lines
@@ -1221,15 +1295,15 @@ pub fn throughput_drops(tables: &[Table], scale: Scale) -> Result<Vec<String>, S
             .collect::<Result<Vec<_>, String>>()?;
         sweeps.push((format!("Fig 13 {label}"), fig13_window(scale).as_secs_f64(), xs));
     }
-    let fig16_window = boutique_window_ms(scale).1 as f64 / 1e3;
-    for chain in [HOME, VIEWCART, PRODUCT] {
-        let table = titled(tables, chain)?;
+    for (chain, title) in ChainKind::ALL.into_iter().zip([HOME, VIEWCART, PRODUCT]) {
+        let table = titled(tables, title)?;
         for system in SystemKind::ALL {
             let xs = FIG16_CLIENTS
                 .iter()
                 .map(|&c| Ok((c, table.value(&[system.label()], &format!("c={c}"))?)))
                 .collect::<Result<Vec<_>, String>>()?;
-            sweeps.push((format!("{chain} {}", system.label()), fig16_window, xs));
+            let window = boutique_window_ms(scale, system, chain).1 as f64 / 1e3;
+            sweeps.push((format!("{title} {}", system.label()), window, xs));
         }
     }
     let mut drops = Vec::new();

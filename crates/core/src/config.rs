@@ -5,7 +5,9 @@
 //! Substrate-specific constants live with their substrates
 //! (`palladium_rdma::RdmaConfig`, `palladium_ipc::costs`,
 //! `palladium_tcpstack::stack`); this module holds the engine-, function-
-//! and client-level knobs plus derived helpers.
+//! and client-level knobs. What an op of one system costs — these
+//! constants specialised to its data plane and engine location — is
+//! resolved once, in [`crate::price`].
 
 // A cost-model funnel: a bare truncating cast here corrupts virtual time,
 // so conversions saturate (`Nanos::from_f64_saturating`, checked ops).
@@ -94,22 +96,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Engine TX-stage service time at the given location.
-    pub fn engine_tx_at(&self, loc: EngineLocation) -> Nanos {
-        match loc {
-            EngineLocation::Dpu => self.soc.scale(self.engine_tx),
-            EngineLocation::Cpu => self.engine_tx,
-        }
-    }
-
-    /// Engine RX-stage service time at the given location.
-    pub fn engine_rx_at(&self, loc: EngineLocation) -> Nanos {
-        match loc {
-            EngineLocation::Dpu => self.soc.scale(self.engine_rx),
-            EngineLocation::Cpu => self.engine_rx,
-        }
-    }
-
     /// OWRC receiver-side copy cost for `bytes`.
     pub fn owrc_copy(&self, bytes: u64, cold: bool) -> Nanos {
         let rate = if cold {
@@ -124,15 +110,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dpu_ops_scale_by_wimpy_factor() {
-        let m = CostModel::default();
-        let cpu = m.engine_tx_at(EngineLocation::Cpu);
-        let dpu = m.engine_tx_at(EngineLocation::Dpu);
-        let ratio = dpu.as_nanos() as f64 / cpu.as_nanos() as f64;
-        assert!((2.1..2.3).contains(&ratio), "ratio {ratio}");
-    }
 
     #[test]
     fn owrc_copy_rates() {

@@ -17,7 +17,10 @@
 //! This is exactly the "two wimpy DPU cores" the paper's efficiency result
 //! counts (§4.3.1). The same engine, instantiated with
 //! [`EngineLocation::Cpu`], is the CNE ablation: host-speed service times
-//! plus a fixed per-message SK_MSG interrupt.
+//! plus a fixed per-message SK_MSG interrupt. The engine does not work out
+//! what an op costs: it is handed its three op prices (RX, TX, replenish)
+//! at its location, resolved once in [`crate::price`], and charges only
+//! those.
 //!
 //! Like every substrate here, the engine is a passive state machine: the
 //! driver feeds it descriptors/CQEs and trampolines the returned timed
@@ -34,6 +37,7 @@ use palladium_simnet::{FifoServer, Nanos, Slab, Timed};
 use crate::config::{CostModel, EngineLocation};
 use crate::connpool::ConnPool;
 use crate::dwrr::{SchedPolicy, TenantScheduler};
+use crate::price::DneOps;
 use crate::rbr::RbrTable;
 use crate::routing::RouteTables;
 
@@ -121,8 +125,8 @@ pub enum DneEffect {
 
 /// One network engine instance (DNE on the DPU or CNE on the host).
 pub struct Dne {
-    loc: EngineLocation,
-    cost: CostModel,
+    /// What each op costs where the engine runs.
+    ops: DneOps,
     /// Worker-thread core (the run-to-completion loop).
     pub worker_core: FifoServer,
     /// Core thread (mmap/Comch management + RQ replenishment).
@@ -164,9 +168,13 @@ impl Dne {
         policy: SchedPolicy,
         pool: ConnPool,
     ) -> Self {
+        Dne::priced(DneOps::at(loc, &cost), policy, pool)
+    }
+
+    /// An engine whose ops cost `ops`.
+    pub(crate) fn priced(ops: DneOps, policy: SchedPolicy, pool: ConnPool) -> Self {
         Dne {
-            loc,
-            cost,
+            ops,
             worker_core: FifoServer::new(),
             core_thread: FifoServer::new(),
             sched: TenantScheduler::new(policy, 1 << 12),
@@ -262,15 +270,6 @@ impl Dne {
         self.on_engine_slot_into(now, out);
     }
 
-    /// Per-op service time at the engine's location: the same at any
-    /// queue depth.
-    fn service(&self, base: Nanos) -> Nanos {
-        match self.loc {
-            EngineLocation::Dpu => self.cost.soc.scale(base),
-            EngineLocation::Cpu => base + self.cost.cne_interrupt,
-        }
-    }
-
     /// The engine core is free: start the next unit of work
     /// (run-to-completion: RX completions first, then TX per the
     /// scheduler). Effects are appended to `out`, including the next
@@ -280,8 +279,7 @@ impl Dne {
         // RX stage has priority: completions free buffers and unblock
         // remote senders.
         if let Some(cqe) = self.rx_queue.pop_front() {
-            let service = self.service(self.cost.engine_rx);
-            let done = self.worker_core.submit(now, service);
+            let done = self.worker_core.submit(now, self.ops.rx);
             self.engine_busy = true;
             let delay = done - now;
             self.process_cqe(cqe, now, delay, out);
@@ -289,8 +287,7 @@ impl Dne {
             return;
         }
         if let Some((_tenant, item)) = self.sched.dequeue() {
-            let service = self.service(self.cost.engine_tx);
-            let done = self.worker_core.submit(now, service);
+            let done = self.worker_core.submit(now, self.ops.tx);
             self.engine_busy = true;
             let delay = done - now;
             self.process_tx(item, delay, out);
@@ -363,16 +360,7 @@ impl Dne {
                 // CQE plus whatever the core thread still owes.
                 let consumed = self.rbr.take_consumed(tenant);
                 if consumed > 0 {
-                    let service = match self.loc {
-                        EngineLocation::Dpu => self
-                            .cost
-                            .soc
-                            .scale(self.cost.engine_replenish)
-                            .saturating_mul(consumed),
-                        EngineLocation::Cpu => {
-                            self.cost.engine_replenish.saturating_mul(consumed)
-                        }
-                    };
+                    let service = self.ops.replenish.saturating_mul(consumed);
                     let rdone = self.core_thread.submit(now + delay, service);
                     out.push(Timed::new(
                         rdone - now,
@@ -499,8 +487,7 @@ mod tests {
             node: NodeId(1),
         });
         dne.routes = coord.tables_for(NodeId(0));
-        let cost = CostModel::default();
-        let op = cost.engine_tx_at(EngineLocation::Cpu) + cost.cne_interrupt;
+        let op = DneOps::at(EngineLocation::Cpu, &CostModel::default()).tx;
         let mut fx = Vec::new();
         for _ in 0..40 {
             dne.submit_tx_into(Nanos::ZERO, desc(), Bytes::from_static(b"x"), None, &mut fx);
@@ -518,9 +505,6 @@ mod tests {
         }
         assert!(fx.is_empty(), "the engine went idle");
         assert_eq!(dne.worker_core.busy_time(), op * 40);
-        // The RX stage pays the same interrupt on its host-speed op.
-        let cne = engine(EngineLocation::Cpu);
-        assert_eq!(cne.service(cost.engine_rx), cost.engine_rx_at(EngineLocation::Cpu) + cost.cne_interrupt);
     }
 
     #[test]
@@ -570,8 +554,7 @@ mod tests {
         // finishes the CQE, no matter how late in the run it arrives.
         const N: u64 = 64;
         let mut dne = engine(EngineLocation::Dpu);
-        let cost = CostModel::default();
-        let service = cost.soc.scale(cost.engine_replenish);
+        let service = DneOps::at(EngineLocation::Dpu, &CostModel::default()).replenish;
         let mut pool = palladium_membuf::UnifiedPool::new(PoolId(0), TenantId(1), N as u32, 256);
         for i in 0..N {
             let now = Nanos::from_micros(10 * i);

@@ -90,7 +90,6 @@
 
 use bytes::Bytes;
 
-use palladium_ipc::{ChannelCosts, SkMsgCosts};
 use palladium_membuf::{
     BufDesc, BufToken, CopyMeter, FnId, MoveKind, NodeId, Owner, PayloadCache, TenantId,
     UnifiedPool,
@@ -103,10 +102,10 @@ use palladium_simnet::{
 };
 
 use super::chain::{ChainSpec, INGRESS_FN};
-use crate::config::{CostModel, EngineLocation};
 use crate::connpool::ConnPool;
 use crate::dne::{pack_imm, Dne, DneEffect};
 use crate::ingress::{IngressGateway, Leg};
+use crate::price::Prices;
 use crate::rbr::RbrTable;
 use crate::system::{DataPlane, IngressKind, SystemSpec};
 use baselines::{Hop, HostEv, HostPlane};
@@ -131,6 +130,17 @@ pub use report::{ChaosReport, ClusterShardedReport, LedgerError, OverloadReport,
 
 const TENANT: TenantId = TenantId(1);
 const BUF_SIZE: u32 = 8192;
+
+/// Function cores per worker node.
+pub(crate) const FN_CORES: usize = 38;
+
+/// Gateway worker processes of a cluster run, fixed per ingress design.
+pub(crate) fn gateway_workers(ingress: IngressKind) -> usize {
+    match ingress {
+        IngressKind::KernelDeferred => 24,
+        _ => 8,
+    }
+}
 
 /// Payload word layout: request id (low 40 bits), hop index (8 bits),
 /// worker pair (high 16 bits) — see the module docs on request-state
@@ -389,12 +399,12 @@ pub(crate) struct ClusterShard {
     /// Remapped function id → global node, dense.
     placement: IdTable<usize>,
     fn_exec: IdTable<Nanos>,
-    cost: CostModel,
     /// The system under test: which ingress design and data plane every
     /// arm below follows.
     spec: SystemSpec,
-    comch: ChannelCosts,
-    skmsg: SkMsgCosts,
+    /// What every op of the system costs: the only service times the arms
+    /// below charge.
+    price: Prices,
 
     // Per owned node, indexed `node - lo`.
     pools: Vec<UnifiedPool>,
@@ -465,18 +475,6 @@ impl ClusterShard {
         desc
     }
 
-    /// Channel costs between functions and their node's engine:
-    /// `(transit, host_send, host_recv)` — Comch to a DNE on the DPU,
-    /// SK_MSG to every engine on the host (the CNE's and the baselines').
-    fn fn_channel_costs(&self) -> (Nanos, Nanos, Nanos) {
-        match self.spec.plane {
-            DataPlane::Dne { loc: EngineLocation::Dpu, .. } => {
-                (self.comch.transit, self.comch.host_send_cpu, self.comch.host_recv_cpu)
-            }
-            _ => (self.skmsg.transit, self.skmsg.send_cpu, self.skmsg.recv_cpu),
-        }
-    }
-
     /// Replenish `cnt` receive buffers on node `n` — a worker's go through
     /// its DNE's RBR table, the ingress's through its own (node-local,
     /// identical at every shard count).
@@ -517,7 +515,6 @@ impl ClusterShard {
     /// the first effect landing at that same instant carries it (`wake`)
     /// instead of a second event being queued behind it.
     fn apply_dne_step(&mut self, fx: &mut Effects<'_, Ev>, n: usize, step: &mut crate::dne::DneStep) {
-        let (to_fn_transit, ..) = self.fn_channel_costs();
         let mut wake_at = match step.last() {
             Some(t) if matches!(t.value, DneEffect::EngineSlot) => Some(t.after),
             _ => None,
@@ -538,7 +535,7 @@ impl ClusterShard {
                     );
                 }
                 DneEffect::DeliverToFn { desc } => {
-                    fx.after(t.after + to_fn_transit, Ev::Deliver { n, desc });
+                    fx.after(t.after + self.price.engine_transit, Ev::Deliver { n, desc });
                 }
                 DneEffect::ApplyDma { token, data, .. } => {
                     fx.after(t.after, Ev::ApplyDma { n, wake: carry(), token, data });
@@ -699,11 +696,9 @@ impl ClusterShard {
             };
             self.pools[li].produce_bytes(&out, data).expect("sized buffer");
             let out_desc = self.hand_to_fn(li, out, f, to);
-            let send_cpu = self.skmsg.send_cpu;
-            let transit = self.skmsg.transit;
-            let send_done = self.on_fn_core(n, now, send_cpu);
+            let send_done = self.on_fn_core(n, now, self.price.local_send);
             let sent = self.local_dispatch(n, send_done);
-            fx.at(sent + transit, Ev::Deliver { n, desc: out_desc });
+            fx.at(sent + self.price.local_transit, Ev::Deliver { n, desc: out_desc });
             return;
         }
 
@@ -719,9 +714,8 @@ impl ClusterShard {
         };
         self.pools[li].produce_bytes(&out, data).expect("sized buffer");
         let out_desc = self.pools[li].into_transit(out, f, to).expect("owned");
-        let (transit, send_cpu, _) = self.fn_channel_costs();
-        let send_done = self.on_fn_core(n, now, send_cpu);
-        fx.at(send_done + transit, Ev::EngineRx { n, desc: out_desc });
+        let send_done = self.on_fn_core(n, now, self.price.engine_send);
+        fx.at(send_done + self.price.engine_transit, Ev::EngineRx { n, desc: out_desc });
     }
 }
 
@@ -840,9 +834,7 @@ impl ShardEngine for ClusterShard {
                 }
             }
             Ev::Deliver { n, desc } => {
-                let (.., recv) = self.fn_channel_costs();
-                let exec = self.fn_exec(desc.dst_fn);
-                let mut service = recv + exec;
+                let mut service = self.price.recv + self.fn_exec(desc.dst_fn);
                 // Straggler windows scale the node's compute service time;
                 // `chaos` is `None` on fault-free runs, leaving the
                 // original path untouched.

@@ -20,6 +20,11 @@
 //! * All three take requests in and send responses out over a second TCP
 //!   connection between the gateway and the workers (deferred conversion).
 //!
+//! Every arm charges from the system's [`Prices`](crate::price::Prices):
+//! which stack a leg rides and what an engine op or copy costs were
+//! decided there, once, so the arms here only choose *where* a charge
+//! lands, never what it is.
+//!
 //! Every leg here is a node-to-node *local* event, not a mailbox message,
 //! so these systems run unsharded (`ClusterShardedSim::run` checks):
 //! global node ids index the per-node state directly, and the FUYAO sender
@@ -32,7 +37,6 @@ use palladium_membuf::{
 };
 use palladium_rdma::{Cqe, CqeKind, RdmaNet, RemoteAddr, WorkRequest, WrId};
 use palladium_simnet::{Effects, FifoServer, Nanos, Slab};
-use palladium_tcpstack::{StackKind, TcpCosts};
 
 use super::{ClusterShard, ClusterShardedConfig, Ev, BUF_SIZE, INGRESS_FN, REQ_MASK, TENANT};
 use crate::connpool::{ConnPool, ConnPoolConfig};
@@ -84,10 +88,6 @@ struct FuyaoNode {
 
 /// Per-cluster state of a baseline data plane, indexed by worker node.
 pub(super) struct HostPlane {
-    /// Worker-side TCP termination: the ingress design's own stack.
-    worker_tcp: TcpCosts,
-    /// SPRIGHT's inter-node legs always ride the kernel stack.
-    internode_tcp: TcpCosts,
     /// The node's generic engine: one FIFO core doing TCP processing and
     /// FUYAO engine ops and copies.
     pub(super) engines: Vec<FifoServer>,
@@ -128,8 +128,6 @@ impl HostPlane {
             }
         }
         HostPlane {
-            worker_tcp: TcpCosts::for_kind(spec.ingress.stack()),
-            internode_tcp: TcpCosts::for_kind(StackKind::Kernel),
             engines: (0..workers)
                 .map(|_| FifoServer::new())
                 .collect(),
@@ -166,24 +164,20 @@ impl ClusterShard {
     /// A hop between two functions on worker `n` leaves its sender's core
     /// at `sent`; returns when it enters the SK_MSG channel toward its
     /// receiver. NightCore routes every such hop through its gateway on
-    /// the node's host engine (one SK_MSG transit in, then one
-    /// `nightcore_dispatch`); every other system hands it over at once.
+    /// the node's host engine (one SK_MSG transit in, then one dispatch);
+    /// every other system hands it over at once.
     pub(super) fn local_dispatch(&mut self, n: usize, sent: Nanos) -> Nanos {
-        if self.spec.plane != DataPlane::Host(HostHop::Local) {
-            return sent;
+        match self.price.dispatch {
+            Some(dispatch) => self.on_engine(n, sent + self.price.local_transit, dispatch),
+            None => sent,
         }
-        let (transit, dispatch) = (self.skmsg.transit, self.cost.nightcore_dispatch);
-        self.on_engine(n, sent + transit, dispatch)
     }
 
     /// Deferred conversion at the ingress: the request rides a second TCP
     /// connection into the cluster; worker-side termination happens at
     /// arrival.
     pub(super) fn ingress_via_tcp(&self, fx: &mut Effects<'_, Ev>, entry_node: usize, hop: Hop) {
-        fx.after(
-            TcpCosts::INTER_NODE_WIRE,
-            Ev::Host(HostEv::TcpWire { n: entry_node, hop }),
-        );
+        fx.after(self.price.tcp_wire, Ev::Host(HostEv::TcpWire { n: entry_node, hop }));
     }
 
     /// Function `hop.from` on worker `n` hands `data` to a function on
@@ -204,16 +198,14 @@ impl ClusterShard {
             // Response leg: worker-side TCP transmit through the node
             // engine, then the wire to the gateway.
             let req = hop.word & REQ_MASK;
-            let send_cpu = self.skmsg.send_cpu;
-            let send_done = self.on_fn_core(n, now, send_cpu);
-            let tx = self.host_mut().worker_tcp.tx(bytes as u64);
-            let done = self.on_engine(n, send_done, tx);
+            let send_done = self.on_fn_core(n, now, self.price.engine_send);
+            let done = self.on_engine(n, send_done, self.price.tcp_tx(bytes));
             self.meters[n].record(MoveKind::Software, bytes as u64);
             fx.at(done, Ev::Host(HostEv::RespTcpTx { req }));
             return;
         }
         let dst_node = self.node_of(to);
-        let (send_cpu, transit) = (self.skmsg.send_cpu, self.skmsg.transit);
+        let (send_cpu, transit) = (self.price.engine_send, self.price.engine_transit);
         match path {
             HostHop::OneSidedRecvCopy => {
                 // Local buffer holds the payload until the write completes.
@@ -225,8 +217,7 @@ impl ClusterShard {
                     .produce_bytes(&out, data.clone())
                     .expect("sized buffer");
                 let send_done = self.on_fn_core(n, now, send_cpu);
-                let engine_op = self.cost.fuyao_engine_op;
-                let op_done = self.on_engine(n, send_done + transit, engine_op);
+                let op_done = self.on_engine(n, send_done + transit, self.price.fuyao_op);
                 // Pick a dedicated slot on the destination.
                 let host = self.host.as_mut().expect("baseline data plane");
                 let dst = &mut host.fuyao[dst_node];
@@ -257,13 +248,9 @@ impl ClusterShard {
                 // SPRIGHT: serialize out through the node engine over
                 // kernel TCP — a software copy at each end.
                 let send_done = self.on_fn_core(n, now, send_cpu);
-                let tx = self.host_mut().internode_tcp.tx(bytes as u64);
-                let done = self.on_engine(n, send_done + transit, tx);
+                let done = self.on_engine(n, send_done + transit, self.price.internode_tx(bytes));
                 self.meters[n].record(MoveKind::Software, bytes as u64);
-                fx.at(
-                    done + TcpCosts::INTER_NODE_WIRE,
-                    Ev::Host(HostEv::TcpWire { n: dst_node, hop }),
-                );
+                fx.at(done + self.price.tcp_wire, Ev::Host(HostEv::TcpWire { n: dst_node, hop }));
             }
             // `validate` holds a node-local plane's functions on one node,
             // so its every hop between functions is a local SK_MSG hop
@@ -291,15 +278,14 @@ impl ClusterShard {
             .write_bytes(&token, data, &mut self.meters[n])
             .expect("sized buffer");
         let desc = self.hand_to_fn(n, token, from, to);
-        fx.after(self.skmsg.transit, Ev::Deliver { n, desc });
+        fx.after(self.price.engine_transit, Ev::Deliver { n, desc });
     }
 
     pub(super) fn on_host_event(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, ev: HostEv) {
         match ev {
             HostEv::TcpWire { n, hop } => {
                 // Worker-side TCP receive processing on the node engine.
-                let rx = self.host_mut().worker_tcp.rx(hop.bytes as u64);
-                let done = self.on_engine(n, now, rx);
+                let done = self.on_engine(n, now, self.price.tcp_rx(hop.bytes));
                 fx.at(done, Ev::Host(HostEv::TcpRxDone { n, hop }));
             }
             HostEv::TcpRxDone { n, hop } => {
@@ -309,8 +295,7 @@ impl ClusterShard {
             HostEv::FuyaoPickup { n, imm, data } => {
                 // Receiver engine: polling pickup + the OWRC receiver-side
                 // copy from the dedicated pool into the local pool.
-                let copy = self.cost.fuyao_engine_op + self.cost.owrc_copy(data.len() as u64, true);
-                let done = self.on_engine(n, now, copy);
+                let done = self.on_engine(n, now, self.price.pickup(data.len() as u64));
                 fx.at(done, Ev::Host(HostEv::FuyaoCopied { n, imm, data }));
             }
             HostEv::FuyaoCopied { n, imm, data } => {
@@ -319,9 +304,10 @@ impl ClusterShard {
             }
             HostEv::RespTcpTx { req } => {
                 // Response reached the ingress over TCP: outbound leg.
+                let wire = self.price.tcp_wire;
                 let ing = self.ingress.as_mut().expect("ingress shard");
                 let (_, pair) = ing.reqs.placement(req);
-                ing.submit(now + TcpCosts::INTER_NODE_WIRE, fx, req, pair, Leg::Outbound);
+                ing.submit(now + wire, fx, req, pair, Leg::Outbound);
             }
         }
     }
@@ -346,10 +332,7 @@ impl ClusterShard {
                 &mut self.meters[n],
             )
             .expect("dma into dedicated slot");
-        fx.after(
-            self.cost.onesided_poll_interval / 2,
-            Ev::Host(HostEv::FuyaoPickup { n, imm, data }),
-        );
+        fx.after(self.price.poll_wait, Ev::Host(HostEv::FuyaoPickup { n, imm, data }));
     }
 
     /// Worker `n`'s CQ on a baseline: only FUYAO completes there — free
@@ -362,54 +345,5 @@ impl ClusterShard {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::CostModel;
-    use crate::driver::chain::{AppSpec, ChainSim, ChainSimConfig, ChainSpec, FnSpec, HopSpec};
-    use crate::system::SystemKind;
-
-    #[test]
-    fn one_nightcore_request_books_its_dispatches_and_two_tcp_legs_on_the_host_engine() {
-        let us = Nanos::from_micros;
-        let (req_bytes, resp_bytes) = (256, 512);
-        let app = AppSpec {
-            functions: vec![
-                FnSpec { id: FnId(1), name: "A", node: 0, exec: us(15) },
-                FnSpec { id: FnId(2), name: "B", node: 0, exec: us(10) },
-                FnSpec { id: FnId(3), name: "C", node: 0, exec: us(12) },
-            ],
-            chains: vec![ChainSpec {
-                name: "abca",
-                entry: FnId(1),
-                hops: vec![
-                    HopSpec { from: FnId(1), to: FnId(2), bytes: 512 },
-                    HopSpec { from: FnId(2), to: FnId(3), bytes: 1024 },
-                    HopSpec { from: FnId(3), to: FnId(1), bytes: 256 },
-                ],
-                req_bytes,
-                resp_bytes,
-            }],
-        };
-        let run = |horizon: Nanos| {
-            let mut cfg = ChainSimConfig::new(SystemKind::NightCore, app.clone(), 0).clients(1);
-            (cfg.warmup, cfg.duration) = (Nanos::ZERO, horizon);
-            ChainSim::new(cfg).run()
-        };
-        // One client sees the same latency on every request.
-        let long = run(Nanos::from_millis(5));
-        assert!(long.load.completed > 1);
-        assert_eq!(long.load.max_latency, long.mean_latency, "an uncontended client");
-        // The next request reaches the engine a client wire and more after
-        // the first one's response reaches its client: stop in between.
-        let one = run(long.mean_latency + us(10));
-        assert_eq!(one.load.completed, 1);
-        let engine = one.stations.iter().find(|s| s.name == "host engine" && s.node == 0);
-        let tcp = TcpCosts::for_kind(SystemKind::NightCore.spec().ingress.stack());
-        let want = CostModel::default().nightcore_dispatch * 3 + tcp.rx(req_bytes as u64) + tcp.tx(resp_bytes as u64);
-        assert_eq!(engine.expect("node 0's host engine").busy, want);
     }
 }

@@ -3,7 +3,6 @@
 //! distributes them over the shards, runs the sharded kernel, and folds the
 //! shards' counters back into one [`ClusterShardedReport`].
 
-use palladium_ipc::{ChannelCosts, ChannelKind, SkMsgCosts};
 use palladium_membuf::{CopyMeter, MmapExporter, NodeId, PayloadCache, PoolId, Region, UnifiedPool};
 use palladium_rdma::{RdmaConfig, RdmaNet, Step};
 use palladium_simnet::{
@@ -15,8 +14,8 @@ use super::baselines::HostPlane;
 use super::health::{IngressChaos, HEARTBEAT_PERIOD};
 use super::overload::IngressOverload;
 use super::{
-    ChaosReport, ClosedLedger, ClusterShard, ClusterShardedConfig, ClusterShardedReport, Ev,
-    IngressState, Requests, BUF_SIZE, TENANT,
+    gateway_workers, ChaosReport, ClosedLedger, ClusterShard, ClusterShardedConfig,
+    ClusterShardedReport, Ev, IngressState, Requests, BUF_SIZE, FN_CORES, TENANT,
 };
 use crate::config::{CostModel, EngineLocation};
 use crate::connpool::{ConnPool, ConnPoolConfig};
@@ -26,13 +25,11 @@ use crate::driver::LoadReport;
 use crate::ingress::{IngressConfig, IngressGateway};
 use crate::rbr::RbrTable;
 use crate::routing::{Coordinator, DeployEvent};
-use crate::system::{DataPlane, IngressKind};
+use crate::price::Prices;
+use crate::system::DataPlane;
 
 /// Receive buffers every two-sided-RDMA node posts before the run starts.
 const INITIAL_RQ: u64 = 512;
-
-/// Function cores per worker node.
-const FN_CORES: usize = 38;
 
 /// Transport retry budget under chaos *without* an overload retry policy —
 /// the legacy "undying" configuration: the QP never suicides, go-back-N
@@ -154,7 +151,7 @@ impl ClusterShardedSim {
             "{:?} does not shard: its inter-node legs are local events",
             cfg.system
         );
-        let cost = CostModel::default();
+        let price = Prices::of(cfg.system);
         let mut rdma_cfg = RdmaConfig::default();
         let chaos = cfg.chaos.as_ref().map(|script| script.compile(n_nodes));
         if chaos.is_some() {
@@ -237,12 +234,10 @@ impl ClusterShardedSim {
         let mut ingress_conns = ConnPool::new(NodeId(ingress_node as u16), ConnPoolConfig::default());
         let mut host = None;
         match spec.plane {
-            DataPlane::Dne { loc, sched } => {
+            DataPlane::Dne { sched, .. } => {
                 dnes.extend((0..2 * cfg.pairs).map(|n| {
-                    let mut dne = Dne::new(
-                        NodeId(n as u16),
-                        loc,
-                        cost,
+                    let mut dne = Dne::priced(
+                        price.dne.expect("a DNE plane prices its engine"),
                         sched,
                         ConnPool::new(NodeId(n as u16), ConnPoolConfig::default()),
                     );
@@ -279,11 +274,8 @@ impl ClusterShardedSim {
         let horizon = cfg.warmup + cfg.duration;
         let mut ingress_state = Some(IngressState {
             gw: IngressGateway::new(
-                IngressConfig::new(spec.ingress).with_fixed_workers(match spec.ingress {
-                    IngressKind::KernelDeferred => 24,
-                    _ => 8,
-                }),
-                cost,
+                IngressConfig::new(spec.ingress).with_fixed_workers(gateway_workers(spec.ingress)),
+                CostModel::default(),
             ),
             rbr: RbrTable::new(),
             conns: ingress_conns,
@@ -291,7 +283,7 @@ impl ClusterShardedSim {
             reqs: Requests::new(),
             closed: ClosedLedger::new(cfg.warmup),
             stats: RunStats::new(cfg.warmup),
-            client_wire: cost.client_wire,
+            client_wire: price.client_wire,
             leg_bytes: cfg
                 .app
                 .chains
@@ -331,10 +323,8 @@ impl ClusterShardedSim {
                     }
                     t
                 },
-                cost,
                 spec,
-                comch: ChannelCosts::for_kind(ChannelKind::ComchE),
-                skmsg: SkMsgCosts::default(),
+                price,
                 pools: Vec::new(),
                 meters: Vec::new(),
                 fn_cores: Vec::new(),

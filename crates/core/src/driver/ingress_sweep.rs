@@ -26,7 +26,6 @@
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
 )]
 
-use palladium_ipc::{ChannelCosts, ChannelKind};
 use palladium_rdma::RdmaConfig;
 use palladium_simnet::{
     Effects, Engine, FifoServer, Harness, Nanos, RunStats, ServerBank, UtilizationBins,
@@ -35,9 +34,10 @@ use palladium_simnet::{
 use palladium_tcpstack::{StackKind, TcpCosts};
 
 use super::LoadReport;
-use crate::config::{CostModel, EngineLocation};
+use crate::config::CostModel;
 use crate::ingress::{IngressConfig, IngressGateway, Leg};
-use crate::system::IngressKind;
+use crate::price::Prices;
+use crate::system::{IngressKind, SystemKind};
 
 /// Request and response payload bytes: 256 B echoes.
 const ECHO_BYTES: u64 = 256;
@@ -119,16 +119,16 @@ struct WorkerSide {
 }
 
 impl WorkerSide {
-    fn for_kind(kind: IngressKind, cost: &CostModel) -> Self {
+    fn for_kind(kind: IngressKind) -> Self {
         match kind {
             IngressKind::Palladium => {
-                let comch = ChannelCosts::for_kind(ChannelKind::ComchE);
+                let p = Prices::of(SystemKind::PalladiumDne);
+                let dne = p.dne.expect("the DNE prices its engine");
                 WorkerSide {
                     // Comch deliver + epoll wake + echo + Comch send-back.
-                    host_per_req: comch.host_recv_cpu + comch.host_send_cpu + FN_EXEC,
+                    host_per_req: p.recv + p.engine_send + FN_EXEC,
                     // DNE RX for the request + TX for the response.
-                    engine_per_req: cost.engine_rx_at(EngineLocation::Dpu)
-                        + cost.engine_tx_at(EngineLocation::Dpu),
+                    engine_per_req: dne.rx + dne.tx,
                     wire: RdmaConfig::default().one_way(ECHO_BYTES),
                 }
             }
@@ -172,7 +172,7 @@ impl IngressEngine {
             cost,
             gw: IngressGateway::new(gw_cfg, cost),
             eval_interval: gw_cfg.autoscaler.eval_interval,
-            ws: WorkerSide::for_kind(gw_cfg.kind, &cost),
+            ws: WorkerSide::for_kind(gw_cfg.kind),
             worker_cores: ServerBank::new(WORKER_CORES),
             worker_dne: FifoServer::new(),
             stats: RunStats::new(sched.warmup),

@@ -16,10 +16,10 @@
 //! slow the service down.
 
 use palladium_simnet::{FifoServer, Nanos};
-use palladium_tcpstack::IngressServiceModel;
 
 use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
 use crate::config::CostModel;
+use crate::price::LegPrices;
 use crate::system::IngressKind;
 
 /// Gateway configuration.
@@ -62,7 +62,8 @@ pub enum Leg {
 /// The gateway state machine.
 pub struct IngressGateway {
     cfg: IngressConfig,
-    model: IngressServiceModel,
+    /// What each leg costs this design's workers.
+    legs: LegPrices,
     /// One FifoServer per potential worker (up to max_workers).
     workers: Vec<FifoServer>,
     active: usize,
@@ -82,7 +83,7 @@ impl IngressGateway {
         let initial = cfg.fixed_workers.unwrap_or(cfg.autoscaler.min_workers);
         IngressGateway {
             cfg,
-            model: IngressServiceModel::new(cfg.kind.stack()),
+            legs: LegPrices::new(cfg.kind),
             workers: vec![FifoServer::new(); max],
             active: initial.min(max).max(1),
             scaler: Autoscaler::new(cfg.autoscaler),
@@ -113,34 +114,6 @@ impl IngressGateway {
         }
     }
 
-    fn leg_service(&self, leg: Leg, req_bytes: u64, resp_bytes: u64) -> Nanos {
-        let m = &self.model;
-        match (self.cfg.kind, leg) {
-            // Early conversion: rx + parse + RDMA post inbound; RDMA reap +
-            // serialize + tx outbound.
-            (IngressKind::Palladium, Leg::Inbound) => {
-                m.client_stack.rx(req_bytes) + m.http.parse + m.bridge.post
-            }
-            (IngressKind::Palladium, Leg::Outbound) => {
-                m.bridge.reap + m.http.serialize + m.client_stack.tx(resp_bytes)
-            }
-            // Deferred conversion: full proxy legs; proxy bookkeeping split
-            // across both halves.
-            (_, Leg::Inbound) => {
-                m.client_stack.rx(req_bytes)
-                    + m.http.parse
-                    + m.client_stack.tx(req_bytes)
-                    + m.http.proxy_overhead / 2
-            }
-            (_, Leg::Outbound) => {
-                m.client_stack.rx(resp_bytes)
-                    + m.http.serialize
-                    + m.client_stack.tx(resp_bytes)
-                    + m.http.proxy_overhead / 2
-            }
-        }
-    }
-
     /// A request leg arrives at the worker serving `client`. Returns
     /// `(worker index, completion time)`; the driver schedules the
     /// follow-up (RDMA post / upstream TCP / client response) at that time.
@@ -154,7 +127,7 @@ impl IngressGateway {
     ) -> (usize, Nanos) {
         let start = now.max(self.blip_until);
         let w = self.rss_worker(client);
-        let service = self.leg_service(leg, req_bytes, resp_bytes);
+        let service = self.legs.of(leg, req_bytes, resp_bytes);
         (w, self.workers[w].submit(start, service))
     }
 
@@ -277,7 +250,7 @@ mod tests {
         // worker queue behind each other and finish exactly one leg
         // service apart.
         let mut k = gw(IngressKind::KernelDeferred);
-        let one = k.leg_service(Leg::Inbound, 256, 256);
+        let one = k.legs.of(Leg::Inbound, 256, 256);
         let mut last = Nanos::ZERO;
         for i in 1..=20u64 {
             let (w, t) = k.submit(Nanos::ZERO, 0, Leg::Inbound, 256, 256);

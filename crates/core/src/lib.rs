@@ -17,6 +17,9 @@
 //!   RSS, hysteresis autoscaler ([`autoscaler`]).
 //! * [`system`] — the six evaluated systems, each an ingress design and a
 //!   data plane.
+//! * [`price`] — what every op of a system costs, resolved once from the
+//!   cost tables, and [`price::demand`]: a request's demand on each
+//!   station of a cluster run.
 //! * [`driver`] — the simulation drivers that regenerate the paper's
 //!   figures: descriptor-channel echo (Fig 9), ingress sweep & scaling
 //!   (Figs 13–14), multi-tenant fairness (Fig 15) and the full
@@ -33,6 +36,7 @@ pub mod dne;
 pub mod driver;
 pub mod dwrr;
 pub mod ingress;
+pub mod price;
 pub mod rbr;
 pub mod routing;
 pub mod system;

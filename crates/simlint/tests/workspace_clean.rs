@@ -61,6 +61,7 @@ const COST_MODULES: &[&str] = &[
     "crates/ipc/src/costs.rs",
     "crates/rdma/src/config.rs",
     "crates/core/src/config.rs",
+    "crates/core/src/price.rs",
     "crates/tcpstack/src/stack.rs",
     "crates/core/src/driver/ingress_sweep.rs",
     "crates/core/src/driver/fairness.rs",

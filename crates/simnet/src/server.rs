@@ -29,6 +29,12 @@ impl FifoServer {
     /// Submit a unit of work at `now` requiring `service` time. Returns the
     /// absolute completion time, at which the caller schedules its own
     /// completion event; the server is not told when it fires.
+    ///
+    /// Work is served in *submission* order, not in order of `now`: a job
+    /// starts at `now` or when every job submitted before it is done,
+    /// whichever is later. A job submitted with a `now` in the future
+    /// reserves the server from then on, so a later submission with an
+    /// earlier `now` waits behind it, and the server idles in between.
     pub fn submit(&mut self, now: Nanos, service: Nanos) -> Nanos {
         let start = self.busy_until.max(now);
         let done = start.saturating_add(service);
@@ -134,6 +140,18 @@ mod tests {
         // The server goes idle at the second job's completion.
         assert_eq!(s.backlog(Nanos::ZERO), d2);
         assert_eq!(s.backlog(d2), Nanos::ZERO);
+    }
+
+    #[test]
+    fn work_is_served_in_submission_order_not_arrival_order() {
+        let mut s = FifoServer::new();
+        // Booked ahead of the clock: the server is reserved from 1 000.
+        assert_eq!(s.submit(Nanos(1_000), Nanos(100)), Nanos(1_100));
+        // Submitted next but arriving at 0, it waits behind that job: the
+        // server idles over [0, 1 000) though work was there to serve.
+        assert_eq!(s.submit(Nanos(0), Nanos(100)), Nanos(1_200));
+        assert_eq!(s.busy_time(), Nanos(200));
+        assert_eq!(s.backlog(Nanos(0)), Nanos(1_200));
     }
 
     #[test]

@@ -125,9 +125,9 @@ impl Default for RdmaBridgeCosts {
 }
 
 /// The cost tables an ingress worker charges per leg (client-facing
-/// stack, HTTP processing, RDMA bridge). `IngressGateway::leg_service` in
-/// `palladium-core` sums them per design — the per-request service time the
-/// Fig 13 saturation throughput follows is written there, once.
+/// stack, HTTP processing, RDMA bridge). `palladium_core::price` sums them
+/// per design — the per-request service time the Fig 13 saturation
+/// throughput follows is written there, once.
 #[derive(Clone, Copy, Debug)]
 pub struct IngressServiceModel {
     /// Client-facing stack.

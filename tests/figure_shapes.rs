@@ -13,9 +13,9 @@ use palladium_bench::{
     check, quoted_artefacts, throughput_drops, BoutiqueSweep, CellRef, Scale, Table, FIG16_CLIENTS,
 };
 
-/// The scale every quoted artefact runs at here: 0.12 of full, with the
-/// Fig 16 window's floor (`boutique_window_ms`) keeping NightCore's
-/// slowest requests inside it.
+/// The scale every quoted artefact runs at here: 0.12 of full, with each
+/// Fig 16 run's window floored by its own longest request
+/// (`boutique_window_ms`; NightCore's runs stay at full scale).
 const REDUCED: Scale = Scale(0.12);
 
 /// One reduced-scale run of every quoted artefact, shared by the tests.

@@ -8,7 +8,7 @@ fn main() {
     let boutique = BoutiqueSweep::run(&FIG16_CLIENTS, s);
     for tables in [
         fig09(s),
-        fig11(s),
+        fig11(),
         fig12(s),
         fig13(s),
         fig14(),

@@ -1,6 +1,6 @@
 //! Fig 11: off-path DNE (cross-processor shared memory) vs on-path DNE.
-use palladium_bench::{fig11, print, Scale};
+use palladium_bench::{fig11, print};
 
 fn main() {
-    print(&fig11(Scale::FULL));
+    print(&fig11());
 }

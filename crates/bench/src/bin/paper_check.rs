@@ -9,11 +9,11 @@
 //! chain twice, walked and measured (`BoutiqueSweep::bottlenecks`), then
 //! that count. Exits non-zero when a point's verdict is not the one the
 //! ledger declares, when a quote's words are missing from the title it
-//! cites, when a closed-loop sweep of Fig 13 or Fig 16 reads less
-//! throughput with more clients (`throughput_drops`), or when a saturated
-//! run's measured bottleneck is a walked station other than the walk's
-//! (`BoutiqueSweep::bottleneck_mismatches`); the file is written either
-//! way, so its diff shows what moved.
+//! cites, when a closed-loop sweep of Fig 11 (2), Fig 13 or Fig 16 reads
+//! less throughput with more clients (`throughput_drops`), or when a
+//! saturated run's measured bottleneck is a walked station other than the
+//! walk's (`BoutiqueSweep::bottleneck_mismatches`); the file is written
+//! either way, so its diff shows what moved.
 //!
 //! Usage: `cargo run --release -p palladium-bench --bin paper_check --
 //! [--out PATH]` (default `EXPERIMENTS.md`).

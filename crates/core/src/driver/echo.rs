@@ -20,13 +20,15 @@
 //!   paying the SoC DMA engine in both directions).
 //!
 //! Both figures run one engine on the shared [`palladium_simnet::Harness`]:
-//! the primitive and the optional function pair are its data.
+//! the primitive and the optional function pair are its data. A message
+//! reaches each station (function core, SoC DMA engine, DNE core) by an
+//! event and books it at that event's `now`, never ahead of the clock.
 
 use crate::config::CostModel;
 use crate::driver::LoadReport;
 use palladium_dpu::{SocDma, SocDmaSpec};
 use palladium_ipc::{ChannelCosts, ChannelKind};
-use palladium_membuf::{CopyMeter, MmapExporter, NodeId, PayloadCache, PoolId, Region, TenantId};
+use palladium_membuf::{MmapExporter, NodeId, PayloadCache, PoolId, Region, TenantId};
 use palladium_rdma::{
     Cqe, CqeKind, Qpn, RdmaConfig, RdmaEvent, RdmaNet, RdmaOutput, RemoteAddr, RqEntry, Step,
     WorkRequest, WrId,
@@ -144,59 +146,58 @@ enum Ev {
     /// `node` produces its next message on `conn`: the client a new
     /// request, the server the echo.
     Post { node: NodeId, conn: usize },
-    /// Fig 12: the DNE finished receiving on `conn`.
+    /// Fig 11, on-path: the message reaches `node`'s SoC DMA engine, from
+    /// the function (`outbound`) or from the DNE.
+    Dma { node: NodeId, conn: usize, outbound: bool },
+    /// Fig 11: the function's message reaches `node`'s DNE core.
+    Send { node: NodeId, conn: usize },
+    /// The message reached `node`'s DNE (Fig 12) or function (Fig 11): the
+    /// one place a client completes.
     Received { node: NodeId, conn: usize },
     /// A one-sided write became visible to the polling receiver.
     PollVisible { node: NodeId, conn: usize },
 }
 
 /// Fig 11's echo functions, one per node in front of its DNE, reached over
-/// Comch-E; on-path mode stages every payload through DPU memory.
+/// Comch-E; on-path mode stages every payload through DPU memory. Each
+/// method schedules the event of the message's next station.
 struct HostPair {
     mode: PathMode,
     comch: ChannelCosts,
     fn_cores: [FifoServer; 2],
     dmas: [SocDma; 2],
-    meter: CopyMeter,
 }
 
 impl HostPair {
     fn new(mode: PathMode) -> Self {
+        let dma = || SocDma::new(SocDmaSpec::default());
         HostPair {
             mode,
             comch: ChannelCosts::for_kind(ChannelKind::ComchE),
             fn_cores: [FifoServer::new(), FifoServer::new()],
-            dmas: [
-                SocDma::new(SocDmaSpec::default()),
-                SocDma::new(SocDmaSpec::default()),
-            ],
-            meter: CopyMeter::new(),
+            dmas: [dma(), dma()],
         }
     }
 
-    /// The function at `node` produced a message at `now`: host send and
-    /// Comch transit (on-path: SoC DMA into DPU memory). Returns when the
-    /// DNE can post it.
-    fn send(&mut self, node: NodeId, now: Nanos, payload: u32) -> Nanos {
-        let n = node.raw() as usize;
-        let sent = self.fn_cores[n].submit(now, self.comch.host_send_cpu + ECHO_FN_EXEC);
-        let ready = sent + self.comch.transit;
-        match self.mode {
-            PathMode::OffPath => ready,
-            PathMode::OnPath => self.dmas[n].transfer(ready, payload as u64, &mut self.meter),
-        }
-    }
-
-    /// The DNE at `node` received a message by `at`: (on-path: SoC DMA to
-    /// the host) + Comch transit + host wake. Returns when the function has
-    /// it.
-    fn deliver(&mut self, node: NodeId, at: Nanos, payload: u32) -> Nanos {
-        let n = node.raw() as usize;
-        let ready = match self.mode {
-            PathMode::OffPath => at,
-            PathMode::OnPath => self.dmas[n].transfer_write(at, payload as u64, &mut self.meter),
+    /// The function at `node` runs at `now` and sends over Comch-E to the
+    /// DNE (on-path: to the SoC DMA engine first).
+    fn send(&mut self, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) {
+        let sent = self.fn_cores[node.raw() as usize].submit(now, self.comch.host_send_cpu + ECHO_FN_EXEC);
+        let next = match self.mode {
+            PathMode::OffPath => Ev::Send { node, conn },
+            PathMode::OnPath => Ev::Dma { node, conn, outbound: true },
         };
-        ready + self.comch.transit + self.comch.host_recv_cpu
+        fx.at(sent + self.comch.transit, next);
+    }
+
+    /// The DNE side at `node` lets the message go at `at`: on-path to the
+    /// SoC DMA engine unless `staged`, then over Comch-E to the function,
+    /// which wakes.
+    fn deliver(&self, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, at: Nanos, staged: bool) {
+        match self.mode {
+            PathMode::OnPath if !staged => fx.at(at, Ev::Dma { node, conn, outbound: false }),
+            _ => fx.at(at + self.comch.transit + self.comch.host_recv_cpu, Ev::Received { node, conn }),
+        }
     }
 }
 
@@ -272,10 +273,16 @@ impl EchoEngine {
         }
     }
 
-    /// One op on `node`'s DNE core, submitted at `at`; returns when it
+    /// One op on `node`'s DNE core, submitted at `now`; returns when it
     /// finishes.
-    fn engine_op(&mut self, node: NodeId, at: Nanos, service: Nanos) -> Nanos {
-        self.engines[node.raw() as usize].submit(at, service)
+    fn engine_op(&mut self, node: NodeId, now: Nanos, service: Nanos) -> Nanos {
+        self.engines[node.raw() as usize].submit(now, service)
+    }
+
+    /// `node`'s DNE core takes the message on `conn` at `now` and posts it.
+    fn dne_send(&mut self, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) {
+        let done = self.engine_op(node, now, ECHO_ENGINE_OP);
+        self.post(fx, node, conn, done, self.prim.opening());
     }
 
     /// Post one message of `kind` from `node` on `conn` at `at`.
@@ -330,17 +337,11 @@ impl EchoEngine {
             }
             _ => {
                 // A two-sided payload: engine RX, then (Fig 11) the hand-off
-                // to the function, which echoes or completes.
+                // toward the function.
                 let done = self.engine_op(node, now, ECHO_ENGINE_OP);
-                match &mut self.host {
+                match &self.host {
                     None => fx.at(done, Ev::Received { node, conn }),
-                    Some(host) => {
-                        let woke = host.deliver(node, done, self.payload);
-                        if node == CLIENT {
-                            self.stats.complete(woke, self.issued[conn]);
-                        }
-                        fx.at(woke, Ev::Post { node, conn });
-                    }
+                    Some(host) => host.deliver(fx, node, conn, done, false),
                 }
             }
         }
@@ -356,13 +357,24 @@ impl Engine for EchoEngine {
                 if node == CLIENT {
                     self.issued[conn] = now;
                 }
-                let ready = match &mut self.host {
-                    Some(host) => host.send(node, now, self.payload),
-                    None => now,
-                };
-                let done = self.engine_op(node, ready, ECHO_ENGINE_OP);
-                self.post(fx, node, conn, done, self.prim.opening());
+                match &mut self.host {
+                    Some(host) => host.send(fx, node, conn, now),
+                    None => self.dne_send(fx, node, conn, now),
+                }
             }
+            Ev::Dma { node, conn, outbound } => {
+                // On-path: a read on to the DNE, or a write back to the
+                // function.
+                let host = self.host.as_mut().expect("only Fig 11 stages through DPU memory");
+                let (dma, bytes) = (&mut host.dmas[node.raw() as usize], self.payload as u64);
+                if outbound {
+                    fx.at(dma.transfer(now, bytes), Ev::Send { node, conn });
+                } else {
+                    let written = dma.transfer_write(now, bytes);
+                    host.deliver(fx, node, conn, written, true);
+                }
+            }
+            Ev::Send { node, conn } => self.dne_send(fx, node, conn, now),
             Ev::Received { node, conn } => {
                 // The server echoes; the client completes and re-issues.
                 if node == CLIENT {
@@ -488,6 +500,24 @@ mod tests {
             t >= Nanos::from_nanos(7_800) && t <= Nanos::from_nanos(9_200),
             "two-sided 64B RTT {t} (paper: 8.4µs)"
         );
+    }
+
+    #[test]
+    fn both_path_modes_saturate_the_function_core() {
+        // Each echo runs each node's function once, so both modes are
+        // bound by the function core's demand: Comch's host send plus the
+        // echo function. A run at N connections counts its rate to within
+        // N ÷ T.
+        let demand = ChannelCosts::for_kind(ChannelKind::ComchE).host_send_cpu + ECHO_FN_EXEC;
+        let bound = 1e9 / demand.as_nanos() as f64;
+        for conns in [20, 50] {
+            let cfg = EchoConfig { duration: Nanos::from_millis(20), ..EchoConfig::new(1024).connections(conns) };
+            let slack = conns as f64 / cfg.duration.as_secs_f64();
+            for mode in [PathMode::OffPath, PathMode::OnPath] {
+                let x = EchoSim::new(cfg).run_path_mode(mode).rps;
+                assert!((x - bound).abs() <= slack, "{mode:?} at {conns} conns: X = {x:.0}, 1 ÷ D = {bound:.0} ± {slack:.0}");
+            }
+        }
     }
 
     #[test]

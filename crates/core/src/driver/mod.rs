@@ -27,7 +27,8 @@
 //!   simulation kernel per core, deterministic cross-shard mailboxes.
 //! * [`echo`] — the cross-node echo for Figs 11–12: the RDMA primitive
 //!   (Fig 12) and the optional host-function pair with its path mode
-//!   (Fig 11) are data of one engine.
+//!   (Fig 11) are data of one engine, whose message reaches each station
+//!   by an event at the instant it arrives.
 //!
 //! Outside the cluster engine these are four engines: channel, ingress,
 //! fairness and echo.

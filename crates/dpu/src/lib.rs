@@ -7,8 +7,8 @@
 //!   2.0 GHz against 3.7 GHz host cores, a ≈2.2× service-time multiplier
 //!   the cost model applies to protocol work run on the DPU.
 //! * [`dma`] — the SoC DMA engine: ≈2.6 µs per 64 B operation and a single
-//!   serially-served channel, the bottleneck that makes *on-path* DPU
-//!   offloading lose to *off-path* + cross-processor shared memory
+//!   serially-served channel, the latency that makes *on-path* DPU
+//!   offloading slower than *off-path* + cross-processor shared memory
 //!   (§4.1.1 / Fig 11).
 //!
 //! The DNE itself (the engine that runs *on* this SoC) lives in

@@ -13,9 +13,9 @@
 //!   (§3.4.2).
 //! * [`hugepage`] — 2 MB hugepage regions and their MTT footprint, the
 //!   RNIC-cache motivation for hugepages (§3.4).
-//! * [`meter::CopyMeter`] — every byte moved is accounted as software copy,
-//!   RNIC DMA or SoC DMA; "zero-copy" is an *asserted invariant*, not a
-//!   slogan.
+//! * [`meter::CopyMeter`] — every byte a data plane moves is accounted as
+//!   software copy or RNIC DMA; "zero-copy" is an *asserted invariant*, not
+//!   a slogan.
 
 // No library crate in the workspace uses `unsafe`: every crate root
 // forbids it, and `cargo test` checks that each one does.

@@ -1,11 +1,11 @@
 //! The paper ledger at reduced scale. Every artefact the ledger reads runs
-//! at [`REDUCED`] scale through the same functions the figure binaries
-//! print, and every ledger point must give the verdict the ledger declares,
-//! the same one `paper_check` holds the full-scale run to. Figs 9, 11,
-//! 12 and 13 have a test each over their own ledger rows; one test covers
-//! the whole ledger. Beside them, the closed-loop monotonicity check
-//! `paper_check` runs at full scale, and the orderings no quoted number
-//! implies.
+//! at [`REDUCED`] scale (Figs 11 and 15 take none) through the same
+//! functions the figure binaries print, and every ledger point must give
+//! the verdict the ledger declares, the same one `paper_check` holds the
+//! full-scale run to. Figs 9, 11, 12 and 13 have a test each over their own
+//! ledger rows; one test covers the whole ledger. Beside them, the
+//! closed-loop monotonicity check `paper_check` runs at full scale (Figs
+//! 11 (2), 13 and 16), and the orderings no quoted number implies.
 
 use std::sync::OnceLock;
 

@@ -37,6 +37,13 @@
 //! multi-node driver as well, whose event loop is almost pure queue work
 //! (every pop followed by a schedule: the queue's hold path).
 //!
+//! The chain driver runs a second time on FUYAO-F, the one-sided-WRITE
+//! baseline: a write's payload rides the receiver's pickup to its copy and
+//! must be released with it, so the payload cache recycles it. While each
+//! write's handle sat in a slot of the receiver's dedicated region until
+//! the round-robin cursor came back to it, this gate read 56.4 B of peak
+//! heap per extra completion.
+//!
 //! A last gate scales the other axis: the multi-node driver at 8 and at
 //! 32 nodes, same per-node load and duration. Peak heap may grow per
 //! extra node by at most [`MAX_PEAK_BYTES_PER_NODE`], which covers the
@@ -191,10 +198,10 @@ fn cluster(cfg: ClusterShardedConfig) -> (u64, u64) {
     (report.events, report.chain.load.completed)
 }
 
-/// Run the `simcore_throughput` chain workload for `duration_ms`,
-/// returning what it cost the heap.
-fn run_chain(duration_ms: u64) -> Usage {
-    let cfg = boutique::config(SystemKind::PalladiumDne, ChainKind::HomeQuery)
+/// Run the `simcore_throughput` chain workload on `system` for
+/// `duration_ms`, returning what it cost the heap.
+fn run_chain(system: SystemKind, duration_ms: u64) -> Usage {
+    let cfg = boutique::config(system, ChainKind::HomeQuery)
         .clients(40)
         .warmup_ms(60)
         .duration_ms(duration_ms);
@@ -417,7 +424,18 @@ fn gate(label: &str, mut run: impl FnMut(u64) -> Usage, base_ms: u64, long_ms: u
 
 fn main() {
     let oks = [
-        gate("chain driver, Fig 16 HomeQuery, 40 clients", run_chain, 120, 360),
+        gate(
+            "chain driver, Fig 16 HomeQuery, 40 clients",
+            |ms| run_chain(SystemKind::PalladiumDne, ms),
+            120,
+            360,
+        ),
+        gate(
+            "chain driver, FUYAO-F HomeQuery, 40 clients",
+            |ms| run_chain(SystemKind::FuyaoF, ms),
+            120,
+            360,
+        ),
         gate("echo driver, Fig 12 two-sided 1KB, 16 connections", run_echo, 60, 180),
         gate(
             "sharded cluster, Fig 16 HomeQuery ×2 pairs, 2 shards",

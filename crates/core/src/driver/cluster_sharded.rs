@@ -609,8 +609,8 @@ impl ClusterShard {
                 }
                 self.cqe_scratch = cqes;
             }
-            RdmaOutput::WriteDelivered { node, addr, data, imm, .. } => {
-                self.on_write_delivered(fx, node.raw() as usize, addr.buf_idx, imm, data);
+            RdmaOutput::WriteDelivered { node, data, imm, .. } => {
+                self.on_write_delivered(fx, node.raw() as usize, imm, data);
             }
             RdmaOutput::RnrSeen { node, .. } => {
                 let n = node.raw() as usize;

@@ -10,8 +10,10 @@
 //!   through the node's host engine over kernel TCP — a software copy at
 //!   each end.
 //! * **FUYAO** ([`HostHop::OneSidedRecvCopy`]) posts a one-sided WRITE into
-//!   a dedicated RDMA pool on the destination; the receiver's poller picks
-//!   it up and *copies* it into the node's unified pool.
+//!   one round-robin slot of a dedicated region on the destination, a
+//!   registered MR; the receiver's poller picks it up and *copies* it into
+//!   the node's unified pool. The payload rides the pickup event to the
+//!   copy it is charged for, so the region itself holds no bytes.
 //! * **NightCore** ([`HostHop::Local`]) runs every function of a pair on
 //!   the pair's first node, so each hop between functions is a local
 //!   SK_MSG hop; its host engine terminates the gateway's TCP legs and
@@ -32,9 +34,7 @@
 
 use bytes::Bytes;
 
-use palladium_membuf::{
-    BufToken, FnId, MmapExporter, MoveKind, NodeId, Owner, PoolId, Region, UnifiedPool,
-};
+use palladium_membuf::{BufToken, FnId, MmapExporter, MoveKind, NodeId, Owner, PoolId, Region};
 use palladium_rdma::{Cqe, CqeKind, RdmaNet, RemoteAddr, WorkRequest, WrId};
 use palladium_simnet::{Effects, FifoServer, Nanos, Slab};
 
@@ -44,7 +44,7 @@ use crate::dne::{pack_imm, unpack_imm};
 use crate::ingress::Leg;
 use crate::system::{DataPlane, HostHop};
 
-/// Buffers in a FUYAO worker's dedicated RDMA pool.
+/// Slots in a FUYAO worker's dedicated RDMA region.
 const DEDICATED_BUFS: u32 = 1024;
 
 /// One data exchange on its way to `to`: what a TCP leg must carry to
@@ -75,10 +75,10 @@ pub(crate) enum HostEv {
 
 /// One FUYAO worker's RDMA side.
 struct FuyaoNode {
-    /// Dedicated pool the partner's one-sided writes land in; every slot
-    /// is pre-owned by the receiving engine.
-    pool: UnifiedPool,
-    slots: Vec<BufToken>,
+    /// The dedicated region the partner's one-sided writes land in, a
+    /// registered MR of [`DEDICATED_BUFS`] slots. A write names a slot;
+    /// its payload rides the pickup event, not the region.
+    region: PoolId,
     /// Round-robin slot cursor, advanced by the *sender*.
     next: u32,
     conns: ConnPool,
@@ -103,20 +103,15 @@ impl HostPlane {
         let spec = cfg.system.spec();
         let mut fuyao = Vec::new();
         if spec.plane == DataPlane::Host(HostHop::OneSidedRecvCopy) {
-            // Dedicated pool ids follow the node pools' (`0..=workers`).
+            // Dedicated region ids follow the node pools' (`0..=workers`).
             let pool_id = |n: usize| PoolId((workers + 1 + n) as u16);
+            let len = u64::from(DEDICATED_BUFS) * u64::from(BUF_SIZE);
             for n in 0..workers {
-                let mut pool = UnifiedPool::new(pool_id(n), TENANT, DEDICATED_BUFS, BUF_SIZE);
-                let mut exporter =
-                    MmapExporter::new(pool_id(n), TENANT, Region::hugepages(pool.backing_len()));
+                let mut exporter = MmapExporter::new(pool_id(n), TENANT, Region::hugepages(len));
                 net.register_mr(NodeId(n as u16), &exporter.export_rdma())
                     .expect("register dedicated MR");
-                let slots = (0..DEDICATED_BUFS)
-                    .map(|_| pool.alloc(Owner::Engine).expect("dedicated slot"))
-                    .collect();
                 fuyao.push(FuyaoNode {
-                    pool,
-                    slots,
+                    region: pool_id(n),
                     next: 0,
                     conns: ConnPool::new(NodeId(n as u16), ConnPoolConfig::default()),
                     tx: Slab::new(),
@@ -221,12 +216,11 @@ impl ClusterShard {
                 // Pick a dedicated slot on the destination.
                 let host = self.host.as_mut().expect("baseline data plane");
                 let dst = &mut host.fuyao[dst_node];
-                let slot = dst.next % dst.pool.capacity();
-                dst.next = dst.next.wrapping_add(1);
                 let remote = RemoteAddr {
-                    pool: dst.pool.id(),
-                    buf_idx: slot,
+                    pool: dst.region,
+                    buf_idx: dst.next % DEDICATED_BUFS,
                 };
+                dst.next = dst.next.wrapping_add(1);
                 let src = &mut host.fuyao[n];
                 let wr_id = WrId(src.tx.insert(out));
                 self.meters[n].record(MoveKind::RnicDma, data.len() as u64);
@@ -294,7 +288,7 @@ impl ClusterShard {
             }
             HostEv::FuyaoPickup { n, imm, data } => {
                 // Receiver engine: polling pickup + the OWRC receiver-side
-                // copy from the dedicated pool into the local pool.
+                // copy of the write's slot into the local pool.
                 let done = self.on_engine(n, now, self.price.pickup(data.len() as u64));
                 fx.at(done, Ev::Host(HostEv::FuyaoCopied { n, imm, data }));
             }
@@ -312,26 +306,17 @@ impl ClusterShard {
         }
     }
 
-    /// A one-sided write landed in worker `n`'s dedicated slot: the RNIC
-    /// DMAs it in, and the receiver's poller notices after half a poll
-    /// period.
+    /// A one-sided write landed in a slot of worker `n`'s dedicated region:
+    /// the RNIC DMAs it in, and the receiver's poller notices after half a
+    /// poll period.
     pub(super) fn on_write_delivered(
         &mut self,
         fx: &mut Effects<'_, Ev>,
         n: usize,
-        slot: u32,
         imm: u64,
         data: Bytes,
     ) {
-        let node = &mut self.host.as_mut().expect("baseline data plane").fuyao[n];
-        node.pool
-            .dma_write_bytes(
-                &node.slots[slot as usize],
-                data.clone(),
-                MoveKind::RnicDma,
-                &mut self.meters[n],
-            )
-            .expect("dma into dedicated slot");
+        self.meters[n].record(MoveKind::RnicDma, data.len() as u64);
         fx.after(self.price.poll_wait, Ev::Host(HostEv::FuyaoPickup { n, imm, data }));
     }
 

@@ -145,7 +145,8 @@ pub(crate) struct Prices {
     /// Host engine: one FUYAO engine op (send side, and the receiver's
     /// pickup before its copy).
     pub(crate) fuyao_op: Nanos,
-    /// The FUYAO receiver's copy out of its dedicated pool (cold: OWRC).
+    /// The FUYAO receiver's copy of a write's dedicated slot into its
+    /// unified pool (cold: OWRC).
     copy: ByteCost,
     /// A one-sided write's wait for the receiver's poller: half a poll
     /// interval, the deterministic mean.
@@ -209,7 +210,8 @@ impl Prices {
     }
 
     /// Host engine: a FUYAO receiver picks up a one-sided write of `bytes`
-    /// and copies it out of the dedicated pool.
+    /// from its dedicated region's slot and copies it into the unified
+    /// pool.
     pub(crate) fn pickup(&self, bytes: u64) -> Nanos {
         self.fuyao_op + self.copy.cost(bytes)
     }

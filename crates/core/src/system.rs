@@ -107,7 +107,8 @@ pub(crate) enum DataPlane {
 /// How a baseline's host engine moves a hop to another node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum HostHop {
-    /// One-sided WRITE into a dedicated pool + receiver-side copy (FUYAO).
+    /// One-sided WRITE into a slot of a dedicated registered region +
+    /// receiver-side copy into the unified pool (FUYAO).
     OneSidedRecvCopy,
     /// Kernel TCP between node-local engines (SPRIGHT).
     KernelTcp,

@@ -1,15 +1,16 @@
 //! Recycled fabricated payloads: the zero-alloc way for drivers to
 //! manufacture message bytes.
 //!
-//! Every load driver in the workspace fabricates payloads — "`len` zero
+//! The cluster and echo drivers fabricate payloads — "`len` zero
 //! bytes carrying a request/connection id as an 8-byte little-endian
 //! prefix" — once per message, forever. Allocating each one
 //! (`Bytes::from(vec![0; len])`) was the last steady-state heap traffic on
 //! several hot paths, so the chain cluster grew a recycling cache; this
 //! module is that cache promoted to a shared utility (ROADMAP: "payload
-//! recycling beyond the cluster driver"), now also backing the echo
-//! baselines and the sharded multi-node driver, with the `alloc_smoke`
-//! CI gate pinning the zero-allocation contract on both cluster and echo.
+//! recycling beyond the cluster driver"), now backing the cluster engine
+//! (chain and sharded cluster) and the echo driver, with the `alloc_smoke`
+//! CI gate pinning the zero-allocation contract on both. (The multi-node
+//! driver makes no payload: it charges each hop's one-way time.)
 //!
 //! A payload's backing allocation becomes reusable once every traveling
 //! handle has dropped — observed via [`Bytes::unique_mut`] — at which

@@ -136,11 +136,6 @@ impl UnifiedPool {
         self.id
     }
 
-    /// Total number of buffers.
-    pub fn capacity(&self) -> u32 {
-        self.n_bufs
-    }
-
     /// Buffers currently allocated (owned by someone or in transit). No
     /// binary reads it; it is the pool tests' leak check.
     pub fn in_use(&self) -> u32 {
@@ -392,7 +387,7 @@ impl fmt::Debug for UnifiedPool {
             .field("id", &self.id)
             .field("tenant", &self.tenant)
             .field("buf_size", &self.buf_size)
-            .field("capacity", &self.capacity())
+            .field("n_bufs", &self.n_bufs)
             .field("in_use", &self.in_use())
             .finish()
     }
@@ -683,7 +678,7 @@ mod tests {
                     }
                     Op::Free(_) | Op::Handoff(_) => {}
                 }
-                prop_assert_eq!(lazy.capacity(), n_bufs);
+                prop_assert_eq!(lazy.n_bufs, n_bufs);
                 prop_assert_eq!((n_bufs - lazy.in_use()) as usize, eager.free.len());
                 prop_assert_eq!(lazy.in_use() as usize, live.len());
             }

@@ -53,6 +53,16 @@ fn every_baseline_pays_software_copies() {
             "{} is not a zero-copy design",
             system.label()
         );
+        // FUYAO's one-sided write is an RNIC DMA on both ends; SPRIGHT and
+        // NightCore ride no RDMA between workers.
+        let one_sided = matches!(system, SystemKind::FuyaoF | SystemKind::FuyaoK);
+        assert_eq!(
+            r.rnic_dma_bytes > 0,
+            one_sided,
+            "{}: {} RNIC DMA bytes",
+            system.label(),
+            r.rnic_dma_bytes
+        );
     }
 }
 

@@ -1030,42 +1030,42 @@ pub const LEDGER: &[Quote] = {
         Quote {
             id: "fig15.t1_alone_k",
             paper: Paper::Point(115.0),
-            class: Class::Absolute("fairness::DNE_SERVICE"),
+            class: Class::Absolute("DneOps::FAIRNESS_REQUEST"),
             provenance: Provenance::Title("115->90/15K on T2 arrival"),
             points: &[fig15_tenant("t=20 s, T1 alone", &["20.0"], "T1 w=6 (K)", In)],
         },
         Quote {
             id: "fig15.t1_with_t2_k",
             paper: Paper::Point(90.0),
-            class: Class::Absolute("fairness::DNE_SERVICE"),
+            class: Class::Absolute("DneOps::FAIRNESS_REQUEST"),
             provenance: Provenance::Title("115->90/15K on T2 arrival"),
             points: &[fig15_tenant("t=24 s, T1+T2", &["24.0"], "T1 w=6 (K)", In)],
         },
         Quote {
             id: "fig15.t2_with_t1_k",
             paper: Paper::Point(15.0),
-            class: Class::Absolute("fairness::DNE_SERVICE"),
+            class: Class::Absolute("DneOps::FAIRNESS_REQUEST"),
             provenance: Provenance::Title("115->90/15K on T2 arrival"),
             points: &[fig15_tenant("t=24 s, T1+T2", &["24.0"], "T2 w=1 (K)", In)],
         },
         Quote {
             id: "fig15.t1_with_all_k",
             paper: Paper::Point(65.0),
-            class: Class::Absolute("fairness::DNE_SERVICE"),
+            class: Class::Absolute("DneOps::FAIRNESS_REQUEST"),
             provenance: Provenance::Title("65/11/22K with all three"),
             points: &[fig15_tenant("t=96 s, all three", &["96.0"], "T1 w=6 (K)", Above)],
         },
         Quote {
             id: "fig15.t2_with_all_k",
             paper: Paper::Point(11.0),
-            class: Class::Absolute("fairness::DNE_SERVICE"),
+            class: Class::Absolute("DneOps::FAIRNESS_REQUEST"),
             provenance: Provenance::Title("65/11/22K with all three"),
             points: &[fig15_tenant("t=96 s, all three", &["96.0"], "T2 w=1 (K)", Above)],
         },
         Quote {
             id: "fig15.t3_with_all_k",
             paper: Paper::Point(22.0),
-            class: Class::Absolute("fairness::DNE_SERVICE"),
+            class: Class::Absolute("DneOps::FAIRNESS_REQUEST"),
             provenance: Provenance::Title("65/11/22K with all three"),
             points: &[fig15_tenant("t=96 s, all three", &["96.0"], "T3 w=2 (K)", Below)],
         },

@@ -1,13 +1,12 @@
-//! The cluster-wide cost model: every remaining service-time constant the
-//! drivers charge, in one place, each row traceable to a paper statement
-//! (the field docs cite the section).
+//! The cluster-wide cost model: the engine- and client-level cost
+//! constants, each row traceable to a paper statement (the field docs cite
+//! the section).
 //!
 //! Substrate-specific constants live with their substrates
 //! (`palladium_rdma::RdmaConfig`, `palladium_ipc::costs`,
-//! `palladium_tcpstack::stack`); this module holds the engine-, function-
-//! and client-level knobs. What an op of one system costs — these
-//! constants specialised to its data plane and engine location — is
-//! resolved once, in [`crate::price`].
+//! `palladium_tcpstack::stack`). [`crate::price`] specialises these tables
+//! to one system's data plane and engine location, and declares the figure
+//! engines' own prices beside them; every engine charges from there.
 
 // A cost-model funnel: a bare truncating cast here corrupts virtual time,
 // so conversions saturate (`Nanos::from_f64_saturating`, checked ops).

@@ -137,22 +137,18 @@ impl Engine for ChannelEngine {
 /// The Fig 9 simulation.
 pub struct ChannelSim {
     cfg: ChannelSimConfig,
-    costs: ChannelCosts,
 }
 
 impl ChannelSim {
     /// Build the simulation.
     pub fn new(cfg: ChannelSimConfig) -> Self {
-        ChannelSim {
-            costs: ChannelCosts::for_kind(cfg.kind),
-            cfg,
-        }
+        ChannelSim { cfg }
     }
 
     /// Run to completion; returns the aggregate report.
     pub fn run(&self) -> LoadReport {
         let cfg = self.cfg;
-        let costs = self.costs;
+        let costs = ChannelCosts::for_kind(cfg.kind);
 
         // Real channel state: endpoint registry + queues.
         let mut comch = ComchServer::new(cfg.kind);

@@ -23,11 +23,12 @@
 //! the primitive and the optional function pair are its data. A message
 //! reaches each station (function core, SoC DMA engine, DNE core) by an
 //! event and books it at that event's `now`, never ahead of the clock.
+//! Every service time it charges comes from [`crate::price`].
 
-use crate::config::CostModel;
 use crate::driver::LoadReport;
+use crate::price::{DneOps, Prices};
+use crate::system::SystemKind;
 use palladium_dpu::{SocDma, SocDmaSpec};
-use palladium_ipc::{ChannelCosts, ChannelKind};
 use palladium_membuf::{MmapExporter, NodeId, PayloadCache, PoolId, Region, TenantId};
 use palladium_rdma::{
     Cqe, CqeKind, Qpn, RdmaConfig, RdmaEvent, RdmaNet, RdmaOutput, RemoteAddr, RqEntry, Step,
@@ -109,14 +110,6 @@ impl EchoConfig {
     }
 }
 
-/// Per-message engine cost in this microbenchmark: the Fig 11/12 DNEs run
-/// a bare echo loop (no Comch endpoints, no DWRR), calibrated so the
-/// two-sided 64 B echo lands at the paper's 8.4 µs RTT.
-const ECHO_ENGINE_OP: Nanos = Nanos::from_nanos(500);
-
-/// Echo-function execution cost for the Fig 11 function pair.
-const ECHO_FN_EXEC: Nanos = Nanos::from_micros(1);
-
 /// The fabric is fault-free, so its seed is never drawn.
 const FABRIC_SEED: u64 = 7;
 
@@ -159,11 +152,11 @@ enum Ev {
 }
 
 /// Fig 11's echo functions, one per node in front of its DNE, reached over
-/// Comch-E; on-path mode stages every payload through DPU memory. Each
-/// method schedules the event of the message's next station.
+/// Comch-E at the prices `p` of a DPU DNE; on-path mode stages every
+/// payload through DPU memory. Each method schedules the event of the
+/// message's next station.
 struct HostPair {
     mode: PathMode,
-    comch: ChannelCosts,
     fn_cores: [FifoServer; 2],
     dmas: [SocDma; 2],
 }
@@ -173,7 +166,6 @@ impl HostPair {
         let dma = || SocDma::new(SocDmaSpec::default());
         HostPair {
             mode,
-            comch: ChannelCosts::for_kind(ChannelKind::ComchE),
             fn_cores: [FifoServer::new(), FifoServer::new()],
             dmas: [dma(), dma()],
         }
@@ -181,22 +173,22 @@ impl HostPair {
 
     /// The function at `node` runs at `now` and sends over Comch-E to the
     /// DNE (on-path: to the SoC DMA engine first).
-    fn send(&mut self, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) {
-        let sent = self.fn_cores[node.raw() as usize].submit(now, self.comch.host_send_cpu + ECHO_FN_EXEC);
+    fn send(&mut self, p: &Prices, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) {
+        let sent = self.fn_cores[node.raw() as usize].submit(now, p.engine_send + Prices::ECHO_FN_EXEC);
         let next = match self.mode {
             PathMode::OffPath => Ev::Send { node, conn },
             PathMode::OnPath => Ev::Dma { node, conn, outbound: true },
         };
-        fx.at(sent + self.comch.transit, next);
+        fx.at(sent + p.engine_transit, next);
     }
 
     /// The DNE side at `node` lets the message go at `at`: on-path to the
     /// SoC DMA engine unless `staged`, then over Comch-E to the function,
     /// which wakes.
-    fn deliver(&self, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, at: Nanos, staged: bool) {
+    fn deliver(&self, p: &Prices, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, at: Nanos, staged: bool) {
         match self.mode {
             PathMode::OnPath if !staged => fx.at(at, Ev::Dma { node, conn, outbound: false }),
-            _ => fx.at(at + self.comch.transit + self.comch.host_recv_cpu, Ev::Received { node, conn }),
+            _ => fx.at(at + p.engine_transit + p.recv, Ev::Received { node, conn }),
         }
     }
 }
@@ -207,7 +199,13 @@ struct EchoEngine {
     prim: Primitive,
     /// Fig 11's function pair; `None` for Fig 12's bare DNEs.
     host: Option<HostPair>,
-    cost: CostModel,
+    /// Palladium (DNE)'s: the functions talk Comch-E to a DPU DNE, as the
+    /// cluster's do.
+    prices: Prices,
+    /// Fig 12: the OWDL lock manager's processing and the OWRC receiver's
+    /// copy, per message ([`Prices::primitive`]).
+    lock: Nanos,
+    copy: Nanos,
     net: RdmaNet,
     /// `(client QP, server QP)` per connection.
     qpns: Vec<(Qpn, Qpn)>,
@@ -242,10 +240,13 @@ impl EchoEngine {
         let qpns = (0..cfg.connections)
             .map(|_| net.connect_immediate(CLIENT, SERVER, TENANT))
             .collect();
+        let (lock, copy) = Prices::primitive(prim, u64::from(cfg.payload));
         let mut engine = EchoEngine {
             prim,
             host,
-            cost: CostModel::default(),
+            prices: Prices::of(SystemKind::PalladiumDne),
+            lock,
+            copy,
             net,
             qpns,
             engines: [FifoServer::new(), FifoServer::new()],
@@ -281,7 +282,7 @@ impl EchoEngine {
 
     /// `node`'s DNE core takes the message on `conn` at `now` and posts it.
     fn dne_send(&mut self, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) {
-        let done = self.engine_op(node, now, ECHO_ENGINE_OP);
+        let done = self.engine_op(node, now, DneOps::ECHO_OP);
         self.post(fx, node, conn, done, self.prim.opening());
     }
 
@@ -327,21 +328,21 @@ impl EchoEngine {
             LOCK_REQ => {
                 // The lock manager locks a local buffer and replies with the
                 // grant (§2.1 Fig 2 (1) steps 1–3).
-                let done = self.engine_op(node, now, self.cost.owdl_lock_proc);
+                let done = self.engine_op(node, now, self.lock);
                 self.post(fx, node, conn, done, MsgKind::Control(LOCK_GRANT));
             }
             LOCK_GRANT => {
                 // Lock granted: issue the payload write.
-                let done = self.engine_op(node, now, ECHO_ENGINE_OP);
+                let done = self.engine_op(node, now, DneOps::ECHO_OP);
                 self.post(fx, node, conn, done, MsgKind::Write);
             }
             _ => {
                 // A two-sided payload: engine RX, then (Fig 11) the hand-off
                 // toward the function.
-                let done = self.engine_op(node, now, ECHO_ENGINE_OP);
+                let done = self.engine_op(node, now, DneOps::ECHO_OP);
                 match &self.host {
                     None => fx.at(done, Ev::Received { node, conn }),
-                    Some(host) => host.deliver(fx, node, conn, done, false),
+                    Some(host) => host.deliver(&self.prices, fx, node, conn, done, false),
                 }
             }
         }
@@ -358,7 +359,7 @@ impl Engine for EchoEngine {
                     self.issued[conn] = now;
                 }
                 match &mut self.host {
-                    Some(host) => host.send(fx, node, conn, now),
+                    Some(host) => host.send(&self.prices, fx, node, conn, now),
                     None => self.dne_send(fx, node, conn, now),
                 }
             }
@@ -371,7 +372,7 @@ impl Engine for EchoEngine {
                     fx.at(dma.transfer(now, bytes), Ev::Send { node, conn });
                 } else {
                     let written = dma.transfer_write(now, bytes);
-                    host.deliver(fx, node, conn, written, true);
+                    host.deliver(&self.prices, fx, node, conn, written, true);
                 }
             }
             Ev::Send { node, conn } => self.dne_send(fx, node, conn, now),
@@ -385,12 +386,7 @@ impl Engine for EchoEngine {
             Ev::PollVisible { node, conn } => {
                 // The polling receiver noticed the one-sided write; OWRC
                 // pays the receiver-side copy, OWDL only a pickup op.
-                let copy = match self.prim {
-                    Primitive::OwrcBest => self.cost.owrc_copy(self.payload as u64, false),
-                    Primitive::OwrcWorst => self.cost.owrc_copy(self.payload as u64, true),
-                    Primitive::TwoSided | Primitive::Owdl => Nanos::ZERO,
-                };
-                let done = self.engine_op(node, now, ECHO_ENGINE_OP + copy);
+                let done = self.engine_op(node, now, DneOps::ECHO_OP + self.copy);
                 fx.at(done, Ev::Received { node, conn });
             }
             Ev::Rdma(rdma_ev) => {
@@ -423,10 +419,7 @@ impl Engine for EchoEngine {
                             // Receiver is polling: visible after half a
                             // period.
                             let conn = (imm & CONN_MASK) as usize;
-                            fx.after(
-                                self.cost.onesided_poll_interval / 2,
-                                Ev::PollVisible { node, conn },
-                            );
+                            fx.after(self.prices.poll_wait, Ev::PollVisible { node, conn });
                         }
                         RdmaOutput::RnrSeen { node, .. } => {
                             self.post_rq(node, 32);
@@ -508,7 +501,7 @@ mod tests {
         // bound by the function core's demand: Comch's host send plus the
         // echo function. A run at N connections counts its rate to within
         // N ÷ T.
-        let demand = ChannelCosts::for_kind(ChannelKind::ComchE).host_send_cpu + ECHO_FN_EXEC;
+        let demand = Prices::of(SystemKind::PalladiumDne).engine_send + Prices::ECHO_FN_EXEC;
         let bound = 1e9 / demand.as_nanos() as f64;
         for conns in [20, 50] {
             let cfg = EchoConfig { duration: Nanos::from_millis(20), ..EchoConfig::new(1024).connections(conns) };

@@ -17,9 +17,10 @@
 )]
 
 use palladium_membuf::TenantId;
-use palladium_simnet::{Effects, Engine, FifoServer, Harness, Nanos, WindowedRate};
+use palladium_simnet::{Effects, Engine, Harness, Nanos, WindowedRate};
 
 use crate::dwrr::{SchedPolicy, TenantScheduler};
+use crate::price::DneOps;
 
 /// One tenant's activity pattern.
 #[derive(Clone, Copy, Debug)]
@@ -129,10 +130,6 @@ impl FairnessSimConfig {
     }
 }
 
-/// Per-request DNE service time: the paper configures the engine to
-/// sustain ≈110 K RPS, ≈9.09 µs per request.
-const DNE_SERVICE: Nanos = Nanos::from_nanos(9_090);
-
 /// Result: per-tenant time series plus totals.
 #[derive(Clone, Debug)]
 pub struct FairnessReport {
@@ -152,10 +149,10 @@ enum Ev {
     Slot,
 }
 
-/// The driver's state machine: the tenant scheduler feeding one DNE core.
+/// The driver's state machine: the tenant scheduler feeding one DNE core,
+/// which serves one request at a time.
 struct FairnessEngine {
     sched: TenantScheduler<TenantId>,
-    core: FifoServer,
     busy: bool,
     profiles: Vec<TenantProfile>,
     rates: Vec<WindowedRate>,
@@ -188,8 +185,7 @@ impl Engine for FairnessEngine {
                 }
                 if let Some((tenant, _)) = self.sched.dequeue() {
                     self.busy = true;
-                    let done = self.core.submit(now, DNE_SERVICE);
-                    fx.at(done, Ev::Done { tenant });
+                    fx.at(now + DneOps::FAIRNESS_REQUEST, Ev::Done { tenant });
                 }
             }
             Ev::Done { tenant } => {
@@ -231,7 +227,6 @@ impl FairnessSim {
         }
         let mut engine = FairnessEngine {
             sched,
-            core: FifoServer::new(),
             busy: false,
             profiles: cfg.profiles.clone(),
             rates: cfg

@@ -31,7 +31,6 @@ use palladium_simnet::{
     Effects, Engine, FifoServer, Harness, Nanos, RunStats, ServerBank, UtilizationBins,
     WindowedRate,
 };
-use palladium_tcpstack::{StackKind, TcpCosts};
 
 use super::LoadReport;
 use crate::config::CostModel;
@@ -40,13 +39,10 @@ use crate::price::Prices;
 use crate::system::{IngressKind, SystemKind};
 
 /// Request and response payload bytes: 256 B echoes.
-const ECHO_BYTES: u64 = 256;
+const ECHO_BYTES: u32 = 256;
 
 /// Worker-node host cores for the echo function.
 const WORKER_CORES: usize = 16;
-
-/// Echo function execution cost.
-const FN_EXEC: Nanos = Nanos::from_micros(2);
 
 /// Configuration of one Fig 13 point.
 #[derive(Clone, Copy, Debug)]
@@ -107,51 +103,21 @@ enum Ev {
     ScalerTick,
 }
 
-/// Per-request worker-node cost for one ingress design.
-struct WorkerSide {
-    /// Cost on a worker host core per request (TCP termination for the
-    /// deferred designs; Comch wake + echo for Palladium).
-    host_per_req: Nanos,
-    /// Cost on the worker's engine (DNE) core per request (Palladium only).
-    engine_per_req: Nanos,
-    /// One-way ingress↔worker latency.
-    wire: Nanos,
-}
-
-impl WorkerSide {
-    fn for_kind(kind: IngressKind) -> Self {
-        match kind {
-            IngressKind::Palladium => {
-                let p = Prices::of(SystemKind::PalladiumDne);
-                let dne = p.dne.expect("the DNE prices its engine");
-                WorkerSide {
-                    // Comch deliver + epoll wake + echo + Comch send-back.
-                    host_per_req: p.recv + p.engine_send + FN_EXEC,
-                    // DNE RX for the request + TX for the response.
-                    engine_per_req: dne.rx + dne.tx,
-                    wire: RdmaConfig::default().one_way(ECHO_BYTES),
-                }
-            }
-            IngressKind::FStackDeferred | IngressKind::KernelDeferred => {
-                // Worker terminates TCP with F-Stack (§4.1.3) then echoes.
-                let t = TcpCosts::for_kind(StackKind::FStack);
-                WorkerSide {
-                    host_per_req: t.rx(ECHO_BYTES) + FN_EXEC + t.tx(ECHO_BYTES),
-                    engine_per_req: Nanos::ZERO,
-                    wire: TcpCosts::INTER_NODE_WIRE,
-                }
-            }
-        }
-    }
-}
-
 /// The closed-loop clients, the gateway and the worker node.
 struct IngressEngine {
     sched: Schedule,
-    cost: CostModel,
     gw: IngressGateway,
     eval_interval: Nanos,
-    ws: WorkerSide,
+    /// Per request, on a worker host core: TCP termination for the
+    /// deferred designs, Comch wake and send-back for Palladium; and the
+    /// echo.
+    host_per_req: Nanos,
+    /// Per request, on the worker's DNE core (Palladium only).
+    engine_per_req: Nanos,
+    /// One-way gateway ↔ worker.
+    wire: Nanos,
+    /// One-way client ↔ gateway.
+    client_wire: Nanos,
     worker_cores: ServerBank,
     worker_dne: FifoServer,
     stats: RunStats,
@@ -166,13 +132,32 @@ struct IngressEngine {
 impl IngressEngine {
     /// Run `sched` against a gateway built from `gw_cfg`.
     fn run(gw_cfg: IngressConfig, sched: Schedule) -> Self {
-        let cost = CostModel::default();
+        // The worker the figure models: Palladium's DNE node, or one that
+        // terminates TCP with F-Stack (§4.1.3), as FUYAO-F's does.
+        let p = Prices::of(match gw_cfg.kind {
+            IngressKind::Palladium => SystemKind::PalladiumDne,
+            IngressKind::FStackDeferred | IngressKind::KernelDeferred => SystemKind::FuyaoF,
+        });
+        let (host_per_req, engine_per_req, wire) = match p.dne {
+            // DNE RX for the request and TX for the response; the RDMA wire
+            // is the fabric's own price.
+            Some(dne) => {
+                let wire = RdmaConfig::default().one_way(u64::from(ECHO_BYTES));
+                (p.recv + p.engine_send + Prices::INGRESS_FN_EXEC, dne.rx + dne.tx, wire)
+            }
+            None => {
+                let host = p.tcp_rx(ECHO_BYTES) + Prices::INGRESS_FN_EXEC + p.tcp_tx(ECHO_BYTES);
+                (host, Nanos::ZERO, p.tcp_wire)
+            }
+        };
         let mut engine = IngressEngine {
             sched,
-            cost,
-            gw: IngressGateway::new(gw_cfg, cost),
+            gw: IngressGateway::new(gw_cfg, CostModel::default()),
             eval_interval: gw_cfg.autoscaler.eval_interval,
-            ws: WorkerSide::for_kind(gw_cfg.kind),
+            host_per_req,
+            engine_per_req,
+            wire,
+            client_wire: p.client_wire,
             worker_cores: ServerBank::new(WORKER_CORES),
             worker_dne: FifoServer::new(),
             stats: RunStats::new(sched.warmup),
@@ -201,7 +186,7 @@ impl IngressEngine {
 
     /// Gateway leg `leg` of the request on `conn`: when it finishes.
     fn submit(&mut self, now: Nanos, conn: usize, leg: Leg) -> Nanos {
-        self.gw.submit(now, self.client_of(conn), leg, ECHO_BYTES, ECHO_BYTES).1
+        self.gw.submit(now, self.client_of(conn), leg, ECHO_BYTES.into(), ECHO_BYTES.into()).1
     }
 }
 
@@ -216,7 +201,7 @@ impl Engine for IngressEngine {
                     self.joined += 1;
                     for k in 0..self.sched.conns_per_client {
                         let conn = client * self.sched.conns_per_client + k;
-                        fx.after(self.cost.client_wire, Ev::Arrive { conn, issued: now });
+                        fx.after(self.client_wire, Ev::Arrive { conn, issued: now });
                     }
                     fx.after(self.sched.join_every, Ev::AddClient);
                 }
@@ -259,25 +244,25 @@ impl Engine for IngressEngine {
             }
             Ev::InboundDone { conn, issued } => {
                 // Into the cluster: wire + worker-side processing.
-                let arrive = now + self.ws.wire;
+                let arrive = now + self.wire;
                 let mut ready = arrive;
-                if !self.ws.engine_per_req.is_zero() {
-                    ready = self.worker_dne.submit(arrive, self.ws.engine_per_req);
+                if !self.engine_per_req.is_zero() {
+                    ready = self.worker_dne.submit(arrive, self.engine_per_req);
                 }
-                let host_done = self.worker_cores.submit(ready, self.ws.host_per_req);
-                fx.at(host_done + self.ws.wire, Ev::WorkerDone { conn, issued });
+                let host_done = self.worker_cores.submit(ready, self.host_per_req);
+                fx.at(host_done + self.wire, Ev::WorkerDone { conn, issued });
             }
             Ev::WorkerDone { conn, issued } => {
                 let done = self.submit(now, conn, Leg::Outbound);
                 fx.at(done, Ev::OutboundDone { conn, issued });
             }
             Ev::OutboundDone { conn, issued } => {
-                let finish = now + self.cost.client_wire;
+                let finish = now + self.client_wire;
                 self.stats.complete(finish, issued);
                 self.rps.record(finish);
                 // Closed loop: next request after the response reaches the
                 // client.
-                fx.at(finish + self.cost.client_wire, Ev::Arrive { conn, issued: finish });
+                fx.at(finish + self.client_wire, Ev::Arrive { conn, issued: finish });
             }
         }
     }

@@ -1,14 +1,15 @@
-//! What an op costs: every service time the cluster engine charges,
-//! resolved once per system, and the walk that sums them into a request's
-//! demand on each station.
+//! What an op costs: every service time an engine charges, resolved once
+//! per system, and the walk that sums them into a request's demand on each
+//! station.
 //!
 //! `Prices::of` reads the cost tables ([`CostModel`], the channel tables
 //! of `palladium_ipc`, the stack tables of `palladium_tcpstack`) and
 //! specialises them to one system's data plane and engine location: which
 //! channel its functions reach their engine over, what an engine op costs
-//! where the engine runs, which TCP stack its workers terminate. The
-//! cluster engine (`ClusterShard`, its host plane and its [`Dne`]s) and
-//! the ingress gateway charge only from that value. [`demand`] folds the
+//! where the engine runs, which TCP stack its workers terminate. Every
+//! engine charges only from that value and the consts beside it: the
+//! cluster engine (`ClusterShard`, its host plane, its [`Dne`]s), the
+//! ingress gateway and the engines of Figs 11–15. [`demand`] folds the
 //! same value over a chain's hops, so what a request costs each station is
 //! a computed number, equal in integer nanoseconds to what one request
 //! books on a run (`tests/demand.rs`).
@@ -32,6 +33,7 @@ use palladium_tcpstack::{IngressServiceModel, StackKind, TcpCosts};
 use crate::config::{CostModel, EngineLocation};
 use crate::driver::chain::{AppSpec, Station, INGRESS_FN};
 use crate::driver::cluster_sharded::{gateway_workers, ClusterShardedConfig, FN_CORES};
+use crate::driver::echo::Primitive;
 use crate::ingress::Leg;
 use crate::system::{DataPlane, HostHop, IngressKind, SystemKind};
 
@@ -66,6 +68,20 @@ impl DneOps {
             },
         }
     }
+}
+
+/// The DNE's four prices, side by side. The cluster's is [`DneOps::at`]:
+/// on the DPU, 700 ns × the wimpy factor = 1 554 ns per RX or TX op. Fig
+/// 9's is its channel's, `ChannelCosts::dne_cpu`: 2.2 µs per Comch-E op.
+/// The figure engines' two follow.
+impl DneOps {
+    /// Figs 11–12: one op of the bare echo loop (no Comch endpoints, no
+    /// DWRR). Fitted: the two-sided 64 B echo lands at the paper's 8.4 µs
+    /// RTT.
+    pub(crate) const ECHO_OP: Nanos = Nanos::from_nanos(500);
+    /// Fig 15: one tenant request. Quoted: §4.2 configures the engine to
+    /// sustain ≈ 110 K rps, 9.09 µs per request.
+    pub(crate) const FAIRNESS_REQUEST: Nanos = Nanos::from_nanos(9_090);
 }
 
 /// What an ingress gateway worker charges per leg, for one design.
@@ -111,10 +127,9 @@ impl LegPrices {
     }
 }
 
-/// Every service time and wire delay one system's cluster run charges,
-/// specialised to its data plane and engine location. The only place the
-/// cluster engine's costs are chosen: its arms charge these and nothing
-/// else.
+/// Every service time and wire delay one system's run charges,
+/// specialised to its data plane and engine location. The only place an
+/// engine's costs are chosen: its arms charge these and nothing else.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Prices {
     /// Function core: hand a hop to a function on the same node (SK_MSG).
@@ -160,6 +175,11 @@ pub(crate) struct Prices {
 }
 
 impl Prices {
+    /// Fig 11: one run of an echo function. Assumed.
+    pub(crate) const ECHO_FN_EXEC: Nanos = Nanos::from_micros(1);
+    /// Figs 13–14: one run of the worker's echo function. Assumed.
+    pub(crate) const INGRESS_FN_EXEC: Nanos = Nanos::from_micros(2);
+
     /// The prices of `system`, at the default cost model.
     pub(crate) fn of(system: SystemKind) -> Prices {
         let cost = CostModel::default();
@@ -192,6 +212,19 @@ impl Prices {
             tcp_wire: TcpCosts::INTER_NODE_WIRE,
             legs: LegPrices::new(spec.ingress),
         }
+    }
+
+    /// Fig 12: what `prim` adds on the DNE core for a `bytes` payload: the
+    /// OWDL lock manager's processing of one request, and the OWRC
+    /// receiver's copy into its local pool (zero for the others).
+    pub(crate) fn primitive(prim: Primitive, bytes: u64) -> (Nanos, Nanos) {
+        let cost = CostModel::default();
+        let copy = match prim {
+            Primitive::OwrcBest => cost.owrc_copy(bytes, false),
+            Primitive::OwrcWorst => cost.owrc_copy(bytes, true),
+            Primitive::TwoSided | Primitive::Owdl => Nanos::ZERO,
+        };
+        (cost.owdl_lock_proc, copy)
     }
 
     /// Host engine: receive a TCP leg of `bytes`.

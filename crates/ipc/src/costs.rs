@@ -42,9 +42,6 @@ impl Default for SkMsgCosts {
     }
 }
 
-impl SkMsgCosts {
-}
-
 /// The cross-processor channel flavour between host functions and the DNE
 /// (§3.5.4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

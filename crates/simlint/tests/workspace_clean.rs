@@ -159,3 +159,39 @@ fn every_library_crate_root_forbids_unsafe_code() {
         );
     }
 }
+
+/// The figure engines' drivers: every service time they charge is read from
+/// `crates/core/src/price.rs`, so none declares a duration of its own and
+/// none but Fig 9's (whose axis is the channel) resolves a cost table.
+const FIGURE_ENGINES: &[&str] = &[
+    "crates/core/src/driver/echo.rs",
+    "crates/core/src/driver/channel.rs",
+    "crates/core/src/driver/ingress_sweep.rs",
+    "crates/core/src/driver/fairness.rs",
+];
+
+#[test]
+fn figure_engines_price_only_from_the_price_module() {
+    let mut found = Vec::new();
+    for rel in FIGURE_ENGINES {
+        let src = read(rel);
+        for line in src.lines() {
+            let decl = line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            let duration = decl
+                .strip_prefix("const ")
+                .and_then(|d| d.split_once(':'))
+                .is_some_and(|(_, ty)| ty.trim_start().starts_with("Nanos"));
+            if duration {
+                found.push(format!("{rel} declares a duration: `{}`", line.trim()));
+            }
+        }
+        let library = src.split("#[cfg(test)]").next().unwrap_or_default();
+        for table in ["ChannelCosts::for_kind", "TcpCosts::for_kind"] {
+            let axis = rel.ends_with("channel.rs") && table.starts_with("ChannelCosts");
+            if !axis && library.contains(table) {
+                found.push(format!("{rel} resolves `{table}`"));
+            }
+        }
+    }
+    assert!(found.is_empty(), "price these in crates/core/src/price.rs:\n{}", found.join("\n"));
+}

@@ -361,6 +361,8 @@ impl Dne {
                 let consumed = self.rbr.take_consumed(tenant);
                 if consumed > 0 {
                     let service = self.ops.replenish.saturating_mul(consumed);
+                    // Ahead of the clock but in order: only the serialised
+                    // worker feeds the core thread, at its own op ends.
                     let rdone = self.core_thread.submit(now + delay, service);
                     out.push(Timed::new(
                         rdone - now,

@@ -19,6 +19,10 @@
 //! [`HostHop`](crate::system::HostHop): TCP, one-sided write, or
 //! node-local) in [`baselines`].
 //!
+//! Every station is booked at the `now` of the event that brings it its
+//! job (`FifoServer` asserts the order in debug builds): on every plane a
+//! function's remote hop or response reaches its engine by one event.
+//!
 //! This file is the data plane — the [`Ev`] alphabet, [`ClusterShard`] and
 //! its request-path event arms. The ingress's control plane sits beside it,
 //! one module per concern: [`config`] (what a run is told, validated in one
@@ -173,6 +177,9 @@ fn unword(data: &[u8]) -> (u64, usize, usize) {
 pub(crate) enum Ev {
     /// A client issues a request (ingress shard only).
     Issue { client: usize },
+    /// `leg` of a request reached the gateway: the request one client wire
+    /// after it left its client, a baseline's response over TCP.
+    GwArrive { req: u64, leg: Leg },
     /// Ingress finished the inbound leg.
     GwIn { req: u64 },
     /// Ingress finished the outbound leg.
@@ -291,12 +298,12 @@ struct IngressState {
 }
 
 impl IngressState {
-    /// Hand `leg` of request `req`, served by `pair`, to the gateway worker
-    /// of the request's client at `at`, and schedule its completion.
-    fn submit(&mut self, at: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize, leg: Leg) {
+    /// `leg` of request `req`, served by `pair`, reached the gateway at `now`:
+    /// book it on its client's worker and schedule its completion.
+    fn submit(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize, leg: Leg) {
         let (client, _) = self.reqs.placement(req);
         let (req_bytes, resp_bytes) = self.leg_bytes[pair];
-        let (_, done) = self.gw.submit(at, client, leg, req_bytes, resp_bytes);
+        let (_, done) = self.gw.submit(now, client, leg, req_bytes, resp_bytes);
         let ev = match leg {
             Leg::Inbound => Ev::GwIn { req },
             Leg::Outbound => Ev::GwOut { req },
@@ -304,11 +311,11 @@ impl IngressState {
         fx.at(done, ev);
     }
 
-    /// Place request `req` on `pair` and start it: the inbound leg, one
-    /// client wire from `now`.
+    /// Place request `req` on `pair` and start it: it reaches the gateway
+    /// one client wire from `now`.
     fn start_on(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, req: u64, pair: usize) {
         self.reqs.live_mut(req).pair = pair as u16;
-        self.submit(now + self.client_wire, fx, req, pair, Leg::Inbound);
+        fx.at(now + self.client_wire, Ev::GwArrive { req, leg: Leg::Inbound });
     }
 
     /// What placement may read and count into (see [`PairView::place`]).
@@ -685,37 +692,43 @@ impl ClusterShard {
         } else {
             word_of(req, hop_idx + 1, pair)
         };
-        let data = self.payloads.make(word, bytes);
 
         if dst_node == n && to != INGRESS_FN {
             // Local hop over SK_MSG: produce into a fresh buffer, pass the
-            // descriptor — zero copies.
+            // descriptor — zero copies. NightCore routes it through its
+            // gateway on the node's host engine, which it reaches first.
             let Ok(out) = self.pools[li].alloc(Owner::Function(f)) else {
                 self.counts.shed_pool += 1;
                 return;
             };
+            let data = self.payloads.make(word, bytes);
             self.pools[li].produce_bytes(&out, data).expect("sized buffer");
-            let out_desc = self.hand_to_fn(li, out, f, to);
+            let desc = self.hand_to_fn(li, out, f, to);
+            let ev = match self.price.dispatch {
+                Some(_) => Ev::Host(HostEv::Dispatch { n, desc }),
+                None => Ev::Deliver { n, desc },
+            };
             let send_done = self.on_fn_core(n, now, self.price.local_send);
-            let sent = self.local_dispatch(n, send_done);
-            fx.at(sent + self.price.local_transit, Ev::Deliver { n, desc: out_desc });
+            fx.at(send_done + self.price.local_transit, ev);
             return;
         }
 
-        // Remote hop (or response to the ingress): over two-sided RDMA
-        // through the node's DNE, or down the baseline's own path.
-        if let DataPlane::Host(path) = self.spec.plane {
-            let hop = Hop { from: f, to, word, bytes };
-            return self.remote_hop(now, fx, n, path, hop, data);
-        }
-        let Ok(out) = self.pools[li].alloc(Owner::Function(f)) else {
-            self.counts.shed_pool += 1;
-            return;
+        // Remote hop (or response to the ingress): on every plane it reaches
+        // the node's engine, a DNE or a host engine, one transit after its send.
+        let handoff = match self.spec.plane {
+            DataPlane::Host(_) => Ev::Host(HostEv::EngineRx { n, hop: Hop { from: f, to, word, bytes } }),
+            DataPlane::Dne { .. } => {
+                let Ok(out) = self.pools[li].alloc(Owner::Function(f)) else {
+                    self.counts.shed_pool += 1;
+                    return;
+                };
+                let data = self.payloads.make(word, bytes);
+                self.pools[li].produce_bytes(&out, data).expect("sized buffer");
+                Ev::EngineRx { n, desc: self.pools[li].into_transit(out, f, to).expect("owned") }
+            }
         };
-        self.pools[li].produce_bytes(&out, data).expect("sized buffer");
-        let out_desc = self.pools[li].into_transit(out, f, to).expect("owned");
         let send_done = self.on_fn_core(n, now, self.price.engine_send);
-        fx.at(send_done + self.price.engine_transit, Ev::EngineRx { n, desc: out_desc });
+        fx.at(send_done + self.price.engine_transit, handoff);
     }
 }
 
@@ -736,6 +749,11 @@ impl ShardEngine for ClusterShard {
                 let pref = (req % pairs as u64) as usize;
                 let pair = ing.pairs().place(pref, pairs, now).unwrap_or(pref);
                 ing.start_on(now, fx, req, pair);
+            }
+            Ev::GwArrive { req, leg } => {
+                let ing = self.ingress.as_mut().expect("ingress shard");
+                let (_, pair) = ing.reqs.placement(req);
+                ing.submit(now, fx, req, pair, leg);
             }
             Ev::GwIn { req } => {
                 let ing = self.ingress.as_mut().expect("ingress shard");

@@ -18,9 +18,14 @@
 //!   the pair's first node, so each hop between functions is a local
 //!   SK_MSG hop; its host engine terminates the gateway's TCP legs and
 //!   dispatches every hop between functions
-//!   (`CostModel::nightcore_dispatch`, [`ClusterShard::local_dispatch`]).
+//!   (`CostModel::nightcore_dispatch`, [`HostEv::Dispatch`]).
 //! * All three take requests in and send responses out over a second TCP
 //!   connection between the gateway and the workers (deferred conversion).
+//!
+//! A function hands a hop to its node's host engine as it hands one to a
+//! DNE: the hop reaches the engine one SK_MSG transit after its send
+//! ([`HostEv::EngineRx`]), which books the engine then. A FUYAO write
+//! enters its QP when the engine op that builds it completes.
 //!
 //! Every arm charges from the system's [`Prices`](crate::price::Prices):
 //! which stack a leg rides and what an engine op or copy costs were
@@ -34,7 +39,7 @@
 
 use bytes::Bytes;
 
-use palladium_membuf::{BufToken, FnId, MmapExporter, MoveKind, NodeId, Owner, PoolId, Region};
+use palladium_membuf::{BufDesc, BufToken, FnId, MmapExporter, MoveKind, NodeId, Owner, PoolId, Region};
 use palladium_rdma::{Cqe, CqeKind, RdmaNet, RemoteAddr, WorkRequest, WrId};
 use palladium_simnet::{Effects, FifoServer, Nanos, Slab};
 
@@ -61,6 +66,14 @@ pub(crate) struct Hop {
 /// The baselines' share of the event alphabet.
 #[derive(Debug)]
 pub(crate) enum HostEv {
+    /// A function's hop to another node, or its response, reached node
+    /// `n`'s host engine.
+    EngineRx { n: usize, hop: Hop },
+    /// A hop between two functions of node `n` reached its host engine's
+    /// dispatch (NightCore).
+    Dispatch { n: usize, desc: BufDesc },
+    /// Node `n`'s engine finished the op that builds a FUYAO write: post it.
+    FuyaoPost { n: usize, hop: Hop },
     /// Bytes on the intra-cluster TCP wire reached node `n`'s engine.
     TcpWire { n: usize, hop: Hop },
     /// Engine finished TCP receive processing: materialize the buffer.
@@ -69,8 +82,6 @@ pub(crate) enum HostEv {
     FuyaoPickup { n: usize, imm: u64, data: Bytes },
     /// FUYAO receiver engine finished the receiver-side copy.
     FuyaoCopied { n: usize, imm: u64, data: Bytes },
-    /// Worker engine finished the TCP transmit of the response leg.
-    RespTcpTx { req: u64 },
 }
 
 /// One FUYAO worker's RDMA side.
@@ -156,18 +167,6 @@ impl ClusterShard {
         self.host_mut().engines[n].submit(now, service)
     }
 
-    /// A hop between two functions on worker `n` leaves its sender's core
-    /// at `sent`; returns when it enters the SK_MSG channel toward its
-    /// receiver. NightCore routes every such hop through its gateway on
-    /// the node's host engine (one SK_MSG transit in, then one dispatch);
-    /// every other system hands it over at once.
-    pub(super) fn local_dispatch(&mut self, n: usize, sent: Nanos) -> Nanos {
-        match self.price.dispatch {
-            Some(dispatch) => self.on_engine(n, sent + self.price.local_transit, dispatch),
-            None => sent,
-        }
-    }
-
     /// Deferred conversion at the ingress: the request rides a second TCP
     /// connection into the cluster; worker-side termination happens at
     /// arrival.
@@ -175,82 +174,72 @@ impl ClusterShard {
         fx.after(self.price.tcp_wire, Ev::Host(HostEv::TcpWire { n: entry_node, hop }));
     }
 
-    /// Function `hop.from` on worker `n` hands `data` to a function on
-    /// another node down `path` (or the response to the ingress).
-    pub(super) fn remote_hop(
-        &mut self,
-        now: Nanos,
-        fx: &mut Effects<'_, Ev>,
-        n: usize,
-        path: HostHop,
-        hop: Hop,
-        data: Bytes,
-    ) {
-        let Hop {
-            from: f, to, bytes, ..
-        } = hop;
-        if to == INGRESS_FN {
-            // Response leg: worker-side TCP transmit through the node
-            // engine, then the wire to the gateway.
+    /// Hop `hop` reached worker `n`'s host engine at `now`: send it down
+    /// the plane's path, or the response to the gateway over TCP.
+    fn on_engine_rx(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, n: usize, hop: Hop) {
+        let bytes = hop.bytes;
+        if hop.to == INGRESS_FN {
+            let done = self.on_engine(n, now, self.price.tcp_tx(bytes));
+            self.meters[n].record(MoveKind::Software, u64::from(bytes));
             let req = hop.word & REQ_MASK;
-            let send_done = self.on_fn_core(n, now, self.price.engine_send);
-            let done = self.on_engine(n, send_done, self.price.tcp_tx(bytes));
-            self.meters[n].record(MoveKind::Software, bytes as u64);
-            fx.at(done, Ev::Host(HostEv::RespTcpTx { req }));
-            return;
+            return fx.at(done + self.price.tcp_wire, Ev::GwArrive { req, leg: Leg::Outbound });
         }
-        let dst_node = self.node_of(to);
-        let (send_cpu, transit) = (self.price.engine_send, self.price.engine_transit);
-        match path {
-            HostHop::OneSidedRecvCopy => {
-                // Local buffer holds the payload until the write completes.
-                let Ok(out) = self.pools[n].alloc(Owner::Engine) else {
-                    self.counts.shed_pool += 1;
-                    return;
-                };
-                self.pools[n]
-                    .produce_bytes(&out, data.clone())
-                    .expect("sized buffer");
-                let send_done = self.on_fn_core(n, now, send_cpu);
-                let op_done = self.on_engine(n, send_done + transit, self.price.fuyao_op);
-                // Pick a dedicated slot on the destination.
-                let host = self.host.as_mut().expect("baseline data plane");
-                let dst = &mut host.fuyao[dst_node];
-                let remote = RemoteAddr {
-                    pool: dst.region,
-                    buf_idx: dst.next % DEDICATED_BUFS,
-                };
-                dst.next = dst.next.wrapping_add(1);
-                let src = &mut host.fuyao[n];
-                let wr_id = WrId(src.tx.insert(out));
-                self.meters[n].record(MoveKind::RnicDma, data.len() as u64);
-                let wr = WorkRequest::write(wr_id, data, remote, pack_imm(f, to, TENANT));
-                let Some(qpn) = src.conns.select(&self.net, NodeId(dst_node as u16), TENANT) else {
-                    self.counts.shed_qp += 1;
-                    return;
-                };
-                let mut step = std::mem::take(&mut self.post_step);
-                step.clear();
-                self.net
-                    .post_send_into(op_done, NodeId(n as u16), qpn, wr, &mut step)
-                    .expect("post one-sided write");
-                // The doorbell rings when the engine finishes.
-                fx.extend_at_drain(op_done, &mut step.events, Ev::Rdma);
-                self.post_step = step;
+        match self.spec.plane {
+            DataPlane::Host(HostHop::OneSidedRecvCopy) => {
+                let done = self.on_engine(n, now, self.price.fuyao_op);
+                fx.at(done, Ev::Host(HostEv::FuyaoPost { n, hop }));
             }
-            HostHop::KernelTcp => {
-                // SPRIGHT: serialize out through the node engine over
-                // kernel TCP — a software copy at each end.
-                let send_done = self.on_fn_core(n, now, send_cpu);
-                let done = self.on_engine(n, send_done + transit, self.price.internode_tx(bytes));
-                self.meters[n].record(MoveKind::Software, bytes as u64);
-                fx.at(done + self.price.tcp_wire, Ev::Host(HostEv::TcpWire { n: dst_node, hop }));
+            DataPlane::Host(HostHop::KernelTcp) => {
+                // SPRIGHT: serialize out over kernel TCP — a software copy
+                // at each end.
+                let done = self.on_engine(n, now, self.price.internode_tx(bytes));
+                self.meters[n].record(MoveKind::Software, u64::from(bytes));
+                let dst = self.node_of(hop.to);
+                fx.at(done + self.price.tcp_wire, Ev::Host(HostEv::TcpWire { n: dst, hop }));
             }
             // `validate` holds a node-local plane's functions on one node,
-            // so its every hop between functions is a local SK_MSG hop
-            // (dispatched in `local_dispatch`).
-            HostHop::Local => unreachable!("a node-local plane has no remote hop"),
+            // so its every hop between functions is a local SK_MSG hop.
+            _ => unreachable!("only the response leaves a node-local plane's node"),
         }
+    }
+
+    /// Worker `n`'s engine built FUYAO's one-sided write of `hop` at `now`:
+    /// the write enters a pooled QP to the destination's dedicated region.
+    fn post_write(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, n: usize, hop: Hop) {
+        let Hop { from: f, to, .. } = hop;
+        let dst_node = self.node_of(to);
+        let data = self.payloads.make(hop.word, hop.bytes);
+        // Local buffer holds the payload until the write completes.
+        let Ok(out) = self.pools[n].alloc(Owner::Engine) else {
+            self.counts.shed_pool += 1;
+            return;
+        };
+        self.pools[n]
+            .produce_bytes(&out, data.clone())
+            .expect("sized buffer");
+        // Pick a dedicated slot on the destination.
+        let host = self.host.as_mut().expect("baseline data plane");
+        let dst = &mut host.fuyao[dst_node];
+        let remote = RemoteAddr {
+            pool: dst.region,
+            buf_idx: dst.next % DEDICATED_BUFS,
+        };
+        dst.next = dst.next.wrapping_add(1);
+        let src = &mut host.fuyao[n];
+        let wr_id = WrId(src.tx.insert(out));
+        self.meters[n].record(MoveKind::RnicDma, data.len() as u64);
+        let wr = WorkRequest::write(wr_id, data, remote, pack_imm(f, to, TENANT));
+        let Some(qpn) = src.conns.select(&self.net, NodeId(dst_node as u16), TENANT) else {
+            self.counts.shed_qp += 1;
+            return;
+        };
+        let mut step = std::mem::take(&mut self.post_step);
+        step.clear();
+        self.net
+            .post_send_into(now, NodeId(n as u16), qpn, wr, &mut step)
+            .expect("post one-sided write");
+        fx.extend_drain(&mut step.events, Ev::Rdma);
+        self.post_step = step;
     }
 
     /// The engine on `n` received `data` for function `to`: copy it into the
@@ -277,6 +266,13 @@ impl ClusterShard {
 
     pub(super) fn on_host_event(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, ev: HostEv) {
         match ev {
+            HostEv::EngineRx { n, hop } => self.on_engine_rx(now, fx, n, hop),
+            HostEv::Dispatch { n, desc } => {
+                let dispatch = self.price.dispatch.expect("a dispatching plane");
+                let done = self.on_engine(n, now, dispatch);
+                fx.at(done + self.price.local_transit, Ev::Deliver { n, desc });
+            }
+            HostEv::FuyaoPost { n, hop } => self.post_write(now, fx, n, hop),
             HostEv::TcpWire { n, hop } => {
                 // Worker-side TCP receive processing on the node engine.
                 let done = self.on_engine(n, now, self.price.tcp_rx(hop.bytes));
@@ -295,13 +291,6 @@ impl ClusterShard {
             HostEv::FuyaoCopied { n, imm, data } => {
                 let (from, to, _) = unpack_imm(imm);
                 self.copy_in_and_deliver(fx, n, from, to, data);
-            }
-            HostEv::RespTcpTx { req } => {
-                // Response reached the ingress over TCP: outbound leg.
-                let wire = self.price.tcp_wire;
-                let ing = self.ingress.as_mut().expect("ingress shard");
-                let (_, pair) = ing.reqs.placement(req);
-                ing.submit(now + wire, fx, req, pair, Leg::Outbound);
             }
         }
     }

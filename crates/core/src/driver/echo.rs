@@ -286,7 +286,9 @@ impl EchoEngine {
         self.post(fx, node, conn, done, self.prim.opening());
     }
 
-    /// Post one message of `kind` from `node` on `conn` at `at`.
+    /// Post one message of `kind` from `node` on `conn` at `at`, which may
+    /// be ahead of the clock: each connection's QP carries one message at a
+    /// time, so no earlier kick can send it before `at`.
     fn post(
         &mut self,
         fx: &mut Effects<'_, Ev>,

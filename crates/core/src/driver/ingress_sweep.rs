@@ -243,7 +243,9 @@ impl Engine for IngressEngine {
                 fx.at(done, Ev::InboundDone { conn, issued });
             }
             Ev::InboundDone { conn, issued } => {
-                // Into the cluster: wire + worker-side processing.
+                // Into the cluster: wire + worker-side processing. Booked
+                // ahead of the clock but in order: `InboundDone` fires in
+                // time order and the wire is fixed.
                 let arrive = now + self.wire;
                 let mut ready = arrive;
                 if !self.engine_per_req.is_zero() {

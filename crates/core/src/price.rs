@@ -150,7 +150,9 @@ pub(crate) struct Prices {
     /// The network engine's ops, on a [`DataPlane::Dne`] system.
     pub(crate) dne: Option<DneOps>,
     /// Host engine: dispatch one hop between two functions of its node
-    /// (NightCore's gateway). `None`: the hop is handed over at once.
+    /// (NightCore's gateway), booked when the hop reaches the engine, one
+    /// SK_MSG transit after its send. `None`: the hop goes straight to its
+    /// receiver.
     pub(crate) dispatch: Option<Nanos>,
     /// Host engine: the worker end of the gateway's TCP connection, on the
     /// ingress design's stack (it also receives SPRIGHT's inter-node legs).

@@ -60,6 +60,9 @@ struct Rig {
     pool: UnifiedPool,
     rbr_ids: Vec<WrId>,
     tx_ids: Vec<WrId>,
+    /// When the setup's engine went idle: the rig's clock, which every later
+    /// submission follows (an engine is fed in time order).
+    ready: Nanos,
 }
 
 /// Build an engine deterministically from the scenario parameters. Both
@@ -94,7 +97,7 @@ fn build_rig(loc: EngineLocation, n_rbr: usize, n_tx: usize, busy: bool) -> Rig 
         dne.submit_tx_into(Nanos::ZERO, desc, Bytes::from_static(b"inflight"), Some(tok), &mut fx);
     }
     let mut tx_ids = Vec::new();
-    run_to_idle(&mut dne, Nanos::ZERO, fx, |_, step| {
+    let ready = run_to_idle(&mut dne, Nanos::ZERO, fx, |_, step| {
         tx_ids.extend(step.iter().filter_map(|t| match &t.value {
             DneEffect::PostSend { wr, .. } => Some(wr.wr_id),
             _ => None,
@@ -105,10 +108,10 @@ fn build_rig(loc: EngineLocation, n_rbr: usize, n_tx: usize, busy: bool) -> Rig 
         // Occupy the engine core: a TX whose EngineSlot has not fired yet.
         let mut fx = Vec::new();
         let occupied = Bytes::from_static(b"occupied");
-        dne.submit_tx_into(Nanos::ZERO, tx_desc(60), occupied, None, &mut fx);
+        dne.submit_tx_into(ready, tx_desc(60), occupied, None, &mut fx);
         assert!(!fx.is_empty(), "an idle engine starts the submission");
     }
-    Rig { dne, pool, rbr_ids, tx_ids }
+    Rig { dne, pool, rbr_ids, tx_ids, ready }
 }
 
 /// A descriptor from local fn 3 to fn 2 on node 1.
@@ -173,13 +176,13 @@ fn render(fx: &[Timed<DneEffect>]) -> String {
 
 /// Drive the engine through successive engine-slot firings until idle,
 /// handing each step's effects, with the time they were returned, to
-/// `visit`.
+/// `visit`. Returns the instant of the last step.
 fn run_to_idle(
     dne: &mut Dne,
     mut now: Nanos,
     first: DneStep,
     mut visit: impl FnMut(Nanos, &DneStep),
-) {
+) -> Nanos {
     let mut pending = first;
     for _round in 0..512 {
         visit(now, &pending);
@@ -193,7 +196,7 @@ fn run_to_idle(
                 pending.clear();
                 dne.on_engine_slot_into(now, &mut pending);
             }
-            None => return,
+            None => return now,
         }
     }
     panic!("engine failed to go idle");
@@ -233,10 +236,11 @@ proptest! {
         specs in proptest::collection::vec(cqe_spec(), 1..12),
     ) {
         let loc = if loc_dpu { EngineLocation::Dpu } else { EngineLocation::Cpu };
-        let now = Nanos(now_ns);
 
         // Path A: the reference per-CQE submission loop.
         let mut a = build_rig(loc, n_rbr, n_tx, busy);
+        // Past the setup's clock, like every submission to an engine.
+        let now = a.ready + Nanos(now_ns);
         let mut fx_a = Vec::new();
         for &spec in &specs {
             let cqe = materialize(spec, &a);
@@ -284,11 +288,12 @@ proptest! {
         split_at in 0usize..12,
     ) {
         let loc = if loc_dpu { EngineLocation::Dpu } else { EngineLocation::Cpu };
-        let now = Nanos(now_ns);
         let split = 1 + split_at % (specs.len() - 1); // both chunks non-empty
 
         // Path A: the reference per-CQE submission loop.
         let mut a = build_rig(loc, n_rbr, n_tx, busy);
+        // Past the setup's clock, like every submission to an engine.
+        let now = a.ready + Nanos(now_ns);
         let mut fx_a = Vec::new();
         for &spec in &specs {
             let cqe = materialize(spec, &a);

@@ -58,6 +58,12 @@ pub enum RdmaEvent {
         /// per-frame box the seed recycled here is gone entirely.
         pkt: Packet,
     },
+    /// A frame a gray link delayed reaches the destination NIC's receive
+    /// engine, its fault verdict already drawn at [`RdmaEvent::Arrive`].
+    RxReach {
+        /// The frame (same value the `Arrive` carried).
+        pkt: Packet,
+    },
     /// The destination NIC finished receive processing of a frame.
     RxDone {
         /// The frame (same value the `Arrive` carried).
@@ -623,16 +629,15 @@ impl RdmaNet {
                     }
                     Verdict::Pass => {}
                 }
+                // A gray link's delay is drawn with the verdict, and ends first.
                 let extra = plan.extra_delay(now, &mut self.fault_rngs[idx]);
-                let service = match &pkt.kind {
-                    PacketKind::Data { payload, .. } => {
-                        self.cfg.rx_pipeline + self.cfg.per_byte.cost(payload.len() as u64)
-                    }
-                    _ => Nanos::from_nanos(150),
-                };
-                let done = self.rnic_mut(pkt.dst).rx_engine.submit(now + extra, service);
-                step.push_event(done - now, RdmaEvent::RxDone { pkt });
+                if extra.is_zero() {
+                    self.rx_reach(now, pkt, step);
+                } else {
+                    step.push_event(extra, RdmaEvent::RxReach { pkt });
+                }
             }
+            RdmaEvent::RxReach { pkt } => self.rx_reach(now, pkt, step),
             RdmaEvent::RxDone { pkt } => {
                 if pkt.corrupted {
                     self.counters.crc_drop += 1;
@@ -696,6 +701,18 @@ impl RdmaNet {
                 self.tx_kick(now, node, qpn, step);
             }
         }
+    }
+
+    /// `pkt` reached its destination NIC's receive engine: book it there.
+    fn rx_reach(&mut self, now: Nanos, pkt: Packet, step: &mut Step) {
+        let service = match &pkt.kind {
+            PacketKind::Data { payload, .. } => {
+                self.cfg.rx_pipeline + self.cfg.per_byte.cost(payload.len() as u64)
+            }
+            _ => Nanos::from_nanos(150),
+        };
+        let done = self.rnic_mut(pkt.dst).rx_engine.submit(now, service);
+        step.push_event(done - now, RdmaEvent::RxDone { pkt });
     }
 
     fn rx_done(&mut self, now: Nanos, pkt: Packet, step: &mut Step) {

@@ -18,6 +18,9 @@ pub struct FifoServer {
     busy_until: Nanos,
     /// Total busy time accumulated, for utilization reports.
     busy_accum: Nanos,
+    /// Debug builds: the latest submission, which no later one may precede.
+    #[cfg(debug_assertions)]
+    last_submit: Nanos,
 }
 
 impl FifoServer {
@@ -30,12 +33,17 @@ impl FifoServer {
     /// absolute completion time, at which the caller schedules its own
     /// completion event; the server is not told when it fires.
     ///
-    /// Work is served in *submission* order, not in order of `now`: a job
-    /// starts at `now` or when every job submitted before it is done,
-    /// whichever is later. A job submitted with a `now` in the future
-    /// reserves the server from then on, so a later submission with an
-    /// earlier `now` waits behind it, and the server idles in between.
+    /// A work-conserving FIFO served in arrival order: a job starts at
+    /// `now` or when every job submitted before it is done, whichever is
+    /// later. Callers submit a job when it reaches the server, so `now`
+    /// never decreases from one submission to the next; debug builds panic
+    /// on a submission that precedes the previous one.
     pub fn submit(&mut self, now: Nanos, service: Nanos) -> Nanos {
+        #[cfg(debug_assertions)]
+        {
+            assert!(now >= self.last_submit, "FifoServer: {now} precedes {}", self.last_submit);
+            self.last_submit = now;
+        }
         let start = self.busy_until.max(now);
         let done = start.saturating_add(service);
         self.busy_until = done;
@@ -143,15 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn work_is_served_in_submission_order_not_arrival_order() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "precedes")]
+    fn a_submission_before_the_previous_one_panics() {
         let mut s = FifoServer::new();
-        // Booked ahead of the clock: the server is reserved from 1 000.
-        assert_eq!(s.submit(Nanos(1_000), Nanos(100)), Nanos(1_100));
-        // Submitted next but arriving at 0, it waits behind that job: the
-        // server idles over [0, 1 000) though work was there to serve.
-        assert_eq!(s.submit(Nanos(0), Nanos(100)), Nanos(1_200));
-        assert_eq!(s.busy_time(), Nanos(200));
-        assert_eq!(s.backlog(Nanos(0)), Nanos(1_200));
+        s.submit(Nanos(1_000), Nanos(100));
+        // Booked ahead of the clock, the first job would hold the server
+        // idle over [0, 1 000) while this one waits behind it.
+        s.submit(Nanos(0), Nanos(100));
     }
 
     #[test]

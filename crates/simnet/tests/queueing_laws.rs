@@ -117,6 +117,10 @@ fn check_conservation(mut servers: Servers, load: f64, seed: u64) {
     );
 }
 
+/// The property `FifoServer::submit`'s contract rests on: fed in arrival
+/// order (non-decreasing instants, as every engine submits a job when it
+/// reaches the server, and as debug builds assert), a server or a bank is
+/// work-conserving: none idles while a job waits.
 #[test]
 fn fifo_servers_conserve_work() {
     for seed in 1..=4 {

@@ -88,11 +88,11 @@ impl ChannelEngine {
     /// Charge the host-side send and put the descriptor on the wire.
     fn issue(&mut self, now: Nanos, f: usize, fx: &mut Effects<'_, Ev>) {
         self.issued_at[f] = now;
-        let done = self.fn_cores[f % HOST_CORES].submit(now, self.costs.host_send_cpu);
+        let done = self.fn_cores[f % HOST_CORES].submit(now, self.costs.host.send);
         self.comch
             .host_send(FnId(f as u16), self.desc(f))
             .expect("endpoint connected");
-        fx.at(done + self.costs.transit, Ev::SentToDne { f });
+        fx.at(done + self.costs.host.transit, Ev::SentToDne { f });
     }
 }
 
@@ -111,12 +111,12 @@ impl Engine for ChannelEngine {
                 self.comch
                     .dne_send(FnId(f as u16), self.desc(f))
                     .expect("endpoint connected");
-                fx.at(done + self.costs.transit, Ev::DneReplied { f });
+                fx.at(done + self.costs.host.transit, Ev::DneReplied { f });
             }
             Ev::DneReplied { f } => {
                 let drained = self.comch.host_recv(FnId(f as u16), 1);
                 debug_assert_eq!(drained.len(), 1);
-                let done = self.fn_cores[f % HOST_CORES].submit(now, self.costs.host_recv_cpu);
+                let done = self.fn_cores[f % HOST_CORES].submit(now, self.costs.host.recv);
                 fx.at(
                     done,
                     Ev::EchoDone {

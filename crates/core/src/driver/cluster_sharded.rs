@@ -21,7 +21,11 @@
 //!
 //! Every station is booked at the `now` of the event that brings it its
 //! job (`FifoServer` asserts the order in debug builds): on every plane a
-//! function's remote hop or response reaches its engine by one event.
+//! function's remote hop or response reaches its engine by one event, and
+//! a function books each receive on its own core when [`Ev::Deliver`]
+//! brings it, at the price of the channel the message crossed: SK_MSG
+//! from a function of the same node, the engine's channel otherwise
+//! ([`Prices::channel`]).
 //!
 //! This file is the data plane — the [`Ev`] alphabet, [`ClusterShard`] and
 //! its request-path event arms. The ingress's control plane sits beside it,
@@ -542,7 +546,7 @@ impl ClusterShard {
                     );
                 }
                 DneEffect::DeliverToFn { desc } => {
-                    fx.after(t.after + self.price.engine_transit, Ev::Deliver { n, desc });
+                    fx.after(t.after + self.price.engine.transit, Ev::Deliver { n, desc });
                 }
                 DneEffect::ApplyDma { token, data, .. } => {
                     fx.after(t.after, Ev::ApplyDma { n, wake: carry(), token, data });
@@ -708,8 +712,8 @@ impl ClusterShard {
                 Some(_) => Ev::Host(HostEv::Dispatch { n, desc }),
                 None => Ev::Deliver { n, desc },
             };
-            let send_done = self.on_fn_core(n, now, self.price.local_send);
-            fx.at(send_done + self.price.local_transit, ev);
+            let send_done = self.on_fn_core(n, now, self.price.local.send);
+            fx.at(send_done + self.price.local.transit, ev);
             return;
         }
 
@@ -727,8 +731,8 @@ impl ClusterShard {
                 Ev::EngineRx { n, desc: self.pools[li].into_transit(out, f, to).expect("owned") }
             }
         };
-        let send_done = self.on_fn_core(n, now, self.price.engine_send);
-        fx.at(send_done + self.price.engine_transit, handoff);
+        let send_done = self.on_fn_core(n, now, self.price.engine.send);
+        fx.at(send_done + self.price.engine.transit, handoff);
     }
 }
 
@@ -852,7 +856,9 @@ impl ShardEngine for ClusterShard {
                 }
             }
             Ev::Deliver { n, desc } => {
-                let mut service = self.price.recv + self.fn_exec(desc.dst_fn);
+                // Received at the price of the channel the message crossed.
+                let channel = self.price.channel(self.node_of(desc.src_fn) == n);
+                let mut service = channel.recv + self.fn_exec(desc.dst_fn);
                 // Straggler windows scale the node's compute service time;
                 // `chaos` is `None` on fault-free runs, leaving the
                 // original path untouched.

@@ -261,7 +261,7 @@ impl ClusterShard {
             .write_bytes(&token, data, &mut self.meters[n])
             .expect("sized buffer");
         let desc = self.hand_to_fn(n, token, from, to);
-        fx.after(self.price.engine_transit, Ev::Deliver { n, desc });
+        fx.after(self.price.engine.transit, Ev::Deliver { n, desc });
     }
 
     pub(super) fn on_host_event(&mut self, now: Nanos, fx: &mut Effects<'_, Ev>, ev: HostEv) {
@@ -270,11 +270,14 @@ impl ClusterShard {
             HostEv::Dispatch { n, desc } => {
                 let dispatch = self.price.dispatch.expect("a dispatching plane");
                 let done = self.on_engine(n, now, dispatch);
-                fx.at(done + self.price.local_transit, Ev::Deliver { n, desc });
+                fx.at(done + self.price.local.transit, Ev::Deliver { n, desc });
             }
             HostEv::FuyaoPost { n, hop } => self.post_write(now, fx, n, hop),
             HostEv::TcpWire { n, hop } => {
-                // Worker-side TCP receive processing on the node engine.
+                // Worker-side TCP receive processing on the node engine, at
+                // the ingress design's stack on every leg: SPRIGHT's kernel
+                // receive between workers waits for the DNE lever ROADMAP
+                // 22(b) orders it after.
                 let done = self.on_engine(n, now, self.price.tcp_rx(hop.bytes));
                 fx.at(done, Ev::Host(HostEv::TcpRxDone { n, hop }));
             }

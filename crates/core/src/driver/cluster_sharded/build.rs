@@ -22,6 +22,7 @@ use crate::connpool::{ConnPool, ConnPoolConfig};
 use crate::dne::Dne;
 use crate::driver::chain::{ChainReport, Station, INGRESS_FN};
 use crate::driver::LoadReport;
+use crate::dwrr::SchedPolicy;
 use crate::ingress::{IngressConfig, IngressGateway};
 use crate::rbr::RbrTable;
 use crate::routing::{Coordinator, DeployEvent};
@@ -234,11 +235,11 @@ impl ClusterShardedSim {
         let mut ingress_conns = ConnPool::new(NodeId(ingress_node as u16), ConnPoolConfig::default());
         let mut host = None;
         match spec.plane {
-            DataPlane::Dne { sched, .. } => {
+            DataPlane::Dne { .. } => {
                 dnes.extend((0..2 * cfg.pairs).map(|n| {
                     let mut dne = Dne::priced(
                         price.dne.expect("a DNE plane prices its engine"),
-                        sched,
+                        SchedPolicy::Dwrr,
                         ConnPool::new(NodeId(n as u16), ConnPoolConfig::default()),
                     );
                     dne.routes = coord.tables_for(NodeId(n as u16));
@@ -446,7 +447,7 @@ impl ClusterShardedSim {
             if let Some(dne) = e.dnes[li].as_ref() {
                 stations.push(station("dne worker", n, horizon, [&dne.worker_core]));
                 stations.push(station("dne core thread", n, horizon, [&dne.core_thread]));
-                if matches!(spec.plane, DataPlane::Dne { loc: EngineLocation::Dpu, .. }) {
+                if matches!(spec.plane, DataPlane::Dne { loc: EngineLocation::Dpu }) {
                     // Busy-polling DNE worker cores: 100% each (§4.3.1), plus
                     // the core thread's useful time.
                     dpu_pct += 100.0;

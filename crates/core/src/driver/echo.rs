@@ -23,7 +23,9 @@
 //! the primitive and the optional function pair are its data. A message
 //! reaches each station (function core, SoC DMA engine, DNE core) by an
 //! event and books it at that event's `now`, never ahead of the clock.
-//! Every service time it charges comes from [`crate::price`].
+//! Every service time it charges comes from [`crate::price`], by the
+//! cluster's rule: a Fig 11 function pays Comch-E's send and receive on
+//! its own core, so each echo costs it `recv + send + exec`.
 
 use crate::driver::LoadReport;
 use crate::price::{DneOps, Prices};
@@ -137,7 +139,8 @@ enum MsgKind {
 enum Ev {
     Rdma(RdmaEvent),
     /// `node` produces its next message on `conn`: the client a new
-    /// request, the server the echo.
+    /// request, the server the echo (Fig 11: the client's first request;
+    /// a function echoes on receiving).
     Post { node: NodeId, conn: usize },
     /// Fig 11, on-path: the message reaches `node`'s SoC DMA engine, from
     /// the function (`outbound`) or from the DNE.
@@ -145,7 +148,8 @@ enum Ev {
     /// Fig 11: the function's message reaches `node`'s DNE core.
     Send { node: NodeId, conn: usize },
     /// The message reached `node`'s DNE (Fig 12) or function (Fig 11): the
-    /// one place a client completes.
+    /// one place a client completes (Fig 11: once its function has
+    /// received it).
     Received { node: NodeId, conn: usize },
     /// A one-sided write became visible to the polling receiver.
     PollVisible { node: NodeId, conn: usize },
@@ -171,25 +175,33 @@ impl HostPair {
         }
     }
 
-    /// The function at `node` runs at `now` and sends over Comch-E to the
-    /// DNE (on-path: to the SoC DMA engine first).
+    /// The function at `node` runs, queued on its core at `now`, and sends
+    /// over Comch-E to the DNE (on-path: to the SoC DMA engine first).
     fn send(&mut self, p: &Prices, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) {
-        let sent = self.fn_cores[node.raw() as usize].submit(now, p.engine_send + Prices::ECHO_FN_EXEC);
+        let sent = self.fn_cores[node.raw() as usize].submit(now, p.engine.send + Prices::ECHO_FN_EXEC);
         let next = match self.mode {
             PathMode::OffPath => Ev::Send { node, conn },
             PathMode::OnPath => Ev::Dma { node, conn, outbound: true },
         };
-        fx.at(sent + p.engine_transit, next);
+        fx.at(sent + p.engine.transit, next);
     }
 
     /// The DNE side at `node` lets the message go at `at`: on-path to the
-    /// SoC DMA engine unless `staged`, then over Comch-E to the function,
-    /// which wakes.
+    /// SoC DMA engine unless `staged`, then over Comch-E to the function.
     fn deliver(&self, p: &Prices, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, at: Nanos, staged: bool) {
         match self.mode {
             PathMode::OnPath if !staged => fx.at(at, Ev::Dma { node, conn, outbound: false }),
-            _ => fx.at(at + p.engine_transit + p.recv, Ev::Received { node, conn }),
+            _ => fx.at(at + p.engine.transit, Ev::Received { node, conn }),
         }
+    }
+
+    /// The message reached the function at `node` at `now`: its core takes
+    /// it off Comch-E, and the function runs on it right behind that
+    /// receive. Returns when the receive is done.
+    fn receive(&mut self, p: &Prices, fx: &mut Effects<'_, Ev>, node: NodeId, conn: usize, now: Nanos) -> Nanos {
+        let received = self.fn_cores[node.raw() as usize].submit(now, p.engine.recv);
+        self.send(p, fx, node, conn, now);
+        received
     }
 }
 
@@ -356,15 +368,10 @@ impl Engine for EchoEngine {
 
     fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>) {
         match ev {
-            Ev::Post { node, conn } => {
-                if node == CLIENT {
-                    self.issued[conn] = now;
-                }
-                match &mut self.host {
-                    Some(host) => host.send(&self.prices, fx, node, conn, now),
-                    None => self.dne_send(fx, node, conn, now),
-                }
-            }
+            Ev::Post { node, conn } => match &mut self.host {
+                Some(host) => host.send(&self.prices, fx, node, conn, now),
+                None => self.dne_send(fx, node, conn, now),
+            },
             Ev::Dma { node, conn, outbound } => {
                 // On-path: a read on to the DNE, or a write back to the
                 // function.
@@ -379,11 +386,20 @@ impl Engine for EchoEngine {
             }
             Ev::Send { node, conn } => self.dne_send(fx, node, conn, now),
             Ev::Received { node, conn } => {
-                // The server echoes; the client completes and re-issues.
+                // The server echoes; the client completes and re-issues
+                // (every client starts at time zero). Fig 11's function
+                // receives the message first.
+                let done = match &mut self.host {
+                    Some(host) => host.receive(&self.prices, fx, node, conn, now),
+                    None => {
+                        fx.now_ev(Ev::Post { node, conn });
+                        now
+                    }
+                };
                 if node == CLIENT {
-                    self.stats.complete(now, self.issued[conn]);
+                    self.stats.complete(done, self.issued[conn]);
+                    self.issued[conn] = done;
                 }
-                fx.now_ev(Ev::Post { node, conn });
             }
             Ev::PollVisible { node, conn } => {
                 // The polling receiver noticed the one-sided write; OWRC
@@ -500,10 +516,11 @@ mod tests {
     #[test]
     fn both_path_modes_saturate_the_function_core() {
         // Each echo runs each node's function once, so both modes are
-        // bound by the function core's demand: Comch's host send plus the
-        // echo function. A run at N connections counts its rate to within
-        // N ÷ T.
-        let demand = Prices::of(SystemKind::PalladiumDne).engine_send + Prices::ECHO_FN_EXEC;
+        // bound by the function core's demand: Comch's host receive and
+        // send plus the echo function. A run at N connections counts its
+        // rate to within N ÷ T.
+        let comch = Prices::of(SystemKind::PalladiumDne).engine;
+        let demand = comch.recv + comch.send + Prices::ECHO_FN_EXEC;
         let bound = 1e9 / demand.as_nanos() as f64;
         for conns in [20, 50] {
             let cfg = EchoConfig { duration: Nanos::from_millis(20), ..EchoConfig::new(1024).connections(conns) };

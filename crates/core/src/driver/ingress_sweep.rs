@@ -143,7 +143,7 @@ impl IngressEngine {
             // is the fabric's own price.
             Some(dne) => {
                 let wire = RdmaConfig::default().one_way(u64::from(ECHO_BYTES));
-                (p.recv + p.engine_send + Prices::INGRESS_FN_EXEC, dne.rx + dne.tx, wire)
+                (p.engine.recv + p.engine.send + Prices::INGRESS_FN_EXEC, dne.rx + dne.tx, wire)
             }
             None => {
                 let host = p.tcp_rx(ECHO_BYTES) + Prices::INGRESS_FN_EXEC + p.tcp_tx(ECHO_BYTES);

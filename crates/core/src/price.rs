@@ -14,6 +14,12 @@
 //! a computed number, equal in integer nanoseconds to what one request
 //! books on a run (`tests/demand.rs`).
 //!
+//! A message between a function and anything else crosses one
+//! [`Channel`]: SK_MSG from a function of the same node, the engine's
+//! channel from the node's engine ([`Prices::channel`]). Every engine
+//! charges its `send` on the sender's core and its `recv` on the
+//! receiving function's core, booked when the message reaches that core.
+//!
 //! [`Dne`]: crate::dne::Dne
 
 // A cost-model funnel: a bare truncating cast here corrupts virtual time,
@@ -25,7 +31,7 @@
 
 use std::iter::once;
 
-use palladium_ipc::{ChannelCosts, ChannelKind, SkMsgCosts};
+use palladium_ipc::{Channel, ChannelCosts, ChannelKind};
 use palladium_membuf::FnId;
 use palladium_simnet::{ByteCost, Nanos};
 use palladium_tcpstack::{IngressServiceModel, StackKind, TcpCosts};
@@ -132,21 +138,12 @@ impl LegPrices {
 /// engine's costs are chosen: its arms charge these and nothing else.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Prices {
-    /// Function core: hand a hop to a function on the same node (SK_MSG).
-    pub(crate) local_send: Nanos,
-    /// SK_MSG transit between two functions of one node, and from a
-    /// function into its host engine's dispatch.
-    pub(crate) local_transit: Nanos,
-    /// Function core: hand a hop bound for another node, or the response,
-    /// to the node's engine (Comch to a DNE on the DPU, SK_MSG to an
-    /// engine on the host).
-    pub(crate) engine_send: Nanos,
-    /// Channel transit between a function and its node's engine, either
-    /// way.
-    pub(crate) engine_transit: Nanos,
-    /// Function core: receive one descriptor, before executing on it
-    /// (over the same channel as `engine_send`, on every delivery).
-    pub(crate) recv: Nanos,
+    /// Between two functions of one node, and from a function into its
+    /// host engine's dispatch: SK_MSG.
+    pub(crate) local: Channel,
+    /// Between a function and its node's engine, either way: Comch-E's
+    /// host side to a DNE on the DPU, SK_MSG to an engine on the host.
+    pub(crate) engine: Channel,
     /// The network engine's ops, on a [`DataPlane::Dne`] system.
     pub(crate) dne: Option<DneOps>,
     /// Host engine: dispatch one hop between two functions of its node
@@ -186,22 +183,15 @@ impl Prices {
     pub(crate) fn of(system: SystemKind) -> Prices {
         let cost = CostModel::default();
         let spec = system.spec();
-        let skmsg = SkMsgCosts::default();
-        let (engine_send, engine_transit, recv) = match spec.plane {
-            DataPlane::Dne { loc: EngineLocation::Dpu, .. } => {
-                let comch = ChannelCosts::for_kind(ChannelKind::ComchE);
-                (comch.host_send_cpu, comch.transit, comch.host_recv_cpu)
-            }
-            _ => (skmsg.send_cpu, skmsg.transit, skmsg.recv_cpu),
+        let engine = match spec.plane {
+            DataPlane::Dne { loc: EngineLocation::Dpu } => ChannelCosts::for_kind(ChannelKind::ComchE).host,
+            _ => Channel::SK_MSG,
         };
         Prices {
-            local_send: skmsg.send_cpu,
-            local_transit: skmsg.transit,
-            engine_send,
-            engine_transit,
-            recv,
+            local: Channel::SK_MSG,
+            engine,
             dne: match spec.plane {
-                DataPlane::Dne { loc, .. } => Some(DneOps::at(loc, &cost)),
+                DataPlane::Dne { loc } => Some(DneOps::at(loc, &cost)),
                 DataPlane::Host(_) => None,
             },
             dispatch: (spec.plane == DataPlane::Host(HostHop::Local)).then_some(cost.nightcore_dispatch),
@@ -213,6 +203,17 @@ impl Prices {
             client_wire: cost.client_wire,
             tcp_wire: TcpCosts::INTER_NODE_WIRE,
             legs: LegPrices::new(spec.ingress),
+        }
+    }
+
+    /// The channel a message crosses to a function: [`Prices::local`]
+    /// from a function of the same node, [`Prices::engine`] from anywhere
+    /// else (its node's engine delivers it). Both ends charge from it.
+    pub(crate) fn channel(&self, same_node: bool) -> Channel {
+        if same_node {
+            self.local
+        } else {
+            self.engine
         }
     }
 
@@ -285,14 +286,16 @@ pub fn demand(system: SystemKind, app: &AppSpec, chain: usize) -> Vec<Station> {
     let (mut fns, mut engine, mut core) = ([Nanos::ZERO; 2], [Nanos::ZERO; 2], [Nanos::ZERO; 2]);
     for (from, to, bytes) in messages {
         let (src, dst) = (node(from), node(to));
+        let channel = p.channel(src == dst);
+        if src != INGRESS {
+            fns[src] += channel.send;
+        }
         if src == dst {
-            // Between two functions of one node: SK_MSG, and on NightCore
-            // one dispatch through the node's host engine.
-            fns[src] += p.local_send;
+            // Between two functions of one node: on NightCore one dispatch
+            // through the node's host engine.
             engine[src] += p.dispatch.unwrap_or(Nanos::ZERO);
         } else {
             if src != INGRESS {
-                fns[src] += p.engine_send;
                 engine[src] += match p.dne {
                     Some(dne) => dne.tx + dne.rx,
                     None if dst == INGRESS => p.tcp_tx(bytes),
@@ -312,7 +315,7 @@ pub fn demand(system: SystemKind, app: &AppSpec, chain: usize) -> Vec<Station> {
             }
         }
         if dst != INGRESS {
-            fns[dst] += p.recv + function(to).exec;
+            fns[dst] += channel.recv + function(to).exec;
         }
     }
 
@@ -352,12 +355,42 @@ mod tests {
 
     #[test]
     fn only_a_dpu_engine_talks_comch_and_only_a_dne_plane_has_dne_ops() {
+        let comch = ChannelCosts::for_kind(ChannelKind::ComchE).host;
         for system in SystemKind::ALL {
             let p = Prices::of(system);
-            let comch = p.engine_send != p.local_send;
-            assert_eq!(comch, system == SystemKind::PalladiumDne, "{system:?}");
+            assert_eq!(p.local, Channel::SK_MSG, "{system:?}");
+            assert_eq!(p.engine == comch, system == SystemKind::PalladiumDne, "{system:?}");
+            assert_eq!(p.engine == Channel::SK_MSG, system != SystemKind::PalladiumDne, "{system:?}");
             assert_eq!(p.dne.is_some(), matches!(system.spec().plane, DataPlane::Dne { .. }), "{system:?}");
             assert_eq!(p.dispatch.is_some(), system == SystemKind::NightCore, "{system:?}");
         }
+    }
+
+    #[test]
+    fn a_function_receives_at_the_price_of_the_channel_its_message_crossed() {
+        use crate::driver::chain::{ChainSpec, FnSpec, HopSpec};
+        // Two functions on worker 0: the request reaches A from the DNE,
+        // A hands B one SK_MSG hop, and B's response goes back to the DNE.
+        let exec = Nanos::from_micros(5);
+        let app = AppSpec {
+            functions: vec![
+                FnSpec { id: FnId(1), name: "A", node: 0, exec },
+                FnSpec { id: FnId(2), name: "B", node: 0, exec },
+            ],
+            chains: vec![ChainSpec {
+                name: "one local hop",
+                entry: FnId(1),
+                hops: vec![HopSpec { from: FnId(1), to: FnId(2), bytes: 512 }],
+                req_bytes: 256,
+                resp_bytes: 512,
+            }],
+        };
+        let comch = ChannelCosts::for_kind(ChannelKind::ComchE).host;
+        let skmsg = Channel::SK_MSG;
+        let fns = demand(SystemKind::PalladiumDne, &app, 0)
+            .into_iter()
+            .find(|s| (s.name, s.node) == ("fn cores", 0))
+            .expect("worker 0's function cores");
+        assert_eq!(fns.busy, comch.recv + exec + skmsg.send + skmsg.recv + exec + comch.send);
     }
 }

@@ -5,7 +5,6 @@
 use palladium_tcpstack::StackKind;
 
 use crate::config::EngineLocation;
-use crate::dwrr::SchedPolicy;
 
 /// Which serverless data plane a cluster runs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -52,7 +51,7 @@ impl SystemKind {
     /// What the cluster engine runs for this system. The only place a
     /// [`SystemSpec`] is built, so every spec is one of these six.
     pub(crate) fn spec(self) -> SystemSpec {
-        let dne = |loc| DataPlane::Dne { loc, sched: SchedPolicy::Dwrr };
+        let dne = |loc| DataPlane::Dne { loc };
         let (ingress, plane) = match self {
             SystemKind::PalladiumDne => (IngressKind::Palladium, dne(EngineLocation::Dpu)),
             SystemKind::PalladiumCne => (IngressKind::Palladium, dne(EngineLocation::Cpu)),
@@ -99,7 +98,7 @@ pub(crate) struct SystemSpec {
 pub(crate) enum DataPlane {
     /// Two-sided RDMA SEND/RECV through Palladium's network engine (§2.1),
     /// on the DPU (DNE) or on a host core (CNE).
-    Dne { loc: EngineLocation, sched: SchedPolicy },
+    Dne { loc: EngineLocation },
     /// A baseline's node-local host engine.
     Host(HostHop),
 }

@@ -17,29 +17,31 @@
 
 use palladium_simnet::Nanos;
 
-/// Costs of the eBPF `SK_MSG` + sockmap descriptor hand-off (§3.5.3).
-#[derive(Clone, Copy, Debug)]
-pub struct SkMsgCosts {
-    /// Sender-side `send()` syscall + SK_MSG program execution.
-    pub send_cpu: Nanos,
-    /// In-kernel redirect latency (socket-to-socket, protocol stack
-    /// bypassed).
+/// What one message costs to cross a channel: the sender's CPU, the
+/// transit, and the receiver's CPU, each end charged on its own core.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Channel {
+    /// Sender-side CPU to hand one message to the channel.
+    pub send: Nanos,
+    /// Latency from the send's completion to the receiver's wakeup.
     pub transit: Nanos,
-    /// Receiver-side wakeup: softirq + epoll wake + `recv()`, charged per
-    /// message on the receiving core. It is the same at any message rate:
-    /// §4.3 cites receive livelock \[68\] for this interrupt-driven path,
-    /// but the model charges no rate-dependent term.
-    pub recv_cpu: Nanos,
+    /// Receiver-side CPU to take one message (wakeup included).
+    pub recv: Nanos,
 }
 
-impl Default for SkMsgCosts {
-    fn default() -> Self {
-        SkMsgCosts {
-            send_cpu: Nanos::from_nanos(600),
-            transit: Nanos::from_nanos(500),
-            recv_cpu: Nanos::from_nanos(1_200),
-        }
-    }
+impl Channel {
+    /// The eBPF `SK_MSG` + sockmap descriptor hand-off between two
+    /// processes of one host (§3.5.3): the `send()` syscall and the SK_MSG
+    /// program, an in-kernel socket-to-socket redirect (protocol stack
+    /// bypassed), and the receiver's softirq + epoll wake + `recv()`. The
+    /// receive is the same at any message rate: §4.3 cites receive
+    /// livelock \[68\] for this interrupt-driven path, but the model charges
+    /// no rate-dependent term.
+    pub const SK_MSG: Channel = Channel {
+        send: Nanos::from_nanos(600),
+        transit: Nanos::from_nanos(500),
+        recv: Nanos::from_nanos(1_200),
+    };
 }
 
 /// The cross-processor channel flavour between host functions and the DNE
@@ -61,12 +63,9 @@ pub enum ChannelKind {
 /// Cost model of one cross-processor channel flavour.
 #[derive(Clone, Copy, Debug)]
 pub struct ChannelCosts {
-    /// Host-side CPU cost to send one 16 B descriptor.
-    pub host_send_cpu: Nanos,
-    /// Host-side CPU cost to receive one descriptor (wakeup included).
-    pub host_recv_cpu: Nanos,
-    /// PCIe transit latency per descriptor.
-    pub transit: Nanos,
+    /// The host side: a function's send and receive of one 16 B
+    /// descriptor, and its PCIe transit.
+    pub host: Channel,
     /// DPU-side base cost per descriptor (send or receive), on the wimpy
     /// core. Already expressed in DPU-core time (no further scaling).
     pub dne_cpu_base: Nanos,
@@ -86,9 +85,11 @@ impl ChannelCosts {
             // handling through DOCA's progress engine on the wimpy core.
             // Unloaded RTT ≈ 8 µs; single-core DNE echo capacity ≈ 227 K/s.
             ChannelKind::ComchE => ChannelCosts {
-                host_send_cpu: Nanos::from_nanos(500),
-                host_recv_cpu: Nanos::from_nanos(1_300),
-                transit: Nanos::from_nanos(900),
+                host: Channel {
+                    send: Nanos::from_nanos(500),
+                    transit: Nanos::from_nanos(900),
+                    recv: Nanos::from_nanos(1_300),
+                },
                 dne_cpu_base: Nanos::from_nanos(2_200),
                 dne_cpu_per_endpoint: Nanos::ZERO,
                 pins_host_core: false,
@@ -98,9 +99,11 @@ impl ChannelCosts {
             // host core. Unloaded RTT ≈ 3.6 µs (>8x under TCP, §3.5.4);
             // echo capacity ≈ 0.5 M/s at 1 endpoint, collapsing past ~6.
             ChannelKind::ComchP => ChannelCosts {
-                host_send_cpu: Nanos::from_nanos(200),
-                host_recv_cpu: Nanos::from_nanos(100),
-                transit: Nanos::from_nanos(700),
+                host: Channel {
+                    send: Nanos::from_nanos(200),
+                    transit: Nanos::from_nanos(700),
+                    recv: Nanos::from_nanos(100),
+                },
                 dne_cpu_base: Nanos::from_nanos(500),
                 dne_cpu_per_endpoint: Nanos::from_nanos(450),
                 pins_host_core: true,
@@ -108,9 +111,11 @@ impl ChannelCosts {
             // Kernel TCP: full protocol stack both sides; brutal on the
             // wimpy DPU core (§2.1 Challenge#2). Unloaded RTT ≈ 31 µs.
             ChannelKind::Tcp => ChannelCosts {
-                host_send_cpu: Nanos::from_nanos(3_500),
-                host_recv_cpu: Nanos::from_nanos(4_500),
-                transit: Nanos::from_nanos(1_500),
+                host: Channel {
+                    send: Nanos::from_nanos(3_500),
+                    transit: Nanos::from_nanos(1_500),
+                    recv: Nanos::from_nanos(4_500),
+                },
                 dne_cpu_base: Nanos::from_nanos(10_000),
                 dne_cpu_per_endpoint: Nanos::ZERO,
                 pins_host_core: false,
@@ -148,8 +153,8 @@ mod tests {
 
     #[test]
     fn skmsg_one_way_is_microseconds() {
-        let c = SkMsgCosts::default();
-        let one_way = c.send_cpu + c.transit + c.recv_cpu;
+        let c = Channel::SK_MSG;
+        let one_way = c.send + c.transit + c.recv;
         assert!(one_way >= Nanos::from_micros(2));
         assert!(one_way <= Nanos::from_micros(4));
     }

@@ -9,7 +9,7 @@
 //!   Comch-P and the kernel-TCP baseline; the Fig 9 curves (and the Fig 16
 //!   DNE-vs-CNE crossover) are these costs run through queueing. The eBPF
 //!   `SK_MSG` hand-off between co-located functions (§3.5.3, Fig 8) exists
-//!   only as its price, [`SkMsgCosts`]: the cluster charges it per hop.
+//!   only as its price, [`Channel::SK_MSG`]: the cluster charges it per hop.
 
 // No library crate in the workspace uses `unsafe`: every crate root
 // forbids it, and `cargo test` checks that each one does.
@@ -19,4 +19,4 @@ pub mod comch;
 pub mod costs;
 
 pub use comch::{ComchError, ComchServer};
-pub use costs::{ChannelCosts, ChannelKind, SkMsgCosts};
+pub use costs::{Channel, ChannelCosts, ChannelKind};

@@ -1,4 +1,4 @@
-//! The shared driver harness: one batched event-loop trampoline for every
+//! The shared driver harness: one event-loop trampoline for every
 //! simulation driver in the workspace.
 //!
 //! A driver supplies only its state machine; the harness owns the clock,
@@ -7,17 +7,13 @@
 //!
 //! * [`Engine`] — the driver's state machine: consumes one event, emits
 //!   [`Timed`] follow-up effects into an [`Effects`] sink.
-//! * [`Harness`] — owns the virtual clock and runs the trampoline with
-//!   **batched effect draining**: effects due *now* are executed inline
-//!   from a FIFO scratch buffer (up to a per-wakeup budget) instead of
-//!   taking a round-trip through the binary heap, while everything else is
-//!   bulk-scheduled. Ordering is exactly the heap's insertion-order
-//!   tie-break, so results are identical to the unbatched loop — just with
-//!   far fewer heap operations on effect-chattery workloads.
+//! * [`Harness`] — owns the virtual clock and runs the trampoline: each
+//!   effect goes on the event queue as it is emitted, a zero-delay one
+//!   like any other, so the queue's insertion-order tie-break fires it
+//!   after every event already queued for the same instant, in emission
+//!   order.
 //! * [`RunStats`] / [`LoadReport`] — the one latency/throughput sink,
 //!   warm-up handling included.
-
-use std::collections::VecDeque;
 
 use crate::sim::{Sim, Timed};
 use crate::stats::{Histogram, Samples};
@@ -110,21 +106,11 @@ impl RunStats {
 }
 
 /// The sink an [`Engine`] emits follow-up effects into. Effects are either
-/// relative (`after`) or absolute (`at`); the harness decides whether each
-/// runs inline in the current batch or goes through the event queue.
-///
-/// Delayed effects are scheduled into the event queue *eagerly* at
-/// emission; only zero-delay effects are buffered (they are candidates for
-/// the inline batch drain). This is observationally identical to buffering
-/// everything and bulk-scheduling at the end of the wakeup — a delayed
-/// effect can never tie with a same-wakeup zero-delay effect (its
-/// timestamp is strictly later), and relative sequence order within each
-/// group is preserved — but it saves two queue-entry moves per event on
-/// the hot path.
+/// relative (`after`) or absolute (`at`); each is scheduled on the event
+/// queue at emission.
 pub struct Effects<'a, Ev> {
     now: Nanos,
     sim: &'a mut Sim<Ev>,
-    zero: &'a mut VecDeque<Ev>,
 }
 
 impl<'a, Ev> Effects<'a, Ev> {
@@ -137,11 +123,7 @@ impl<'a, Ev> Effects<'a, Ev> {
     /// Emit `ev` after a relative delay.
     #[inline]
     pub fn after(&mut self, delay: Nanos, ev: Ev) {
-        if delay.is_zero() {
-            self.zero.push_back(ev);
-        } else {
-            self.sim.schedule(delay, ev);
-        }
+        self.sim.schedule(delay, ev);
     }
 
     /// Emit `ev` immediately (still ordered after already-emitted effects).
@@ -193,7 +175,7 @@ impl<'a, Ev> Effects<'a, Ev> {
 ///
 /// Implementations receive one event plus the current time and push
 /// follow-up effects into the sink; they never touch the event queue
-/// directly, which is what lets the harness batch.
+/// directly.
 pub trait Engine {
     /// The driver's event alphabet.
     type Ev;
@@ -202,20 +184,9 @@ pub trait Engine {
     fn on_event(&mut self, now: Nanos, ev: Self::Ev, fx: &mut Effects<'_, Self::Ev>);
 }
 
-/// Default per-wakeup budget of inline-drained immediate effects.
-pub const DEFAULT_BATCH: usize = 64;
-
-/// The shared trampoline: a [`Sim`] clock/queue plus the batched drain.
+/// The shared trampoline: a [`Sim`] clock/queue driving an [`Engine`].
 pub struct Harness<Ev> {
     sim: Sim<Ev>,
-    /// Zero-delay effects awaiting inline drain (delayed effects go
-    /// straight to the queue; see [`Effects`]). Inline-drained effects
-    /// never touch the queue at all, so they also skip the payload
-    /// slots' insert/take pair — the scratch is the cheapest path
-    /// through the kernel and stays a plain by-value ring.
-    scratch: VecDeque<Ev>,
-    batch: usize,
-    drained_inline: u64,
 }
 
 impl<Ev> Default for Harness<Ev> {
@@ -225,24 +196,9 @@ impl<Ev> Default for Harness<Ev> {
 }
 
 impl<Ev> Harness<Ev> {
-    /// A harness at time zero with the default batch budget. The
-    /// batch-drain scratch buffer is pre-sized and reused across every
-    /// step, so the trampoline itself never allocates in steady state.
+    /// A harness at time zero.
     pub fn new() -> Self {
-        Harness {
-            sim: Sim::new(),
-            scratch: VecDeque::with_capacity(2 * DEFAULT_BATCH),
-            batch: DEFAULT_BATCH,
-            drained_inline: 0,
-        }
-    }
-
-    /// Override the per-wakeup inline-drain budget. A budget of zero
-    /// degenerates to the classic one-pop-per-event loop.
-    // simlint: allow(unreached-pub) — reference implementation: `with_batch(0)` is the unbatched loop the batching-equivalence tests compare every budget against
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
+        Harness { sim: Sim::new() }
     }
 
     /// Current virtual time.
@@ -251,14 +207,9 @@ impl<Ev> Harness<Ev> {
         self.sim.now()
     }
 
-    /// Events processed so far (heap pops + inline-drained effects).
+    /// Events processed so far.
     pub fn events_fired(&self) -> u64 {
-        self.sim.events_fired() + self.drained_inline
-    }
-
-    /// Effects executed inline without a heap round-trip (batching win).
-    pub fn drained_inline(&self) -> u64 {
-        self.drained_inline
+        self.sim.events_fired()
     }
 
     /// Pending events in the queue.
@@ -281,49 +232,9 @@ impl<Ev> Harness<Ev> {
     /// the queue ran dry). Returns the number of events processed.
     pub fn run<E: Engine<Ev = Ev>>(&mut self, engine: &mut E, deadline: Nanos) -> u64 {
         let mut processed = 0u64;
-        loop {
-            let Some((now, ev)) = self.sim.next_until(deadline) else {
-                break;
-            };
+        while let Some((now, ev)) = self.sim.next_until(deadline) {
             processed += 1;
-            let mut fx = Effects {
-                now,
-                sim: &mut self.sim,
-                zero: &mut self.scratch,
-            };
-            engine.on_event(now, ev, &mut fx);
-
-            // Batched drain: execute effects due *now* inline, in emission
-            // order, as long as no queued event shares this timestamp (that
-            // would change the heap's insertion-order tie-break) and the
-            // per-wakeup budget holds.
-            let mut drained = 0;
-            while drained < self.batch {
-                if self.scratch.is_empty() {
-                    break;
-                }
-                if self.sim.peek_time().is_some_and(|t| t <= now) {
-                    break;
-                }
-                let Some(ev) = self.scratch.pop_front() else {
-                    break;
-                };
-                drained += 1;
-                processed += 1;
-                let mut fx = Effects {
-                    now,
-                    sim: &mut self.sim,
-                    zero: &mut self.scratch,
-                };
-                engine.on_event(now, ev, &mut fx);
-            }
-            self.drained_inline += drained as u64;
-
-            // Queue whatever zero-delay work remains (budget exhausted or
-            // a same-timestamp queued event took precedence).
-            for ev in self.scratch.drain(..) {
-                self.sim.schedule(Nanos::ZERO, ev);
-            }
+            engine.on_event(now, ev, &mut Effects { now, sim: &mut self.sim });
         }
         // The pop that ended the loop found nothing at or before the
         // deadline, so there is nothing to re-examine.
@@ -404,8 +315,8 @@ mod tests {
         assert_eq!(h.pending(), 1);
     }
 
-    /// An engine that fans out immediate effects, to exercise the batch
-    /// path: each Ping(n) spawns n immediate Pongs.
+    /// An engine that fans out immediate effects: each Ping(n) spawns n
+    /// zero-delay Pongs.
     struct FanOut {
         seen: Vec<(Nanos, Ev)>,
     }
@@ -423,30 +334,15 @@ mod tests {
     }
 
     #[test]
-    fn immediate_effects_drain_inline_in_order() {
-        let mut h: Harness<Ev> = Harness::new();
-        let mut e = FanOut { seen: Vec::new() };
-        h.schedule(Nanos(5), Ev::Ping(3));
-        h.run(&mut e, Nanos(10));
-        let evs: Vec<&Ev> = e.seen.iter().map(|(_, e)| e).collect();
-        assert_eq!(
-            evs,
-            [&Ev::Ping(3), &Ev::Pong(0), &Ev::Pong(1), &Ev::Pong(2)]
-        );
-        assert!(e.seen.iter().all(|&(t, _)| t == Nanos(5)));
-        assert_eq!(h.drained_inline(), 3);
-    }
-
-    #[test]
-    fn inline_drain_defers_to_same_time_queue_events() {
-        // A queued event at the same timestamp must run before any
-        // inline-drained effect emitted earlier in the wakeup, exactly as
-        // the heap's insertion-order tie-break would order them.
+    fn zero_delay_effects_follow_same_instant_queue_events() {
+        // A zero-delay effect fires after every event already queued for
+        // its instant, and zero-delay effects fire in emission order: the
+        // queue's insertion-order tie-break.
         let mut h: Harness<Ev> = Harness::new();
         let mut e = FanOut { seen: Vec::new() };
         h.schedule(Nanos(5), Ev::Ping(1));
         h.schedule(Nanos(5), Ev::Ping(2));
-        h.run(&mut e, Nanos(10));
+        let n = h.run(&mut e, Nanos(10));
         let evs: Vec<&Ev> = e.seen.iter().map(|(_, e)| e).collect();
         assert_eq!(
             evs,
@@ -458,32 +354,8 @@ mod tests {
                 &Ev::Pong(1),
             ]
         );
-        assert_eq!(h.drained_inline(), 0, "tie at t=5 forces the heap path");
-    }
-
-    #[test]
-    fn zero_batch_degenerates_to_classic_loop() {
-        let mut h: Harness<Ev> = Harness::new().with_batch(0);
-        let mut e = FanOut { seen: Vec::new() };
-        h.schedule(Nanos(5), Ev::Ping(3));
-        h.run(&mut e, Nanos(10));
-        assert_eq!(e.seen.len(), 4);
-        assert_eq!(h.drained_inline(), 0);
-    }
-
-    #[test]
-    fn batched_and_unbatched_runs_agree() {
-        // Same workload through batch=64 and batch=0 must produce the
-        // identical event trace — batching is an optimization, not a
-        // semantics change.
-        let run = |batch| {
-            let mut h: Harness<Ev> = Harness::new().with_batch(batch);
-            let mut e = PingPong { log: Vec::new(), limit: 30 };
-            h.schedule(Nanos(1), Ev::Ping(0));
-            h.run(&mut e, Nanos(10_000));
-            e.log
-        };
-        assert_eq!(run(64), run(0));
+        assert!(e.seen.iter().all(|&(t, _)| t == Nanos(5)));
+        assert_eq!((n, h.events_fired()), (5, 5));
     }
 
     #[test]

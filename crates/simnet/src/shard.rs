@@ -463,7 +463,7 @@ pub struct ShardRun<E> {
 }
 
 /// Wraps a [`ShardEngine`] (plus its outbox) as a plain [`Engine`] so the
-/// batched [`Harness`] trampoline drives the shard's local loop.
+/// [`Harness`] trampoline drives the shard's local loop.
 struct Runner<E: ShardEngine> {
     engine: E,
     outbox: Outbox<E::Msg>,

@@ -123,8 +123,7 @@ impl<M> Sim<M> {
 
     /// [`Sim::next`], but only consuming the event when it fires at or
     /// before `deadline` (later events stay queued and the clock does not
-    /// move). One queue access instead of the `peek_time()` + `next()`
-    /// pair on the driver loop.
+    /// move).
     ///
     /// The deadline is **inclusive**, exactly as
     /// [`EventQueue::pop_until`]'s boundary contract specifies — window-
@@ -136,11 +135,6 @@ impl<M> Sim<M> {
         self.now = at;
         self.fired += 1;
         Some((at, msg))
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        self.queue.peek_time()
     }
 
     /// Move the clock forward to `deadline` (never backwards). For a

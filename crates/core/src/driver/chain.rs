@@ -9,11 +9,11 @@
 //! This module owns the *what*: the application topology ([`AppSpec`],
 //! [`ChainSpec`]), the run configuration and the public report. The *how*
 //! is the one cluster engine in [`super::cluster_sharded`]: [`ChainSim`] is
-//! that engine at one worker pair on one shard, with the fabric delivering
-//! its own frames so the run is a single serial event loop.
+//! that engine at one worker pair on one shard, which runs as a single
+//! serial event loop and reports what every other shard count does.
 
 use palladium_membuf::FnId;
-use palladium_simnet::Nanos;
+use palladium_simnet::{Execution, Nanos};
 
 use super::cluster_sharded::{ClusterShardedConfig, ClusterShardedSim};
 use super::LoadReport;
@@ -183,7 +183,7 @@ impl ChainSim {
     }
 
     /// Run the cluster, also returning the number of simulation events
-    /// processed (heap pops + inline-drained effects) — the denominator of
+    /// processed — the denominator of
     /// the `simcore_throughput` events/sec benchmark.
     pub fn run_counted(self) -> (ChainReport, u64) {
         let ChainSimConfig { system, app, chain_idx, clients, duration, warmup, seed } = self.cfg;
@@ -193,7 +193,7 @@ impl ChainSim {
         cfg.duration = duration;
         cfg.warmup = warmup;
         cfg.seed = seed;
-        let report = ClusterShardedSim::new(cfg).run_direct();
+        let report = ClusterShardedSim::new(cfg).run(1, Execution::Sequential);
         // A closed-loop client whose request vanished never re-issues.
         debug_assert_eq!(
             report.chaos.shed_pool + report.chaos.shed_qp,

@@ -36,12 +36,11 @@
 //! its structs are the live counters), and [`build`] (wiring the shards and
 //! folding the report: [`ClusterShardedSim`]).
 //!
-//! Two ways in. [`super::chain::ChainSim`] (Fig 16, Table 2: one pair,
-//! any system) runs one shard with the fabric delivering its own frames
-//! — a plain serial event loop. [`ClusterShardedSim::run`] splits the
-//! cluster along [`Partition`] node-block boundaries so the paper's
-//! headline workload (the boutique application, Fig 16) parallelizes
-//! across cores:
+//! [`ClusterShardedSim::run`] splits the cluster along [`Partition`]
+//! node-block boundaries so the paper's headline workload (the boutique
+//! application, Fig 16) parallelizes across cores; one shard is the serial
+//! event loop, which is how [`super::chain::ChainSim`] (Fig 16, Table 2:
+//! one pair, any system) runs it:
 //!
 //! * **Per-shard `RdmaNet` ownership.** Each shard owns the RNICs, CQs
 //!   and QP state of its contiguous node block
@@ -50,27 +49,27 @@
 //!   in sharded-egress mode every inter-node frame (data *and*
 //!   ACK/NAK, same-span destinations included) leaves `transmit` as a
 //!   fully-timed [`Packet`] that this driver routes through the
-//!   shard runner's mailboxes.
+//!   shard runner's [`Outbox`].
 //! * **Frame-level lookahead.** Window barriers are sized to
 //!   [`RdmaConfig::frame_lookahead`] — the control-frame floor
 //!   (653 ns at default calibration), *not* the WR-level
 //!   [`RdmaConfig::lookahead`] (~3.1 µs): ACKs cross shards too, and
 //!   they bypass the doorbell and TX/RX pipelines.
 //! * **Shard-count invariance.** The discipline from
-//!   [`super::multinode`]: all inter-node traffic rides the [`Outbox`]
-//!   keyed by global source node id, local events stay node-local, no
-//!   randomness is drawn on the steady path (faults stay disabled),
-//!   and reports fold in global node order. One shard therefore
-//!   reproduces the exact bytes of every sharded run
+//!   [`super::multinode`]: every event names the node its handler runs
+//!   on as its origin (the ingress for every gateway, overload and
+//!   health-sweep event, a frame's destination for its arrival and
+//!   receive, `n` for the rest), so same-instant events fire in an order
+//!   the model fixes; all inter-node traffic rides the
+//!   [`Outbox`] under its sender's key, local events stay node-local, no
+//!   randomness is drawn on the steady path (faults stay disabled), and
+//!   reports fold in global node order. Every shard count therefore
+//!   reproduces the exact bytes of the serial event loop
 //!   (`tests/cluster_sharded.rs` pins 1/2/4/8 shards × both execution
-//!   modes against a golden trace). The serial event loop reproduces
-//!   them on the pinned, unjittered configuration of
-//!   `tests/one_engine.rs`, not in general: with drawn execution costs
-//!   the two delivery modes diverge, and the benchmark's
-//!   `boutique_closed` seed 3 reads 73 701.4 rps direct vs 73 670 rps
-//!   through the mailboxes (see `ClusterShardedSim::run_direct`). Only
-//!   two-sided RDMA shards: the baselines' inter-node legs are local
-//!   events, so they run at one shard.
+//!   modes against a golden trace, `tests/one_engine.rs` `ChainSim`
+//!   against 1/2/3 shards with drawn execution costs). Only two-sided
+//!   RDMA shards: the baselines' inter-node legs are local events, so
+//!   they run at one shard.
 //!
 //! # Topology and request-state distribution
 //!
@@ -508,15 +507,13 @@ impl ClusterShard {
         }
     }
 
-    /// Route every frame the fabric egressed this step: into the mailbox
-    /// of the destination node's shard (self-sends included — that is
-    /// what makes arrival schedules partition-independent), keyed by the
-    /// global source node id.
-    fn route_egress(&mut self, now: Nanos, out: &mut Outbox<Packet>, step: &mut Step) {
+    /// Route every frame the fabric egressed this step to the destination
+    /// node's shard (its own included — that is what makes arrival
+    /// schedules partition-independent).
+    fn route_egress(&mut self, now: Nanos, out: &mut Outbox<'_, Packet>, step: &mut Step) {
         for t in step.egress.drain(..) {
             let dst = t.value.dst.raw() as usize;
-            let src = t.value.src.raw() as u32;
-            out.send(self.shard_of[dst] as usize, now + t.after, src, t.value);
+            out.send(self.shard_of[dst] as usize, now + t.after, t.value);
         }
     }
 
@@ -740,7 +737,52 @@ impl ShardEngine for ClusterShard {
     type Ev = Ev;
     type Msg = Packet;
 
-    fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>, out: &mut Outbox<Packet>) {
+    /// The node whose state the handler of `ev` runs on: the ingress for
+    /// every gateway, overload and health-sweep event, a frame's
+    /// destination for its arrival and receive, `n` for the rest.
+    #[inline]
+    fn origin(&self, ev: &Ev) -> usize {
+        match ev {
+            Ev::Issue { .. }
+            | Ev::GwArrive { .. }
+            | Ev::GwIn { .. }
+            | Ev::GwOut { .. }
+            | Ev::HealthCheck
+            | Ev::RejoinDone { .. }
+            | Ev::Arrive
+            | Ev::Retry { .. }
+            | Ev::ScaleTick
+            | Ev::ScaleOutDone { .. } => self.ingress_node,
+            Ev::Rdma(RdmaEvent::Arrive { pkt } | RdmaEvent::RxReach { pkt } | RdmaEvent::RxDone { pkt }) => {
+                pkt.dst.raw() as usize
+            }
+            Ev::Rdma(
+                RdmaEvent::TxKick { node, .. }
+                | RdmaEvent::RtoCheck { node, .. }
+                | RdmaEvent::RnrResume { node, .. },
+            ) => node.raw() as usize,
+            Ev::EngineSlot { n }
+            | Ev::PostSend { n, .. }
+            | Ev::ApplyDma { n, .. }
+            | Ev::Deliver { n, .. }
+            | Ev::ReleaseTx { n, .. }
+            | Ev::Replenish { n, .. }
+            | Ev::EngineRx { n, .. }
+            | Ev::FnDone { n, .. }
+            | Ev::HeartbeatTick { n }
+            | Ev::Host(
+                HostEv::EngineRx { n, .. }
+                | HostEv::Dispatch { n, .. }
+                | HostEv::FuyaoPost { n, .. }
+                | HostEv::TcpWire { n, .. }
+                | HostEv::TcpRxDone { n, .. }
+                | HostEv::FuyaoPickup { n, .. }
+                | HostEv::FuyaoCopied { n, .. },
+            ) => *n,
+        }
+    }
+
+    fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>, out: &mut Outbox<'_, Packet>) {
         match ev {
             Ev::Issue { client } => {
                 let pairs = self.chains.len();
@@ -913,7 +955,7 @@ impl ShardEngine for ClusterShard {
     }
 
     #[inline]
-    fn lift(&mut self, _at: Nanos, _src: u32, msg: Packet) -> Ev {
+    fn lift(&mut self, _at: Nanos, msg: Packet) -> Ev {
         Ev::Rdma(RdmaEvent::Arrive { pkt: msg })
     }
 }

@@ -109,37 +109,11 @@ impl ClusterShardedSim {
     /// two-sided-RDMA systems shard: the baselines' TCP and one-sided-write
     /// legs are node-to-node *local* events, so they require `shards == 1`.
     pub fn run(&self, shards: usize, execution: Execution) -> ClusterShardedReport {
-        self.run_on(shards, execution, false)
-    }
-
-    /// The [`ChainSim`](crate::driver::chain::ChainSim) run: one shard, the
-    /// fabric delivering frames itself instead of through the mailboxes, and
-    /// therefore one window spanning the whole horizon — the serial event
-    /// loop, with no per-window cost. Same bytes and event count as
-    /// `run(1, _)` on the pinned, unjittered configuration of
-    /// `tests/one_engine.rs`, but not in general: at the benchmark's full
-    /// horizon, with ±1 % drawn execution costs, `boutique_closed` seed 3
-    /// reads 73 701.4 rps and a 434.203 µs mean here against 73 670 rps and
-    /// 434.344 µs through the mailboxes, and `openloop_80k` seed 2 a p99 of
-    /// 550.863 µs against 549.118 µs (seed 1 matches on both). The serial
-    /// loop stays because it is cheaper: `ChainSim` through `run(1,
-    /// Sequential)` kept `baseline_fuyao`'s results but cost 13–33 % more
-    /// run wall time on a 2-vCPU host.
-    pub(crate) fn run_direct(&self) -> ClusterShardedReport {
-        self.run_on(1, Execution::Sequential, true)
-    }
-
-    fn run_on(&self, shards: usize, execution: Execution, direct: bool) -> ClusterShardedReport {
-        self.fold(shards, self.simulate(shards, execution, direct))
+        self.fold(shards, self.simulate(shards, execution))
     }
 
     /// Build the shards and run them: the run, with every shard as it ended.
-    pub(super) fn simulate(
-        &self,
-        shards: usize,
-        execution: Execution,
-        direct: bool,
-    ) -> ShardRun<ClusterShard> {
+    pub(super) fn simulate(&self, shards: usize, execution: Execution) -> ShardRun<ClusterShard> {
         let cfg = &self.cfg;
         let n_nodes = self.nodes();
         let ingress_node = 2 * cfg.pairs;
@@ -170,15 +144,15 @@ impl ClusterShardedSim {
             rdma_cfg.rnr_retry_limit = limit;
         }
 
-        // Per-shard fabric spans, in sharded-egress mode unless the run is
-        // direct. Every instance gets the *same* seed: fault RNG streams
+        // Per-shard fabric spans, in sharded-egress mode. Every instance
+        // gets the *same* seed: fault RNG streams
         // are derived per global node id inside the fabric
         // ([`palladium_simnet::SimRng::stream`]), so verdict sequences —
         // and therefore faulty runs — are identical at every shard count.
         let mut nets: Vec<RdmaNet> = (0..shards)
             .map(|s| {
                 let mut net = RdmaNet::with_span(rdma_cfg, part.range(s), cfg.seed);
-                net.set_sharded_egress(!direct);
+                net.set_sharded_egress(true);
                 if let Some(ch) = &chaos {
                     // Full-fabric partition table on every instance (an
                     // arriving frame's source may live on any shard);
@@ -365,14 +339,8 @@ impl ClusterShardedSim {
             engines.push(shard);
         }
 
-        let scfg = if direct {
-            // Nothing crosses a mailbox, so nothing bounds the window.
-            ShardConfig::new(1, horizon + Nanos(1))
-        } else {
-            // The window is the frame lookahead: no frame lands sooner.
-            ShardConfig::new(shards, rdma_cfg.frame_lookahead())
-        }
-        .execution(execution);
+        // The window is the frame lookahead: no frame lands sooner.
+        let scfg = ShardConfig::new(shards, rdma_cfg.frame_lookahead()).execution(execution);
         let clients = cfg.clients;
         let ingress_shard = part.shard_of(ingress_node);
         let chaos_on = chaos.is_some();

@@ -353,7 +353,7 @@ impl ClusterShard {
         now: Nanos,
         ev: Ev,
         fx: &mut Effects<'_, Ev>,
-        out: &mut Outbox<Packet>,
+        out: &mut Outbox<'_, Packet>,
     ) {
         match ev {
             Ev::HeartbeatTick { n } => {

@@ -19,14 +19,15 @@ pub struct ClusterShardedReport {
     pub chain: ChainReport,
     /// Simulation events processed across all shards.
     pub events: u64,
-    /// Inter-node frames delivered through the mailboxes.
+    /// Inter-node frames delivered by the horizon, through a mailbox or,
+    /// on the sender's own shard, at once: every frame at one shard.
     pub messages: u64,
     /// Always 0: the mailboxes are plain vectors that cannot spill. Kept
     /// for the benchmark, which reports it.
     pub spilled: u64,
-    /// Window barriers executed.
+    /// Windows run: 1 at one shard, which runs the horizon as one.
     pub windows: u64,
-    /// Per-shard work units (events processed + frames merged);
+    /// Per-shard work units (events processed + frames delivered);
     /// deterministic. See `palladium_simnet::shard` on the critical-path
     /// model.
     pub work: Vec<u64>,
@@ -39,7 +40,9 @@ pub struct ClusterShardedReport {
     /// The critical path's share, by work, of the run's host wall
     /// nanoseconds.
     pub critical_path_ns: u64,
-    /// Per-channel statistics (largest single-window delivery).
+    /// Per-channel statistics (largest single-window delivery). At one
+    /// shard there is one channel, its own, and its one window's delivery
+    /// is `messages`.
     pub channels: Vec<ChannelStats>,
     /// Median end-to-end latency from the streaming histogram.
     pub p50: Nanos,

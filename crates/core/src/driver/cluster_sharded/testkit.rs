@@ -99,6 +99,6 @@ pub(super) fn cluster(pairs: usize) -> ClusterShardedConfig {
 
 /// The ingress of a `cfg` run on one shard, as the run left it.
 pub(super) fn ingress_after(cfg: ClusterShardedConfig) -> IngressState {
-    let mut run = ClusterShardedSim::new(cfg).simulate(1, Execution::Sequential, false);
+    let mut run = ClusterShardedSim::new(cfg).simulate(1, Execution::Sequential);
     run.engines[0].ingress.take().expect("one shard owns the ingress")
 }

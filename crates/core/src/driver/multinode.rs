@@ -21,9 +21,10 @@
 //! for reports that are identical at **every** shard count, not merely
 //! reproducible at one:
 //!
-//! * every inter-node message goes through the [`Outbox`] — same-shard
-//!   destinations included — with the *global source node id* as the
-//!   merge key, so arrival schedules are independent of the partition;
+//! * every event's origin is the global id of the node it runs on, and
+//!   every inter-node message goes through the [`Outbox`] — same-shard
+//!   destinations included — under its sender's next key, so arrival
+//!   schedules are independent of the partition;
 //! * local events only ever target the node that produced them;
 //! * randomness is a per-node [`SimRng`] stream seeded from
 //!   `(seed, node)`, consumed in that node's (invariant) arrival order;
@@ -132,14 +133,15 @@ pub struct MultiNodeReport {
     pub load: LoadReport,
     /// Simulation events processed across all shards.
     pub events: u64,
-    /// Cross-shard messages delivered through the mailboxes.
+    /// Hops delivered between nodes, through a mailbox or, on the sender's
+    /// own shard, at once: every hop at one shard.
     pub messages: u64,
     /// Always 0: the mailboxes are plain vectors that cannot spill. Kept
     /// for the benchmark, which reports it.
     pub spilled: u64,
-    /// Window barriers executed.
+    /// Windows run: 1 at one shard, which runs the horizon as one.
     pub windows: u64,
-    /// Per-shard work units (events processed + messages merged);
+    /// Per-shard work units (events processed + messages delivered);
     /// deterministic. See `palladium_simnet::shard` on the critical-path
     /// model.
     pub work: Vec<u64>,
@@ -226,11 +228,11 @@ impl NodeShard {
     }
 
     /// Emit the message for route position `m.leg` from `src`.
-    fn send_next(&self, out: &mut Outbox<Msg>, now: Nanos, src: u32, m: Hop) {
+    fn send_next(&self, out: &mut Outbox<'_, Msg>, now: Nanos, src: u32, m: Hop) {
         let dst = self.pos(m.origin, m.leg);
         debug_assert_ne!(dst, src, "validated routes never self-send");
         let at = now + self.one_way;
-        out.send(self.shard_of[dst as usize] as usize, at, src, Msg { dst, m });
+        out.send(self.shard_of[dst as usize] as usize, at, Msg { dst, m });
     }
 }
 
@@ -238,7 +240,17 @@ impl ShardEngine for NodeShard {
     type Ev = Ev;
     type Msg = Msg;
 
-    fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>, out: &mut Outbox<Msg>) {
+    #[inline]
+    fn origin(&self, ev: &Ev) -> usize {
+        match *ev {
+            Ev::Issue { node, .. }
+            | Ev::Arrive { node, .. }
+            | Ev::EngineDone { node, .. }
+            | Ev::FnDone { node, .. } => node as usize,
+        }
+    }
+
+    fn on_event(&mut self, now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>, out: &mut Outbox<'_, Msg>) {
         match ev {
             Ev::Issue { node, client } => {
                 let m = Hop { origin: node, client, issued: now, leg: 1 };
@@ -272,7 +284,7 @@ impl ShardEngine for NodeShard {
     }
 
     #[inline]
-    fn lift(&mut self, _at: Nanos, _src: u32, msg: Msg) -> Ev {
+    fn lift(&mut self, _at: Nanos, msg: Msg) -> Ev {
         Ev::Arrive { node: msg.dst, m: msg.m }
     }
 }
@@ -394,7 +406,7 @@ mod tests {
         let r = MultiNodeSim::new(small()).run(3, Execution::Sequential);
         assert!(r.load.completed > 200, "completed {}", r.load.completed);
         assert!(r.load.mean_latency >= Nanos::from_micros(20), "5 hops of fabric");
-        // Every hop of every request crosses the mailboxes.
+        // Every hop of every request is a message.
         assert!(r.messages > 5 * r.load.completed, "messages {}", r.messages);
         assert!(r.windows > 0 && r.events > 0);
     }

@@ -9,12 +9,19 @@
 //!   [`Timed`] follow-up effects into an [`Effects`] sink.
 //! * [`Harness`] — owns the virtual clock and runs the trampoline: each
 //!   effect goes on the event queue as it is emitted, a zero-delay one
-//!   like any other, so the queue's insertion-order tie-break fires it
-//!   after every event already queued for the same instant, in emission
-//!   order.
+//!   like any other, keyed by the origin of the event being handled
+//!   ([`Engine::origin`]) and that origin's count of effects. The queue
+//!   fires an instant's events by key ([`crate::queue`]), so a zero-delay
+//!   effect fires after every event of its origin already queued for the
+//!   same instant, in emission order, and its place among other origins'
+//!   events is fixed by the model, not by when they were queued. An engine
+//!   that names no origin emits everything under one: same-instant FIFO.
 //! * [`RunStats`] / [`LoadReport`] — the one latency/throughput sink,
 //!   warm-up handling included.
 
+use std::cell::Cell;
+
+use crate::queue::Key;
 use crate::sim::{Sim, Timed};
 use crate::stats::{Histogram, Samples};
 use crate::time::Nanos;
@@ -105,11 +112,34 @@ impl RunStats {
     }
 }
 
+/// The keys of the handler running: its origin's, drawn from the counter
+/// every handler of that origin on one harness shares. Events seeded from
+/// outside a handler take the queue's origin 0, so a handler's origin `o`
+/// keys as `o + 1`: at any instant the seeds fire first, before anything a
+/// handler emitted.
+#[derive(Clone, Copy)]
+pub(crate) struct Keys<'a> {
+    /// The origin's key of count 0.
+    first: Key,
+    next: &'a Cell<u64>,
+}
+
+impl Keys<'_> {
+    /// The handler's next key.
+    #[inline]
+    pub(crate) fn next(self) -> Key {
+        let count = self.next.get();
+        self.next.set(count + 1);
+        self.first.nth(count)
+    }
+}
+
 /// The sink an [`Engine`] emits follow-up effects into. Effects are either
 /// relative (`after`) or absolute (`at`); each is scheduled on the event
-/// queue at emission.
+/// queue at emission, under the handler's next key.
 pub struct Effects<'a, Ev> {
     now: Nanos,
+    keys: Keys<'a>,
     sim: &'a mut Sim<Ev>,
 }
 
@@ -120,13 +150,27 @@ impl<'a, Ev> Effects<'a, Ev> {
         self.now
     }
 
+    /// The keys of the handler running, for its cross-shard sends.
+    #[inline]
+    pub(crate) fn keys(&self) -> Keys<'a> {
+        self.keys
+    }
+
+    /// Schedule `ev` at `at` under a key already drawn: a self-send's.
+    #[inline]
+    pub(crate) fn schedule_keyed(&mut self, at: Nanos, key: Key, ev: Ev) {
+        self.sim.schedule_keyed(at, key, ev);
+    }
+
     /// Emit `ev` after a relative delay.
     #[inline]
     pub fn after(&mut self, delay: Nanos, ev: Ev) {
-        self.sim.schedule(delay, ev);
+        let key = self.keys.next();
+        self.sim.schedule_keyed(self.now.saturating_add(delay), key, ev);
     }
 
-    /// Emit `ev` immediately (still ordered after already-emitted effects).
+    /// Emit `ev` immediately (still ordered after already-emitted effects
+    /// of the same origin).
     #[inline]
     pub fn now_ev(&mut self, ev: Ev) {
         self.after(Nanos::ZERO, ev);
@@ -180,6 +224,14 @@ pub trait Engine {
     /// The driver's event alphabet.
     type Ev;
 
+    /// The origin of `ev`: the simulated node whose state its handler runs
+    /// on. The effects of its handler take that origin's keys. An engine
+    /// that models one node keeps the default, one origin for everything.
+    #[inline]
+    fn origin(&self, _ev: &Self::Ev) -> usize {
+        0
+    }
+
     /// Consume one event.
     fn on_event(&mut self, now: Nanos, ev: Self::Ev, fx: &mut Effects<'_, Self::Ev>);
 }
@@ -187,6 +239,8 @@ pub trait Engine {
 /// The shared trampoline: a [`Sim`] clock/queue driving an [`Engine`].
 pub struct Harness<Ev> {
     sim: Sim<Ev>,
+    /// Per key origin (see [`Keys`]), the next count of its keys.
+    next: Vec<Cell<u64>>,
 }
 
 impl<Ev> Default for Harness<Ev> {
@@ -198,7 +252,7 @@ impl<Ev> Default for Harness<Ev> {
 impl<Ev> Harness<Ev> {
     /// A harness at time zero.
     pub fn new() -> Self {
-        Harness { sim: Sim::new() }
+        Harness { sim: Sim::new(), next: Vec::new() }
     }
 
     /// Current virtual time.
@@ -217,14 +271,20 @@ impl<Ev> Harness<Ev> {
         self.sim.pending()
     }
 
-    /// Seed an event `delay` after the current time.
+    /// Seed an event `delay` after the current time, under origin 0's
+    /// next key (see [`Keys`]).
     pub fn schedule(&mut self, delay: Nanos, ev: Ev) {
         self.sim.schedule(delay, ev);
     }
 
-    /// Seed an event at an absolute time.
+    /// Seed an event at an absolute time, under origin 0's next key.
     pub fn schedule_at(&mut self, at: Nanos, ev: Ev) {
         self.sim.schedule_at(at, ev);
+    }
+
+    /// Schedule `ev` at `at` under a key a handler drew: a message's.
+    pub(crate) fn schedule_keyed(&mut self, at: Nanos, key: Key, ev: Ev) {
+        self.sim.schedule_keyed(at, key, ev);
     }
 
     /// Run `engine` until `deadline`. Events scheduled beyond the deadline
@@ -234,7 +294,12 @@ impl<Ev> Harness<Ev> {
         let mut processed = 0u64;
         while let Some((now, ev)) = self.sim.next_until(deadline) {
             processed += 1;
-            engine.on_event(now, ev, &mut Effects { now, sim: &mut self.sim });
+            let origin = engine.origin(&ev) + 1;
+            if origin >= self.next.len() {
+                self.next.resize_with(origin + 1, Cell::default);
+            }
+            let keys = Keys { first: Key::new(origin, 0), next: &self.next[origin] };
+            engine.on_event(now, ev, &mut Effects { now, keys, sim: &mut self.sim });
         }
         // The pop that ended the loop found nothing at or before the
         // deadline, so there is nothing to re-examine.
@@ -335,9 +400,9 @@ mod tests {
 
     #[test]
     fn zero_delay_effects_follow_same_instant_queue_events() {
-        // A zero-delay effect fires after every event already queued for
-        // its instant, and zero-delay effects fire in emission order: the
-        // queue's insertion-order tie-break.
+        // With one origin, a zero-delay effect fires after every event
+        // already queued for its instant, and zero-delay effects fire in
+        // emission order.
         let mut h: Harness<Ev> = Harness::new();
         let mut e = FanOut { seen: Vec::new() };
         h.schedule(Nanos(5), Ev::Ping(1));
@@ -356,6 +421,36 @@ mod tests {
         );
         assert!(e.seen.iter().all(|&(t, _)| t == Nanos(5)));
         assert_eq!((n, h.events_fired()), (5, 5));
+    }
+
+    #[test]
+    fn same_instant_effects_fire_by_origin_not_by_queueing_order() {
+        // Ping(node) runs on `node` and emits a zero-delay Pong there.
+        // Node 1's seed fires first, yet node 0's Pong, emitted after node
+        // 1's, fires before it: same-instant effects rank by origin.
+        struct ByNode {
+            seen: Vec<Ev>,
+        }
+        impl Engine for ByNode {
+            type Ev = Ev;
+            fn origin(&self, ev: &Ev) -> usize {
+                match *ev {
+                    Ev::Ping(n) | Ev::Pong(n) => n as usize,
+                }
+            }
+            fn on_event(&mut self, _now: Nanos, ev: Ev, fx: &mut Effects<'_, Ev>) {
+                if let Ev::Ping(n) = ev {
+                    fx.now_ev(Ev::Pong(n));
+                }
+                self.seen.push(ev);
+            }
+        }
+        let mut h: Harness<Ev> = Harness::new();
+        h.schedule(Nanos(5), Ev::Ping(1));
+        h.schedule(Nanos(5), Ev::Ping(0));
+        let mut e = ByNode { seen: Vec::new() };
+        h.run(&mut e, Nanos(10));
+        assert_eq!(e.seen, [Ev::Ping(1), Ev::Ping(0), Ev::Pong(0), Ev::Pong(1)]);
     }
 
     #[test]

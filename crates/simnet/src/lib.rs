@@ -14,9 +14,10 @@
 //! * **Passive state machines, explicit polling.** Nothing in this kernel
 //!   spawns threads or hides control flow; drivers pop events and poke
 //!   components, which return [`Timed`] effects.
-//! * **Determinism.** Ties in the event queue break by insertion order and
-//!   all randomness flows from a seeded [`SimRng`]; identical configurations
-//!   produce identical traces, which the test suite asserts.
+//! * **Determinism.** Same-instant events fire in the order of their
+//!   [`Key`]s — the node whose handler scheduled them, then that node's
+//!   count — and all randomness flows from a seeded [`SimRng`]; identical
+//!   configurations produce identical traces, which the test suite asserts.
 //! * **Queueing first.** Every latency/throughput curve in the paper is a
 //!   queueing phenomenon; [`FifoServer`]/[`ServerBank`] model each core, DMA
 //!   engine and NIC port so saturation emerges instead of being scripted.
@@ -45,10 +46,9 @@ pub use chaos::{
 pub use fault::{FaultPlan, FaultTimeline, Verdict};
 pub use harness::{Effects, Engine, Harness, LoadReport, RunStats};
 pub use openloop::{Arrival, ArrivalProcess, OpenLoop, OpenLoopConfig, ZipfSampler};
-pub use queue::{EventId, EventQueue};
+pub use queue::{EventId, EventQueue, Key};
 pub use shard::{
-    run_sharded, ChannelStats, Envelope, Execution, Outbox, Partition, ShardConfig, ShardEngine,
-    ShardRun,
+    run_sharded, ChannelStats, Execution, Outbox, Partition, ShardConfig, ShardEngine, ShardRun,
 };
 pub use table::{IdTable, PageTable, Slab};
 pub use rng::SimRng;

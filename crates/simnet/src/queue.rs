@@ -1,36 +1,46 @@
 //! The event queue at the heart of the DES kernel.
 //!
-//! Events are ordered by `(time, sequence)`: two events scheduled for the
-//! same instant fire in the order they were scheduled. This makes every
-//! simulation in the workspace fully deterministic — a property the tests
-//! rely on (same seed ⇒ byte-identical reports).
+//! Events are ordered by `(time, origin, count)`: two events scheduled for
+//! the same instant fire in the order of their [`Key`]s, the origin that
+//! scheduled them first and that origin's count of schedules second. An
+//! origin is a number the caller chooses; the [`Harness`] makes it the
+//! simulated node whose handler emitted the event, so the order of an
+//! instant's events is a property of the model, not of when or through
+//! which path each was scheduled (Lamport, CACM 1978). Origin 0 is
+//! [`EventQueue::schedule_at`]'s own: a caller using only it gets
+//! same-instant FIFO. Either way every simulation in the workspace is
+//! fully deterministic — a property the tests rely on (same seed ⇒
+//! byte-identical reports).
 //!
 //! # Entry layout
 //!
 //! A heap entry is one `u128`, 16 bytes whatever the payload type:
 //!
 //! ```text
-//!  127            64 63            24 23          0
-//! +-----------------+----------------+-------------+
-//! |   time (ns)     |  seq (40 bit)  | slot (24 b) |
-//! +-----------------+----------------+-------------+
+//!  127          80 79        64 63            24 23          0
+//! +---------------+------------+----------------+-------------+
+//! |  time (48 b)  | origin 16 b| count (40 bit) | slot (24 b) |
+//! +---------------+------------+----------------+-------------+
 //! ```
 //!
-//! One wide compare orders entries by `(time, seq)`; `seq` is unique, so
-//! the slot bits never decide. The low 64 bits are the event's **tag**.
-//! Payloads live in a queue-private slot vector, and each slot remembers
-//! the tag of the event it holds: an entry (or an [`EventId`], which *is*
-//! the tag) is live exactly when its slot still carries its tag and a
-//! payload. A fired or cancelled event's slot returns to a LIFO free
-//! list; its next occupant gets a new `seq`, hence a new tag, so a stale
-//! id misses instead of aliasing it. Popping *moves* the payload out, so
-//! drivers carry full RDMA frames and work requests in their event enums
-//! without boxing them, and steady-state scheduling allocates nothing.
+//! One wide compare orders entries by `(time, origin, count)`; a key is
+//! unique per origin, so the slot bits never decide. The entry is the
+//! event's [`EventId`]. Payloads live in a queue-private slot vector, and
+//! each slot remembers the key of the event it holds: an entry (or an id)
+//! is live exactly when its slot still carries its key and a payload. A
+//! fired or cancelled event's slot returns to a LIFO free list; its next
+//! occupant has another key, so a stale id misses instead of aliasing it,
+//! whichever origin reuses the slot. Popping
+//! *moves* the payload out, so drivers carry full RDMA frames and work
+//! requests in their event enums without boxing them, and steady-state
+//! scheduling allocates nothing.
 //!
-//! **Limits:** 2⁴⁰ schedules per queue (≈ 30 h of host time at 10⁷
-//! events/s) and 2²⁴ events pending at once. Both are `assert!`ed: the
-//! sequence check is one compare per schedule, the slot check sits on the
-//! slot vector's growth path.
+//! **Limits,** each `assert!`ed where it is spent: event times below 2⁴⁸
+//! ns (≈ 78 h of virtual time; a deadline past it is simply later than
+//! every event), 2¹⁶ origins, 2⁴⁰ keys per origin (≈ 30 h of host time at
+//! 10⁷ events/s) and 2²⁴ events pending at once. The time check is one
+//! compare per schedule, the key checks sit where a key is made, and the
+//! slot check on the slot vector's growth path.
 //!
 //! # Hold fusion
 //!
@@ -59,15 +69,17 @@
 //! ≥ 4 k events (ROADMAP.md has the full record and the re-entry rule).
 //!
 //! The contract:
-//! * strict `(time, seq)` pop order, same-instant FIFO;
+//! * strict `(time, origin, count)` pop order; same-instant FIFO among
+//!   [`EventQueue::schedule_at`]'s events;
 //! * cancellation by [`EventId`] frees the payload at once; the heap entry
 //!   stays behind as a tombstone and is skipped when it reaches the front.
 //!   An id whose event already fired or was already cancelled is stale —
-//!   its tag check misses — so cancelling it does nothing;
+//!   its entry check misses — so cancelling it does nothing;
 //! * scheduling never targets the past — the [`Sim`] driver clamps to
 //!   "now" at its layer; the queue stores submitted times verbatim.
 //!
 //! [`Sim`]: crate::sim::Sim
+//! [`Harness`]: crate::harness::Harness
 
 // Kernel steady state: a panic mid-window poisons the shard barrier and
 // kills the run.
@@ -88,22 +100,64 @@ use std::collections::BinaryHeap;
 
 use crate::time::Nanos;
 
-/// Low bits of a tag: the payload slot.
+/// Low bits of an entry: the payload slot.
 const SLOT_BITS: u32 = 24;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-/// Schedules one queue can number: the tag's upper 40 bits.
-const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+const SLOT_MASK: u128 = (1 << SLOT_BITS) - 1;
+/// Keys one origin can number.
+const COUNT_BITS: u32 = 40;
+const COUNT_LIMIT: u64 = 1 << COUNT_BITS;
+/// Origins a key can name.
+const ORIGIN_BITS: u32 = 16;
+const ORIGIN_LIMIT: usize = 1 << ORIGIN_BITS;
+/// A key's bits: origin and count.
+const KEY_MASK: u64 = (1 << (ORIGIN_BITS + COUNT_BITS)) - 1;
+/// An entry's bits below the time: the key and the slot.
+const TIME_SHIFT: u32 = ORIGIN_BITS + COUNT_BITS + SLOT_BITS;
+/// Event times an entry can hold, in ns.
+const TIME_LIMIT: u64 = 1 << (128 - TIME_SHIFT);
+
+/// An event's rank among the events of its instant: its origin, then that
+/// origin's count of keys made before it (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct Key(u64);
+
+impl Key {
+    /// The `count`-th key of `origin`. Panics past 2¹⁶ origins or 2⁴⁰
+    /// keys of one origin.
+    #[inline]
+    pub fn new(origin: usize, count: u64) -> Key {
+        assert!(origin < ORIGIN_LIMIT, "event queue: origin {origin} past the 2^16 origins");
+        Key((origin as u64) << COUNT_BITS).nth(count)
+    }
+
+    /// The `count`-th key of this key's origin, whose count is 0.
+    #[inline]
+    pub(crate) fn nth(self, count: u64) -> Key {
+        assert!(
+            count < COUNT_LIMIT,
+            "event queue: origin {} used up its 2^40 keys",
+            self.0 >> COUNT_BITS
+        );
+        Key(self.0 | count)
+    }
+}
 
 /// Identifier of a scheduled event, used to cancel timers: the event's
-/// tag (see the module docs).
+/// heap entry (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId(u128);
 
-/// A payload slot: the tag of the event that last occupied it, and its
+/// A payload slot: the key of the event that last occupied it, and its
 /// payload while that event is pending.
 struct Slot<M> {
-    tag: u64,
+    key: u64,
     msg: Option<M>,
+}
+
+/// The key bits of `entry`.
+#[inline]
+fn key_of(entry: u128) -> u64 {
+    (entry >> SLOT_BITS) as u64 & KEY_MASK
 }
 
 /// A time-ordered queue of events carrying messages of type `M`.
@@ -113,14 +167,14 @@ struct Slot<M> {
 pub struct EventQueue<M> {
     /// `Reverse`: `BinaryHeap` is a max-heap; the earliest key pops first.
     heap: BinaryHeap<Reverse<u128>>,
-    /// Invariant: a heap entry whose tag still redeems its slot is a
-    /// pending event; one whose tag misses was cancelled (or is the held
-    /// root).
+    /// Invariant: a heap entry that still redeems its slot is a pending
+    /// event; one that misses was cancelled (or is the held root).
     slots: Vec<Slot<M>>,
     free: Vec<u32>,
     /// Payloads resident: the pending, non-cancelled events.
     live: usize,
-    next_seq: u64,
+    /// Origin 0's next count: [`EventQueue::schedule_at`]'s keys.
+    next_count: u64,
     /// The heap's root was consumed by the last pop (hold fusion).
     held: bool,
 }
@@ -139,43 +193,53 @@ impl<M> EventQueue<M> {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            next_seq: 0,
+            next_count: 0,
             held: false,
         }
     }
 
-    /// Schedule `msg` to fire at absolute time `at`. Returns an id that can
-    /// later be passed to [`EventQueue::cancel`]. A held root is
-    /// overwritten in place (hold fusion); otherwise the entry is pushed.
+    /// Schedule `msg` to fire at absolute time `at` under origin 0's next
+    /// key: same-instant FIFO among this method's events. Returns an id
+    /// that can later be passed to [`EventQueue::cancel`].
     #[inline(always)]
     pub fn schedule_at(&mut self, at: Nanos, msg: M) -> EventId {
-        let seq = self.next_seq;
-        assert!(seq < SEQ_LIMIT, "event queue: 2^40 sequence numbers used up");
-        self.next_seq += 1;
-        let tag = match self.free.pop() {
+        let key = Key::new(0, self.next_count);
+        self.next_count += 1;
+        self.schedule_keyed(at, key, msg)
+    }
+
+    /// Schedule `msg` to fire at absolute time `at`, ranked by `key` among
+    /// the events of its instant. The caller owns the uniqueness of keys
+    /// of origins other than 0. Panics at a time past 2⁴⁸ ns. A held root
+    /// is overwritten in place (hold fusion); otherwise the entry is
+    /// pushed.
+    #[inline(always)]
+    pub fn schedule_keyed(&mut self, at: Nanos, key: Key, msg: M) -> EventId {
+        assert!(at.0 < TIME_LIMIT, "event queue: time {at} past the 2^48 ns limit");
+        let high = (u128::from(at.0) << TIME_SHIFT) | (u128::from(key.0) << SLOT_BITS);
+        let slot = Slot { key: key.0, msg: Some(msg) };
+        let idx = match self.free.pop() {
             Some(idx) => {
-                let tag = (seq << SLOT_BITS) | u64::from(idx);
-                self.slots[idx as usize] = Slot { tag, msg: Some(msg) };
-                tag
+                self.slots[idx as usize] = slot;
+                u128::from(idx)
             }
             None => {
                 // A new high-water mark of pending events.
-                let idx = self.slots.len() as u64;
+                let idx = self.slots.len() as u128;
                 assert!(idx <= SLOT_MASK, "event queue: 2^24 events pending");
-                let tag = (seq << SLOT_BITS) | idx;
-                self.slots.push(Slot { tag, msg: Some(msg) });
-                tag
+                self.slots.push(slot);
+                idx
             }
         };
+        let entry = high | idx;
         self.live += 1;
 
-        let key = Reverse((u128::from(at.0) << 64) | u128::from(tag));
         if std::mem::take(&mut self.held) {
-            self.replace_root(key);
+            self.replace_root(Reverse(entry));
         } else {
-            self.heap.push(key);
+            self.heap.push(Reverse(entry));
         }
-        EventId(tag)
+        EventId(entry)
     }
 
     /// Overwrite the held root with `key`; dropping the `PeekMut` sifts it
@@ -189,25 +253,25 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Move the payload tagged `tag` out of its slot and free the slot;
-    /// `None` if the tag is stale (fired, cancelled, or a slot since
+    /// Move the payload of `entry` out of its slot and free the slot;
+    /// `None` if the entry is stale (fired, cancelled, or a slot since
     /// reused).
     #[inline]
-    fn take(&mut self, tag: u64) -> Option<M> {
-        let idx = (tag & SLOT_MASK) as usize;
-        let slot = self.slots.get_mut(idx).filter(|s| s.tag == tag)?;
+    fn take(&mut self, entry: u128) -> Option<M> {
+        let idx = (entry & SLOT_MASK) as usize;
+        let slot = self.slots.get_mut(idx).filter(|s| s.key == key_of(entry))?;
         let msg = slot.msg.take()?;
         self.free.push(idx as u32);
         self.live -= 1;
         Some(msg)
     }
 
-    /// Whether the event tagged `tag` is still pending.
+    /// Whether the event of `entry` is still pending.
     #[inline]
-    fn is_live(&self, tag: u64) -> bool {
+    fn is_live(&self, entry: u128) -> bool {
         self.slots
-            .get((tag & SLOT_MASK) as usize)
-            .is_some_and(|s| s.tag == tag && s.msg.is_some())
+            .get((entry & SLOT_MASK) as usize)
+            .is_some_and(|s| s.key == key_of(entry) && s.msg.is_some())
     }
 
     /// Remove the held root, if any, before a heap operation other than
@@ -221,7 +285,7 @@ impl<M> EventQueue<M> {
 
     /// Cancel a previously scheduled event, dropping its payload now.
     /// Cancelling an event that already fired (or was already cancelled)
-    /// is a no-op: the stale id misses its slot's tag check.
+    /// is a no-op: the stale id misses its slot's entry check.
     pub fn cancel(&mut self, id: EventId) {
         self.take(id.0);
     }
@@ -244,12 +308,12 @@ impl<M> EventQueue<M> {
     pub fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, M)> {
         self.release();
         loop {
-            let Reverse(key) = *self.heap.peek()?;
-            let at = Nanos((key >> 64) as u64);
+            let Reverse(entry) = *self.heap.peek()?;
+            let at = Nanos((entry >> TIME_SHIFT) as u64);
             if at > deadline {
                 return None;
             }
-            if let Some(msg) = self.take(key as u64) {
+            if let Some(msg) = self.take(entry) {
                 self.held = true;
                 return Some((at, msg));
             }
@@ -269,9 +333,9 @@ impl<M> EventQueue<M> {
     pub fn peek_time(&mut self) -> Option<Nanos> {
         self.release();
         loop {
-            let Reverse(key) = *self.heap.peek()?;
-            if self.is_live(key as u64) {
-                return Some(Nanos((key >> 64) as u64));
+            let Reverse(entry) = *self.heap.peek()?;
+            if self.is_live(entry) {
+                return Some(Nanos((entry >> TIME_SHIFT) as u64));
             }
             self.heap.pop();
         }
@@ -326,7 +390,7 @@ mod tests {
     #[test]
     fn equal_time_fifo_survives_slot_reuse() {
         // Slots are reused LIFO, so later events land in *lower* slots
-        // than earlier ones; the seq bits above the slot bits must still
+        // than earlier ones; the count bits above the slot bits must still
         // order same-instant events by schedule order.
         let mut q = EventQueue::new();
         for v in 0..4 {
@@ -339,6 +403,56 @@ mod tests {
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
         assert_eq!(order, [10, 11, 12, 13, 14, 15]);
         assert_eq!(q.slots.len(), 6);
+    }
+
+    #[test]
+    fn same_instant_events_pop_by_origin_then_count() {
+        let mut q = EventQueue::new();
+        q.schedule_keyed(Nanos(5), Key::new(2, 0), "2.0");
+        q.schedule_keyed(Nanos(5), Key::new(1, 1), "1.1");
+        q.schedule_at(Nanos(5), "0.0");
+        q.schedule_keyed(Nanos(4), Key::new(9, 7), "early");
+        q.schedule_keyed(Nanos(5), Key::new(1, 0), "1.0");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, ["early", "0.0", "1.0", "1.1", "2.0"]);
+    }
+
+    #[test]
+    fn a_stale_id_misses_when_another_origin_reuses_its_slot() {
+        // Same instant, same count, same slot: only the origin differs.
+        let mut q = EventQueue::new();
+        let a = q.schedule_keyed(Nanos(3), Key::new(1, 0), "a");
+        assert_eq!(q.pop(), Some((Nanos(3), "a")));
+        q.schedule_keyed(Nanos(3), Key::new(2, 0), "b");
+        assert_eq!(q.slots.len(), 1, "b took a's slot");
+        q.cancel(a);
+        assert_eq!(q.pop(), Some((Nanos(3), "b")));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 2^48 ns limit")]
+    fn a_schedule_past_the_time_limit_panics() {
+        EventQueue::new().schedule_at(Nanos(TIME_LIMIT), ());
+    }
+
+    #[test]
+    fn the_last_instant_schedules_and_later_deadlines_saturate() {
+        let mut q = EventQueue::new();
+        q.schedule_at(Nanos(TIME_LIMIT - 1), "last");
+        assert_eq!(q.pop_until(Nanos(TIME_LIMIT - 2)), None);
+        assert_eq!(q.pop_until(Nanos::MAX), Some((Nanos(TIME_LIMIT - 1), "last")));
+    }
+
+    #[test]
+    #[should_panic(expected = "origin 65536 past the 2^16 origins")]
+    fn an_origin_past_its_bits_panics() {
+        Key::new(ORIGIN_LIMIT, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "origin 3 used up its 2^40 keys")]
+    fn a_count_past_its_bits_panics() {
+        Key::new(3, COUNT_LIMIT);
     }
 
     #[test]

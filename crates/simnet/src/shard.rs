@@ -28,31 +28,37 @@
 //!
 //! # Determinism
 //!
-//! At each barrier the destination shard collects the messages sent to it
-//! during the previous window and merges the batch in **`(time, src,
-//! seq)` order** before scheduling, where `src` is a caller-chosen source
-//! key and `seq` is the per-channel send counter. Transport order — which
-//! thread handed its buffer over first — is erased by the sort, so reports
-//! are bit-reproducible regardless of thread scheduling. If the engine uses a
-//! partition-independent `src` key (e.g. the global simulated-node id, as
-//! [`palladium_core`'s multi-node driver] does) and routes **all**
-//! inter-node traffic through the outbox (same-shard destinations
-//! included), the merged schedule is also independent of the shard
-//! *count*: the same workload at 1, 2 and 4 shards produces byte-identical
-//! reports (`tests/prop_shard.rs` pins this).
+//! Every event carries a [`Key`]: the node whose handler scheduled it
+//! ([`ShardEngine::origin`]) and that node's count of keys, and every
+//! shard's queue fires an instant's events in key order
+//! ([`crate::queue`]). A message takes its key when it is sent — the same
+//! key a local effect of its sender would have taken at that point — and
+//! carries it through the mailbox, so the order in which messages reach a
+//! queue decides nothing: not which thread handed its buffer over first,
+//! not whether the destination sits on the sending shard. If every event
+//! an origin handles runs on the shard owning that node (local events stay
+//! node-local, inter-node interaction goes through the [`Outbox`]), each
+//! node's counter, and with it every key, is independent of the partition,
+//! and so is each node's sequence of events: the same workload at 1, 2, 4
+//! and 8 shards produces byte-identical reports (`tests/prop_shard.rs`
+//! pins this). Seeds (events `init` schedules) take origin 0, below every
+//! node, as in [`crate::harness`].
 //!
 //! # Mailboxes
 //!
-//! A shard's sends wait in its [`Outbox`], one buffer per destination
-//! shard. At the end of its run phase the source hands every non-empty
-//! buffer to the destination's mailbox by swapping it with the mailbox's
-//! buffer, which the destination drained in its last merge and which kept
-//! its allocation — so the steady state allocates nothing. A barrier
-//! separates that hand-over from the destination's next merge, so the
-//! mailbox's lock is never contended: it is only the safe way to move a
-//! buffer between threads. A shard's sends to itself never leave its
-//! outbox; the merge appends them directly. [`ShardRun::channels`] reports
-//! each channel's largest single-window delivery.
+//! A shard's sends to other shards wait in its [`Outbox`], one buffer per
+//! destination shard. At the end of its run phase the source hands every
+//! non-empty buffer to the destination's mailbox by swapping it with the
+//! mailbox's buffer, which the destination drained in its last merge and
+//! which kept its allocation — so the steady state allocates nothing. A
+//! barrier separates that hand-over from the destination's next merge, so
+//! the mailbox's lock is never contended: it is only the safe way to move
+//! a buffer between threads. A shard's sends to itself never wait: each is
+//! scheduled on its own queue as soon as the handler that sent it returns,
+//! counted as a message and as a unit of work in the window it was sent.
+//! [`ShardRun::channels`] reports each channel's largest single-window
+//! delivery. One shard has no other shard to wait for, so it runs the
+//! whole horizon as one window: the serial event loop.
 //!
 //! # Execution modes
 //!
@@ -67,7 +73,7 @@
 //! How well would this run scale on a machine with one core per shard?
 //! The runner answers in **work units**, not host nanoseconds: in every
 //! window each shard counts the events it processed plus the messages it
-//! merged, and [`ShardRun::critical_path_work`] is `Σ_k max_s work[s][k]`
+//! delivered, and [`ShardRun::critical_path_work`] is `Σ_k max_s work[s][k]`
 //! — the work on the critical path when windows run in lock-step. Against
 //! the total `Σ_s work[s]` that is a pair of integers, identical across
 //! execution modes, repetitions and machines
@@ -86,7 +92,6 @@
 //! formula is applied to the parallel wall.
 //!
 //! [`Sim`]: crate::sim::Sim
-//! [`palladium_core`'s multi-node driver]: self
 
 // Kernel steady state: a panic mid-window poisons the shard barrier and
 // kills the run.
@@ -106,25 +111,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::harness::{Effects, Engine, Harness};
+use crate::harness::{Effects, Engine, Harness, Keys};
+use crate::queue::Key;
 use crate::time::Nanos;
 
-/// A cross-shard message in flight: the absolute arrival time, the
-/// sender's ordering key, the per-channel sequence number and the payload.
-/// Merged at window barriers in `(at, src, seq)` order (see module docs).
-#[derive(Clone, Debug)]
-pub struct Envelope<M> {
-    /// Absolute virtual arrival time.
-    pub at: Nanos,
-    /// Source ordering key. Use a partition-independent key (the global
-    /// node id) for shard-count-invariant determinism; distinct sources
-    /// sharing one instant merge in key order.
-    pub src: u32,
-    /// Per-`(source shard, destination shard)` send counter: preserves one
-    /// source's emission order among same-instant, same-key messages.
-    pub seq: u64,
-    /// The message.
-    pub msg: M,
+/// A message in flight: its absolute arrival time, the key its sender gave
+/// it (see the module docs) and the payload.
+struct Envelope<M> {
+    at: Nanos,
+    key: Key,
+    msg: M,
 }
 
 // ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ impl<M> Mailbox<M> {
     }
 
     /// Lock the buffer. The phase discipline keeps the lock uncontended.
-    /// Every update under it (a swap, an append) leaves the vector valid,
+    /// Every update under it (a swap, a drain) leaves the vector valid,
     /// so a lock poisoned by a sibling shard's panic — which the barrier
     /// already propagates — is taken over rather than unwrapped.
     fn buf(&self) -> std::sync::MutexGuard<'_, Vec<Envelope<M>>> {
@@ -301,73 +297,76 @@ impl Partition {
 // ---------------------------------------------------------------------------
 // Engine-facing API
 
-/// The source shard's handle for emitting cross-shard messages. One
-/// destination per shard, self-sends included — routing *everything*
-/// inter-node through the outbox is what makes reports independent of the
-/// shard count; see the module docs.
-pub struct Outbox<M> {
-    /// One buffer per destination shard, the shard's own included: the
-    /// window's sends, waiting for the hand-over at its end (or, for the
-    /// shard's own, for the next merge).
+/// A shard's sends of the window in progress: one buffer per destination
+/// shard, waiting for the hand-over at the window's end. Its own buffer is
+/// emptied after every handler.
+struct Sends<M> {
+    shard: usize,
     to: Vec<Vec<Envelope<M>>>,
-    seq: Vec<u64>,
-    /// Start of the next window: every send must arrive at or after it
-    /// (the lookahead contract).
+    /// Start of the next window: every send to another shard must arrive
+    /// at or after it (the lookahead contract).
     window_end: Nanos,
-    sent: u64,
+    /// The run's deadline: a message arriving after it is never delivered.
+    deadline: Nanos,
 }
 
-impl<M> Outbox<M> {
-    /// Send `msg` to `dst_shard`, arriving at absolute time `at`. `src` is
-    /// the deterministic merge key (see [`Envelope::src`]). `at` must
-    /// honor the lookahead contract: at least one full window after the
-    /// current one (debug-asserted).
+/// The handle a handler emits inter-node messages through, self-sends
+/// included — routing *every* inter-node interaction through the outbox is
+/// what makes reports independent of the shard count; see the module docs.
+pub struct Outbox<'a, M> {
+    sends: &'a mut Sends<M>,
+    keys: Keys<'a>,
+}
+
+impl<M> Outbox<'_, M> {
+    /// Send `msg` to `dst_shard`, arriving at absolute time `at`, under the
+    /// handler's next key. A message to another shard must honor the
+    /// lookahead contract: at least one full window after the current one
+    /// (debug-asserted).
     #[inline]
-    pub fn send(&mut self, dst_shard: usize, at: Nanos, src: u32, msg: M) {
+    pub fn send(&mut self, dst_shard: usize, at: Nanos, msg: M) {
         debug_assert!(
-            at >= self.window_end,
+            dst_shard == self.sends.shard || at >= self.sends.window_end,
             "cross-shard send at {at} violates the lookahead contract \
              (window ends at {})",
-            self.window_end
+            self.sends.window_end
         );
-        let seq = self.seq[dst_shard];
-        self.seq[dst_shard] = seq + 1;
-        self.to[dst_shard].push(Envelope { at, src, seq, msg });
-        self.sent += 1;
-    }
-
-    /// Messages sent so far through this outbox.
-    pub fn sent(&self) -> u64 {
-        self.sent
+        let key = self.keys.next();
+        self.sends.to[dst_shard].push(Envelope { at, key, msg });
     }
 }
 
 /// A sharded driver: the per-shard state machine plus the message lift.
 ///
-/// Like [`Engine`], but `on_event` additionally receives the [`Outbox`]
-/// for cross-shard sends, and `lift` converts an arriving envelope into a
-/// local event (scheduled at the envelope's arrival time). For
-/// shard-count-invariant determinism, route **all** inter-node
-/// interaction through the outbox and keep local events node-local.
+/// Like [`Engine`], but every event names its origin, `on_event`
+/// additionally receives the [`Outbox`] for inter-node sends, and `lift`
+/// converts an arriving message into a local event (scheduled at its
+/// arrival time). For shard-count-invariant determinism, route **all**
+/// inter-node interaction through the outbox and keep local events
+/// node-local.
 pub trait ShardEngine: Send {
     /// The shard-local event alphabet.
     type Ev: Send;
-    /// The cross-shard message payload.
+    /// The inter-node message payload.
     type Msg: Send;
 
+    /// The origin of `ev`: the global id of the node whose state its
+    /// handler runs on, a node this shard owns ([`Engine::origin`]).
+    fn origin(&self, ev: &Self::Ev) -> usize;
+
     /// Consume one local event; push follow-up local effects into `fx`
-    /// and cross-shard messages into `out`.
+    /// and inter-node messages into `out`.
     fn on_event(
         &mut self,
         now: Nanos,
         ev: Self::Ev,
         fx: &mut Effects<'_, Self::Ev>,
-        out: &mut Outbox<Self::Msg>,
+        out: &mut Outbox<'_, Self::Msg>,
     );
 
-    /// Lift an arriving cross-shard message into a local event. The
-    /// runner schedules the result at the envelope's arrival time.
-    fn lift(&mut self, at: Nanos, src: u32, msg: Self::Msg) -> Self::Ev;
+    /// Lift an arriving message into a local event. The runner schedules
+    /// the result at the message's arrival time, under its key.
+    fn lift(&mut self, at: Nanos, msg: Self::Msg) -> Self::Ev;
 }
 
 /// How the shards execute.
@@ -387,7 +386,8 @@ pub enum Execution {
 pub struct ShardConfig {
     /// Number of shards (threads in [`Execution::Threads`] mode).
     pub shards: usize,
-    /// Window width — at most the workload's cross-shard lookahead.
+    /// Window width — at most the workload's cross-shard lookahead. One
+    /// shard runs the whole horizon as one window instead.
     pub window: Nanos,
     /// Execution mode.
     pub execution: Execution,
@@ -431,16 +431,20 @@ pub struct ShardRun<E> {
     pub engines: Vec<E>,
     /// Total simulation events processed across all shards.
     pub events: u64,
-    /// Cross-shard messages delivered.
+    /// Messages delivered, self-sends included (at one shard, every
+    /// message is one): those arriving by the deadline. Later arrivals are
+    /// dropped uncounted wherever they were sent, so the count is the same
+    /// at every shard count.
     pub messages: u64,
     /// Per-channel statistics, in `(dst shard, src shard)` order, a
-    /// shard's channel to itself included.
+    /// shard's channel to itself included. At one shard there is only
+    /// that one, and its one window's delivery is `messages`.
     pub channels: Vec<ChannelStats>,
-    /// Window barriers executed.
+    /// Windows run: 1 at one shard.
     pub windows: u64,
-    /// Per-shard work: events processed plus messages merged, so
-    /// `Σ work == events + messages`. Deterministic — equal across
-    /// execution modes, repetitions and machines.
+    /// Per-shard work: events processed plus messages delivered (merged,
+    /// or self-sent), so `Σ work == events + messages`. Deterministic —
+    /// equal across execution modes, repetitions and machines.
     pub work: Vec<u64>,
     /// `Σ_k max_s work[s][k]` — the work on the critical path of a machine
     /// with one core per shard and free barriers. With one shard it equals
@@ -462,31 +466,47 @@ pub struct ShardRun<E> {
     pub critical_path_ns: u64,
 }
 
-/// Wraps a [`ShardEngine`] (plus its outbox) as a plain [`Engine`] so the
+/// Wraps a [`ShardEngine`] (plus its sends) as a plain [`Engine`] so the
 /// [`Harness`] trampoline drives the shard's local loop.
 struct Runner<E: ShardEngine> {
     engine: E,
-    outbox: Outbox<E::Msg>,
+    sends: Sends<E::Msg>,
+    /// Self-sends of the window in progress.
+    self_sent: u64,
 }
 
 impl<E: ShardEngine> Engine for Runner<E> {
     type Ev = E::Ev;
 
     #[inline]
+    fn origin(&self, ev: &Self::Ev) -> usize {
+        self.engine.origin(ev)
+    }
+
+    #[inline]
     fn on_event(&mut self, now: Nanos, ev: Self::Ev, fx: &mut Effects<'_, Self::Ev>) {
-        self.engine.on_event(now, ev, fx, &mut self.outbox);
+        let mut out = Outbox { sends: &mut self.sends, keys: fx.keys() };
+        self.engine.on_event(now, ev, fx, &mut out);
+        // A self-send goes on the queue now: its key already ranks it.
+        let (own, deadline) = (&mut self.sends.to[self.sends.shard], self.sends.deadline);
+        if own.is_empty() {
+            return;
+        }
+        for env in own.drain(..).filter(|env| env.at <= deadline) {
+            self.self_sent += 1;
+            let ev = self.engine.lift(env.at, env.msg);
+            fx.schedule_keyed(env.at, env.key, ev);
+        }
     }
 }
 
-/// One shard's full context: kernel, engine+outbox, merge buffer and
-/// counters. The mailboxes are shared by all shards, indexed
-/// `src * n + dst`, and passed to the two window phases.
+/// One shard's full context: kernel, engine+sends and counters. The
+/// mailboxes are shared by all shards, indexed `src * n + dst`, and passed
+/// to the two window phases.
 struct ShardCtx<E: ShardEngine> {
     idx: usize,
     harness: Harness<E::Ev>,
     runner: Runner<E>,
-    /// Reused merge buffer.
-    inbound: Vec<Envelope<E::Msg>>,
     events: u64,
     delivered: u64,
     /// Messages merged at the start of the window in progress.
@@ -496,50 +516,45 @@ struct ShardCtx<E: ShardEngine> {
 }
 
 impl<E: ShardEngine> ShardCtx<E> {
-    /// Window phase 1: collect + deterministically merge last window's
-    /// cross-shard arrivals into the local queue.
+    /// Window phase 1: schedule last window's arrivals from the other
+    /// shards on the local queue, each under its own key.
     fn merge_inbound(&mut self, mailboxes: &[Mailbox<E::Msg>]) {
         let n = self.high_water.len();
+        let deadline = self.runner.sends.deadline;
+        self.merged = 0;
         for (src, high_water) in self.high_water.iter_mut().enumerate() {
-            let before = self.inbound.len();
-            if src == self.idx {
-                self.inbound.append(&mut self.runner.outbox.to[src]);
-            } else {
-                let mailbox = &mailboxes[src * n + self.idx];
-                if !mailbox.full.load(Ordering::Acquire) {
-                    continue;
-                }
-                mailbox.full.store(false, Ordering::Relaxed);
-                self.inbound.append(&mut mailbox.buf());
+            let mailbox = &mailboxes[src * n + self.idx];
+            if src == self.idx || !mailbox.full.load(Ordering::Acquire) {
+                continue;
             }
-            *high_water = (*high_water).max((self.inbound.len() - before) as u64);
-        }
-        self.merged = self.inbound.len() as u64;
-        if self.merged == 0 {
-            return;
-        }
-        if self.merged > 1 {
-            self.inbound.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
+            mailbox.full.store(false, Ordering::Relaxed);
+            let mut delivered = 0;
+            for env in mailbox.buf().drain(..).filter(|env| env.at <= deadline) {
+                delivered += 1;
+                let ev = self.runner.engine.lift(env.at, env.msg);
+                self.harness.schedule_keyed(env.at, env.key, ev);
+            }
+            *high_water = (*high_water).max(delivered);
+            self.merged += delivered;
         }
         self.delivered += self.merged;
-        for env in self.inbound.drain(..) {
-            let ev = self.runner.engine.lift(env.at, env.src, env.msg);
-            self.harness.schedule_at(env.at, ev);
-        }
     }
 
     /// Window phase 2: run local events strictly before `end`, then hand
     /// the window's sends to the other shards' mailboxes. Returns the
-    /// window's work (messages merged + events processed) — the
+    /// window's work (messages delivered + events processed) — the
     /// critical-path model's raw material, folded by the caller as each
     /// window completes.
     fn run_window(&mut self, end: Nanos, mailboxes: &[Mailbox<E::Msg>]) -> u64 {
-        self.runner.outbox.window_end = end;
+        self.runner.sends.window_end = end;
         let fired = self.harness.run_window(&mut self.runner, end);
         self.events += fired;
+        let self_sent = std::mem::take(&mut self.runner.self_sent);
+        self.delivered += self_sent;
+        self.high_water[self.idx] = self.high_water[self.idx].max(self_sent);
         let n = self.high_water.len();
-        for (dst, sent) in self.runner.outbox.to.iter_mut().enumerate() {
-            if dst == self.idx || sent.is_empty() {
+        for (dst, sent) in self.runner.sends.to.iter_mut().enumerate() {
+            if sent.is_empty() {
                 continue;
             }
             let mailbox = &mailboxes[self.idx * n + dst];
@@ -550,7 +565,7 @@ impl<E: ShardEngine> ShardCtx<E> {
             }
             mailbox.full.store(true, Ordering::Release);
         }
-        self.merged + fired
+        self.merged + self_sent + fired
     }
 }
 
@@ -563,8 +578,9 @@ fn window_end(k: u64, window: u64, deadline: Nanos) -> Nanos {
 }
 
 /// Run `engines` (one per shard) to `deadline` under conservative
-/// `cfg.window`-wide barriers. `init` seeds each shard's initial events
-/// (called on the caller thread, in shard order, before anything runs).
+/// `cfg.window`-wide barriers, or as one window when there is one shard.
+/// `init` seeds each shard's initial events (called on the caller thread,
+/// in shard order, before anything runs).
 ///
 /// Returns the engines for report merging plus the run counters. Results
 /// are bit-identical across execution modes and thread schedules; see the
@@ -578,11 +594,14 @@ pub fn run_sharded<E: ShardEngine>(
     assert_eq!(engines.len(), cfg.shards, "one engine per shard");
     assert!(!cfg.window.is_zero(), "lookahead window must be positive");
     let n = cfg.shards;
-    let w = cfg.window.as_nanos();
+    let w = match n {
+        1 => deadline.as_nanos().saturating_add(1),
+        _ => cfg.window.as_nanos(),
+    };
     let n_windows = deadline.as_nanos() / w + 1;
 
     // One mailbox per ordered shard pair, indexed `src * n + dst`; the
-    // diagonal stays unused (a shard's sends to itself stay in its outbox).
+    // diagonal stays unused (a shard's sends to itself never wait).
     let mailboxes: Vec<Mailbox<E::Msg>> = (0..n * n).map(|_| Mailbox::new()).collect();
     let mailboxes = &mailboxes[..];
 
@@ -595,14 +614,14 @@ pub fn run_sharded<E: ShardEngine>(
             harness,
             runner: Runner {
                 engine,
-                outbox: Outbox {
+                sends: Sends {
+                    shard: idx,
                     to: (0..n).map(|_| Vec::new()).collect(),
-                    seq: vec![0; n],
                     window_end: Nanos::ZERO,
-                    sent: 0,
+                    deadline,
                 },
+                self_sent: 0,
             },
-            inbound: Vec::new(),
             events: 0,
             delivered: 0,
             merged: 0,
@@ -767,21 +786,25 @@ mod tests {
         type Ev = Token;
         type Msg = u64;
 
+        fn origin(&self, _ev: &Token) -> usize {
+            self.node as usize
+        }
+
         fn on_event(
             &mut self,
             now: Nanos,
             ev: Token,
             _fx: &mut Effects<'_, Token>,
-            out: &mut Outbox<u64>,
+            out: &mut Outbox<'_, u64>,
         ) {
             self.log.push((now.0, ev.0));
             if ev.0 < 40 {
                 let dst = (self.node + 1) % self.n;
-                out.send(dst as usize, now + self.window, self.node, ev.0 + 1);
+                out.send(dst as usize, now + self.window, ev.0 + 1);
             }
         }
 
-        fn lift(&mut self, _at: Nanos, _src: u32, msg: u64) -> Token {
+        fn lift(&mut self, _at: Nanos, msg: u64) -> Token {
             Token(msg)
         }
     }
@@ -913,58 +936,56 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_loses_nothing_and_merges_in_at_src_seq_order() {
+    fn a_burst_loses_nothing_and_fires_in_time_then_send_order() {
         /// Shard 0 fires the same 1 000-message burst at shard 1 in two
-        /// separate windows, with arrival instants and source keys
-        /// shuffled against the send order.
+        /// separate windows, with arrival instants shuffled against the
+        /// send order.
         struct Burst {
+            node: usize,
             window: Nanos,
-            log: Vec<(u64, u32, u64)>,
+            log: Vec<(u64, u64)>,
         }
         const BURST: u64 = 1_000;
-        fn key(i: u64, base: Nanos) -> (Nanos, u32) {
-            (base + Nanos(i * 7_919 % 13), (i % 3) as u32)
+        fn arrival(i: u64, base: Nanos) -> Nanos {
+            base + Nanos(i * 7_919 % 13)
         }
         impl ShardEngine for Burst {
-            type Ev = Option<(u32, u64)>;
+            type Ev = Option<u64>;
             type Msg = u64;
+            fn origin(&self, _ev: &Option<u64>) -> usize {
+                self.node
+            }
             fn on_event(
                 &mut self,
                 now: Nanos,
-                ev: Option<(u32, u64)>,
+                ev: Option<u64>,
                 _fx: &mut Effects<'_, Self::Ev>,
-                out: &mut Outbox<u64>,
+                out: &mut Outbox<'_, u64>,
             ) {
                 match ev {
                     None => {
                         for i in 0..BURST {
-                            let (at, src) = key(i, now + self.window);
-                            out.send(1, at, src, i);
+                            out.send(1, arrival(i, now + self.window), i);
                         }
                     }
-                    Some((src, i)) => self.log.push((now.0, src, i)),
+                    Some(i) => self.log.push((now.0, i)),
                 }
             }
-            fn lift(&mut self, _at: Nanos, src: u32, msg: u64) -> Self::Ev {
-                Some((src, msg))
+            fn lift(&mut self, _at: Nanos, msg: u64) -> Self::Ev {
+                Some(msg)
             }
         }
         let window = Nanos(1_000);
         let bursts = [Nanos(0), Nanos(5_000)];
-        let mut want: Vec<(u64, u32, u64)> = Vec::new();
+        let mut want: Vec<(u64, u64)> = Vec::new();
         for fired in bursts {
-            let mut burst: Vec<_> = (0..BURST)
-                .map(|i| {
-                    let (at, src) = key(i, fired + window);
-                    (at.0, src, i)
-                })
-                .collect();
-            // Per-channel `seq` rises with `i`, so this is the merge order.
+            // Keys rise with `i`, so same-instant messages fire in `i` order.
+            let mut burst: Vec<_> = (0..BURST).map(|i| (arrival(i, fired + window).0, i)).collect();
             burst.sort_unstable();
             want.extend(burst);
         }
         for execution in [Execution::Sequential, Execution::Threads] {
-            let engines = (0..2).map(|_| Burst { window, log: Vec::new() }).collect();
+            let engines = (0..2).map(|node| Burst { node, window, log: Vec::new() }).collect();
             let cfg = ShardConfig::new(2, window).execution(execution);
             let run = run_sharded(
                 &cfg,
@@ -979,84 +1000,109 @@ mod tests {
                 Nanos(10_000),
             );
             assert_eq!(run.messages, 2 * BURST, "{execution:?}: nothing lost");
-            assert_eq!(run.engines[1].log, want, "{execution:?}: (at, src, seq) order");
+            assert_eq!(run.engines[1].log, want, "{execution:?}: (time, send) order");
             let st = run.channels.iter().find(|c| (c.src_shard, c.dst_shard) == (0, 1)).unwrap();
             assert_eq!(st.high_water, BURST, "{execution:?}");
         }
     }
 
     #[test]
-    fn merge_orders_by_time_then_src_then_seq() {
-        /// Two source shards fire same-instant messages at a sink; the
-        /// sink must observe them in (src, seq) order however the threads
-        /// interleave.
+    fn same_instant_messages_fire_by_sender_node_not_by_shard() {
+        /// Two source shards fire same-instant messages at a sink. Shard 0
+        /// hosts node 1 and shard 1 node 0, so node 0's messages must come
+        /// first although shard 0's mailbox is merged first, however the
+        /// threads interleave.
         struct Src {
-            shard: u32,
+            node: usize,
             window: Nanos,
         }
         struct Sink {
-            log: Vec<(u32, u64)>,
+            log: Vec<(usize, u64)>,
         }
         enum Node {
             Src(Src),
             Sink(Sink),
         }
         impl ShardEngine for Node {
-            type Ev = (u32, u64);
-            type Msg = (u32, u64);
+            type Ev = (usize, u64);
+            type Msg = (usize, u64);
+            fn origin(&self, _ev: &(usize, u64)) -> usize {
+                match self {
+                    Node::Src(s) => s.node,
+                    Node::Sink(_) => 2,
+                }
+            }
             fn on_event(
                 &mut self,
                 now: Nanos,
-                ev: (u32, u64),
-                _fx: &mut Effects<'_, (u32, u64)>,
-                out: &mut Outbox<(u32, u64)>,
+                ev: (usize, u64),
+                _fx: &mut Effects<'_, (usize, u64)>,
+                out: &mut Outbox<'_, (usize, u64)>,
             ) {
                 match self {
                     Node::Src(s) => {
                         // Both sources target the same arrival instant.
                         for k in 0..3 {
-                            out.send(2, now + s.window, s.shard, (s.shard, k));
+                            out.send(2, now + s.window, (s.node, k));
                         }
                     }
-                    Node::Sink(s) => {
-                        let _ = now;
-                        s.log.push(ev);
-                    }
+                    Node::Sink(s) => s.log.push(ev),
                 }
             }
-            fn lift(&mut self, _at: Nanos, _src: u32, msg: (u32, u64)) -> (u32, u64) {
+            fn lift(&mut self, _at: Nanos, msg: (usize, u64)) -> (usize, u64) {
                 msg
             }
         }
         let window = Nanos(500);
-        let engines = vec![
-            Node::Src(Src { shard: 0, window }),
-            Node::Src(Src { shard: 1, window }),
-            Node::Sink(Sink { log: Vec::new() }),
-        ];
-        let run = run_sharded(
-            &ShardConfig::new(3, window),
-            engines,
-            |s, h| {
-                if s < 2 {
-                    h.schedule_at(Nanos(0), (s as u32, 0));
-                }
-            },
-            Nanos(2_000),
-        );
-        let Node::Sink(sink) = &run.engines[2] else {
-            panic!("sink is shard 2")
-        };
-        assert_eq!(
-            sink.log,
-            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
-            "same-instant merge must order by (src, seq)"
-        );
-        // Window 0: both sources fire side by side (work 1 each, one on the
-        // critical path). Window 1: the sink merges six messages and fires
-        // six events.
-        assert_eq!(run.work, [1, 1, 12]);
-        assert_eq!(run.critical_path_work, 13);
+        for execution in [Execution::Sequential, Execution::Threads] {
+            let engines = vec![
+                Node::Src(Src { node: 1, window }),
+                Node::Src(Src { node: 0, window }),
+                Node::Sink(Sink { log: Vec::new() }),
+            ];
+            let run = run_sharded(
+                &ShardConfig::new(3, window).execution(execution),
+                engines,
+                |s, h| {
+                    if s < 2 {
+                        h.schedule_at(Nanos(0), (s, 0));
+                    }
+                },
+                Nanos(2_000),
+            );
+            let Node::Sink(sink) = &run.engines[2] else {
+                panic!("sink is shard 2")
+            };
+            assert_eq!(
+                sink.log,
+                vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
+                "{execution:?}: same-instant messages fire by (sender node, send order)"
+            );
+            // Window 0: both sources fire side by side (work 1 each, one on
+            // the critical path). Window 1: the sink merges six messages
+            // and fires six events.
+            assert_eq!(run.work, [1, 1, 12]);
+            assert_eq!(run.critical_path_work, 13);
+        }
+    }
+
+    #[test]
+    fn one_shard_runs_one_window_and_schedules_self_sends_at_once() {
+        // The ring at one shard relays through its own node every 1 µs
+        // over a 60 µs horizon: one window, 40 self-sends, each counted as
+        // a message and a unit of work.
+        for execution in [Execution::Sequential, Execution::Threads] {
+            let engines = vec![Ring { node: 0, n: 1, window: Nanos(1_000), log: Vec::new() }];
+            let run = run_sharded(
+                &ShardConfig::new(1, Nanos(1_000)).execution(execution),
+                engines,
+                |_, h| h.schedule_at(Nanos(0), Token(0)),
+                Nanos(60_000),
+            );
+            assert_eq!((run.windows, run.events, run.messages), (1, 41, 40), "{execution:?}");
+            assert_eq!((run.work.clone(), run.critical_path_work), (vec![81], 81), "{execution:?}");
+            assert_eq!(run.channels[0].high_water, 40, "{execution:?}: the one window's delivery");
+        }
     }
 
     #[test]
@@ -1076,17 +1122,20 @@ mod tests {
         impl ShardEngine for Bomb {
             type Ev = u64;
             type Msg = u64;
+            fn origin(&self, _ev: &u64) -> usize {
+                self.shard as usize
+            }
             fn on_event(
                 &mut self,
                 now: Nanos,
                 ev: u64,
                 _fx: &mut Effects<'_, u64>,
-                out: &mut Outbox<u64>,
+                out: &mut Outbox<'_, u64>,
             ) {
                 assert!(self.shard != 1, "bomb shard detonated");
-                out.send(1, now + self.window, self.shard, ev + 1);
+                out.send(1, now + self.window, ev + 1);
             }
-            fn lift(&mut self, _at: Nanos, _src: u32, msg: u64) -> u64 {
+            fn lift(&mut self, _at: Nanos, msg: u64) -> u64 {
                 msg
             }
         }

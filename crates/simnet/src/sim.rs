@@ -6,7 +6,7 @@
 //! messages. This keeps every component unit-testable without a running
 //! simulation.
 
-use crate::queue::{EventId, EventQueue};
+use crate::queue::{EventId, EventQueue, Key};
 use crate::time::Nanos;
 
 /// A value paired with the *relative* delay after which it takes effect.
@@ -99,6 +99,13 @@ impl<M> Sim<M> {
     pub fn schedule_at(&mut self, at: Nanos, msg: M) -> EventId {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         self.queue.schedule_at(at.max(self.now), msg)
+    }
+
+    /// [`Sim::schedule_at`], ranked by `key` among the events of its
+    /// instant (see [`EventQueue::schedule_keyed`]).
+    pub(crate) fn schedule_keyed(&mut self, at: Nanos, key: Key, msg: M) {
+        debug_assert!(at >= self.now, "cannot schedule into the past");
+        self.queue.schedule_keyed(at.max(self.now), key, msg);
     }
 
     /// Cancel a scheduled event (timer). No-op if it already fired.

@@ -12,9 +12,12 @@
 //! random schedule/cancel/pop interleavings — near, far and multi-second
 //! delays, same-instant bursts, pops followed by 0, 1 or n schedules,
 //! cancels of the id just popped, queries and window pops while a root is
-//! held — against a boxed reference: a deliberately naive
-//! `Vec<(key, Box<payload>)>` with the same `(time, seq)` contract. It
-//! asserts:
+//! held, each schedule under a random origin (0 through `schedule_at`,
+//! the others through `schedule_keyed` with the origin's next count, the
+//! largest origin included) — against a boxed reference: a deliberately
+//! naive `Vec<(key, Box<payload>)>` popping in `(time, origin, count)`
+//! order. Slots are reused across origins, so a stale id that reached
+//! another origin's event in its old slot would cancel it. It asserts:
 //!
 //! * the dequeued `(time, payload)` streams are identical (a stale or
 //!   double-freed slot would surface as a wrong/missing payload);
@@ -24,23 +27,27 @@
 //!   the held root is never counted, even transiently;
 //! * a drained queue holds zero live payloads.
 //!
-//! The second test pins the one thing the sharded runner adds on top:
-//! that a window deadline cuts the stream at exactly the right event.
+//! The second test pins that a workload of origin 0 alone pops in
+//! schedule order among same-instant events (FIFO), and the third the one
+//! thing the sharded runner adds on top: that a window deadline cuts the
+//! stream at exactly the right event.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use palladium_simnet::{EventId, EventQueue, Nanos};
+use palladium_simnet::{EventId, EventQueue, Key, Nanos};
 
 /// One step of the randomized queue workload; delays are relative to the
 /// last popped time, mirroring how `Sim` drives the queue.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Schedule at `now + delay` (0 creates same-instant bursts).
-    Schedule(u64),
-    /// Schedule a same-instant burst of `n` events at one future time.
-    Burst(u8, u16),
+    /// Schedule at `now + delay` (0 creates same-instant bursts) under
+    /// `origin`.
+    Schedule(u64, usize),
+    /// Schedule a same-instant burst of `n` events at one future time
+    /// under `origin`.
+    Burst(u8, u16, usize),
     /// Cancel the i-th issued id (modulo issued count) — may target
     /// fired, pending, or already-cancelled events.
     Cancel(usize),
@@ -49,8 +56,9 @@ enum Op {
     /// Compare `peek_time` (exercises the discard of cancelled heads).
     Peek,
     /// Pop, optionally peek while the root is held, then schedule `n`
-    /// events at `now + delay` (the first one overwrites the held root).
-    PopThen { peek: bool, n: u8, delay: u64 },
+    /// events at `now + delay` under `origin` (the first one overwrites
+    /// the held root).
+    PopThen { peek: bool, n: u8, delay: u64, origin: usize },
     /// Pop, then cancel the id of the event just popped.
     PopCancel,
     /// Pop, then `pop_until` the next pending time (`inclusive`) or one
@@ -61,29 +69,44 @@ enum Op {
 /// Delays past this (≈ 1.07 s) keep multi-second horizons in the mix.
 const FAR: u64 = 1 << 30;
 
+/// The largest origin a key can name.
+const MAX_ORIGIN: usize = (1 << 16) - 1;
+
+/// Origin 0 (`schedule_at`) half the time, else a small origin or the
+/// largest.
+fn origin_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![4 => Just(0usize), 3 => 1usize..4, 1 => Just(MAX_ORIGIN)]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u64..5_000).prop_map(Op::Schedule),
-        2 => (0u64..20_000_000).prop_map(Op::Schedule),
-        1 => (FAR..FAR + 10_000).prop_map(Op::Schedule),
-        1 => ((1u8..8), (0u16..2_000)).prop_map(|(n, d)| Op::Burst(n, d)),
+        4 => (0u64..5_000, origin_strategy()).prop_map(|(d, o)| Op::Schedule(d, o)),
+        2 => (0u64..20_000_000, origin_strategy()).prop_map(|(d, o)| Op::Schedule(d, o)),
+        1 => (FAR..FAR + 10_000, origin_strategy()).prop_map(|(d, o)| Op::Schedule(d, o)),
+        1 => ((1u8..8), (0u16..2_000), origin_strategy()).prop_map(|(n, d, o)| Op::Burst(n, d, o)),
         3 => (0usize..256).prop_map(Op::Cancel),
         5 => Just(Op::Pop),
         2 => Just(Op::Peek),
-        4 => (any::<bool>(), prop_oneof![Just(0u8), Just(1u8), 2u8..6], 0u64..5_000)
-            .prop_map(|(peek, n, delay)| Op::PopThen { peek, n, delay }),
+        4 => (any::<bool>(), prop_oneof![Just(0u8), Just(1u8), 2u8..6], 0u64..5_000, origin_strategy())
+            .prop_map(|(peek, n, delay, origin)| Op::PopThen { peek, n, delay, origin }),
         1 => Just(Op::PopCancel),
         2 => any::<bool>().prop_map(|inclusive| Op::PopUntilNext { inclusive }),
     ]
 }
 
+/// `(time, origin, count)`: the reference's key.
+type RefKey = (u64, usize, u64);
+
 /// The boxed reference path: the payload owned by its entry, behind a
-/// `Box`, with the identical `(time, seq)` + lazy-cancel contract. O(n)
-/// scans — it is a specification, not an implementation.
+/// `Box`, with the `(time, origin, count)` order and lazy-cancel contract
+/// spelled out. O(n) scans — it is a specification, not an
+/// implementation.
 struct BoxedRef {
-    pending: Vec<(u128, Box<u64>)>,
-    cancelled: BTreeSet<u64>,
-    next_seq: u64,
+    pending: Vec<(RefKey, Box<u64>)>,
+    /// Cancelled events, by `(origin, count)`.
+    cancelled: BTreeSet<(usize, u64)>,
+    /// Each origin's next count.
+    next: BTreeMap<usize, u64>,
 }
 
 impl BoxedRef {
@@ -91,19 +114,22 @@ impl BoxedRef {
         BoxedRef {
             pending: Vec::new(),
             cancelled: BTreeSet::new(),
-            next_seq: 0,
+            next: BTreeMap::new(),
         }
     }
 
-    fn schedule_at(&mut self, at: Nanos, v: u64) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.push((((at.0 as u128) << 64) | seq as u128, Box::new(v)));
-        seq
+    /// Schedule `v` at `at` under `origin`'s next count; returns the
+    /// event's `(origin, count)`.
+    fn schedule(&mut self, at: Nanos, origin: usize, v: u64) -> (usize, u64) {
+        let count = self.next.entry(origin).or_insert(0);
+        let id = (origin, *count);
+        *count += 1;
+        self.pending.push(((at.0, origin, id.1), Box::new(v)));
+        id
     }
 
-    fn is_cancelled(&self, key: u128) -> bool {
-        self.cancelled.contains(&(key as u64))
+    fn is_cancelled(&self, key: RefKey) -> bool {
+        self.cancelled.contains(&(key.1, key.2))
     }
 
     /// Pending entries not cancelled.
@@ -116,7 +142,7 @@ impl BoxedRef {
         self.pending
             .iter()
             .filter(|(key, _)| !self.is_cancelled(*key))
-            .map(|(key, _)| Nanos((key >> 64) as u64))
+            .map(|(key, _)| Nanos(key.0))
             .min()
     }
 
@@ -131,12 +157,12 @@ impl BoxedRef {
     fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, u64)> {
         loop {
             let i = self.min_idx()?;
-            let at = Nanos((self.pending[i].0 >> 64) as u64);
+            let at = Nanos(self.pending[i].0 .0);
             if at > deadline {
                 return None;
             }
             let (key, v) = self.pending.swap_remove(i);
-            if self.cancelled.remove(&(key as u64)) {
+            if self.cancelled.remove(&(key.1, key.2)) {
                 continue;
             }
             return Some((at, *v));
@@ -151,11 +177,11 @@ impl BoxedRef {
         loop {
             let i = self.min_idx()?;
             let key = self.pending[i].0;
-            if self.cancelled.remove(&(key as u64)) {
+            if self.cancelled.remove(&(key.1, key.2)) {
                 self.pending.swap_remove(i);
                 continue;
             }
-            return Some(Nanos((key >> 64) as u64));
+            return Some(Nanos(key.0));
         }
     }
 }
@@ -165,15 +191,18 @@ impl BoxedRef {
 struct Lockstep {
     q: EventQueue<u64>,
     reference: BoxedRef,
-    ids: Vec<(EventId, u64)>,
+    ids: Vec<(EventId, (usize, u64))>,
     now: u64,
 }
 
 impl Lockstep {
-    fn schedule(&mut self, at: Nanos) {
+    fn schedule(&mut self, at: Nanos, origin: usize) {
         let payload = self.ids.len() as u64;
-        let qid = self.q.schedule_at(at, payload);
-        let rid = self.reference.schedule_at(at, payload);
+        let rid = self.reference.schedule(at, origin, payload);
+        let qid = match origin {
+            0 => self.q.schedule_at(at, payload),
+            _ => self.q.schedule_keyed(at, Key::new(origin, rid.1), payload),
+        };
         self.ids.push((qid, rid));
     }
 
@@ -236,10 +265,10 @@ proptest! {
 
         for op in &ops {
             match *op {
-                Op::Schedule(d) => s.schedule(Nanos(s.now + d)),
-                Op::Burst(n, d) => {
+                Op::Schedule(d, origin) => s.schedule(Nanos(s.now + d), origin),
+                Op::Burst(n, d, origin) => {
                     for _ in 0..n {
-                        s.schedule(Nanos(s.now + d as u64));
+                        s.schedule(Nanos(s.now + d as u64), origin);
                     }
                 }
                 Op::Cancel(i) => {
@@ -251,14 +280,14 @@ proptest! {
                     s.pop()?;
                 }
                 Op::Peek => s.peek()?,
-                Op::PopThen { peek, n, delay } => {
+                Op::PopThen { peek, n, delay, origin } => {
                     s.pop()?;
                     s.check()?;
                     if peek {
                         s.peek()?;
                     }
                     for _ in 0..n {
-                        s.schedule(Nanos(s.now + delay));
+                        s.schedule(Nanos(s.now + delay), origin);
                     }
                 }
                 Op::PopCancel => {
@@ -282,6 +311,31 @@ proptest! {
         while s.pop()?.is_some() {}
         prop_assert_eq!(s.q.live(), 0, "leak after drain");
         prop_assert_eq!(s.q.len(), 0);
+    }
+
+    // A workload of origin 0 alone — `schedule_at`, as a driver modelling
+    // one node uses the queue — pops in `(time, schedule order)`: among
+    // same-instant events, FIFO. Eight instants and slot reuse between
+    // rounds make ties and recycled slots the common case.
+    #[test]
+    fn origin_zero_alone_pops_in_schedule_order(
+        rounds in proptest::collection::vec(proptest::collection::vec(0u64..8, 1..40), 1..6),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut base = 0u64;
+        let mut next = 0u64;
+        for times in rounds {
+            let mut expect: Vec<(Nanos, u64)> = Vec::new();
+            for t in times {
+                q.schedule_at(Nanos(base + t), next);
+                expect.push((Nanos(base + t), next));
+                next += 1;
+            }
+            expect.sort();
+            let got: Vec<(Nanos, u64)> = std::iter::from_fn(|| q.pop()).collect();
+            prop_assert_eq!(got, expect, "FIFO among same-instant events");
+            base += 8;
+        }
     }
 
     // Pins the `pop_until` boundary contract the sharded runner's window

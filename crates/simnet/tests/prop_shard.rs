@@ -1,15 +1,15 @@
 //! Property test: the conservative sharded runner is deterministic in the
 //! strong sense — a workload that follows the `shard` module's discipline
-//! (all inter-node traffic through the outbox keyed by global node id,
-//! node-local events only) produces **byte-identical** per-node event
-//! traces at every shard count and in both execution modes.
+//! (every event's origin its global node id, all inter-node traffic
+//! through the outbox, node-local events only) produces **byte-identical**
+//! per-node event traces at every shard count and in both execution modes.
 //!
 //! The workload is a randomized message storm: each node, on receiving a
 //! token, logs it, schedules a node-local echo inside the window, and
 //! forwards one or two tokens to pseudo-random destinations with delays
 //! at or above the lookahead (sometimes *exactly* the lookahead, landing
 //! on window boundaries; frequently colliding on the same instant from
-//! different sources, exercising the `(time, src, seq)` merge).
+//! different sources, exercising the `(time, origin, count)` key order).
 
 use proptest::prelude::*;
 
@@ -55,12 +55,18 @@ impl ShardEngine for Storm {
     type Ev = Ev;
     type Msg = (u32, u64);
 
+    fn origin(&self, ev: &Ev) -> usize {
+        match *ev {
+            Ev::Token { node, .. } | Ev::Echo { node, .. } => node as usize,
+        }
+    }
+
     fn on_event(
         &mut self,
         now: Nanos,
         ev: Ev,
         fx: &mut Effects<'_, Ev>,
-        out: &mut Outbox<(u32, u64)>,
+        out: &mut Outbox<'_, (u32, u64)>,
     ) {
         match ev {
             Ev::Token { node, val } => {
@@ -89,12 +95,7 @@ impl ShardEngine for Storm {
                         1 => LOOKAHEAD + Nanos(hk % 7),        // near-boundary ties
                         _ => LOOKAHEAD + Nanos(hk % (3 * LOOKAHEAD.0)),
                     };
-                    out.send(
-                        self.part.shard_of(dst as usize),
-                        now + delay,
-                        node,
-                        (dst, val + 1 + k),
-                    );
+                    out.send(self.part.shard_of(dst as usize), now + delay, (dst, val + 1 + k));
                 }
             }
             Ev::Echo { node, val } => {
@@ -103,7 +104,7 @@ impl ShardEngine for Storm {
         }
     }
 
-    fn lift(&mut self, _at: Nanos, _src: u32, (dst, val): (u32, u64)) -> Ev {
+    fn lift(&mut self, _at: Nanos, (dst, val): (u32, u64)) -> Ev {
         Ev::Token { node: dst, val }
     }
 }
@@ -199,12 +200,20 @@ impl ShardEngine for ClusterStorm {
     type Ev = ClusterEv;
     type Msg = (u32, u64);
 
+    fn origin(&self, ev: &ClusterEv) -> usize {
+        match *ev {
+            ClusterEv::Frame { node, .. }
+            | ClusterEv::Doorbell { node }
+            | ClusterEv::EngineSlot { node } => node as usize,
+        }
+    }
+
     fn on_event(
         &mut self,
         now: Nanos,
         ev: ClusterEv,
         fx: &mut Effects<'_, ClusterEv>,
-        out: &mut Outbox<(u32, u64)>,
+        out: &mut Outbox<'_, (u32, u64)>,
     ) {
         match ev {
             ClusterEv::Frame { node, val } => {
@@ -246,7 +255,7 @@ impl ShardEngine for ClusterStorm {
                     let dst = (h % NODES as u64) as u32;
                     let dst = if dst == node { (dst + 1) % NODES as u32 } else { dst };
                     let delay = LOOKAHEAD + Nanos(h % (2 * LOOKAHEAD.0));
-                    out.send(self.part.shard_of(dst as usize), now + delay, node, (dst, val + 1));
+                    out.send(self.part.shard_of(dst as usize), now + delay, (dst, val + 1));
                 }
                 if self.work[li].is_empty() {
                     self.busy[li] = false;
@@ -257,7 +266,7 @@ impl ShardEngine for ClusterStorm {
         }
     }
 
-    fn lift(&mut self, _at: Nanos, _src: u32, (dst, val): (u32, u64)) -> ClusterEv {
+    fn lift(&mut self, _at: Nanos, (dst, val): (u32, u64)) -> ClusterEv {
         ClusterEv::Frame { node: dst, val }
     }
 }
@@ -346,12 +355,19 @@ impl ShardEngine for OpenStorm {
     type Ev = OpenEv;
     type Msg = (u32, u64);
 
+    fn origin(&self, ev: &OpenEv) -> usize {
+        match *ev {
+            OpenEv::Arrive => 0,
+            OpenEv::Work { node, .. } => node as usize,
+        }
+    }
+
     fn on_event(
         &mut self,
         now: Nanos,
         ev: OpenEv,
         fx: &mut Effects<'_, OpenEv>,
-        out: &mut Outbox<(u32, u64)>,
+        out: &mut Outbox<'_, (u32, u64)>,
     ) {
         match ev {
             OpenEv::Arrive => {
@@ -365,7 +381,7 @@ impl ShardEngine for OpenStorm {
                 self.logs[0].push((now.0, 0, a.fn_id));
                 let dst = 1 + (a.fn_id % (NODES as u64 - 1)) as u32;
                 let delay = LOOKAHEAD + Nanos(mix(a.seq ^ a.fn_id) % (2 * LOOKAHEAD.0));
-                out.send(self.part.shard_of(dst as usize), now + delay, 0, (dst, a.fn_id));
+                out.send(self.part.shard_of(dst as usize), now + delay, (dst, a.fn_id));
             }
             OpenEv::Work { node, fn_id } => {
                 self.logs[(node - self.lo) as usize].push((now.0, 1, fn_id));
@@ -373,7 +389,7 @@ impl ShardEngine for OpenStorm {
         }
     }
 
-    fn lift(&mut self, _at: Nanos, _src: u32, (dst, fn_id): (u32, u64)) -> OpenEv {
+    fn lift(&mut self, _at: Nanos, (dst, fn_id): (u32, u64)) -> OpenEv {
         OpenEv::Work { node: dst, fn_id }
     }
 }
@@ -457,10 +473,9 @@ proptest! {
     }
 
     // The cluster-shaped storm (coalesced doorbells + engine drain) under
-    // every partitioning and both modes. (A narrower window is a
-    // *different* grid: merges in the middle of the reference windows may
-    // re-order same-instant ties, which the kernel does not promise to
-    // preserve.)
+    // every partitioning and both modes. The one-shard reference runs as
+    // one window; the others merge every lookahead, and keys, not merge
+    // instants, rank same-instant events.
     #[test]
     fn cluster_shaped_traces_are_identical_at_every_shard_count(
         seed in any::<u64>(),
@@ -481,7 +496,7 @@ proptest! {
     }
 
     // The critical-path model counts work (events processed + messages
-    // merged), not host time, so it is part of the determinism contract:
+    // delivered), not host time, so it is part of the determinism contract:
     // per-shard work and its critical path are equal across execution
     // modes and across repetitions; total work is the run's events +
     // messages at every shard count, and one shard is its own critical

@@ -36,14 +36,14 @@ fn trace(r: &ClusterShardedReport) -> String {
 }
 
 /// The shard runner's critical-path model of the golden configuration, in
-/// its own work units (events processed + frames merged): `Σ work` is the
+/// its own work units (events processed + frames delivered): `Σ work` is the
 /// snapshot's `events + messages` at every shard count, and `WORK_MODEL`
 /// holds `(shards, critical_path_work)`. Integers that depend on neither
 /// the machine nor the execution mode, so the parallel scaling the model
-/// predicts — `Σ work ÷ critical_path_work`, 1.00× / 1.50× / 2.10× /
-/// 2.74× — is gated by equality.
-const TOTAL_WORK: u64 = 53_015 + 8_740;
-const WORK_MODEL: [(usize, u64); 4] = [(1, 61_755), (2, 41_296), (4, 29_441), (8, 22_532)];
+/// predicts — `Σ work ÷ critical_path_work`, 1.00× / 1.49× / 2.09× /
+/// 2.73× — is gated by equality.
+const TOTAL_WORK: u64 = 53_015 + 8_739;
+const WORK_MODEL: [(usize, u64); 4] = [(1, 61_754), (2, 41_400), (4, 29_532), (8, 22_606)];
 
 #[test]
 fn every_shard_count_reproduces_the_snapshot() {

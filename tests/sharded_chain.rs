@@ -50,8 +50,8 @@ fn trace(r: &MultiNodeReport) -> String {
 /// critical_path_work)` — machine- and mode-independent integers, so the
 /// modeled scaling `Σ work ÷ critical_path_work` (1.00× / 1.94× / 3.66× /
 /// 6.86×) is gated by equality.
-const TOTAL_WORK: u64 = 405_335 + 135_109;
-const WORK_MODEL: [(usize, u64); 4] = [(1, 540_444), (2, 278_749), (4, 147_633), (8, 78_826)];
+const TOTAL_WORK: u64 = 405_335 + 135_097;
+const WORK_MODEL: [(usize, u64); 4] = [(1, 540_432), (2, 278_922), (4, 147_630), (8, 78_825)];
 
 #[test]
 fn every_shard_count_reproduces_the_snapshot() {

@@ -119,8 +119,7 @@ impl RunStats {
 /// handler emitted.
 #[derive(Clone, Copy)]
 pub(crate) struct Keys<'a> {
-    /// The origin's key of count 0.
-    first: Key,
+    origin: usize,
     next: &'a Cell<u64>,
 }
 
@@ -130,7 +129,7 @@ impl Keys<'_> {
     pub(crate) fn next(self) -> Key {
         let count = self.next.get();
         self.next.set(count + 1);
-        self.first.nth(count)
+        Key::new(self.origin, count)
     }
 }
 
@@ -139,8 +138,10 @@ impl Keys<'_> {
 /// queue at emission, under the handler's next key.
 pub struct Effects<'a, Ev> {
     now: Nanos,
-    keys: Keys<'a>,
-    sim: &'a mut Sim<Ev>,
+    /// The handler's keys; the shard runner keys its sends with them.
+    pub(crate) keys: Keys<'a>,
+    /// The shard runner schedules a self-send here under its own key.
+    pub(crate) sim: &'a mut Sim<Ev>,
 }
 
 impl<'a, Ev> Effects<'a, Ev> {
@@ -148,18 +149,6 @@ impl<'a, Ev> Effects<'a, Ev> {
     #[inline]
     pub fn now(&self) -> Nanos {
         self.now
-    }
-
-    /// The keys of the handler running, for its cross-shard sends.
-    #[inline]
-    pub(crate) fn keys(&self) -> Keys<'a> {
-        self.keys
-    }
-
-    /// Schedule `ev` at `at` under a key already drawn: a self-send's.
-    #[inline]
-    pub(crate) fn schedule_keyed(&mut self, at: Nanos, key: Key, ev: Ev) {
-        self.sim.schedule_keyed(at, key, ev);
     }
 
     /// Emit `ev` after a relative delay.
@@ -238,7 +227,8 @@ pub trait Engine {
 
 /// The shared trampoline: a [`Sim`] clock/queue driving an [`Engine`].
 pub struct Harness<Ev> {
-    sim: Sim<Ev>,
+    /// The shard runner schedules merged messages here under their keys.
+    pub(crate) sim: Sim<Ev>,
     /// Per key origin (see [`Keys`]), the next count of its keys.
     next: Vec<Cell<u64>>,
 }
@@ -282,11 +272,6 @@ impl<Ev> Harness<Ev> {
         self.sim.schedule_at(at, ev);
     }
 
-    /// Schedule `ev` at `at` under a key a handler drew: a message's.
-    pub(crate) fn schedule_keyed(&mut self, at: Nanos, key: Key, ev: Ev) {
-        self.sim.schedule_keyed(at, key, ev);
-    }
-
     /// Run `engine` until `deadline`. Events scheduled beyond the deadline
     /// stay queued; the clock parks at the deadline (or the last event if
     /// the queue ran dry). Returns the number of events processed.
@@ -298,7 +283,7 @@ impl<Ev> Harness<Ev> {
             if origin >= self.next.len() {
                 self.next.resize_with(origin + 1, Cell::default);
             }
-            let keys = Keys { first: Key::new(origin, 0), next: &self.next[origin] };
+            let keys = Keys { origin, next: &self.next[origin] };
             engine.on_event(now, ev, &mut Effects { now, keys, sim: &mut self.sim });
         }
         // The pop that ended the loop found nothing at or before the

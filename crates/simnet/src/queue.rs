@@ -126,19 +126,22 @@ impl Key {
     /// keys of one origin.
     #[inline]
     pub fn new(origin: usize, count: u64) -> Key {
-        assert!(origin < ORIGIN_LIMIT, "event queue: origin {origin} past the 2^16 origins");
-        Key((origin as u64) << COUNT_BITS).nth(count)
+        if origin >= ORIGIN_LIMIT || count >= COUNT_LIMIT {
+            key_overflow(origin, count);
+        }
+        Key(((origin as u64) << COUNT_BITS) | count)
     }
+}
 
-    /// The `count`-th key of this key's origin, whose count is 0.
-    #[inline]
-    pub(crate) fn nth(self, count: u64) -> Key {
-        assert!(
-            count < COUNT_LIMIT,
-            "event queue: origin {} used up its 2^40 keys",
-            self.0 >> COUNT_BITS
-        );
-        Key(self.0 | count)
+/// The panic of [`Key::new`], out of line: keys are made on the hottest
+/// paths in the workspace.
+#[cold]
+#[inline(never)]
+#[expect(clippy::panic, reason = "a key past its bits would alias another; the limits are asserts")]
+fn key_overflow(origin: usize, count: u64) -> ! {
+    match origin < ORIGIN_LIMIT {
+        false => panic!("event queue: origin {origin} past the 2^16 origins"),
+        true => panic!("event queue: origin {origin} used up its 2^40 keys (count {count})"),
     }
 }
 

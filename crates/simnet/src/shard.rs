@@ -485,17 +485,25 @@ impl<E: ShardEngine> Engine for Runner<E> {
 
     #[inline]
     fn on_event(&mut self, now: Nanos, ev: Self::Ev, fx: &mut Effects<'_, Self::Ev>) {
-        let mut out = Outbox { sends: &mut self.sends, keys: fx.keys() };
+        let mut out = Outbox { sends: &mut self.sends, keys: fx.keys };
         self.engine.on_event(now, ev, fx, &mut out);
-        // A self-send goes on the queue now: its key already ranks it.
-        let (own, deadline) = (&mut self.sends.to[self.sends.shard], self.sends.deadline);
-        if own.is_empty() {
-            return;
+        if !self.sends.to[self.sends.shard].is_empty() {
+            self.schedule_self_sends(fx);
         }
-        for env in own.drain(..).filter(|env| env.at <= deadline) {
+    }
+}
+
+impl<E: ShardEngine> Runner<E> {
+    /// Put the handler's self-sends on the queue now: each one's key
+    /// already ranks it. Out of line, off the per-event path: a run with
+    /// it inline measured ≈ 15 % more run wall time on `baseline_fuyao`.
+    #[inline(never)]
+    fn schedule_self_sends(&mut self, fx: &mut Effects<'_, E::Ev>) {
+        let deadline = self.sends.deadline;
+        for env in self.sends.to[self.sends.shard].drain(..).filter(|env| env.at <= deadline) {
             self.self_sent += 1;
             let ev = self.engine.lift(env.at, env.msg);
-            fx.schedule_keyed(env.at, env.key, ev);
+            fx.sim.schedule_keyed(env.at, env.key, ev);
         }
     }
 }
@@ -532,7 +540,7 @@ impl<E: ShardEngine> ShardCtx<E> {
             for env in mailbox.buf().drain(..).filter(|env| env.at <= deadline) {
                 delivered += 1;
                 let ev = self.runner.engine.lift(env.at, env.msg);
-                self.harness.schedule_keyed(env.at, env.key, ev);
+                self.harness.sim.schedule_keyed(env.at, env.key, ev);
             }
             *high_water = (*high_water).max(delivered);
             self.merged += delivered;

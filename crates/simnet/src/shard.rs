@@ -496,7 +496,8 @@ impl<E: ShardEngine> Engine for Runner<E> {
 impl<E: ShardEngine> Runner<E> {
     /// Put the handler's self-sends on the queue now: each one's key
     /// already ranks it. Out of line, off the per-event path: a run with
-    /// it inline measured ≈ 15 % more run wall time on `baseline_fuyao`.
+    /// it inline measured ≈ 15 % more run wall time on `baseline_fuyao`
+    /// (2-vCPU host).
     #[inline(never)]
     fn schedule_self_sends(&mut self, fx: &mut Effects<'_, E::Ev>) {
         let deadline = self.sends.deadline;
